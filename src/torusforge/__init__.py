@@ -2,16 +2,16 @@
 
 Pipeline: sample a quasi-periodic orbit or synthetic torus, build a
 k-nearest-neighbor graph, extract a minimum cycle basis, classify the
-two homology generators, solve for harmonic one-forms, triangulate
-overlapping chart patches, merge them into a closed oriented mesh, and
-project/export the result for rendering.
+two homology generators, solve for harmonic one-forms, integrate them
+to an angle map on the flat torus, take its periodic Delaunay
+triangulation as a closed oriented mesh, and project/export the result
+for rendering.
 """
 
 from .errors import (ConfigError, CycleBasisError, DisconnectedGraphError,
                      GeneratorClassificationError, MeshValidationError,
-                     OrientationConflictError, PatchCollapseError,
-                     ProjectionError, ResidualError, SingularityError,
-                     TorusforgeError)
+                     OrientationConflictError, ProjectionError,
+                     ResidualError, SingularityError, TorusforgeError)
 from .cr3bp import (LibrationPoint, eom, integrate, jacobi_constant,
                     libration_points)
 from .samplers import (PointCloud, StandardMapConfig, iterate_standard_map,
@@ -22,7 +22,7 @@ from .knn import NeighborGraph, build_knn_graph
 from .cycles import (Classification, Cycle, CycleBasis, classify_cycles,
                      exhaustive_minimum_cycle_basis, minimum_cycle_basis)
 from .oneforms import OneFormPair, assemble_system, solve_oneforms
-from .mesher import (SurfaceMesh, load_mesh_json, merge_patches,
+from .mesher import (SurfaceMesh, load_mesh_json, mesh_flat_torus,
                      validate_mesh)
 from .orientation import OrientedMesh, orient_mesh
 from .projection import (ProjectedMesh, Projection, export_mesh, project,
@@ -34,7 +34,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigError", "CycleBasisError", "DisconnectedGraphError",
     "GeneratorClassificationError", "MeshValidationError",
-    "OrientationConflictError", "PatchCollapseError", "ProjectionError",
+    "OrientationConflictError", "ProjectionError",
     "ResidualError", "SingularityError", "TorusforgeError",
     "LibrationPoint", "eom", "integrate", "jacobi_constant",
     "libration_points",
@@ -46,7 +46,7 @@ __all__ = [
     "Classification", "Cycle", "CycleBasis", "classify_cycles",
     "exhaustive_minimum_cycle_basis", "minimum_cycle_basis",
     "OneFormPair", "assemble_system", "solve_oneforms",
-    "SurfaceMesh", "load_mesh_json", "merge_patches", "validate_mesh",
+    "SurfaceMesh", "load_mesh_json", "mesh_flat_torus", "validate_mesh",
     "OrientedMesh", "orient_mesh",
     "ProjectedMesh", "Projection", "export_mesh", "project", "read_obj",
     "read_ply",

@@ -34,7 +34,7 @@ from .samplers import (StandardMapConfig, load_point_cloud,
 from .knn import build_knn_graph
 from .cycles import classify_cycles, export_cycles_json, minimum_cycle_basis
 from .oneforms import assemble_system, export_residuals_json, solve_oneforms
-from .mesher import (export_mesh_json, load_mesh_json, merge_patches,
+from .mesher import (export_mesh_json, load_mesh_json, mesh_flat_torus,
                      validate_mesh)
 from .orientation import orient_mesh
 from .projection import Projection, ProjectedMesh, export_mesh, project
@@ -65,7 +65,6 @@ def default_config():
         "k": 8,
         "weights": "inverse_length",
         "solver": {"method": "exact", "penalty": 1e6},
-        "patch": {"core_depth": 4, "rim_margin": 2},
         "projection": {"kind": "coordinate_select", "indices": [0, 1, 2]},
         "export": {"format": "obj", "color_mode": "sidedness"},
         "output_dir": ".",
@@ -227,7 +226,8 @@ def stage_sample(cfg):
 
 
 def stage_mesh(cfg, cloud=None):
-    """knn -> cycle basis -> one-forms -> patches -> orientation."""
+    """knn -> cycle basis -> one-forms -> flat-torus Delaunay mesh ->
+    orientation."""
     if cloud is None:
         cloud = load_point_cloud(_art(cfg, "cloud.csv"))
     graph = build_knn_graph(cloud, k=cfg["k"])
@@ -239,10 +239,7 @@ def stage_mesh(cfg, cloud=None):
     forms = solve_oneforms(system, method=cfg["solver"].get("method", "exact"),
                            penalty=cfg["solver"].get("penalty", 1e6))
     export_residuals_json(_art(cfg, "residuals.json"), forms)
-    mesh = merge_patches(graph, forms, cloud,
-                         core_depth=cfg["patch"]["core_depth"],
-                         rim_margin=cfg["patch"]["rim_margin"],
-                         rng_seed=cfg["seed"])
+    mesh = mesh_flat_torus(graph, forms, cloud)
     oriented = orient_mesh(mesh)
     export_mesh_json(_art(cfg, "mesh.json"), oriented.mesh)
     log.info("mesh: %d faces, chi=%d -> mesh.json",
@@ -288,10 +285,9 @@ def stage_validate(cfg, mesh_path=None, write=True):
     """Recompute invariants; works on externally produced mesh.json too."""
     path = mesh_path or _art(cfg, "mesh.json")
     mesh = load_mesh_json(path)
-    report = validate_mesh(mesh.triangles, strict=False,
-                           rounds_used=mesh.report.get("rounds_used", 0))
-    if "patch_agreement_max" in mesh.report:
-        report["patch_agreement_max"] = mesh.report["patch_agreement_max"]
+    report = validate_mesh(mesh.triangles, strict=False)
+    if "period_defect_max" in mesh.report:
+        report["period_defect_max"] = mesh.report["period_defect_max"]
     try:
         orient_mesh(mesh)
         report["orientation_conflicts"] = 0
@@ -352,8 +348,16 @@ def make_parser():
     return parser
 
 
+# structured evidence the pipeline's exceptions carry
+_DETAIL_ATTRS = ("report", "diagnostics", "component_sizes", "conflict_cycle")
+
+
 def _fail(stage, exc, code):
     payload = {"stage": stage, "error": type(exc).__name__, "message": str(exc)}
+    details = {name: getattr(exc, name) for name in _DETAIL_ATTRS
+               if getattr(exc, name, None) is not None}
+    if details:
+        payload["details"] = details
     print(json.dumps(payload, sort_keys=True), file=sys.stderr)
     return code
 

@@ -41,12 +41,8 @@ class ResidualError(TorusforgeError):
         super().__init__(message)
 
 
-class PatchCollapseError(TorusforgeError):
-    """Patch rim shrank to the minimum depth with wraparound persisting."""
-
-
 class MeshValidationError(TorusforgeError):
-    """Merged mesh failed closed-manifold validation; carries the report."""
+    """Mesh failed closed-manifold validation; carries the report."""
 
     def __init__(self, message, report=None):
         self.report = report

@@ -1,51 +1,29 @@
-"""Patch-based torus meshing driven by the solved one-forms.
+"""Torus meshing in the angle coordinates the solved one-forms define.
 
-Patches are breadth-first balls in the neighbor graph. Integrating the
-one-forms along the BFS tree gives each patch a local (u, v) chart;
-inside a disk-topology patch every graph edge reproduces its one-form
-increment, while a patch that wraps a homology generator shows a
-mismatch of about one period on some edge, which triggers shrinking.
-Each chart is Delaunay-triangulated, only triangles fully inside the
-patch core are kept, and overlapping patch triangulations are merged
-with a deterministic most-interior-wins rule until the surface closes.
+The exact solve gives the one-forms integer periods, so integrating
+(du, dv) along any spanning tree yields a well-defined angle map
+theta: V -> R^2 / Z^2. The mesh is the Delaunay triangulation of the
+points theta(v) on that flat torus, under the arclength chart metric,
+computed by one Qhull run on the 3x3 periodic copy of the points
+(Caroli & Teillaud, "Delaunay triangulations of closed Euclidean
+d-orbifolds", DCG 2016). No points are moved, added or dropped: a cloud
+the construction cannot triangulate fails validation loudly.
 """
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import Delaunay, QhullError
-from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.csgraph import breadth_first_order
+from scipy.spatial import Delaunay
 
-from .errors import ConfigError, MeshValidationError, PatchCollapseError
+from .errors import MeshValidationError, ResidualError
 
 log = logging.getLogger("torusforge.mesher")
 
-_DEGENERATE_AREA = 1e-12
 _WRAP_THRESHOLD = 0.5
-_MIN_RIM = 2
-
-
-@dataclass
-class Patch:
-    seed: int
-    vertices: np.ndarray       # global indices, BFS order
-    depth: np.ndarray          # BFS depth per patch vertex
-    uv: np.ndarray             # (P, 2) chart coordinates, seed at origin
-    core_depth: int
-    rim_depth: int
-    local: dict = field(default_factory=dict)  # global -> patch index
-    metric: tuple = (1.0, 1.0)
-    inner_radius: float = np.inf
-
-    def core_mask(self):
-        return self.depth <= self.core_depth
-
-    def chart_points(self):
-        """Chart coordinates rescaled to the shared arclength metric, so
-        Delaunay predicates agree across patches."""
-        return self.uv * np.asarray(self.metric)
+_PERIOD_DEFECT_GATE = 1e-6
 
 
 @dataclass
@@ -55,148 +33,12 @@ class SurfaceMesh:
     report: dict
 
 
-def _edge_increment(forms_component, graph, a, b):
-    e = graph.edge_index[(a, b) if a < b else (b, a)]
-    val = forms_component[e]
-    return val if a < b else -val, e
-
-
-def _bfs_chart(graph, forms, seed, rim_depth):
-    """BFS ball with uv integrated along tree edges from the seed."""
-    order = [seed]
-    depth = {seed: 0}
-    uv = {seed: (0.0, 0.0)}
-    for u in order:
-        if depth[u] == rim_depth:
-            continue
-        for nb in graph.adjacency[u]:
-            nb = int(nb)
-            if nb in depth:
-                continue
-            depth[nb] = depth[u] + 1
-            du, _ = _edge_increment(forms.du, graph, u, nb)
-            dv, _ = _edge_increment(forms.dv, graph, u, nb)
-            uv[nb] = (uv[u][0] + du, uv[u][1] + dv)
-            order.append(nb)
-    verts = np.array(order, dtype=np.int64)
-    dep = np.array([depth[v] for v in order], dtype=np.int64)
-    chart = np.array([uv[v] for v in order], dtype=np.float64)
-    return verts, dep, chart
-
-
-def _wraparound(graph, forms, verts, chart):
-    """True if any intra-patch edge disagrees with its one-form value by
-    half a period or more (the chart is not single-valued)."""
-    n = graph.vertex_count
-    upos = np.full(n, np.nan)
-    vpos = np.full(n, np.nan)
-    upos[verts] = chart[:, 0]
-    vpos[verts] = chart[:, 1]
-    ei, ej = graph.edges[:, 0], graph.edges[:, 1]
-    inside = ~(np.isnan(upos[ei]) | np.isnan(upos[ej]))
-    mis_u = upos[ej[inside]] - upos[ei[inside]] - forms.du[inside]
-    mis_v = vpos[ej[inside]] - vpos[ei[inside]] - forms.dv[inside]
-    bad = (np.abs(mis_u) >= _WRAP_THRESHOLD) | (np.abs(mis_v) >= _WRAP_THRESHOLD)
-    return bool(np.any(bad))
-
-
-def grow_patch(graph, forms, seed, rim_depth, core_margin=2, metric=(1.0, 1.0)):
-    """Grow a disk-topology patch around `seed`.
-
-    Shrinks rim_depth until the chart is single-valued; raises
-    PatchCollapseError when the minimum depth still wraps a generator,
-    which indicates the sampling is too sparse for the requested k.
-    """
-    seed = int(seed)
-    rim = int(rim_depth)
-    if rim < _MIN_RIM:
-        raise ConfigError(f"rim_depth must be >= {_MIN_RIM}")
-    while True:
-        verts, dep, chart = _bfs_chart(graph, forms, seed, rim)
-        if not _wraparound(graph, forms, verts, chart):
-            break
-        if rim <= _MIN_RIM:
-            raise PatchCollapseError(
-                f"patch at seed {seed} wraps a generator even at "
-                f"rim_depth {_MIN_RIM}; sampling too sparse")
-        rim -= 1
-        log.debug("patch %d wraps, shrinking rim to %d", seed, rim)
-    core = max(0, rim - core_margin)
-    local = {int(v): i for i, v in enumerate(verts)}
-    scaled = chart * np.asarray(metric)
-    on_rim = dep == rim
-    inner = (float(np.min(np.hypot(scaled[on_rim, 0], scaled[on_rim, 1])))
-             if np.any(on_rim) else np.inf)
-    return Patch(seed, verts, dep, chart, core, rim, local,
-                 tuple(metric), inner)
-
-
-def _circumcircle(pts, a, b, c):
-    ax, ay = pts[a]
-    bx, by = pts[b]
-    cx, cy = pts[c]
-    d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
-    if d == 0.0:
-        return np.nan, np.nan, np.inf
-    aa, bb, cc = ax * ax + ay * ay, bx * bx + by * by, cx * cx + cy * cy
-    ux = (aa * (by - cy) + bb * (cy - ay) + cc * (ay - by)) / d
-    uy = (aa * (cx - bx) + bb * (ax - cx) + cc * (bx - ax)) / d
-    return ux, uy, float(np.hypot(ux - ax, uy - ay))
-
-
-def triangulate_patch(patch):
-    """Delaunay triangles of the patch chart whose vertices all lie in
-    the core, as (global triple with chart winding, badness) pairs.
-
-    A triangle is kept only if its circumdisk fits inside the patch's
-    rim-safe inner region: the patch then witnesses every point that
-    could invalidate the empty-circumdisk property, so a kept triangle
-    is Delaunay for the whole cloud and overlapping patches can never
-    disagree. Badness is the triangle's maximum BFS depth: lower means
-    more interior, used by the merge step to arbitrate duplicates.
-    Returns an empty list when fewer than 3 core vertices exist or the
-    chart is degenerate.
-    """
-    if int(np.sum(patch.core_mask())) < 3 or len(patch.vertices) < 3:
-        return []
-    pts = patch.chart_points()
-    try:
-        dela = Delaunay(pts)
-    except QhullError:
-        return []
-    out = []
-    uv = patch.uv
-    for simplex in dela.simplices:
-        a, b, c = (int(s) for s in simplex)
-        if max(patch.depth[a], patch.depth[b], patch.depth[c]) > patch.core_depth:
-            continue
-        area2 = ((uv[b, 0] - uv[a, 0]) * (uv[c, 1] - uv[a, 1])
-                 - (uv[c, 0] - uv[a, 0]) * (uv[b, 1] - uv[a, 1]))
-        if abs(area2) / 2.0 < _DEGENERATE_AREA:
-            continue
-        if np.max(np.abs(uv[[a, b, c]].max(axis=0)
-                         - uv[[a, b, c]].min(axis=0))) >= _WRAP_THRESHOLD:
-            continue
-        cx, cy, rad = _circumcircle(pts, a, b, c)
-        if not np.hypot(cx, cy) + rad <= patch.inner_radius:
-            continue
-        if area2 < 0:
-            b, c = c, b
-        tri = (int(patch.vertices[a]), int(patch.vertices[b]),
-               int(patch.vertices[c]))
-        badness = int(max(patch.depth[a], patch.depth[b], patch.depth[c]))
-        out.append((tri, badness))
-    return out
-
-
-def _edge_incidence(tris):
-    """Map undirected edge -> list of triangle list-indexes."""
-    inc = {}
-    for t, (a, b, c) in enumerate(tris):
-        for i, j in ((a, b), (b, c), (c, a)):
-            key = (i, j) if i < j else (j, i)
-            inc.setdefault(key, []).append(t)
-    return inc
+def _edge_counts(triangles):
+    """Undirected edges (rows i <= j, sorted) of a triangle list and the
+    number of triangles using each."""
+    tris = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)
+    ends = np.stack([tris, np.roll(tris, -1, axis=1)], axis=2).reshape(-1, 2)
+    return np.unique(np.sort(ends, axis=1), axis=0, return_counts=True)
 
 
 def _link_offenders(tris):
@@ -233,20 +75,19 @@ def _link_offenders(tris):
     return sorted(bad)
 
 
-def validate_mesh(triangles, rounds_used=0, strict=True, extra=None):
+def validate_mesh(triangles, strict=True, extra=None):
     """Closed-2-manifold + torus-topology report; raises on failure.
 
     Report keys: vertices, edges, faces, euler_characteristic,
-    nonmanifold_edges, boundary_edges, rounds_used.
+    nonmanifold_edges, boundary_edges, problems.
     """
-    tris = [tuple(int(x) for x in t) for t in triangles]
-    inc = _edge_incidence(tris)
-    counts = np.array([len(v) for v in inc.values()], dtype=np.int64)
-    nverts = len({v for t in tris for v in t})
-    nedges = len(inc)
+    tris = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)
+    edges, counts = _edge_counts(tris)
+    nverts = len(np.unique(tris))
+    nedges = len(edges)
     nfaces = len(tris)
-    boundary = int(np.sum(counts == 1)) if len(counts) else 0
-    nonmanifold = int(np.sum(counts > 2)) if len(counts) else 0
+    boundary = int(np.sum(counts == 1))
+    nonmanifold = int(np.sum(counts > 2))
     euler = nverts - nedges + nfaces
     report = {
         "vertices": nverts,
@@ -255,7 +96,6 @@ def validate_mesh(triangles, rounds_used=0, strict=True, extra=None):
         "euler_characteristic": euler,
         "nonmanifold_edges": nonmanifold,
         "boundary_edges": boundary,
-        "rounds_used": int(rounds_used),
     }
     if extra:
         report.update(extra)
@@ -263,15 +103,15 @@ def validate_mesh(triangles, rounds_used=0, strict=True, extra=None):
     if nfaces == 0:
         problems.append("empty mesh")
     if boundary:
-        offenders = sorted(k for k, v in inc.items() if len(v) == 1)[:20]
+        offenders = [tuple(e) for e in edges[counts == 1][:20].tolist()]
         problems.append(f"{boundary} boundary edges, e.g. {offenders[:5]}")
         report["boundary_edge_list"] = [list(e) for e in offenders]
     if nonmanifold:
-        offenders = sorted(k for k, v in inc.items() if len(v) > 2)[:20]
+        offenders = [tuple(e) for e in edges[counts > 2][:20].tolist()]
         problems.append(f"{nonmanifold} non-manifold edges, e.g. {offenders[:5]}")
         report["nonmanifold_edge_list"] = [list(e) for e in offenders]
     if not boundary and not nonmanifold and nfaces:
-        bad_links = _link_offenders(tris)
+        bad_links = _link_offenders(tris.tolist())
         if bad_links:
             problems.append(f"link condition fails at vertices {bad_links[:10]}")
             report["link_offenders"] = bad_links[:50]
@@ -283,15 +123,10 @@ def validate_mesh(triangles, rounds_used=0, strict=True, extra=None):
     return report
 
 
-def _hop_distance(graph, source):
-    d = dijkstra(graph.adjacency_matrix(), indices=[source], unweighted=True)
-    return d[0]
-
-
 def _chart_metric(graph, forms):
     """Per-axis arclength scale of the chart, least squares over edges:
-    len^2 ~ (su du)^2 + (sv dv)^2. Makes chart geometry near-isotropic
-    and identical across patches."""
+    len^2 ~ (su du)^2 + (sv dv)^2. Makes chart geometry near-isotropic,
+    so the Delaunay predicate approximates the embedding's."""
     design = np.stack([forms.du ** 2, forms.dv ** 2], axis=1)
     coef, *_ = np.linalg.lstsq(design, graph.lengths ** 2, rcond=None)
     if not np.all(np.isfinite(coef)) or np.any(coef <= 0):
@@ -299,143 +134,85 @@ def _chart_metric(graph, forms):
     return (float(np.sqrt(coef[0])), float(np.sqrt(coef[1])))
 
 
-def merge_patches(graph, forms, cloud, seeds=None, core_depth=4,
-                  rim_margin=2, max_rounds=None, rng_seed=0):
-    """Cover the graph with patch triangulations and merge them into a
-    validated torus mesh.
+def _periodic_delaunay(points, period):
+    """Delaunay triangles of `points` on the flat torus [0, px) x [0, py),
+    from one Qhull run on the 3x3 periodic copy of the points.
 
-    Seeds come from the given sequence first, then greedy farthest-first
-    among vertices that are not yet core-covered, then at endpoints of
-    edges still missing a second triangle. When reseeding stops making
-    progress the rim depth is escalated so larger patches can certify
-    the wide sliver triangles that bridge local sampling gaps. Overlap
-    conflicts keep the candidate with the smallest maximum BFS depth in
-    its own patch (most-interior wins), tie-broken by discovery order.
+    Keeps the simplices touching the central copy and maps them to base
+    ids. Each triangle keeps the counter-clockwise winding scipy gives
+    2-D simplices, is rotated to start at its smallest id (which dedupes
+    its periodic translates), and the rows are sorted. Also returns the
+    base ids Qhull dropped as coplanar. The result is a triangulation of
+    the torus only when the cloud is dense enough for the copy
+    construction; callers validate.
+    """
+    n = len(points)
+    shifts = np.array([(0, 0), (-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1),
+                       (1, -1), (1, 0), (1, 1)]) * np.asarray(period)
+    lifted = (points[None, :, :] + shifts[:, None, :]).reshape(-1, 2)
+    dela = Delaunay(lifted)
+    simp = dela.simplices[np.any(dela.simplices < n, axis=1)] % n
+    lead = np.argmin(simp, axis=1)[:, None]
+    simp = np.take_along_axis(simp, (lead + np.arange(3)) % 3, axis=1)
+    dropped = np.unique(dela.coplanar[:, 0] % n)
+    return np.unique(simp, axis=0), dropped
+
+
+def mesh_flat_torus(graph, forms, cloud):
+    """Mesh the cloud as the Delaunay triangulation of its angle map.
+
+    Integrates (du, dv) from vertex 0 over a BFS tree to get theta and
+    certifies the integer periods over every graph edge: the largest
+    distance of theta_j - theta_i - (du, dv) from an integer is the
+    report's `period_defect_max`, and ResidualError is raised when it
+    exceeds 1e-6. Triangulates theta mod 1, scaled by the chart metric,
+    on the flat torus. Raises MeshValidationError, carrying the report,
+    when the result is not a closed genus-1 manifold, when an input
+    point is not a mesh vertex, or when a mesh edge that is also a graph
+    edge spans a period seam.
     """
     V = graph.vertex_count
-    rim_depth = core_depth + rim_margin
-    metric = _chart_metric(graph, forms)
-    rng = np.random.default_rng(rng_seed)
-    seed_list = [int(s) for s in seeds] if seeds is not None else []
-    if not seed_list:
-        seed_list = [int(rng.integers(V))]
-    best = {}            # sorted triple -> (badness, order, winding triple)
-    core_cover = np.zeros(V, dtype=bool)
-    agree_ref = {}       # edge id -> (u_diff, v_diff) from first covering patch
-    agree_max = 0.0
-    seed_dist = np.full(V, np.inf)
-    used_seeds = []
-    rounds = 0
-    order_counter = 0
-    expected = None
-    rim_bump = 0
-    prev_state = None
-    while True:
-        if rounds < len(seed_list):
-            seed = seed_list[rounds]
-        else:
-            uncovered = np.nonzero(~core_cover)[0]
-            if len(uncovered):
-                cand = uncovered
-            else:
-                tris_now = [v[2] for v in best.values()]
-                inc = _edge_incidence(tris_now)
-                open_vs = sorted({v for e, ts in inc.items()
-                                  if len(ts) == 1 for v in e})
-                if not open_vs:
-                    break
-                cand = np.array(open_vs, dtype=np.int64)
-            state = (len(best), int(core_cover.sum()), len(cand))
-            if state == prev_state:
-                rim_bump = min(rim_bump + 1, 6)
-            else:
-                rim_bump = 0
-            prev_state = state
-            far = seed_dist[cand]
-            top = np.nonzero(far == far.max())[0]
-            seed = int(cand[top[0]])
-        patch = grow_patch(graph, forms, seed, rim_depth + rim_bump,
-                           core_margin=rim_margin, metric=metric)
-        used_seeds.append(seed)
-        d = _hop_distance(graph, seed)
-        seed_dist = np.minimum(seed_dist, d)
-        for tri, badness in triangulate_patch(patch):
-            key = tuple(sorted(tri))
-            prev = best.get(key)
-            if prev is None or badness < prev[0]:
-                best[key] = (badness, order_counter, tri)
-            order_counter += 1
-        cmask = patch.core_mask()
-        core_cover[patch.vertices[cmask]] = True
-        # patch agreement over core-core graph edges
-        core_set = {int(v): i for v, i, m in
-                    zip(patch.vertices, range(len(patch.vertices)), cmask) if m}
-        for gv, li in core_set.items():
-            for nb in graph.adjacency[gv]:
-                nb = int(nb)
-                if nb <= gv or nb not in core_set:
-                    continue
-                e = graph.edge_index[(gv, nb)]
-                du = patch.uv[core_set[nb], 0] - patch.uv[li, 0]
-                dv = patch.uv[core_set[nb], 1] - patch.uv[li, 1]
-                ref = agree_ref.get(e)
-                if ref is None:
-                    agree_ref[e] = (du, dv)
-                else:
-                    agree_max = max(agree_max, abs(du - ref[0]),
-                                    abs(dv - ref[1]))
-        rounds += 1
-        if expected is None:
-            core_size = max(1, int(np.sum(cmask)))
-            expected = max(1, -(-V // core_size))
-            if max_rounds is None:
-                max_rounds = max(10, 10 * expected)
-        if rounds >= len(seed_list):
-            tris_now = [v[2] for v in best.values()]
-            if np.all(core_cover) and tris_now:
-                inc = _edge_incidence(tris_now)
-                if all(len(ts) >= 2 for ts in inc.values()):
-                    break
-        if rounds >= max_rounds:
-            log.warning("merge reached max_rounds=%d with open surface",
-                        max_rounds)
-            break
-    # resolve any edge used by more than two triangles: drop worst
-    tri_items = sorted(best.values(), key=lambda t: (t[0], t[1]))
-    alive = {i: t for i, (b, o, t) in enumerate(tri_items)}
-    badness_of = {i: (b, o) for i, (b, o, t) in enumerate(tri_items)}
-    while True:
-        inc = _edge_incidence([alive[i] for i in sorted(alive)])
-        idx_map = dict(enumerate(sorted(alive)))
-        over = {e: ts for e, ts in inc.items() if len(ts) > 2}
-        if not over:
-            break
-        drop = set()
-        for e, ts in over.items():
-            ranked = sorted(ts, key=lambda t: (badness_of[idx_map[t]],
-                                               alive[idx_map[t]]))
-            for t in ranked[2:]:
-                drop.add(idx_map[t])
-        if not drop:
-            break
-        for i in drop:
-            del alive[i]
-    triangles = np.array([alive[i] for i in sorted(alive)], dtype=np.int64)
-    extra = {"patch_agreement_max": float(agree_max)}
-    report = validate_mesh(triangles, rounds_used=rounds, strict=True,
-                           extra=extra)
-    # a mesh edge that is also a graph edge must sit on one period sheet
-    mis = []
-    for key in _edge_incidence([tuple(t) for t in triangles]):
-        e = graph.edge_index.get(key)
-        if e is not None and (abs(forms.du[e]) >= _WRAP_THRESHOLD
-                              or abs(forms.dv[e]) >= _WRAP_THRESHOLD):
-            mis.append(key)
-    if mis:
-        raise MeshValidationError(
-            f"{len(mis)} mesh edges span a period seam", report)
-    log.info("mesh: %d faces, %d rounds, agreement %.2e",
-             len(triangles), rounds, agree_max)
+    ei, ej = graph.edges[:, 0], graph.edges[:, 1]
+    keys = ei * V + ej                # sorted, as graph.edges is
+    inc = np.column_stack([forms.du, forms.dv])
+    order, pred = breadth_first_order(graph.adjacency_matrix(), 0,
+                                      directed=False)
+    child = order[1:]
+    parent = pred[child]
+    tree_edge = np.searchsorted(keys, np.minimum(parent, child) * V
+                                + np.maximum(parent, child))
+    step = np.where((parent < child)[:, None], inc[tree_edge],
+                    -inc[tree_edge])
+    theta = np.full((V, 2), np.nan)   # stays NaN off the tree: fails below
+    theta[0] = 0.0
+    for v, p, s in zip(child, parent, step):   # BFS order: parents first
+        theta[v] = theta[p] + s
+    gap = theta[ej] - theta[ei] - inc
+    defect = float(np.max(np.abs(gap - np.round(gap)), initial=0.0))
+    if not defect <= _PERIOD_DEFECT_GATE:
+        raise ResidualError(
+            f"angle map is not single-valued: an edge misses an integer "
+            f"period by {defect:.3e} (gate {_PERIOD_DEFECT_GATE:.0e})",
+            {"period_defect_max": defect})
+    metric = np.asarray(_chart_metric(graph, forms))
+    triangles, dropped = _periodic_delaunay(np.mod(theta, 1.0) * metric,
+                                            metric)
+    report = validate_mesh(triangles, strict=False,
+                           extra={"period_defect_max": defect})
+    problems = report["problems"]
+    if len(dropped) or report["vertices"] != V:
+        problems.append(
+            f"input points missing from the mesh: {V - report['vertices']} "
+            f"are not vertices, {len(dropped)} dropped by Qhull as coplanar")
+    edges, _ = _edge_counts(triangles)
+    seam = np.any(np.abs(inc) >= _WRAP_THRESHOLD, axis=1)
+    crossing = int(np.sum(np.isin(keys[seam], edges[:, 0] * V + edges[:, 1])))
+    if crossing:
+        problems.append(f"{crossing} mesh edges span a period seam")
+    if problems:
+        raise MeshValidationError("; ".join(problems), report)
+    log.info("mesh: %d faces on the flat torus, period defect %.2e",
+             len(triangles), defect)
     return SurfaceMesh(cloud, triangles, report)
 
 

@@ -1,6 +1,6 @@
 """Shared fixtures: flat-torus grid graphs and the three embedding
 pipelines, built once per session because the larger ones take tens of
-seconds."""
+seconds, plus the brute-force flat-torus Delaunay certificate."""
 
 from types import SimpleNamespace
 
@@ -15,7 +15,7 @@ from torusforge.knn import NeighborGraph, build_knn_graph
 from torusforge.cycles import Cycle, Classification, classify_cycles, \
     minimum_cycle_basis
 from torusforge.oneforms import assemble_system, solve_oneforms
-from torusforge.mesher import merge_patches
+from torusforge.mesher import mesh_flat_torus
 from torusforge.orientation import orient_mesh
 
 # rotation numbers rationally independent of each other and of 1
@@ -74,7 +74,41 @@ def manual_grid_classification(graph, rows, cols):
     return Classification(squares, col0, row0)
 
 
-def build_pipeline(cloud, k=8, rng_seed=0):
+def _circumcircle(pts, a, b, c):
+    ax, ay = pts[a]
+    bx, by = pts[b]
+    cx, cy = pts[c]
+    d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
+    if d == 0.0:
+        return np.nan, np.nan, np.inf
+    aa, bb, cc = ax * ax + ay * ay, bx * bx + by * by, cx * cx + cy * cy
+    ux = (aa * (by - cy) + bb * (cy - ay) + cc * (ay - by)) / d
+    uy = (aa * (cx - bx) + bb * (ax - cx) + cc * (bx - ax)) / d
+    return ux, uy, float(np.hypot(ux - ax, uy - ay))
+
+
+def unwrapped_corners(uv, tri):
+    """Corners of a unit-flat-torus triangle, unwrapped around its first
+    vertex by minimum image (edges must be shorter than half a period)."""
+    corners = uv[list(tri)]
+    offset = corners - corners[0]
+    return corners[0] + offset - np.round(offset)
+
+
+def brute_force_delaunay_check(uv, triangles, tol=1e-9):
+    """Number of triangles whose open circumdisk holds a point of the
+    3x3 periodic copy of `uv`, on the unit flat torus."""
+    shifts = np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)])
+    copies = (uv[None, :, :] + shifts[:, None, :]).reshape(-1, 2)
+    violations = 0
+    for tri in triangles:
+        cx, cy, rad = _circumcircle(unwrapped_corners(uv, tri), 0, 1, 2)
+        dist = np.hypot(copies[:, 0] - cx, copies[:, 1] - cy)
+        violations += int(np.sum(dist < rad - tol) > 0)
+    return violations
+
+
+def build_pipeline(cloud, k=8):
     """Full library chain cloud -> oriented mesh, bundled for tests."""
     graph = build_knn_graph(cloud, k=k)
     basis = minimum_cycle_basis(graph)
@@ -82,7 +116,7 @@ def build_pipeline(cloud, k=8, rng_seed=0):
     system = assemble_system(graph, basis, classification,
                              weights="inverse_length")
     forms = solve_oneforms(system)
-    mesh = merge_patches(graph, forms, cloud, rng_seed=rng_seed)
+    mesh = mesh_flat_torus(graph, forms, cloud)
     oriented = orient_mesh(mesh)
     return SimpleNamespace(cloud=cloud, graph=graph, basis=basis,
                            classification=classification, forms=forms,

@@ -11,13 +11,14 @@ import pytest
 from torusforge import cli
 from torusforge.cr3bp import eom, integrate, jacobi_constant, libration_points
 from torusforge.cycles import exhaustive_minimum_cycle_basis, minimum_cycle_basis
-from torusforge.mesher import SurfaceMesh, triangulate_patch
+from torusforge.mesher import SurfaceMesh, _periodic_delaunay
 from torusforge.orientation import orient_mesh
 from torusforge.samplers import (PointCloud, StandardMapConfig,
                                  sample_standard_map_torus)
 
-from conftest import EARTH_MOON_MU, GOLDEN, SILVER, build_pipeline, periodic_grid
-from test_mesher import brute_force_delaunay_check, synthetic_patch
+from conftest import (EARTH_MOON_MU, GOLDEN, SILVER,
+                      brute_force_delaunay_check, build_pipeline,
+                      periodic_grid)
 
 
 def assert_closed_torus(report):
@@ -61,10 +62,11 @@ def test_c2_standard_map_topology_and_flat_limit(stdmap_bundle):
 
 
 def test_c3_center_manifold_six_dim(cm_bundle):
-    """Quasi-periodic 6D cloud near L2: closed torus mesh and per-patch
-    chart agreement below 1e-6."""
+    """Quasi-periodic 6D cloud near L2: closed torus mesh, and every
+    graph edge's angle-map difference within 1e-6 of its one-form
+    increment plus an integer period."""
     assert_closed_torus(cm_bundle.mesh.report)
-    assert cm_bundle.mesh.report["patch_agreement_max"] < 1e-6
+    assert cm_bundle.mesh.report["period_defect_max"] < 1e-6
     print("ACCEPTANCE PASS: C3 center manifold")
 
 
@@ -160,15 +162,16 @@ def test_c8_byte_determinism(tmp_path_factory):
 
 
 def test_c9_empty_circumcircle_property():
-    """Patch triangulations are Delaunay: brute force certifies the open
-    circumdisk of every kept triangle contains no chart point."""
+    """Flat-torus triangulations are Delaunay: 200 random points give
+    exactly 400 triangles, and brute force certifies that the open
+    circumdisk of every triangle holds no point of the 9 periodic
+    copies."""
     for seed in range(5):
         rng = np.random.default_rng(seed)
-        uv = rng.uniform(0.0, 0.45, size=(200, 2))
-        patch = synthetic_patch(uv)
-        tris = triangulate_patch(patch)
-        assert len(tris) > 300
-        triangles = np.array([t for t, _ in tris])
+        uv = rng.uniform(0.0, 1.0, size=(200, 2))
+        triangles, dropped = _periodic_delaunay(uv, (1.0, 1.0))
+        assert len(dropped) == 0
+        assert len(triangles) == 400
         violations = brute_force_delaunay_check(uv, triangles)
         assert violations == 0
     print("ACCEPTANCE PASS: C9 Delaunay certificate")

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from torusforge import cli
-from torusforge.errors import ConfigError
+from torusforge.errors import (ConfigError, DisconnectedGraphError,
+                               MeshValidationError, OrientationConflictError,
+                               ResidualError)
 
 FAST = {"sampler": {"kind": "torus_revolution", "N": 800}}
 
@@ -43,7 +45,7 @@ def test_validation_report_contents(finished_run):
     assert report["nonmanifold_edges"] == 0
     assert report["orientation_conflicts"] == 0
     assert report["problems"] == []
-    assert report["patch_agreement_max"] < 1e-6
+    assert report["period_defect_max"] < 1e-6
 
 
 def test_default_config_is_json_ready():
@@ -82,6 +84,10 @@ def test_config_errors_exit_2(tmp_path, fast_cfg):
     assert cli.main(["run", "--config", str(fast_cfg), "--k", "1"]) == 2
     assert cli.main(["run", "--config", str(fast_cfg),
                      "--projection", "sphere"]) == 2
+    # the patch mesher's knobs are gone with it
+    legacy = tmp_path / "legacy.json"
+    legacy.write_text(json.dumps({"patch": {"core_depth": 4}}))
+    assert cli.main(["run", "--config", str(legacy)]) == 2
 
 
 def test_disconnected_graph_exits_3(tmp_path, fast_cfg, capsys):
@@ -92,6 +98,24 @@ def test_disconnected_graph_exits_3(tmp_path, fast_cfg, capsys):
     assert err["stage"] == "run"
     assert err["error"] == "DisconnectedGraphError"
     assert "components" in err["message"]
+    sizes = err["details"]["component_sizes"]
+    assert len(sizes) > 1 and sum(sizes) == 800
+
+
+def test_failure_json_carries_exception_payload(capsys):
+    cases = ((MeshValidationError("torn", {"boundary_edges": 3}),
+              "report", {"boundary_edges": 3}),
+             (ResidualError("off", {"period_defect_max": 0.5}),
+              "diagnostics", {"period_defect_max": 0.5}),
+             (DisconnectedGraphError([5, 7]), "component_sizes", [7, 5]),
+             (OrientationConflictError("flip", [3, 1, 3]),
+              "conflict_cycle", [3, 1, 3]))
+    for exc, key, value in cases:
+        assert cli._fail("mesh", exc, 3) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["details"] == {key: value}
+    cli._fail("config", ConfigError("bad"), 2)
+    assert "details" not in json.loads(capsys.readouterr().err)
 
 
 def test_stage_isolation(tmp_path, fast_cfg):

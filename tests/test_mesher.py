@@ -1,20 +1,21 @@
-"""Patch growth, chart triangulation with its Delaunay certificate,
-patch merging, and mesh validation."""
+"""Flat-torus meshing: the angle map's integer-period certificate, the
+periodic Delaunay triangulation with its brute-force certificate, the
+safety gates, and mesh validation."""
 
 import json
 
 import numpy as np
 import pytest
 
-from conftest import periodic_grid
+from conftest import (brute_force_delaunay_check, build_pipeline,
+                      periodic_grid, unwrapped_corners)
 from torusforge.cycles import classify_cycles, minimum_cycle_basis
-from torusforge.errors import (ConfigError, MeshValidationError,
-                               PatchCollapseError)
-from torusforge.mesher import (Patch, _bfs_chart, _circumcircle,
-                               export_mesh_json, grow_patch, load_mesh_json,
-                               merge_patches, triangulate_patch,
-                               validate_mesh)
-from torusforge.oneforms import assemble_system, solve_oneforms
+from torusforge.errors import MeshValidationError, ResidualError
+from torusforge.knn import NeighborGraph
+from torusforge.mesher import (_periodic_delaunay, export_mesh_json,
+                               load_mesh_json, mesh_flat_torus, validate_mesh)
+from torusforge.oneforms import OneFormPair, assemble_system, solve_oneforms
+from torusforge.samplers import sample_torus_revolution
 
 
 @pytest.fixture(scope="module")
@@ -26,133 +27,101 @@ def grid8_forms():
     return graph, forms
 
 
-def test_bfs_chart_unit_ball_coordinates(grid3_manual_forms):
-    """One ring around the center of the 3x3 grid: the four neighbors
-    sit at (+-1/3, 0) and (0, +-1/3) in the chart."""
-    g = grid3_manual_forms
-    verts, depth, chart = _bfs_chart(g.graph, g.forms, 4, 1)
-    assert verts[0] == 4
-    assert depth.tolist() == [0, 1, 1, 1, 1]
-    got = {tuple(np.round(c, 12)) for c in chart}
-    third = round(1 / 3, 12)
-    assert got == {(0.0, 0.0), (third, 0.0), (-third, 0.0),
-                   (0.0, third), (0.0, -third)}
+def flat_torus_graph(rows=12, seed=0):
+    """Jittered rows x rows grid on the unit flat torus with its periodic
+    grid edges; the one-forms are the minimum-image angle increments."""
+    rng = np.random.default_rng(seed)
+    ij = np.indices((rows, rows)).reshape(2, -1).T
+    theta = (ij + rng.uniform(-0.2, 0.2, ij.shape)) / rows
+    edges = periodic_grid(rows).edges
+    inc = theta[edges[:, 1]] - theta[edges[:, 0]]
+    inc -= np.round(inc)
+    graph = NeighborGraph.from_edges(rows * rows, edges, np.hypot(*inc.T))
+    return graph, OneFormPair(inc[:, 0].copy(), inc[:, 1].copy(), {})
 
 
-def test_grow_patch_enforces_minimum_rim(grid3_manual_forms):
-    g = grid3_manual_forms
-    with pytest.raises(ConfigError):
-        grow_patch(g.graph, g.forms, 4, 1)
+def test_flat_torus_mesh_certifies_integer_periods():
+    graph, forms = flat_torus_graph()
+    mesh = mesh_flat_torus(graph, forms, None)
+    assert mesh.report["problems"] == []
+    assert mesh.report["vertices"] == 144
+    assert mesh.report["faces"] == 288
+    assert mesh.report["period_defect_max"] < 1e-12
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="claimed one-ring patch at rim depth 1: a depth-1 ball has no "
-           "interior left after the rim margin, so growth requires rim "
-           "depth 2 or more")
-def test_grow_patch_at_unit_rim_claim(grid3_manual_forms):
-    g = grid3_manual_forms
-    patch = grow_patch(g.graph, g.forms, 4, 1)
-    assert len(patch.vertices) == 5
+def test_period_defect_raises_residual_error():
+    graph, forms = flat_torus_graph()
+    forms.du[5] += 0.01
+    with pytest.raises(ResidualError) as err:
+        mesh_flat_torus(graph, forms, None)
+    defect = err.value.diagnostics["period_defect_max"]
+    assert defect == pytest.approx(0.01, abs=1e-9)
 
 
-def test_grow_patch_shrinks_until_single_valued(grid8_forms):
-    """A radius-4 ball on the 8x8 torus meets itself around a generator;
-    the patch must shrink to radius 3 (a 25-vertex diamond)."""
-    graph, forms = grid8_forms
-    patch = grow_patch(graph, forms, 0, 4)
-    assert patch.rim_depth == 3
-    assert patch.core_depth == 1
-    assert len(patch.vertices) == 25
-    assert patch.depth.max() == 3
-    # chart steps are exact eighths on the unit-weight grid
-    steps = np.round(patch.uv * 8)
-    assert np.max(np.abs(patch.uv * 8 - steps)) < 1e-9
-    assert np.max(np.abs(steps)) <= 3
+def test_point_missing_from_mesh_fails_validation():
+    """A vertex whose angle equals another's is a duplicate chart point;
+    Qhull drops it, and the mesh must not pass without it."""
+    graph, forms = flat_torus_graph()
+    edges = np.vstack([graph.edges, [[0, 144]]])
+    twin = NeighborGraph.from_edges(145, edges,
+                                    np.append(graph.lengths, 1e-3))
+    order = np.lexsort((edges[:, 1], edges[:, 0]))
+    du = np.append(forms.du, 0.0)[order]
+    dv = np.append(forms.dv, 0.0)[order]
+    with pytest.raises(MeshValidationError, match="missing from the mesh"):
+        mesh_flat_torus(twin, OneFormPair(du, dv, {}), None)
 
 
-def test_grow_patch_collapse_on_tight_grid(grid5_forms):
-    # 5 vertices around either generator: even the minimum rim wraps
-    with pytest.raises(PatchCollapseError):
-        grow_patch(grid5_forms.graph, grid5_forms.forms, 0, 4)
+def test_mesh_edge_across_period_seam_rejected():
+    """Adding a whole period to an edge's increment keeps the periods
+    integer, but the edge then spans a seam and must not be meshed."""
+    graph, forms = flat_torus_graph()
+    mesh = mesh_flat_torus(graph, forms, None)
+    tri = mesh.triangles[0]
+    e = graph.edge_index.get((int(min(tri[:2])), int(max(tri[:2]))))
+    assert e is not None
+    forms.du[e] += 1.0
+    graph.lengths[e] = np.hypot(forms.du[e], forms.dv[e])
+    with pytest.raises(MeshValidationError, match="period seam"):
+        mesh_flat_torus(graph, forms, None)
 
 
-def test_patch_chart_points_apply_metric():
-    uv = np.array([[0.0, 0.0], [1.0, 2.0]])
-    patch = Patch(0, np.arange(2), np.zeros(2, dtype=np.int64), uv, 0, 0,
-                  {}, (2.0, 0.5), np.inf)
-    assert np.array_equal(patch.chart_points(), [[0.0, 0.0], [2.0, 1.0]])
-
-
-def synthetic_patch(uv, depth=None, core_depth=0, inner=np.inf):
-    n = len(uv)
-    if depth is None:
-        depth = np.zeros(n, dtype=np.int64)
-    return Patch(0, np.arange(n), depth, np.asarray(uv, dtype=np.float64),
-                 core_depth, int(depth.max()), {}, (1.0, 1.0), inner)
-
-
-def brute_force_delaunay_check(uv, triangles, tol=1e-9):
-    violations = 0
-    for a, b, c in triangles:
-        cx, cy, rad = _circumcircle(uv, a, b, c)
-        dist = np.hypot(uv[:, 0] - cx, uv[:, 1] - cy)
-        violations += int(np.sum(dist < rad - tol) > 0)
-    return violations
+def test_exact_lattice_fails_validation(grid5_forms, grid8_forms):
+    """Unjittered lattices are all cocircular ties: Qhull breaks them
+    differently in different periodic copies, so the mesh must fail
+    loudly rather than pass."""
+    for graph, forms in ((grid5_forms.graph, grid5_forms.forms),
+                         grid8_forms):
+        with pytest.raises(MeshValidationError):
+            mesh_flat_torus(graph, forms, None)
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_triangulation_passes_empty_circumcircle_oracle(seed):
     rng = np.random.default_rng(seed)
-    uv = rng.random((200, 2)) * 0.45
-    patch = synthetic_patch(uv)
-    kept = triangulate_patch(patch)
-    assert len(kept) > 300
-    tris = []
-    for tri, badness in kept:
-        assert badness == 0
-        a, b, c = tri
-        # counterclockwise winding in the chart
-        area2 = ((uv[b, 0] - uv[a, 0]) * (uv[c, 1] - uv[a, 1])
-                 - (uv[c, 0] - uv[a, 0]) * (uv[b, 1] - uv[a, 1]))
-        assert area2 > 0
-        tris.append(tri)
+    uv = rng.random((200, 2))
+    tris, dropped = _periodic_delaunay(uv, (1.0, 1.0))
+    assert len(dropped) == 0
+    # a closed torus triangulation has F = 2V
+    assert len(tris) == 400
+    assert validate_mesh(tris, strict=False)["problems"] == []
+    for tri in tris:
+        # counterclockwise winding in the chart, smallest id first
+        a, b, c = unwrapped_corners(uv, tri)
+        assert (b[0] - a[0]) * (c[1] - a[1]) > (c[0] - a[0]) * (b[1] - a[1])
+        assert tri[0] == min(tri)
+    assert np.array_equal(tris, np.unique(tris, axis=0))
     assert brute_force_delaunay_check(uv, tris) == 0
 
 
-def test_triangulation_respects_core_and_inner_radius():
-    rng = np.random.default_rng(10)
-    radius = np.sqrt(rng.random(300)) * 0.24
-    angle = rng.random(300) * 2 * np.pi
-    uv = np.column_stack([radius * np.cos(angle), radius * np.sin(angle)])
-    depth = np.where(radius > 0.16, 3, np.where(radius > 0.08, 2, 1))
-    inner = float(np.min(radius[depth == 3]))
-    patch = synthetic_patch(uv, depth=depth.astype(np.int64), core_depth=2,
-                            inner=inner)
-    kept = triangulate_patch(patch)
-    assert kept
-    for tri, badness in kept:
-        assert max(depth[list(tri)]) <= 2
-        assert badness == max(depth[list(tri)])
-        cx, cy, rad = _circumcircle(uv, *tri)
-        # certificate: the whole circumdisk is witnessed by this patch
-        assert np.hypot(cx, cy) + rad <= inner + 1e-12
-
-
-def test_triangulation_skips_wrap_spanning_triangles():
-    uv = np.array([[0.0, 0.0], [0.1, 0.0], [0.05, 0.1],
-                   [0.7, 0.05], [0.8, 0.0], [0.75, 0.1]])
-    kept = triangulate_patch(synthetic_patch(uv))
-    for tri, _ in kept:
-        span = uv[list(tri)].max(axis=0) - uv[list(tri)].min(axis=0)
-        assert np.max(span) < 0.5
-
-
-def test_triangulation_empty_cases(grid8_forms):
-    assert triangulate_patch(synthetic_patch(np.zeros((2, 2)))) == []
-    # collinear chart: Qhull cannot triangulate
-    line = np.column_stack([np.linspace(0, 0.3, 8), np.zeros(8)])
-    assert triangulate_patch(synthetic_patch(line)) == []
+def test_triangulation_empty_cases():
+    """Any triangulation of the torus needs at least 7 vertices, so
+    sparser clouds must fail validation, never pass."""
+    for n in range(1, 7):
+        for seed in range(3):
+            uv = np.random.default_rng(seed).random((n, 2))
+            tris, _ = _periodic_delaunay(uv, (1.0, 1.0))
+            assert validate_mesh(tris, strict=False)["problems"], (n, seed)
 
 
 def test_merge_produces_closed_torus(torus_bundle):
@@ -163,22 +132,33 @@ def test_merge_produces_closed_torus(torus_bundle):
     assert report["vertices"] == 2000
     assert report["faces"] == 4000
     assert report["problems"] == []
-    assert report["patch_agreement_max"] < 1e-6
+    assert report["period_defect_max"] < 1e-6
 
 
 def test_merge_is_deterministic(torus_bundle):
-    mesh2 = merge_patches(torus_bundle.graph, torus_bundle.forms,
-                          torus_bundle.cloud, rng_seed=0)
+    mesh2 = mesh_flat_torus(torus_bundle.graph, torus_bundle.forms,
+                            torus_bundle.cloud)
     assert np.array_equal(mesh2.triangles, torus_bundle.mesh.triangles)
 
 
-def test_merge_seed_choice_does_not_change_topology(torus_bundle):
-    mesh2 = merge_patches(torus_bundle.graph, torus_bundle.forms,
-                          torus_bundle.cloud, seeds=[77], rng_seed=5)
-    r = mesh2.report
-    assert (r["euler_characteristic"], r["boundary_edges"],
-            r["nonmanifold_edges"]) == (0, 0, 0)
-    assert r["vertices"] == 2000
+def test_merge_seed_choice_does_not_change_topology():
+    """The angle map is integrated from vertex 0; another root only
+    translates it on the flat torus, which leaves the triangles alone."""
+    uv = np.random.default_rng(7).random((300, 2))
+    base, _ = _periodic_delaunay(uv, (1.0, 1.0))
+    moved, _ = _periodic_delaunay(np.mod(uv + [0.37, 0.81], 1.0), (1.0, 1.0))
+    assert np.array_equal(base, moved)
+
+
+def test_random_distribution_meshes_closed():
+    """The random torus sampler leaves sampling gaps wider than any
+    single-valued BFS patch; the flat-torus mesh still closes."""
+    cloud = sample_torus_revolution(2.0, 0.5, 2000, 0, distribution="random")
+    report = build_pipeline(cloud).mesh.report
+    assert report["problems"] == []
+    assert report["euler_characteristic"] == 0
+    assert report["faces"] == 4000
+    assert report["vertices"] == 2000
 
 
 def test_merged_mesh_stays_off_period_seams(torus_bundle):

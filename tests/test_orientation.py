@@ -109,7 +109,7 @@ def test_empty_and_bad_seed(quad_mesh):
 
 
 def test_oriented_torus_mesh_needs_no_flips(torus_bundle):
-    # patch charts already share a global orientation
+    # every triangle is wound counter-clockwise in the one flat-torus chart
     assert int(torus_bundle.oriented.orientation_parity.sum()) == 0
 
 
