@@ -5,7 +5,9 @@ k-nearest-neighbor graph, extract a minimum cycle basis, classify the
 two homology generators, solve for harmonic one-forms, integrate them
 to an angle map on the flat torus, take its periodic Delaunay
 triangulation as a closed oriented mesh, and project/export the result
-for rendering.
+for rendering. `orient_mesh` winds any other mesh (a loaded mesh.json,
+say) consistently, or proves it non-orientable, from the orientation
+double cover of its faces.
 """
 
 from .errors import (ConfigError, CycleBasisError, DisconnectedGraphError,
@@ -24,7 +26,7 @@ from .cycles import (Classification, Cycle, CycleBasis, classify_cycles,
 from .oneforms import OneFormPair, assemble_system, solve_oneforms
 from .mesher import (SurfaceMesh, load_mesh_json, mesh_flat_torus,
                      validate_mesh)
-from .orientation import OrientedMesh, orient_mesh
+from .orientation import orient_mesh
 from .projection import (ProjectedMesh, Projection, export_mesh, project,
                          read_obj, read_ply)
 from .cli import default_config, main, run_pipeline
@@ -47,7 +49,7 @@ __all__ = [
     "exhaustive_minimum_cycle_basis", "minimum_cycle_basis",
     "OneFormPair", "assemble_system", "solve_oneforms",
     "SurfaceMesh", "load_mesh_json", "mesh_flat_torus", "validate_mesh",
-    "OrientedMesh", "orient_mesh",
+    "orient_mesh",
     "ProjectedMesh", "Projection", "export_mesh", "project", "read_obj",
     "read_ply",
     "default_config", "main", "run_pipeline",

@@ -64,11 +64,9 @@ def default_config():
         "sampler": {"kind": "torus_revolution"},
         "k": 8,
         "weights": "inverse_length",
-        "solver": {"method": "exact", "penalty": 1e6},
         "projection": {"kind": "coordinate_select", "indices": [0, 1, 2]},
         "export": {"format": "obj", "color_mode": "sidedness"},
         "output_dir": ".",
-        "threads": 1,
     }
 
 
@@ -113,8 +111,6 @@ def _validate_config(cfg):
     pk = cfg["projection"].get("kind")
     if pk not in ("coordinate_select", "pca", "custom_matrix"):
         raise ConfigError(f"unknown projection kind {pk!r}")
-    if cfg["solver"].get("method", "exact") not in ("exact", "penalty"):
-        raise ConfigError("solver method must be exact or penalty")
     return cfg
 
 
@@ -149,13 +145,7 @@ def resolve_config(args):
         cfg["export"]["format"] = args.format
     if getattr(args, "projection", None) is not None:
         cfg["projection"] = _parse_projection_flag(args.projection)
-    if getattr(args, "threads", None) is not None:
-        cfg["threads"] = args.threads
-    cfg = _validate_config(cfg)
-    if cfg["threads"] != 1:
-        log.info("threads=%d requested; stages run sequentially and results "
-                 "do not depend on the thread count", cfg["threads"])
-    return cfg
+    return _validate_config(cfg)
 
 
 def build_cloud(cfg):
@@ -226,8 +216,10 @@ def stage_sample(cfg):
 
 
 def stage_mesh(cfg, cloud=None):
-    """knn -> cycle basis -> one-forms -> flat-torus Delaunay mesh ->
-    orientation."""
+    """knn -> cycle basis -> one-forms -> flat-torus Delaunay mesh.
+
+    The mesh comes out oriented: `mesh_flat_torus` certifies that every
+    directed edge is walked by one face, so no orientation pass runs."""
     if cloud is None:
         cloud = load_point_cloud(_art(cfg, "cloud.csv"))
     graph = build_knn_graph(cloud, k=cfg["k"])
@@ -236,26 +228,23 @@ def stage_mesh(cfg, cloud=None):
     export_cycles_json(_art(cfg, "cycles.json"), basis, classification)
     system = assemble_system(graph, basis, classification,
                              weights=cfg["weights"])
-    forms = solve_oneforms(system, method=cfg["solver"].get("method", "exact"),
-                           penalty=cfg["solver"].get("penalty", 1e6))
+    forms = solve_oneforms(system)
     export_residuals_json(_art(cfg, "residuals.json"), forms)
     mesh = mesh_flat_torus(graph, forms, cloud)
-    oriented = orient_mesh(mesh)
-    export_mesh_json(_art(cfg, "mesh.json"), oriented.mesh)
+    export_mesh_json(_art(cfg, "mesh.json"), mesh)
     log.info("mesh: %d faces, chi=%d -> mesh.json",
              mesh.report["faces"], mesh.report["euler_characteristic"])
-    return oriented
+    return mesh
 
 
-def stage_project(cfg, oriented=None):
-    if oriented is None:
-        mesh = load_mesh_json(_art(cfg, "mesh.json"))
-        oriented = orient_mesh(mesh)
-    proj = _build_projection(cfg, oriented.mesh.cloud.dim)
-    pm = project(oriented, proj)
+def stage_project(cfg, mesh=None):
+    if mesh is None:
+        mesh = orient_mesh(load_mesh_json(_art(cfg, "mesh.json")))
+    proj = _build_projection(cfg, mesh.cloud.dim)
+    pm = project(mesh, proj)
     payload = {
-        "points": [[float(x) for x in p] for p in pm.points],
-        "triangles": [[int(v) for v in t] for t in pm.triangles],
+        "points": pm.points.tolist(),
+        "triangles": pm.triangles.tolist(),
         "source_dim": pm.source_dim,
     }
     if pm.captured_variance is not None:
@@ -304,8 +293,8 @@ def stage_validate(cfg, mesh_path=None, write=True):
 def run_pipeline(cfg):
     """Full pipeline; returns (exit_code, validation report or None)."""
     cloud = stage_sample(cfg)
-    oriented = stage_mesh(cfg, cloud)
-    pm = stage_project(cfg, oriented)
+    mesh = stage_mesh(cfg, cloud)
+    pm = stage_project(cfg, mesh)
     stage_export(cfg, pm)
     report = stage_validate(cfg)
     code = EXIT_OK if not report["problems"] else EXIT_VALIDATION
@@ -323,8 +312,6 @@ def _add_common(parser):
                         help="export format")
     parser.add_argument("--projection",
                         help="xyz, pca or matrix:<path>")
-    parser.add_argument("--threads", type=int,
-                        help="requested thread count (never affects results)")
 
 
 def make_parser():

@@ -415,57 +415,10 @@ def _phase_b(ws, pivots, chosen):
             attempts += 1
             depth *= 4
             if attempts > 3:
-                _fallback_fundamental(ws, pivots, chosen)
-                break
-
-
-def _fallback_fundamental(ws, pivots, chosen):
-    """Complete the basis from fundamental cycles of the spanning tree.
-
-    Keeps the result a valid (possibly non-minimum) basis; only reachable
-    when candidate scanning cannot certify the remaining slots.
-    """
-    log.warning("cycle basis completed from fundamental cycles; "
-                "minimality not certified")
-    tree_adj = {}
-    for e in np.nonzero(ws.coord < 0)[0]:
-        i, j = int(ws.ex[e]), int(ws.ey[e])
-        tree_adj.setdefault(i, []).append((j, int(e)))
-        tree_adj.setdefault(j, []).append((i, int(e)))
-    parent = {0: (-1, -1)}
-    order = [0]
-    for u in order:
-        for nb, e in tree_adj.get(u, ()):
-            if nb not in parent:
-                parent[nb] = (u, e)
-                order.append(nb)
-    depth = {u: 0 for u in parent}
-    for u in order[1:]:
-        depth[u] = depth[parent[u][0]] + 1
-    fund = []
-    for e in ws.nontree:
-        x, y = int(ws.ex[e]), int(ws.ey[e])
-        a, b, ids = x, y, [int(e)]
-        while depth[a] > depth[b]:
-            a, pe = parent[a][0], parent[a][1]
-            ids.append(pe)
-        while depth[b] > depth[a]:
-            b, pe = parent[b][0], parent[b][1]
-            ids.append(pe)
-        while a != b:
-            ids.append(parent[a][1])
-            ids.append(parent[b][1])
-            a, b = parent[a][0], parent[b][0]
-        fund.append((float(np.sum(ws.w_pert[ids])), ids))
-    fund.sort(key=lambda t: (t[0], t[1]))
-    for _, ids in fund:
-        if len(chosen) == ws.m:
-            break
-        resid, bit = _reduce_vector(ws.vector_from_edges(ids), pivots)
-        if bit is None:
-            continue
-        pivots[bit] = resid
-        chosen.append(set(ids))
+                raise CycleBasisError(
+                    f"cycle basis incomplete: {ws.m - len(chosen)} slots "
+                    f"left unfilled after {attempts} unproductive "
+                    f"support-vector scans")
 
 
 def minimum_cycle_basis(graph, theta0=None):

@@ -13,9 +13,11 @@ the construction cannot triangulate fails validation loudly.
 import json
 import logging
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse.csgraph import breadth_first_order
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 from scipy.spatial import Delaunay
 
 from .errors import MeshValidationError, ResidualError
@@ -33,46 +35,46 @@ class SurfaceMesh:
     report: dict
 
 
-def _edge_counts(triangles):
-    """Undirected edges (rows i <= j, sorted) of a triangle list and the
-    number of triangles using each."""
+class _HalfEdges(NamedTuple):
+    """Half-edge table of a triangle list. Half-edge 3t + k runs from
+    corner k of face t to corner k + 1; its face is therefore h // 3."""
+    edges: np.ndarray      # (E, 2) undirected edges, rows i < j, sorted
+    counts: np.ndarray     # (E,) half-edges on each edge
+    edge: np.ndarray       # (3T,) undirected edge id of each half-edge
+    forward: np.ndarray    # (3T,) True where it runs from i to j
+
+
+def _half_edges(triangles):
     tris = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)
-    ends = np.stack([tris, np.roll(tris, -1, axis=1)], axis=2).reshape(-1, 2)
-    return np.unique(np.sort(ends, axis=1), axis=0, return_counts=True)
+    tail = tris.reshape(-1)
+    head = np.roll(tris, -1, axis=1).reshape(-1)
+    lo, hi = np.minimum(tail, head), np.maximum(tail, head)
+    span = int(hi.max(initial=0)) + 1
+    keys, edge, counts = np.unique(lo * span + hi, return_inverse=True,
+                                   return_counts=True)
+    edges = np.column_stack(np.divmod(keys, span))
+    return _HalfEdges(edges, counts, edge.reshape(-1), tail < head)
 
 
-def _link_offenders(tris):
-    """Vertices whose triangle fan is not a single closed cycle."""
-    fans = {}
-    for a, b, c in tris:
-        fans.setdefault(a, []).append((b, c))
-        fans.setdefault(b, []).append((c, a))
-        fans.setdefault(c, []).append((a, b))
-    bad = []
-    for v, link_edges in fans.items():
-        deg = {}
-        for i, j in link_edges:
-            deg[i] = deg.get(i, 0) + 1
-            deg[j] = deg.get(j, 0) + 1
-        if any(d != 2 for d in deg.values()) or len(link_edges) != len(deg):
-            bad.append(v)
-            continue
-        adj = {}
-        for i, j in link_edges:
-            adj.setdefault(i, []).append(j)
-            adj.setdefault(j, []).append(i)
-        start = next(iter(adj))
-        seen = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for nb in adj[u]:
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        if len(seen) != len(deg):
-            bad.append(v)
-    return sorted(bad)
+def _link_offenders(he):
+    """Vertices whose triangle fan is not a single closed cycle, on a
+    mesh whose every edge has two faces. Node 2e + s is the incidence of
+    edge e with its endpoint edges[e, s]; the corner at the head of
+    half-edge h joins its incidences with h and with the next half-edge
+    of the face. The link of a vertex is one cycle exactly when its
+    incidences form one component."""
+    h = np.arange(len(he.edge))
+    nxt = h - h % 3 + (h + 1) % 3
+    a = 2 * he.edge + he.forward
+    b = 2 * he.edge[nxt] + ~he.forward[nxt]
+    n = 2 * len(he.edges)
+    graph = coo_matrix((np.ones(len(h), dtype=np.int8), (a, b)),
+                       shape=(n, n))
+    _, label = connected_components(graph, directed=False)
+    vertex_label = np.unique(np.column_stack([he.edges.reshape(-1), label]),
+                             axis=0)
+    verts, fans = np.unique(vertex_label[:, 0], return_counts=True)
+    return verts[fans > 1].tolist()
 
 
 def validate_mesh(triangles, strict=True, extra=None):
@@ -82,7 +84,8 @@ def validate_mesh(triangles, strict=True, extra=None):
     nonmanifold_edges, boundary_edges, problems.
     """
     tris = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)
-    edges, counts = _edge_counts(tris)
+    he = _half_edges(tris)
+    edges, counts = he.edges, he.counts
     nverts = len(np.unique(tris))
     nedges = len(edges)
     nfaces = len(tris)
@@ -111,7 +114,7 @@ def validate_mesh(triangles, strict=True, extra=None):
         problems.append(f"{nonmanifold} non-manifold edges, e.g. {offenders[:5]}")
         report["nonmanifold_edge_list"] = [list(e) for e in offenders]
     if not boundary and not nonmanifold and nfaces:
-        bad_links = _link_offenders(tris.tolist())
+        bad_links = _link_offenders(he)
         if bad_links:
             problems.append(f"link condition fails at vertices {bad_links[:10]}")
             report["link_offenders"] = bad_links[:50]
@@ -167,9 +170,10 @@ def mesh_flat_torus(graph, forms, cloud):
     report's `period_defect_max`, and ResidualError is raised when it
     exceeds 1e-6. Triangulates theta mod 1, scaled by the chart metric,
     on the flat torus. Raises MeshValidationError, carrying the report,
-    when the result is not a closed genus-1 manifold, when an input
-    point is not a mesh vertex, or when a mesh edge that is also a graph
-    edge spans a period seam.
+    when the result is not a closed genus-1 manifold, when a directed
+    edge is walked by two faces (so the chart winding is not one global
+    orientation), when an input point is not a mesh vertex, or when a
+    mesh edge that is also a graph edge spans a period seam.
     """
     V = graph.vertex_count
     ei, ej = graph.edges[:, 0], graph.edges[:, 1]
@@ -204,9 +208,14 @@ def mesh_flat_torus(graph, forms, cloud):
         problems.append(
             f"input points missing from the mesh: {V - report['vertices']} "
             f"are not vertices, {len(dropped)} dropped by Qhull as coplanar")
-    edges, _ = _edge_counts(triangles)
+    he = _half_edges(triangles)
+    twice = int(np.sum(np.bincount(2 * he.edge + he.forward) > 1))
+    if twice:
+        problems.append(f"winding is inconsistent: {twice} directed edges "
+                        f"are walked by two faces")
     seam = np.any(np.abs(inc) >= _WRAP_THRESHOLD, axis=1)
-    crossing = int(np.sum(np.isin(keys[seam], edges[:, 0] * V + edges[:, 1])))
+    crossing = int(np.sum(np.isin(keys[seam],
+                                  he.edges[:, 0] * V + he.edges[:, 1])))
     if crossing:
         problems.append(f"{crossing} mesh edges span a period seam")
     if problems:
@@ -221,8 +230,8 @@ def export_mesh_json(path, mesh):
     payload = {
         "dim": int(mesh.cloud.dim),
         "provenance": mesh.cloud.provenance,
-        "points": [[float(x) for x in p] for p in mesh.cloud.points],
-        "triangles": [[int(v) for v in t] for t in mesh.triangles],
+        "points": mesh.cloud.points.tolist(),
+        "triangles": mesh.triangles.tolist(),
         "report": mesh.report,
     }
     with open(path, "w", encoding="ascii") as fh:

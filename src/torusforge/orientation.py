@@ -1,98 +1,89 @@
-"""Globally consistent triangle winding by parity propagation.
+"""Globally consistent triangle winding from the orientation double cover.
 
-Sidedness is fixed by choosing a vertex order on one seed triangle and
-walking the triangle adjacency: two triangles sharing an edge must
-traverse it in opposite directions. The rule never consults embedding
-coordinates, so it works identically in any dimension. A contradiction
-during propagation means the assembled surface is non-orientable, which
-for a torus pipeline always indicates an upstream meshing defect.
+Two triangles sharing an edge must traverse it in opposite directions.
+The double cover has two nodes per face, (t, kept) and (t, flipped), and
+every shared edge joins the node pairs that make its two faces agree.
+The surface is orientable exactly when no face's two nodes fall in one
+component; then the component of face 0 as given picks, for every face,
+the winding that agrees with it. The rule never consults embedding
+coordinates, so it works identically in any dimension. A non-orientable
+surface, which for a torus pipeline always indicates an upstream
+meshing defect, is reported with a closed chain of faces along which
+the winding contradicts itself.
 """
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .errors import OrientationConflictError
-from .mesher import SurfaceMesh
+from .mesher import SurfaceMesh, _half_edges
 
 log = logging.getLogger("torusforge.orientation")
 
 
-@dataclass
-class OrientedMesh:
-    mesh: SurfaceMesh
-    seed_triangle: int
-    orientation_parity: np.ndarray   # 1 where input winding was flipped
+def _double_cover(triangles):
+    """Sparse adjacency of the orientation double cover: node t keeps
+    face t's winding, node T + t flips it. Each half-edge's face is
+    joined to the face of the first half-edge on the same edge, which
+    fixes every pair on the edge because the relation is transitive."""
+    T = len(triangles)
+    he = _half_edges(triangles)
+    _, first = np.unique(he.edge, return_index=True)
+    first = first[he.edge]
+    h = np.flatnonzero(first != np.arange(3 * T))
+    face, anchor = h // 3, first[h] // 3
+    # walking the edge the same way as the anchor face means one flips
+    same = (he.forward[h] == he.forward[first[h]]).astype(np.int64)
+    rows = np.concatenate([face, face + T])
+    cols = np.concatenate([anchor + T * same, anchor + T * (1 - same)])
+    return coo_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)),
+                      shape=(2 * T, 2 * T)).tocsr()
 
 
-def _directed_edges(tri):
-    a, b, c = tri
-    return ((a, b), (b, c), (c, a))
+def _conflict_cycle(cover, t, T):
+    """Faces on a shortest cover path from (t, kept) to (t, flipped): a
+    closed chain of edge-adjacent faces whose winding contradicts itself
+    once round."""
+    _, pred = breadth_first_order(cover, t, directed=False)
+    node, chain = T + t, []
+    while node != t:
+        node = pred[node]
+        chain.append(int(node % T))
+    return chain[::-1]
 
 
-def orient_mesh(mesh, seed_triangle=0):
-    """Propagate the seed triangle's winding across the whole mesh.
+def orient_mesh(mesh):
+    """Wind every face consistently with face 0.
 
-    Returns an OrientedMesh whose triangles traverse every shared edge
-    in opposite directions. Raises OrientationConflictError carrying the
-    offending triangle cycle when the surface is non-orientable.
+    Returns a SurfaceMesh whose triangles traverse every shared edge in
+    opposite directions; a face that disagrees with face 0 has its last
+    two corners swapped. Raises OrientationConflictError carrying a
+    closed chain of faces when the surface is non-orientable, and with
+    an empty chain when the faces do not form one edge-connected
+    surface.
     """
-    tris = [tuple(int(v) for v in t) for t in mesh.triangles]
+    tris = np.asarray(mesh.triangles, dtype=np.int64).reshape(-1, 3)
     T = len(tris)
     if T == 0:
         raise OrientationConflictError("cannot orient an empty mesh", [])
-    seed_triangle = int(seed_triangle)
-    if not 0 <= seed_triangle < T:
+    cover = _double_cover(tris)
+    ncomp, label = connected_components(cover, directed=False)
+    twisted = np.flatnonzero(label[:T] == label[T:])
+    if len(twisted):
         raise OrientationConflictError(
-            f"seed triangle {seed_triangle} out of range", [])
-    by_edge = {}
-    for t, tri in enumerate(tris):
-        for a, b in _directed_edges(tri):
-            key = (a, b) if a < b else (b, a)
-            by_edge.setdefault(key, []).append(t)
-    parity = np.full(T, -1, dtype=np.int64)
-    parent = np.full(T, -1, dtype=np.int64)
-    parity[seed_triangle] = 0
-    queue = [seed_triangle]
-    visited = 1
-    for t in queue:
-        dirs = set(_directed_edges(tris[t]))
-        if parity[t]:
-            dirs = {(b, a) for a, b in dirs}
-        for a, b in dirs:
-            key = (a, b) if a < b else (b, a)
-            for other in by_edge[key]:
-                if other == t:
-                    continue
-                other_dirs = _directed_edges(tris[other])
-                # consistent iff the neighbor walks this edge reversed
-                want = 1 if (a, b) in other_dirs else 0
-                if parity[other] == -1:
-                    parity[other] = want
-                    parent[other] = t
-                    queue.append(other)
-                    visited += 1
-                elif parity[other] != want:
-                    cycle = [other]
-                    for end in (t, other):
-                        node, chain = end, []
-                        while node != -1:
-                            chain.append(int(node))
-                            node = parent[node]
-                        cycle.extend(chain)
-                    raise OrientationConflictError(
-                        "contradictory winding parity: mesh is "
-                        "non-orientable along the reported triangle cycle",
-                        cycle)
-    if visited != T:
+            "contradictory winding parity: mesh is non-orientable along "
+            "the reported triangle cycle",
+            _conflict_cycle(cover, int(twisted[0]), T))
+    if ncomp > 2:
+        reached = int(np.sum(label == label[0]))
         raise OrientationConflictError(
-            f"triangle adjacency is disconnected: reached {visited} of {T}",
+            f"triangle adjacency is disconnected: reached {reached} of {T}",
             [])
-    out = np.array(tris, dtype=np.int64)
-    flip = parity == 1
+    flip = label[:T] != label[0]
+    out = tris.copy()
     out[flip] = out[flip][:, [0, 2, 1]]
-    log.info("oriented %d triangles from seed %d (%d flips)",
-             T, seed_triangle, int(np.sum(flip)))
-    oriented = SurfaceMesh(mesh.cloud, out, dict(mesh.report))
-    return OrientedMesh(oriented, seed_triangle, parity.astype(np.int64))
+    log.info("oriented %d triangles (%d flips)", T, int(np.sum(flip)))
+    return SurfaceMesh(mesh.cloud, out, dict(mesh.report))

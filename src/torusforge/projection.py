@@ -11,12 +11,13 @@ projection.
 """
 
 import logging
-import struct
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import coo_matrix
 
 from .errors import ProjectionError
+from .mesher import _half_edges
 
 log = logging.getLogger("torusforge.projection")
 
@@ -50,11 +51,6 @@ class ProjectedMesh:
     captured_variance: float = None
 
 
-def _as_cloud_and_triangles(mesh):
-    inner = getattr(mesh, "mesh", mesh)
-    return inner.cloud, inner.triangles
-
-
 def pca_axes(points):
     """Top-3 principal axes of a centered cloud, rows sign-normalized so
     each axis's largest-magnitude component is positive. Returns
@@ -82,9 +78,8 @@ def coordinate_variance_fraction(points, indices):
 
 
 def project(mesh, proj):
-    """Apply a projection to an oriented (or plain) mesh -> ProjectedMesh."""
-    cloud, triangles = _as_cloud_and_triangles(mesh)
-    pts = cloud.points
+    """Apply a projection to a SurfaceMesh -> ProjectedMesh."""
+    pts = mesh.cloud.points
     D = pts.shape[1]
     captured = None
     if proj.kind == "coordinate_select":
@@ -107,7 +102,7 @@ def project(mesh, proj):
         out = pts @ mat.T
     else:
         raise ProjectionError(f"unknown projection kind {proj.kind!r}")
-    return ProjectedMesh(out, np.array(triangles, dtype=np.int64),
+    return ProjectedMesh(out, np.array(mesh.triangles, dtype=np.int64),
                          D, captured)
 
 
@@ -115,22 +110,22 @@ def _sidedness_colors(pmesh):
     """Per-face RGB: red/blue by the sign of the projected normal against
     the local outward reference direction."""
     pts = pmesh.points
-    tris = pmesh.triangles
-    nbrs = {}
-    for a, b, c in tris:
-        nbrs.setdefault(int(a), set()).update((int(b), int(c)))
-        nbrs.setdefault(int(b), set()).update((int(a), int(c)))
-        nbrs.setdefault(int(c), set()).update((int(a), int(b)))
-    ring = {v: pts[sorted(ns)].mean(axis=0) for v, ns in nbrs.items()}
-    colors = np.empty((len(tris), 3), dtype=np.uint8)
-    for t, (a, b, c) in enumerate(tris):
-        pa, pb, pc = pts[a], pts[b], pts[c]
-        normal = np.cross(pb - pa, pc - pa)
-        centroid = (pa + pb + pc) / 3.0
-        ringmean = (ring[int(a)] + ring[int(b)] + ring[int(c)]) / 3.0
-        side = float(np.dot(normal, centroid - ringmean))
-        colors[t] = _RED if side >= 0 else _BLUE
-    return colors
+    tris = np.asarray(pmesh.triangles, dtype=np.int64)
+    edges = _half_edges(tris).edges
+    n = len(pts)
+    # CSR rows list each vertex's neighbours in sorted order, the order
+    # its one-ring mean is summed in
+    nbrs = coo_matrix((np.ones(2 * len(edges)),
+                       (edges.ravel(), edges[:, ::-1].ravel())),
+                      shape=(n, n)).tocsr()
+    degree = np.diff(nbrs.indptr)
+    ring = (nbrs @ pts) / np.maximum(degree, 1)[:, None]
+    pa, pb, pc = pts[tris[:, 0]], pts[tris[:, 1]], pts[tris[:, 2]]
+    normal = np.cross(pb - pa, pc - pa)
+    centroid = (pa + pb + pc) / 3.0
+    ringmean = (ring[tris[:, 0]] + ring[tris[:, 1]] + ring[tris[:, 2]]) / 3.0
+    side = np.einsum("ij,ij->i", normal, centroid - ringmean)
+    return np.array([_BLUE, _RED], dtype=np.uint8)[(side >= 0).astype(int)]
 
 
 def export_mesh(pmesh, fmt, path, color_mode="none", layers=None):
@@ -192,6 +187,13 @@ def read_obj(path):
             np.array(tris, dtype=np.int64).reshape(-1, 3))
 
 
+def _face_dtype(has_color):
+    fields = [("count", "u1"), ("vertices", "<i4", (3,))]
+    if has_color:
+        fields.append(("color", "u1", (3,)))
+    return np.dtype(fields)
+
+
 def _write_ply(pmesh, path, colors=None):
     n, t = len(pmesh.points), len(pmesh.triangles)
     header = [
@@ -208,13 +210,15 @@ def _write_ply(pmesh, path, colors=None):
         header += ["property uchar red", "property uchar green",
                    "property uchar blue"]
     header.append("end_header")
+    faces = np.empty(t, dtype=_face_dtype(colors is not None))
+    faces["count"] = 3
+    faces["vertices"] = pmesh.triangles
+    if colors is not None:
+        faces["color"] = colors
     with open(path, "wb") as fh:
         fh.write(("\n".join(header) + "\n").encode("ascii"))
         fh.write(pmesh.points.astype("<f8").tobytes(order="C"))
-        for i, (a, b, c) in enumerate(pmesh.triangles):
-            fh.write(struct.pack("<B3i", 3, int(a), int(b), int(c)))
-            if colors is not None:
-                fh.write(struct.pack("<3B", *colors[i]))
+        fh.write(faces.tobytes())
 
 
 def read_ply(path):
@@ -241,17 +245,14 @@ def read_ply(path):
         elif parts == ["property", "uchar", "red"]:
             has_color = True
     body = data[end + len(b"end_header\n"):]
+    face_dtype = _face_dtype(has_color)
+    if len(body) < nverts * 24 + ntris * face_dtype.itemsize:
+        raise ProjectionError(f"truncated PLY: {len(body)} bytes of body "
+                              f"for {nverts} vertices and {ntris} faces")
     pts = np.frombuffer(body, dtype="<f8", count=3 * nverts).reshape(-1, 3)
-    off = nverts * 24
-    tris = np.empty((ntris, 3), dtype=np.int64)
-    colors = np.empty((ntris, 3), dtype=np.uint8) if has_color else None
-    stride = 13 + (3 if has_color else 0)
-    for i in range(ntris):
-        rec = body[off + i * stride: off + (i + 1) * stride]
-        cnt = rec[0]
-        if cnt != 3:
-            raise ProjectionError("only triangle faces supported")
-        tris[i] = struct.unpack("<3i", rec[1:13])
-        if has_color:
-            colors[i] = struct.unpack("<3B", rec[13:16])
-    return pts.copy(), tris, colors
+    faces = np.frombuffer(body, dtype=face_dtype, count=ntris,
+                          offset=nverts * 24)
+    if np.any(faces["count"] != 3):
+        raise ProjectionError("only triangle faces supported")
+    colors = faces["color"].copy() if has_color else None
+    return pts.copy(), faces["vertices"].astype(np.int64), colors

@@ -108,6 +108,32 @@ def brute_force_delaunay_check(uv, triangles, tol=1e-9):
     return violations
 
 
+def assert_closed_face_chain(triangles, chain):
+    """Consecutive faces of the chain, the last and first included, share
+    an edge."""
+    assert len(chain) >= 2
+    for s, t in zip(chain, chain[1:] + chain[:1]):
+        assert s != t
+        assert len(set(triangles[s]) & set(triangles[t])) >= 2, (s, t)
+
+
+def klein_bottle(n=6):
+    """Closed n x n grid triangulation of the Klein bottle: the
+    identification across the top edge reverses the columns."""
+    def vid(i, j):
+        if j == n:
+            i, j = (n - i) % n, 0
+        return (i % n) * n + j
+
+    tris = []
+    for i in range(n):
+        for j in range(n):
+            a, b = vid(i, j), vid(i + 1, j)
+            c, d = vid(i + 1, j + 1), vid(i, j + 1)
+            tris += [(a, b, c), (a, c, d)]
+    return tris
+
+
 def build_pipeline(cloud, k=8):
     """Full library chain cloud -> oriented mesh, bundled for tests."""
     graph = build_knn_graph(cloud, k=k)

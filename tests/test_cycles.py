@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import periodic_grid
+from torusforge import cycles
 from torusforge.cycles import (classify_cycles, exhaustive_minimum_cycle_basis,
                                export_cycles_json, minimum_cycle_basis)
 from torusforge.errors import (CycleBasisError, GeneratorClassificationError)
@@ -125,6 +126,16 @@ def test_theta0_forcing_second_phase_gives_same_basis():
     assert forced.size == default.size
     assert forced.total_weight() == pytest.approx(default.total_weight())
     assert forced.hop_histogram() == default.hop_histogram()
+
+
+def test_support_vector_phase_without_candidates_fails_clean(monkeypatch):
+    """When the candidate scans certify nothing, the basis is reported
+    incomplete, never completed with uncertified cycles."""
+    monkeypatch.setattr(cycles, "_scan_candidates",
+                        lambda ws, group, banned, depth: [])
+    # the 6x6 grid leaves its two generators to the support-vector phase
+    with pytest.raises(CycleBasisError, match="2 slots left unfilled"):
+        minimum_cycle_basis(periodic_grid(6))
 
 
 def test_deterministic_across_calls():

@@ -12,6 +12,7 @@ from conftest import (brute_force_delaunay_check, build_pipeline,
 from torusforge.cycles import classify_cycles, minimum_cycle_basis
 from torusforge.errors import MeshValidationError, ResidualError
 from torusforge.knn import NeighborGraph
+from torusforge import mesher
 from torusforge.mesher import (_periodic_delaunay, export_mesh_json,
                                load_mesh_json, mesh_flat_torus, validate_mesh)
 from torusforge.oneforms import OneFormPair, assemble_system, solve_oneforms
@@ -225,6 +226,23 @@ def test_validate_mesh_pinched_vertex():
     assert report["euler_characteristic"] == 3
     assert report["link_offenders"] == [0]
     assert len(report["problems"]) == 2
+
+
+def test_reversed_face_fails_winding_certificate(torus_bundle, monkeypatch):
+    """One triangle wound against the chart keeps every edge count, the
+    links and the Euler characteristic intact; only the directed-edge
+    certificate catches it."""
+    def one_reversed(points, period):
+        triangles, dropped = _periodic_delaunay(points, period)
+        triangles[7] = triangles[7][[0, 2, 1]]
+        return triangles, dropped
+
+    monkeypatch.setattr(mesher, "_periodic_delaunay", one_reversed)
+    b = torus_bundle
+    with pytest.raises(MeshValidationError, match="winding") as err:
+        mesh_flat_torus(b.graph, b.forms, b.cloud)
+    assert err.value.report["euler_characteristic"] == 0
+    assert "3 directed edges" in str(err.value)
 
 
 def test_validate_mesh_empty():

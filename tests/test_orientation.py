@@ -1,11 +1,14 @@
-"""Winding propagation: local consistency, the seed-flip bijection,
-non-orientable detection, and embedding independence."""
+"""Winding by the orientation double cover: local consistency, the
+anchor-flip bijection, non-orientable detection, and embedding
+independence."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import assert_closed_face_chain, klein_bottle
 from torusforge.errors import OrientationConflictError
-from torusforge.mesher import SurfaceMesh
+from torusforge.mesher import SurfaceMesh, validate_mesh
 from torusforge.orientation import orient_mesh
 from torusforge.samplers import PointCloud
 
@@ -25,17 +28,16 @@ def quad_mesh():
 def test_consistent_pair_untouched(quad_mesh):
     mesh = plain_mesh(quad_mesh, [(0, 1, 2), (1, 3, 2)])
     out = orient_mesh(mesh)
-    assert out.orientation_parity.tolist() == [0, 0]
-    assert np.array_equal(out.mesh.triangles, mesh.triangles)
+    assert isinstance(out, SurfaceMesh)
+    assert np.array_equal(out.triangles, mesh.triangles)
 
 
 def test_inconsistent_neighbor_gets_flipped(quad_mesh):
     mesh = plain_mesh(quad_mesh, [(0, 1, 2), (1, 2, 3)])
     out = orient_mesh(mesh)
-    assert out.orientation_parity.tolist() == [0, 1]
-    assert out.mesh.triangles[1].tolist() == [1, 3, 2]
+    assert out.triangles[1].tolist() == [1, 3, 2]
     # shared edge is now walked in opposite directions
-    assert out.mesh.triangles[0].tolist() == [0, 1, 2]
+    assert out.triangles[0].tolist() == [0, 1, 2]
 
 
 def cyclic_forms(tri):
@@ -43,31 +45,33 @@ def cyclic_forms(tri):
     return {(a, b, c), (b, c, a), (c, a, b)}
 
 
+def same_orientation(tris_a, tris_b):
+    return all(tuple(b) in cyclic_forms(a) for a, b in zip(tris_a, tris_b))
+
+
 def test_seed_flip_reverses_every_face(torus_bundle):
-    """Reversing the seed triangle's vertex order must reverse the
-    propagated winding of every face, a bijection between the two global
-    orientations."""
+    """Reversing the anchor triangle's vertex order (face 0, whose
+    winding every other face follows) must reverse the winding of every
+    face, a bijection between the two global orientations."""
     mesh = torus_bundle.mesh
     flipped = mesh.triangles.copy()
     flipped[0] = flipped[0][[0, 2, 1]]
     out_a = orient_mesh(mesh)
     out_b = orient_mesh(SurfaceMesh(mesh.cloud, flipped, {}))
-    tri_a = out_a.mesh.triangles
-    tri_b = out_b.mesh.triangles
-    for ta, tb in zip(tri_a, tri_b):
-        assert tuple(tb) in cyclic_forms(ta[[0, 2, 1]])
+    assert same_orientation(out_a.triangles[:, [0, 2, 1]], out_b.triangles)
 
 
 def test_seed_triangle_choice_gives_one_of_two_orientations(torus_bundle):
+    """Permuting the face order makes another triangle the anchor; the
+    result is still one of the two global orientations."""
     mesh = torus_bundle.mesh
-    base = orient_mesh(mesh, seed_triangle=0).mesh.triangles
+    base = orient_mesh(mesh).triangles
     for seed in (1, 17, 1234):
-        other = orient_mesh(mesh, seed_triangle=seed).mesh.triangles
-        same = all(tuple(o) in cyclic_forms(b)
-                   for o, b in zip(other, base))
-        reversed_ = all(tuple(o) in cyclic_forms(b[[0, 2, 1]])
-                        for o, b in zip(other, base))
-        assert same or reversed_
+        order = np.random.default_rng(seed).permutation(len(base))
+        other = orient_mesh(SurfaceMesh(mesh.cloud, mesh.triangles[order],
+                                        {})).triangles
+        assert (same_orientation(base[order], other)
+                or same_orientation(base[order][:, [0, 2, 1]], other))
 
 
 def test_orientation_is_coordinate_free(torus_bundle):
@@ -78,8 +82,7 @@ def test_orientation_is_coordinate_free(torus_bundle):
                           provenance=mesh.cloud.provenance)
     out_a = orient_mesh(mesh)
     out_b = orient_mesh(SurfaceMesh(permuted, mesh.triangles, {}))
-    assert np.array_equal(out_a.orientation_parity, out_b.orientation_parity)
-    assert np.array_equal(out_a.mesh.triangles, out_b.mesh.triangles)
+    assert np.array_equal(out_a.triangles, out_b.triangles)
 
 
 def test_moebius_strip_detected():
@@ -89,8 +92,20 @@ def test_moebius_strip_detected():
     with pytest.raises(OrientationConflictError) as err:
         orient_mesh(plain_mesh(pts, strip))
     # the reported conflict names a closed chain of triangle indices
-    assert len(err.value.conflict_cycle) >= 2
-    assert all(0 <= t < 5 for t in err.value.conflict_cycle)
+    cycle = err.value.conflict_cycle
+    assert len(cycle) >= 2
+    assert all(0 <= t < 5 for t in cycle)
+    assert_closed_face_chain(strip, cycle)
+
+
+def test_klein_bottle_conflict_cycle():
+    tris = klein_bottle()
+    report = validate_mesh(tris, strict=False)
+    assert report["problems"] == []
+    pts = np.random.default_rng(0).normal(size=(36, 4))
+    with pytest.raises(OrientationConflictError) as err:
+        orient_mesh(plain_mesh(pts, tris))
+    assert_closed_face_chain(tris, err.value.conflict_cycle)
 
 
 def test_disconnected_triangulation_rejected(quad_mesh):
@@ -100,25 +115,24 @@ def test_disconnected_triangulation_rejected(quad_mesh):
         orient_mesh(plain_mesh(pts, tris))
 
 
-def test_empty_and_bad_seed(quad_mesh):
+def test_empty_mesh_rejected(quad_mesh):
     mesh = plain_mesh(quad_mesh, [(0, 1, 2)])
     with pytest.raises(OrientationConflictError):
         orient_mesh(SurfaceMesh(mesh.cloud, np.zeros((0, 3), np.int64), {}))
-    with pytest.raises(OrientationConflictError):
-        orient_mesh(mesh, seed_triangle=5)
 
 
 def test_oriented_torus_mesh_needs_no_flips(torus_bundle):
     # every triangle is wound counter-clockwise in the one flat-torus chart
-    assert int(torus_bundle.oriented.orientation_parity.sum()) == 0
+    assert np.array_equal(torus_bundle.oriented.triangles,
+                          torus_bundle.mesh.triangles)
 
 
 def test_oriented_normals_agree_with_surface(torus_bundle):
     """All face normals of the oriented torus mesh point to the same
     side: their dot product with the analytic outward direction has one
     sign across all 4000 faces."""
-    pts = torus_bundle.oriented.mesh.cloud.points
-    tris = torus_bundle.oriented.mesh.triangles
+    pts = torus_bundle.oriented.cloud.points
+    tris = torus_bundle.oriented.triangles
     a, b, c = pts[tris[:, 0]], pts[tris[:, 1]], pts[tris[:, 2]]
     normal = np.cross(b - a, c - a)
     centroid = (a + b + c) / 3.0
@@ -130,8 +144,7 @@ def test_oriented_normals_agree_with_surface(torus_bundle):
     assert np.all(side > 0) or np.all(side < 0)
 
 
-def test_every_shared_edge_walked_both_ways(torus_bundle):
-    tris = torus_bundle.oriented.mesh.triangles
+def assert_each_directed_edge_once(tris):
     directed = {}
     for a, b, c in tris.tolist():
         for i, j in ((a, b), (b, c), (c, a)):
@@ -139,3 +152,30 @@ def test_every_shared_edge_walked_both_ways(torus_bundle):
     # closed oriented surface: each directed edge appears exactly once
     assert all(n == 1 for n in directed.values())
     assert all((j, i) in directed for i, j in directed)
+
+
+def test_every_shared_edge_walked_both_ways(torus_bundle):
+    assert_each_directed_edge_once(torus_bundle.oriented.triangles)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_scrambled_torus_gets_one_global_orientation(torus_bundle, seed):
+    """Random per-face flips plus face and vertex relabelling: the
+    result is one of the two global orientations of the relabelled
+    mesh, and walks every directed edge once."""
+    mesh = torus_bundle.mesh
+    rng = np.random.default_rng(seed)
+    label = rng.permutation(mesh.cloud.n)
+    order = rng.permutation(len(mesh.triangles))
+    base = label[mesh.triangles][order]
+    scrambled = base.copy()
+    flip = rng.random(len(base)) < 0.5
+    scrambled[flip] = scrambled[flip][:, [0, 2, 1]]
+    points = np.empty_like(mesh.cloud.points)
+    points[label] = mesh.cloud.points
+    out = orient_mesh(SurfaceMesh(PointCloud(dim=3, points=points),
+                                  scrambled, {})).triangles
+    assert (same_orientation(base, out)
+            or same_orientation(base[:, [0, 2, 1]], out))
+    assert_each_directed_edge_once(out)

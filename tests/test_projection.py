@@ -1,6 +1,7 @@
 """Projection and export: coordinate selection, PCA optimality, custom
 matrices, OBJ/PLY round trips, and sidedness coloring."""
 
+import struct
 from itertools import combinations
 
 import numpy as np
@@ -15,7 +16,7 @@ from torusforge.projection import (Projection, ProjectedMesh,
 def test_identity_coordinate_select(torus_bundle):
     out = project(torus_bundle.oriented, Projection.coordinates((0, 1, 2)))
     assert np.array_equal(out.points, torus_bundle.cloud.points)
-    assert np.array_equal(out.triangles, torus_bundle.oriented.mesh.triangles)
+    assert np.array_equal(out.triangles, torus_bundle.oriented.triangles)
     assert out.source_dim == 3
     assert out.captured_variance is None
 
@@ -130,6 +131,39 @@ def test_sidedness_single_color_on_clean_projection(torus_projected,
     assert len(np.unique(colors, axis=0)) == 1
 
 
+def reference_ply_faces(pmesh):
+    """Face records of a sidedness-coloured PLY, one face at a time:
+    the per-face reference for the array writer and colouring."""
+    pts, tris = pmesh.points, pmesh.triangles
+    nbrs = {}
+    for a, b, c in tris.tolist():
+        nbrs.setdefault(a, set()).update((b, c))
+        nbrs.setdefault(b, set()).update((a, c))
+        nbrs.setdefault(c, set()).update((a, b))
+    ring = {v: pts[sorted(ns)].mean(axis=0) for v, ns in nbrs.items()}
+    out = b""
+    for a, b, c in tris.tolist():
+        pa, pb, pc = pts[a], pts[b], pts[c]
+        normal = np.cross(pb - pa, pc - pa)
+        ringmean = (ring[a] + ring[b] + ring[c]) / 3.0
+        side = float(np.dot(normal, (pa + pb + pc) / 3.0 - ringmean))
+        color = (220, 50, 47) if side >= 0 else (38, 139, 210)
+        out += struct.pack("<B3i3B", 3, a, b, c, *color)
+    return out
+
+
+def test_ply_bytes_match_per_face_reference(cm_bundle, tmp_path):
+    """PCA folds the 6D torus over itself, so both colours occur."""
+    pm = project(cm_bundle.oriented, Projection.pca())
+    path = tmp_path / "cm.ply"
+    export_mesh(pm, "ply", path, color_mode="sidedness")
+    faces = reference_ply_faces(pm)
+    assert path.read_bytes().endswith(pm.points.astype("<f8").tobytes()
+                                      + faces)
+    _, _, colors = read_ply(path)
+    assert len(np.unique(colors, axis=0)) == 2
+
+
 def test_obj_layers(torus_projected, tmp_path):
     path = tmp_path / "annotated.obj"
     layers = [("toroidal", "l", [0, 1, 2]), ("seeds", "p", [3, 9])]
@@ -160,6 +194,16 @@ def test_readers_reject_foreign_files(tmp_path):
     junk.write_bytes(b"solid nope\n")
     with pytest.raises(ProjectionError, match="not a PLY"):
         read_ply(junk)
+    quad_ply = tmp_path / "quad.ply"
+    quad_ply.write_bytes(
+        b"ply\nformat binary_little_endian 1.0\nelement vertex 0\n"
+        b"element face 2\nproperty list uchar int vertex_indices\n"
+        b"end_header\n" + bytes([3]) + bytes(12) + bytes([4]) + bytes(12))
+    with pytest.raises(ProjectionError, match="triangle"):
+        read_ply(quad_ply)
+    quad_ply.write_bytes(quad_ply.read_bytes()[:-1])
+    with pytest.raises(ProjectionError, match="truncated"):
+        read_ply(quad_ply)
     quad = tmp_path / "quad.obj"
     quad.write_text("v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nf 1 2 3 4\n")
     with pytest.raises(ProjectionError, match="triangle"):
