@@ -49,10 +49,11 @@ def _half_edges(triangles):
     tail = tris.reshape(-1)
     head = np.roll(tris, -1, axis=1).reshape(-1)
     lo, hi = np.minimum(tail, head), np.maximum(tail, head)
-    span = int(hi.max(initial=0)) + 1
-    keys, edge, counts = np.unique(lo * span + hi, return_inverse=True,
-                                   return_counts=True)
-    edges = np.column_stack(np.divmod(keys, span))
+    base = int(lo.min(initial=0))     # keys stay distinct for any ids
+    span = int(hi.max(initial=0)) - base + 1
+    keys, edge, counts = np.unique((lo - base) * span + hi - base,
+                                   return_inverse=True, return_counts=True)
+    edges = np.column_stack(np.divmod(keys, span)) + base
     return _HalfEdges(edges, counts, edge.reshape(-1), tail < head)
 
 
@@ -84,7 +85,11 @@ def validate_mesh(triangles, strict=True, extra=None):
     nonmanifold_edges, boundary_edges, problems.
     """
     tris = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)
-    he = _half_edges(tris)
+    return _validate(tris, _half_edges(tris), strict, extra)
+
+
+def _validate(tris, he, strict, extra):
+    """validate_mesh on the (T, 3) triangles and their half-edge table."""
     edges, counts = he.edges, he.counts
     nverts = len(np.unique(tris))
     nedges = len(edges)
@@ -201,14 +206,14 @@ def mesh_flat_torus(graph, forms, cloud):
     metric = np.asarray(_chart_metric(graph, forms))
     triangles, dropped = _periodic_delaunay(np.mod(theta, 1.0) * metric,
                                             metric)
-    report = validate_mesh(triangles, strict=False,
-                           extra={"period_defect_max": defect})
+    he = _half_edges(triangles)
+    report = _validate(triangles, he, strict=False,
+                       extra={"period_defect_max": defect})
     problems = report["problems"]
     if len(dropped) or report["vertices"] != V:
         problems.append(
             f"input points missing from the mesh: {V - report['vertices']} "
             f"are not vertices, {len(dropped)} dropped by Qhull as coplanar")
-    he = _half_edges(triangles)
     twice = int(np.sum(np.bincount(2 * he.edge + he.forward) > 1))
     if twice:
         problems.append(f"winding is inconsistent: {twice} directed edges "
@@ -240,6 +245,8 @@ def export_mesh_json(path, mesh):
 
 
 def load_mesh_json(path):
+    """Read a mesh.json; raises MeshValidationError when a triangle
+    vertex id does not index one of its points."""
     from .samplers import PointCloud
     with open(path, "r", encoding="ascii") as fh:
         payload = json.load(fh)
@@ -247,4 +254,9 @@ def load_mesh_json(path):
     cloud = PointCloud(points=points, dim=int(payload["dim"]),
                        provenance=payload.get("provenance", "external"))
     triangles = np.array(payload["triangles"], dtype=np.int64).reshape(-1, 3)
+    outside = np.unique(triangles[(triangles < 0) | (triangles >= cloud.n)])
+    if len(outside):
+        problem = (f"{len(outside)} triangle vertex ids do not index the "
+                   f"{cloud.n} points, e.g. {outside[:5].tolist()}")
+        raise MeshValidationError(problem, {"problems": [problem]})
     return SurfaceMesh(cloud, triangles, payload.get("report", {}))

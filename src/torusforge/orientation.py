@@ -9,7 +9,8 @@ the winding that agrees with it. The rule never consults embedding
 coordinates, so it works identically in any dimension. A non-orientable
 surface, which for a torus pipeline always indicates an upstream
 meshing defect, is reported with a closed chain of faces along which
-the winding contradicts itself.
+the winding contradicts itself. An edge with three or more faces admits
+no such winding either and is reported with the faces on it.
 """
 
 import logging
@@ -24,13 +25,11 @@ from .mesher import SurfaceMesh, _half_edges
 log = logging.getLogger("torusforge.orientation")
 
 
-def _double_cover(triangles):
-    """Sparse adjacency of the orientation double cover: node t keeps
-    face t's winding, node T + t flips it. Each half-edge's face is
-    joined to the face of the first half-edge on the same edge, which
-    fixes every pair on the edge because the relation is transitive."""
-    T = len(triangles)
-    he = _half_edges(triangles)
+def _double_cover(he, T):
+    """Sparse adjacency of the orientation double cover of T faces with
+    half-edge table `he`, whose edges have at most two faces: node t
+    keeps face t's winding, node T + t flips it. Each half-edge's face
+    is joined to the face of the first half-edge on the same edge."""
     _, first = np.unique(he.edge, return_index=True)
     first = first[he.edge]
     h = np.flatnonzero(first != np.arange(3 * T))
@@ -61,15 +60,24 @@ def orient_mesh(mesh):
     Returns a SurfaceMesh whose triangles traverse every shared edge in
     opposite directions; a face that disagrees with face 0 has its last
     two corners swapped. Raises OrientationConflictError carrying a
-    closed chain of faces when the surface is non-orientable, and with
-    an empty chain when the faces do not form one edge-connected
-    surface.
+    closed chain of faces when the surface is non-orientable or an edge
+    has more than two faces, and with an empty chain when the faces do
+    not form one edge-connected surface.
     """
     tris = np.asarray(mesh.triangles, dtype=np.int64).reshape(-1, 3)
     T = len(tris)
     if T == 0:
         raise OrientationConflictError("cannot orient an empty mesh", [])
-    cover = _double_cover(tris)
+    he = _half_edges(tris)
+    crowded = np.flatnonzero(he.counts > 2)
+    if len(crowded):
+        # two of three or more faces on one edge always walk it alike
+        e = int(crowded[0])
+        raise OrientationConflictError(
+            f"edge {he.edges[e].tolist()} has {he.counts[e]} faces, which "
+            f"no winding can make walk it in opposite directions",
+            np.unique(np.flatnonzero(he.edge == e) // 3).tolist())
+    cover = _double_cover(he, T)
     ncomp, label = connected_components(cover, directed=False)
     twisted = np.flatnonzero(label[:T] == label[T:])
     if len(twisted):

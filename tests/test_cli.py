@@ -157,6 +157,38 @@ def test_validate_flags_torn_mesh(tmp_path, finished_run):
     assert report["problems"]
 
 
+@pytest.mark.parametrize("bad_id", [-1, 99999])
+def test_validate_rejects_ids_outside_points(tmp_path, capsys,
+                                             finished_run, bad_id):
+    """A triangle vertex id that indexes no point fails loading, so
+    neither validate nor project reads a wrong or missing vertex."""
+    payload = json.loads((finished_run / "mesh.json").read_text())
+    payload["triangles"] = [[bad_id if v == 0 else v for v in tri]
+                            for tri in payload["triangles"]]
+    path = tmp_path / "mesh.json"
+    path.write_text(json.dumps(payload))
+    for argv in (["validate", str(path)], ["project"]):
+        capsys.readouterr()
+        assert cli.main(argv + ["--output-dir", str(tmp_path)]) == 4
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "MeshValidationError"
+        assert f"[{bad_id}]" in err["details"]["report"]["problems"][0]
+    assert not (tmp_path / "validation.json").exists()
+
+
+def test_validate_flags_duplicated_face(tmp_path, finished_run):
+    payload = json.loads((finished_run / "mesh.json").read_text())
+    payload["triangles"].append(payload["triangles"][0])
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps(payload))
+    code = cli.main(["validate", str(path), "--output-dir", str(tmp_path)])
+    assert code == 4
+    report = json.loads((tmp_path / "validation.json").read_text())
+    assert report["nonmanifold_edges"] == 3
+    assert report["orientation_conflicts"] == 1
+    assert any(p.startswith("orientation:") for p in report["problems"])
+
+
 def test_validate_flags_nonorientable_mesh(tmp_path):
     ang = np.linspace(0, 2 * np.pi, 5, endpoint=False)
     pts = np.column_stack([np.cos(ang), np.sin(ang), 0.1 * np.arange(5)])

@@ -206,6 +206,25 @@ def test_face_removal_claimed_euler_increase(torus_bundle):
     assert report["euler_characteristic"] == 1
 
 
+def test_validate_mesh_report_ignores_id_offset(torus_bundle):
+    """Shifting every vertex id, negative ids included, leaves the edge
+    table and so the report unchanged (ids are not point indices)."""
+    tris = torus_bundle.mesh.triangles
+    base = validate_mesh(tris[1:], strict=False)
+    shifted = validate_mesh(tris[1:] - 1000, strict=False)
+    assert shifted["edges"] == base["edges"]
+    assert shifted["euler_characteristic"] == base["euler_characteristic"]
+    assert shifted["boundary_edges"] == base["boundary_edges"] == 3
+    assert (np.array(shifted["boundary_edge_list"]) + 1000).tolist() \
+        == base["boundary_edge_list"]
+    # keyed as lo * (max id + 1) + hi, edges (-7, 5) and (-6, -5) collide
+    tet = np.array([(0, 1, 2), (0, 2, 3), (0, 3, 1), (1, 3, 2)])
+    ids = np.array([-7, 5, -6, -5])
+    report = validate_mesh(ids[tet], strict=False)
+    assert report["edges"] == 6
+    assert report["euler_characteristic"] == 2
+
+
 def test_validate_mesh_duplicated_face(torus_bundle):
     tris = np.vstack([torus_bundle.mesh.triangles,
                       torus_bundle.mesh.triangles[:1]])
