@@ -3,10 +3,12 @@
 Exact greedy over the Horton candidate family (cycles formed by two
 shortest paths plus a closing edge), run in two phases. A banded phase
 harvests short cycles from distance-limited shortest-path trees in
-global weight order. Once few basis slots remain, a support-vector
-phase computes the GF(2) orthogonal complement of the selected span
-and scans all candidates for the minimum-weight ones with odd pairing,
-which are exactly the remaining greedy picks.
+global weight order. Once few basis slots remain, de Pina's rule
+finishes the basis (Kavitha et al., "Cycle bases in graphs", 2009):
+each vector of the GF(2) orthogonal complement of the selected span, in
+turn, takes the lightest cycle pairing oddly with it. That cycle is one
+Dijkstra on the graph's parity double cover, started only from the
+vertices of the vector's seam.
 
 Cycle vectors live in GF(2) coordinates indexed by non-tree edges of a
 fixed spanning tree and are stored as Python integers.
@@ -27,8 +29,6 @@ log = logging.getLogger("torusforge.cycles")
 _INTERNAL_SEED = 0x5EED
 _PERTURB_EPS = 1e-10
 _CORANK_SWITCH = 8
-_POOL_DEPTH = 64
-_GROUP_BITS = 60
 
 
 @dataclass
@@ -210,32 +210,10 @@ def _candidate_cycle(ws, prow, v, e):
     return eset
 
 
-class _PredCache:
-    """Lazy banded shortest-path rows per source vertex."""
-
-    def __init__(self, ws):
-        self.ws = ws
-        self.rows = {}
-        self.theta = None
-
-    def set_theta(self, theta):
-        if self.theta != theta:
-            self.rows.clear()
-            self.theta = theta
-
-    def get(self, v):
-        hit = self.rows.get(v)
-        if hit is None:
-            d, p = dijkstra(self.ws.csgraph, indices=[v], limit=self.theta,
-                            return_predecessors=True)
-            hit = (d[0], p[0])
-            self.rows[v] = hit
-        return hit
-
-
 def _banded_chunks(ws, theta):
-    """Yield candidate arrays (weight, source, edge, signature) for all
-    sources, with shortest paths truncated at distance theta."""
+    """Yield, per block of sources, the candidate arrays (weight, source,
+    edge, signature) and the int32 predecessor rows, with shortest paths
+    truncated at distance theta."""
     for lo in range(0, ws.n, ws.chunk):
         src = np.arange(lo, min(lo + ws.chunk, ws.n))
         dist, preds = dijkstra(ws.csgraph, indices=src, limit=theta,
@@ -247,54 +225,58 @@ def _banded_chunks(ws, theta):
         ok &= preds[:, ws.ey] != ws.ex[None, :]
         rows, es = np.nonzero(ok)
         sig = zpath[rows, ws.ex[es]] ^ zpath[rows, ws.ey[es]] ^ ws.zob[es]
-        yield wc[rows, es], src[rows], es, sig
+        yield wc[rows, es], src[rows], es, sig, preds
 
 
-def _phase_a(ws, pivots, chosen, seen, theta0):
+def _harvest_band(ws, pivots, chosen, seen, horizon, theta):
+    """Greedy over the candidates weighing (horizon, theta], each walked
+    on the predecessor row its band computed. The rows (n x n int32)
+    live only in this frame, so one band's are freed before the next's."""
+    parts = list(_banded_chunks(ws, theta))
+    preds = [p[4] for p in parts]
+    wc, vs, es, sg = (np.concatenate([p[k] for p in parts]) for k in range(4))
+    band = (wc > horizon) & (wc <= theta)
+    order = np.lexsort((es[band], vs[band], wc[band]))
+    vs, es, sg = (a[band][order] for a in (vs, es, sg))
+    for t in range(len(vs)):
+        s = int(sg[t])
+        if s in seen:
+            continue
+        seen.add(s)
+        v, e = int(vs[t]), int(es[t])
+        eset = _candidate_cycle(ws, preds[v // ws.chunk][v % ws.chunk], v, e)
+        if eset is None:
+            continue
+        resid, bit = _reduce_vector(ws.vector_from_edges(eset), pivots)
+        if bit is None:
+            continue
+        pivots[bit] = resid
+        chosen.append(eset)
+        if len(chosen) == ws.m:
+            return
+
+
+def _phase_a(ws, pivots, chosen, theta0):
     """Greedy over banded Horton candidates in nondecreasing weight order.
 
-    Returns the tested weight horizon. Doubles the band until the basis
-    is complete, few slots remain, or the band covers the whole graph.
+    Each band runs one truncated Dijkstra per source; its predecessor
+    rows both rank the candidates (by weight, then a Zobrist signature
+    that skips repeats) and walk the ones the greedy tests. Doubles the
+    band until the basis is complete, few slots remain, or the band
+    covers the whole graph.
     """
-    cache = _PredCache(ws)
+    seen = set()
     horizon = 0.0
     theta = theta0
     wsum = float(ws.w_pert.sum()) + 1.0
     while len(chosen) < ws.m:
-        cache.set_theta(theta)
-        parts = list(_banded_chunks(ws, theta))
-        if parts:
-            wc = np.concatenate([p[0] for p in parts])
-            vs = np.concatenate([p[1] for p in parts])
-            es = np.concatenate([p[2] for p in parts])
-            sg = np.concatenate([p[3] for p in parts])
-            band = (wc > horizon) & (wc <= theta)
-            order = np.lexsort((es[band], vs[band], wc[band]))
-            wc, vs, es, sg = (a[band][order] for a in (wc, vs, es, sg))
-            for t in range(len(wc)):
-                s = int(sg[t])
-                if s in seen:
-                    continue
-                seen.add(s)
-                v, e = int(vs[t]), int(es[t])
-                _, prow = cache.get(v)
-                eset = _candidate_cycle(ws, prow, v, e)
-                if eset is None:
-                    continue
-                resid, bit = _reduce_vector(ws.vector_from_edges(eset), pivots)
-                if bit is None:
-                    continue
-                pivots[bit] = resid
-                chosen.append(eset)
-                if len(chosen) == ws.m:
-                    break
+        _harvest_band(ws, pivots, chosen, seen, horizon, theta)
         horizon = theta
         corank = ws.m - len(chosen)
         log.info("cycle band theta=%.6g rank=%d/%d", theta, len(chosen), ws.m)
         if corank == 0 or corank <= _CORANK_SWITCH or theta > wsum:
             break
         theta *= 2.0
-    return horizon
 
 
 def _complement_basis(ws, pivots):
@@ -313,112 +295,73 @@ def _complement_basis(ws, pivots):
     return out
 
 
-def _edge_parity_bits(ws, group):
-    """Per-edge uint64 bitfield: bit i = coordinate of edge in group[i]."""
-    sbits = np.zeros(ws.E, dtype=np.uint64)
-    nbytes = (ws.m + 7) // 8
-    for i, s in enumerate(group):
-        raw = np.frombuffer(s.to_bytes(nbytes, "little"), dtype=np.uint8)
-        coords = np.unpackbits(raw, bitorder="little")[:ws.m].astype(bool)
-        onbit = np.zeros(ws.E, dtype=np.uint64)
-        onbit[ws.nontree] = coords.astype(np.uint64) << np.uint64(i)
-        sbits |= onbit
-    return sbits
+def _lightest_odd_cycle(ws, s):
+    """Edge ids of the lightest cycle pairing oddly with the coordinate
+    vector s, or None when the search finds no such cycle.
 
-
-def _scan_candidates(ws, group, banned, depth):
-    """Full scan of Horton candidates: per parity pattern, the `depth`
-    lightest (weight, source, edge) entries with odd pairing bits."""
-    sbits = _edge_parity_bits(ws, group)
-    pool = {}
-    for lo in range(0, ws.n, ws.chunk):
-        src = np.arange(lo, min(lo + ws.chunk, ws.n))
-        dist, preds = dijkstra(ws.csgraph, indices=src,
-                               return_predecessors=True)
-        gpar = ws.path_xor(preds, sbits)
-        wc = dist[:, ws.ex] + ws.w_pert[None, :] + dist[:, ws.ey]
-        psi = gpar[:, ws.ex] ^ gpar[:, ws.ey] ^ sbits[None, :]
-        ok = np.isfinite(wc) & (psi != 0)
-        ok &= preds[:, ws.ex] != ws.ey[None, :]
-        ok &= preds[:, ws.ey] != ws.ex[None, :]
-        for v, e in banned:
-            if lo <= v < lo + len(src):
-                ok[v - lo, e] = False
-        rows, es = np.nonzero(ok)
-        if len(rows) == 0:
-            continue
-        pats = psi[rows, es]
-        wsel = wc[rows, es]
-        vsel = src[rows]
-        for pat in np.unique(pats):
-            mask = pats == pat
-            wp, vp, ep = wsel[mask], vsel[mask], es[mask]
-            if len(wp) > depth:
-                keep = np.argpartition(wp, depth)[:depth]
-                wp, vp, ep = wp[keep], vp[keep], ep[keep]
-            cur = pool.setdefault(int(pat), [])
-            cur.extend(zip(wp.tolist(), vp.tolist(), ep.tolist()))
-            cur.sort()
-            del cur[depth:]
-    entries = []
-    for pat, items in pool.items():
-        entries.extend((w, v, e, pat) for w, v, e in items)
-    entries.sort()
-    return entries
+    s is a cut: the non-tree edges whose coordinate it sets. Adding the
+    coboundary of its parity along the shortest-path tree from vertex 0
+    changes no pairing and leaves the cut on that tree's seam only. On
+    the double cover whose two sheets swap across the cut, the distance
+    from v to its copy is the lightest closed walk through v that pairs
+    oddly with s. Every such walk crosses the seam, so its endpoints are
+    the only sources needed, and the lightest walk among them is a
+    simple cycle: a repeated vertex would split off a lighter odd walk.
+    """
+    n = ws.n
+    raw = np.frombuffer(s.to_bytes((ws.m + 7) // 8, "little"), dtype=np.uint8)
+    cut = np.zeros(ws.E, dtype=np.uint8)
+    cut[ws.nontree] = np.unpackbits(raw, bitorder="little")[:ws.m]
+    _, root = dijkstra(ws.csgraph, indices=[0], return_predecessors=True)
+    parity = ws.path_xor(root, cut)[0]
+    cross = (cut ^ parity[ws.ex] ^ parity[ws.ey]).astype(bool)
+    seam = np.unique(np.concatenate([ws.ex[cross], ws.ey[cross]]))
+    x, y = ws.ex, ws.ey + n * cross      # cut edges join the two sheets
+    x1, y1 = x + n, ws.ey + n * ~cross
+    cover = coo_matrix(
+        (np.tile(ws.w_pert, 4),
+         (np.concatenate([x, y, x1, y1]), np.concatenate([y, x, y1, x1]))),
+        shape=(2 * n, 2 * n)).tocsr()
+    best, source = np.inf, None
+    for lo in range(0, len(seam), ws.chunk):
+        block = seam[lo:lo + ws.chunk]
+        dist = dijkstra(cover, indices=block, limit=best)
+        odd = dist[np.arange(len(block)), block + n]
+        k = int(np.argmin(odd))
+        if odd[k] < best:
+            best, source = odd[k], int(block[k])
+    if source is None:
+        return None
+    _, pred = dijkstra(cover, indices=[source], return_predecessors=True)
+    walk = [source + n]
+    while walk[-1] != source:
+        walk.append(int(pred[0, walk[-1]]))
+    base = np.array(walk) % n
+    return ws._edge_ids_bulk(base[:-1], base[1:]).tolist()
 
 
 def _phase_b(ws, pivots, chosen):
-    """Finish the basis: repeatedly take the lightest candidate with odd
-    pairing against the orthogonal complement of the current span."""
-    banned = set()
-    depth = _POOL_DEPTH
-    attempts = 0
-    while len(chosen) < ws.m:
-        comp = _complement_basis(ws, pivots)
-        group = comp[:_GROUP_BITS]
-        entries = _scan_candidates(ws, group, banned, depth)
-        alphas = [1 << i for i in range(len(group))]
-        progressed = False
-        for w, v, e, pat in entries:
-            if not alphas:
-                break
-            if (v, e) in banned:
-                continue
-            if not any((pat & a).bit_count() & 1 for a in alphas):
-                continue
-            _, preds = dijkstra(ws.csgraph, indices=[v],
-                                return_predecessors=True)
-            eset = _candidate_cycle(ws, preds[0], v, e)
-            if eset is None:
-                banned.add((v, e))
-                continue
-            vec = ws.vector_from_edges(eset)
-            true_pat = 0
-            for i, s in enumerate(group):
-                true_pat |= ((vec & s).bit_count() & 1) << i
-            odd = [a for a in alphas if (true_pat & a).bit_count() & 1]
-            if not odd:
-                banned.add((v, e))
-                continue
-            resid, bit = _reduce_vector(vec, pivots)
-            if bit is None:
-                raise CycleBasisError("odd pairing on a dependent cycle")
-            pivots[bit] = resid
-            chosen.append(eset)
-            progressed = True
-            star = odd[0]
-            alphas = [a ^ star if a in odd else a
-                      for a in alphas if a != star]
-        if len(chosen) >= ws.m:
-            break
-        if not progressed:
-            attempts += 1
-            depth *= 4
-            if attempts > 3:
-                raise CycleBasisError(
-                    f"cycle basis incomplete: {ws.m - len(chosen)} slots "
-                    f"left unfilled after {attempts} unproductive "
-                    f"support-vector scans")
+    """Finish the basis by de Pina's rule: each complement vector in turn
+    takes the lightest cycle pairing oddly with it, and is folded into
+    every later vector that cycle also pairs oddly with, which keeps the
+    later vectors orthogonal to every chosen cycle."""
+    comp = _complement_basis(ws, pivots)
+    for i, s in enumerate(comp):
+        eids = _lightest_odd_cycle(ws, s)
+        if eids is None:
+            raise CycleBasisError(
+                f"cycle basis incomplete: {ws.m - len(chosen)} slots left "
+                f"unfilled, no cycle pairs oddly with a complement vector")
+        vec = ws.vector_from_edges(eids)
+        if not (vec & s).bit_count() & 1:
+            raise CycleBasisError("lightest odd cycle pairs evenly")
+        resid, bit = _reduce_vector(vec, pivots)
+        if bit is None:
+            raise CycleBasisError("odd pairing on a dependent cycle")
+        pivots[bit] = resid
+        chosen.append(eids)
+        comp[i + 1:] = [t ^ s if (vec & t).bit_count() & 1 else t
+                        for t in comp[i + 1:]]
 
 
 def minimum_cycle_basis(graph, theta0=None):
@@ -434,8 +377,7 @@ def minimum_cycle_basis(graph, theta0=None):
         theta0 = 5.0 * float(np.median(ws.w_pert))
     pivots = {}
     chosen = []
-    seen = set()
-    _phase_a(ws, pivots, chosen, seen, theta0)
+    _phase_a(ws, pivots, chosen, theta0)
     if len(chosen) < ws.m:
         log.info("support-vector phase for %d remaining cycles",
                  ws.m - len(chosen))

@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 from scipy.spatial import cKDTree
 
 from .errors import ConfigError, DisconnectedGraphError
@@ -61,6 +61,24 @@ class NeighborGraph:
 
     def degree(self):
         return np.array([len(a) for a in self.adjacency], dtype=np.int64)
+
+
+def _bfs_tree(graph):
+    """Spanning tree by BFS from vertex 0, neighbors in ascending order:
+    the other vertices in visit order, their parents and the ids of the
+    edges joining them. Raises ConfigError when the graph is not
+    connected."""
+    V = graph.vertex_count
+    order, pred = breadth_first_order(graph.adjacency_matrix(), 0,
+                                      directed=False)
+    if len(order) != V:
+        raise ConfigError("graph is not connected")
+    child = order[1:]
+    parent = pred[child]
+    keys = graph.edges[:, 0] * V + graph.edges[:, 1]    # sorted
+    edge = np.searchsorted(keys, np.minimum(parent, child) * V
+                           + np.maximum(parent, child))
+    return child, parent, edge
 
 
 def _knn_pairs(points, k):

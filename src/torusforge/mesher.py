@@ -17,10 +17,11 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import breadth_first_order, connected_components
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import Delaunay
 
 from .errors import MeshValidationError, ResidualError
+from .knn import _bfs_tree
 
 log = logging.getLogger("torusforge.mesher")
 
@@ -184,16 +185,10 @@ def mesh_flat_torus(graph, forms, cloud):
     ei, ej = graph.edges[:, 0], graph.edges[:, 1]
     keys = ei * V + ej                # sorted, as graph.edges is
     inc = np.column_stack([forms.du, forms.dv])
-    order, pred = breadth_first_order(graph.adjacency_matrix(), 0,
-                                      directed=False)
-    child = order[1:]
-    parent = pred[child]
-    tree_edge = np.searchsorted(keys, np.minimum(parent, child) * V
-                                + np.maximum(parent, child))
+    child, parent, tree_edge = _bfs_tree(graph)
     step = np.where((parent < child)[:, None], inc[tree_edge],
                     -inc[tree_edge])
-    theta = np.full((V, 2), np.nan)   # stays NaN off the tree: fails below
-    theta[0] = 0.0
+    theta = np.zeros((V, 2))
     for v, p, s in zip(child, parent, step):   # BFS order: parents first
         theta[v] = theta[p] + s
     gap = theta[ej] - theta[ei] - inc

@@ -27,6 +27,7 @@ from scipy.sparse import coo_matrix, csr_matrix, diags, vstack
 from scipy.sparse.linalg import lsqr, splu
 
 from .errors import CycleBasisError, ConfigError, ResidualError
+from .knn import _bfs_tree
 
 log = logging.getLogger("torusforge.oneforms")
 
@@ -130,27 +131,6 @@ def assemble_system(graph, basis, classification=None, weights=None):
                          trivial + tail, V, len(trivial), len(tail))
 
 
-def _bfs_tree_edges(graph):
-    """Deterministic spanning tree: BFS from vertex 0, neighbors in
-    ascending order. Returns a boolean mask over edges."""
-    V = graph.vertex_count
-    seen = np.zeros(V, dtype=bool)
-    seen[0] = True
-    mask = np.zeros(graph.edge_count, dtype=bool)
-    queue = [0]
-    for u in queue:
-        for nb in graph.adjacency[u]:
-            nb = int(nb)
-            if not seen[nb]:
-                seen[nb] = True
-                e = graph.edge_index[(u, nb) if u < nb else (nb, u)]
-                mask[e] = True
-                queue.append(nb)
-    if not np.all(seen):
-        raise ConfigError("graph is not connected")
-    return mask
-
-
 def _solve_exact(system):
     """Hard cycle constraints by elimination, then exact co-closedness.
 
@@ -162,24 +142,14 @@ def _solve_exact(system):
     """
     graph, w = system.graph, system.weights
     V, E = graph.vertex_count, graph.edge_count
-    tree = _bfs_tree_edges(graph)
-    nontree = np.nonzero(~tree)[0]
+    _, _, tree_edge = _bfs_tree(graph)
+    nontree = np.setdiff1d(np.arange(E), tree_edge)
     m = len(nontree)
-    coord = np.full(E, -1, dtype=np.int64)
-    coord[nontree] = np.arange(m)
     ncyc = len(system.cycles_in_rows)
     if ncyc != m:
         raise CycleBasisError(
             f"need {m} independent cycles for exact elimination, got {ncyc}")
-    rows, cols, vals = [], [], []
-    for rix, cyc in enumerate(system.cycles_in_rows):
-        cols_c, vals_c = _cycle_row(graph, cyc)
-        for c, v in zip(cols_c, vals_c):
-            if coord[c] >= 0:
-                rows.append(rix)
-                cols.append(coord[c])
-                vals.append(v)
-    M = coo_matrix((vals, (rows, cols)), shape=(m, m)).tocsc()
+    M = system.matrix[V:][:, nontree].tocsc()
     cyc_rhs_u = system.rhs_u[V:]
     cyc_rhs_v = system.rhs_v[V:]
     try:

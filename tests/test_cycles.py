@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from scipy.sparse import bmat, coo_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from conftest import periodic_grid
 from torusforge import cycles
@@ -104,14 +106,16 @@ def random_connected_graph(rng, n, extra_edges, tie_weights):
     return NeighborGraph.from_edges(n, np.array(edges), lengths)
 
 
+@pytest.mark.parametrize("theta0", [None, 1e-12])
 @pytest.mark.parametrize("tie_weights", [False, True])
-def test_random_graphs_match_exhaustive(tie_weights):
+def test_random_graphs_match_exhaustive(tie_weights, theta0):
+    """theta0=1e-12 leaves every slot to de Pina's double-cover search."""
     rng = np.random.default_rng(314)
     for _ in range(10):
         graph = random_connected_graph(rng, 8, 6, tie_weights)
         if graph.edge_count > 18:
             continue
-        greedy = minimum_cycle_basis(graph)
+        greedy = minimum_cycle_basis(graph, theta0=theta0)
         brute = exhaustive_minimum_cycle_basis(graph)
         assert greedy.size == brute.size == graph.edge_count - 8 + 1
         assert greedy.total_weight() == pytest.approx(brute.total_weight(),
@@ -129,13 +133,51 @@ def test_theta0_forcing_second_phase_gives_same_basis():
 
 
 def test_support_vector_phase_without_candidates_fails_clean(monkeypatch):
-    """When the candidate scans certify nothing, the basis is reported
+    """When the odd-cycle search finds nothing, the basis is reported
     incomplete, never completed with uncertified cycles."""
-    monkeypatch.setattr(cycles, "_scan_candidates",
-                        lambda ws, group, banned, depth: [])
+    monkeypatch.setattr(cycles, "_lightest_odd_cycle", lambda ws, s: None)
     # the 6x6 grid leaves its two generators to the support-vector phase
     with pytest.raises(CycleBasisError, match="2 slots left unfilled"):
         minimum_cycle_basis(periodic_grid(6))
+
+
+def test_seam_search_finds_lightest_odd_walk(torus_bundle):
+    """Starting the double-cover search only at the seam of each
+    complement vector finds a cycle that pairs oddly with it and weighs
+    as little as the lightest odd closed walk through any vertex."""
+    ws = cycles._Workspace(torus_bundle.graph)
+    pivots = {}
+    for c in torus_bundle.classification.trivial:
+        resid, bit = cycles._reduce_vector(ws.vector_from_edges(c.edges),
+                                           pivots)
+        pivots[bit] = resid
+    comp = cycles._complement_basis(ws, pivots)
+    assert len(comp) == 2
+    n = ws.n
+    for s in comp:
+        eids = cycles._lightest_odd_cycle(ws, s)
+        assert (ws.vector_from_edges(eids) & s).bit_count() & 1
+        # unrestricted reference: the cover [[even, odd], [odd, even]] of
+        # the vector's own edges, searched from every vertex
+        odd = np.zeros(ws.E, dtype=bool)
+        for e in range(ws.E):
+            odd[e] = ws.coord[e] >= 0 and (s >> int(ws.coord[e])) & 1
+
+        def half(mask):
+            i, j, w = ws.ex[mask], ws.ey[mask], ws.w_pert[mask]
+            return coo_matrix((np.concatenate([w, w]),
+                               (np.concatenate([i, j]),
+                                np.concatenate([j, i]))), shape=(n, n))
+
+        cover = bmat([[half(~odd), half(odd)],
+                      [half(odd), half(~odd)]]).tocsr()
+        lightest = np.inf
+        for lo in range(0, n, 250):
+            src = np.arange(lo, min(lo + 250, n))
+            dist = dijkstra(cover, indices=src)
+            lightest = min(lightest, float(np.min(dist[src - lo, src + n])))
+        assert float(np.sum(ws.w_pert[eids])) == pytest.approx(lightest,
+                                                              rel=1e-12)
 
 
 def test_deterministic_across_calls():
