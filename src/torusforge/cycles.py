@@ -3,12 +3,13 @@
 Exact greedy over the Horton candidate family (cycles formed by two
 shortest paths plus a closing edge), run in two phases. A banded phase
 harvests short cycles from distance-limited shortest-path trees in
-global weight order. Once few basis slots remain, de Pina's rule
-finishes the basis (Kavitha et al., "Cycle bases in graphs", 2009):
-each vector of the GF(2) orthogonal complement of the selected span, in
-turn, takes the lightest cycle pairing oddly with it. That cycle is one
-Dijkstra on the graph's parity double cover, started only from the
-vertices of the vector's seam.
+global weight order; it builds the candidates and their path
+signatures only from the vertices each truncated Dijkstra reaches. Once
+few basis slots remain, de Pina's rule finishes the basis (Kavitha et
+al., "Cycle bases in graphs", 2009): each vector of the GF(2) orthogonal
+complement of the selected span, in turn, takes the lightest cycle
+pairing oddly with it. That cycle is one Dijkstra on the graph's parity
+double cover, started only from the vertices of the vector's seam.
 
 Cycle vectors live in GF(2) coordinates indexed by non-tree edges of a
 fixed spanning tree and are stored as Python integers.
@@ -100,6 +101,19 @@ def _cycle_from_edges(graph, edge_ids):
     return Cycle(np.array(loop, dtype=np.int64), ids, weight)
 
 
+def _xor_to_root(anc, g):
+    """XOR of g along each node's parent chain up to its root, by pointer
+    doubling. anc holds each node's parent, a root is its own parent and
+    carries g == 0. Each round doubles the hops every pointer skips, and
+    the rounds stop once every pointer is a root."""
+    while True:
+        up = anc[anc]
+        if np.array_equal(up, anc):
+            return g
+        g = g ^ g[anc]
+        anc = up
+
+
 class _Workspace:
     """Shared state: perturbed weights, spanning tree, GF(2) coordinates."""
 
@@ -132,7 +146,11 @@ class _Workspace:
             raise CycleBasisError("spanning tree construction failed")
         self.coord[nontree] = np.arange(self.m)
         self.nontree = nontree
-        self.chunk = max(1, min(512, int(6_000_000 // max(self.E, 1))))
+        # edges are sorted by (ex, ey): those with ex == v are the slice
+        # edge_start[v]:edge_start[v + 1]
+        self.edge_start = np.searchsorted(self.ex, np.arange(self.n + 1))
+        # sources per Dijkstra block: c x n float64 distances stay <= 12 MB
+        self.chunk = max(1, min(512, 1_500_000 // max(self.n, 1)))
 
     def _edge_ids_bulk(self, a, b):
         lo = np.minimum(a, b).astype(np.int64)
@@ -142,21 +160,15 @@ class _Workspace:
             raise CycleBasisError("edge lookup miss")
         return pos
 
-    def path_xor(self, preds, values):
-        """XOR of per-edge values along tree paths to each source, for a
-        block of predecessor rows, via pointer doubling."""
-        c, n = preds.shape
-        anc = np.where(preds < 0, np.arange(n)[None, :], preds).astype(np.int64)
-        g = np.zeros((c, n), dtype=values.dtype)
-        reached = preds >= 0
-        if np.any(reached):
-            uu = np.broadcast_to(np.arange(n), (c, n))[reached]
-            g[reached] = values[self._edge_ids_bulk(anc[reached], uu)]
-        rounds = max(1, int(np.ceil(np.log2(max(n, 2)))) + 1)
-        for _ in range(rounds):
-            g ^= np.take_along_axis(g, anc, axis=1)
-            anc = np.take_along_axis(anc, anc, axis=1)
-        return g
+    def path_xor(self, pred, values):
+        """XOR of per-edge values along the tree path from each vertex to
+        the root of one predecessor row (0 where the row has no path)."""
+        v = np.flatnonzero(pred >= 0)
+        anc = np.arange(self.n)
+        anc[v] = pred[v]
+        g = np.zeros(self.n, dtype=values.dtype)
+        g[v] = values[self._edge_ids_bulk(pred[v], v)]
+        return _xor_to_root(anc, g)
 
     def vector_from_edges(self, edge_ids):
         vec = 0
@@ -210,40 +222,64 @@ def _candidate_cycle(ws, prow, v, e):
     return eset
 
 
-def _banded_chunks(ws, theta):
-    """Yield, per block of sources, the candidate arrays (weight, source,
-    edge, signature) and the int32 predecessor rows, with shortest paths
-    truncated at distance theta."""
-    for lo in range(0, ws.n, ws.chunk):
-        src = np.arange(lo, min(lo + ws.chunk, ws.n))
+def _banded_chunks(ws, horizon, theta):
+    """Yield, per block of sources, the candidates weighing (horizon,
+    theta] as arrays (weight, source, edge, signature), and the int32
+    predecessor rows of shortest paths truncated at distance theta.
+
+    Works on the reached (row, vertex) entries only, kept as sorted keys
+    row * n + vertex and looked up by searchsorted. A candidate (v, e)
+    closes e = (x, y) with both ends reached from v, e on neither tree
+    path; it is generated once, from x's slice of the edge list. Its
+    signature XORs the Zobrist path values of x and y with e's own.
+    """
+    n = ws.n
+    for lo in range(0, n, ws.chunk):
+        src = np.arange(lo, min(lo + ws.chunk, n))
         dist, preds = dijkstra(ws.csgraph, indices=src, limit=theta,
                                return_predecessors=True)
-        zpath = ws.path_xor(preds, ws.zob)
-        wc = dist[:, ws.ex] + ws.w_pert[None, :] + dist[:, ws.ey]
-        ok = np.isfinite(wc)
-        ok &= preds[:, ws.ex] != ws.ey[None, :]
-        ok &= preds[:, ws.ey] != ws.ex[None, :]
-        rows, es = np.nonzero(ok)
-        sig = zpath[rows, ws.ex[es]] ^ zpath[rows, ws.ey[es]] ^ ws.zob[es]
-        yield wc[rows, es], src[rows], es, sig, preds
+        key = np.flatnonzero(np.isfinite(dist))
+        row, v = np.divmod(key, n)
+        d = dist.ravel()[key]
+        p = preds.ravel()[key].astype(np.int64)
+        del dist
+        tree = np.flatnonzero(p >= 0)
+        anc = np.arange(len(key))
+        anc[tree] = np.searchsorted(key, row[tree] * n + p[tree])
+        g = np.zeros(len(key), dtype=np.uint64)
+        g[tree] = ws.zob[ws._edge_ids_bulk(p[tree], v[tree])]
+        zpath = _xor_to_root(anc, g)
+        cnt = ws.edge_start[v + 1] - ws.edge_start[v]
+        at = np.repeat(np.arange(len(key)), cnt)
+        es = (np.arange(len(at))
+              + np.repeat(ws.edge_start[v] - (np.cumsum(cnt) - cnt), cnt))
+        ky = row[at] * n + ws.ey[es]
+        to = np.minimum(np.searchsorted(key, ky), len(key) - 1)
+        ok = (key[to] == ky) & (p[at] != ws.ey[es]) & (p[to] != ws.ex[es])
+        at, es, to = at[ok], es[ok], to[ok]
+        wc = d[at] + ws.w_pert[es] + d[to]
+        band = (wc > horizon) & (wc <= theta)
+        at, es, to = at[band], es[band], to[band]
+        sig = zpath[at] ^ zpath[to] ^ ws.zob[es]
+        yield wc[band], lo + row[at], es, sig, preds
 
 
 def _harvest_band(ws, pivots, chosen, seen, horizon, theta):
     """Greedy over the candidates weighing (horizon, theta], each walked
-    on the predecessor row its band computed. The rows (n x n int32)
-    live only in this frame, so one band's are freed before the next's."""
-    parts = list(_banded_chunks(ws, theta))
+    on the predecessor row its band computed. Only the first candidate of
+    each signature not in seen (the earlier bands' signatures) is walked.
+    The rows (n x n int32) live only in this frame, so one band's are
+    freed before the next's. Returns seen joined with this band's
+    signatures."""
+    parts = list(_banded_chunks(ws, horizon, theta))
     preds = [p[4] for p in parts]
     wc, vs, es, sg = (np.concatenate([p[k] for p in parts]) for k in range(4))
-    band = (wc > horizon) & (wc <= theta)
-    order = np.lexsort((es[band], vs[band], wc[band]))
-    vs, es, sg = (a[band][order] for a in (vs, es, sg))
-    for t in range(len(vs)):
-        s = int(sg[t])
-        if s in seen:
-            continue
-        seen.add(s)
-        v, e = int(vs[t]), int(es[t])
+    order = np.lexsort((es, vs, wc))
+    vs, es, sg = vs[order], es[order], sg[order]
+    _, first = np.unique(sg, return_index=True)
+    walk = np.sort(first[~np.isin(sg[first], seen)])
+    seen = np.union1d(seen, sg)
+    for v, e in zip(vs[walk].tolist(), es[walk].tolist()):
         eset = _candidate_cycle(ws, preds[v // ws.chunk][v % ws.chunk], v, e)
         if eset is None:
             continue
@@ -253,24 +289,26 @@ def _harvest_band(ws, pivots, chosen, seen, horizon, theta):
         pivots[bit] = resid
         chosen.append(eset)
         if len(chosen) == ws.m:
-            return
+            break
+    return seen
 
 
 def _phase_a(ws, pivots, chosen, theta0):
     """Greedy over banded Horton candidates in nondecreasing weight order.
 
-    Each band runs one truncated Dijkstra per source; its predecessor
-    rows both rank the candidates (by weight, then a Zobrist signature
-    that skips repeats) and walk the ones the greedy tests. Doubles the
+    Each band runs one truncated Dijkstra per source. Its reached
+    entries give the candidates, ranked by weight, and their Zobrist
+    signatures, so that only the first candidate of each cycle is
+    walked, on the band's predecessor rows. Doubles the
     band until the basis is complete, few slots remain, or the band
     covers the whole graph.
     """
-    seen = set()
+    seen = np.empty(0, dtype=np.uint64)
     horizon = 0.0
     theta = theta0
     wsum = float(ws.w_pert.sum()) + 1.0
     while len(chosen) < ws.m:
-        _harvest_band(ws, pivots, chosen, seen, horizon, theta)
+        seen = _harvest_band(ws, pivots, chosen, seen, horizon, theta)
         horizon = theta
         corank = ws.m - len(chosen)
         log.info("cycle band theta=%.6g rank=%d/%d", theta, len(chosen), ws.m)
@@ -313,7 +351,7 @@ def _lightest_odd_cycle(ws, s):
     cut = np.zeros(ws.E, dtype=np.uint8)
     cut[ws.nontree] = np.unpackbits(raw, bitorder="little")[:ws.m]
     _, root = dijkstra(ws.csgraph, indices=[0], return_predecessors=True)
-    parity = ws.path_xor(root, cut)[0]
+    parity = ws.path_xor(root[0], cut)
     cross = (cut ^ parity[ws.ex] ^ parity[ws.ey]).astype(bool)
     seam = np.unique(np.concatenate([ws.ex[cross], ws.ey[cross]]))
     x, y = ws.ex, ws.ey + n * cross      # cut edges join the two sheets

@@ -39,13 +39,12 @@ class NeighborGraph:
             raise ConfigError("parallel edges")
         if np.any(lengths <= 0):
             raise ConfigError("non-positive edge length")
-        adjacency = [[] for _ in range(vertex_count)]
-        for i, j in edges:
-            adjacency[i].append(j)
-            adjacency[j].append(i)
-        adjacency = [np.array(sorted(a), dtype=np.int64) for a in adjacency]
         edge_index = {(int(i), int(j)): e for e, (i, j) in enumerate(edges)}
-        return cls(vertex_count, edges, lengths, k, adjacency, edge_index)
+        graph = cls(vertex_count, edges, lengths, k, edge_index=edge_index)
+        csr = graph.adjacency_matrix()
+        graph.adjacency = np.split(csr.indices.astype(np.int64),
+                                   csr.indptr[1:-1])
+        return graph
 
     @property
     def edge_count(self):
@@ -60,7 +59,7 @@ class NeighborGraph:
             shape=(n, n)).tocsr()
 
     def degree(self):
-        return np.array([len(a) for a in self.adjacency], dtype=np.int64)
+        return np.diff(self.adjacency_matrix().indptr).astype(np.int64)
 
 
 def _bfs_tree(graph):

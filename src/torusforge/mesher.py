@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import connected_components, dijkstra
 from scipy.spatial import Delaunay
 
 from .errors import MeshValidationError, ResidualError
@@ -170,16 +170,17 @@ def _periodic_delaunay(points, period):
 def mesh_flat_torus(graph, forms, cloud):
     """Mesh the cloud as the Delaunay triangulation of its angle map.
 
-    Integrates (du, dv) from vertex 0 over a BFS tree to get theta and
-    certifies the integer periods over every graph edge: the largest
-    distance of theta_j - theta_i - (du, dv) from an integer is the
-    report's `period_defect_max`, and ResidualError is raised when it
-    exceeds 1e-6. Triangulates theta mod 1, scaled by the chart metric,
-    on the flat torus. Raises MeshValidationError, carrying the report,
-    when the result is not a closed genus-1 manifold, when a directed
-    edge is walked by two faces (so the chart winding is not one global
-    orientation), when an input point is not a mesh vertex, or when a
-    mesh edge that is also a graph edge spans a period seam.
+    Integrates (du, dv) from vertex 0 over a BFS tree, one hop level at
+    a time, to get theta and certifies the integer periods over every
+    graph edge: the largest distance of theta_j - theta_i - (du, dv)
+    from an integer is the report's `period_defect_max`, and
+    ResidualError is raised when it exceeds 1e-6. Triangulates theta
+    mod 1, scaled by the chart metric, on the flat torus. Raises
+    MeshValidationError, carrying the report, when the result is not a
+    closed genus-1 manifold, when a directed edge is walked by two faces
+    (so the chart winding is not one global orientation), when an input
+    point is not a mesh vertex, or when a mesh edge that is also a graph
+    edge spans a period seam.
     """
     V = graph.vertex_count
     ei, ej = graph.edges[:, 0], graph.edges[:, 1]
@@ -188,9 +189,12 @@ def mesh_flat_torus(graph, forms, cloud):
     child, parent, tree_edge = _bfs_tree(graph)
     step = np.where((parent < child)[:, None], inc[tree_edge],
                     -inc[tree_edge])
+    hops = dijkstra(graph.adjacency_matrix(), indices=0, unweighted=True)
     theta = np.zeros((V, 2))
-    for v, p, s in zip(child, parent, step):   # BFS order: parents first
-        theta[v] = theta[p] + s
+    # BFS order runs level by level; a level's parents are all in earlier ones
+    for lv in np.split(np.arange(len(child)),
+                       np.flatnonzero(np.diff(hops[child])) + 1):
+        theta[child[lv]] = theta[parent[lv]] + step[lv]
     gap = theta[ej] - theta[ei] - inc
     defect = float(np.max(np.abs(gap - np.round(gap)), initial=0.0))
     if not defect <= _PERIOD_DEFECT_GATE:

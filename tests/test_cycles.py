@@ -13,7 +13,8 @@ from torusforge import cycles
 from torusforge.cycles import (classify_cycles, exhaustive_minimum_cycle_basis,
                                export_cycles_json, minimum_cycle_basis)
 from torusforge.errors import (CycleBasisError, GeneratorClassificationError)
-from torusforge.knn import NeighborGraph
+from torusforge.knn import NeighborGraph, build_knn_graph
+from torusforge.samplers import sample_torus_revolution
 
 # Frozen oracles for the flat-torus grids, confirmed by the exhaustive
 # enumerator where feasible: basis size E - V + 1, total weight, and the
@@ -106,10 +107,11 @@ def random_connected_graph(rng, n, extra_edges, tie_weights):
     return NeighborGraph.from_edges(n, np.array(edges), lengths)
 
 
-@pytest.mark.parametrize("theta0", [None, 1e-12])
+@pytest.mark.parametrize("theta0", [None, 1e-12, float("inf")])
 @pytest.mark.parametrize("tie_weights", [False, True])
 def test_random_graphs_match_exhaustive(tie_weights, theta0):
-    """theta0=1e-12 leaves every slot to de Pina's double-cover search."""
+    """theta0=1e-12 leaves every slot to de Pina's double-cover search;
+    theta0=inf runs one band whose trees span the whole graph."""
     rng = np.random.default_rng(314)
     for _ in range(10):
         graph = random_connected_graph(rng, 8, 6, tie_weights)
@@ -121,6 +123,98 @@ def test_random_graphs_match_exhaustive(tie_weights, theta0):
         assert greedy.total_weight() == pytest.approx(brute.total_weight(),
                                                       rel=1e-12)
         assert gf2_rank(graph, greedy.cycles) == greedy.size
+
+
+def dense_path_xor(ws, preds, values):
+    """Reference: fixed-round pointer doubling over full c x n rows."""
+    c, n = preds.shape
+    anc = np.where(preds < 0, np.arange(n)[None, :], preds).astype(np.int64)
+    g = np.zeros((c, n), dtype=values.dtype)
+    reached = preds >= 0
+    if np.any(reached):
+        uu = np.broadcast_to(np.arange(n), (c, n))[reached]
+        g[reached] = values[ws._edge_ids_bulk(anc[reached], uu)]
+    for _ in range(max(1, int(np.ceil(np.log2(max(n, 2)))) + 1)):
+        g ^= np.take_along_axis(g, anc, axis=1)
+        anc = np.take_along_axis(anc, anc, axis=1)
+    return g
+
+
+def dense_banded_chunks(ws, horizon, theta):
+    """Reference band: every (source, edge) pair of a block tested on
+    dense c x E arrays, rows in (source, edge) order."""
+    for lo in range(0, ws.n, ws.chunk):
+        src = np.arange(lo, min(lo + ws.chunk, ws.n))
+        dist, preds = dijkstra(ws.csgraph, indices=src, limit=theta,
+                               return_predecessors=True)
+        zpath = dense_path_xor(ws, preds, ws.zob)
+        wc = dist[:, ws.ex] + ws.w_pert[None, :] + dist[:, ws.ey]
+        ok = np.isfinite(wc)
+        ok &= preds[:, ws.ex] != ws.ey[None, :]
+        ok &= preds[:, ws.ey] != ws.ex[None, :]
+        ok &= (wc > horizon) & (wc <= theta)
+        rows, es = np.nonzero(ok)
+        sig = zpath[rows, ws.ex[es]] ^ zpath[rows, ws.ey[es]] ^ ws.zob[es]
+        yield wc[rows, es], src[rows], es, sig, preds
+
+
+@pytest.mark.parametrize("band", ["first", "second", "whole"])
+def test_sparse_band_matches_dense_reference(band):
+    """The band built from reached entries only has exactly the dense
+    formulation's (weight, source, edge, signature) rows and the same
+    predecessor rows, block by block."""
+    rng = np.random.default_rng(11)
+    graphs = [build_knn_graph(sample_torus_revolution(2.0, 0.5, 300, 0), 8)]
+    graphs += [random_connected_graph(rng, 40, 50, True) for _ in range(3)]
+    for graph in graphs:
+        ws = cycles._Workspace(graph)
+        ws.chunk = 17                       # several blocks, the last short
+        theta0 = 5.0 * float(np.median(ws.w_pert))
+        horizon, theta = {"first": (0.0, theta0),
+                          "second": (theta0, 2.0 * theta0),
+                          "whole": (0.0, np.inf)}[band]
+        new = list(cycles._banded_chunks(ws, horizon, theta))
+        ref = list(dense_banded_chunks(ws, horizon, theta))
+        assert len(new) == len(ref) == -(-ws.n // ws.chunk)
+        assert sum(len(part[0]) for part in new) > 0
+        for part, expect in zip(new, ref):
+            for got, want in zip(part, expect):
+                assert np.array_equal(got, want)
+
+
+def ring_graph(n):
+    edges = [(v, v + 1) for v in range(n - 1)] + [(0, n - 1)]
+    return NeighborGraph.from_edges(n, np.array(edges), np.ones(n))
+
+
+def test_doubling_matches_parent_walk_on_deep_trees():
+    """Shortest-path trees on a 50-vertex ring are 24-25 hops deep, so
+    pointer doubling that stops one round early leaves the deepest
+    vertices short of their root; check it against a per-vertex walk."""
+    graph = ring_graph(50)
+    ws = cycles._Workspace(graph)
+    ws.chunk = 8
+    _, preds = dijkstra(ws.csgraph, return_predecessors=True)
+
+    def walk(prow, v):
+        acc = np.uint64(0)
+        while prow[v] >= 0:
+            p = int(prow[v])
+            acc ^= ws.zob[graph.edge_index[(min(p, v), max(p, v))]]
+            v = p
+        return acc
+
+    ref = np.array([[walk(prow, v) for v in range(ws.n)] for prow in preds],
+                   dtype=np.uint64)
+    for prow, want in zip(preds, ref):
+        assert np.array_equal(ws.path_xor(prow, ws.zob), want)
+    # each source's one candidate closes the ring at its antipode
+    rows = 0
+    for _, vs, es, sig, _ in cycles._banded_chunks(ws, 0.0, np.inf):
+        for v, e, s in zip(vs, es, sig):
+            assert s == ref[v, ws.ex[e]] ^ ref[v, ws.ey[e]] ^ ws.zob[e]
+            rows += 1
+    assert rows == ws.n
 
 
 def test_theta0_forcing_second_phase_gives_same_basis():

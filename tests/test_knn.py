@@ -77,6 +77,17 @@ def test_edges_sorted_and_indexed():
         assert graph.edge_index[(i, j)] == eid
     adj = graph.adjacency_matrix()
     assert (adj != adj.T).nnz == 0
+    # per-edge loop reference for the per-vertex neighbor arrays
+    ref = [[] for _ in range(graph.vertex_count)]
+    for i, j in e.tolist():
+        ref[i].append(j)
+        ref[j].append(i)
+    assert len(graph.adjacency) == graph.vertex_count
+    for a, r in zip(graph.adjacency, ref):
+        assert a.dtype == np.int64
+        assert a.tolist() == sorted(r)
+    assert graph.degree().dtype == np.int64
+    assert graph.degree().tolist() == [len(r) for r in ref]
 
 
 def test_disconnected_graph_reports_component_sizes():
