@@ -6,7 +6,7 @@ overrides (flags win). Every stage reads and writes file artifacts in
 the output directory, so a pipeline can be resumed or inspected midway:
 
     cloud.csv        sampled point cloud
-    cycles.json      minimum cycle basis with generator roles
+    cycles.json      homology generators, trivial-cycle summary
     residuals.json   one-form solve diagnostics
     mesh.json        D-dim points + oriented triangles + report
     projected.json   3D vertex positions + triangles

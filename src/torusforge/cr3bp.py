@@ -9,7 +9,6 @@ both 1, and the mass parameter is mu = m2 / (m1 + m2) with mu in (0, 0.5]
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import ConfigError, SingularityError
 
@@ -221,6 +220,9 @@ def integrate(state0, mu, t_span, tol=1e-12, method="dop853", t_eval=None,
 
     if method != "dop853":
         raise ConfigError(f"unknown integrator {method!r}")
+    # imported here: it is most of the package's import time, and no
+    # pipeline stage integrates
+    from scipy.integrate import solve_ivp
     sol = solve_ivp(vector_field, (0.0, t_span), state0, args=(mu,),
                     method="DOP853", rtol=tol, atol=tol, t_eval=t_eval,
                     dense_output=False)

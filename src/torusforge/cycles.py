@@ -11,13 +11,19 @@ complement of the selected span, in turn, takes the lightest cycle
 pairing oddly with it. That cycle is one Dijkstra on the graph's parity
 double cover, started only from the vertices of the vector's seam.
 
-Cycle vectors live in GF(2) coordinates indexed by non-tree edges of a
-fixed spanning tree and are stored as Python integers.
+Both phases produce each cycle as the vertex loop their search walks.
+The basis holds the loops as one CSR block (`CycleBasis`), certified
+simple when it is built; only the two homology generators become
+`Cycle` objects. Cycle vectors live in GF(2) coordinates indexed by
+non-tree edges of a fixed spanning tree and are stored as Python
+integers.
 """
 
+import hashlib
 import json
 import logging
 from dataclasses import dataclass
+from itertools import chain, islice
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -44,61 +50,135 @@ class Cycle:
     def hops(self):
         return int(len(self.edges))
 
-    def oriented_pairs(self):
-        """Consecutive (a, b) vertex pairs walking the loop once."""
-        v = self.vertices
-        for t in range(len(v)):
-            yield int(v[t]), int(v[(t + 1) % len(v)])
+
+def _edge_ids(graph, a, b):
+    """graph.edge_ids, with a pair that is not an edge raised as
+    CycleBasisError."""
+    try:
+        return graph.edge_ids(a, b)
+    except KeyError as exc:
+        raise CycleBasisError(f"vertex pair {exc.args[0]} is not a graph "
+                              "edge") from None
+
+
+def _loop_steps(graph, loops):
+    """indptr, flat vertices and step edge ids of a list of vertex loops;
+    each loop's last step runs back to its first vertex."""
+    hops = np.fromiter(map(len, loops), dtype=np.int64, count=len(loops))
+    indptr = np.zeros(len(hops) + 1, dtype=np.int64)
+    np.cumsum(hops, out=indptr[1:])
+    vertices = np.fromiter(chain.from_iterable(loops), dtype=np.int64,
+                           count=int(indptr[-1]))
+    heads = np.roll(vertices, -1)
+    heads[indptr[1:] - 1] = vertices[indptr[:-1]]
+    return indptr, vertices, _edge_ids(graph, vertices, heads)
+
+
+def _hop_groups(indptr, edges):
+    """Per hop count h: the rows with h steps, and their edge ids sorted
+    within each row as a (rows, h) matrix."""
+    hops = np.diff(indptr)
+    for h in np.unique(hops):
+        rows = np.flatnonzero(hops == h)
+        yield rows, np.sort(edges[indptr[rows, None] + np.arange(h)], axis=1)
 
 
 @dataclass
 class CycleBasis:
+    """Simple cycles of a graph, held as one CSR block.
+
+    Cycle r is the vertex loop vertices[indptr[r]:indptr[r + 1]], closed
+    back to its first vertex. Its step t runs from loop vertex t to the
+    next one along edge edges[indptr[r] + t], and weights[r] is its true
+    length. Where a loop starts and which way it runs carry no meaning.
+    `minimum_cycle_basis` returns its cycles sorted by weight;
+    `Classification.trivial` holds all of them but the two generators.
+    """
+
     vertex_count: int
-    cycles: list
+    indptr: np.ndarray
+    vertices: np.ndarray
+    edges: np.ndarray
+    weights: np.ndarray
+
+    @classmethod
+    def from_loops(cls, graph, loops):
+        """Block of vertex loops, in the order given. Raises
+        CycleBasisError unless every loop is a simple cycle of the graph:
+        at least 3 vertices, all distinct, and every step a graph edge."""
+        indptr, vertices, edges = _loop_steps(graph, loops)
+        hops = np.diff(indptr)
+        if np.any(hops < 3):
+            raise CycleBasisError("a cycle needs at least 3 vertices")
+        key = np.sort(np.repeat(np.arange(len(hops)), hops)
+                      * graph.vertex_count + vertices)
+        if np.any(key[1:] == key[:-1]):
+            raise CycleBasisError("a cycle repeats a vertex")
+        weights = np.empty(len(hops))
+        for rows, ids in _hop_groups(indptr, edges):
+            # summed in sorted edge order, as np.sum over each cycle's ids
+            weights[rows] = graph.lengths[ids].sum(axis=1)
+        return cls(graph.vertex_count, indptr, vertices, edges, weights)
 
     @property
     def size(self):
-        return len(self.cycles)
+        return len(self.indptr) - 1
+
+    @property
+    def hops(self):
+        return np.diff(self.indptr)
 
     def total_weight(self):
-        return float(sum(c.weight for c in self.cycles))
+        return float(sum(self.weights.tolist()))
 
     def hop_histogram(self):
-        hist = {}
-        for c in self.cycles:
-            hist[c.hops] = hist.get(c.hops, 0) + 1
-        return hist
+        hops, counts = np.unique(self.hops, return_counts=True)
+        return dict(zip(hops.tolist(), counts.tolist()))
+
+    def take(self, rows):
+        """Block of the given rows, in that order."""
+        hops = self.hops[rows]
+        indptr = np.zeros(len(hops) + 1, dtype=np.int64)
+        np.cumsum(hops, out=indptr[1:])
+        flat = (np.repeat(self.indptr[rows] - indptr[:-1], hops)
+                + np.arange(indptr[-1]))
+        return CycleBasis(self.vertex_count, indptr, self.vertices[flat],
+                          self.edges[flat], self.weights[rows])
+
+    def sorted(self):
+        """The same cycles ordered by weight, then hops, then their sorted
+        edge ids compared lexicographically."""
+        rank = np.empty(self.size, dtype=np.int64)
+        for rows, ids in _hop_groups(self.indptr, self.edges):
+            rank[rows[np.lexsort(ids.T[::-1])]] = np.arange(len(rows))
+        return self.take(np.lexsort((rank, self.hops, self.weights)))
+
+    def cycle(self, r):
+        """Cycle r as a Cycle: its loop from its smallest vertex toward the
+        smaller of that vertex's two neighbours on the loop."""
+        lo, hi = self.indptr[r], self.indptr[r + 1]
+        loop = self.vertices[lo:hi]
+        loop = np.roll(loop, -int(np.argmin(loop)))
+        if loop[-1] < loop[1]:
+            loop = np.roll(loop[::-1], 1)
+        return Cycle(loop, np.sort(self.edges[lo:hi]),
+                     float(self.weights[r]))
+
+    def digest(self):
+        """sha256 of indptr, then of each cycle's edge ids in ascending
+        order, all as little-endian int64."""
+        row = np.repeat(np.arange(self.size), self.hops)
+        ordered = self.edges[np.lexsort((self.edges, row))]
+        digest = hashlib.sha256(self.indptr.astype("<i8").tobytes())
+        digest.update(ordered.astype("<i8").tobytes())
+        return digest.hexdigest()
 
 
 @dataclass
 class Classification:
-    trivial: list
+    trivial: CycleBasis
     poloidal: Cycle
     toroidal: Cycle
-
-
-def _cycle_from_edges(graph, edge_ids):
-    """Canonical Cycle from a set of edge ids forming one simple cycle."""
-    ids = np.array(sorted(int(i) for i in edge_ids), dtype=np.int64)
-    adj = {}
-    for e in ids:
-        i, j = (int(x) for x in graph.edges[e])
-        adj.setdefault(i, []).append(j)
-        adj.setdefault(j, []).append(i)
-    for v, nb in adj.items():
-        if len(nb) != 2:
-            raise CycleBasisError(f"edge set is not a simple cycle at vertex {v}")
-    start = min(adj)
-    loop = [start]
-    cur, prev = min(adj[start]), start
-    while cur != start:
-        loop.append(cur)
-        a, b = adj[cur]
-        cur, prev = (b if a == prev else a), cur
-    if len(loop) != len(ids):
-        raise CycleBasisError("edge set is not a single simple cycle")
-    weight = float(np.sum(graph.lengths[ids]))
-    return Cycle(np.array(loop, dtype=np.int64), ids, weight)
 
 
 def _xor_to_root(anc, g):
@@ -124,8 +204,7 @@ class _Workspace:
         self.m = self.E - self.n + 1
         self.ex = graph.edges[:, 0].astype(np.int64)
         self.ey = graph.edges[:, 1].astype(np.int64)
-        self.keys = self.ex * self.n + self.ey
-        if np.any(np.diff(self.keys) <= 0):
+        if np.any(np.diff(self.ex * self.n + self.ey) <= 0):
             raise CycleBasisError("edge list must be sorted and duplicate free")
         rng = np.random.default_rng(_INTERNAL_SEED)
         # deterministic tie-breaking perturbation, far above float noise
@@ -138,8 +217,7 @@ class _Workspace:
              (np.concatenate([i, j]), np.concatenate([j, i]))),
             shape=(self.n, self.n)).tocsr()
         tree = minimum_spanning_tree(self.csgraph).tocoo()
-        tid = self._edge_ids_bulk(tree.row.astype(np.int64),
-                                  tree.col.astype(np.int64))
+        tid = _edge_ids(graph, tree.row, tree.col)
         self.coord = np.full(self.E, -1, dtype=np.int64)
         nontree = np.setdiff1d(np.arange(self.E), tid)
         if len(nontree) != self.m:
@@ -152,14 +230,6 @@ class _Workspace:
         # sources per Dijkstra block: c x n float64 distances stay <= 12 MB
         self.chunk = max(1, min(512, 1_500_000 // max(self.n, 1)))
 
-    def _edge_ids_bulk(self, a, b):
-        lo = np.minimum(a, b).astype(np.int64)
-        hi = np.maximum(a, b).astype(np.int64)
-        pos = np.searchsorted(self.keys, lo * self.n + hi)
-        if np.any(pos >= self.E) or np.any(self.keys[pos] != lo * self.n + hi):
-            raise CycleBasisError("edge lookup miss")
-        return pos
-
     def path_xor(self, pred, values):
         """XOR of per-edge values along the tree path from each vertex to
         the root of one predecessor row (0 where the row has no path)."""
@@ -167,16 +237,25 @@ class _Workspace:
         anc = np.arange(self.n)
         anc[v] = pred[v]
         g = np.zeros(self.n, dtype=values.dtype)
-        g[v] = values[self._edge_ids_bulk(pred[v], v)]
+        g[v] = values[_edge_ids(self.graph, pred[v], v)]
         return _xor_to_root(anc, g)
 
-    def vector_from_edges(self, edge_ids):
-        vec = 0
-        for e in edge_ids:
-            cidx = self.coord[e]
-            if cidx >= 0:
-                vec |= 1 << int(cidx)
-        return vec
+    def vectors(self, loops):
+        """(loop, GF(2) coordinate vector) for each vertex loop, the vector
+        as a Python int. The loops' edges are looked up a chunk of loops
+        at a time, so an iterator of loops is consumed only as far as the
+        caller reads."""
+        loops = iter(loops)
+        while batch := list(islice(loops, self.chunk)):
+            indptr, _, edges = _loop_steps(self.graph, batch)
+            coord = self.coord[edges].tolist()
+            ptr = indptr.tolist()
+            for loop, lo, hi in zip(batch, ptr[:-1], ptr[1:]):
+                vec = 0
+                for c in coord[lo:hi]:
+                    if c >= 0:
+                        vec |= 1 << c
+                yield loop, vec
 
 
 def _reduce_vector(vec, pivots):
@@ -191,35 +270,40 @@ def _reduce_vector(vec, pivots):
     return 0, None
 
 
-def _walk_to_source(ws, prow, v, x):
-    """Tree path x -> v in a predecessor row: vertex list and edge ids."""
+def _greedy(ws, pivots, chosen, loops):
+    """Append to chosen, in order, each loop independent of the span of
+    the pivot rows, until the basis is complete."""
+    for loop, vec in ws.vectors(loops):
+        resid, bit = _reduce_vector(vec, pivots)
+        if bit is None:
+            continue
+        pivots[bit] = resid
+        chosen.append(loop)
+        if len(chosen) == ws.m:
+            break
+
+
+def _walk_to_source(prow, v, x):
+    """Tree path x -> v in a predecessor row, as a vertex list."""
     verts = [x]
-    eids = []
-    u = x
-    idx = ws.graph.edge_index
-    while u != v:
-        p = int(prow[u])
-        if p < 0:
+    while x != v:
+        x = int(prow[x])
+        if x < 0:
             raise CycleBasisError("broken predecessor chain")
-        eids.append(idx[(p, u) if p < u else (u, p)])
-        u = p
-        verts.append(u)
-    return verts, eids
+        verts.append(x)
+    return verts
 
 
-def _candidate_cycle(ws, prow, v, e):
-    """Edge set of the Horton candidate (v, e), or None when the two
-    shortest paths share a vertex besides v (non-simple candidate)."""
-    x, y = int(ws.ex[e]), int(ws.ey[e])
-    vx, ex_ids = _walk_to_source(ws, prow, v, x)
-    vy, ey_ids = _walk_to_source(ws, prow, v, y)
-    if len(set(vx) & set(vy)) != 1:
+def _candidate_loop(ws, prow, v, e):
+    """Vertex loop of the Horton candidate (v, e): the tree path from x to
+    v, then back from v to y, closed by e = (x, y). None when the two
+    paths share a vertex besides v, or e lies on one of them (the loop
+    would not be simple)."""
+    vx = _walk_to_source(prow, v, int(ws.ex[e]))
+    vy = _walk_to_source(prow, v, int(ws.ey[e]))
+    if len(set(vx) & set(vy)) != 1 or len(vx) + len(vy) < 4:
         return None
-    eset = set(ex_ids) ^ set(ey_ids)
-    if e in eset:
-        return None
-    eset.add(int(e))
-    return eset
+    return vx + vy[-2::-1]
 
 
 def _banded_chunks(ws, horizon, theta):
@@ -247,7 +331,7 @@ def _banded_chunks(ws, horizon, theta):
         anc = np.arange(len(key))
         anc[tree] = np.searchsorted(key, row[tree] * n + p[tree])
         g = np.zeros(len(key), dtype=np.uint64)
-        g[tree] = ws.zob[ws._edge_ids_bulk(p[tree], v[tree])]
+        g[tree] = ws.zob[_edge_ids(ws.graph, p[tree], v[tree])]
         zpath = _xor_to_root(anc, g)
         cnt = ws.edge_start[v + 1] - ws.edge_start[v]
         at = np.repeat(np.arange(len(key)), cnt)
@@ -274,22 +358,15 @@ def _harvest_band(ws, pivots, chosen, seen, horizon, theta):
     parts = list(_banded_chunks(ws, horizon, theta))
     preds = [p[4] for p in parts]
     wc, vs, es, sg = (np.concatenate([p[k] for p in parts]) for k in range(4))
+    del parts
     order = np.lexsort((es, vs, wc))
     vs, es, sg = vs[order], es[order], sg[order]
     _, first = np.unique(sg, return_index=True)
     walk = np.sort(first[~np.isin(sg[first], seen)])
     seen = np.union1d(seen, sg)
-    for v, e in zip(vs[walk].tolist(), es[walk].tolist()):
-        eset = _candidate_cycle(ws, preds[v // ws.chunk][v % ws.chunk], v, e)
-        if eset is None:
-            continue
-        resid, bit = _reduce_vector(ws.vector_from_edges(eset), pivots)
-        if bit is None:
-            continue
-        pivots[bit] = resid
-        chosen.append(eset)
-        if len(chosen) == ws.m:
-            break
+    loops = (_candidate_loop(ws, preds[v // ws.chunk][v % ws.chunk], v, e)
+             for v, e in zip(vs[walk].tolist(), es[walk].tolist()))
+    _greedy(ws, pivots, chosen, (loop for loop in loops if loop is not None))
     return seen
 
 
@@ -334,7 +411,7 @@ def _complement_basis(ws, pivots):
 
 
 def _lightest_odd_cycle(ws, s):
-    """Edge ids of the lightest cycle pairing oddly with the coordinate
+    """Vertex loop of the lightest cycle pairing oddly with the coordinate
     vector s, or None when the search finds no such cycle.
 
     s is a cut: the non-tree edges whose coordinate it sets. Adding the
@@ -374,8 +451,7 @@ def _lightest_odd_cycle(ws, s):
     walk = [source + n]
     while walk[-1] != source:
         walk.append(int(pred[0, walk[-1]]))
-    base = np.array(walk) % n
-    return ws._edge_ids_bulk(base[:-1], base[1:]).tolist()
+    return [u % n for u in walk[:-1]]
 
 
 def _phase_b(ws, pivots, chosen):
@@ -385,19 +461,19 @@ def _phase_b(ws, pivots, chosen):
     later vectors orthogonal to every chosen cycle."""
     comp = _complement_basis(ws, pivots)
     for i, s in enumerate(comp):
-        eids = _lightest_odd_cycle(ws, s)
-        if eids is None:
+        loop = _lightest_odd_cycle(ws, s)
+        if loop is None:
             raise CycleBasisError(
                 f"cycle basis incomplete: {ws.m - len(chosen)} slots left "
                 f"unfilled, no cycle pairs oddly with a complement vector")
-        vec = ws.vector_from_edges(eids)
+        _, vec = next(ws.vectors([loop]))
         if not (vec & s).bit_count() & 1:
             raise CycleBasisError("lightest odd cycle pairs evenly")
         resid, bit = _reduce_vector(vec, pivots)
         if bit is None:
             raise CycleBasisError("odd pairing on a dependent cycle")
         pivots[bit] = resid
-        chosen.append(eids)
+        chosen.append(loop)
         comp[i + 1:] = [t ^ s if (vec & t).bit_count() & 1 else t
                         for t in comp[i + 1:]]
 
@@ -410,7 +486,7 @@ def minimum_cycle_basis(graph, theta0=None):
     """
     ws = _Workspace(graph)
     if ws.m == 0:
-        return CycleBasis(ws.n, [])
+        return CycleBasis.from_loops(graph, [])
     if theta0 is None:
         theta0 = 5.0 * float(np.median(ws.w_pert))
     pivots = {}
@@ -423,65 +499,41 @@ def minimum_cycle_basis(graph, theta0=None):
     if len(chosen) != ws.m:
         raise CycleBasisError(
             f"basis incomplete: {len(chosen)} of {ws.m} cycles")
-    cycles = [_cycle_from_edges(graph, eset) for eset in chosen]
-    cycles.sort(key=lambda c: (c.weight, c.hops, tuple(c.edges.tolist())))
+    basis = CycleBasis.from_loops(graph, chosen).sorted()
     log.info("cycle basis: %d cycles, total weight %.6g",
-             len(cycles), sum(c.weight for c in cycles))
-    return CycleBasis(ws.n, cycles)
+             basis.size, basis.total_weight())
+    return basis
 
 
 def exhaustive_minimum_cycle_basis(graph, max_edges=20):
-    """Brute-force oracle: greedy over every simple cycle, enumerated from
-    all edge subsets. Only for small graphs; exact including ties."""
+    """Brute-force oracle: greedy over every simple cycle, in the order
+    `CycleBasis.sorted` gives. Only for small graphs; exact including
+    ties."""
     E = len(graph.edges)
     if E > max_edges:
         raise CycleBasisError(f"exhaustive search limited to {max_edges} edges")
     n = graph.vertex_count
     m = E - n + 1 if n else 0
-    simple = []
-    for mask in range(1, 1 << E):
-        ids = [e for e in range(E) if mask >> e & 1]
-        deg = {}
-        for e in ids:
-            for v in graph.edges[e]:
-                deg[int(v)] = deg.get(int(v), 0) + 1
-        if any(d != 2 for d in deg.values()):
-            continue
-        # connectivity: walk from one vertex, must visit every edge
-        adj = {}
-        for e in ids:
-            i, j = (int(x) for x in graph.edges[e])
-            adj.setdefault(i, []).append(j)
-            adj.setdefault(j, []).append(i)
-        start = min(deg)
-        seen_v = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for nb in adj[u]:
-                if nb not in seen_v:
-                    seen_v.add(nb)
-                    stack.append(nb)
-        if len(seen_v) != len(deg):
-            continue
-        simple.append((float(np.sum(graph.lengths[ids])), tuple(ids)))
-    simple.sort()
-    ws = _Workspace(graph)
-    pivots = {}
+    loops = []
+
+    def extend(path):
+        # each cycle is found from its smallest vertex, once per direction
+        for w in graph.adjacency[path[-1]].tolist():
+            if w == path[0] and len(path) >= 3 and path[1] < path[-1]:
+                loops.append(path)
+            elif w > path[0] and w not in path:
+                extend(path + [w])
+
+    for s in range(n):
+        extend([s])
+    block = CycleBasis.from_loops(graph, loops).sorted()
+    ptr = block.indptr.tolist()
     chosen = []
-    for _, ids in simple:
-        if len(chosen) == m:
-            break
-        resid, bit = _reduce_vector(ws.vector_from_edges(ids), pivots)
-        if bit is None:
-            continue
-        pivots[bit] = resid
-        chosen.append(ids)
+    _greedy(_Workspace(graph), {}, chosen,
+            [block.vertices[a:b] for a, b in zip(ptr[:-1], ptr[1:])])
     if len(chosen) != m:
         raise CycleBasisError("exhaustive enumeration missed the cycle space")
-    cycles = [_cycle_from_edges(graph, ids) for ids in chosen]
-    cycles.sort(key=lambda c: (c.weight, c.hops, tuple(c.edges.tolist())))
-    return CycleBasis(n, cycles)
+    return CycleBasis.from_loops(graph, chosen)
 
 
 def classify_cycles(basis, ratio=1.25):
@@ -494,39 +546,46 @@ def classify_cycles(basis, ratio=1.25):
     if basis.size < 2:
         raise GeneratorClassificationError(
             f"need at least 2 cycles to classify, have {basis.size}")
-    cyc = basis.cycles
-    poloidal, toroidal = cyc[-2], cyc[-1]
-    trivial = list(cyc[:-2])
-    if trivial and poloidal.weight < ratio * trivial[-1].weight:
+    k = basis.size - 2
+    poloidal, toroidal = basis.cycle(k), basis.cycle(k + 1)
+    if k and poloidal.weight < ratio * basis.weights[k - 1]:
         raise GeneratorClassificationError(
             "generator weights not separated from trivial cycles: "
-            f"{poloidal.weight:.6g} vs {trivial[-1].weight:.6g} "
+            f"{poloidal.weight:.6g} vs {basis.weights[k - 1]:.6g} "
             f"(need factor {ratio})")
-    return Classification(trivial, poloidal, toroidal)
+    return Classification(basis.take(np.arange(k)), poloidal, toroidal)
 
 
 def export_cycles_json(path, basis, classification=None):
-    """Dump a cycle basis (optionally with roles) as deterministic JSON."""
-    roles = {}
-    if classification is not None:
-        roles[id(classification.poloidal)] = "poloidal"
-        roles[id(classification.toroidal)] = "toroidal"
-        for c in classification.trivial:
-            roles[id(c)] = "trivial"
+    """Dump a cycle basis as deterministic JSON: the two generators in
+    full (when a classification is given), the other cycles as a summary
+    of their count, their count per hop and their digest."""
+    if classification is None:
+        generators, rest, role = [], basis, None
+    else:
+        generators = [(classification.poloidal, "poloidal"),
+                      (classification.toroidal, "toroidal")]
+        rest, role = classification.trivial, "trivial"
     payload = {
         "cycle_count": basis.size,
         "vertex_count": basis.vertex_count,
         "total_weight": basis.total_weight(),
-        "cycles": [
+        "generators": [
             {
                 "vertices": c.vertices.tolist(),
                 "edges": c.edges.tolist(),
                 "weight": c.weight,
                 "hops": c.hops,
-                "role": roles.get(id(c)),
+                "role": name,
             }
-            for c in basis.cycles
+            for c, name in generators
         ],
+        "summary": {
+            "role": role,
+            "count": rest.size,
+            "hop_counts": {str(h): c for h, c in rest.hop_histogram().items()},
+            "sha256": rest.digest(),
+        },
     }
     with open(path, "w", encoding="ascii") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

@@ -23,7 +23,6 @@ class NeighborGraph:
     lengths: np.ndarray        # (E,) float64
     k: int = 0
     adjacency: list = field(default_factory=list)   # per-vertex sorted arrays
-    edge_index: dict = field(default_factory=dict)  # (i, j) -> edge id
 
     @classmethod
     def from_edges(cls, vertex_count, edges, lengths, k=0):
@@ -39,8 +38,7 @@ class NeighborGraph:
             raise ConfigError("parallel edges")
         if np.any(lengths <= 0):
             raise ConfigError("non-positive edge length")
-        edge_index = {(int(i), int(j)): e for e, (i, j) in enumerate(edges)}
-        graph = cls(vertex_count, edges, lengths, k, edge_index=edge_index)
+        graph = cls(vertex_count, edges, lengths, k)
         csr = graph.adjacency_matrix()
         graph.adjacency = np.split(csr.indices.astype(np.int64),
                                    csr.indptr[1:-1])
@@ -49,6 +47,23 @@ class NeighborGraph:
     @property
     def edge_count(self):
         return len(self.edges)
+
+    def edge_ids(self, a, b):
+        """Ids of the edges joining a[t] and b[t], each pair in either
+        order. Raises KeyError naming the first pair that is not an edge."""
+        a = np.asarray(a, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64)
+        n = self.vertex_count
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        keys = self.edges[:, 0] * n + self.edges[:, 1]      # sorted
+        query = lo * n + hi
+        pos = np.searchsorted(keys, query)
+        hit = (lo >= 0) & (hi < n) & (pos < len(keys))
+        hit[hit] = keys[pos[hit]] == query[hit]
+        if not np.all(hit):
+            t = np.argmin(hit)
+            raise KeyError((int(lo.flat[t]), int(hi.flat[t])))
+        return pos
 
     def adjacency_matrix(self):
         i, j = self.edges[:, 0], self.edges[:, 1]
@@ -74,10 +89,7 @@ def _bfs_tree(graph):
         raise ConfigError("graph is not connected")
     child = order[1:]
     parent = pred[child]
-    keys = graph.edges[:, 0] * V + graph.edges[:, 1]    # sorted
-    edge = np.searchsorted(keys, np.minimum(parent, child) * V
-                           + np.maximum(parent, child))
-    return child, parent, edge
+    return child, parent, graph.edge_ids(parent, child)
 
 
 def _knn_pairs(points, k):

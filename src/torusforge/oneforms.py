@@ -11,11 +11,10 @@ The solved forms satisfy, per form:
   - unit period on one homology generator, zero on the other
     (u pairs with the toroidal generator, v with the poloidal).
 
-The default solver enforces the cycle constraints exactly by splitting
-the form into an exact part (vertex potential) plus a correction on
-non-tree edges, then makes the form co-closed by one weighted-Laplacian
-solve. That renders all residuals at machine precision. A penalty-based
-least-squares mode is kept for cross-checking.
+The solver enforces the cycle constraints exactly by splitting the form
+into an exact part (vertex potential) plus a correction on non-tree
+edges, then makes the form co-closed by one weighted-Laplacian solve.
+That renders all residuals at machine precision.
 """
 
 import json
@@ -23,9 +22,10 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix, csr_matrix, diags, vstack
-from scipy.sparse.linalg import lsqr, splu
+from scipy.sparse import coo_matrix, csr_matrix, vstack
+from scipy.sparse.linalg import splu
 
+from .cycles import CycleBasis
 from .errors import CycleBasisError, ConfigError, ResidualError
 from .knn import _bfs_tree
 
@@ -44,18 +44,9 @@ class OneFormSystem:
     matrix: csr_matrix
     rhs_u: np.ndarray
     rhs_v: np.ndarray
-    cycles_in_rows: list
     n_coclosed: int
     n_closed: int
     n_period: int
-
-    @property
-    def row_count(self):
-        return self.matrix.shape[0]
-
-    @property
-    def col_count(self):
-        return self.matrix.shape[1]
 
 
 @dataclass
@@ -81,23 +72,19 @@ def edge_weights(graph, weights=None):
     return w
 
 
-def _cycle_row(graph, cycle):
-    """Signed sparse row of a cycle: +1 on edges walked low->high."""
-    cols, vals = [], []
-    for a, b in cycle.oriented_pairs():
-        e = graph.edge_index[(a, b) if a < b else (b, a)]
-        cols.append(e)
-        vals.append(1.0 if a < b else -1.0)
-    return cols, vals
-
-
 def assemble_system(graph, basis, classification=None, weights=None):
     """Build the sparse constraint system for both one-forms.
 
     Rows: V weighted co-closedness rows, one closedness row per trivial
     cycle, then (when a classification is given) a toroidal and a
-    poloidal period row. Right-hand sides request periods (1, 0) for the
-    u-form and (0, 1) for the v-form.
+    poloidal period row. Without a classification every basis cycle
+    gets a closedness row. A cycle row has +1 on each step that runs from
+    the lower vertex id to the higher and -1 on each step back. A trivial
+    row's sign follows the way its loop happens to run; with a zero
+    right-hand side it does not change the solution. A generator row's
+    sign follows its Cycle's vertex order and sets the sign of its form.
+    Right-hand sides request periods (1, 0) for the u-form and (0, 1) for
+    the v-form.
     """
     w = edge_weights(graph, weights)
     V, E = graph.vertex_count, graph.edge_count
@@ -106,29 +93,30 @@ def assemble_system(graph, basis, classification=None, weights=None):
     rows = np.concatenate([ei, ej])
     cols = np.concatenate([np.arange(E), np.arange(E)])
     coclosed = coo_matrix((data, (rows, cols)), shape=(V, E)).tocsr()
-    if classification is not None:
-        trivial = list(classification.trivial)
-        tail = [classification.toroidal, classification.poloidal]
+    if classification is None:
+        blocks = [basis]
     else:
-        trivial = list(basis.cycles)
-        tail = []
-    cyc_rows, cyc_cols, cyc_vals = [], [], []
-    for rix, cyc in enumerate(trivial + tail):
-        cols_c, vals_c = _cycle_row(graph, cyc)
-        cyc_rows.extend([rix] * len(cols_c))
-        cyc_cols.extend(cols_c)
-        cyc_vals.extend(vals_c)
-    ncyc = len(trivial) + len(tail)
-    cycblock = coo_matrix((cyc_vals, (cyc_rows, cyc_cols)),
-                          shape=(ncyc, E)).tocsr()
+        generators = CycleBasis.from_loops(
+            graph, [classification.toroidal.vertices,
+                    classification.poloidal.vertices])
+        blocks = [classification.trivial, generators]
+    hops = np.concatenate([b.hops for b in blocks])
+    steps = np.concatenate([b.edges for b in blocks])
+    low_first = np.concatenate([b.vertices for b in blocks]) == ei[steps]
+    ncyc = len(hops)
+    cycblock = coo_matrix(
+        (np.where(low_first, 1.0, -1.0),
+         (np.repeat(np.arange(ncyc), hops), steps)),
+        shape=(ncyc, E)).tocsr()
     matrix = vstack([coclosed, cycblock]).tocsr()
     rhs_u = np.zeros(V + ncyc)
     rhs_v = np.zeros(V + ncyc)
-    if tail:
+    n_period = ncyc - blocks[0].size
+    if n_period:
         rhs_u[V + ncyc - 2] = 1.0
         rhs_v[V + ncyc - 1] = 1.0
     return OneFormSystem(graph, w, classification, matrix, rhs_u, rhs_v,
-                         trivial + tail, V, len(trivial), len(tail))
+                         V, blocks[0].size, n_period)
 
 
 def _solve_exact(system):
@@ -145,7 +133,7 @@ def _solve_exact(system):
     _, _, tree_edge = _bfs_tree(graph)
     nontree = np.setdiff1d(np.arange(E), tree_edge)
     m = len(nontree)
-    ncyc = len(system.cycles_in_rows)
+    ncyc = system.n_closed + system.n_period
     if ncyc != m:
         raise CycleBasisError(
             f"need {m} independent cycles for exact elimination, got {ncyc}")
@@ -181,22 +169,6 @@ def _solve_exact(system):
     return out[0], out[1]
 
 
-def _solve_penalty(system, penalty=1e6):
-    """Least squares with period/closedness rows inflated by `penalty`
-    relative to the co-closedness block. Numerically inferior to the
-    exact path; retained as an independent cross-check."""
-    V = system.graph.vertex_count
-    scale = np.ones(system.row_count)
-    scale[V:] = penalty
-    A = diags(scale) @ system.matrix
-    out = []
-    for rhs in (system.rhs_u, system.rhs_v):
-        res = lsqr(A, scale * rhs, atol=1e-14, btol=1e-14,
-                   iter_lim=20 * system.col_count)
-        out.append(res[0])
-    return out[0], out[1]
-
-
 def _diagnose(system, dx):
     graph, w = system.graph, system.weights
     V = graph.vertex_count
@@ -215,21 +187,14 @@ def _diagnose(system, dx):
     }
 
 
-def solve_oneforms(system, method="exact", penalty=1e6,
-                   rms_rel_gate=_RMS_REL_GATE, closed_gate=_CLOSED_GATE,
-                   period_gate=_PERIOD_GATE):
+def solve_oneforms(system):
     """Solve for both one-forms and verify residual gates.
 
     Raises ResidualError naming the tripped residual when co-closedness,
     trivial-cycle closedness, or the period matrix is out of tolerance;
     that typically signals misclassified generators or undersampling.
     """
-    if method == "exact":
-        du, dv = _solve_exact(system)
-    elif method == "penalty":
-        du, dv = _solve_penalty(system, penalty)
-    else:
-        raise ConfigError(f"unknown solve method {method!r}")
+    du, dv = _solve_exact(system)
     diag_u = _diagnose(system, du)
     diag_v = _diagnose(system, dv)
     has_periods = system.n_period == 2
@@ -248,26 +213,26 @@ def solve_oneforms(system, method="exact", penalty=1e6,
         "v": diag_v,
         "period_matrix": period_matrix,
         "period_error": period_err,
-        "method": method,
     }
     failures = []
     for name, d in (("u", diag_u), ("v", diag_v)):
-        gate = rms_rel_gate * max(d["value_scale"], np.finfo(float).tiny)
+        gate = _RMS_REL_GATE * max(d["value_scale"], np.finfo(float).tiny)
         if d["coclosedness_rms"] > gate:
             failures.append(
                 f"{name}-form co-closedness RMS {d['coclosedness_rms']:.3e} "
                 f"exceeds {gate:.3e}")
-        if d["max_trivial_cycle_error"] > closed_gate:
+        if d["max_trivial_cycle_error"] > _CLOSED_GATE:
             failures.append(
                 f"{name}-form trivial-cycle closedness "
-                f"{d['max_trivial_cycle_error']:.3e} exceeds {closed_gate:.3e}")
-    if has_periods and period_err > period_gate:
+                f"{d['max_trivial_cycle_error']:.3e} exceeds "
+                f"{_CLOSED_GATE:.3e}")
+    if has_periods and period_err > _PERIOD_GATE:
         failures.append(
-            f"period matrix error {period_err:.3e} exceeds {period_gate:.3e}")
+            f"period matrix error {period_err:.3e} exceeds {_PERIOD_GATE:.3e}")
     if failures:
         raise ResidualError("; ".join(failures), diagnostics)
-    log.info("one-forms solved (%s): cc rms %.2e/%.2e, period err %.2e",
-             method, diag_u["coclosedness_rms"], diag_v["coclosedness_rms"],
+    log.info("one-forms solved: cc rms %.2e/%.2e, period err %.2e",
+             diag_u["coclosedness_rms"], diag_v["coclosedness_rms"],
              period_err)
     return OneFormPair(du, dv, diagnostics)
 

@@ -12,8 +12,8 @@ from torusforge.samplers import (StandardMapConfig, sample_center_manifold_torus
                                  sample_standard_map_torus,
                                  sample_torus_revolution)
 from torusforge.knn import NeighborGraph, build_knn_graph
-from torusforge.cycles import Cycle, Classification, classify_cycles, \
-    minimum_cycle_basis
+from torusforge.cycles import Cycle, CycleBasis, Classification, \
+    classify_cycles, minimum_cycle_basis
 from torusforge.oneforms import assemble_system, solve_oneforms
 from torusforge.mesher import mesh_flat_torus
 from torusforge.orientation import orient_mesh
@@ -47,13 +47,9 @@ def periodic_grid(rows, cols=None):
 
 def cycle_from_vertices(graph, loop):
     """Cycle dataclass from an explicit vertex loop."""
-    ids = []
-    for t in range(len(loop)):
-        a, b = loop[t], loop[(t + 1) % len(loop)]
-        ids.append(graph.edge_index[(a, b) if a < b else (b, a)])
-    ids = np.array(sorted(ids), dtype=np.int64)
-    return Cycle(np.array(loop, dtype=np.int64), ids,
-                 float(np.sum(graph.lengths[ids])))
+    loop = np.array(loop, dtype=np.int64)
+    ids = np.sort(graph.edge_ids(loop, np.roll(loop, -1)))
+    return Cycle(loop, ids, float(np.sum(graph.lengths[ids])))
 
 
 def manual_grid_classification(graph, rows, cols):
@@ -68,10 +64,10 @@ def manual_grid_classification(graph, rows, cols):
             b = i * cols + (j + 1) % cols
             c = ((i + 1) % rows) * cols + (j + 1) % cols
             d = ((i + 1) % rows) * cols + j
-            squares.append(cycle_from_vertices(graph, [a, b, c, d]))
+            squares.append([a, b, c, d])
     row0 = cycle_from_vertices(graph, list(range(cols)))
     col0 = cycle_from_vertices(graph, [i * cols for i in range(rows)])
-    return Classification(squares, col0, row0)
+    return Classification(CycleBasis.from_loops(graph, squares), col0, row0)
 
 
 def _circumcircle(pts, a, b, c):

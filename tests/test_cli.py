@@ -2,6 +2,9 @@
 precedence, stage isolation, and byte-level determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -258,3 +261,15 @@ def test_ply_export_flag(tmp_path, fast_cfg):
     assert code == 0
     assert (tmp_path / "mesh.ply").is_file()
     assert not (tmp_path / "mesh.obj").exists()
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    """No CLI stage integrates, so importing the CLI must not pay for
+    scipy.integrate; `cr3bp.integrate` imports it when called."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = ("import sys, torusforge.cli; "
+            "print('scipy.integrate' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=120,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "False"

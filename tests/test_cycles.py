@@ -1,6 +1,8 @@
 """Minimum cycle basis: frozen grid oracles, brute-force comparison on
-random graphs, GF(2) rank, and generator classification."""
+random graphs, GF(2) rank, the CSR cycle block, and generator
+classification."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -10,7 +12,8 @@ from scipy.sparse.csgraph import dijkstra
 
 from conftest import periodic_grid
 from torusforge import cycles
-from torusforge.cycles import (classify_cycles, exhaustive_minimum_cycle_basis,
+from torusforge.cycles import (Cycle, CycleBasis, classify_cycles,
+                               exhaustive_minimum_cycle_basis,
                                export_cycles_json, minimum_cycle_basis)
 from torusforge.errors import (CycleBasisError, GeneratorClassificationError)
 from torusforge.knn import NeighborGraph, build_knn_graph
@@ -26,26 +29,34 @@ GRID_ORACLE = {
 }
 
 
-def assert_is_simple_cycle(graph, cycle):
-    deg = {}
-    for e in cycle.edges:
-        for v in graph.edges[e]:
-            deg[int(v)] = deg.get(int(v), 0) + 1
-    assert all(d == 2 for d in deg.values())
-    assert len(cycle.vertices) == len(cycle.edges)
-    pairs = list(cycle.oriented_pairs())
-    assert len(pairs) == cycle.hops
-    for a, b in pairs:
-        assert (min(a, b), max(a, b)) in graph.edge_index
-    assert cycle.weight == pytest.approx(
-        float(np.sum(graph.lengths[cycle.edges])))
+def block_rows(block):
+    """(vertex loop, step edge ids) of each cycle of a block."""
+    ptr = block.indptr.tolist()
+    return [(block.vertices[a:b], block.edges[a:b])
+            for a, b in zip(ptr[:-1], ptr[1:])]
 
 
-def gf2_rank(graph, cycles):
+def assert_rows_are_simple_cycles(graph, block):
+    index = {(i, j): e for e, (i, j) in enumerate(graph.edges.tolist())}
+    for r, (loop, steps) in enumerate(block_rows(block)):
+        loop = loop.tolist()
+        assert len(loop) >= 3 and len(set(loop)) == len(loop)
+        pairs = zip(loop, loop[1:] + loop[:1])
+        ids = [index[min(a, b), max(a, b)] for a, b in pairs]
+        assert ids == steps.tolist()
+        deg = {}
+        for e in steps:
+            for v in graph.edges[e]:
+                deg[int(v)] = deg.get(int(v), 0) + 1
+        assert all(d == 2 for d in deg.values())
+        assert block.weights[r] == np.sum(graph.lengths[np.sort(steps)])
+
+
+def gf2_rank(block):
     masks = []
-    for c in cycles:
+    for _, steps in block_rows(block):
         m = 0
-        for e in c.edges:
+        for e in steps:
             m |= 1 << int(e)
         masks.append(m)
     pivots = {}
@@ -69,9 +80,8 @@ def test_grid_basis_matches_frozen_oracle(n):
     assert basis.size == size
     assert basis.total_weight() == pytest.approx(weight, abs=1e-9)
     assert basis.hop_histogram() == hist
-    for c in basis.cycles:
-        assert_is_simple_cycle(graph, c)
-    assert gf2_rank(graph, basis.cycles) == basis.size
+    assert_rows_are_simple_cycles(graph, basis)
+    assert gf2_rank(basis) == basis.size
 
 
 def test_grid3_equals_exhaustive_enumeration():
@@ -85,8 +95,7 @@ def test_grid3_equals_exhaustive_enumeration():
 
 def test_basis_sorted_by_weight():
     basis = minimum_cycle_basis(periodic_grid(5))
-    weights = [c.weight for c in basis.cycles]
-    assert weights == sorted(weights)
+    assert np.all(np.diff(basis.weights) >= 0)
 
 
 def random_connected_graph(rng, n, extra_edges, tie_weights):
@@ -122,7 +131,9 @@ def test_random_graphs_match_exhaustive(tie_weights, theta0):
         assert greedy.size == brute.size == graph.edge_count - 8 + 1
         assert greedy.total_weight() == pytest.approx(brute.total_weight(),
                                                       rel=1e-12)
-        assert gf2_rank(graph, greedy.cycles) == greedy.size
+        assert gf2_rank(greedy) == greedy.size
+        assert_rows_are_simple_cycles(graph, greedy)
+        assert_rows_are_simple_cycles(graph, brute)
 
 
 def dense_path_xor(ws, preds, values):
@@ -133,7 +144,7 @@ def dense_path_xor(ws, preds, values):
     reached = preds >= 0
     if np.any(reached):
         uu = np.broadcast_to(np.arange(n), (c, n))[reached]
-        g[reached] = values[ws._edge_ids_bulk(anc[reached], uu)]
+        g[reached] = values[ws.graph.edge_ids(anc[reached], uu)]
     for _ in range(max(1, int(np.ceil(np.log2(max(n, 2)))) + 1)):
         g ^= np.take_along_axis(g, anc, axis=1)
         anc = np.take_along_axis(anc, anc, axis=1)
@@ -200,7 +211,7 @@ def test_doubling_matches_parent_walk_on_deep_trees():
         acc = np.uint64(0)
         while prow[v] >= 0:
             p = int(prow[v])
-            acc ^= ws.zob[graph.edge_index[(min(p, v), max(p, v))]]
+            acc ^= ws.zob[graph.edge_ids([p], [v])[0]]
             v = p
         return acc
 
@@ -241,16 +252,18 @@ def test_seam_search_finds_lightest_odd_walk(torus_bundle):
     as little as the lightest odd closed walk through any vertex."""
     ws = cycles._Workspace(torus_bundle.graph)
     pivots = {}
-    for c in torus_bundle.classification.trivial:
-        resid, bit = cycles._reduce_vector(ws.vector_from_edges(c.edges),
-                                           pivots)
+    trivial = torus_bundle.classification.trivial
+    for _, vec in ws.vectors(loop for loop, _ in block_rows(trivial)):
+        resid, bit = cycles._reduce_vector(vec, pivots)
         pivots[bit] = resid
     comp = cycles._complement_basis(ws, pivots)
     assert len(comp) == 2
     n = ws.n
     for s in comp:
-        eids = cycles._lightest_odd_cycle(ws, s)
-        assert (ws.vector_from_edges(eids) & s).bit_count() & 1
+        loop = cycles._lightest_odd_cycle(ws, s)
+        [(_, vec)] = ws.vectors([loop])
+        assert (vec & s).bit_count() & 1
+        eids = CycleBasis.from_loops(ws.graph, [loop]).edges
         # unrestricted reference: the cover [[even, odd], [odd, even]] of
         # the vector's own edges, searched from every vertex
         odd = np.zeros(ws.E, dtype=bool)
@@ -278,9 +291,8 @@ def test_deterministic_across_calls():
     graph = periodic_grid(5)
     a = minimum_cycle_basis(graph)
     b = minimum_cycle_basis(graph)
-    for ca, cb in zip(a.cycles, b.cycles):
-        assert np.array_equal(ca.edges, cb.edges)
-        assert np.array_equal(ca.vertices, cb.vertices)
+    for key in ("indptr", "vertices", "edges", "weights"):
+        assert np.array_equal(getattr(a, key), getattr(b, key))
 
 
 def test_exhaustive_rejects_large_graphs():
@@ -300,10 +312,10 @@ def test_tree_graph_has_empty_basis():
 def test_classification_on_grid5():
     basis = minimum_cycle_basis(periodic_grid(5))
     cls = classify_cycles(basis)
-    assert len(cls.trivial) == 24
+    assert cls.trivial.size == 24
     assert cls.poloidal.hops == 5
     assert cls.toroidal.hops == 5
-    assert {c.hops for c in cls.trivial} == {4}
+    assert set(cls.trivial.hops.tolist()) == {4}
     # the 5 vs 4 split sits exactly on the default 1.25 ratio gate
     with pytest.raises(GeneratorClassificationError):
         classify_cycles(basis, ratio=1.26)
@@ -330,7 +342,7 @@ def test_grid3_two_three_hop_cycles_claim():
 
 def test_torus_fixture_classification(torus_bundle):
     cls = torus_bundle.classification
-    heaviest_trivial = cls.trivial[-1].weight
+    heaviest_trivial = cls.trivial.weights[-1]
     assert cls.poloidal.weight >= 1.25 * heaviest_trivial
     assert cls.toroidal.weight >= cls.poloidal.weight
     # tube loop is shorter than the loop around the central hole
@@ -338,18 +350,114 @@ def test_torus_fixture_classification(torus_bundle):
 
 
 def test_export_cycles_json(tmp_path, grid5_forms):
+    basis, cls = grid5_forms.basis, grid5_forms.classification
     path = tmp_path / "cycles.json"
-    export_cycles_json(path, grid5_forms.basis, grid5_forms.classification)
+    export_cycles_json(path, basis, cls)
     payload = json.loads(path.read_text())
     assert payload["cycle_count"] == 26
     assert payload["vertex_count"] == 25
-    roles = [c["role"] for c in payload["cycles"]]
-    assert roles.count("trivial") == 24
-    assert roles.count("poloidal") == 1
-    assert roles.count("toroidal") == 1
-    for c in payload["cycles"]:
-        assert c["hops"] == len(c["edges"]) == len(c["vertices"])
+    assert payload["total_weight"] == basis.total_weight() == 106.0
+    gens = payload["generators"]
+    assert [g["role"] for g in gens] == ["poloidal", "toroidal"]
+    for g, c in zip(gens, (cls.poloidal, cls.toroidal)):
+        assert g == {"vertices": c.vertices.tolist(),
+                     "edges": c.edges.tolist(), "weight": c.weight,
+                     "hops": 5, "role": g["role"]}
+    summary = payload["summary"]
+    assert summary["role"] == "trivial"
+    assert summary["count"] == 24
+    assert summary["hop_counts"] == {"4": 24}
+    # indptr, then each row's edge ids in ascending order, little-endian
+    rows = [np.sort(steps) for _, steps in block_rows(cls.trivial)]
+    want = hashlib.sha256(np.arange(0, 97, 4).astype("<i8").tobytes()
+                          + np.concatenate(rows).astype("<i8").tobytes())
+    assert summary["sha256"] == want.hexdigest()
+    # the loops run backwards from their second vertex: the same rows
+    turned = CycleBasis.from_loops(
+        grid5_forms.graph,
+        [np.roll(loop[::-1], 1) for loop, _ in block_rows(cls.trivial)])
+    assert not np.array_equal(turned.vertices, cls.trivial.vertices)
+    assert turned.digest() == summary["sha256"]
     path2 = tmp_path / "cycles_noroles.json"
-    export_cycles_json(path2, grid5_forms.basis)
+    export_cycles_json(path2, basis)
     payload2 = json.loads(path2.read_text())
-    assert all(c["role"] is None for c in payload2["cycles"])
+    assert payload2["generators"] == []
+    assert payload2["summary"]["role"] is None
+    assert payload2["summary"]["count"] == 26
+    assert payload2["summary"]["hop_counts"] == {"4": 24, "5": 2}
+    assert payload2["summary"]["sha256"] == basis.digest()
+
+
+def cycle_from_edges_reference(graph, edge_ids):
+    """Per-edge reference: the Cycle of an edge set forming one simple
+    cycle, walked with a dict from its smallest vertex toward that
+    vertex's smaller neighbour."""
+    ids = np.array(sorted(int(i) for i in edge_ids), dtype=np.int64)
+    adj = {}
+    for e in ids:
+        i, j = (int(x) for x in graph.edges[e])
+        adj.setdefault(i, []).append(j)
+        adj.setdefault(j, []).append(i)
+    assert all(len(nb) == 2 for nb in adj.values())
+    start = min(adj)
+    loop = [start]
+    cur, prev = min(adj[start]), start
+    while cur != start:
+        loop.append(cur)
+        a, b = adj[cur]
+        cur, prev = (b if a == prev else a), cur
+    assert len(loop) == len(ids)
+    weight = float(np.sum(graph.lengths[ids]))
+    return Cycle(np.array(loop, dtype=np.int64), ids, weight)
+
+
+@pytest.mark.parametrize("bundle", ["torus_bundle", "grid5_forms"])
+def test_cycles_match_dict_walk_reference(bundle, request):
+    """Every basis cycle, as a Cycle, and the two generators equal the
+    dict walk over the cycle's edges: vertex order, sorted edge ids and
+    weight, bit for bit."""
+    bundle = request.getfixturevalue(bundle)
+    graph, basis, cls = bundle.graph, bundle.basis, bundle.classification
+    for r, (_, steps) in enumerate(block_rows(basis)):
+        got, want = basis.cycle(r), cycle_from_edges_reference(graph, steps)
+        assert np.array_equal(got.vertices, want.vertices)
+        assert np.array_equal(got.edges, want.edges)
+        assert got.weight == want.weight
+    k = cls.trivial.size
+    for c, r in ((cls.poloidal, k), (cls.toroidal, k + 1)):
+        want = cycle_from_edges_reference(graph, block_rows(basis)[r][1])
+        assert np.array_equal(c.vertices, want.vertices)
+        assert np.array_equal(c.edges, want.edges)
+        assert c.weight == want.weight
+
+
+def test_block_constructor_certifies_simple_cycles():
+    graph = periodic_grid(5)
+    block = CycleBasis.from_loops(graph, [[0, 1, 6, 5], [7, 2, 3, 8]])
+    assert block.indptr.tolist() == [0, 4, 8]
+    assert block.weights.tolist() == [4.0, 4.0]
+    heads = [1, 6, 5, 0, 2, 3, 8, 7]
+    assert np.array_equal(block.edges, graph.edge_ids(block.vertices, heads))
+    with pytest.raises(CycleBasisError, match="repeats a vertex"):
+        CycleBasis.from_loops(graph, [[0, 1, 6, 5], [0, 1, 2, 1]])
+    with pytest.raises(CycleBasisError, match="not a graph edge"):
+        CycleBasis.from_loops(graph, [[0, 1, 7]])
+    with pytest.raises(CycleBasisError, match="at least 3 vertices"):
+        CycleBasis.from_loops(graph, [[0, 1]])
+
+
+def test_block_sorted_breaks_ties_by_sorted_edge_ids():
+    """Rows of equal weight and hops come out in the lexicographic order
+    of their sorted edge ids, as a sort over per-cycle tuples gives."""
+    graph = periodic_grid(5)
+    rng = np.random.default_rng(5)
+    loops = [[a, a + 1, a + 6, a + 5] for a in (0, 1, 2, 3, 5, 6, 7, 11, 12)]
+    loops += [[5 * r + j for j in range(5)] for r in range(5)]    # rows
+    loops += [[c + 5 * i for i in range(5)][::-1] for c in range(5)]
+    loops = [loops[i] for i in rng.permutation(len(loops))]
+    block = CycleBasis.from_loops(graph, loops).sorted()
+    cycles = [cycle_from_edges_reference(graph, steps)
+              for _, steps in block_rows(CycleBasis.from_loops(graph, loops))]
+    cycles.sort(key=lambda c: (c.weight, c.hops, tuple(c.edges.tolist())))
+    assert [np.sort(steps).tolist() for _, steps in block_rows(block)] == \
+        [c.edges.tolist() for c in cycles]

@@ -73,8 +73,9 @@ def test_edges_sorted_and_indexed():
     assert np.all(e[:, 0] < e[:, 1])
     order = np.lexsort((e[:, 1], e[:, 0]))
     assert np.array_equal(order, np.arange(len(e)))
-    for eid, (i, j) in enumerate(e.tolist()):
-        assert graph.edge_index[(i, j)] == eid
+    ids = np.arange(len(e))
+    assert np.array_equal(graph.edge_ids(e[:, 0], e[:, 1]), ids)
+    assert np.array_equal(graph.edge_ids(e[:, 1], e[:, 0]), ids)
     adj = graph.adjacency_matrix()
     assert (adj != adj.T).nnz == 0
     # per-edge loop reference for the per-vertex neighbor arrays
@@ -88,6 +89,16 @@ def test_edges_sorted_and_indexed():
         assert a.tolist() == sorted(r)
     assert graph.degree().dtype == np.int64
     assert graph.degree().tolist() == [len(r) for r in ref]
+
+
+def test_edge_ids_raise_on_pairs_that_are_not_edges():
+    graph = periodic_grid(3)            # vertex 1 joins 0, 2, 4 and 7
+    assert graph.edge_ids([1, 2, 7], [0, 1, 1]).tolist() == [0, 4, 6]
+    # (0, 11) and (-1, 10) share their keys i * 9 + j with the edges
+    # (1, 2) and (0, 1)
+    for a, b in ((1, 5), (1, 1), (0, 11), (-1, 10)):
+        with pytest.raises(KeyError):
+            graph.edge_ids([1, a], [0, b])
 
 
 def test_disconnected_graph_reports_component_sizes():
@@ -133,5 +144,5 @@ def test_edge_csv_export(tmp_path):
     assert rows[0] == "i,j,length"
     assert len(rows) == 1 + graph.edge_count
     i, j, w = rows[1].split(",")
-    assert graph.edge_index[(int(i), int(j))] == 0
+    assert graph.edge_ids([int(i)], [int(j)]).tolist() == [0]
     assert float(w) == graph.lengths[0]

@@ -1,5 +1,6 @@
 """Harmonic one-forms: grid solutions with known closed forms, residual
-gates, solver cross-checks, and period integrality."""
+gates, a dense least-squares cross-check, cycle rows against a per-edge
+reference, and period integrality."""
 
 import json
 from collections import deque
@@ -45,7 +46,6 @@ def test_grid5_forms_are_the_flat_parameterization(grid5_forms):
 
 def test_grid5_residual_diagnostics(grid5_forms):
     d = grid5_forms.forms.diagnostics
-    assert d["method"] == "exact"
     for key in ("u", "v"):
         assert d[key]["coclosedness_rms"] < 1e-13
         assert d[key]["max_trivial_cycle_error"] < 1e-12
@@ -64,26 +64,62 @@ def test_grid3_manual_classification_solution(grid3_manual_forms):
                        atol=1e-12)
 
 
-def test_penalty_solver_matches_exact(grid5_forms):
+def test_exact_solver_matches_dense_lstsq(grid5_forms):
+    """The system has full column rank and is consistent, so dense least
+    squares over all its rows finds the same forms."""
     system = assemble_system(grid5_forms.graph, grid5_forms.basis,
                              grid5_forms.classification)
-    exact = grid5_forms.forms
-    pen = solve_oneforms(system, method="penalty")
-    assert pen.diagnostics["method"] == "penalty"
-    assert np.max(np.abs(pen.du - exact.du)) < 1e-8
-    assert np.max(np.abs(pen.dv - exact.dv)) < 1e-8
+    dense = system.matrix.toarray()
+    assert np.linalg.matrix_rank(dense) == dense.shape[1]
+    for rhs, form in ((system.rhs_u, grid5_forms.forms.du),
+                      (system.rhs_v, grid5_forms.forms.dv)):
+        ref = np.linalg.lstsq(dense, rhs, rcond=None)[0]
+        assert np.max(np.abs(ref - form)) < 1e-12
 
 
-def test_weak_penalty_trips_residual_gates(grid5_forms):
+def test_inconsistent_trivial_row_trips_closedness_gate(grid5_forms):
+    """A trivial row asked to sum to 0.5 is met exactly by the solve, so
+    the u-form's closedness residual reads 0.5 and trips its gate."""
     system = assemble_system(grid5_forms.graph, grid5_forms.basis,
                              grid5_forms.classification)
-    with pytest.raises(ResidualError) as err:
-        solve_oneforms(system, method="penalty", penalty=1e-12)
-    assert err.value.diagnostics["period_error"] > 1e-6
-    # loosened gates let the same solve through, reporting its residuals
-    pair = solve_oneforms(system, method="penalty", penalty=1e-12,
-                          rms_rel_gate=1e6, closed_gate=1e6, period_gate=1e6)
-    assert pair.diagnostics["period_error"] > 1e-6
+    system.rhs_u[system.n_coclosed] = 0.5
+    with pytest.raises(ResidualError, match="u-form trivial-cycle") as err:
+        solve_oneforms(system)
+    assert "v-form" not in str(err.value)
+    d = err.value.diagnostics
+    assert d["u"]["max_trivial_cycle_error"] == pytest.approx(0.5, abs=1e-12)
+    assert d["v"]["max_trivial_cycle_error"] < 1e-12
+    assert d["period_error"] < 1e-12
+
+
+def cycle_row_reference(index, cycle):
+    """Per-edge reference for one cycle row: +1 on edges walked low->high,
+    -1 on edges walked back. index maps (i, j), i < j, to edge ids."""
+    v = cycle.vertices.tolist()
+    return {index[min(a, b), max(a, b)]: (1.0 if a < b else -1.0)
+            for a, b in zip(v, v[1:] + v[:1])}
+
+
+def test_cycle_rows_match_per_edge_reference(torus_bundle):
+    """Generator rows equal the per-edge reference exactly; a trivial row
+    equals it up to one sign, set by the way its loop runs."""
+    graph, cls = torus_bundle.graph, torus_bundle.classification
+    index = {(i, j): e for e, (i, j) in enumerate(graph.edges.tolist())}
+    rows = assemble_system(graph, torus_bundle.basis, cls).matrix
+    rows = rows[graph.vertex_count:].tocsr()
+    k = cls.trivial.size
+    assert rows.shape[0] == k + 2
+    generators = {k: cls.toroidal, k + 1: cls.poloidal}
+    for r in range(k + 2):
+        lo, hi = rows.indptr[r], rows.indptr[r + 1]
+        got = dict(zip(rows.indices[lo:hi].tolist(),
+                       rows.data[lo:hi].tolist()))
+        if r in generators:
+            assert got == cycle_row_reference(index, generators[r])
+        else:
+            want = cycle_row_reference(index, cls.trivial.cycle(r))
+            sign = got[rows.indices[lo]] * want[rows.indices[lo]]
+            assert got == {e: sign * x for e, x in want.items()}
 
 
 def test_no_classification_gives_zero_forms(grid5_forms):
@@ -129,13 +165,6 @@ def test_edge_weight_validation(grid5_forms):
         edge_weights(graph, np.zeros(graph.edge_count))
 
 
-def test_unknown_solver_method(grid5_forms):
-    system = assemble_system(grid5_forms.graph, grid5_forms.basis,
-                             grid5_forms.classification)
-    with pytest.raises(ConfigError):
-        solve_oneforms(system, method="cholesky")
-
-
 def tree_potentials(graph, forms):
     """Integrate both forms over a BFS spanning tree from vertex 0."""
     n = graph.vertex_count
@@ -149,7 +178,7 @@ def tree_potentials(graph, forms):
             nb = int(nb)
             if not np.isnan(pot[nb, 0]):
                 continue
-            e = graph.edge_index[(u, nb) if u < nb else (nb, u)]
+            e = int(graph.edge_ids([u], [nb])[0])
             s = 1.0 if u < nb else -1.0
             pot[nb, 0] = pot[u, 0] + s * forms.du[e]
             pot[nb, 1] = pot[u, 1] + s * forms.dv[e]
@@ -204,7 +233,7 @@ def test_export_residuals_json(tmp_path, grid5_forms):
     path = tmp_path / "residuals.json"
     export_residuals_json(path, grid5_forms.forms)
     payload = json.loads(path.read_text())
-    assert payload["method"] == "exact"
+    assert set(payload) == {"u", "v", "period_matrix", "period_error"}
     assert set(payload["u"]) == {"coclosedness_rms", "value_scale",
                                  "max_trivial_cycle_error", "periods"}
     assert payload["period_error"] < 1e-12
@@ -217,7 +246,8 @@ def test_manual_classification_matches_docstring_sign_convention():
     cls = manual_grid_classification(graph, 4, 4)
     forms = solve_oneforms(assemble_system(graph, None, cls))
     total = 0.0
-    for a, b in cls.toroidal.oriented_pairs():
-        e = graph.edge_index[(a, b) if a < b else (b, a)]
+    v = cls.toroidal.vertices.tolist()
+    for a, b in zip(v, v[1:] + v[:1]):
+        e = int(graph.edge_ids([a], [b])[0])
         total += forms.du[e] if a < b else -forms.du[e]
     assert total == pytest.approx(1.0, abs=1e-12)
