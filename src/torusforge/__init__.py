@@ -1,13 +1,14 @@
 """Meshing of 2-tori sampled as point clouds in 3 to 6 dimensions.
 
 Pipeline: sample a quasi-periodic orbit or synthetic torus, build a
-k-nearest-neighbor graph, extract a minimum cycle basis, classify the
-two homology generators, solve for harmonic one-forms, integrate them
-to an angle map on the flat torus, take its periodic Delaunay
-triangulation as a closed oriented mesh, and project/export the result
-for rendering. `orient_mesh` winds any other mesh (a loaded mesh.json,
-say) consistently, or proves it non-orientable, from the orientation
-double cover of its faces.
+k-nearest-neighbor graph, extract a cycle basis (its triangles and
+chordless squares plus the two homology generators), classify the
+generators, solve for harmonic one-forms, integrate them to an angle map
+on the flat torus, take its periodic Delaunay triangulation as a closed
+oriented mesh, and project/export the result for rendering.
+`orient_mesh` winds any other mesh (a loaded mesh.json, say)
+consistently, or proves it non-orientable, from the orientation double
+cover of its faces.
 """
 
 from .errors import (ConfigError, CycleBasisError, DisconnectedGraphError,
@@ -22,7 +23,8 @@ from .samplers import (PointCloud, StandardMapConfig, iterate_standard_map,
                        save_point_cloud)
 from .knn import NeighborGraph, build_knn_graph
 from .cycles import (Classification, Cycle, CycleBasis, classify_cycles,
-                     exhaustive_minimum_cycle_basis, minimum_cycle_basis)
+                     exhaustive_minimum_cycle_basis, homology_split,
+                     minimum_cycle_basis)
 from .oneforms import OneFormPair, assemble_system, solve_oneforms
 from .mesher import (SurfaceMesh, load_mesh_json, mesh_flat_torus,
                      validate_mesh)
@@ -46,7 +48,8 @@ __all__ = [
     "save_point_cloud",
     "NeighborGraph", "build_knn_graph",
     "Classification", "Cycle", "CycleBasis", "classify_cycles",
-    "exhaustive_minimum_cycle_basis", "minimum_cycle_basis",
+    "exhaustive_minimum_cycle_basis", "homology_split",
+    "minimum_cycle_basis",
     "OneFormPair", "assemble_system", "solve_oneforms",
     "SurfaceMesh", "load_mesh_json", "mesh_flat_torus", "validate_mesh",
     "orient_mesh",

@@ -32,7 +32,7 @@ from .samplers import (StandardMapConfig, load_point_cloud,
                        sample_center_manifold_torus, sample_standard_map_torus,
                        sample_torus_revolution, save_point_cloud)
 from .knn import build_knn_graph
-from .cycles import classify_cycles, export_cycles_json, minimum_cycle_basis
+from .cycles import classify_cycles, export_cycles_json, homology_split
 from .oneforms import assemble_system, export_residuals_json, solve_oneforms
 from .mesher import (export_mesh_json, load_mesh_json, mesh_flat_torus,
                      validate_mesh)
@@ -223,7 +223,7 @@ def stage_mesh(cfg, cloud=None):
     if cloud is None:
         cloud = load_point_cloud(_art(cfg, "cloud.csv"))
     graph = build_knn_graph(cloud, k=cfg["k"])
-    basis = minimum_cycle_basis(graph)
+    basis = homology_split(graph)
     classification = classify_cycles(basis)
     export_cycles_json(_art(cfg, "cycles.json"), basis, classification)
     system = assemble_system(graph, basis, classification,

@@ -1,22 +1,32 @@
-"""Minimum cycle basis of a weighted undirected graph.
+"""Cycle bases of a weighted undirected graph.
 
-Exact greedy over the Horton candidate family (cycles formed by two
-shortest paths plus a closing edge), run in two phases. A banded phase
-harvests short cycles from distance-limited shortest-path trees in
-global weight order; it builds the candidates and their path
-signatures only from the vertices each truncated Dijkstra reaches. Once
-few basis slots remain, de Pina's rule finishes the basis (Kavitha et
-al., "Cycle bases in graphs", 2009): each vector of the GF(2) orthogonal
-complement of the selected span, in turn, takes the lightest cycle
-pairing oddly with it. That cycle is one Dijkstra on the graph's parity
-double cover, started only from the vertices of the vector's seam.
+`homology_split`, the basis the pipeline splits into trivial cycles and
+two homology generators, starts from the graph's triangles and chordless
+squares (4-cycles whose diagonals are not edges), found with array
+operations on the edge list. A GF(2) greedy takes them in weight order;
+on a well-sampled torus they fill every slot but the generators. de
+Pina's rule fills the slots left (Kavitha et al., "Cycle bases in
+graphs", 2009): each vector of the GF(2) orthogonal complement of the
+selected span, in turn, takes the lightest cycle pairing oddly with it. That cycle is one
+Dijkstra on the graph's parity double cover, started only from a vertex
+cover of the vector's seam. The split is the minimum basis whenever
+every minimum-basis cycle lighter than the heaviest chosen triangle or
+square has at most 4 hops.
 
-Both phases produce each cycle as the vertex loop their search walks.
-The basis holds the loops as one CSR block (`CycleBasis`), certified
-simple when it is built; only the two homology generators become
-`Cycle` objects. Cycle vectors live in GF(2) coordinates indexed by
-non-tree edges of a fixed spanning tree and are stored as Python
-integers.
+`minimum_cycle_basis` is exact on every graph: a greedy over the Horton
+candidate family (cycles formed by two shortest paths plus a closing
+edge), run in two phases. A banded phase harvests short cycles from
+distance-limited shortest-path trees in global weight order; it builds
+the candidates and their path signatures only from the vertices each
+truncated Dijkstra reaches. Once few basis slots remain, de Pina's rule
+finishes the basis. The split also runs the banded phase when more than
+a few slots are left after its greedy.
+
+Every phase produces each cycle as a vertex loop. The basis holds the
+loops as one CSR block (`CycleBasis`), certified simple when it is
+built; only the two homology generators become `Cycle` objects. Cycle
+vectors live in GF(2) coordinates indexed by non-tree edges of a fixed
+spanning tree and are stored as Python integers.
 """
 
 import hashlib
@@ -91,7 +101,8 @@ class CycleBasis:
     back to its first vertex. Its step t runs from loop vertex t to the
     next one along edge edges[indptr[r] + t], and weights[r] is its true
     length. Where a loop starts and which way it runs carry no meaning.
-    `minimum_cycle_basis` returns its cycles sorted by weight;
+    `minimum_cycle_basis` and `homology_split` return their cycles sorted
+    by weight;
     `Classification.trivial` holds all of them but the two generators.
     """
 
@@ -283,6 +294,95 @@ def _greedy(ws, pivots, chosen, loops):
             break
 
 
+def _slot_pairs(ptr):
+    """Every pair of positions p < q inside one slice ptr[i]:ptr[i + 1],
+    as two arrays (p, q), in order of p, then q."""
+    pos = np.arange(ptr[-1])
+    later = np.repeat(ptr[1:], np.diff(ptr)) - pos - 1
+    p = np.repeat(pos, later)
+    step = np.arange(len(p)) - np.repeat(np.cumsum(later) - later, later)
+    return p, p + 1 + step
+
+
+def _short_cycles(ws):
+    """Every triangle and every chordless square of the graph, once each,
+    as (vertex loops, edge ids) pairs: one of (k3, 3) arrays, one of
+    (k4, 4) arrays.
+
+    A wedge is a centre c with two of its neighbours x < y. A closed wedge
+    (x and y adjacent) is a triangle, kept at its smallest vertex c. Two
+    open wedges on one pair x, y whose centres c1, c2 are not adjacent
+    make the chordless square x c1 y c2; its other diagonal c1 c2 finds it
+    again, so it is kept from the diagonal holding its smallest vertex.
+    """
+    n, E = ws.n, ws.E
+    keys = ws.ex * n + ws.ey
+
+    def edge_at(a, b):
+        # (position of the key a * n + b, whether that pair is an edge)
+        q = a * n + b
+        pos = np.minimum(np.searchsorted(keys, q), E - 1)
+        return pos, keys[pos] == q
+
+    tail = np.concatenate([ws.ex, ws.ey])
+    head = np.concatenate([ws.ey, ws.ex])
+    eid = np.tile(np.arange(E), 2)
+    order = np.lexsort((head, tail))
+    tail, head, eid = tail[order], head[order], eid[order]
+    a, b = _slot_pairs(np.searchsorted(tail, np.arange(n + 1)))
+    c, x, y, ea, eb = tail[a], head[a], head[b], eid[a], eid[b]
+    exy, closed = edge_at(x, y)
+    t = closed & (c < x)
+    triangles = (np.column_stack([c[t], x[t], y[t]]),
+                 np.column_stack([ea[t], exy[t], eb[t]]))
+    # open wedges grouped by their pair; within a group the centres
+    # ascend, as the wedges were made in centre order and the sort is stable
+    open_ = np.flatnonzero(~closed)
+    open_ = open_[np.argsort(x[open_] * n + y[open_], kind="stable")]
+    c, x, y, ea, eb = c[open_], x[open_], y[open_], ea[open_], eb[open_]
+    i, j = _slot_pairs(np.flatnonzero(np.r_[True, (x[1:] != x[:-1])
+                                            | (y[1:] != y[:-1]), True]))
+    keep = ~edge_at(c[i], c[j])[1] & (x[i] < c[i])
+    i, j = i[keep], j[keep]
+    squares = (np.column_stack([x[i], c[i], y[i], c[j]]),
+               np.column_stack([ea[i], eb[i], eb[j], ea[j]]))
+    return triangles, squares
+
+
+def _short_cycle_greedy(ws, pivots, chosen):
+    """GF(2) greedy over the triangles and chordless squares in perturbed
+    weight order, appending each independent one to chosen and its pivot
+    row to pivots.
+
+    Their rows have at most four coordinates and stay about that sparse
+    under elimination, so the greedy holds them as sets of coordinates:
+    XOR of two small sets costs far less than XOR of two m-bit integers.
+    The pivot rows are handed on as integers, as the other phases keep
+    them."""
+    loops, rows, weights = [], [], []
+    found = _short_cycles(ws)
+    for verts, eids in found:
+        loops += verts.tolist()
+        rows += ws.coord[eids].tolist()
+        weights.append(ws.w_pert[eids].sum(axis=1))
+    sparse = {}
+    for r in np.argsort(np.concatenate(weights), kind="stable").tolist():
+        vec = set(rows[r])
+        vec.discard(-1)
+        while vec:
+            low = min(vec)
+            row = sparse.get(low)
+            if row is None:
+                sparse[low] = vec
+                chosen.append(loops[r])
+                break
+            vec ^= row
+    pivots.update((bit, sum(1 << c for c in vec))
+                  for bit, vec in sparse.items())
+    log.info("short cycles: %d triangles and %d squares fill %d of %d slots",
+             *(len(v) for v, _ in found), len(chosen), ws.m)
+
+
 def _walk_to_source(prow, v, x):
     """Tree path x -> v in a predecessor row, as a vertex list."""
     verts = [x]
@@ -370,19 +470,19 @@ def _harvest_band(ws, pivots, chosen, seen, horizon, theta):
     return seen
 
 
-def _phase_a(ws, pivots, chosen, theta0):
+def _phase_a(ws, pivots, chosen, theta0=None):
     """Greedy over banded Horton candidates in nondecreasing weight order.
 
     Each band runs one truncated Dijkstra per source. Its reached
     entries give the candidates, ranked by weight, and their Zobrist
     signatures, so that only the first candidate of each cycle is
-    walked, on the band's predecessor rows. Doubles the
-    band until the basis is complete, few slots remain, or the band
-    covers the whole graph.
+    walked, on the band's predecessor rows. Doubles the band, from
+    theta0 (default five median edge weights), until the basis is
+    complete, few slots remain, or the band covers the whole graph.
     """
     seen = np.empty(0, dtype=np.uint64)
     horizon = 0.0
-    theta = theta0
+    theta = 5.0 * float(np.median(ws.w_pert)) if theta0 is None else theta0
     wsum = float(ws.w_pert.sum()) + 1.0
     while len(chosen) < ws.m:
         seen = _harvest_band(ws, pivots, chosen, seen, horizon, theta)
@@ -410,6 +510,19 @@ def _complement_basis(ws, pivots):
     return out
 
 
+def _vertex_cover(x, y):
+    """Sorted vertex cover of the edges (x[t], y[t]), taken greedily: the
+    vertex meeting most uncovered edges, the smallest on ties, until no
+    edge is left."""
+    cover = []
+    while len(x):
+        v = int(np.argmax(np.bincount(np.concatenate([x, y]))))
+        cover.append(v)
+        keep = (x != v) & (y != v)
+        x, y = x[keep], y[keep]
+    return np.sort(np.array(cover, dtype=np.int64))
+
+
 def _lightest_odd_cycle(ws, s):
     """Vertex loop of the lightest cycle pairing oddly with the coordinate
     vector s, or None when the search finds no such cycle.
@@ -419,7 +532,8 @@ def _lightest_odd_cycle(ws, s):
     changes no pairing and leaves the cut on that tree's seam only. On
     the double cover whose two sheets swap across the cut, the distance
     from v to its copy is the lightest closed walk through v that pairs
-    oddly with s. Every such walk crosses the seam, so its endpoints are
+    oddly with s. Every such walk crosses the seam, so it passes through
+    each vertex cover of the seam's edges; the vertices of one cover are
     the only sources needed, and the lightest walk among them is a
     simple cycle: a repeated vertex would split off a lighter odd walk.
     """
@@ -430,7 +544,7 @@ def _lightest_odd_cycle(ws, s):
     _, root = dijkstra(ws.csgraph, indices=[0], return_predecessors=True)
     parity = ws.path_xor(root[0], cut)
     cross = (cut ^ parity[ws.ex] ^ parity[ws.ey]).astype(bool)
-    seam = np.unique(np.concatenate([ws.ex[cross], ws.ey[cross]]))
+    seam = _vertex_cover(ws.ex[cross], ws.ey[cross])
     x, y = ws.ex, ws.ey + n * cross      # cut edges join the two sheets
     x1, y1 = x + n, ws.ey + n * ~cross
     cover = coo_matrix(
@@ -478,6 +592,22 @@ def _phase_b(ws, pivots, chosen):
                         for t in comp[i + 1:]]
 
 
+def _finish(ws, pivots, chosen):
+    """Fill the slots left by de Pina's rule and return the basis as a
+    block sorted by weight."""
+    if len(chosen) < ws.m:
+        log.info("support-vector phase for %d remaining cycles",
+                 ws.m - len(chosen))
+        _phase_b(ws, pivots, chosen)
+    if len(chosen) != ws.m:
+        raise CycleBasisError(
+            f"basis incomplete: {len(chosen)} of {ws.m} cycles")
+    basis = CycleBasis.from_loops(ws.graph, chosen).sorted()
+    log.info("cycle basis: %d cycles, total weight %.6g",
+             basis.size, basis.total_weight())
+    return basis
+
+
 def minimum_cycle_basis(graph, theta0=None):
     """Exact minimum-weight cycle basis, sorted by nondecreasing weight.
 
@@ -487,22 +617,35 @@ def minimum_cycle_basis(graph, theta0=None):
     ws = _Workspace(graph)
     if ws.m == 0:
         return CycleBasis.from_loops(graph, [])
-    if theta0 is None:
-        theta0 = 5.0 * float(np.median(ws.w_pert))
     pivots = {}
     chosen = []
     _phase_a(ws, pivots, chosen, theta0)
-    if len(chosen) < ws.m:
-        log.info("support-vector phase for %d remaining cycles",
-                 ws.m - len(chosen))
-        _phase_b(ws, pivots, chosen)
-    if len(chosen) != ws.m:
-        raise CycleBasisError(
-            f"basis incomplete: {len(chosen)} of {ws.m} cycles")
-    basis = CycleBasis.from_loops(graph, chosen).sorted()
-    log.info("cycle basis: %d cycles, total weight %.6g",
-             basis.size, basis.total_weight())
-    return basis
+    return _finish(ws, pivots, chosen)
+
+
+def homology_split(graph):
+    """Cycle basis of a torus graph for `classify_cycles`, sorted by
+    nondecreasing weight like `minimum_cycle_basis`.
+
+    The triangles and chordless squares enter a greedy in the perturbed
+    weight order. When more than a few slots remain, the banded phase
+    runs next; de Pina's rule fills the last ones, the generators among
+    them. The result is always a basis of simple cycles. It is the
+    minimum basis whenever every minimum-basis cycle lighter than the
+    heaviest chosen triangle or square has at most 4 hops: the family
+    then holds every cycle the exact greedy picks up to that weight, so
+    the greedy over it picks the same ones, and de Pina's rule completes
+    them exactly.
+    """
+    ws = _Workspace(graph)
+    if ws.m == 0:
+        return CycleBasis.from_loops(graph, [])
+    pivots = {}
+    chosen = []
+    _short_cycle_greedy(ws, pivots, chosen)
+    if ws.m - len(chosen) > _CORANK_SWITCH:
+        _phase_a(ws, pivots, chosen)
+    return _finish(ws, pivots, chosen)
 
 
 def exhaustive_minimum_cycle_basis(graph, max_edges=20):

@@ -13,7 +13,7 @@ from torusforge.samplers import (StandardMapConfig, sample_center_manifold_torus
                                  sample_torus_revolution)
 from torusforge.knn import NeighborGraph, build_knn_graph
 from torusforge.cycles import Cycle, CycleBasis, Classification, \
-    classify_cycles, minimum_cycle_basis
+    classify_cycles, homology_split, minimum_cycle_basis
 from torusforge.oneforms import assemble_system, solve_oneforms
 from torusforge.mesher import mesh_flat_torus
 from torusforge.orientation import orient_mesh
@@ -133,7 +133,7 @@ def klein_bottle(n=6):
 def build_pipeline(cloud, k=8):
     """Full library chain cloud -> oriented mesh, bundled for tests."""
     graph = build_knn_graph(cloud, k=k)
-    basis = minimum_cycle_basis(graph)
+    basis = homology_split(graph)
     classification = classify_cycles(basis)
     system = assemble_system(graph, basis, classification,
                              weights="inverse_length")

@@ -1,5 +1,6 @@
 """Minimum cycle basis: frozen grid oracles, brute-force comparison on
-random graphs, GF(2) rank, the CSR cycle block, and generator
+random graphs, GF(2) rank, the CSR cycle block, the triangle and
+chordless-square split against the minimum basis, and generator
 classification."""
 
 import hashlib
@@ -14,7 +15,8 @@ from conftest import periodic_grid
 from torusforge import cycles
 from torusforge.cycles import (Cycle, CycleBasis, classify_cycles,
                                exhaustive_minimum_cycle_basis,
-                               export_cycles_json, minimum_cycle_basis)
+                               export_cycles_json, homology_split,
+                               minimum_cycle_basis)
 from torusforge.errors import (CycleBasisError, GeneratorClassificationError)
 from torusforge.knn import NeighborGraph, build_knn_graph
 from torusforge.samplers import sample_torus_revolution
@@ -134,6 +136,102 @@ def test_random_graphs_match_exhaustive(tie_weights, theta0):
         assert gf2_rank(greedy) == greedy.size
         assert_rows_are_simple_cycles(graph, greedy)
         assert_rows_are_simple_cycles(graph, brute)
+
+
+def test_split_is_a_basis_on_random_graphs():
+    """Where a lighter cycle of five or more hops beats a chosen triangle
+    or square the split may differ from the minimum basis, but it is
+    still a basis of simple cycles and never lighter than the minimum."""
+    rng = np.random.default_rng(314)
+    for tie_weights in (False, True):
+        for _ in range(10):
+            graph = random_connected_graph(rng, 8, 6, tie_weights)
+            if graph.edge_count > 18:
+                continue
+            split = homology_split(graph)
+            brute = exhaustive_minimum_cycle_basis(graph)
+            assert split.size == graph.edge_count - 8 + 1
+            assert gf2_rank(split) == split.size
+            assert_rows_are_simple_cycles(graph, split)
+            assert split.total_weight() >= brute.total_weight() - 1e-12
+            assert np.all(np.diff(split.weights) >= 0)
+
+
+def short_cycles_reference(graph):
+    """Per-vertex brute force: the vertex sets of the triangles, and the
+    edge-id sets of the 4-cycles whose two diagonals are not edges."""
+    adj = [set(a.tolist()) for a in graph.adjacency]
+    index = {(i, j): e for e, (i, j) in enumerate(graph.edges.tolist())}
+
+    def eid(a, b):
+        return index[min(a, b), max(a, b)]
+
+    triangles, squares = set(), set()
+    for a in range(graph.vertex_count):
+        for b in adj[a]:
+            for c in adj[b] - {a}:
+                if c in adj[a]:
+                    triangles.add(frozenset((a, b, c)))
+                    continue
+                for d in (adj[c] & adj[a]) - {b}:
+                    if d not in adj[b]:
+                        squares.add(frozenset((eid(a, b), eid(b, c),
+                                               eid(c, d), eid(d, a))))
+    return triangles, squares
+
+
+def short_cycle_graphs():
+    rng = np.random.default_rng(7)
+    graphs = [periodic_grid(n) for n in (3, 5, 6)]
+    graphs += [random_connected_graph(rng, 30, 45, True) for _ in range(3)]
+    graphs.append(build_knn_graph(sample_torus_revolution(2.0, 0.5, 300, 0),
+                                  8))
+    return graphs
+
+
+@pytest.mark.parametrize("case", range(7), ids=[
+    "grid3", "grid5", "grid6", "random0", "random1", "random2", "knn300"])
+def test_short_cycles_match_per_vertex_reference(case):
+    """The array enumeration finds every triangle and chordless square
+    of the reference, each once, as loops whose steps are their edges."""
+    graph = short_cycle_graphs()[case]
+    (tri, tri_e), (sq, sq_e) = cycles._short_cycles(cycles._Workspace(graph))
+    want_tri, want_sq = short_cycles_reference(graph)
+    assert want_sq
+    for loops, eids in ((tri, tri_e), (sq, sq_e)):
+        steps = graph.edge_ids(loops, np.roll(loops, -1, axis=1))
+        assert np.array_equal(steps, eids)
+    got_tri = [frozenset(row) for row in tri.tolist()]
+    got_sq = [frozenset(row) for row in sq_e.tolist()]
+    assert len(set(got_tri)) == len(got_tri)
+    assert len(set(got_sq)) == len(got_sq)
+    assert set(got_tri) == want_tri
+    assert set(got_sq) == want_sq
+
+
+def assert_split_equals_minimum_basis(graph, split):
+    exact = minimum_cycle_basis(graph)
+    assert split.digest() == exact.digest()
+    assert np.array_equal(split.weights, exact.weights)
+    for r in (exact.size - 2, exact.size - 1):
+        got, want = split.cycle(r), exact.cycle(r)
+        assert np.array_equal(got.vertices, want.vertices)
+        assert np.array_equal(got.edges, want.edges)
+        assert got.weight == want.weight
+
+
+@pytest.mark.parametrize("n", [5, 6, 8])
+def test_split_equals_minimum_basis_on_grids(n):
+    """Unit weights: only the internal perturbation orders the squares."""
+    graph = periodic_grid(n)
+    assert_split_equals_minimum_basis(graph, homology_split(graph))
+
+
+@pytest.mark.parametrize("bundle",
+                         ["torus_bundle", "stdmap_bundle", "cm_bundle"])
+def test_split_equals_minimum_basis_on_fixtures(bundle, request):
+    bundle = request.getfixturevalue(bundle)
+    assert_split_equals_minimum_basis(bundle.graph, bundle.basis)
 
 
 def dense_path_xor(ws, preds, values):
@@ -303,6 +401,7 @@ def test_exhaustive_rejects_large_graphs():
 def test_tree_graph_has_empty_basis():
     edges = np.array([(0, 1), (1, 2), (2, 3)])
     graph = NeighborGraph.from_edges(4, edges, np.ones(3))
+    assert homology_split(graph).size == 0
     basis = minimum_cycle_basis(graph)
     assert basis.size == 0
     with pytest.raises(GeneratorClassificationError):
