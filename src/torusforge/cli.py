@@ -96,8 +96,12 @@ def _validate_config(cfg):
     unknown = set(cfg) - known
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    for key in ("sampler", "projection", "export"):
+        if not isinstance(cfg[key], dict):
+            raise ConfigError(f"{key} must be a JSON object, got "
+                              f"{cfg[key]!r}")
     kind = cfg["sampler"].get("kind")
-    if kind not in _SAMPLER_DEFAULTS:
+    if not isinstance(kind, str) or kind not in _SAMPLER_DEFAULTS:
         raise ConfigError(
             f"unknown sampler kind {kind!r}; choose from "
             f"{sorted(_SAMPLER_DEFAULTS)}")

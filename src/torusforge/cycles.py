@@ -5,22 +5,21 @@ two homology generators, starts from the graph's triangles and chordless
 squares (4-cycles whose diagonals are not edges), found with array
 operations on the edge list. A GF(2) greedy takes them in weight order;
 on a well-sampled torus they fill every slot but the generators. de
-Pina's rule fills the slots left (Kavitha et al., "Cycle bases in
-graphs", 2009): each vector of the GF(2) orthogonal complement of the
-selected span, in turn, takes the lightest cycle pairing oddly with it. That cycle is one
-Dijkstra on the graph's parity double cover, started only from a vertex
-cover of the vector's seam. The split is the minimum basis whenever
-every minimum-basis cycle lighter than the heaviest chosen triangle or
-square has at most 4 hops.
+Pina's rule fills the slots left, with no band in between (Kavitha et
+al., "Cycle bases in graphs", 2009): each vector of the GF(2)
+orthogonal complement of the selected span, in turn, takes the lightest
+cycle pairing oddly with it. That cycle is one Dijkstra on the graph's
+parity double cover, started only from a vertex cover of the vector's
+seam. The split is the minimum basis whenever every minimum-basis cycle
+lighter than the heaviest chosen triangle or square has at most 4 hops.
 
-`minimum_cycle_basis` is exact on every graph: a greedy over the Horton
-candidate family (cycles formed by two shortest paths plus a closing
-edge), run in two phases. A banded phase harvests short cycles from
-distance-limited shortest-path trees in global weight order; it builds
-the candidates and their path signatures only from the vertices each
-truncated Dijkstra reaches. Once few basis slots remain, de Pina's rule
-finishes the basis. The split also runs the banded phase when more than
-a few slots are left after its greedy.
+`minimum_cycle_basis` is exact on every graph: one band, then de Pina.
+The band is a greedy over the Horton candidate family (cycles formed by
+two shortest paths plus a closing edge) up to a weight theta0, in global
+weight order, harvested from shortest-path trees truncated at theta0; it
+builds the candidates and their path signatures only from the vertices
+each truncated Dijkstra reaches. de Pina's rule finishes the basis, and
+is exact after any greedy prefix of the minimum basis.
 
 Every phase produces each cycle as a vertex loop. The basis holds the
 loops as one CSR block (`CycleBasis`), certified simple when it is
@@ -45,7 +44,6 @@ log = logging.getLogger("torusforge.cycles")
 
 _INTERNAL_SEED = 0x5EED
 _PERTURB_EPS = 1e-10
-_CORANK_SWITCH = 8
 
 
 @dataclass
@@ -406,9 +404,9 @@ def _candidate_loop(ws, prow, v, e):
     return vx + vy[-2::-1]
 
 
-def _banded_chunks(ws, horizon, theta):
-    """Yield, per block of sources, the candidates weighing (horizon,
-    theta] as arrays (weight, source, edge, signature), and the int32
+def _banded_chunks(ws, theta):
+    """Yield, per block of sources, the candidates weighing at most theta
+    as arrays (weight, source, edge, signature), and the int32
     predecessor rows of shortest paths truncated at distance theta.
 
     Works on the reached (row, vertex) entries only, kept as sorted keys
@@ -442,56 +440,34 @@ def _banded_chunks(ws, horizon, theta):
         ok = (key[to] == ky) & (p[at] != ws.ey[es]) & (p[to] != ws.ex[es])
         at, es, to = at[ok], es[ok], to[ok]
         wc = d[at] + ws.w_pert[es] + d[to]
-        band = (wc > horizon) & (wc <= theta)
+        band = wc <= theta
         at, es, to = at[band], es[band], to[band]
         sig = zpath[at] ^ zpath[to] ^ ws.zob[es]
         yield wc[band], lo + row[at], es, sig, preds
 
 
-def _harvest_band(ws, pivots, chosen, seen, horizon, theta):
-    """Greedy over the candidates weighing (horizon, theta], each walked
-    on the predecessor row its band computed. Only the first candidate of
-    each signature not in seen (the earlier bands' signatures) is walked.
-    The rows (n x n int32) live only in this frame, so one band's are
-    freed before the next's. Returns seen joined with this band's
-    signatures."""
-    parts = list(_banded_chunks(ws, horizon, theta))
+def _phase_a(ws, pivots, chosen, theta):
+    """Greedy over the Horton candidates weighing at most theta, in
+    nondecreasing weight order: one band.
+
+    The band runs one truncated Dijkstra per source. Its reached entries
+    give the candidates, ranked by weight, and their Zobrist signatures,
+    so that only the first candidate of each cycle is walked, on the
+    band's predecessor rows (n x n int32, alive only in this frame).
+    Every candidate that light is reached, so the band picks exactly the
+    minimum basis's cycles up to theta; de Pina's rule finishes it.
+    """
+    parts = list(_banded_chunks(ws, theta))
     preds = [p[4] for p in parts]
     wc, vs, es, sg = (np.concatenate([p[k] for p in parts]) for k in range(4))
     del parts
     order = np.lexsort((es, vs, wc))
     vs, es, sg = vs[order], es[order], sg[order]
-    _, first = np.unique(sg, return_index=True)
-    walk = np.sort(first[~np.isin(sg[first], seen)])
-    seen = np.union1d(seen, sg)
+    walk = np.sort(np.unique(sg, return_index=True)[1])
     loops = (_candidate_loop(ws, preds[v // ws.chunk][v % ws.chunk], v, e)
              for v, e in zip(vs[walk].tolist(), es[walk].tolist()))
     _greedy(ws, pivots, chosen, (loop for loop in loops if loop is not None))
-    return seen
-
-
-def _phase_a(ws, pivots, chosen, theta0=None):
-    """Greedy over banded Horton candidates in nondecreasing weight order.
-
-    Each band runs one truncated Dijkstra per source. Its reached
-    entries give the candidates, ranked by weight, and their Zobrist
-    signatures, so that only the first candidate of each cycle is
-    walked, on the band's predecessor rows. Doubles the band, from
-    theta0 (default five median edge weights), until the basis is
-    complete, few slots remain, or the band covers the whole graph.
-    """
-    seen = np.empty(0, dtype=np.uint64)
-    horizon = 0.0
-    theta = 5.0 * float(np.median(ws.w_pert)) if theta0 is None else theta0
-    wsum = float(ws.w_pert.sum()) + 1.0
-    while len(chosen) < ws.m:
-        seen = _harvest_band(ws, pivots, chosen, seen, horizon, theta)
-        horizon = theta
-        corank = ws.m - len(chosen)
-        log.info("cycle band theta=%.6g rank=%d/%d", theta, len(chosen), ws.m)
-        if corank == 0 or corank <= _CORANK_SWITCH or theta > wsum:
-            break
-        theta *= 2.0
+    log.info("cycle band theta=%.6g rank=%d/%d", theta, len(chosen), ws.m)
 
 
 def _complement_basis(ws, pivots):
@@ -609,9 +585,13 @@ def _finish(ws, pivots, chosen):
 
 
 def minimum_cycle_basis(graph, theta0=None):
-    """Exact minimum-weight cycle basis, sorted by nondecreasing weight.
+    """Exact minimum-weight cycle basis, sorted by nondecreasing weight:
+    one band, then de Pina.
 
-    Ties anywhere in the weight ordering are broken by a fixed internal
+    The band takes the Horton candidates weighing at most theta0 (default
+    five median edge weights), which gives the minimum basis's greedy
+    prefix up to theta0; de Pina's rule completes it exactly. Ties
+    anywhere in the weight ordering are broken by a fixed internal
     perturbation so results are deterministic for identical input.
     """
     ws = _Workspace(graph)
@@ -619,7 +599,8 @@ def minimum_cycle_basis(graph, theta0=None):
         return CycleBasis.from_loops(graph, [])
     pivots = {}
     chosen = []
-    _phase_a(ws, pivots, chosen, theta0)
+    theta = 5.0 * float(np.median(ws.w_pert)) if theta0 is None else theta0
+    _phase_a(ws, pivots, chosen, theta)
     return _finish(ws, pivots, chosen)
 
 
@@ -628,9 +609,8 @@ def homology_split(graph):
     nondecreasing weight like `minimum_cycle_basis`.
 
     The triangles and chordless squares enter a greedy in the perturbed
-    weight order. When more than a few slots remain, the banded phase
-    runs next; de Pina's rule fills the last ones, the generators among
-    them. The result is always a basis of simple cycles. It is the
+    weight order; de Pina's rule fills the slots left, the generators
+    among them. The result is always a basis of simple cycles. It is the
     minimum basis whenever every minimum-basis cycle lighter than the
     heaviest chosen triangle or square has at most 4 hops: the family
     then holds every cycle the exact greedy picks up to that weight, so
@@ -643,8 +623,6 @@ def homology_split(graph):
     pivots = {}
     chosen = []
     _short_cycle_greedy(ws, pivots, chosen)
-    if ws.m - len(chosen) > _CORANK_SWITCH:
-        _phase_a(ws, pivots, chosen)
     return _finish(ws, pivots, chosen)
 
 

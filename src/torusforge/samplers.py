@@ -273,7 +273,11 @@ def _load_csv_rows(path):
             if text.startswith("#"):
                 body = text[1:].strip()
                 if body.startswith("dim="):
-                    declared = int(body[4:])
+                    try:
+                        declared = int(body[4:])
+                    except ValueError:
+                        raise ConfigError(f"{path}: bad header at line "
+                                          f"{lineno}: {text!r}") from None
                 continue
             try:
                 row = [float(tok) for tok in text.split(",")]

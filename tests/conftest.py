@@ -151,6 +151,14 @@ def torus_bundle():
 
 
 @pytest.fixture(scope="session")
+def random_torus_bundle():
+    """The 2k torus with distribution="random": its sampling gaps give
+    trivial cycles of five and more hops."""
+    return build_pipeline(sample_torus_revolution(2.0, 0.5, 2000, 0,
+                                                  distribution="random"))
+
+
+@pytest.fixture(scope="session")
 def stdmap_bundle():
     cfg = StandardMapConfig(K1=0.3, K2=0.3, p1=GOLDEN, p2=SILVER, N=4000)
     return build_pipeline(sample_standard_map_torus(cfg))

@@ -96,6 +96,12 @@ def test_config_errors_exit_2(tmp_path, fast_cfg):
     for removed in ({"solver": {"method": "exact"}}, {"threads": 1}):
         legacy.write_text(json.dumps(removed))
         assert cli.main(["run", "--config", str(legacy)]) == 2
+    # sections that are not JSON objects, and a kind that is not a name
+    for malformed in ({"sampler": "center_manifold"}, {"projection": "pca"},
+                      {"export": ["ply"]}, {"sampler": None},
+                      {"sampler": {"kind": ["standard_map"]}}):
+        bad.write_text(json.dumps(malformed))
+        assert cli.main(["run", "--config", str(bad)]) == 2
 
 
 def test_disconnected_graph_exits_3(tmp_path, fast_cfg, capsys):

@@ -7,8 +7,8 @@ import json
 import numpy as np
 import pytest
 
-from conftest import (brute_force_delaunay_check, build_pipeline,
-                      periodic_grid, unwrapped_corners)
+from conftest import (brute_force_delaunay_check, periodic_grid,
+                      unwrapped_corners)
 from torusforge.cycles import classify_cycles, minimum_cycle_basis
 from torusforge.errors import MeshValidationError, ResidualError
 from torusforge.knn import NeighborGraph
@@ -16,7 +16,6 @@ from torusforge import mesher
 from torusforge.mesher import (_periodic_delaunay, export_mesh_json,
                                load_mesh_json, mesh_flat_torus, validate_mesh)
 from torusforge.oneforms import OneFormPair, assemble_system, solve_oneforms
-from torusforge.samplers import sample_torus_revolution
 
 
 @pytest.fixture(scope="module")
@@ -150,11 +149,10 @@ def test_merge_seed_choice_does_not_change_topology():
     assert np.array_equal(base, moved)
 
 
-def test_random_distribution_meshes_closed():
+def test_random_distribution_meshes_closed(random_torus_bundle):
     """The random torus sampler leaves sampling gaps wider than any
     single-valued BFS patch; the flat-torus mesh still closes."""
-    cloud = sample_torus_revolution(2.0, 0.5, 2000, 0, distribution="random")
-    report = build_pipeline(cloud).mesh.report
+    report = random_torus_bundle.mesh.report
     assert report["problems"] == []
     assert report["euler_characteristic"] == 0
     assert report["faces"] == 4000

@@ -254,6 +254,9 @@ def test_cloud_load_errors(tmp_path):
     path.write_text("")
     with pytest.raises(ConfigError):
         load_point_cloud(path)
+    path.write_text("# dim=three\n1,2,3\n")
+    with pytest.raises(ConfigError, match=r"bad\.csv: bad header at line 1"):
+        load_point_cloud(path)
     ok = tmp_path / "ok.csv"
     ok.write_text("1,2,3\n4,5,6\n7,8,9\n10,11,12\n")
     with pytest.raises(ConfigError):
