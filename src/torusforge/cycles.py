@@ -8,10 +8,15 @@ on a well-sampled torus they fill every slot but the generators. de
 Pina's rule fills the slots left, with no band in between (Kavitha et
 al., "Cycle bases in graphs", 2009): each vector of the GF(2)
 orthogonal complement of the selected span, in turn, takes the lightest
-cycle pairing oddly with it. That cycle is one Dijkstra on the graph's
-parity double cover, started only from a vertex cover of the vector's
-seam. The split is the minimum basis whenever every minimum-basis cycle
-lighter than the heaviest chosen triangle or square has at most 4 hops.
+cycle pairing oddly with it. That cycle is found by Dijkstras on the
+graph's parity double cover, started only from a vertex cover of the
+vector's seam and stopped half way round: a walk of weight L <= B
+meets some vertex x with both copies of x within B/2 + w_max (the
+heaviest edge) of its source, so a search to that radius is exact
+whenever a walk of weight at most B exists. The complement vectors are
+back-substituted over only the pivot rows they meet. The split is the
+minimum basis whenever every minimum-basis cycle lighter than the
+heaviest chosen triangle or square has at most 4 hops.
 
 `minimum_cycle_basis` is exact on every graph: one band, then de Pina.
 The band is a greedy over the Horton candidate family (cycles formed by
@@ -29,6 +34,7 @@ spanning tree and are stored as Python integers.
 """
 
 import hashlib
+import heapq
 import json
 import logging
 from dataclasses import dataclass
@@ -238,6 +244,12 @@ class _Workspace:
         self.edge_start = np.searchsorted(self.ex, np.arange(self.n + 1))
         # sources per Dijkstra block: c x n float64 distances stay <= 12 MB
         self.chunk = max(1, min(512, 1_500_000 // max(self.n, 1)))
+        # band limit, and the first bound of the odd-cycle search
+        self.theta0 = 5.0 * float(np.median(self.w_pert)) if self.E else 0.0
+        self.w_max = float(np.max(self.w_pert, initial=0.0))
+        # shortest-path tree from vertex 0, shared by every de Pina slot
+        self.root = dijkstra(self.csgraph, indices=0,
+                             return_predecessors=True)[1]
 
     def path_xor(self, pred, values):
         """XOR of per-edge values along the tree path from each vertex to
@@ -350,7 +362,8 @@ def _short_cycles(ws):
 def _short_cycle_greedy(ws, pivots, chosen):
     """GF(2) greedy over the triangles and chordless squares in perturbed
     weight order, appending each independent one to chosen and its pivot
-    row to pivots.
+    row to pivots. Returns the basis of the orthogonal complement of the
+    chosen span, read off the rows while they are still sets.
 
     Their rows have at most four coordinates and stay about that sparse
     under elimination, so the greedy holds them as sets of coordinates:
@@ -379,6 +392,7 @@ def _short_cycle_greedy(ws, pivots, chosen):
                   for bit, vec in sparse.items())
     log.info("short cycles: %d triangles and %d squares fill %d of %d slots",
              *(len(v) for v, _ in found), len(chosen), ws.m)
+    return _complement_basis(ws, pivots, sparse)
 
 
 def _walk_to_source(prow, v, x):
@@ -470,18 +484,52 @@ def _phase_a(ws, pivots, chosen, theta):
     log.info("cycle band theta=%.6g rank=%d/%d", theta, len(chosen), ws.m)
 
 
-def _complement_basis(ws, pivots):
-    """Basis of the GF(2) orthogonal complement of the selected span."""
-    piv_bits = sorted(pivots)
-    in_piv = set(piv_bits)
+def _int_coords(vec):
+    """Coordinates set in the Python int vec."""
+    coords = []
+    while vec:
+        top = vec.bit_length() - 1
+        coords.append(top)
+        vec ^= 1 << top
+    return coords
+
+
+def _complement_basis(ws, pivots, supports=None):
+    """Basis of the GF(2) orthogonal complement of the selected span: for
+    each free coordinate f, the vector s with bit f set that pairs evenly
+    with every pivot row.
+
+    Back-substitution sets pivot p's bit when row p pairs oddly with the
+    bits already set, in decreasing pivot order, as a row has no bit
+    below its pivot. A row that sets none of those bits pairs evenly, so
+    only the rows meeting s are visited: a column index lists, for each
+    coordinate, the pivots below it whose row sets it, and a max-heap
+    hands them out in decreasing order. supports maps each pivot to the
+    coordinates of its row; by default they are read from the ints."""
+    if supports is None:
+        supports = {p: _int_coords(row) for p, row in pivots.items()}
+    below = {}
+    for p, coords in supports.items():
+        for c in coords:
+            if c != p:
+                below.setdefault(c, []).append(-p)
     out = []
     for f in range(ws.m):
-        if f in in_piv:
+        if f in pivots:
             continue
         s = 1 << f
-        for p in reversed(piv_bits):
+        heap = list(below.get(f, ()))
+        heapq.heapify(heap)
+        last = None
+        while heap:
+            p = -heapq.heappop(heap)
+            if p == last:
+                continue
+            last = p
             if (pivots[p] & s).bit_count() & 1:
                 s |= 1 << p
+                for q in below.get(p, ()):
+                    heapq.heappush(heap, q)
         out.append(s)
     return out
 
@@ -499,6 +547,31 @@ def _vertex_cover(x, y):
     return np.sort(np.array(cover, dtype=np.int64))
 
 
+def _odd_walks(ws, cover, seam, radius):
+    """Lightest odd closed walk found by Dijkstras on the double cover
+    limited to radius, one block of seam sources at a time: (weight,
+    source, meeting vertex x), weight inf when none is found.
+
+    From source v, d(v, x) + d(v, x') over x and its copy x' on the other
+    sheet is the weight of an odd closed walk through v and x. One
+    c x 2n distance block is alive at a time, the halves of each row
+    summed in place; a row at a time, as a reduction over the strided
+    half-block would copy it."""
+    n = ws.n
+    best, source, meet = np.inf, None, None
+    for lo in range(0, len(seam), ws.chunk):
+        block = seam[lo:lo + ws.chunk]
+        dist = dijkstra(cover, indices=block, limit=radius)
+        for v, row in zip(block.tolist(), dist):
+            odd = row[:n]
+            odd += row[n:]
+            x = int(np.argmin(odd))
+            if odd[x] < best:
+                best, source, meet = float(odd[x]), v, x
+        del dist
+    return best, source, meet
+
+
 def _lightest_odd_cycle(ws, s):
     """Vertex loop of the lightest cycle pairing oddly with the coordinate
     vector s, or None when the search finds no such cycle.
@@ -507,49 +580,59 @@ def _lightest_odd_cycle(ws, s):
     coboundary of its parity along the shortest-path tree from vertex 0
     changes no pairing and leaves the cut on that tree's seam only. On
     the double cover whose two sheets swap across the cut, the distance
-    from v to its copy is the lightest closed walk through v that pairs
-    oddly with s. Every such walk crosses the seam, so it passes through
-    each vertex cover of the seam's edges; the vertices of one cover are
-    the only sources needed, and the lightest walk among them is a
-    simple cycle: a repeated vertex would split off a lighter odd walk.
+    from v to its copy v' is the lightest closed walk through v that
+    pairs oddly with s. Every such walk crosses the seam, so it passes
+    through each vertex cover of the seam's edges; the vertices of one
+    cover are the only sources needed, and the lightest walk among them
+    is a simple cycle: a repeated vertex would split off a lighter odd
+    walk.
+
+    The search only reaches half way round. A shortest path of weight L
+    from v to v' has a vertex x with d(v, x) <= L/2 and, as swapping the
+    sheets maps it onto a path from v' to x, d(v, x') <= L/2 + w_max.
+    So Dijkstras limited to B/2 + w_max (scipy keeps distances equal to
+    the limit) find the lightest walk exactly whenever it weighs at most
+    B, and no walk they find is lighter than it. The first round takes B = theta0; when its best walk is heavier
+    than that, a second round takes B from that walk or, when it found
+    none, from one unlimited Dijkstra from a seam vertex.
     """
     n = ws.n
     raw = np.frombuffer(s.to_bytes((ws.m + 7) // 8, "little"), dtype=np.uint8)
     cut = np.zeros(ws.E, dtype=np.uint8)
     cut[ws.nontree] = np.unpackbits(raw, bitorder="little")[:ws.m]
-    _, root = dijkstra(ws.csgraph, indices=[0], return_predecessors=True)
-    parity = ws.path_xor(root[0], cut)
+    parity = ws.path_xor(ws.root, cut)
     cross = (cut ^ parity[ws.ex] ^ parity[ws.ey]).astype(bool)
     seam = _vertex_cover(ws.ex[cross], ws.ey[cross])
+    if not len(seam):
+        return None
     x, y = ws.ex, ws.ey + n * cross      # cut edges join the two sheets
     x1, y1 = x + n, ws.ey + n * ~cross
     cover = coo_matrix(
         (np.tile(ws.w_pert, 4),
          (np.concatenate([x, y, x1, y1]), np.concatenate([y, x, y1, x1]))),
         shape=(2 * n, 2 * n)).tocsr()
-    best, source = np.inf, None
-    for lo in range(0, len(seam), ws.chunk):
-        block = seam[lo:lo + ws.chunk]
-        dist = dijkstra(cover, indices=block, limit=best)
-        odd = dist[np.arange(len(block)), block + n]
-        k = int(np.argmin(odd))
-        if odd[k] < best:
-            best, source = odd[k], int(block[k])
+    bound = ws.theta0
+    best, source, meet = _odd_walks(ws, cover, seam, bound / 2 + ws.w_max)
+    if not best <= bound:
+        bound = best if source is not None else float(
+            dijkstra(cover, indices=seam[0])[seam[0] + n])
+        best, source, meet = _odd_walks(ws, cover, seam,
+                                        bound / 2 + ws.w_max)
     if source is None:
         return None
-    _, pred = dijkstra(cover, indices=[source], return_predecessors=True)
-    walk = [source + n]
-    while walk[-1] != source:
-        walk.append(int(pred[0, walk[-1]]))
+    _, pred = dijkstra(cover, indices=source, limit=bound / 2 + ws.w_max,
+                       return_predecessors=True)
+    # v -> x', which the sheet swap maps onto v' -> x, then x -> v
+    walk = (_walk_to_source(pred, source, meet + n)[::-1]
+            + _walk_to_source(pred, source, meet)[1:])
     return [u % n for u in walk[:-1]]
 
 
-def _phase_b(ws, pivots, chosen):
+def _phase_b(ws, pivots, chosen, comp):
     """Finish the basis by de Pina's rule: each complement vector in turn
     takes the lightest cycle pairing oddly with it, and is folded into
     every later vector that cycle also pairs oddly with, which keeps the
     later vectors orthogonal to every chosen cycle."""
-    comp = _complement_basis(ws, pivots)
     for i, s in enumerate(comp):
         loop = _lightest_odd_cycle(ws, s)
         if loop is None:
@@ -568,13 +651,14 @@ def _phase_b(ws, pivots, chosen):
                         for t in comp[i + 1:]]
 
 
-def _finish(ws, pivots, chosen):
-    """Fill the slots left by de Pina's rule and return the basis as a
-    block sorted by weight."""
+def _finish(ws, pivots, chosen, comp):
+    """Fill the slots left by de Pina's rule, starting from comp, the
+    complement basis of the chosen span, and return the basis as a block
+    sorted by weight."""
     if len(chosen) < ws.m:
         log.info("support-vector phase for %d remaining cycles",
                  ws.m - len(chosen))
-        _phase_b(ws, pivots, chosen)
+        _phase_b(ws, pivots, chosen, comp)
     if len(chosen) != ws.m:
         raise CycleBasisError(
             f"basis incomplete: {len(chosen)} of {ws.m} cycles")
@@ -599,9 +683,8 @@ def minimum_cycle_basis(graph, theta0=None):
         return CycleBasis.from_loops(graph, [])
     pivots = {}
     chosen = []
-    theta = 5.0 * float(np.median(ws.w_pert)) if theta0 is None else theta0
-    _phase_a(ws, pivots, chosen, theta)
-    return _finish(ws, pivots, chosen)
+    _phase_a(ws, pivots, chosen, ws.theta0 if theta0 is None else theta0)
+    return _finish(ws, pivots, chosen, _complement_basis(ws, pivots))
 
 
 def homology_split(graph):
@@ -622,8 +705,8 @@ def homology_split(graph):
         return CycleBasis.from_loops(graph, [])
     pivots = {}
     chosen = []
-    _short_cycle_greedy(ws, pivots, chosen)
-    return _finish(ws, pivots, chosen)
+    comp = _short_cycle_greedy(ws, pivots, chosen)
+    return _finish(ws, pivots, chosen, comp)
 
 
 def exhaustive_minimum_cycle_basis(graph, max_edges=20):

@@ -3,11 +3,15 @@
 The exact solve gives the one-forms integer periods, so integrating
 (du, dv) along any spanning tree yields a well-defined angle map
 theta: V -> R^2 / Z^2. The mesh is the Delaunay triangulation of the
-points theta(v) on that flat torus, under the arclength chart metric,
-computed by one Qhull run on the 3x3 periodic copy of the points
-(Caroli & Teillaud, "Delaunay triangulations of closed Euclidean
-d-orbifolds", DCG 2016). No points are moved, added or dropped: a cloud
-the construction cannot triangulate fails validation loudly.
+points theta(v) on that flat torus, under the arclength chart metric:
+the triangles the 3x3 periodic copy of the points gives the central
+copy (Caroli & Teillaud, "Delaunay triangulations of closed Euclidean
+d-orbifolds", DCG 2016). Qhull runs only on the periodic copies within
+a margin of the box, which gives the same triangles once every kept
+circumdisk lies inside the padded box; the margin doubles until it
+does, and the whole 3x3 copy is the last step. No points are moved,
+added or dropped: a cloud the construction cannot triangulate fails
+validation loudly.
 """
 
 import json
@@ -143,9 +147,27 @@ def _chart_metric(graph, forms):
     return (float(np.sqrt(coef[0])), float(np.sqrt(coef[1])))
 
 
+def _inside_margin(pts, simp, period, r):
+    """Whether every triangle's closed circumdisk lies inside the box
+    [-r, px + r] x [-r, py + r], shrunk by a relative 1e-9 so that the
+    rounding of the circumcentres cannot let a disk out."""
+    a = pts[simp[:, 0]]
+    b, c = pts[simp[:, 1]] - a, pts[simp[:, 2]] - a
+    bb, cc = np.sum(b * b, axis=1), np.sum(c * c, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = 2.0 * (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
+        off = np.column_stack([c[:, 1] * bb - b[:, 1] * cc,
+                               b[:, 0] * cc - c[:, 0] * bb]) / d[:, None]
+        rad = np.hypot(off[:, 0], off[:, 1])[:, None]
+        inner = r * (1.0 - 1e-9)
+        return bool(np.all(a + off - rad >= -inner)
+                    and np.all(a + off + rad <= period + inner))
+
+
 def _periodic_delaunay(points, period):
     """Delaunay triangles of `points` on the flat torus [0, px) x [0, py),
-    from one Qhull run on the 3x3 periodic copy of the points.
+    from a Qhull run on the points and their periodic copies within a
+    margin r of the box.
 
     Keeps the simplices touching the central copy and maps them to base
     ids. Each triangle keeps the counter-clockwise winding scipy gives
@@ -154,16 +176,38 @@ def _periodic_delaunay(points, period):
     base ids Qhull dropped as coplanar. The result is a triangulation of
     the torus only when the cloud is dense enough for the copy
     construction; callers validate.
+
+    The margin starts at 4 sqrt(px py / n). Its triangles are kept only
+    when no central point lies on the hull of the padded set, Qhull
+    dropped no point, and every kept triangle's circumdisk lies inside
+    the padded box: the disk then holds no periodic copy the margin
+    left out, so the triangle is Delaunay on the whole periodic set, and
+    the central points' complete fans are exactly the triangles the
+    3x3 copy gives them (Caroli & Teillaud 2016). Otherwise r doubles;
+    once it reaches a period, the whole 3x3 copy is triangulated.
     """
     n = len(points)
+    period = np.asarray(period, dtype=np.float64)
     shifts = np.array([(0, 0), (-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1),
-                       (1, -1), (1, 0), (1, 1)]) * np.asarray(period)
+                       (1, -1), (1, 0), (1, 1)]) * period
     lifted = (points[None, :, :] + shifts[:, None, :]).reshape(-1, 2)
-    dela = Delaunay(lifted)
-    simp = dela.simplices[np.any(dela.simplices < n, axis=1)] % n
+    r = 4.0 * np.sqrt(np.prod(period) / max(n, 1))
+    while True:
+        full = not r < np.min(period)
+        keep = full | np.all((lifted > -r) & (lifted < period + r), axis=1)
+        keep[:n] = True                 # the central copy comes first
+        dela = Delaunay(lifted[keep])
+        simp = dela.simplices[np.any(dela.simplices < n, axis=1)]
+        if full or (not len(dela.coplanar)
+                    and not np.any(dela.convex_hull < n)
+                    and _inside_margin(dela.points, simp, period, r)):
+            break
+        r *= 2.0
+    ids = np.flatnonzero(keep) % n
+    simp = ids[simp]
     lead = np.argmin(simp, axis=1)[:, None]
     simp = np.take_along_axis(simp, (lead + np.arange(3)) % 3, axis=1)
-    dropped = np.unique(dela.coplanar[:, 0] % n)
+    dropped = np.unique(ids[dela.coplanar[:, 0]])
     return np.unique(simp, axis=0), dropped
 
 

@@ -405,6 +405,131 @@ def test_seam_search_finds_lightest_odd_walk(torus_bundle):
                                                               rel=1e-12)
 
 
+def complement_basis_reference(ws, pivots):
+    """Back-substitution over every pivot row, in decreasing pivot
+    order, for each free coordinate."""
+    piv_bits = sorted(pivots)
+    in_piv = set(piv_bits)
+    out = []
+    for f in range(ws.m):
+        if f in in_piv:
+            continue
+        s = 1 << f
+        for p in reversed(piv_bits):
+            if (pivots[p] & s).bit_count() & 1:
+                s |= 1 << p
+        out.append(s)
+    return out
+
+
+def complement_graphs():
+    rng = np.random.default_rng(314)
+    graphs = [periodic_grid(n) for n in (5, 6, 8)]
+    graphs += [random_connected_graph(rng, 8, 6, tie) for tie in (False, True)
+               for _ in range(5)]
+    graphs += [random_connected_graph(rng, 30, 45, True) for _ in range(3)]
+    return graphs
+
+
+@pytest.mark.parametrize("bundle", [None, "torus_bundle", "stdmap_bundle",
+                                    "cm_bundle", "random_torus_bundle"])
+def test_complement_basis_matches_full_back_substitution(bundle, request):
+    """Visiting only the pivot rows that meet s gives the vectors of the
+    walk over every pivot row, from the short-cycle greedy's coordinate
+    sets and from the rows read back from ints; on the small graphs also
+    after a band, whose rows are ints only."""
+    if bundle is None:
+        graphs = complement_graphs()
+    else:
+        graphs = [request.getfixturevalue(bundle).graph]
+    for graph in graphs:
+        ws = cycles._Workspace(graph)
+        pivots, chosen = {}, []
+        comp = cycles._short_cycle_greedy(ws, pivots, chosen)
+        want = complement_basis_reference(ws, pivots)
+        assert len(want) == ws.m - len(chosen)
+        assert comp == want
+        assert cycles._complement_basis(ws, pivots) == want
+        if bundle is None:
+            pivots, chosen = {}, []
+            cycles._phase_a(ws, pivots, chosen, ws.theta0)
+            assert (cycles._complement_basis(ws, pivots)
+                    == complement_basis_reference(ws, pivots))
+
+
+def lightest_odd_cycle_full_cover(ws, s):
+    """Unlimited double-cover search: every seam-cover source runs to the
+    end, and the lightest source's path from its copy is walked back."""
+    n = ws.n
+    raw = np.frombuffer(s.to_bytes((ws.m + 7) // 8, "little"), dtype=np.uint8)
+    cut = np.zeros(ws.E, dtype=np.uint8)
+    cut[ws.nontree] = np.unpackbits(raw, bitorder="little")[:ws.m]
+    _, root = dijkstra(ws.csgraph, indices=[0], return_predecessors=True)
+    parity = ws.path_xor(root[0], cut)
+    cross = (cut ^ parity[ws.ex] ^ parity[ws.ey]).astype(bool)
+    seam = cycles._vertex_cover(ws.ex[cross], ws.ey[cross])
+    x, y = ws.ex, ws.ey + n * cross
+    x1, y1 = x + n, ws.ey + n * ~cross
+    cover = coo_matrix(
+        (np.tile(ws.w_pert, 4),
+         (np.concatenate([x, y, x1, y1]), np.concatenate([y, x, y1, x1]))),
+        shape=(2 * n, 2 * n)).tocsr()
+    best, source = np.inf, None
+    for lo in range(0, len(seam), ws.chunk):
+        block = seam[lo:lo + ws.chunk]
+        dist = dijkstra(cover, indices=block, limit=best)
+        odd = dist[np.arange(len(block)), block + n]
+        k = int(np.argmin(odd))
+        if odd[k] < best:
+            best, source = odd[k], int(block[k])
+    if source is None:
+        return None
+    _, pred = dijkstra(cover, indices=[source], return_predecessors=True)
+    walk = [source + n]
+    while walk[-1] != source:
+        walk.append(int(pred[0, walk[-1]]))
+    return [u % n for u in walk[:-1]]
+
+
+def test_half_radius_search_matches_full_cover(random_torus_bundle,
+                                               monkeypatch):
+    """On every residual slot of the random 2k torus the half-radius
+    search picks the cycle the unlimited search picks. Its slots take
+    all three ways through the search: certified by the first round, a
+    second round bounded by the first round's walk, and a second round
+    bounded by one unlimited source."""
+    ws = cycles._Workspace(random_torus_bundle.graph)
+    pivots, chosen = {}, []
+    comp = cycles._short_cycle_greedy(ws, pivots, chosen)
+    assert len(comp) > 100
+    rounds = []
+    odd_walks = cycles._odd_walks
+
+    def counted(ws, cover, seam, radius):
+        found = odd_walks(ws, cover, seam, radius)
+        rounds.append((radius, found[0]))
+        return found
+
+    monkeypatch.setattr(cycles, "_odd_walks", counted)
+    ways = set()
+    for i, s in enumerate(comp):
+        del rounds[:]
+        loop = cycles._lightest_odd_cycle(ws, s)
+        want = lightest_odd_cycle_full_cover(ws, s)
+        got_ids = CycleBasis.from_loops(ws.graph, [loop]).cycle(0).edges
+        want_ids = CycleBasis.from_loops(ws.graph, [want]).cycle(0).edges
+        assert np.array_equal(got_ids, want_ids), i
+        first = rounds[0][1]
+        ways.add("first" if first <= ws.theta0 else
+                 "walk" if np.isfinite(first) else "unlimited")
+        _, vec = next(ws.vectors([loop]))
+        resid, bit = cycles._reduce_vector(vec, pivots)
+        pivots[bit] = resid
+        comp[i + 1:] = [t ^ s if (vec & t).bit_count() & 1 else t
+                        for t in comp[i + 1:]]
+    assert ways == {"first", "walk", "unlimited"}
+
+
 def test_deterministic_across_calls():
     graph = periodic_grid(5)
     a = minimum_cycle_basis(graph)

@@ -1,14 +1,17 @@
 """Flat-torus meshing: the angle map's integer-period certificate, the
-periodic Delaunay triangulation with its brute-force certificate, the
-safety gates, and mesh validation."""
+periodic Delaunay triangulation with its brute-force certificate and
+its full-copy reference, the safety gates, the robustness clouds, and
+mesh validation."""
 
 import json
 
 import numpy as np
 import pytest
+from scipy.spatial import Delaunay
 
-from conftest import (brute_force_delaunay_check, periodic_grid,
-                      unwrapped_corners)
+from conftest import (EARTH_MOON_MU, brute_force_delaunay_check,
+                      build_pipeline, periodic_grid, unwrapped_corners)
+from torusforge import cr3bp
 from torusforge.cycles import classify_cycles, minimum_cycle_basis
 from torusforge.errors import MeshValidationError, ResidualError
 from torusforge.knn import NeighborGraph
@@ -16,6 +19,8 @@ from torusforge import mesher
 from torusforge.mesher import (_periodic_delaunay, export_mesh_json,
                                load_mesh_json, mesh_flat_torus, validate_mesh)
 from torusforge.oneforms import OneFormPair, assemble_system, solve_oneforms
+from torusforge.samplers import (sample_center_manifold_torus,
+                                 sample_torus_revolution)
 
 
 @pytest.fixture(scope="module")
@@ -123,6 +128,105 @@ def test_triangulation_empty_cases():
             assert validate_mesh(tris, strict=False)["problems"], (n, seed)
 
 
+def periodic_delaunay_full_copy(points, period):
+    """One Qhull run on the whole 3x3 periodic copy of the points."""
+    n = len(points)
+    shifts = np.array([(0, 0), (-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1),
+                       (1, -1), (1, 0), (1, 1)]) * np.asarray(period)
+    lifted = (points[None, :, :] + shifts[:, None, :]).reshape(-1, 2)
+    dela = Delaunay(lifted)
+    simp = dela.simplices[np.any(dela.simplices < n, axis=1)] % n
+    lead = np.argmin(simp, axis=1)[:, None]
+    simp = np.take_along_axis(simp, (lead + np.arange(3)) % 3, axis=1)
+    dropped = np.unique(dela.coplanar[:, 0] % n)
+    return np.unique(simp, axis=0), dropped
+
+
+def empty_disk_cloud(seed, n, period, centre, radius):
+    """n uniform points on the box, none within radius of centre on the
+    flat torus."""
+    period = np.asarray(period)
+    uv = np.random.default_rng(seed).random((3 * n, 2)) * period
+    off = np.mod(uv - centre + period / 2, period) - period / 2
+    return uv[np.hypot(off[:, 0], off[:, 1]) > radius][:n], tuple(period)
+
+
+def strip_cloud():
+    """A jittered 11 x 50 lattice filling 0.3 <= y <= 0.5 of the unit
+    box, its first and last rows straight. The gap above the strip is
+    wider than the first margin, so the rows' points lie on the hull of
+    the padded set while every kept circumdisk fits inside the padded
+    box: only the hull check can make the margin grow."""
+    k, j = np.divmod(np.arange(550), 50)
+    uv = np.column_stack([(j + 0.5 * (k % 2)) / 50, 0.3 + 0.02 * k])
+    noise = np.random.default_rng(4).uniform(-0.002, 0.002, uv.shape)
+    noise[(k == 0) | (k == 10), 1] = 0.0
+    return uv + noise, (1.0, 1.0)
+
+
+def repeated_point_cloud():
+    """300 random points and one point twice, which Qhull drops."""
+    uv = np.random.default_rng(3).random((300, 2))
+    return np.vstack([uv, [[0.5, 0.5], [0.5, 0.5]]]), (1.0, 1.0)
+
+
+@pytest.fixture(scope="module")
+def fixture_angle_maps(torus_bundle, stdmap_bundle, cm_bundle):
+    """The scaled angle map each fixture hands to the triangulation."""
+    maps = []
+
+    def capture(points, period):
+        maps.append((points, period))
+        return _periodic_delaunay(points, period)
+
+    for bundle in (torus_bundle, stdmap_bundle, cm_bundle):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mesher, "_periodic_delaunay", capture)
+            mesh_flat_torus(bundle.graph, bundle.forms, bundle.cloud)
+    return maps
+
+
+def test_periodic_delaunay_matches_full_copy(fixture_angle_maps,
+                                             monkeypatch):
+    """The margin-only triangulation equals the full 3x3 copy's on
+    seeded clouds and the three fixture angle maps; on clouds where the
+    margin must grow: an empty disk across the box edge, one across a
+    corner whose circumdisks end just past the margin (a box only 10 %
+    looser would keep a triangle the full copy does not have), a strip
+    whose edge points lie on the padded hull, a repeated point; and on
+    clouds of at most 16 points, which go straight to the full copy."""
+    runs = []
+    delaunay = mesher.Delaunay
+
+    def counted(points):
+        runs.append(len(points))
+        return delaunay(points)
+
+    monkeypatch.setattr(mesher, "Delaunay", counted)
+
+    def qhull_runs(points, period):
+        del runs[:]
+        got = _periodic_delaunay(points, period)
+        want = periodic_delaunay_full_copy(points, period)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+        return list(runs)
+
+    clouds = [(np.random.default_rng(seed).random((200, 2)), (1.0, 1.0))
+              for seed in range(5)]
+    for points, period in clouds + fixture_angle_maps:
+        assert qhull_runs(points, period)[0] < 9 * len(points)
+    for points, period in (
+            empty_disk_cloud(5, 800, (1.3, 0.7), (0.02, 0.35), 0.25),
+            empty_disk_cloud(1, 400, (1.0, 1.0), (0.95, 0.95), 0.15),
+            strip_cloud(), repeated_point_cloud()):
+        assert len(qhull_runs(points, period)) > 1
+    for n in range(1, 17):
+        for seed in range(3):
+            uv = np.random.default_rng(seed).random((n, 2))
+            assert qhull_runs(uv, (1.0, 1.0)) == [9 * n]
+
+
 def test_merge_produces_closed_torus(torus_bundle):
     report = torus_bundle.mesh.report
     assert report["boundary_edges"] == 0
@@ -157,6 +261,31 @@ def test_random_distribution_meshes_closed(random_torus_bundle):
     assert report["euler_characteristic"] == 0
     assert report["faces"] == 4000
     assert report["vertices"] == 2000
+
+
+def robustness_cloud(name):
+    if name == "thin":
+        return sample_torus_revolution(2.0, 0.2, 2000, 0)
+    if name == "random4k":
+        return sample_torus_revolution(2.0, 0.5, 4000, 0,
+                                       distribution="random")
+    point = next(p for p in cr3bp.libration_points(EARTH_MOON_MU)
+                 if p.label == name)
+    return sample_center_manifold_torus(EARTH_MOON_MU, point, 5e-3, 5e-3,
+                                        6000)
+
+
+@pytest.mark.parametrize("name", ["thin", "random4k", "L1", "L3"])
+def test_robustness_clouds_mesh_closed(name):
+    """The thin torus (R/r = 10), the randomly sampled 4k torus and the
+    L1 and L3 center-manifold tori run through the whole library chain
+    and close."""
+    cloud = robustness_cloud(name)
+    report = build_pipeline(cloud).mesh.report
+    assert report["problems"] == []
+    assert report["euler_characteristic"] == 0
+    assert report["vertices"] == cloud.n
+    assert report["faces"] == 2 * cloud.n
 
 
 def test_merged_mesh_stays_off_period_seams(torus_bundle):
