@@ -52,7 +52,7 @@ _SAMPLER_DEFAULTS = {
                      "p1": 0.6180339887498949, "p2": 0.41421356237309515,
                      "N": 4000},
     "center_manifold": {"mu": 0.01215, "point": "L2", "amp_planar": 5e-3,
-                        "amp_vertical": 5e-3, "N": 6000},
+                        "amp_vertical": 5e-3, "N": 6000, "dt": None},
 }
 
 _DIM_TO_KIND = {3: "torus_revolution", 4: "standard_map", 6: "center_manifold"}
@@ -91,6 +91,27 @@ def load_config(path):
     return user
 
 
+def _is_int(val):
+    return isinstance(val, int) and not isinstance(val, bool)
+
+
+def _check_sampler(sampler):
+    """Reject unknown keys in a sampler section, and numbers of the wrong
+    type: N an integer, the others a number (dt may also be null)."""
+    kind = sampler["kind"]
+    defaults = _SAMPLER_DEFAULTS[kind]
+    unknown = set(sampler) - set(defaults) - {"kind"}
+    if unknown:
+        raise ConfigError(f"unknown {kind} sampler keys: {sorted(unknown)}")
+    for key, val in sampler.items():
+        want = defaults.get(key)
+        if _is_int(want) and not _is_int(val):
+            raise ConfigError(f"sampler {key} must be an integer, got {val!r}")
+        elif ((isinstance(want, float) or key == "dt" and val is not None)
+              and not (_is_int(val) or isinstance(val, float))):
+            raise ConfigError(f"sampler {key} must be a number, got {val!r}")
+
+
 def _validate_config(cfg):
     known = set(default_config())
     unknown = set(cfg) - known
@@ -105,6 +126,10 @@ def _validate_config(cfg):
         raise ConfigError(
             f"unknown sampler kind {kind!r}; choose from "
             f"{sorted(_SAMPLER_DEFAULTS)}")
+    _check_sampler(cfg["sampler"])
+    if not _is_int(cfg["seed"]) or cfg["seed"] < 0:
+        raise ConfigError(f"seed must be an integer >= 0, got "
+                          f"{cfg['seed']!r}")
     if not isinstance(cfg["k"], int) or cfg["k"] < 2:
         raise ConfigError(f"k must be an integer >= 2, got {cfg['k']!r}")
     if cfg["export"]["format"] not in ("obj", "ply"):
@@ -115,6 +140,14 @@ def _validate_config(cfg):
     pk = cfg["projection"].get("kind")
     if pk not in ("coordinate_select", "pca", "custom_matrix"):
         raise ConfigError(f"unknown projection kind {pk!r}")
+    for section, key in ((cfg, "output_dir"), (cfg["projection"], "path")):
+        if not isinstance(section.get(key, ""), str):
+            raise ConfigError(f"{key} must be a path string, got "
+                              f"{section[key]!r}")
+    indices = cfg["projection"].get("indices", [])
+    if not isinstance(indices, list) or not all(map(_is_int, indices)):
+        raise ConfigError(f"projection indices must be a list of integers, "
+                          f"got {indices!r}")
     return cfg
 
 
@@ -153,12 +186,11 @@ def resolve_config(args):
 
 
 def build_cloud(cfg):
-    spec = _deep_merge(_SAMPLER_DEFAULTS[cfg["sampler"]["kind"]],
-                       {k: v for k, v in cfg["sampler"].items() if k != "kind"})
     kind = cfg["sampler"]["kind"]
-    seed = int(spec.get("seed", cfg["seed"]))
+    spec = {**_SAMPLER_DEFAULTS[kind], **cfg["sampler"]}
     if kind == "torus_revolution":
-        return sample_torus_revolution(spec["R"], spec["r"], spec["N"], seed,
+        return sample_torus_revolution(spec["R"], spec["r"], spec["N"],
+                                       cfg["seed"],
                                        distribution=spec["distribution"])
     if kind == "standard_map":
         smc = StandardMapConfig(K1=spec["K1"], K2=spec["K2"],
@@ -173,7 +205,7 @@ def build_cloud(cfg):
     return sample_center_manifold_torus(spec["mu"], points[label],
                                         spec["amp_planar"],
                                         spec["amp_vertical"], spec["N"],
-                                        dt=spec.get("dt"))
+                                        dt=spec["dt"])
 
 
 def _build_projection(cfg, dim):
@@ -182,19 +214,23 @@ def _build_projection(cfg, dim):
         return Projection.coordinates(pc.get("indices", [0, 1, 2]))
     if pc["kind"] == "pca":
         return Projection.pca()
-    if "matrix" in pc:
-        mat = np.asarray(pc["matrix"], dtype=np.float64)
-    else:
-        path = pc.get("path")
-        if path is None:
-            raise ConfigError("custom_matrix projection needs matrix or path")
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                mat = np.asarray(json.load(fh), dtype=np.float64)
-        except json.JSONDecodeError:
-            mat = np.loadtxt(path, dtype=np.float64)
-        except OSError as exc:
-            raise ConfigError(f"cannot read projection matrix: {exc}") from exc
+    key = "matrix" if "matrix" in pc else "path"
+    if pc.get(key) is None:
+        raise ConfigError("custom_matrix projection needs matrix or path")
+    try:
+        if key == "matrix":
+            mat = np.asarray(pc["matrix"], dtype=np.float64)
+        else:
+            try:
+                with open(pc["path"], "r", encoding="utf-8") as fh:
+                    mat = np.asarray(json.load(fh), dtype=np.float64)
+            except json.JSONDecodeError:
+                mat = np.loadtxt(pc["path"], dtype=np.float64)
+    except OSError as exc:
+        raise ConfigError(f"cannot read projection matrix: {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"projection {key} is not a numeric matrix: "
+                          f"{exc}") from exc
     if mat.ndim != 2 or mat.shape[0] != 3 or mat.shape[1] != dim:
         raise ConfigError(
             f"projection matrix must be 3x{dim}, got {mat.shape}")
@@ -203,7 +239,7 @@ def _build_projection(cfg, dim):
 
 def _write_json(path, payload):
     with open(path, "w", encoding="ascii") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
+        json.dump(payload, fh, sort_keys=True)
         fh.write("\n")
 
 

@@ -28,9 +28,10 @@ is exact after any greedy prefix of the minimum basis.
 
 Every phase produces each cycle as a vertex loop. The basis holds the
 loops as one CSR block (`CycleBasis`), certified simple when it is
-built; only the two homology generators become `Cycle` objects. Cycle
-vectors live in GF(2) coordinates indexed by non-tree edges of a fixed
-spanning tree and are stored as Python integers.
+built; only the two homology generators become `Cycle` objects. A
+cycle's GF(2) vector is the set of its edges off the shortest-path tree
+from vertex 0, each edge named by its coordinate; pivot rows and
+complement vectors are such sets too.
 """
 
 import hashlib
@@ -42,7 +43,7 @@ from itertools import chain, islice
 
 import numpy as np
 from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import dijkstra, minimum_spanning_tree
+from scipy.sparse.csgraph import dijkstra
 
 from .errors import CycleBasisError, GeneratorClassificationError
 
@@ -210,7 +211,8 @@ def _xor_to_root(anc, g):
 
 
 class _Workspace:
-    """Shared state: perturbed weights, spanning tree, GF(2) coordinates."""
+    """Shared state: perturbed weights, the shortest-path tree from vertex
+    0, and the GF(2) coordinates of the edges off it."""
 
     def __init__(self, graph):
         self.graph = graph
@@ -231,12 +233,14 @@ class _Workspace:
             (np.concatenate([self.w_pert, self.w_pert]),
              (np.concatenate([i, j]), np.concatenate([j, i]))),
             shape=(self.n, self.n)).tocsr()
-        tree = minimum_spanning_tree(self.csgraph).tocoo()
-        tid = _edge_ids(graph, tree.row, tree.col)
-        self.coord = np.full(self.E, -1, dtype=np.int64)
-        nontree = np.setdiff1d(np.arange(self.E), tid)
+        # shortest-path tree from vertex 0: its non-tree edges are the
+        # coordinates, so a complement vector is already a cut on its seam
+        root = dijkstra(self.csgraph, indices=0, return_predecessors=True)[1]
+        v = np.flatnonzero(root >= 0)
+        nontree = np.setdiff1d(np.arange(self.E), _edge_ids(graph, root[v], v))
         if len(nontree) != self.m:
             raise CycleBasisError("spanning tree construction failed")
+        self.coord = np.full(self.E, -1, dtype=np.int64)
         self.coord[nontree] = np.arange(self.m)
         self.nontree = nontree
         # edges are sorted by (ex, ey): those with ex == v are the slice
@@ -247,58 +251,43 @@ class _Workspace:
         # band limit, and the first bound of the odd-cycle search
         self.theta0 = 5.0 * float(np.median(self.w_pert)) if self.E else 0.0
         self.w_max = float(np.max(self.w_pert, initial=0.0))
-        # shortest-path tree from vertex 0, shared by every de Pina slot
-        self.root = dijkstra(self.csgraph, indices=0,
-                             return_predecessors=True)[1]
-
-    def path_xor(self, pred, values):
-        """XOR of per-edge values along the tree path from each vertex to
-        the root of one predecessor row (0 where the row has no path)."""
-        v = np.flatnonzero(pred >= 0)
-        anc = np.arange(self.n)
-        anc[v] = pred[v]
-        g = np.zeros(self.n, dtype=values.dtype)
-        g[v] = values[_edge_ids(self.graph, pred[v], v)]
-        return _xor_to_root(anc, g)
 
     def vectors(self, loops):
-        """(loop, GF(2) coordinate vector) for each vertex loop, the vector
-        as a Python int. The loops' edges are looked up a chunk of loops
-        at a time, so an iterator of loops is consumed only as far as the
-        caller reads."""
+        """(loop, GF(2) vector) for each vertex loop, the vector as the set
+        of the loop's coordinates. The loops' edges are looked up a chunk
+        of loops at a time, so an iterator of loops is consumed only as
+        far as the caller reads."""
         loops = iter(loops)
         while batch := list(islice(loops, self.chunk)):
             indptr, _, edges = _loop_steps(self.graph, batch)
             coord = self.coord[edges].tolist()
             ptr = indptr.tolist()
             for loop, lo, hi in zip(batch, ptr[:-1], ptr[1:]):
-                vec = 0
-                for c in coord[lo:hi]:
-                    if c >= 0:
-                        vec |= 1 << c
-                yield loop, vec
+                yield loop, {c for c in coord[lo:hi] if c >= 0}
 
 
 def _reduce_vector(vec, pivots):
-    """Eliminate vec against pivot rows; returns (residual, new pivot bit)
-    with bit None when vec lies in the current span."""
+    """Eliminate the coordinate set vec against the pivot rows, in place;
+    returns (residual, new pivot) with pivot None when vec lies in the
+    current span. A pivot is its row's smallest coordinate."""
     while vec:
-        low = (vec & -vec).bit_length() - 1
+        low = min(vec)
         row = pivots.get(low)
         if row is None:
             return vec, low
         vec ^= row
-    return 0, None
+    return vec, None
 
 
-def _greedy(ws, pivots, chosen, loops):
-    """Append to chosen, in order, each loop independent of the span of
-    the pivot rows, until the basis is complete."""
-    for loop, vec in ws.vectors(loops):
-        resid, bit = _reduce_vector(vec, pivots)
-        if bit is None:
+def _greedy(ws, pivots, chosen, rows):
+    """Append to chosen, in order, the loop of each (loop, vector) row
+    independent of the span of the pivot rows, until the basis is
+    complete."""
+    for loop, vec in rows:
+        resid, pivot = _reduce_vector(vec, pivots)
+        if pivot is None:
             continue
-        pivots[bit] = resid
+        pivots[pivot] = resid
         chosen.append(loop)
         if len(chosen) == ws.m:
             break
@@ -362,37 +351,19 @@ def _short_cycles(ws):
 def _short_cycle_greedy(ws, pivots, chosen):
     """GF(2) greedy over the triangles and chordless squares in perturbed
     weight order, appending each independent one to chosen and its pivot
-    row to pivots. Returns the basis of the orthogonal complement of the
-    chosen span, read off the rows while they are still sets.
-
-    Their rows have at most four coordinates and stay about that sparse
-    under elimination, so the greedy holds them as sets of coordinates:
-    XOR of two small sets costs far less than XOR of two m-bit integers.
-    The pivot rows are handed on as integers, as the other phases keep
-    them."""
+    row to pivots. Their rows have at most four coordinates and stay
+    about that sparse under elimination."""
     loops, rows, weights = [], [], []
     found = _short_cycles(ws)
     for verts, eids in found:
         loops += verts.tolist()
         rows += ws.coord[eids].tolist()
         weights.append(ws.w_pert[eids].sum(axis=1))
-    sparse = {}
-    for r in np.argsort(np.concatenate(weights), kind="stable").tolist():
-        vec = set(rows[r])
-        vec.discard(-1)
-        while vec:
-            low = min(vec)
-            row = sparse.get(low)
-            if row is None:
-                sparse[low] = vec
-                chosen.append(loops[r])
-                break
-            vec ^= row
-    pivots.update((bit, sum(1 << c for c in vec))
-                  for bit, vec in sparse.items())
+    order = np.argsort(np.concatenate(weights), kind="stable").tolist()
+    _greedy(ws, pivots, chosen,
+            ((loops[r], {c for c in rows[r] if c >= 0}) for r in order))
     log.info("short cycles: %d triangles and %d squares fill %d of %d slots",
              *(len(v) for v, _ in found), len(chosen), ws.m)
-    return _complement_basis(ws, pivots, sparse)
 
 
 def _walk_to_source(prow, v, x):
@@ -480,44 +451,32 @@ def _phase_a(ws, pivots, chosen, theta):
     walk = np.sort(np.unique(sg, return_index=True)[1])
     loops = (_candidate_loop(ws, preds[v // ws.chunk][v % ws.chunk], v, e)
              for v, e in zip(vs[walk].tolist(), es[walk].tolist()))
-    _greedy(ws, pivots, chosen, (loop for loop in loops if loop is not None))
+    _greedy(ws, pivots, chosen,
+            ws.vectors(loop for loop in loops if loop is not None))
     log.info("cycle band theta=%.6g rank=%d/%d", theta, len(chosen), ws.m)
 
 
-def _int_coords(vec):
-    """Coordinates set in the Python int vec."""
-    coords = []
-    while vec:
-        top = vec.bit_length() - 1
-        coords.append(top)
-        vec ^= 1 << top
-    return coords
-
-
-def _complement_basis(ws, pivots, supports=None):
+def _complement_basis(ws, pivots):
     """Basis of the GF(2) orthogonal complement of the selected span: for
-    each free coordinate f, the vector s with bit f set that pairs evenly
-    with every pivot row.
+    each free coordinate f, the coordinate set s holding f that pairs
+    evenly with every pivot row.
 
-    Back-substitution sets pivot p's bit when row p pairs oddly with the
-    bits already set, in decreasing pivot order, as a row has no bit
-    below its pivot. A row that sets none of those bits pairs evenly, so
-    only the rows meeting s are visited: a column index lists, for each
-    coordinate, the pivots below it whose row sets it, and a max-heap
-    hands them out in decreasing order. supports maps each pivot to the
-    coordinates of its row; by default they are read from the ints."""
-    if supports is None:
-        supports = {p: _int_coords(row) for p, row in pivots.items()}
+    Back-substitution adds pivot p to s when row p pairs oddly with s so
+    far, in decreasing pivot order, as a row holds no coordinate below
+    its pivot. A row that meets s nowhere pairs evenly, so only the rows
+    meeting s are visited: a column index lists, for each coordinate,
+    the pivots below it whose row holds it, and a max-heap hands them out
+    in decreasing order."""
     below = {}
-    for p, coords in supports.items():
-        for c in coords:
+    for p, row in pivots.items():
+        for c in row:
             if c != p:
                 below.setdefault(c, []).append(-p)
     out = []
     for f in range(ws.m):
         if f in pivots:
             continue
-        s = 1 << f
+        s = {f}
         heap = list(below.get(f, ()))
         heapq.heapify(heap)
         last = None
@@ -526,8 +485,8 @@ def _complement_basis(ws, pivots, supports=None):
             if p == last:
                 continue
             last = p
-            if (pivots[p] & s).bit_count() & 1:
-                s |= 1 << p
+            if len(pivots[p] & s) & 1:
+                s.add(p)
                 for q in below.get(p, ()):
                     heapq.heappush(heap, q)
         out.append(s)
@@ -574,12 +533,11 @@ def _odd_walks(ws, cover, seam, radius):
 
 def _lightest_odd_cycle(ws, s):
     """Vertex loop of the lightest cycle pairing oddly with the coordinate
-    vector s, or None when the search finds no such cycle.
+    set s, or None when the search finds no such cycle.
 
-    s is a cut: the non-tree edges whose coordinate it sets. Adding the
-    coboundary of its parity along the shortest-path tree from vertex 0
-    changes no pairing and leaves the cut on that tree's seam only. On
-    the double cover whose two sheets swap across the cut, the distance
+    s is a cut: the edges off the shortest-path tree from vertex 0 whose
+    coordinate it holds, so the cut lies on that tree's seam. On the
+    double cover whose two sheets swap across the cut, the distance
     from v to its copy v' is the lightest closed walk through v that
     pairs oddly with s. Every such walk crosses the seam, so it passes
     through each vertex cover of the seam's edges; the vertices of one
@@ -592,16 +550,14 @@ def _lightest_odd_cycle(ws, s):
     sheets maps it onto a path from v' to x, d(v, x') <= L/2 + w_max.
     So Dijkstras limited to B/2 + w_max (scipy keeps distances equal to
     the limit) find the lightest walk exactly whenever it weighs at most
-    B, and no walk they find is lighter than it. The first round takes B = theta0; when its best walk is heavier
-    than that, a second round takes B from that walk or, when it found
-    none, from one unlimited Dijkstra from a seam vertex.
+    B, and no walk they find is lighter than it. The first round takes
+    B = theta0; when its best walk is heavier than that, a second round
+    takes B from that walk or, when it found none, from one unlimited
+    Dijkstra from a seam vertex.
     """
     n = ws.n
-    raw = np.frombuffer(s.to_bytes((ws.m + 7) // 8, "little"), dtype=np.uint8)
-    cut = np.zeros(ws.E, dtype=np.uint8)
-    cut[ws.nontree] = np.unpackbits(raw, bitorder="little")[:ws.m]
-    parity = ws.path_xor(ws.root, cut)
-    cross = (cut ^ parity[ws.ex] ^ parity[ws.ey]).astype(bool)
+    cross = np.zeros(ws.E, dtype=bool)
+    cross[ws.nontree[list(s)]] = True
     seam = _vertex_cover(ws.ex[cross], ws.ey[cross])
     if not len(seam):
         return None
@@ -640,25 +596,25 @@ def _phase_b(ws, pivots, chosen, comp):
                 f"cycle basis incomplete: {ws.m - len(chosen)} slots left "
                 f"unfilled, no cycle pairs oddly with a complement vector")
         _, vec = next(ws.vectors([loop]))
-        if not (vec & s).bit_count() & 1:
+        if not len(vec & s) & 1:
             raise CycleBasisError("lightest odd cycle pairs evenly")
-        resid, bit = _reduce_vector(vec, pivots)
-        if bit is None:
+        resid, pivot = _reduce_vector(set(vec), pivots)
+        if pivot is None:
             raise CycleBasisError("odd pairing on a dependent cycle")
-        pivots[bit] = resid
+        pivots[pivot] = resid
         chosen.append(loop)
-        comp[i + 1:] = [t ^ s if (vec & t).bit_count() & 1 else t
+        comp[i + 1:] = [t ^ s if len(vec & t) & 1 else t
                         for t in comp[i + 1:]]
 
 
-def _finish(ws, pivots, chosen, comp):
-    """Fill the slots left by de Pina's rule, starting from comp, the
-    complement basis of the chosen span, and return the basis as a block
-    sorted by weight."""
+def _finish(ws, pivots, chosen):
+    """Fill the slots left by de Pina's rule, starting from the complement
+    basis of the chosen span, and return the basis as a block sorted by
+    weight."""
     if len(chosen) < ws.m:
         log.info("support-vector phase for %d remaining cycles",
                  ws.m - len(chosen))
-        _phase_b(ws, pivots, chosen, comp)
+        _phase_b(ws, pivots, chosen, _complement_basis(ws, pivots))
     if len(chosen) != ws.m:
         raise CycleBasisError(
             f"basis incomplete: {len(chosen)} of {ws.m} cycles")
@@ -684,7 +640,7 @@ def minimum_cycle_basis(graph, theta0=None):
     pivots = {}
     chosen = []
     _phase_a(ws, pivots, chosen, ws.theta0 if theta0 is None else theta0)
-    return _finish(ws, pivots, chosen, _complement_basis(ws, pivots))
+    return _finish(ws, pivots, chosen)
 
 
 def homology_split(graph):
@@ -705,8 +661,8 @@ def homology_split(graph):
         return CycleBasis.from_loops(graph, [])
     pivots = {}
     chosen = []
-    comp = _short_cycle_greedy(ws, pivots, chosen)
-    return _finish(ws, pivots, chosen, comp)
+    _short_cycle_greedy(ws, pivots, chosen)
+    return _finish(ws, pivots, chosen)
 
 
 def exhaustive_minimum_cycle_basis(graph, max_edges=20):
@@ -731,10 +687,10 @@ def exhaustive_minimum_cycle_basis(graph, max_edges=20):
     for s in range(n):
         extend([s])
     block = CycleBasis.from_loops(graph, loops).sorted()
-    ptr = block.indptr.tolist()
     chosen = []
-    _greedy(_Workspace(graph), {}, chosen,
-            [block.vertices[a:b] for a, b in zip(ptr[:-1], ptr[1:])])
+    ws = _Workspace(graph)
+    _greedy(ws, {}, chosen,
+            ws.vectors(np.split(block.vertices, block.indptr[1:-1])))
     if len(chosen) != m:
         raise CycleBasisError("exhaustive enumeration missed the cycle space")
     return CycleBasis.from_loops(graph, chosen)

@@ -83,14 +83,14 @@ def _link_offenders(he):
     return verts[fans > 1].tolist()
 
 
-def validate_mesh(triangles, strict=True, extra=None):
+def validate_mesh(triangles, strict=True):
     """Closed-2-manifold + torus-topology report; raises on failure.
 
     Report keys: vertices, edges, faces, euler_characteristic,
     nonmanifold_edges, boundary_edges, problems.
     """
     tris = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)
-    return _validate(tris, _half_edges(tris), strict, extra)
+    return _validate(tris, _half_edges(tris), strict, None)
 
 
 def _validate(tris, he, strict, extra):

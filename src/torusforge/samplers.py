@@ -241,8 +241,9 @@ def sample_center_manifold_torus(mu, point, amp_planar, amp_vertical, N,
     return PointCloud(dim=6, points=pts, provenance="cr3bp_linear")
 
 
-def save_point_cloud(path, cloud, header=True):
-    """Write a cloud as CSV (17 significant digits) or as TPC1 binary.
+def save_point_cloud(path, cloud):
+    """Write a cloud as CSV (a "# dim=D" line, then rows of 17 significant
+    digits) or as TPC1 binary.
 
     The format is chosen by extension: ".csv" for text, anything else for
     the binary layout (magic "TPC1", u32 dim, u64 count, little-endian f64
@@ -251,8 +252,7 @@ def save_point_cloud(path, cloud, header=True):
     path = str(path)
     if path.endswith(".csv"):
         with open(path, "w", encoding="ascii") as fh:
-            if header:
-                fh.write(f"# dim={cloud.dim}\n")
+            fh.write(f"# dim={cloud.dim}\n")
             for row in cloud.points:
                 fh.write(",".join("%.17g" % v for v in row) + "\n")
     else:

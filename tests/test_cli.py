@@ -79,7 +79,7 @@ def test_dim_flag_selects_sampler():
         cli.resolve_config(cli.make_parser().parse_args(["run", "--dim", "5"]))
 
 
-def test_config_errors_exit_2(tmp_path, fast_cfg):
+def test_config_errors_exit_2(tmp_path, fast_cfg, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"sampler": {"kind": "torus_revolution"},
                                "bogus": 1}))
@@ -102,6 +102,35 @@ def test_config_errors_exit_2(tmp_path, fast_cfg):
                       {"sampler": {"kind": ["standard_map"]}}):
         bad.write_text(json.dumps(malformed))
         assert cli.main(["run", "--config", str(bad)]) == 2
+    # values of the wrong type, and keys no sampler reads, named by key
+    text_matrix = tmp_path / "matrix.txt"
+    text_matrix.write_text("a b c\n")
+    fast = dict(FAST["sampler"])
+    for key, wrong in (
+            ("seed", {"seed": "abc"}), ("seed", {"seed": -1}),
+            ("N", {"sampler": dict(fast, N="800")}),
+            ("R", {"sampler": dict(fast, R="2.0")}),
+            ("mu", {"sampler": {"kind": "center_manifold", "mu": "0.01"}}),
+            ("dt", {"sampler": {"kind": "center_manifold", "dt": "0.1"}}),
+            ("N", {"sampler": {"kind": "standard_map", "N": 4000.5}}),
+            ("typo", {"sampler": {"kind": "center_manifold", "typo": 1}}),
+            ("indices", {"sampler": fast, "projection": {"indices": "abc"}}),
+            ("matrix", {"sampler": fast, "projection": {
+                "kind": "custom_matrix", "matrix": "x"}}),
+            ("path", {"sampler": fast, "projection": {
+                "kind": "custom_matrix", "path": str(text_matrix)}}),
+            ("path", {"projection": {"kind": "custom_matrix", "path": 0}}),
+            ("output_dir", {"output_dir": 5})):
+        bad.write_text(json.dumps({"output_dir": str(tmp_path / "out"),
+                                   **wrong}))
+        capsys.readouterr()
+        assert cli.main(["run", "--config", str(bad)]) == 2, wrong
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "ConfigError" and key in err["message"], err
+    assert cli.main(["run", "--config", str(fast_cfg), "--seed", "-1"]) == 2
+    # the one seed is the top-level key (or --seed), never a sampler key
+    bad.write_text(json.dumps({"sampler": dict(fast, seed=3)}))
+    assert cli.main(["run", "--config", str(bad)]) == 2
 
 
 def test_disconnected_graph_exits_3(tmp_path, fast_cfg, capsys):
