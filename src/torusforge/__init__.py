@@ -23,8 +23,7 @@ from .samplers import (PointCloud, StandardMapConfig, iterate_standard_map,
                        save_point_cloud)
 from .knn import NeighborGraph, build_knn_graph
 from .cycles import (Classification, Cycle, CycleBasis, classify_cycles,
-                     exhaustive_minimum_cycle_basis, homology_split,
-                     minimum_cycle_basis)
+                     homology_split)
 from .oneforms import OneFormPair, assemble_system, solve_oneforms
 from .mesher import (SurfaceMesh, load_mesh_json, mesh_flat_torus,
                      validate_mesh)
@@ -48,8 +47,7 @@ __all__ = [
     "save_point_cloud",
     "NeighborGraph", "build_knn_graph",
     "Classification", "Cycle", "CycleBasis", "classify_cycles",
-    "exhaustive_minimum_cycle_basis", "homology_split",
-    "minimum_cycle_basis",
+    "homology_split",
     "OneFormPair", "assemble_system", "solve_oneforms",
     "SurfaceMesh", "load_mesh_json", "mesh_flat_torus", "validate_mesh",
     "orient_mesh",

@@ -132,6 +132,10 @@ def _validate_config(cfg):
                           f"{cfg['seed']!r}")
     if not isinstance(cfg["k"], int) or cfg["k"] < 2:
         raise ConfigError(f"k must be an integer >= 2, got {cfg['k']!r}")
+    if (isinstance(cfg["weights"], str)
+            and cfg["weights"] not in ("uniform", "inverse_length")):
+        raise ConfigError(f"weights must be uniform or inverse_length, got "
+                          f"{cfg['weights']!r}")
     if cfg["export"]["format"] not in ("obj", "ply"):
         raise ConfigError(f"format must be obj or ply, got "
                           f"{cfg['export']['format']!r}")
@@ -239,7 +243,8 @@ def _build_projection(cfg, dim):
 
 def _write_json(path, payload):
     with open(path, "w", encoding="ascii") as fh:
-        json.dump(payload, fh, sort_keys=True)
+        # json.dumps takes the C encoder; json.dump never does
+        fh.write(json.dumps(payload, sort_keys=True))
         fh.write("\n")
 
 

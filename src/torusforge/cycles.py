@@ -1,30 +1,22 @@
-"""Cycle bases of a weighted undirected graph.
+"""The cycle basis of a torus graph, split into trivial cycles and two
+homology generators.
 
-`homology_split`, the basis the pipeline splits into trivial cycles and
-two homology generators, starts from the graph's triangles and chordless
-squares (4-cycles whose diagonals are not edges), found with array
-operations on the edge list. A GF(2) greedy takes them in weight order;
-on a well-sampled torus they fill every slot but the generators. de
-Pina's rule fills the slots left, with no band in between (Kavitha et
-al., "Cycle bases in graphs", 2009): each vector of the GF(2)
-orthogonal complement of the selected span, in turn, takes the lightest
-cycle pairing oddly with it. That cycle is found by Dijkstras on the
-graph's parity double cover, started only from a vertex cover of the
-vector's seam and stopped half way round: a walk of weight L <= B
-meets some vertex x with both copies of x within B/2 + w_max (the
-heaviest edge) of its source, so a search to that radius is exact
-whenever a walk of weight at most B exists. The complement vectors are
-back-substituted over only the pivot rows they meet. The split is the
-minimum basis whenever every minimum-basis cycle lighter than the
-heaviest chosen triangle or square has at most 4 hops.
-
-`minimum_cycle_basis` is exact on every graph: one band, then de Pina.
-The band is a greedy over the Horton candidate family (cycles formed by
-two shortest paths plus a closing edge) up to a weight theta0, in global
-weight order, harvested from shortest-path trees truncated at theta0; it
-builds the candidates and their path signatures only from the vertices
-each truncated Dijkstra reaches. de Pina's rule finishes the basis, and
-is exact after any greedy prefix of the minimum basis.
+`homology_split`, the basis the pipeline splits, starts from the graph's
+triangles and chordless squares (4-cycles whose diagonals are not
+edges), found with array operations on the edge list. A GF(2) greedy
+takes them in weight order; on a well-sampled torus they fill every slot
+but the generators. de Pina's rule fills the slots left (Kavitha et al.,
+"Cycle bases in graphs", 2009): each vector of the GF(2) orthogonal
+complement of the selected span, in turn, takes the lightest cycle
+pairing oddly with it. That cycle is found by Dijkstras on the graph's
+parity double cover, started only from a vertex cover of the vector's
+seam and stopped half way round: a walk of weight L <= B meets some
+vertex x with both copies of x within B/2 + w_max (the heaviest edge) of
+its source, so a search to that radius is exact whenever a walk of
+weight at most B exists. The complement vectors are back-substituted
+over only the pivot rows they meet. The split is the minimum basis
+whenever every minimum-basis cycle lighter than the heaviest chosen
+triangle or square has at most 4 hops.
 
 Every phase produces each cycle as a vertex loop. The basis holds the
 loops as one CSR block (`CycleBasis`), certified simple when it is
@@ -106,8 +98,7 @@ class CycleBasis:
     back to its first vertex. Its step t runs from loop vertex t to the
     next one along edge edges[indptr[r] + t], and weights[r] is its true
     length. Where a loop starts and which way it runs carry no meaning.
-    `minimum_cycle_basis` and `homology_split` return their cycles sorted
-    by weight;
+    `homology_split` returns its cycles sorted by weight;
     `Classification.trivial` holds all of them but the two generators.
     """
 
@@ -197,19 +188,6 @@ class Classification:
     toroidal: Cycle
 
 
-def _xor_to_root(anc, g):
-    """XOR of g along each node's parent chain up to its root, by pointer
-    doubling. anc holds each node's parent, a root is its own parent and
-    carries g == 0. Each round doubles the hops every pointer skips, and
-    the rounds stop once every pointer is a root."""
-    while True:
-        up = anc[anc]
-        if np.array_equal(up, anc):
-            return g
-        g = g ^ g[anc]
-        anc = up
-
-
 class _Workspace:
     """Shared state: perturbed weights, the shortest-path tree from vertex
     0, and the GF(2) coordinates of the edges off it."""
@@ -227,7 +205,6 @@ class _Workspace:
         # deterministic tie-breaking perturbation, far above float noise
         # and far below any honest weight difference
         self.w_pert = graph.lengths * (1.0 + _PERTURB_EPS * (1.0 + rng.random(self.E)))
-        self.zob = rng.integers(0, 2**63, size=self.E, dtype=np.uint64)
         i, j = self.ex, self.ey
         self.csgraph = coo_matrix(
             (np.concatenate([self.w_pert, self.w_pert]),
@@ -243,12 +220,9 @@ class _Workspace:
         self.coord = np.full(self.E, -1, dtype=np.int64)
         self.coord[nontree] = np.arange(self.m)
         self.nontree = nontree
-        # edges are sorted by (ex, ey): those with ex == v are the slice
-        # edge_start[v]:edge_start[v + 1]
-        self.edge_start = np.searchsorted(self.ex, np.arange(self.n + 1))
         # sources per Dijkstra block: c x n float64 distances stay <= 12 MB
         self.chunk = max(1, min(512, 1_500_000 // max(self.n, 1)))
-        # band limit, and the first bound of the odd-cycle search
+        # the first bound of the odd-cycle search
         self.theta0 = 5.0 * float(np.median(self.w_pert)) if self.E else 0.0
         self.w_max = float(np.max(self.w_pert, initial=0.0))
 
@@ -375,85 +349,6 @@ def _walk_to_source(prow, v, x):
             raise CycleBasisError("broken predecessor chain")
         verts.append(x)
     return verts
-
-
-def _candidate_loop(ws, prow, v, e):
-    """Vertex loop of the Horton candidate (v, e): the tree path from x to
-    v, then back from v to y, closed by e = (x, y). None when the two
-    paths share a vertex besides v, or e lies on one of them (the loop
-    would not be simple)."""
-    vx = _walk_to_source(prow, v, int(ws.ex[e]))
-    vy = _walk_to_source(prow, v, int(ws.ey[e]))
-    if len(set(vx) & set(vy)) != 1 or len(vx) + len(vy) < 4:
-        return None
-    return vx + vy[-2::-1]
-
-
-def _banded_chunks(ws, theta):
-    """Yield, per block of sources, the candidates weighing at most theta
-    as arrays (weight, source, edge, signature), and the int32
-    predecessor rows of shortest paths truncated at distance theta.
-
-    Works on the reached (row, vertex) entries only, kept as sorted keys
-    row * n + vertex and looked up by searchsorted. A candidate (v, e)
-    closes e = (x, y) with both ends reached from v, e on neither tree
-    path; it is generated once, from x's slice of the edge list. Its
-    signature XORs the Zobrist path values of x and y with e's own.
-    """
-    n = ws.n
-    for lo in range(0, n, ws.chunk):
-        src = np.arange(lo, min(lo + ws.chunk, n))
-        dist, preds = dijkstra(ws.csgraph, indices=src, limit=theta,
-                               return_predecessors=True)
-        key = np.flatnonzero(np.isfinite(dist))
-        row, v = np.divmod(key, n)
-        d = dist.ravel()[key]
-        p = preds.ravel()[key].astype(np.int64)
-        del dist
-        tree = np.flatnonzero(p >= 0)
-        anc = np.arange(len(key))
-        anc[tree] = np.searchsorted(key, row[tree] * n + p[tree])
-        g = np.zeros(len(key), dtype=np.uint64)
-        g[tree] = ws.zob[_edge_ids(ws.graph, p[tree], v[tree])]
-        zpath = _xor_to_root(anc, g)
-        cnt = ws.edge_start[v + 1] - ws.edge_start[v]
-        at = np.repeat(np.arange(len(key)), cnt)
-        es = (np.arange(len(at))
-              + np.repeat(ws.edge_start[v] - (np.cumsum(cnt) - cnt), cnt))
-        ky = row[at] * n + ws.ey[es]
-        to = np.minimum(np.searchsorted(key, ky), len(key) - 1)
-        ok = (key[to] == ky) & (p[at] != ws.ey[es]) & (p[to] != ws.ex[es])
-        at, es, to = at[ok], es[ok], to[ok]
-        wc = d[at] + ws.w_pert[es] + d[to]
-        band = wc <= theta
-        at, es, to = at[band], es[band], to[band]
-        sig = zpath[at] ^ zpath[to] ^ ws.zob[es]
-        yield wc[band], lo + row[at], es, sig, preds
-
-
-def _phase_a(ws, pivots, chosen, theta):
-    """Greedy over the Horton candidates weighing at most theta, in
-    nondecreasing weight order: one band.
-
-    The band runs one truncated Dijkstra per source. Its reached entries
-    give the candidates, ranked by weight, and their Zobrist signatures,
-    so that only the first candidate of each cycle is walked, on the
-    band's predecessor rows (n x n int32, alive only in this frame).
-    Every candidate that light is reached, so the band picks exactly the
-    minimum basis's cycles up to theta; de Pina's rule finishes it.
-    """
-    parts = list(_banded_chunks(ws, theta))
-    preds = [p[4] for p in parts]
-    wc, vs, es, sg = (np.concatenate([p[k] for p in parts]) for k in range(4))
-    del parts
-    order = np.lexsort((es, vs, wc))
-    vs, es, sg = vs[order], es[order], sg[order]
-    walk = np.sort(np.unique(sg, return_index=True)[1])
-    loops = (_candidate_loop(ws, preds[v // ws.chunk][v % ws.chunk], v, e)
-             for v, e in zip(vs[walk].tolist(), es[walk].tolist()))
-    _greedy(ws, pivots, chosen,
-            ws.vectors(loop for loop in loops if loop is not None))
-    log.info("cycle band theta=%.6g rank=%d/%d", theta, len(chosen), ws.m)
 
 
 def _complement_basis(ws, pivots):
@@ -624,28 +519,9 @@ def _finish(ws, pivots, chosen):
     return basis
 
 
-def minimum_cycle_basis(graph, theta0=None):
-    """Exact minimum-weight cycle basis, sorted by nondecreasing weight:
-    one band, then de Pina.
-
-    The band takes the Horton candidates weighing at most theta0 (default
-    five median edge weights), which gives the minimum basis's greedy
-    prefix up to theta0; de Pina's rule completes it exactly. Ties
-    anywhere in the weight ordering are broken by a fixed internal
-    perturbation so results are deterministic for identical input.
-    """
-    ws = _Workspace(graph)
-    if ws.m == 0:
-        return CycleBasis.from_loops(graph, [])
-    pivots = {}
-    chosen = []
-    _phase_a(ws, pivots, chosen, ws.theta0 if theta0 is None else theta0)
-    return _finish(ws, pivots, chosen)
-
-
 def homology_split(graph):
     """Cycle basis of a torus graph for `classify_cycles`, sorted by
-    nondecreasing weight like `minimum_cycle_basis`.
+    nondecreasing weight.
 
     The triangles and chordless squares enter a greedy in the perturbed
     weight order; de Pina's rule fills the slots left, the generators
@@ -663,37 +539,6 @@ def homology_split(graph):
     chosen = []
     _short_cycle_greedy(ws, pivots, chosen)
     return _finish(ws, pivots, chosen)
-
-
-def exhaustive_minimum_cycle_basis(graph, max_edges=20):
-    """Brute-force oracle: greedy over every simple cycle, in the order
-    `CycleBasis.sorted` gives. Only for small graphs; exact including
-    ties."""
-    E = len(graph.edges)
-    if E > max_edges:
-        raise CycleBasisError(f"exhaustive search limited to {max_edges} edges")
-    n = graph.vertex_count
-    m = E - n + 1 if n else 0
-    loops = []
-
-    def extend(path):
-        # each cycle is found from its smallest vertex, once per direction
-        for w in graph.adjacency[path[-1]].tolist():
-            if w == path[0] and len(path) >= 3 and path[1] < path[-1]:
-                loops.append(path)
-            elif w > path[0] and w not in path:
-                extend(path + [w])
-
-    for s in range(n):
-        extend([s])
-    block = CycleBasis.from_loops(graph, loops).sorted()
-    chosen = []
-    ws = _Workspace(graph)
-    _greedy(ws, {}, chosen,
-            ws.vectors(np.split(block.vertices, block.indptr[1:-1])))
-    if len(chosen) != m:
-        raise CycleBasisError("exhaustive enumeration missed the cycle space")
-    return CycleBasis.from_loops(graph, chosen)
 
 
 def classify_cycles(basis, ratio=1.25):

@@ -1,7 +1,7 @@
 """Exact k-nearest-neighbor graph construction with union symmetrization."""
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -22,7 +22,6 @@ class NeighborGraph:
     edges: np.ndarray          # (E, 2) int64, i < j, lexicographically sorted
     lengths: np.ndarray        # (E,) float64
     k: int = 0
-    adjacency: list = field(default_factory=list)   # per-vertex sorted arrays
 
     @classmethod
     def from_edges(cls, vertex_count, edges, lengths, k=0):
@@ -38,11 +37,7 @@ class NeighborGraph:
             raise ConfigError("parallel edges")
         if np.any(lengths <= 0):
             raise ConfigError("non-positive edge length")
-        graph = cls(vertex_count, edges, lengths, k)
-        csr = graph.adjacency_matrix()
-        graph.adjacency = np.split(csr.indices.astype(np.int64),
-                                   csr.indptr[1:-1])
-        return graph
+        return cls(vertex_count, edges, lengths, k)
 
     @property
     def edge_count(self):

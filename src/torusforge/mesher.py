@@ -283,7 +283,8 @@ def export_mesh_json(path, mesh):
         "report": mesh.report,
     }
     with open(path, "w", encoding="ascii") as fh:
-        json.dump(payload, fh, sort_keys=True)
+        # json.dumps takes the C encoder; json.dump never does
+        fh.write(json.dumps(payload, sort_keys=True))
         fh.write("\n")
 
 

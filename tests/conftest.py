@@ -13,10 +13,11 @@ from torusforge.samplers import (StandardMapConfig, sample_center_manifold_torus
                                  sample_torus_revolution)
 from torusforge.knn import NeighborGraph, build_knn_graph
 from torusforge.cycles import Cycle, CycleBasis, Classification, \
-    classify_cycles, homology_split, minimum_cycle_basis
+    classify_cycles, homology_split
 from torusforge.oneforms import assemble_system, solve_oneforms
 from torusforge.mesher import mesh_flat_torus
 from torusforge.orientation import orient_mesh
+from reference_cycles import minimum_cycle_basis
 
 # rotation numbers rationally independent of each other and of 1
 GOLDEN = 0.6180339887498949

@@ -120,13 +120,19 @@ def test_config_errors_exit_2(tmp_path, fast_cfg, capsys):
             ("path", {"sampler": fast, "projection": {
                 "kind": "custom_matrix", "path": str(text_matrix)}}),
             ("path", {"projection": {"kind": "custom_matrix", "path": 0}}),
-            ("output_dir", {"output_dir": 5})):
+            ("output_dir", {"output_dir": 5}),
+            ("weights", {"weights": "foo"})):
         bad.write_text(json.dumps({"output_dir": str(tmp_path / "out"),
                                    **wrong}))
         capsys.readouterr()
         assert cli.main(["run", "--config", str(bad)]) == 2, wrong
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "ConfigError" and key in err["message"], err
+    # an unknown weight scheme stops before the graph and the basis run
+    bad.write_text(json.dumps({"weights": "foo"}))
+    assert cli.main(["run", "--config", str(bad)]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["stage"] == "config", err
     assert cli.main(["run", "--config", str(fast_cfg), "--seed", "-1"]) == 2
     # the one seed is the top-level key (or --seed), never a sampler key
     bad.write_text(json.dumps({"sampler": dict(fast, seed=3)}))

@@ -1,7 +1,7 @@
-"""Minimum cycle basis: frozen grid oracles, brute-force comparison on
-random graphs, GF(2) rank, the CSR cycle block, the triangle and
-chordless-square split against the minimum basis, and generator
-classification."""
+"""Cycle bases: the exact references (frozen grid oracles, brute-force
+comparison on random graphs, GF(2) rank), the CSR cycle block, the
+triangle and chordless-square split against the exact minimum basis, and
+generator classification."""
 
 import hashlib
 import json
@@ -11,12 +11,13 @@ import pytest
 from scipy.sparse import bmat, coo_matrix
 from scipy.sparse.csgraph import dijkstra
 
+import reference_cycles
 from conftest import periodic_grid
+from reference_cycles import (exhaustive_minimum_cycle_basis,
+                              minimum_cycle_basis, neighbor_rows)
 from torusforge import cycles
 from torusforge.cycles import (Cycle, CycleBasis, classify_cycles,
-                               exhaustive_minimum_cycle_basis,
-                               export_cycles_json, homology_split,
-                               minimum_cycle_basis)
+                               export_cycles_json, homology_split)
 from torusforge.errors import (CycleBasisError, GeneratorClassificationError)
 from torusforge.knn import NeighborGraph, build_knn_graph
 from torusforge.oneforms import assemble_system, solve_oneforms
@@ -97,7 +98,7 @@ def test_grid3_equals_exhaustive_enumeration():
 
 
 def test_basis_sorted_by_weight():
-    basis = minimum_cycle_basis(periodic_grid(5))
+    basis = homology_split(periodic_grid(5))
     assert np.all(np.diff(basis.weights) >= 0)
 
 
@@ -161,7 +162,7 @@ def test_split_is_a_basis_on_random_graphs():
 def short_cycles_reference(graph):
     """Per-vertex brute force: the vertex sets of the triangles, and the
     edge-id sets of the 4-cycles whose two diagonals are not edges."""
-    adj = [set(a.tolist()) for a in graph.adjacency]
+    adj = [set(a.tolist()) for a in neighbor_rows(graph)]
     index = {(i, j): e for e, (i, j) in enumerate(graph.edges.tolist())}
 
     def eid(a, b):
@@ -236,7 +237,7 @@ def test_split_equals_minimum_basis_on_fixtures(bundle, request):
 
 
 # homology_split digests on the fixture clouds, frozen so that a drift the
-# split and minimum_cycle_basis share still shows
+# split and the reference minimum_cycle_basis share still shows
 FIXTURE_DIGESTS = {
     "torus_bundle":
         "dec7b21ff33fc5bec561fe15b7b95fdb4629c04ae725cf3d6eabc36941bdc85e",
@@ -318,11 +319,11 @@ def test_sparse_band_matches_dense_reference(band):
     graphs = [build_knn_graph(sample_torus_revolution(2.0, 0.5, 300, 0), 8)]
     graphs += [random_connected_graph(rng, 40, 50, True) for _ in range(3)]
     for graph in graphs:
-        ws = cycles._Workspace(graph)
+        ws = reference_cycles.workspace(graph)
         ws.chunk = 17                       # several blocks, the last short
         theta = {"first": 5.0 * float(np.median(ws.w_pert)),
                  "whole": np.inf}[band]
-        new = list(cycles._banded_chunks(ws, theta))
+        new = list(reference_cycles.banded_chunks(ws, theta))
         ref = list(dense_banded_chunks(ws, theta))
         assert len(new) == len(ref) == -(-ws.n // ws.chunk)
         assert sum(len(part[0]) for part in new) > 0
@@ -342,7 +343,7 @@ def test_doubling_matches_parent_walk_on_deep_trees():
     vertices short of their root; check the band's signatures against a
     per-vertex walk."""
     graph = ring_graph(50)
-    ws = cycles._Workspace(graph)
+    ws = reference_cycles.workspace(graph)
     ws.chunk = 8
     _, preds = dijkstra(ws.csgraph, return_predecessors=True)
 
@@ -358,7 +359,7 @@ def test_doubling_matches_parent_walk_on_deep_trees():
                    dtype=np.uint64)
     # each source's one candidate closes the ring at its antipode
     rows = 0
-    for _, vs, es, sig, _ in cycles._banded_chunks(ws, np.inf):
+    for _, vs, es, sig, _ in reference_cycles.banded_chunks(ws, np.inf):
         for v, e, s in zip(vs, es, sig):
             assert s == ref[v, ws.ex[e]] ^ ref[v, ws.ey[e]] ^ ws.zob[e]
             rows += 1
@@ -378,9 +379,10 @@ def test_support_vector_phase_without_candidates_fails_clean(monkeypatch):
     """When the odd-cycle search finds nothing, the basis is reported
     incomplete, never completed with uncertified cycles."""
     monkeypatch.setattr(cycles, "_lightest_odd_cycle", lambda ws, s: None)
-    # the 6x6 grid leaves its two generators to the support-vector phase
+    # the split of the 6x6 grid leaves its two generators to the
+    # support-vector phase
     with pytest.raises(CycleBasisError, match="2 slots left unfilled"):
-        minimum_cycle_basis(periodic_grid(6))
+        homology_split(periodic_grid(6))
 
 
 def test_seam_search_finds_lightest_odd_walk(torus_bundle):
@@ -468,8 +470,8 @@ def test_complement_basis_matches_full_back_substitution(bundle, request):
         assert len(want) == ws.m - len(chosen)
         assert cycles._complement_basis(ws, pivots) == want
         if bundle is None:
-            pivots, chosen = {}, []
-            cycles._phase_a(ws, pivots, chosen, ws.theta0)
+            ws, pivots, chosen = reference_cycles.workspace(graph), {}, []
+            reference_cycles.phase_a(ws, pivots, chosen, ws.theta0)
             assert (cycles._complement_basis(ws, pivots)
                     == complement_basis_reference(ws, pivots))
 
@@ -545,8 +547,8 @@ def test_half_radius_search_matches_full_cover(random_torus_bundle,
 
 def test_deterministic_across_calls():
     graph = periodic_grid(5)
-    a = minimum_cycle_basis(graph)
-    b = minimum_cycle_basis(graph)
+    a = homology_split(graph)
+    b = homology_split(graph)
     for key in ("indptr", "vertices", "edges", "weights"):
         assert np.array_equal(getattr(a, key), getattr(b, key))
 

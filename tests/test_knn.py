@@ -78,15 +78,14 @@ def test_edges_sorted_and_indexed():
     assert np.array_equal(graph.edge_ids(e[:, 1], e[:, 0]), ids)
     adj = graph.adjacency_matrix()
     assert (adj != adj.T).nnz == 0
-    # per-edge loop reference for the per-vertex neighbor arrays
+    # per-edge loop reference for the CSR rows
     ref = [[] for _ in range(graph.vertex_count)]
     for i, j in e.tolist():
         ref[i].append(j)
         ref[j].append(i)
-    assert len(graph.adjacency) == graph.vertex_count
-    for a, r in zip(graph.adjacency, ref):
-        assert a.dtype == np.int64
-        assert a.tolist() == sorted(r)
+    for v, r in enumerate(ref):
+        row = adj.indices[adj.indptr[v]:adj.indptr[v + 1]]
+        assert row.tolist() == sorted(r)
     assert graph.degree().dtype == np.int64
     assert graph.degree().tolist() == [len(r) for r in ref]
 

@@ -11,15 +11,16 @@ from scipy.spatial import Delaunay
 
 from conftest import (EARTH_MOON_MU, brute_force_delaunay_check,
                       build_pipeline, periodic_grid, unwrapped_corners)
+from reference_cycles import minimum_cycle_basis
 from torusforge import cr3bp
-from torusforge.cycles import classify_cycles, minimum_cycle_basis
+from torusforge.cycles import classify_cycles
 from torusforge.errors import MeshValidationError, ResidualError
 from torusforge.knn import NeighborGraph
 from torusforge import mesher
 from torusforge.mesher import (_periodic_delaunay, export_mesh_json,
                                load_mesh_json, mesh_flat_torus, validate_mesh)
 from torusforge.oneforms import OneFormPair, assemble_system, solve_oneforms
-from torusforge.samplers import (sample_center_manifold_torus,
+from torusforge.samplers import (PointCloud, sample_center_manifold_torus,
                                  sample_torus_revolution)
 
 
@@ -269,17 +270,29 @@ def robustness_cloud(name):
     if name == "random4k":
         return sample_torus_revolution(2.0, 0.5, 4000, 0,
                                        distribution="random")
+    if name.startswith("noise"):
+        # the 2k grid torus, each point moved along its surface normal by
+        # Gaussian noise of standard deviation sigma
+        pts = sample_torus_revolution(2.0, 0.5, 2000, 0).points
+        core = pts * [2.0, 2.0, 0.0] / np.hypot(pts[:, :1], pts[:, 1:2])
+        normal = (pts - core) / 0.5
+        sigma = float(name[len("noise"):])
+        shift = np.random.default_rng(0).normal(0.0, sigma, (len(pts), 1))
+        return PointCloud(dim=3, points=pts + shift * normal,
+                          provenance="synthetic")
     point = next(p for p in cr3bp.libration_points(EARTH_MOON_MU)
                  if p.label == name)
     return sample_center_manifold_torus(EARTH_MOON_MU, point, 5e-3, 5e-3,
                                         6000)
 
 
-@pytest.mark.parametrize("name", ["thin", "random4k", "L1", "L3"])
+@pytest.mark.parametrize("name", ["thin", "random4k", "L1", "L3", "noise0.005",
+                                  "noise0.01", "noise0.02", "noise0.04"])
 def test_robustness_clouds_mesh_closed(name):
-    """The thin torus (R/r = 10), the randomly sampled 4k torus and the
-    L1 and L3 center-manifold tori run through the whole library chain
-    and close."""
+    """The thin torus (R/r = 10), the randomly sampled 4k torus, the L1
+    and L3 center-manifold tori and the 2k torus with normal noise up to
+    sigma = 0.04 (r = 0.5) run through the whole library chain and
+    close."""
     cloud = robustness_cloud(name)
     report = build_pipeline(cloud).mesh.report
     assert report["problems"] == []

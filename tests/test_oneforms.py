@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from conftest import manual_grid_classification, periodic_grid
-from torusforge.cycles import classify_cycles, minimum_cycle_basis
+from reference_cycles import minimum_cycle_basis, neighbor_rows
+from torusforge.cycles import classify_cycles
 from torusforge.errors import ConfigError, ResidualError
 from torusforge.oneforms import (assemble_system, edge_weights,
                                  export_residuals_json, solve_oneforms)
@@ -172,9 +173,10 @@ def tree_potentials(graph, forms):
     pot[0] = 0.0
     tree = set()
     queue = deque([0])
+    adjacency = neighbor_rows(graph)
     while queue:
         u = queue.popleft()
-        for nb in graph.adjacency[u]:
+        for nb in adjacency[u]:
             nb = int(nb)
             if not np.isnan(pot[nb, 0]):
                 continue
