@@ -8,50 +8,47 @@ on the flat torus, take its periodic Delaunay triangulation as a closed
 oriented mesh, and project/export the result for rendering.
 `orient_mesh` winds any other mesh (a loaded mesh.json, say)
 consistently, or proves it non-orientable, from the orientation double
-cover of its faces.
+cover of its faces. Each name loads its module on first access, so
+importing the package loads no scipy.
 """
 
-from .errors import (ConfigError, CycleBasisError, DisconnectedGraphError,
-                     GeneratorClassificationError, MeshValidationError,
-                     OrientationConflictError, ProjectionError,
-                     ResidualError, SingularityError, TorusforgeError)
-from .cr3bp import (LibrationPoint, eom, integrate, jacobi_constant,
-                    libration_points)
-from .samplers import (PointCloud, StandardMapConfig, iterate_standard_map,
-                       load_point_cloud, sample_center_manifold_torus,
-                       sample_standard_map_torus, sample_torus_revolution,
-                       save_point_cloud)
-from .knn import NeighborGraph, build_knn_graph
-from .cycles import (Classification, Cycle, CycleBasis, classify_cycles,
-                     homology_split)
-from .oneforms import OneFormPair, assemble_system, solve_oneforms
-from .mesher import (SurfaceMesh, load_mesh_json, mesh_flat_torus,
-                     validate_mesh)
-from .orientation import orient_mesh
-from .projection import (ProjectedMesh, Projection, export_mesh, project,
-                         read_obj, read_ply)
-from .cli import default_config, main, run_pipeline
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConfigError", "CycleBasisError", "DisconnectedGraphError",
-    "GeneratorClassificationError", "MeshValidationError",
-    "OrientationConflictError", "ProjectionError",
-    "ResidualError", "SingularityError", "TorusforgeError",
-    "LibrationPoint", "eom", "integrate", "jacobi_constant",
-    "libration_points",
-    "PointCloud", "StandardMapConfig", "iterate_standard_map",
-    "load_point_cloud", "sample_center_manifold_torus",
-    "sample_standard_map_torus", "sample_torus_revolution",
-    "save_point_cloud",
-    "NeighborGraph", "build_knn_graph",
-    "Classification", "Cycle", "CycleBasis", "classify_cycles",
-    "homology_split",
-    "OneFormPair", "assemble_system", "solve_oneforms",
-    "SurfaceMesh", "load_mesh_json", "mesh_flat_torus", "validate_mesh",
-    "orient_mesh",
-    "ProjectedMesh", "Projection", "export_mesh", "project", "read_obj",
-    "read_ply",
-    "default_config", "main", "run_pipeline",
-]
+_MODULES = {
+    "errors": ("ConfigError", "CycleBasisError", "DisconnectedGraphError",
+               "GeneratorClassificationError", "MeshValidationError",
+               "OrientationConflictError", "ProjectionError",
+               "ResidualError", "SingularityError", "TorusforgeError"),
+    "cr3bp": ("LibrationPoint", "eom", "integrate", "jacobi_constant",
+              "libration_points"),
+    "samplers": ("PointCloud", "StandardMapConfig", "iterate_standard_map",
+                 "load_point_cloud", "sample_center_manifold_torus",
+                 "sample_standard_map_torus", "sample_torus_revolution",
+                 "save_point_cloud"),
+    "knn": ("NeighborGraph", "build_knn_graph"),
+    "cycles": ("Classification", "Cycle", "CycleBasis", "classify_cycles",
+               "homology_split"),
+    "oneforms": ("OneFormPair", "assemble_system", "solve_oneforms"),
+    "mesher": ("SurfaceMesh", "load_mesh_json", "mesh_flat_torus",
+               "validate_mesh"),
+    "orientation": ("orient_mesh",),
+    "projection": ("ProjectedMesh", "Projection", "export_mesh", "project",
+                   "read_obj", "read_ply"),
+    "cli": ("default_config", "main", "run_pipeline"),
+}
+_HOME = {name: module for module, names in _MODULES.items()
+         for name in names}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

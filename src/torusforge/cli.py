@@ -31,9 +31,6 @@ from .errors import (ConfigError, MeshValidationError, OrientationConflictError,
 from .samplers import (StandardMapConfig, load_point_cloud,
                        sample_center_manifold_torus, sample_standard_map_torus,
                        sample_torus_revolution, save_point_cloud)
-from .knn import build_knn_graph
-from .cycles import classify_cycles, export_cycles_json, homology_split
-from .oneforms import assemble_system, export_residuals_json, solve_oneforms
 from .mesher import (export_mesh_json, load_mesh_json, mesh_flat_torus,
                      validate_mesh)
 from .orientation import orient_mesh
@@ -264,7 +261,12 @@ def stage_mesh(cfg, cloud=None):
     """knn -> cycle basis -> one-forms -> flat-torus Delaunay mesh.
 
     The mesh comes out oriented: `mesh_flat_torus` certifies that every
-    directed edge is walked by one face, so no orientation pass runs."""
+    directed edge is walked by one face, so no orientation pass runs.
+    Its layers load scipy, so they are imported here, not with the CLI."""
+    from .knn import build_knn_graph
+    from .cycles import classify_cycles, export_cycles_json, homology_split
+    from .oneforms import (assemble_system, export_residuals_json,
+                           solve_oneforms)
     if cloud is None:
         cloud = load_point_cloud(_art(cfg, "cloud.csv"))
     graph = build_knn_graph(cloud, k=cfg["k"])

@@ -546,7 +546,8 @@ def classify_cycles(basis, ratio=1.25):
     generators (heaviest two; the heavier is the toroidal direction).
 
     Requires the lighter generator to outweigh the heaviest trivial cycle
-    by `ratio`; anything closer means the split is not trustworthy.
+    by `ratio`; anything closer means the split is not trustworthy, and
+    the error's `diagnostics` holds both weights and their ratio.
     """
     if basis.size < 2:
         raise GeneratorClassificationError(
@@ -554,10 +555,14 @@ def classify_cycles(basis, ratio=1.25):
     k = basis.size - 2
     poloidal, toroidal = basis.cycle(k), basis.cycle(k + 1)
     if k and poloidal.weight < ratio * basis.weights[k - 1]:
+        trivial = float(basis.weights[k - 1])
         raise GeneratorClassificationError(
             "generator weights not separated from trivial cycles: "
-            f"{poloidal.weight:.6g} vs {basis.weights[k - 1]:.6g} "
-            f"(need factor {ratio})")
+            f"{poloidal.weight:.6g} vs {trivial:.6g} (need factor {ratio}); "
+            "the cloud is sparse or uneven: raise k or sample more points",
+            {"generator_weight": poloidal.weight,
+             "trivial_weight_max": trivial,
+             "ratio": poloidal.weight / trivial, "required_ratio": ratio})
     return Classification(basis.take(np.arange(k)), poloidal, toroidal)
 
 

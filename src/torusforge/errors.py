@@ -30,7 +30,11 @@ class CycleBasisError(TorusforgeError):
 
 
 class GeneratorClassificationError(TorusforgeError):
-    """Cycle basis too small to hold two homology generators."""
+    """No two basis cycles stand out as homology generators."""
+
+    def __init__(self, message, diagnostics=None):
+        self.diagnostics = diagnostics
+        super().__init__(message)
 
 
 class ResidualError(TorusforgeError):

@@ -20,12 +20,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components, dijkstra
-from scipy.spatial import Delaunay
 
 from .errors import MeshValidationError, ResidualError
-from .knn import _bfs_tree
 
 log = logging.getLogger("torusforge.mesher")
 
@@ -62,6 +58,25 @@ def _half_edges(triangles):
     return _HalfEdges(edges, counts, edge.reshape(-1), tail < head)
 
 
+def _components(n, a, b):
+    """Connected-component label of each of n nodes joined by the edges
+    (a[i], b[i]): the smallest node id in its component. Each round
+    hooks every root to the least root it meets, then jumps pointers
+    until each node points at its root; a tree that meets another either
+    hooks or is hooked onto, so each round at least halves the trees."""
+    label = np.arange(n)
+    while True:
+        a, b = label[a], label[b]
+        live = a != b
+        if not live.any():
+            return label
+        a, b = np.minimum(a[live], b[live]), np.maximum(a[live], b[live])
+        np.minimum.at(label, b, a)
+        jump = label[label]
+        while not np.array_equal(jump, label):
+            label, jump = jump, jump[jump]
+
+
 def _link_offenders(he):
     """Vertices whose triangle fan is not a single closed cycle, on a
     mesh whose every edge has two faces. Node 2e + s is the incidence of
@@ -74,12 +89,8 @@ def _link_offenders(he):
     a = 2 * he.edge + he.forward
     b = 2 * he.edge[nxt] + ~he.forward[nxt]
     n = 2 * len(he.edges)
-    graph = coo_matrix((np.ones(len(h), dtype=np.int8), (a, b)),
-                       shape=(n, n))
-    _, label = connected_components(graph, directed=False)
-    vertex_label = np.unique(np.column_stack([he.edges.reshape(-1), label]),
-                             axis=0)
-    verts, fans = np.unique(vertex_label[:, 0], return_counts=True)
+    vertex_label = np.unique(he.edges.reshape(-1) * n + _components(n, a, b))
+    verts, fans = np.unique(vertex_label // n, return_counts=True)
     return verts[fans > 1].tolist()
 
 
@@ -186,6 +197,7 @@ def _periodic_delaunay(points, period):
     3x3 copy gives them (Caroli & Teillaud 2016). Otherwise r doubles;
     once it reaches a period, the whole 3x3 copy is triangulated.
     """
+    from scipy.spatial import Delaunay
     n = len(points)
     period = np.asarray(period, dtype=np.float64)
     shifts = np.array([(0, 0), (-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1),
@@ -226,6 +238,8 @@ def mesh_flat_torus(graph, forms, cloud):
     point is not a mesh vertex, or when a mesh edge that is also a graph
     edge spans a period seam.
     """
+    from scipy.sparse.csgraph import dijkstra
+    from .knn import _bfs_tree
     V = graph.vertex_count
     ei, ej = graph.edges[:, 0], graph.edges[:, 1]
     keys = ei * V + ej                # sorted, as graph.edges is

@@ -16,19 +16,17 @@ no such winding either and is reported with the faces on it.
 import logging
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .errors import OrientationConflictError
-from .mesher import SurfaceMesh, _half_edges
+from .mesher import SurfaceMesh, _components, _half_edges
 
 log = logging.getLogger("torusforge.orientation")
 
 
 def _double_cover(he, T):
-    """Sparse adjacency of the orientation double cover of T faces with
-    half-edge table `he`, whose edges have at most two faces: node t
-    keeps face t's winding, node T + t flips it. Each half-edge's face
+    """Edges (rows, cols) of the orientation double cover of T faces
+    with half-edge table `he`, whose edges have at most two faces: node
+    t keeps face t's winding, node T + t flips it. Each half-edge's face
     is joined to the face of the first half-edge on the same edge."""
     _, first = np.unique(he.edge, return_index=True)
     first = first[he.edge]
@@ -38,14 +36,17 @@ def _double_cover(he, T):
     same = (he.forward[h] == he.forward[first[h]]).astype(np.int64)
     rows = np.concatenate([face, face + T])
     cols = np.concatenate([anchor + T * same, anchor + T * (1 - same)])
-    return coo_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)),
-                      shape=(2 * T, 2 * T)).tocsr()
+    return rows, cols
 
 
-def _conflict_cycle(cover, t, T):
+def _conflict_cycle(rows, cols, t, T):
     """Faces on a shortest cover path from (t, kept) to (t, flipped): a
     closed chain of edge-adjacent faces whose winding contradicts itself
-    once round."""
+    once round. Runs only on a failing mesh, so scipy loads only then."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import breadth_first_order
+    cover = coo_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)),
+                       shape=(2 * T, 2 * T)).tocsr()
     _, pred = breadth_first_order(cover, t, directed=False)
     node, chain = T + t, []
     while node != t:
@@ -77,14 +78,15 @@ def orient_mesh(mesh):
             f"edge {he.edges[e].tolist()} has {he.counts[e]} faces, which "
             f"no winding can make walk it in opposite directions",
             np.unique(np.flatnonzero(he.edge == e) // 3).tolist())
-    cover = _double_cover(he, T)
-    ncomp, label = connected_components(cover, directed=False)
+    rows, cols = _double_cover(he, T)
+    label = _components(2 * T, rows, cols)
+    ncomp = int(np.sum(label == np.arange(2 * T)))
     twisted = np.flatnonzero(label[:T] == label[T:])
     if len(twisted):
         raise OrientationConflictError(
             "contradictory winding parity: mesh is non-orientable along "
             "the reported triangle cycle",
-            _conflict_cycle(cover, int(twisted[0]), T))
+            _conflict_cycle(rows, cols, int(twisted[0]), T))
     if ncomp > 2:
         reached = int(np.sum(label == label[0]))
         raise OrientationConflictError(

@@ -14,7 +14,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
 
 from .errors import ProjectionError
 from .mesher import _half_edges
@@ -113,13 +112,13 @@ def _sidedness_colors(pmesh):
     tris = np.asarray(pmesh.triangles, dtype=np.int64)
     edges = _half_edges(tris).edges
     n = len(pts)
-    # CSR rows list each vertex's neighbours in sorted order, the order
-    # its one-ring mean is summed in
-    nbrs = coo_matrix((np.ones(2 * len(edges)),
-                       (edges.ravel(), edges[:, ::-1].ravel())),
-                      shape=(n, n)).tocsr()
-    degree = np.diff(nbrs.indptr)
-    ring = (nbrs @ pts) / np.maximum(degree, 1)[:, None]
+    src, dst = np.concatenate([edges, edges[:, ::-1]]).T
+    # np.add.at adds one term at a time, here in sorted-neighbour order,
+    # so each ring sum has one fixed rounding (np.add.reduceat pairs terms)
+    src, dst = np.divmod(np.sort(src * n + dst), n)
+    ring = np.zeros_like(pts)
+    np.add.at(ring, src, pts[dst])
+    ring /= np.maximum(np.bincount(src, minlength=n), 1)[:, None]
     pa, pb, pc = pts[tris[:, 0]], pts[tris[:, 1]], pts[tris[:, 2]]
     normal = np.cross(pb - pa, pc - pa)
     centroid = (pa + pb + pc) / 3.0

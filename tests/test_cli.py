@@ -151,6 +151,26 @@ def test_disconnected_graph_exits_3(tmp_path, fast_cfg, capsys):
     assert len(sizes) > 1 and sum(sizes) == 800
 
 
+def test_unseparated_generators_exit_3_with_advice(tmp_path, capsys):
+    """On a 300-point grid of the thin torus r = 0.2, the loop round the
+    tube weighs about what the heaviest trivial cycle does. The failure
+    says what to do and carries the weights it compared."""
+    cfg = tmp_path / "coarse.json"
+    cfg.write_text(json.dumps({"sampler": {"kind": "torus_revolution",
+                                           "N": 300, "r": 0.2}}))
+    code = cli.main(["run", "--config", str(cfg),
+                     "--output-dir", str(tmp_path)])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "GeneratorClassificationError"
+    assert "raise k or sample more points" in err["message"]
+    diag = err["details"]["diagnostics"]
+    assert diag["required_ratio"] == 1.25
+    assert diag["ratio"] < 1.25
+    assert diag["ratio"] == pytest.approx(diag["generator_weight"]
+                                          / diag["trivial_weight_max"])
+
+
 def test_failure_json_carries_exception_payload(capsys):
     cases = ((MeshValidationError("torn", {"boundary_edges": 3}),
               "report", {"boundary_edges": 3}),
@@ -314,3 +334,58 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
                          text=True, check=True, timeout=120,
                          env=dict(os.environ, PYTHONPATH=src))
     assert out.stdout.strip() == "False"
+
+
+def _run_python(code, cwd=None):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    return subprocess.run([sys.executable, *code], capture_output=True,
+                          text=True, timeout=120, cwd=cwd,
+                          env=dict(os.environ, PYTHONPATH=src))
+
+
+def test_restage_commands_run_without_scipy(tmp_path, finished_run):
+    """Importing the CLI or the package, and the project, export,
+    validate and sample commands, load no scipy module; the package's
+    lazy names all resolve and are listed by dir()."""
+    (tmp_path / "mesh.json").write_bytes(
+        (finished_run / "mesh.json").read_bytes())
+    out = str(tmp_path)
+    code = f"""
+import sys
+def scipy_loaded():
+    return [m for m in sys.modules if m.split('.')[0] == 'scipy']
+import torusforge.cli
+assert not scipy_loaded(), scipy_loaded()
+for argv in (["project", "--projection", "pca"], ["export", "--format", "ply"],
+             ["validate"], ["sample", "--dim", "6"]):
+    assert torusforge.cli.main(argv + ["--output-dir", {out!r}]) == 0, argv
+assert not scipy_loaded(), scipy_loaded()
+print("ok")
+"""
+    run = _run_python(["-c", code])
+    assert run.stdout.strip() == "ok", run.stderr
+    assert (tmp_path / "mesh.ply").is_file()
+    assert json.loads((tmp_path / "validation.json").read_text())[
+        "problems"] == []
+    code = """
+import sys, torusforge
+assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']
+assert set(torusforge.__all__) <= set(dir(torusforge))
+import importlib
+from torusforge import _HOME
+for name in torusforge.__all__:
+    home = importlib.import_module('torusforge.' + _HOME[name])
+    assert getattr(torusforge, name) is getattr(home, name), name
+print(len(torusforge.__all__))
+"""
+    run = _run_python(["-c", code])
+    assert run.stdout.strip() == "47", run.stderr
+
+
+def test_module_entry_point_runs_without_warnings(tmp_path):
+    """`python -m torusforge.cli` finds no half-imported copy of the CLI
+    in sys.modules, so runpy has nothing to warn about."""
+    run = _run_python(["-W", "error::RuntimeWarning", "-m", "torusforge.cli",
+                       "--help"], cwd=tmp_path)
+    assert run.returncode == 0, run.stderr
+    assert "usage: torusforge" in run.stdout

@@ -580,6 +580,18 @@ def test_classification_on_grid5():
         classify_cycles(basis, ratio=1.26)
 
 
+def test_classification_error_says_what_to_do():
+    """The stop names its remedy and carries the weights it compared:
+    on grid 5 the generators weigh 5 and the trivial squares 4, one
+    hair under a 1.26 gate."""
+    with pytest.raises(GeneratorClassificationError,
+                       match="raise k or sample more points") as info:
+        classify_cycles(homology_split(periodic_grid(5)), ratio=1.26)
+    assert info.value.diagnostics == {
+        "generator_weight": 5.0, "trivial_weight_max": 4.0, "ratio": 1.25,
+        "required_ratio": 1.26}
+
+
 def test_classification_rejects_grid3():
     """On the 3x3 grid the row and column loops are as light as the
     faces, so the two heaviest basis cycles are ordinary squares and the

@@ -7,6 +7,9 @@ import json
 
 import numpy as np
 import pytest
+import scipy.spatial
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import Delaunay
 
 from conftest import (EARTH_MOON_MU, brute_force_delaunay_check,
@@ -17,8 +20,10 @@ from torusforge.cycles import classify_cycles
 from torusforge.errors import MeshValidationError, ResidualError
 from torusforge.knn import NeighborGraph
 from torusforge import mesher
-from torusforge.mesher import (_periodic_delaunay, export_mesh_json,
-                               load_mesh_json, mesh_flat_torus, validate_mesh)
+from torusforge.mesher import (_components, _half_edges, _periodic_delaunay,
+                               export_mesh_json, load_mesh_json,
+                               mesh_flat_torus, validate_mesh)
+from torusforge.orientation import _double_cover
 from torusforge.oneforms import OneFormPair, assemble_system, solve_oneforms
 from torusforge.samplers import (PointCloud, sample_center_manifold_torus,
                                  sample_torus_revolution)
@@ -195,15 +200,16 @@ def test_periodic_delaunay_matches_full_copy(fixture_angle_maps,
     corner whose circumdisks end just past the margin (a box only 10 %
     looser would keep a triangle the full copy does not have), a strip
     whose edge points lie on the padded hull, a repeated point; and on
-    clouds of at most 16 points, which go straight to the full copy."""
+    clouds of at most 16 points, which go straight to the full copy.
+    Qhull runs are counted through scipy.spatial.Delaunay, which
+    `_periodic_delaunay` imports when called."""
     runs = []
-    delaunay = mesher.Delaunay
 
     def counted(points):
         runs.append(len(points))
-        return delaunay(points)
+        return Delaunay(points)
 
-    monkeypatch.setattr(mesher, "Delaunay", counted)
+    monkeypatch.setattr(scipy.spatial, "Delaunay", counted)
 
     def qhull_runs(points, period):
         del runs[:]
@@ -402,6 +408,43 @@ def test_reversed_face_fails_winding_certificate(torus_bundle, monkeypatch):
         mesh_flat_torus(b.graph, b.forms, b.cloud)
     assert err.value.report["euler_characteristic"] == 0
     assert "3 directed edges" in str(err.value)
+
+
+def assert_components_match_scipy(n, a, b):
+    """`_components` gives scipy's partition, each node labelled with
+    the smallest id in its component."""
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    graph = coo_matrix((np.ones(len(a)), (a, b)), shape=(n, n))
+    ncomp, want = connected_components(graph, directed=False)
+    smallest = np.full(ncomp, n)
+    np.minimum.at(smallest, want, np.arange(n))
+    assert np.array_equal(_components(n, a, b), smallest[want])
+
+
+def test_components_match_scipy(torus_bundle, stdmap_bundle, cm_bundle):
+    rng = np.random.default_rng(0)
+    for _ in range(40):
+        n = int(rng.integers(1, 400))
+        m = int(rng.integers(0, 2 * n))
+        assert_components_match_scipy(n, rng.integers(0, n, m),
+                                      rng.integers(0, n, m))
+    assert_components_match_scipy(6, [], [])
+    assert_components_match_scipy(6, [0, 2, 3, 5], [0, 2, 4, 5])
+    # a path listed from its far end hooks one node per step
+    down = np.arange(10 ** 4 - 1)[::-1]
+    assert_components_match_scipy(10 ** 4, down, down + 1)
+    assert_components_match_scipy(10 ** 4, down + 1, down)
+    for bundle in (torus_bundle, stdmap_bundle, cm_bundle):
+        tris = bundle.mesh.triangles
+        he = _half_edges(tris)
+        assert_components_match_scipy(2 * len(tris),
+                                      *_double_cover(he, len(tris)))
+        # the corner incidences `_link_offenders` joins
+        h = np.arange(len(he.edge))
+        nxt = h - h % 3 + (h + 1) % 3
+        assert_components_match_scipy(
+            2 * len(he.edges), 2 * he.edge + he.forward,
+            2 * he.edge[nxt] + ~he.forward[nxt])
 
 
 def test_validate_mesh_empty():

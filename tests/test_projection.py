@@ -164,6 +164,17 @@ def test_ply_bytes_match_per_face_reference(cm_bundle, tmp_path):
     assert len(np.unique(colors, axis=0)) == 2
 
 
+def test_ply_colours_with_unused_point(cm_bundle, tmp_path):
+    """A point no face uses has an empty one-ring and changes no face's
+    colour."""
+    pm = project(cm_bundle.oriented, Projection.pca())
+    pm = ProjectedMesh(np.vstack([pm.points, [[9.0, 9.0, 9.0]]]),
+                       pm.triangles, pm.source_dim)
+    path = tmp_path / "extra.ply"
+    export_mesh(pm, "ply", path, color_mode="sidedness")
+    assert path.read_bytes().endswith(reference_ply_faces(pm))
+
+
 def test_obj_layers(torus_projected, tmp_path):
     path = tmp_path / "annotated.obj"
     layers = [("toroidal", "l", [0, 1, 2]), ("seeds", "p", [3, 9])]
