@@ -277,7 +277,14 @@ def stage_mesh(cfg, cloud=None):
                              weights=cfg["weights"])
     forms = solve_oneforms(system)
     export_residuals_json(_art(cfg, "residuals.json"), forms)
-    mesh = mesh_flat_torus(graph, forms, cloud)
+    try:
+        mesh = mesh_flat_torus(graph, forms, cloud)
+    except MeshValidationError as exc:
+        if "coincident_pairs" in exc.report:
+            exc.report["weights"] = cfg["weights"]
+            if cfg["weights"] != "inverse_length":
+                exc.report["advice"] = 'set "weights": "inverse_length"'
+        raise
     export_mesh_json(_art(cfg, "mesh.json"), mesh)
     log.info("mesh: %d faces, chi=%d -> mesh.json",
              mesh.report["faces"], mesh.report["euler_characteristic"])

@@ -3,31 +3,30 @@ homology generators.
 
 `homology_split`, the basis the pipeline splits, starts from the graph's
 triangles and chordless squares (4-cycles whose diagonals are not
-edges), found with array operations on the edge list. A GF(2) greedy
-takes them in weight order; on a well-sampled torus they fill every slot
-but the generators. de Pina's rule fills the slots left (Kavitha et al.,
-"Cycle bases in graphs", 2009): each vector of the GF(2) orthogonal
-complement of the selected span, in turn, takes the lightest cycle
-pairing oddly with it. That cycle is found by Dijkstras on the graph's
-parity double cover, started only from a vertex cover of the vector's
-seam and stopped half way round: a walk of weight L <= B meets some
-vertex x with both copies of x within B/2 + w_max (the heaviest edge) of
-its source, so a search to that radius is exact whenever a walk of
-weight at most B exists. The complement vectors are back-substituted
-over only the pivot rows they meet. The split is the minimum basis
-whenever every minimum-basis cycle lighter than the heaviest chosen
-triangle or square has at most 4 hops.
+edges), found with array operations on the edge list. One GF(2) column
+reduction of the faces x coordinates matrix, faces in weight order,
+keeps the faces a greedy in that order keeps; on a well-sampled torus
+they fill every slot but the generators. The columns that vanish give
+the complement basis of their span. de Pina's rule fills the slots left
+(Kavitha et al., "Cycle bases in graphs", 2009): each complement vector,
+in turn, takes the lightest cycle pairing oddly with it. That cycle is
+found by Dijkstras on the graph's parity double cover, started only
+from a vertex cover of the vector's seam and stopped half way round: a
+walk of weight L <= B meets some vertex x with both copies of x within
+B/2 + w_max (the heaviest edge) of its source, so a search to that
+radius is exact whenever a walk of weight at most B exists. The split
+is the minimum basis whenever every minimum-basis cycle lighter than
+the heaviest chosen triangle or square has at most 4 hops.
 
 Every phase produces each cycle as a vertex loop. The basis holds the
 loops as one CSR block (`CycleBasis`), certified simple when it is
 built; only the two homology generators become `Cycle` objects. A
 cycle's GF(2) vector is the set of its edges off the shortest-path tree
-from vertex 0, each edge named by its coordinate; pivot rows and
-complement vectors are such sets too.
+from vertex 0, each edge named by its coordinate; complement vectors
+are such sets too.
 """
 
 import hashlib
-import heapq
 import json
 import logging
 from dataclasses import dataclass
@@ -68,17 +67,21 @@ def _edge_ids(graph, a, b):
                               "edge") from None
 
 
-def _loop_steps(graph, loops):
-    """indptr, flat vertices and step edge ids of a list of vertex loops;
-    each loop's last step runs back to its first vertex."""
-    hops = np.fromiter(map(len, loops), dtype=np.int64, count=len(loops))
+def _flat(loops):
+    """Hop counts and flat vertices of a list of vertex loops."""
+    return (np.fromiter(map(len, loops), dtype=np.int64, count=len(loops)),
+            np.fromiter(chain.from_iterable(loops), dtype=np.int64))
+
+
+def _loop_steps(graph, hops, vertices):
+    """indptr and step edge ids of vertex loops laid end to end in
+    vertices, hops[r] of them in loop r; each loop's last step runs back
+    to its first vertex."""
     indptr = np.zeros(len(hops) + 1, dtype=np.int64)
     np.cumsum(hops, out=indptr[1:])
-    vertices = np.fromiter(chain.from_iterable(loops), dtype=np.int64,
-                           count=int(indptr[-1]))
     heads = np.roll(vertices, -1)
     heads[indptr[1:] - 1] = vertices[indptr[:-1]]
-    return indptr, vertices, _edge_ids(graph, vertices, heads)
+    return indptr, _edge_ids(graph, vertices, heads)
 
 
 def _hop_groups(indptr, edges):
@@ -113,8 +116,12 @@ class CycleBasis:
         """Block of vertex loops, in the order given. Raises
         CycleBasisError unless every loop is a simple cycle of the graph:
         at least 3 vertices, all distinct, and every step a graph edge."""
-        indptr, vertices, edges = _loop_steps(graph, loops)
-        hops = np.diff(indptr)
+        return cls.from_flat(graph, *_flat(loops))
+
+    @classmethod
+    def from_flat(cls, graph, hops, vertices):
+        """`from_loops` of the loops laid end to end in vertices."""
+        indptr, edges = _loop_steps(graph, hops, vertices)
         if np.any(hops < 3):
             raise CycleBasisError("a cycle needs at least 3 vertices")
         key = np.sort(np.repeat(np.arange(len(hops)), hops)
@@ -233,38 +240,11 @@ class _Workspace:
         far as the caller reads."""
         loops = iter(loops)
         while batch := list(islice(loops, self.chunk)):
-            indptr, _, edges = _loop_steps(self.graph, batch)
+            indptr, edges = _loop_steps(self.graph, *_flat(batch))
             coord = self.coord[edges].tolist()
             ptr = indptr.tolist()
             for loop, lo, hi in zip(batch, ptr[:-1], ptr[1:]):
                 yield loop, {c for c in coord[lo:hi] if c >= 0}
-
-
-def _reduce_vector(vec, pivots):
-    """Eliminate the coordinate set vec against the pivot rows, in place;
-    returns (residual, new pivot) with pivot None when vec lies in the
-    current span. A pivot is its row's smallest coordinate."""
-    while vec:
-        low = min(vec)
-        row = pivots.get(low)
-        if row is None:
-            return vec, low
-        vec ^= row
-    return vec, None
-
-
-def _greedy(ws, pivots, chosen, rows):
-    """Append to chosen, in order, the loop of each (loop, vector) row
-    independent of the span of the pivot rows, until the basis is
-    complete."""
-    for loop, vec in rows:
-        resid, pivot = _reduce_vector(vec, pivots)
-        if pivot is None:
-            continue
-        pivots[pivot] = resid
-        chosen.append(loop)
-        if len(chosen) == ws.m:
-            break
 
 
 def _slot_pairs(ptr):
@@ -322,22 +302,98 @@ def _short_cycles(ws):
     return triangles, squares
 
 
-def _short_cycle_greedy(ws, pivots, chosen):
-    """GF(2) greedy over the triangles and chordless squares in perturbed
-    weight order, appending each independent one to chosen and its pivot
-    row to pivots. Their rows have at most four coordinates and stay
-    about that sparse under elimination."""
-    loops, rows, weights = [], [], []
-    found = _short_cycles(ws)
-    for verts, eids in found:
-        loops += verts.tolist()
-        rows += ws.coord[eids].tolist()
-        weights.append(ws.w_pert[eids].sum(axis=1))
-    order = np.argsort(np.concatenate(weights), kind="stable").tolist()
-    _greedy(ws, pivots, chosen,
-            ((loops[r], {c for c in rows[r] if c >= 0}) for r in order))
+def _face_reduction(faces, m):
+    """GF(2) column reduction of the rows faces[r], sets of coordinates
+    (-1 pads a row) in rank order: (kept, comp), the rows independent of
+    all earlier ones, ascending, and the complement basis of their span
+    with one vector per free coordinate f, ascending, holding f and no
+    other free coordinate.
+
+    Column c holds the rows meeting c, then the tracking row R - 1 - c;
+    its pivot is its first row. Each round, each pivot no column owns
+    yet is claimed and frozen by the lowest column holding it, and every
+    other column adds the frozen owner of its pivot. Column additions
+    keep the rank of every row prefix, so the owned rows are those a
+    greedy keeps (the pairing lemma of column-reduction persistence,
+    Bauer, "Ripser", 2021). A column whose face rows cancel owns the
+    tracking row of its largest coordinate, a free one; back-substitution
+    in ascending f clears its lower free coordinates."""
+    F, R = len(faces), len(faces) + m
+    r, j = np.nonzero(faces >= 0)
+    c = np.arange(m)
+    # column after column, each as its sorted keys col * R + row
+    keys = np.sort(np.concatenate([faces[r, j] * R + r, c * R + R - 1 - c]))
+    owner = np.full(R, -1, dtype=np.int64)
+    start = np.zeros(m, dtype=np.int64)     # the rows of frozen column c
+    size = np.zeros(m, dtype=np.int64)      # are store[start[c]:][:size[c]]
+    store, end = np.empty(len(keys), dtype=np.int64), 0
+    while len(keys):
+        col = keys // R
+        head = np.flatnonzero(np.r_[True, col[1:] != col[:-1]])
+        lead, pivot = col[head], keys[head] % R
+        free = owner[pivot] < 0
+        won, first = np.unique(pivot[free], return_index=True)
+        owner[won] = lead[free][first]
+        frozen = np.zeros(m, dtype=bool)
+        frozen[owner[won]] = True
+        held, claimed = frozen[col], frozen[lead]
+        rows = keys[held] % R
+        if end + len(rows) > len(store):
+            grown = np.empty(len(store) + len(rows), dtype=np.int64)
+            store = np.concatenate([store[:end], grown])
+        store[end:end + len(rows)] = rows
+        counts = np.diff(np.r_[head, len(keys)])[claimed]
+        start[lead[claimed]] = end + np.cumsum(counts) - counts
+        size[lead[claimed]] = counts
+        end += len(rows)
+        src = owner[pivot[~claimed]]
+        k = size[src]
+        at = np.repeat(start[src] - np.cumsum(k) + k, k) + np.arange(k.sum())
+        # two sorted runs, which the stable sort merges; XOR drops pairs
+        keys = np.sort(np.concatenate([
+            keys[~held], store[at] + np.repeat(lead[~claimed], k) * R]),
+            kind="stable")
+        odd = np.ones(len(keys), dtype=bool)
+        pair = keys[1:] == keys[:-1]
+        odd[1:] &= ~pair
+        odd[:-1] &= ~pair
+        keys = keys[odd]
+    comp = {}
+    for f in np.flatnonzero(owner[F:][::-1] >= 0).tolist():
+        o = owner[R - 1 - f]
+        s = set((R - 1 - store[start[o]:start[o] + size[o]]).tolist())
+        for g in s.intersection(comp):
+            s ^= comp[g]
+        comp[f] = s
+    return np.flatnonzero(owner[:F] >= 0), list(comp.values())
+
+
+def _short_cycle_basis(ws):
+    """The triangles and chordless squares independent of all lighter
+    ones, as (k3, 3) and (k4, 4) vertex loops, and the complement basis
+    of their span, certified to pair evenly with every one of them."""
+    (tri, tri_e), (sq, sq_e) = _short_cycles(ws)
+    faces = np.full((len(tri) + len(sq), 4), -1, dtype=np.int64)
+    faces[:len(tri), :3] = ws.coord[tri_e]
+    faces[len(tri):] = ws.coord[sq_e]
+    order = np.argsort(np.concatenate([ws.w_pert[tri_e].sum(axis=1),
+                                       ws.w_pert[sq_e].sum(axis=1)]),
+                       kind="stable")
+    kept, comp = _face_reduction(faces[order], ws.m)
+    kept = order[kept]
+    # bit i of word[c]: complement vector lo + i holds coordinate c;
+    # word[-1] stays 0 for the padding and the tree edges
+    for lo in range(0, len(comp), 64):
+        word = np.zeros(ws.m + 1, dtype=np.uint64)
+        for i, s in enumerate(comp[lo:lo + 64]):
+            word[list(s)] |= np.uint64(1 << i)
+        if np.any(np.bitwise_xor.reduce(word[faces], axis=1)):
+            raise CycleBasisError("a complement vector pairs oddly with a "
+                                  "triangle or square")
     log.info("short cycles: %d triangles and %d squares fill %d of %d slots",
-             *(len(v) for v, _ in found), len(chosen), ws.m)
+             len(tri), len(sq), len(kept), ws.m)
+    is_tri = kept < len(tri)
+    return [tri[kept[is_tri]], sq[kept[~is_tri] - len(tri)]], comp
 
 
 def _walk_to_source(prow, v, x):
@@ -349,43 +405,6 @@ def _walk_to_source(prow, v, x):
             raise CycleBasisError("broken predecessor chain")
         verts.append(x)
     return verts
-
-
-def _complement_basis(ws, pivots):
-    """Basis of the GF(2) orthogonal complement of the selected span: for
-    each free coordinate f, the coordinate set s holding f that pairs
-    evenly with every pivot row.
-
-    Back-substitution adds pivot p to s when row p pairs oddly with s so
-    far, in decreasing pivot order, as a row holds no coordinate below
-    its pivot. A row that meets s nowhere pairs evenly, so only the rows
-    meeting s are visited: a column index lists, for each coordinate,
-    the pivots below it whose row holds it, and a max-heap hands them out
-    in decreasing order."""
-    below = {}
-    for p, row in pivots.items():
-        for c in row:
-            if c != p:
-                below.setdefault(c, []).append(-p)
-    out = []
-    for f in range(ws.m):
-        if f in pivots:
-            continue
-        s = {f}
-        heap = list(below.get(f, ()))
-        heapq.heapify(heap)
-        last = None
-        while heap:
-            p = -heapq.heappop(heap)
-            if p == last:
-                continue
-            last = p
-            if len(pivots[p] & s) & 1:
-                s.add(p)
-                for q in below.get(p, ()):
-                    heapq.heappush(heap, q)
-        out.append(s)
-    return out
 
 
 def _vertex_cover(x, y):
@@ -479,41 +498,39 @@ def _lightest_odd_cycle(ws, s):
     return [u % n for u in walk[:-1]]
 
 
-def _phase_b(ws, pivots, chosen, comp):
+def _phase_b(ws, chosen, comp):
     """Finish the basis by de Pina's rule: each complement vector in turn
     takes the lightest cycle pairing oddly with it, and is folded into
     every later vector that cycle also pairs oddly with, which keeps the
-    later vectors orthogonal to every chosen cycle."""
+    later vectors orthogonal to every chosen cycle, so the odd pairing
+    makes each new cycle independent of them."""
     for i, s in enumerate(comp):
         loop = _lightest_odd_cycle(ws, s)
         if loop is None:
             raise CycleBasisError(
-                f"cycle basis incomplete: {ws.m - len(chosen)} slots left "
+                f"cycle basis incomplete: {len(comp) - i} slots left "
                 f"unfilled, no cycle pairs oddly with a complement vector")
         _, vec = next(ws.vectors([loop]))
         if not len(vec & s) & 1:
             raise CycleBasisError("lightest odd cycle pairs evenly")
-        resid, pivot = _reduce_vector(set(vec), pivots)
-        if pivot is None:
-            raise CycleBasisError("odd pairing on a dependent cycle")
-        pivots[pivot] = resid
-        chosen.append(loop)
+        chosen.append(np.array([loop], dtype=np.int64))
         comp[i + 1:] = [t ^ s if len(vec & t) & 1 else t
                         for t in comp[i + 1:]]
 
 
-def _finish(ws, pivots, chosen):
-    """Fill the slots left by de Pina's rule, starting from the complement
-    basis of the chosen span, and return the basis as a block sorted by
-    weight."""
-    if len(chosen) < ws.m:
-        log.info("support-vector phase for %d remaining cycles",
-                 ws.m - len(chosen))
-        _phase_b(ws, pivots, chosen, _complement_basis(ws, pivots))
-    if len(chosen) != ws.m:
+def _finish(ws, chosen, comp):
+    """Fill the slots left by de Pina's rule, from comp, the complement
+    basis of the span of chosen (2-D vertex arrays, a loop per row), and
+    return the basis as a block sorted by weight."""
+    if comp:
+        log.info("support-vector phase for %d remaining cycles", len(comp))
+        _phase_b(ws, chosen, comp)
+    hops = np.concatenate([np.full(len(a), a.shape[1]) for a in chosen])
+    if len(hops) != ws.m:
         raise CycleBasisError(
-            f"basis incomplete: {len(chosen)} of {ws.m} cycles")
-    basis = CycleBasis.from_loops(ws.graph, chosen).sorted()
+            f"basis incomplete: {len(hops)} of {ws.m} cycles")
+    basis = CycleBasis.from_flat(ws.graph, hops, np.concatenate(
+        [a.ravel() for a in chosen])).sorted()
     log.info("cycle basis: %d cycles, total weight %.6g",
              basis.size, basis.total_weight())
     return basis
@@ -523,22 +540,19 @@ def homology_split(graph):
     """Cycle basis of a torus graph for `classify_cycles`, sorted by
     nondecreasing weight.
 
-    The triangles and chordless squares enter a greedy in the perturbed
-    weight order; de Pina's rule fills the slots left, the generators
-    among them. The result is always a basis of simple cycles. It is the
-    minimum basis whenever every minimum-basis cycle lighter than the
-    heaviest chosen triangle or square has at most 4 hops: the family
-    then holds every cycle the exact greedy picks up to that weight, so
-    the greedy over it picks the same ones, and de Pina's rule completes
-    them exactly.
+    The triangles and chordless squares enter a greedy, done as a column
+    reduction, in the perturbed weight order; de Pina's rule fills the
+    slots left, the generators among them. The result is always a basis
+    of simple cycles. It is the minimum basis whenever every
+    minimum-basis cycle lighter than the heaviest chosen triangle or
+    square has at most 4 hops: the family then holds every cycle the
+    exact greedy picks up to that weight, so the greedy over it picks the
+    same ones, and de Pina's rule completes them exactly.
     """
     ws = _Workspace(graph)
     if ws.m == 0:
         return CycleBasis.from_loops(graph, [])
-    pivots = {}
-    chosen = []
-    _short_cycle_greedy(ws, pivots, chosen)
-    return _finish(ws, pivots, chosen)
+    return _finish(ws, *_short_cycle_basis(ws))
 
 
 def classify_cycles(basis, ratio=1.25):

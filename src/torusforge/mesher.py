@@ -175,6 +175,23 @@ def _inside_margin(pts, simp, period, r):
                     and np.all(a + off + rad <= period + inner))
 
 
+def _reject_coincident_points(adj, points, period):
+    """Raise MeshValidationError, naming the points and their kNN
+    neighbours, when chart points lie within a billionth of the mean
+    spacing of each other on the flat torus: Qhull would drop them."""
+    from scipy.spatial import cKDTree
+    tol = 1e-9 * np.sqrt(np.prod(period) / len(points))
+    pairs = sorted(cKDTree(np.mod(points, period), boxsize=period)
+                   .query_pairs(tol, output_type="ndarray").tolist())
+    if pairs:
+        near = {str(v): adj.indices[adj.indptr[v]:adj.indptr[v + 1]].tolist()
+                for v in np.unique(pairs).tolist()}
+        raise MeshValidationError(
+            f"chart points coincide in pairs {pairs[:3]}, kNN neighbours "
+            f"{dict(list(near.items())[:6])}", {"coincident_pairs": pairs,
+                                                "neighbors": near})
+
+
 def _periodic_delaunay(points, period):
     """Delaunay triangles of `points` on the flat torus [0, px) x [0, py),
     from a Qhull run on the points and their periodic copies within a
@@ -232,11 +249,11 @@ def mesh_flat_torus(graph, forms, cloud):
     from an integer is the report's `period_defect_max`, and
     ResidualError is raised when it exceeds 1e-6. Triangulates theta
     mod 1, scaled by the chart metric, on the flat torus. Raises
-    MeshValidationError, carrying the report, when the result is not a
-    closed genus-1 manifold, when a directed edge is walked by two faces
-    (so the chart winding is not one global orientation), when an input
-    point is not a mesh vertex, or when a mesh edge that is also a graph
-    edge spans a period seam.
+    MeshValidationError, carrying the report, when chart points
+    coincide, when the result is not a closed genus-1 manifold, when a
+    directed edge is walked by two faces (so the chart winding is not
+    one global orientation), when an input point is not a mesh vertex,
+    or when a mesh edge that is also a graph edge spans a period seam.
     """
     from scipy.sparse.csgraph import dijkstra
     from .knn import _bfs_tree
@@ -247,7 +264,8 @@ def mesh_flat_torus(graph, forms, cloud):
     child, parent, tree_edge = _bfs_tree(graph)
     step = np.where((parent < child)[:, None], inc[tree_edge],
                     -inc[tree_edge])
-    hops = dijkstra(graph.adjacency_matrix(), indices=0, unweighted=True)
+    adj = graph.adjacency_matrix()
+    hops = dijkstra(adj, indices=0, unweighted=True)
     theta = np.zeros((V, 2))
     # BFS order runs level by level; a level's parents are all in earlier ones
     for lv in np.split(np.arange(len(child)),
@@ -261,8 +279,9 @@ def mesh_flat_torus(graph, forms, cloud):
             f"period by {defect:.3e} (gate {_PERIOD_DEFECT_GATE:.0e})",
             {"period_defect_max": defect})
     metric = np.asarray(_chart_metric(graph, forms))
-    triangles, dropped = _periodic_delaunay(np.mod(theta, 1.0) * metric,
-                                            metric)
+    chart = np.mod(theta, 1.0) * metric
+    _reject_coincident_points(adj, chart, metric)
+    triangles, dropped = _periodic_delaunay(chart, metric)
     he = _half_edges(triangles)
     report = _validate(triangles, he, strict=False,
                        extra={"period_defect_max": defect})

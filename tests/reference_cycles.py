@@ -15,15 +15,100 @@ graphs: a greedy over every simple cycle.
 
 Both run on the library's workspace, so their weights carry the same
 tie-breaking perturbation as the split's.
+
+`greedy` and `complement_basis` are the set-based GF(2) elimination the
+library's column reduction is compared with: a row at a time, each row
+a set of coordinates reduced against the pivot rows kept so far, and
+the complement basis back-substituted over the pivot rows.
 """
+
+import heapq
 
 import numpy as np
 from scipy.sparse.csgraph import dijkstra
 
 from torusforge.cycles import (_INTERNAL_SEED, _PERTURB_EPS, CycleBasis,
-                               _edge_ids, _finish, _greedy, _walk_to_source,
-                               _Workspace)
+                               _edge_ids, _finish, _short_cycles,
+                               _walk_to_source, _Workspace)
 from torusforge.errors import CycleBasisError
+
+
+def reduce_vector(vec, pivots):
+    """Eliminate the coordinate set vec against the pivot rows, in place;
+    returns (residual, new pivot) with pivot None when vec lies in the
+    current span. A pivot is its row's smallest coordinate."""
+    while vec:
+        low = min(vec)
+        row = pivots.get(low)
+        if row is None:
+            return vec, low
+        vec ^= row
+    return vec, None
+
+
+def greedy(ws, pivots, chosen, rows):
+    """Append to chosen, in order, the loop of each (loop, vector) row
+    independent of the span of the pivot rows, until the basis is
+    complete."""
+    for loop, vec in rows:
+        resid, pivot = reduce_vector(vec, pivots)
+        if pivot is None:
+            continue
+        pivots[pivot] = resid
+        chosen.append(loop)
+        if len(chosen) == ws.m:
+            break
+
+
+def complement_basis(ws, pivots):
+    """Basis of the GF(2) orthogonal complement of the span of the pivot
+    rows: for each free coordinate f, the coordinate set s holding f that
+    pairs evenly with every pivot row.
+
+    Back-substitution adds pivot p to s when row p pairs oddly with s so
+    far, in decreasing pivot order, as a row holds no coordinate below
+    its pivot. A row that meets s nowhere pairs evenly, so only the rows
+    meeting s are visited: a column index lists, for each coordinate,
+    the pivots below it whose row holds it, and a max-heap hands them out
+    in decreasing order."""
+    below = {}
+    for p, row in pivots.items():
+        for c in row:
+            if c != p:
+                below.setdefault(c, []).append(-p)
+    out = []
+    for f in range(ws.m):
+        if f in pivots:
+            continue
+        s = {f}
+        heap = list(below.get(f, ()))
+        heapq.heapify(heap)
+        last = None
+        while heap:
+            p = -heapq.heappop(heap)
+            if p == last:
+                continue
+            last = p
+            if len(pivots[p] & s) & 1:
+                s.add(p)
+                for q in below.get(p, ()):
+                    heapq.heappush(heap, q)
+        out.append(s)
+    return out
+
+
+def short_cycle_greedy(ws, pivots, chosen):
+    """The set-based greedy over the triangles and chordless squares in
+    perturbed weight order, appending each independent one's vertex loop
+    to chosen and its pivot row to pivots."""
+    loops, rows, weights = [], [], []
+    for verts, eids in _short_cycles(ws):
+        loops += verts.tolist()
+        rows += ws.coord[eids].tolist()
+        weights.append(ws.w_pert[eids].sum(axis=1))
+    order = np.argsort(np.concatenate(weights), kind="stable").tolist()
+    greedy(ws, pivots, chosen,
+           ((loops[r], {c for c in rows[r] if c >= 0}) for r in order))
 
 
 def neighbor_rows(graph):
@@ -134,8 +219,8 @@ def phase_a(ws, pivots, chosen, theta):
     walk = np.sort(np.unique(sg, return_index=True)[1])
     loops = (_candidate_loop(ws, preds[v // ws.chunk][v % ws.chunk], v, e)
              for v, e in zip(vs[walk].tolist(), es[walk].tolist()))
-    _greedy(ws, pivots, chosen,
-            ws.vectors(loop for loop in loops if loop is not None))
+    greedy(ws, pivots, chosen,
+           ws.vectors(loop for loop in loops if loop is not None))
 
 
 def minimum_cycle_basis(graph, theta0=None):
@@ -155,7 +240,8 @@ def minimum_cycle_basis(graph, theta0=None):
     pivots = {}
     chosen = []
     phase_a(ws, pivots, chosen, ws.theta0 if theta0 is None else theta0)
-    return _finish(ws, pivots, chosen)
+    return _finish(ws, [np.array([loop]) for loop in chosen],
+                   complement_basis(ws, pivots))
 
 
 def exhaustive_minimum_cycle_basis(graph, max_edges=20):
@@ -183,8 +269,8 @@ def exhaustive_minimum_cycle_basis(graph, max_edges=20):
     block = CycleBasis.from_loops(graph, loops).sorted()
     chosen = []
     ws = _Workspace(graph)
-    _greedy(ws, {}, chosen,
-            ws.vectors(np.split(block.vertices, block.indptr[1:-1])))
+    greedy(ws, {}, chosen,
+           ws.vectors(np.split(block.vertices, block.indptr[1:-1])))
     if len(chosen) != m:
         raise CycleBasisError("exhaustive enumeration missed the cycle space")
     return CycleBasis.from_loops(graph, chosen)

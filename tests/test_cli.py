@@ -171,6 +171,31 @@ def test_unseparated_generators_exit_3_with_advice(tmp_path, capsys):
                                           / diag["trivial_weight_max"])
 
 
+def test_coincident_chart_points_named_with_weight_advice(tmp_path, capsys):
+    """Uniform weights on the default --dim 4 cloud give two adjacent
+    points with the same other kNN neighbours one chart position. The
+    mesh stage stops before Qhull, naming both points and their
+    neighbours, and the failure adds the weight scheme and the advice."""
+    cfg = tmp_path / "uniform.json"
+    cfg.write_text(json.dumps({"weights": "uniform"}))
+    code = cli.main(["run", "--dim", "4", "--config", str(cfg),
+                     "--output-dir", str(tmp_path)])
+    assert code == 4
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "MeshValidationError"
+    assert "chart points coincide in pairs [[1649, 3285]]" in err["message"]
+    assert "Qhull" not in err["message"]
+    report = err["details"]["report"]
+    assert report["coincident_pairs"] == [[1649, 3285]]
+    near = report["neighbors"]
+    assert set(near) == {"1649", "3285"}
+    assert 3285 in near["1649"] and 1649 in near["3285"]
+    assert set(near["1649"]) - {3285} == set(near["3285"]) - {1649}
+    assert report["weights"] == "uniform"
+    assert report["advice"] == 'set "weights": "inverse_length"'
+    assert not (tmp_path / "mesh.json").exists()
+
+
 def test_failure_json_carries_exception_payload(capsys):
     cases = ((MeshValidationError("torn", {"boundary_edges": 3}),
               "report", {"boundary_edges": 3}),

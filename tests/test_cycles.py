@@ -5,6 +5,7 @@ generator classification."""
 
 import hashlib
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -385,17 +386,25 @@ def test_support_vector_phase_without_candidates_fails_clean(monkeypatch):
         homology_split(periodic_grid(6))
 
 
+def coordinate_rows(vectors):
+    """The GF(2) vectors as the rows of a coordinate matrix, -1 padded."""
+    width = max(map(len, vectors), default=0)
+    rows = np.full((len(vectors), width), -1, dtype=np.int64)
+    for r, vec in enumerate(vectors):
+        rows[r, :len(vec)] = sorted(vec)
+    return rows
+
+
 def test_seam_search_finds_lightest_odd_walk(torus_bundle):
     """Starting the double-cover search only at the seam of each
     complement vector finds a cycle that pairs oddly with it and weighs
     as little as the lightest odd closed walk through any vertex."""
     ws = cycles._Workspace(torus_bundle.graph)
-    pivots = {}
     trivial = torus_bundle.classification.trivial
-    for _, vec in ws.vectors(loop for loop, _ in block_rows(trivial)):
-        resid, bit = cycles._reduce_vector(vec, pivots)
-        pivots[bit] = resid
-    comp = cycles._complement_basis(ws, pivots)
+    vectors = [vec for _, vec in
+               ws.vectors(loop for loop, _ in block_rows(trivial))]
+    kept, comp = cycles._face_reduction(coordinate_rows(vectors), ws.m)
+    assert len(kept) == trivial.size
     assert len(comp) == 2
     n = ws.n
     for s in comp:
@@ -452,28 +461,121 @@ def complement_graphs():
     return graphs
 
 
-@pytest.mark.parametrize("bundle", [None, "torus_bundle", "stdmap_bundle",
-                                    "cm_bundle", "random_torus_bundle"])
-def test_complement_basis_matches_full_back_substitution(bundle, request):
-    """Visiting only the pivot rows that meet s gives the vectors of the
-    walk over every pivot row, after the short-cycle greedy and, on the
-    small graphs, also after a band."""
+BUNDLES = [None, "torus_bundle", "stdmap_bundle", "cm_bundle",
+           "random_torus_bundle"]
+
+
+def bundle_graphs(bundle, request):
+    """complement_graphs() for None, else the bundle's kNN graph."""
     if bundle is None:
-        graphs = complement_graphs()
-    else:
-        graphs = [request.getfixturevalue(bundle).graph]
-    for graph in graphs:
+        return complement_graphs()
+    return [request.getfixturevalue(bundle).graph]
+
+
+@pytest.mark.parametrize("bundle", BUNDLES)
+def test_complement_basis_matches_full_back_substitution(bundle, request):
+    """The set-based back-substitution visiting only the pivot rows that
+    meet s, and the column reduction, give the vectors of the walk over
+    every pivot row, after the short-cycle greedy and, on the small
+    graphs, also after a band."""
+    for graph in bundle_graphs(bundle, request):
         ws = cycles._Workspace(graph)
         pivots, chosen = {}, []
-        cycles._short_cycle_greedy(ws, pivots, chosen)
+        reference_cycles.short_cycle_greedy(ws, pivots, chosen)
         want = complement_basis_reference(ws, pivots)
         assert len(want) == ws.m - len(chosen)
-        assert cycles._complement_basis(ws, pivots) == want
+        assert reference_cycles.complement_basis(ws, pivots) == want
+        assert cycles._short_cycle_basis(ws)[1] == want
         if bundle is None:
             ws, pivots, chosen = reference_cycles.workspace(graph), {}, []
             reference_cycles.phase_a(ws, pivots, chosen, ws.theta0)
-            assert (cycles._complement_basis(ws, pivots)
-                    == complement_basis_reference(ws, pivots))
+            want = complement_basis_reference(ws, pivots)
+            assert reference_cycles.complement_basis(ws, pivots) == want
+            rows = coordinate_rows([vec for _, vec in ws.vectors(chosen)])
+            kept, comp = cycles._face_reduction(rows, ws.m)
+            assert kept.tolist() == list(range(len(chosen)))
+            assert comp == want
+
+
+@pytest.mark.parametrize("bundle", BUNDLES)
+def test_short_cycle_reduction_matches_set_greedy(bundle, request):
+    """The column reduction keeps exactly the triangles and squares the
+    set-based greedy keeps, as the same vertex loops, and gives its
+    complement basis in the same order."""
+    for graph in bundle_graphs(bundle, request):
+        ws = cycles._Workspace(graph)
+        pivots, want = {}, []
+        reference_cycles.short_cycle_greedy(ws, pivots, want)
+        chosen, comp = cycles._short_cycle_basis(ws)
+        got = [tuple(loop) for rows in chosen for loop in rows.tolist()]
+        assert len(got) == len(want)
+        assert set(got) == {tuple(loop) for loop in want}
+        assert comp == reference_cycles.complement_basis(ws, pivots)
+
+
+def test_face_reduction_on_random_and_edge_case_matrices():
+    """Random coordinate matrices, repeated and empty rows among them,
+    against the set-based greedy; no coordinates at all; a coordinate no
+    row holds, whose complement vector is that coordinate alone; and a
+    graph its triangles fill completely."""
+    rng = np.random.default_rng(2)
+    for _ in range(200):
+        m = int(rng.integers(1, 12))
+        # up to four distinct coordinates per row, some dropped to -1
+        rows = np.argsort(rng.random((int(rng.integers(0, 20)), m)),
+                          axis=1)[:, :4]
+        rows[rng.random(rows.shape) < 0.3] = -1
+        ws = SimpleNamespace(m=m)
+        pivots, kept = {}, []
+        reference_cycles.greedy(
+            ws, pivots, kept, ((r, set(row[row >= 0].tolist()))
+                               for r, row in enumerate(rows)))
+        got, comp = cycles._face_reduction(rows, m)
+        assert got.tolist() == kept
+        assert comp == reference_cycles.complement_basis(ws, pivots)
+    for F in (0, 3):
+        got, comp = cycles._face_reduction(np.full((F, 4), -1), 0)
+        assert len(got) == 0 and comp == []
+    got, comp = cycles._face_reduction(np.array([[0, 1, 2, -1],
+                                                 [1, 2, 4, -1]]), 5)
+    assert got.tolist() == [0, 1]
+    assert comp == [{1, 2}, {3}, {0, 1, 4}]
+    # a triangle and a pentagon sharing vertex 0: no short cycle holds the
+    # pentagon's coordinate, and de Pina's rule finds the pentagon
+    edges = np.array([(0, 1), (0, 2), (0, 3), (0, 6), (1, 2), (3, 4), (4, 5),
+                      (5, 6)])
+    graph = NeighborGraph.from_edges(7, edges, np.ones(8))
+    ws = cycles._Workspace(graph)
+    chosen, comp = cycles._short_cycle_basis(ws)
+    assert comp == [{int(ws.coord[graph.edge_ids([4], [5])[0]])}]
+    assert [rows.tolist() for rows in chosen] == [[[0, 1, 2]], []]
+    assert homology_split(graph).hops.tolist() == [3, 5]
+    # the complete graph on 5 vertices: m = 6, ten triangles, no squares
+    edges = np.array([(a, b) for a in range(5) for b in range(a + 1, 5)])
+    graph = NeighborGraph.from_edges(5, edges, 1.0 + 0.01 * np.arange(10))
+    ws = cycles._Workspace(graph)
+    chosen, comp = cycles._short_cycle_basis(ws)
+    assert comp == []
+    assert [rows.shape for rows in chosen] == [(6, 3), (0, 4)]
+    basis = homology_split(graph)
+    assert basis.size == ws.m == 6
+    assert gf2_rank(basis) == 6
+
+
+def test_complement_vector_pairing_oddly_is_refused(monkeypatch):
+    """The certificate that every complement vector pairs evenly with
+    every triangle and square, which de Pina's independence rests on,
+    refuses a vector that does not."""
+    reduce = cycles._face_reduction
+
+    def corrupt(faces, m):
+        kept, comp = reduce(faces, m)
+        comp[0] ^= {int(faces[0, 0])}
+        return kept, comp
+
+    monkeypatch.setattr(cycles, "_face_reduction", corrupt)
+    with pytest.raises(CycleBasisError, match="pairs oddly with a triangle"):
+        homology_split(periodic_grid(6))
 
 
 def lightest_odd_cycle_full_cover(ws, s):
@@ -513,9 +615,7 @@ def test_half_radius_search_matches_full_cover(random_torus_bundle,
     second round bounded by the first round's walk, and a second round
     bounded by one unlimited source."""
     ws = cycles._Workspace(random_torus_bundle.graph)
-    pivots, chosen = {}, []
-    cycles._short_cycle_greedy(ws, pivots, chosen)
-    comp = cycles._complement_basis(ws, pivots)
+    _, comp = cycles._short_cycle_basis(ws)
     assert len(comp) > 100
     rounds = []
     odd_walks = cycles._odd_walks
@@ -538,8 +638,6 @@ def test_half_radius_search_matches_full_cover(random_torus_bundle,
         ways.add("first" if first <= ws.theta0 else
                  "walk" if np.isfinite(first) else "unlimited")
         _, vec = next(ws.vectors([loop]))
-        resid, bit = cycles._reduce_vector(set(vec), pivots)
-        pivots[bit] = resid
         comp[i + 1:] = [t ^ s if len(vec & t) & 1 else t
                         for t in comp[i + 1:]]
     assert ways == {"first", "walk", "unlimited"}

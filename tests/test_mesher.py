@@ -17,7 +17,8 @@ from conftest import (EARTH_MOON_MU, brute_force_delaunay_check,
 from reference_cycles import minimum_cycle_basis
 from torusforge import cr3bp
 from torusforge.cycles import classify_cycles
-from torusforge.errors import MeshValidationError, ResidualError
+from torusforge.errors import (GeneratorClassificationError,
+                               MeshValidationError, ResidualError)
 from torusforge.knn import NeighborGraph
 from torusforge import mesher
 from torusforge.mesher import (_components, _half_edges, _periodic_delaunay,
@@ -69,9 +70,11 @@ def test_period_defect_raises_residual_error():
     assert defect == pytest.approx(0.01, abs=1e-9)
 
 
-def test_point_missing_from_mesh_fails_validation():
-    """A vertex whose angle equals another's is a duplicate chart point;
-    Qhull drops it, and the mesh must not pass without it."""
+def test_point_missing_from_mesh_fails_validation(monkeypatch):
+    """A vertex whose angle equals another's is a duplicate chart point.
+    The mesher names the pair and its kNN neighbours before Qhull runs;
+    without that check Qhull drops it, and the mesh must not pass
+    without it."""
     graph, forms = flat_torus_graph()
     edges = np.vstack([graph.edges, [[0, 144]]])
     twin = NeighborGraph.from_edges(145, edges,
@@ -79,6 +82,15 @@ def test_point_missing_from_mesh_fails_validation():
     order = np.lexsort((edges[:, 1], edges[:, 0]))
     du = np.append(forms.du, 0.0)[order]
     dv = np.append(forms.dv, 0.0)[order]
+    with pytest.raises(MeshValidationError,
+                       match=r"chart points coincide in pairs \[\[0, 144\]\]"
+                       ) as err:
+        mesh_flat_torus(twin, OneFormPair(du, dv, {}), None)
+    assert err.value.report == {
+        "coincident_pairs": [[0, 144]],
+        "neighbors": {"0": [1, 11, 12, 132, 144], "144": [0]}}
+    monkeypatch.setattr(mesher, "_reject_coincident_points",
+                        lambda *args: None)
     with pytest.raises(MeshValidationError, match="missing from the mesh"):
         mesh_flat_torus(twin, OneFormPair(du, dv, {}), None)
 
@@ -305,6 +317,92 @@ def test_robustness_clouds_mesh_closed(name):
     assert report["euler_characteristic"] == 0
     assert report["vertices"] == cloud.n
     assert report["faces"] == 2 * cloud.n
+
+
+def graded_torus(a, n=2000):
+    """The torus R = 2, r = 0.5 with angle density proportional to
+    1 + a cos u: uniform (u, v) candidates, n at a time from
+    default_rng(0), each accepted with probability (1 + a cos u)/(1 + a),
+    until n are accepted."""
+    rng = np.random.default_rng(0)
+    u, v = np.empty(0), np.empty(0)
+    while len(u) < n:
+        cu, cv = rng.uniform(0.0, 2.0 * np.pi, (2, n))
+        ok = rng.random(n) < (1.0 + a * np.cos(cu)) / (1.0 + a)
+        u, v = np.r_[u, cu[ok]], np.r_[v, cv[ok]]
+    ring = 2.0 + 0.5 * np.cos(v[:n])
+    return PointCloud(dim=3, points=np.column_stack(
+        [ring * np.cos(u[:n]), ring * np.sin(u[:n]), 0.5 * np.sin(v[:n])]))
+
+
+@pytest.mark.parametrize("a, stop", [
+    (0.5, None),
+    (0.8, (3.1383002850618946, 2.7758565344132915)),
+    (0.95, (2.9639886622934664, 2.38763250683226))])
+def test_density_gradient_outcome_is_pinned(a, stop):
+    """With this sampler and seed, k = 8, a = 0.5 meshes closed, while
+    a = 0.8 and 0.95 stop at the unchanged 1.25 ratio gate with a named
+    GeneratorClassificationError carrying the weights it compared."""
+    cloud = graded_torus(a)
+    if stop is None:
+        report = build_pipeline(cloud).mesh.report
+        assert report["problems"] == []
+        assert report["faces"] == 2 * cloud.n
+        return
+    with pytest.raises(GeneratorClassificationError,
+                       match="raise k or sample more points") as err:
+        build_pipeline(cloud)
+    diag = err.value.diagnostics
+    assert diag["required_ratio"] == 1.25
+    assert diag["generator_weight"] == pytest.approx(stop[0], rel=1e-12)
+    assert diag["trivial_weight_max"] == pytest.approx(stop[1], rel=1e-12)
+    assert diag["ratio"] == pytest.approx(stop[0] / stop[1], rel=1e-12)
+    assert diag["ratio"] < 1.25
+
+
+def undirected_triangles(triangles):
+    """The triangle set with winding and corner order dropped, as sorted
+    rows of sorted vertex ids."""
+    return np.unique(np.sort(triangles, axis=1), axis=0)
+
+
+@pytest.fixture(scope="module")
+def fibonacci_bundle():
+    return build_pipeline(sample_torus_revolution(2.0, 0.5, 2000, 0,
+                                                  distribution="fibonacci"))
+
+
+@pytest.mark.parametrize("bundle", ["torus_bundle", "random_torus_bundle",
+                                    "fibonacci_bundle"])
+def test_relabeling_keeps_undirected_triangles(bundle, request):
+    """The grid, random and fibonacci 2k tori with their points relabeled
+    by three seeded permutations mesh to the same undirected triangles,
+    mapped back to the original labels."""
+    bundle = request.getfixturevalue(bundle)
+    want = undirected_triangles(bundle.mesh.triangles)
+    for seed in range(3):
+        perm = np.random.default_rng(seed).permutation(bundle.cloud.n)
+        moved = PointCloud(dim=3, points=bundle.cloud.points[perm])
+        got = perm[build_pipeline(moved).mesh.triangles]
+        assert np.array_equal(undirected_triangles(got), want), seed
+
+
+@pytest.mark.parametrize("move", ["axes", "scale", "rotation"])
+def test_grid_torus_mesh_invariant_under_similarity(move, torus_bundle):
+    """Permuting the coordinate axes, scaling by 3.7 and a seeded
+    rotation of the 2k grid torus keep its undirected triangles."""
+    pts = torus_bundle.cloud.points
+    rng = np.random.default_rng(4)
+    if move == "axes":
+        pts = pts[:, rng.permutation(3)]
+    elif move == "scale":
+        pts = 3.7 * pts
+    else:
+        q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+        pts = pts @ (q * np.sign(np.diag(r))).T
+    got = build_pipeline(PointCloud(dim=3, points=pts)).mesh.triangles
+    assert np.array_equal(undirected_triangles(got),
+                          undirected_triangles(torus_bundle.mesh.triangles))
 
 
 def test_merged_mesh_stays_off_period_seams(torus_bundle):
