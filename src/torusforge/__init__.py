@@ -3,9 +3,9 @@
 Pipeline: sample a quasi-periodic orbit or synthetic torus, build a
 k-nearest-neighbor graph, extract a cycle basis (its triangles and
 chordless squares plus the two homology generators), classify the
-generators, solve for harmonic one-forms, integrate them to an angle map
-on the flat torus, take its periodic Delaunay triangulation as a closed
-oriented mesh, and project/export the result for rendering.
+generators, solve for harmonic one-forms and the angle map on the flat
+torus they integrate to, take its periodic Delaunay triangulation as a
+closed oriented mesh, and project/export the result for rendering.
 `orient_mesh` winds any other mesh (a loaded mesh.json, say)
 consistently, or proves it non-orientable, from the orientation double
 cover of its faces. Each name loads its module on first access, so

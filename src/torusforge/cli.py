@@ -129,8 +129,8 @@ def _validate_config(cfg):
                           f"{cfg['seed']!r}")
     if not isinstance(cfg["k"], int) or cfg["k"] < 2:
         raise ConfigError(f"k must be an integer >= 2, got {cfg['k']!r}")
-    if (isinstance(cfg["weights"], str)
-            and cfg["weights"] not in ("uniform", "inverse_length")):
+    if (not isinstance(cfg["weights"], str)
+            or cfg["weights"] not in ("uniform", "inverse_length")):
         raise ConfigError(f"weights must be uniform or inverse_length, got "
                           f"{cfg['weights']!r}")
     if cfg["export"]["format"] not in ("obj", "ply"):
@@ -273,8 +273,7 @@ def stage_mesh(cfg, cloud=None):
     basis = homology_split(graph)
     classification = classify_cycles(basis)
     export_cycles_json(_art(cfg, "cycles.json"), basis, classification)
-    system = assemble_system(graph, basis, classification,
-                             weights=cfg["weights"])
+    system = assemble_system(graph, classification, weights=cfg["weights"])
     forms = solve_oneforms(system)
     export_residuals_json(_art(cfg, "residuals.json"), forms)
     try:

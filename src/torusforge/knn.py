@@ -73,18 +73,14 @@ class NeighborGraph:
 
 
 def _bfs_tree(graph):
-    """Spanning tree by BFS from vertex 0, neighbors in ascending order:
-    the other vertices in visit order, their parents and the ids of the
-    edges joining them. Raises ConfigError when the graph is not
-    connected."""
-    V = graph.vertex_count
+    """Ids of the edges of the spanning tree BFS from vertex 0 grows,
+    neighbors in ascending order. Raises ConfigError when the graph is
+    not connected."""
     order, pred = breadth_first_order(graph.adjacency_matrix(), 0,
                                       directed=False)
-    if len(order) != V:
+    if len(order) != graph.vertex_count:
         raise ConfigError("graph is not connected")
-    child = order[1:]
-    parent = pred[child]
-    return child, parent, graph.edge_ids(parent, child)
+    return graph.edge_ids(pred[order[1:]], order[1:])
 
 
 def _knn_pairs(points, k):

@@ -1,9 +1,9 @@
 """Torus meshing in the angle coordinates the solved one-forms define.
 
-The exact solve gives the one-forms integer periods, so integrating
-(du, dv) along any spanning tree yields a well-defined angle map
-theta: V -> R^2 / Z^2. The mesh is the Delaunay triangulation of the
-points theta(v) on that flat torus, under the arclength chart metric:
+The exact solve gives the one-forms integer periods and hands over the
+angle map theta: V -> R^2 / Z^2 it integrates them to along its spanning
+tree. The mesh is the Delaunay triangulation of the points theta(v) on
+that flat torus, under the arclength chart metric:
 the triangles the 3x3 periodic copy of the points gives the central
 copy (Caroli & Teillaud, "Delaunay triangulations of closed Euclidean
 d-orbifolds", DCG 2016). Qhull runs only on the periodic copies within
@@ -175,7 +175,7 @@ def _inside_margin(pts, simp, period, r):
                     and np.all(a + off + rad <= period + inner))
 
 
-def _reject_coincident_points(adj, points, period):
+def _reject_coincident_points(graph, points, period):
     """Raise MeshValidationError, naming the points and their kNN
     neighbours, when chart points lie within a billionth of the mean
     spacing of each other on the flat torus: Qhull would drop them."""
@@ -184,7 +184,9 @@ def _reject_coincident_points(adj, points, period):
     pairs = sorted(cKDTree(np.mod(points, period), boxsize=period)
                    .query_pairs(tol, output_type="ndarray").tolist())
     if pairs:
-        near = {str(v): adj.indices[adj.indptr[v]:adj.indptr[v + 1]].tolist()
+        ei, ej = graph.edges[:, 0], graph.edges[:, 1]
+        # edges are sorted, so lower neighbours then higher ones ascend
+        near = {str(v): np.concatenate([ei[ej == v], ej[ei == v]]).tolist()
                 for v in np.unique(pairs).tolist()}
         raise MeshValidationError(
             f"chart points coincide in pairs {pairs[:3]}, kNN neighbours "
@@ -243,34 +245,23 @@ def _periodic_delaunay(points, period):
 def mesh_flat_torus(graph, forms, cloud):
     """Mesh the cloud as the Delaunay triangulation of its angle map.
 
-    Integrates (du, dv) from vertex 0 over a BFS tree, one hop level at
-    a time, to get theta and certifies the integer periods over every
-    graph edge: the largest distance of theta_j - theta_i - (du, dv)
-    from an integer is the report's `period_defect_max`, and
-    ResidualError is raised when it exceeds 1e-6. Triangulates theta
-    mod 1, scaled by the chart metric, on the flat torus. Raises
-    MeshValidationError, carrying the report, when chart points
-    coincide, when the result is not a closed genus-1 manifold, when a
-    directed edge is walked by two faces (so the chart winding is not
-    one global orientation), when an input point is not a mesh vertex,
-    or when a mesh edge that is also a graph edge spans a period seam.
+    Takes theta from `forms.theta` and certifies the integer periods
+    over every graph edge: the largest distance of
+    theta_j - theta_i - (du, dv) from an integer is the report's
+    `period_defect_max`, and ResidualError is raised when it exceeds
+    1e-6. Triangulates theta mod 1, scaled by the chart metric, on the
+    flat torus. Raises MeshValidationError, carrying the report, when
+    chart points coincide, when the result is not a closed genus-1
+    manifold, when a directed edge is walked by two faces (so the chart
+    winding is not one global orientation), when an input point is not
+    a mesh vertex, or when a mesh edge that is also a graph edge spans
+    a period seam.
     """
-    from scipy.sparse.csgraph import dijkstra
-    from .knn import _bfs_tree
     V = graph.vertex_count
     ei, ej = graph.edges[:, 0], graph.edges[:, 1]
     keys = ei * V + ej                # sorted, as graph.edges is
     inc = np.column_stack([forms.du, forms.dv])
-    child, parent, tree_edge = _bfs_tree(graph)
-    step = np.where((parent < child)[:, None], inc[tree_edge],
-                    -inc[tree_edge])
-    adj = graph.adjacency_matrix()
-    hops = dijkstra(adj, indices=0, unweighted=True)
-    theta = np.zeros((V, 2))
-    # BFS order runs level by level; a level's parents are all in earlier ones
-    for lv in np.split(np.arange(len(child)),
-                       np.flatnonzero(np.diff(hops[child])) + 1):
-        theta[child[lv]] = theta[parent[lv]] + step[lv]
+    theta = forms.theta
     gap = theta[ej] - theta[ei] - inc
     defect = float(np.max(np.abs(gap - np.round(gap)), initial=0.0))
     if not defect <= _PERIOD_DEFECT_GATE:
@@ -280,7 +271,7 @@ def mesh_flat_torus(graph, forms, cloud):
             {"period_defect_max": defect})
     metric = np.asarray(_chart_metric(graph, forms))
     chart = np.mod(theta, 1.0) * metric
-    _reject_coincident_points(adj, chart, metric)
+    _reject_coincident_points(graph, chart, metric)
     triangles, dropped = _periodic_delaunay(chart, metric)
     he = _half_edges(triangles)
     report = _validate(triangles, he, strict=False,

@@ -14,7 +14,9 @@ The solved forms satisfy, per form:
 The solver enforces the cycle constraints exactly by splitting the form
 into an exact part (vertex potential) plus a correction on non-tree
 edges, then makes the form co-closed by one weighted-Laplacian solve.
-That renders all residuals at machine precision.
+That renders all residuals at machine precision. The correction is zero
+on the spanning tree, so the two potentials are the angle map theta:
+the forms integrated along the tree from vertex 0.
 """
 
 import json
@@ -39,20 +41,18 @@ _PERIOD_GATE = 1e-6
 @dataclass
 class OneFormSystem:
     graph: object
-    weights: np.ndarray
-    classification: object
     matrix: csr_matrix
     rhs_u: np.ndarray
     rhs_v: np.ndarray
     n_coclosed: int
     n_closed: int
-    n_period: int
 
 
 @dataclass
 class OneFormPair:
     du: np.ndarray
     dv: np.ndarray
+    theta: np.ndarray          # (V, 2) angle map, theta[0] = (0, 0)
     diagnostics: dict
 
 
@@ -72,19 +72,17 @@ def edge_weights(graph, weights=None):
     return w
 
 
-def assemble_system(graph, basis, classification=None, weights=None):
+def assemble_system(graph, classification, weights=None):
     """Build the sparse constraint system for both one-forms.
 
     Rows: V weighted co-closedness rows, one closedness row per trivial
-    cycle, then (when a classification is given) a toroidal and a
-    poloidal period row. Without a classification every basis cycle
-    gets a closedness row. A cycle row has +1 on each step that runs from
-    the lower vertex id to the higher and -1 on each step back. A trivial
-    row's sign follows the way its loop happens to run; with a zero
-    right-hand side it does not change the solution. A generator row's
-    sign follows its Cycle's vertex order and sets the sign of its form.
-    Right-hand sides request periods (1, 0) for the u-form and (0, 1) for
-    the v-form.
+    cycle, then a toroidal and a poloidal period row. A cycle row has +1
+    on each step that runs from the lower vertex id to the higher and -1
+    on each step back. A trivial row's sign follows the way its loop
+    happens to run; with a zero right-hand side it does not change the
+    solution. A generator row's sign follows its Cycle's vertex order
+    and sets the sign of its form. Right-hand sides request periods
+    (1, 0) for the u-form and (0, 1) for the v-form.
     """
     w = edge_weights(graph, weights)
     V, E = graph.vertex_count, graph.edge_count
@@ -93,13 +91,10 @@ def assemble_system(graph, basis, classification=None, weights=None):
     rows = np.concatenate([ei, ej])
     cols = np.concatenate([np.arange(E), np.arange(E)])
     coclosed = coo_matrix((data, (rows, cols)), shape=(V, E)).tocsr()
-    if classification is None:
-        blocks = [basis]
-    else:
-        generators = CycleBasis.from_loops(
-            graph, [classification.toroidal.vertices,
-                    classification.poloidal.vertices])
-        blocks = [classification.trivial, generators]
+    generators = CycleBasis.from_loops(
+        graph, [classification.toroidal.vertices,
+                classification.poloidal.vertices])
+    blocks = [classification.trivial, generators]
     hops = np.concatenate([b.hops for b in blocks])
     steps = np.concatenate([b.edges for b in blocks])
     low_first = np.concatenate([b.vertices for b in blocks]) == ei[steps]
@@ -111,12 +106,10 @@ def assemble_system(graph, basis, classification=None, weights=None):
     matrix = vstack([coclosed, cycblock]).tocsr()
     rhs_u = np.zeros(V + ncyc)
     rhs_v = np.zeros(V + ncyc)
-    n_period = ncyc - blocks[0].size
-    if n_period:
-        rhs_u[V + ncyc - 2] = 1.0
-        rhs_v[V + ncyc - 1] = 1.0
-    return OneFormSystem(graph, w, classification, matrix, rhs_u, rhs_v,
-                         V, blocks[0].size, n_period)
+    rhs_u[-2] = 1.0
+    rhs_v[-1] = 1.0
+    return OneFormSystem(graph, matrix, rhs_u, rhs_v, V,
+                         classification.trivial.size)
 
 
 def _solve_exact(system):
@@ -126,52 +119,42 @@ def _solve_exact(system):
     restricted to non-tree coordinates form a square matrix with odd
     determinant (the cycles are a basis over GF(2)), so psi is unique.
     The remaining weighted Laplacian solve makes every co-closedness row
-    vanish identically (discrete Hodge decomposition).
+    vanish identically (discrete Hodge decomposition). Returns du, dv
+    and the potentials (pi_u, pi_v) as a (V, 2) array: pi[0] = 0, and
+    psi is zero on the tree, so pi integrates the forms along it.
     """
-    graph, w = system.graph, system.weights
+    graph = system.graph
     V, E = graph.vertex_count, graph.edge_count
-    _, _, tree_edge = _bfs_tree(graph)
-    nontree = np.setdiff1d(np.arange(E), tree_edge)
+    nontree = np.setdiff1d(np.arange(E), _bfs_tree(graph))
     m = len(nontree)
-    ncyc = system.n_closed + system.n_period
+    ncyc = system.matrix.shape[0] - V
     if ncyc != m:
         raise CycleBasisError(
             f"need {m} independent cycles for exact elimination, got {ncyc}")
     M = system.matrix[V:][:, nontree].tocsc()
-    cyc_rhs_u = system.rhs_u[V:]
-    cyc_rhs_v = system.rhs_v[V:]
     try:
         mlu = splu(M)
     except RuntimeError as exc:
         raise CycleBasisError(f"cycle rows are singular: {exc}") from None
-    psi_u = np.zeros(E)
-    psi_v = np.zeros(E)
-    psi_u[nontree] = mlu.solve(cyc_rhs_u)
-    psi_v[nontree] = mlu.solve(cyc_rhs_v)
     ei, ej = graph.edges[:, 0], graph.edges[:, 1]
     B = coo_matrix(
         (np.concatenate([-np.ones(E), np.ones(E)]),
          (np.concatenate([np.arange(E), np.arange(E)]),
           np.concatenate([ei, ej]))),
         shape=(E, V)).tocsr()
-    A = (B.T
-         .multiply(w[None, :])
-         .tocsr())
-    L = (A @ B).tocsc()
-    red = L[1:, :][:, 1:].tocsc()
-    llu = splu(red)
-    out = []
-    for psi in (psi_u, psi_v):
-        rhs = -(A @ psi)
-        pi = np.zeros(V)
-        pi[1:] = llu.solve(rhs[1:])
-        out.append(B @ pi + psi)
-    return out[0], out[1]
+    A = system.matrix[:V]             # the weighted co-closedness rows, B^T w
+    llu = splu((A @ B)[1:, 1:].tocsc())
+    forms, theta = [], np.zeros((V, 2))
+    for k, rhs in enumerate((system.rhs_u, system.rhs_v)):
+        psi = np.zeros(E)
+        psi[nontree] = mlu.solve(rhs[V:])
+        theta[1:, k] = llu.solve(-(A @ psi)[1:])
+        forms.append(B @ theta[:, k] + psi)
+    return forms[0], forms[1], theta
 
 
 def _diagnose(system, dx):
-    graph, w = system.graph, system.weights
-    V = graph.vertex_count
+    V = system.n_coclosed
     cc = system.matrix[:V] @ dx
     rms = float(np.sqrt(np.mean(cc ** 2)))
     scale = float(np.median(np.abs(dx)))
@@ -194,20 +177,11 @@ def solve_oneforms(system):
     trivial-cycle closedness, or the period matrix is out of tolerance;
     that typically signals misclassified generators or undersampling.
     """
-    du, dv = _solve_exact(system)
+    du, dv, theta = _solve_exact(system)
     diag_u = _diagnose(system, du)
     diag_v = _diagnose(system, dv)
-    has_periods = system.n_period == 2
-    if has_periods:
-        period_matrix = [
-            [diag_u["periods"][-2], diag_u["periods"][-1]],
-            [diag_v["periods"][-2], diag_v["periods"][-1]],
-        ]
-        target = np.eye(2)
-        period_err = float(np.max(np.abs(np.array(period_matrix) - target)))
-    else:
-        period_matrix = []
-        period_err = 0.0
+    period_matrix = [diag_u["periods"], diag_v["periods"]]
+    period_err = float(np.max(np.abs(np.array(period_matrix) - np.eye(2))))
     diagnostics = {
         "u": diag_u,
         "v": diag_v,
@@ -226,7 +200,7 @@ def solve_oneforms(system):
                 f"{name}-form trivial-cycle closedness "
                 f"{d['max_trivial_cycle_error']:.3e} exceeds "
                 f"{_CLOSED_GATE:.3e}")
-    if has_periods and period_err > _PERIOD_GATE:
+    if period_err > _PERIOD_GATE:
         failures.append(
             f"period matrix error {period_err:.3e} exceeds {_PERIOD_GATE:.3e}")
     if failures:
@@ -234,7 +208,7 @@ def solve_oneforms(system):
     log.info("one-forms solved: cc rms %.2e/%.2e, period err %.2e",
              diag_u["coclosedness_rms"], diag_v["coclosedness_rms"],
              period_err)
-    return OneFormPair(du, dv, diagnostics)
+    return OneFormPair(du, dv, theta, diagnostics)
 
 
 def export_residuals_json(path, pair):

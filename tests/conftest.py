@@ -136,8 +136,7 @@ def build_pipeline(cloud, k=8):
     graph = build_knn_graph(cloud, k=k)
     basis = homology_split(graph)
     classification = classify_cycles(basis)
-    system = assemble_system(graph, basis, classification,
-                             weights="inverse_length")
+    system = assemble_system(graph, classification, weights="inverse_length")
     forms = solve_oneforms(system)
     mesh = mesh_flat_torus(graph, forms, cloud)
     oriented = orient_mesh(mesh)
@@ -179,7 +178,7 @@ def grid5_forms():
     graph = periodic_grid(5)
     basis = minimum_cycle_basis(graph)
     classification = classify_cycles(basis)
-    forms = solve_oneforms(assemble_system(graph, basis, classification))
+    forms = solve_oneforms(assemble_system(graph, classification))
     return SimpleNamespace(graph=graph, basis=basis,
                            classification=classification, forms=forms)
 
@@ -191,6 +190,6 @@ def grid3_manual_forms():
     squares)."""
     graph = periodic_grid(3)
     classification = manual_grid_classification(graph, 3, 3)
-    forms = solve_oneforms(assemble_system(graph, None, classification))
+    forms = solve_oneforms(assemble_system(graph, classification))
     return SimpleNamespace(graph=graph, classification=classification,
                            forms=forms)

@@ -272,8 +272,7 @@ def test_split_keeps_generators_and_forms_on_random_torus(
         assert np.array_equal(got.edges, want.edges)
         assert got.weight == want.weight
     forms = solve_oneforms(assemble_system(
-        bundle.graph, exact, classify_cycles(exact),
-        weights="inverse_length"))
+        bundle.graph, classify_cycles(exact), weights="inverse_length"))
     assert np.max(np.abs(forms.du - bundle.forms.du)) <= 1e-12
     assert np.max(np.abs(forms.dv - bundle.forms.dv)) <= 1e-12
 

@@ -3,6 +3,7 @@ periodic Delaunay triangulation with its brute-force certificate and
 its full-copy reference, the safety gates, the robustness clouds, and
 mesh validation."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -34,14 +35,14 @@ from torusforge.samplers import (PointCloud, sample_center_manifold_torus,
 def grid8_forms():
     graph = periodic_grid(8)
     basis = minimum_cycle_basis(graph)
-    forms = solve_oneforms(assemble_system(graph, basis,
-                                           classify_cycles(basis)))
+    forms = solve_oneforms(assemble_system(graph, classify_cycles(basis)))
     return graph, forms
 
 
 def flat_torus_graph(rows=12, seed=0):
     """Jittered rows x rows grid on the unit flat torus with its periodic
-    grid edges; the one-forms are the minimum-image angle increments."""
+    grid edges; the one-forms are the minimum-image angle increments of
+    the jittered angles, which are the angle map."""
     rng = np.random.default_rng(seed)
     ij = np.indices((rows, rows)).reshape(2, -1).T
     theta = (ij + rng.uniform(-0.2, 0.2, ij.shape)) / rows
@@ -49,7 +50,7 @@ def flat_torus_graph(rows=12, seed=0):
     inc = theta[edges[:, 1]] - theta[edges[:, 0]]
     inc -= np.round(inc)
     graph = NeighborGraph.from_edges(rows * rows, edges, np.hypot(*inc.T))
-    return graph, OneFormPair(inc[:, 0].copy(), inc[:, 1].copy(), {})
+    return graph, OneFormPair(inc[:, 0].copy(), inc[:, 1].copy(), theta, {})
 
 
 def test_flat_torus_mesh_certifies_integer_periods():
@@ -82,17 +83,18 @@ def test_point_missing_from_mesh_fails_validation(monkeypatch):
     order = np.lexsort((edges[:, 1], edges[:, 0]))
     du = np.append(forms.du, 0.0)[order]
     dv = np.append(forms.dv, 0.0)[order]
+    theta = np.vstack([forms.theta, forms.theta[:1]])
     with pytest.raises(MeshValidationError,
                        match=r"chart points coincide in pairs \[\[0, 144\]\]"
                        ) as err:
-        mesh_flat_torus(twin, OneFormPair(du, dv, {}), None)
+        mesh_flat_torus(twin, OneFormPair(du, dv, theta, {}), None)
     assert err.value.report == {
         "coincident_pairs": [[0, 144]],
         "neighbors": {"0": [1, 11, 12, 132, 144], "144": [0]}}
     monkeypatch.setattr(mesher, "_reject_coincident_points",
                         lambda *args: None)
     with pytest.raises(MeshValidationError, match="missing from the mesh"):
-        mesh_flat_torus(twin, OneFormPair(du, dv, {}), None)
+        mesh_flat_torus(twin, OneFormPair(du, dv, theta, {}), None)
 
 
 def test_mesh_edge_across_period_seam_rejected():
@@ -385,6 +387,36 @@ def test_relabeling_keeps_undirected_triangles(bundle, request):
         moved = PointCloud(dim=3, points=bundle.cloud.points[perm])
         got = perm[build_pipeline(moved).mesh.triangles]
         assert np.array_equal(undirected_triangles(got), want), seed
+
+
+# triangle-set digests of the fixture meshes, frozen so that a change to
+# the one-form solve or the mesher that moves a triangle shows
+MESH_DIGESTS = {
+    "torus_bundle":
+        "a0614bf2eee61d6145591951a808911ae409e03c5199f4ffa4775790548eb2e0",
+    "random_torus_bundle":
+        "402d8962ef645c6336b3bc2396d7ee263effebafb765f11fc6b54227719aaa73",
+    "stdmap_bundle":
+        "4dff580b00c5e97fd7119c227174a6c05bd8d48c4db1a2f17f939cb730ab8ae2",
+    "cm_bundle":
+        "ef5265a32ced17bb93e30e7e9745b1a559ca54ea8e0f680ee5b25d97803d35a1",
+}
+
+
+def mesh_digest(triangles):
+    """sha256 of the triangles, each rotated to start at its smallest id
+    (winding kept), rows sorted, as little-endian int64."""
+    tris = np.asarray(triangles, dtype=np.int64)
+    lead = np.argmin(tris, axis=1)[:, None]
+    tris = np.take_along_axis(tris, (lead + np.arange(3)) % 3, axis=1)
+    tris = tris[np.lexsort(tris.T[::-1])]
+    return hashlib.sha256(tris.astype("<i8").tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("bundle", sorted(MESH_DIGESTS))
+def test_mesh_digest_is_frozen_on_fixtures(bundle, request):
+    mesh = request.getfixturevalue(bundle).mesh
+    assert mesh_digest(mesh.triangles) == MESH_DIGESTS[bundle]
 
 
 @pytest.mark.parametrize("move", ["axes", "scale", "rotation"])

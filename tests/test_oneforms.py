@@ -17,13 +17,11 @@ from torusforge.oneforms import (assemble_system, edge_weights,
 
 
 def test_system_row_counts(grid5_forms):
-    system = assemble_system(grid5_forms.graph, grid5_forms.basis,
-                             grid5_forms.classification)
+    system = assemble_system(grid5_forms.graph, grid5_forms.classification)
     # 25 vertex balance rows + 24 trivial cycles + 2 period rows
     assert system.matrix.shape == (51, 50)
     assert system.n_coclosed == 25
     assert system.n_closed == 24
-    assert system.n_period == 2
     assert system.rhs_u[-2] == 1.0 and system.rhs_u[-1] == 0.0
     assert system.rhs_v[-2] == 0.0 and system.rhs_v[-1] == 1.0
 
@@ -68,8 +66,7 @@ def test_grid3_manual_classification_solution(grid3_manual_forms):
 def test_exact_solver_matches_dense_lstsq(grid5_forms):
     """The system has full column rank and is consistent, so dense least
     squares over all its rows finds the same forms."""
-    system = assemble_system(grid5_forms.graph, grid5_forms.basis,
-                             grid5_forms.classification)
+    system = assemble_system(grid5_forms.graph, grid5_forms.classification)
     dense = system.matrix.toarray()
     assert np.linalg.matrix_rank(dense) == dense.shape[1]
     for rhs, form in ((system.rhs_u, grid5_forms.forms.du),
@@ -81,8 +78,7 @@ def test_exact_solver_matches_dense_lstsq(grid5_forms):
 def test_inconsistent_trivial_row_trips_closedness_gate(grid5_forms):
     """A trivial row asked to sum to 0.5 is met exactly by the solve, so
     the u-form's closedness residual reads 0.5 and trips its gate."""
-    system = assemble_system(grid5_forms.graph, grid5_forms.basis,
-                             grid5_forms.classification)
+    system = assemble_system(grid5_forms.graph, grid5_forms.classification)
     system.rhs_u[system.n_coclosed] = 0.5
     with pytest.raises(ResidualError, match="u-form trivial-cycle") as err:
         solve_oneforms(system)
@@ -106,7 +102,7 @@ def test_cycle_rows_match_per_edge_reference(torus_bundle):
     equals it up to one sign, set by the way its loop runs."""
     graph, cls = torus_bundle.graph, torus_bundle.classification
     index = {(i, j): e for e, (i, j) in enumerate(graph.edges.tolist())}
-    rows = assemble_system(graph, torus_bundle.basis, cls).matrix
+    rows = assemble_system(graph, cls).matrix
     rows = rows[graph.vertex_count:].tocsr()
     k = cls.trivial.size
     assert rows.shape[0] == k + 2
@@ -123,20 +119,11 @@ def test_cycle_rows_match_per_edge_reference(torus_bundle):
             assert got == {e: sign * x for e, x in want.items()}
 
 
-def test_no_classification_gives_zero_forms(grid5_forms):
-    system = assemble_system(grid5_forms.graph, grid5_forms.basis, None)
-    assert system.n_period == 0
-    pair = solve_oneforms(system)
-    assert np.max(np.abs(pair.du)) == 0.0
-    assert np.max(np.abs(pair.dv)) == 0.0
-    assert pair.diagnostics["period_matrix"] == []
-
-
 def test_uniform_weight_scaling_invariance(grid5_forms):
     graph = grid5_forms.graph
     scaled = np.full(graph.edge_count, 3.7)
-    system = assemble_system(graph, grid5_forms.basis,
-                             grid5_forms.classification, weights=scaled)
+    system = assemble_system(graph, grid5_forms.classification,
+                             weights=scaled)
     pair = solve_oneforms(system)
     assert np.max(np.abs(pair.du - grid5_forms.forms.du)) < 1e-12
     assert np.max(np.abs(pair.dv - grid5_forms.forms.dv)) < 1e-12
@@ -144,8 +131,7 @@ def test_uniform_weight_scaling_invariance(grid5_forms):
 
 def test_inverse_length_equals_uniform_on_unit_grid(grid5_forms):
     graph = grid5_forms.graph
-    system = assemble_system(graph, grid5_forms.basis,
-                             grid5_forms.classification,
+    system = assemble_system(graph, grid5_forms.classification,
                              weights="inverse_length")
     pair = solve_oneforms(system)
     assert np.max(np.abs(pair.du - grid5_forms.forms.du)) < 1e-12
@@ -191,9 +177,13 @@ def tree_potentials(graph, forms):
 
 def test_closed_forms_have_integer_windings(torus_bundle):
     """Summing a closed one-form around any fundamental cycle gives the
-    cycle's winding number, an exact integer up to round-off."""
+    cycle's winding number, an exact integer up to round-off; the solve's
+    angle map is the tree integral up to integers, and starts at 0."""
     graph, forms = torus_bundle.graph, torus_bundle.forms
     pot, tree = tree_potentials(graph, forms)
+    off = pot - forms.theta
+    assert np.max(np.abs(off - np.round(off))) < 1e-12
+    assert forms.theta[0].tolist() == [0.0, 0.0]
     nontree = [e for e in range(graph.edge_count) if e not in tree]
     rng = np.random.default_rng(42)
     sample = rng.choice(len(nontree), size=200, replace=False)
@@ -227,7 +217,7 @@ def test_grid3_periods_via_automatic_chain():
     graph = periodic_grid(3)
     basis = minimum_cycle_basis(graph)
     cls = classify_cycles(basis)
-    forms = solve_oneforms(assemble_system(graph, basis, cls))
+    forms = solve_oneforms(assemble_system(graph, cls))
     assert np.allclose(forms.diagnostics["period_matrix"], np.eye(2))
 
 
@@ -246,7 +236,7 @@ def test_manual_classification_matches_docstring_sign_convention():
     walking i -> j; integrating row 0 forward accumulates period 1."""
     graph = periodic_grid(4)
     cls = manual_grid_classification(graph, 4, 4)
-    forms = solve_oneforms(assemble_system(graph, None, cls))
+    forms = solve_oneforms(assemble_system(graph, cls))
     total = 0.0
     v = cls.toroidal.vertices.tolist()
     for a, b in zip(v, v[1:] + v[:1]):
