@@ -27,7 +27,7 @@ import numpy as np
 
 from . import cr3bp
 from .errors import (ConfigError, MeshValidationError, OrientationConflictError,
-                     TorusforgeError)
+                     ProjectionError, TorusforgeError)
 from .samplers import (StandardMapConfig, load_point_cloud,
                        sample_center_manifold_torus, sample_standard_map_torus,
                        sample_torus_revolution, save_point_cloud)
@@ -118,6 +118,11 @@ def _validate_config(cfg):
         if not isinstance(cfg[key], dict):
             raise ConfigError(f"{key} must be a JSON object, got "
                               f"{cfg[key]!r}")
+    for key, allowed in (("export", {"format", "color_mode"}),
+                         ("projection", {"kind", "indices", "path", "matrix"})):
+        unknown = set(cfg[key]) - allowed
+        if unknown:
+            raise ConfigError(f"unknown {key} keys: {sorted(unknown)}")
     kind = cfg["sampler"].get("kind")
     if not isinstance(kind, str) or kind not in _SAMPLER_DEFAULTS:
         raise ConfigError(
@@ -145,10 +150,12 @@ def _validate_config(cfg):
         if not isinstance(section.get(key, ""), str):
             raise ConfigError(f"{key} must be a path string, got "
                               f"{section[key]!r}")
-    indices = cfg["projection"].get("indices", [])
-    if not isinstance(indices, list) or not all(map(_is_int, indices)):
-        raise ConfigError(f"projection indices must be a list of integers, "
-                          f"got {indices!r}")
+    indices = cfg["projection"].get("indices", [0, 1, 2])
+    if not (isinstance(indices, list) and len(indices) == 3
+            and all(_is_int(i) and i >= 0 for i in indices)
+            and len(set(indices)) == 3):
+        raise ConfigError(f"projection indices must be three distinct "
+                          f"integers >= 0, got {indices!r}")
     return cfg
 
 
@@ -310,12 +317,17 @@ def stage_project(cfg, mesh=None):
 
 def stage_export(cfg, pm=None):
     if pm is None:
-        with open(_art(cfg, "projected.json"), "r", encoding="ascii") as fh:
-            payload = json.load(fh)
-        pm = ProjectedMesh(np.array(payload["points"], dtype=np.float64),
-                           np.array(payload["triangles"], dtype=np.int64),
-                           int(payload["source_dim"]),
-                           payload.get("captured_variance"))
+        source = _art(cfg, "projected.json")
+        try:
+            with open(source, "r", encoding="ascii") as fh:
+                payload = json.load(fh)
+            pm = ProjectedMesh(np.array(payload["points"], dtype=np.float64),
+                               np.array(payload["triangles"], dtype=np.int64),
+                               int(payload["source_dim"]),
+                               payload.get("captured_variance"))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ProjectionError(f"{source} is not a projected.json: "
+                                  f"{type(exc).__name__}: {exc}") from None
     fmt = cfg["export"]["format"]
     path = _art(cfg, f"mesh.{fmt}")
     export_mesh(pm, fmt, path, color_mode=cfg["export"].get("color_mode",
@@ -323,7 +335,7 @@ def stage_export(cfg, pm=None):
     return path
 
 
-def stage_validate(cfg, mesh_path=None, write=True):
+def stage_validate(cfg, mesh_path=None):
     """Recompute invariants; works on externally produced mesh.json too."""
     path = mesh_path or _art(cfg, "mesh.json")
     mesh = load_mesh_json(path)
@@ -338,8 +350,7 @@ def stage_validate(cfg, mesh_path=None, write=True):
         report["problems"] = report["problems"] + [f"orientation: {exc}"]
     report["dim"] = mesh.cloud.dim
     report["provenance"] = mesh.cloud.provenance
-    if write:
-        _write_json(_art(cfg, "validation.json"), report)
+    _write_json(_art(cfg, "validation.json"), report)
     return report
 
 

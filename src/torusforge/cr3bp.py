@@ -6,7 +6,7 @@ both 1, and the mass parameter is mu = m2 / (m1 + m2) with mu in (0, 0.5]
 (the symmetric boundary mu = 0.5 is accepted for tests).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -167,9 +167,9 @@ def jacobian(point, mu, h=1e-6):
     return J
 
 
-def integrate(state0, mu, t_span, tol=1e-12, method="dop853", t_eval=None,
-              n_steps=None):
-    """Integrate the CR3BP equations of motion forward by t_span.
+def integrate(state0, mu, t_span, tol=1e-12, t_eval=None):
+    """Integrate the CR3BP equations of motion forward by t_span with
+    DOP853, the adaptive eighth-order Runge-Kutta method.
 
     Parameters
     ----------
@@ -179,13 +179,8 @@ def integrate(state0, mu, t_span, tol=1e-12, method="dop853", t_eval=None,
         Non-negative duration in normalized time units.
     tol : float
         Relative and absolute tolerance of the adaptive integrator.
-    method : {"dop853", "rk4"}
-        Adaptive high-order Runge-Kutta (default) or fixed-step RK4 for
-        bitwise reproducibility (requires n_steps).
     t_eval : array-like, optional
         Requested sample times; integrator-chosen steps when omitted.
-    n_steps : int, optional
-        Step count for the fixed-step method (default 1000).
 
     Returns
     -------
@@ -200,26 +195,6 @@ def integrate(state0, mu, t_span, tol=1e-12, method="dop853", t_eval=None,
         raise ConfigError("t_span must be non-negative")
     if t_span == 0.0:
         return np.array([0.0]), state0[None, :].copy()
-
-    if method == "rk4":
-        n = 1000 if n_steps is None else int(n_steps)
-        hs = t_span / n
-        ts = np.linspace(0.0, t_span, n + 1)
-        states = np.empty((n + 1, 6))
-        states[0] = state0
-        y = state0.copy()
-        for i in range(n):
-            t = ts[i]
-            k1 = vector_field(t, y, mu)
-            k2 = vector_field(t + hs / 2, y + hs / 2 * k1, mu)
-            k3 = vector_field(t + hs / 2, y + hs / 2 * k2, mu)
-            k4 = vector_field(t + hs, y + hs * k3, mu)
-            y = y + hs / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            states[i + 1] = y
-        return ts, states
-
-    if method != "dop853":
-        raise ConfigError(f"unknown integrator {method!r}")
     # imported here: it is most of the package's import time, and no
     # pipeline stage integrates
     from scipy.integrate import solve_ivp
@@ -229,21 +204,3 @@ def integrate(state0, mu, t_span, tol=1e-12, method="dop853", t_eval=None,
     if not sol.success:
         raise SingularityError(f"integration failed: {sol.message}")
     return sol.t, sol.y.T
-
-
-def export_trajectory_csv(path, ts, states, mu):
-    """Write a trajectory as CSV with columns t,x,y,z,vx,vy,vz,C."""
-    ts = np.asarray(ts, dtype=np.float64)
-    states = np.asarray(states, dtype=np.float64)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("t,x,y,z,vx,vy,vz,C\n")
-        for t, s in zip(ts, states):
-            c = jacobi_constant(s, mu)
-            row = [t, *s, c]
-            fh.write(",".join("%.17g" % v for v in row) + "\n")
-
-
-def load_trajectory_csv(path):
-    """Read a trajectory CSV written by export_trajectory_csv."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return data[:, 0], data[:, 1:7], data[:, 7]

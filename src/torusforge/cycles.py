@@ -580,16 +580,13 @@ def classify_cycles(basis, ratio=1.25):
     return Classification(basis.take(np.arange(k)), poloidal, toroidal)
 
 
-def export_cycles_json(path, basis, classification=None):
-    """Dump a cycle basis as deterministic JSON: the two generators in
-    full (when a classification is given), the other cycles as a summary
-    of their count, their count per hop and their digest."""
-    if classification is None:
-        generators, rest, role = [], basis, None
-    else:
-        generators = [(classification.poloidal, "poloidal"),
-                      (classification.toroidal, "toroidal")]
-        rest, role = classification.trivial, "trivial"
+def export_cycles_json(path, basis, classification):
+    """Dump a classified cycle basis as deterministic JSON: the two
+    generators in full, the trivial cycles as a summary of their count,
+    their count per hop and their digest."""
+    generators = [(classification.poloidal, "poloidal"),
+                  (classification.toroidal, "toroidal")]
+    rest = classification.trivial
     payload = {
         "cycle_count": basis.size,
         "vertex_count": basis.vertex_count,
@@ -605,7 +602,7 @@ def export_cycles_json(path, basis, classification=None):
             for c, name in generators
         ],
         "summary": {
-            "role": role,
+            "role": "trivial",
             "count": rest.size,
             "hop_counts": {str(h): c for h, c in rest.hop_histogram().items()},
             "sha256": rest.digest(),

@@ -140,10 +140,3 @@ def build_knn_graph(cloud, k):
     log.info("knn graph: %d vertices, %d edges, k=%d", n, len(pairs), k)
     return graph
 
-
-def export_edge_csv(path, graph):
-    """Debug dump: edge list as CSV rows i,j,length."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("i,j,length\n")
-        for (i, j), w in zip(graph.edges, graph.lengths):
-            fh.write("%d,%d,%.17g\n" % (i, j, w))

@@ -313,15 +313,21 @@ def export_mesh_json(path, mesh):
 
 
 def load_mesh_json(path):
-    """Read a mesh.json; raises MeshValidationError when a triangle
-    vertex id does not index one of its points."""
+    """Read a mesh.json; raises MeshValidationError, naming the path, when
+    the file is not ASCII JSON with `dim`, `points` and `triangles`, or
+    when a triangle vertex id does not index one of its points."""
     from .samplers import PointCloud
-    with open(path, "r", encoding="ascii") as fh:
-        payload = json.load(fh)
-    points = np.array(payload["points"], dtype=np.float64)
-    cloud = PointCloud(points=points, dim=int(payload["dim"]),
-                       provenance=payload.get("provenance", "external"))
-    triangles = np.array(payload["triangles"], dtype=np.int64).reshape(-1, 3)
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            payload = json.load(fh)
+        points = np.array(payload["points"], dtype=np.float64)
+        cloud = PointCloud(points=points, dim=int(payload["dim"]),
+                           provenance=payload.get("provenance", "external"))
+        triangles = np.array(payload["triangles"],
+                             dtype=np.int64).reshape(-1, 3)
+    except (KeyError, TypeError, ValueError) as exc:
+        problem = f"{path} is not a mesh.json: {type(exc).__name__}: {exc}"
+        raise MeshValidationError(problem, {"problems": [problem]}) from None
     outside = np.unique(triangles[(triangles < 0) | (triangles >= cloud.n)])
     if len(outside):
         problem = (f"{len(outside)} triangle vertex ids do not index the "

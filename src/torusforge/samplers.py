@@ -7,7 +7,6 @@ position and velocity components both included).
 """
 
 import logging
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,8 +18,6 @@ log = logging.getLogger("torusforge.samplers")
 
 PROVENANCES = ("synthetic", "standard_map", "cr3bp_linear", "cr3bp_integrated",
                "external")
-
-_TPC1_MAGIC = b"TPC1"
 
 
 @dataclass(frozen=True)
@@ -211,15 +208,14 @@ def _pick_time_step(om_p, om_v, N):
 
 
 def sample_center_manifold_torus(mu, point, amp_planar, amp_vertical, N,
-                                 dt=None, freq_override=None):
+                                 dt=None):
     """Sample the exact flat 2-torus of the linearized center manifold.
 
     x(t) = Re(A e^(i om_p t) u_p) + Re(B e^(i om_v t) u_v) evaluated on N
     times, where (om, u) are the center eigenpairs of the 6x6 Jacobian at
     the collinear point and A, B scale the positional excursions to
     amp_planar / amp_vertical. `dt` forces a fixed sampling step (useful
-    for verifying the linear dynamics); `freq_override` substitutes the two
-    frequencies (synthetic hook for commensurate-frequency tests).
+    for verifying the linear dynamics).
     """
     if amp_planar < 0 or amp_vertical < 0 or max(amp_planar, amp_vertical) <= 0:
         raise ConfigError("amplitudes must be non-negative with at least one > 0")
@@ -227,8 +223,6 @@ def sample_center_manifold_torus(mu, point, amp_planar, amp_vertical, N,
     if N < 4:
         raise ConfigError("need N >= 4")
     _, om_p, om_v, u_p, u_v = center_manifold_model(mu, point)
-    if freq_override is not None:
-        om_p, om_v = (float(freq_override[0]), float(freq_override[1]))
     A = _mode_scale(u_p, amp_planar) if amp_planar > 0 else 0.0
     B = _mode_scale(u_v, amp_vertical) if amp_vertical > 0 else 0.0
     if dt is None:
@@ -242,24 +236,12 @@ def sample_center_manifold_torus(mu, point, amp_planar, amp_vertical, N,
 
 
 def save_point_cloud(path, cloud):
-    """Write a cloud as CSV (a "# dim=D" line, then rows of 17 significant
-    digits) or as TPC1 binary.
-
-    The format is chosen by extension: ".csv" for text, anything else for
-    the binary layout (magic "TPC1", u32 dim, u64 count, little-endian f64
-    row-major).
-    """
-    path = str(path)
-    if path.endswith(".csv"):
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(f"# dim={cloud.dim}\n")
-            for row in cloud.points:
-                fh.write(",".join("%.17g" % v for v in row) + "\n")
-    else:
-        with open(path, "wb") as fh:
-            fh.write(_TPC1_MAGIC)
-            fh.write(struct.pack("<IQ", cloud.dim, cloud.n))
-            fh.write(np.ascontiguousarray(cloud.points, dtype="<f8").tobytes())
+    """Write a cloud as CSV, whatever the path's extension: a "# dim=D"
+    line, then one row of 17 significant digits per point."""
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(f"# dim={cloud.dim}\n")
+        for row in cloud.points:
+            fh.write(",".join("%.17g" % v for v in row) + "\n")
 
 
 def _load_csv_rows(path):
@@ -280,45 +262,35 @@ def _load_csv_rows(path):
                                           f"{lineno}: {text!r}") from None
                 continue
             try:
-                row = [float(tok) for tok in text.split(",")]
+                rows.append([float(tok) for tok in text.split(",")])
             except ValueError as exc:
                 raise ConfigError(f"{path}: parse error at line {lineno}: {exc}")
-            rows.append((lineno, row))
     return declared, rows
 
 
-def load_point_cloud(path, dim=None):
-    """Load an external cloud from CSV or TPC1 binary.
+def load_point_cloud(path):
+    """Load a cloud from CSV, whatever the path's extension, as
+    `save_point_cloud` writes it: optional "#" lines (a "# dim=D" line must
+    match the row width), then rows of comma-separated numbers.
 
     Exact duplicate rows are removed (first occurrence kept) with a logged
-    warning count. A `dim` argument, when given, must match the file.
+    warning count. A file that is not ASCII text, or not such rows, raises
+    `ConfigError` naming the path.
     """
-    path = str(path)
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-    if magic == _TPC1_MAGIC:
-        with open(path, "rb") as fh:
-            fh.read(4)
-            file_dim, count = struct.unpack("<IQ", fh.read(12))
-            data = np.frombuffer(fh.read(), dtype="<f8")
-        if data.size != file_dim * count:
-            raise ConfigError(f"{path}: truncated binary payload")
-        pts = data.reshape(count, file_dim).astype(np.float64)
-    else:
+    try:
         declared, rows = _load_csv_rows(path)
-        if not rows:
-            raise ConfigError(f"{path}: no data rows")
-        widths = {len(r) for _, r in rows}
-        if len(widths) != 1:
-            raise ConfigError(f"{path}: inconsistent row widths {sorted(widths)}")
-        file_dim = widths.pop()
-        if declared is not None and declared != file_dim:
-            raise ConfigError(
-                f"{path}: header dim={declared} but rows have {file_dim} columns")
-        pts = np.array([r for _, r in rows], dtype=np.float64)
-    if dim is not None and dim != pts.shape[1]:
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not ASCII text: {exc}") from None
+    if not rows:
+        raise ConfigError(f"{path}: no data rows")
+    widths = {len(r) for r in rows}
+    if len(widths) != 1:
+        raise ConfigError(f"{path}: inconsistent row widths {sorted(widths)}")
+    file_dim = widths.pop()
+    if declared is not None and declared != file_dim:
         raise ConfigError(
-            f"{path}: expected dim={dim}, file has {pts.shape[1]} columns")
+            f"{path}: header dim={declared} but rows have {file_dim} columns")
+    pts = np.array(rows, dtype=np.float64)
     uniq, first = np.unique(pts, axis=0, return_index=True)
     if uniq.shape[0] != pts.shape[0]:
         dropped = pts.shape[0] - uniq.shape[0]

@@ -3,6 +3,7 @@ precedence, stage isolation, and byte-level determinism."""
 
 import json
 import os
+import struct
 import subprocess
 import sys
 
@@ -123,7 +124,13 @@ def test_config_errors_exit_2(tmp_path, fast_cfg, capsys):
             ("output_dir", {"output_dir": 5}),
             ("weights", {"weights": "foo"}), ("weights", {"weights": None}),
             ("weights", {"weights": [1.0, 2.0]}),
-            ("weights", {"weights": 7})):
+            ("weights", {"weights": 7}),
+            ("colour_mode", {"export": {"colour_mode": "none"}}),
+            ("indeces", {"projection": {"kind": "coordinate_select",
+                                        "indeces": [0, 2, 1]}}),
+            ("indices", {"sampler": fast, "projection": {"indices": [0, 1]}}),
+            ("indices", {"sampler": fast,
+                         "projection": {"indices": [0, 0, 1]}})):
         bad.write_text(json.dumps({"output_dir": str(tmp_path / "out"),
                                    **wrong}))
         capsys.readouterr()
@@ -267,6 +274,36 @@ def test_validate_rejects_ids_outside_points(tmp_path, capsys,
         assert err["error"] == "MeshValidationError"
         assert f"[{bad_id}]" in err["details"]["report"]["problems"][0]
     assert not (tmp_path / "validation.json").exists()
+
+
+NO_TRIANGLES = (b'{"dim": 3, "points": '
+                b'[[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]}')
+
+
+@pytest.mark.parametrize("command, name, data, code", [
+    ("mesh", "cloud.csv", "# dim=3 \u00e9\n0,0,1\n0,1,0\n1,0,0\n1,1,1\n"
+     .encode("utf-8"), 2),
+    # a TPC1 binary cloud (magic, u32 dim, u64 count, f64 rows) is not CSV
+    ("mesh", "cloud.csv", b"TPC1" + struct.pack("<IQ", 3, 4)
+     + np.eye(4, 3).astype("<f8").tobytes(), 2),
+    ("project", "mesh.json", b"not json\n", 4),
+    ("validate", "mesh.json", NO_TRIANGLES, 4),
+    ("project", "mesh.json", NO_TRIANGLES, 4),
+    ("export", "projected.json", b'{"points": [], "source_dim": 3}', 3)],
+    ids=["cloud-utf8", "cloud-tpc1", "mesh-not-json", "validate-no-triangles",
+         "project-no-triangles", "export-no-triangles"])
+def test_malformed_artifact_names_stage_and_file(tmp_path, capsys, command,
+                                                 name, data, code):
+    """A malformed input artifact stops its stage with the error that
+    stage raises for a bad file: one JSON line on stderr that names the
+    stage and the file, not a traceback."""
+    (tmp_path / name).write_bytes(data)
+    capsys.readouterr()
+    assert cli.main([command, "--output-dir", str(tmp_path)]) == code
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1, lines
+    err = json.loads(lines[0])
+    assert err["stage"] == command and name in err["message"], err
 
 
 def test_validate_flags_duplicated_face(tmp_path, finished_run):

@@ -119,17 +119,6 @@ def test_time_reversal_symmetry():
     assert np.max(np.abs(back[-1] - flip * s0)) < 1e-9
 
 
-def test_rk4_reproducible_and_consistent():
-    mu = 0.01215
-    s0 = np.array([1.5, 0.0, 0.1, 0.0, 0.5, 0.0])
-    ts_a, st_a = cr3bp.integrate(s0, mu, 2.0, method="rk4", n_steps=4000)
-    ts_b, st_b = cr3bp.integrate(s0, mu, 2.0, method="rk4", n_steps=4000)
-    assert np.array_equal(st_a, st_b)
-    assert np.array_equal(ts_a, ts_b)
-    _, ref = cr3bp.integrate(s0, mu, 2.0, tol=1e-12, t_eval=[2.0])
-    assert np.max(np.abs(st_a[-1] - ref[-1])) < 1e-8
-
-
 def test_integrate_zero_span_returns_initial():
     ts, states = cr3bp.integrate(STATE_MOVING, MU, 0.0)
     assert ts.tolist() == [0.0]
@@ -163,8 +152,6 @@ def test_integrate_argument_validation():
         cr3bp.integrate(np.zeros(5), 0.2, 1.0)
     with pytest.raises(ConfigError):
         cr3bp.integrate(STATE_MOVING, 0.2, -1.0)
-    with pytest.raises(ConfigError):
-        cr3bp.integrate(STATE_MOVING, 0.2, 1.0, method="euler")
 
 
 def test_jacobian_velocity_block():
@@ -176,17 +163,3 @@ def test_jacobian_velocity_block():
     coriolis = np.array([[0, 2, 0], [-2, 0, 0], [0, 0, 0]], dtype=float)
     assert np.allclose(J[3:, 3:], coriolis, atol=1e-9)
     assert np.allclose(J[:3, :3], 0.0, atol=1e-9)
-
-
-def test_trajectory_csv_round_trip(tmp_path):
-    mu = 0.01215
-    s0 = np.array([1.5, 0.0, 0.1, 0.0, 0.5, 0.0])
-    ts, states = cr3bp.integrate(s0, mu, 1.0, tol=1e-12)
-    path = tmp_path / "orbit.csv"
-    cr3bp.export_trajectory_csv(path, ts, states, mu)
-    ts2, states2, cs = cr3bp.load_trajectory_csv(path)
-    # 17 significant digits round-trip doubles exactly
-    assert np.array_equal(ts, ts2)
-    assert np.array_equal(states, states2)
-    expected_c = [cr3bp.jacobi_constant(s, mu) for s in states]
-    assert np.array_equal(cs, np.array(expected_c))

@@ -746,14 +746,6 @@ def test_export_cycles_json(tmp_path, grid5_forms):
         [np.roll(loop[::-1], 1) for loop, _ in block_rows(cls.trivial)])
     assert not np.array_equal(turned.vertices, cls.trivial.vertices)
     assert turned.digest() == summary["sha256"]
-    path2 = tmp_path / "cycles_noroles.json"
-    export_cycles_json(path2, basis)
-    payload2 = json.loads(path2.read_text())
-    assert payload2["generators"] == []
-    assert payload2["summary"]["role"] is None
-    assert payload2["summary"]["count"] == 26
-    assert payload2["summary"]["hop_counts"] == {"4": 24, "5": 2}
-    assert payload2["summary"]["sha256"] == basis.digest()
 
 
 def cycle_from_edges_reference(graph, edge_ids):

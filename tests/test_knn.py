@@ -7,7 +7,7 @@ import pytest
 
 from conftest import periodic_grid
 from torusforge.errors import ConfigError, DisconnectedGraphError
-from torusforge.knn import NeighborGraph, build_knn_graph, export_edge_csv
+from torusforge.knn import NeighborGraph, build_knn_graph
 from torusforge.samplers import PointCloud
 
 
@@ -133,15 +133,3 @@ def test_grid_helper_is_four_regular():
     assert graph.vertex_count == 25
     assert graph.edge_count == 50
     assert np.all(graph.degree() == 4)
-
-
-def test_edge_csv_export(tmp_path):
-    graph = periodic_grid(3)
-    path = tmp_path / "edges.csv"
-    export_edge_csv(path, graph)
-    rows = path.read_text().strip().splitlines()
-    assert rows[0] == "i,j,length"
-    assert len(rows) == 1 + graph.edge_count
-    i, j, w = rows[1].split(",")
-    assert graph.edge_ids([int(i)], [int(j)]).tolist() == [0]
-    assert float(w) == graph.lengths[0]

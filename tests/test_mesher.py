@@ -362,6 +362,50 @@ def test_density_gradient_outcome_is_pinned(a, stop):
     assert diag["ratio"] < 1.25
 
 
+def coupled_map_cloud(c, n=4000):
+    """Froeschle's coupled standard maps, in turns: with
+    s = c sin 2pi(x1 + x2), each p_i <- p_i + 0.05 sin 2pi x_i + s and then
+    x_i <- x_i + p_i, all mod 1, from x = (0, 0) and the golden and silver
+    p. The n states before each step go to 6D as the unit circles of x1
+    and x2 and the circle of radius 0.2 of p1."""
+    x = np.zeros(2)
+    p = np.array([0.6180339887498949, 0.41421356237309515])
+    orbit = np.empty((n, 3))
+    for step in range(n):
+        orbit[step] = (x[0], x[1], p[0])
+        s = c * np.sin(2.0 * np.pi * (x[0] + x[1]))
+        p = (p + 0.05 * np.sin(2.0 * np.pi * x) + s) % 1.0
+        x = (x + p) % 1.0
+    x1, x2, p1 = 2.0 * np.pi * orbit.T
+    return PointCloud(dim=6, points=np.column_stack(
+        [np.cos(x1), np.sin(x1), np.cos(x2), np.sin(x2),
+         0.2 * np.cos(p1), 0.2 * np.sin(p1)]))
+
+
+@pytest.mark.parametrize("c, stop", [
+    (0.0, None),
+    (0.001, (6.589829700552109, 6.426813639464376)),
+    (0.005, None)])
+def test_coupled_map_outcome_is_pinned(c, stop):
+    """The coupled map's 4000 iterates at k = 8: c = 0 and c = 0.005 mesh
+    closed, while c = 0.001 stops at the unchanged 1.25 ratio gate with a
+    named GeneratorClassificationError carrying the weights it compared."""
+    cloud = coupled_map_cloud(c)
+    if stop is None:
+        report = build_pipeline(cloud).mesh.report
+        assert report["problems"] == []
+        assert report["faces"] == 2 * cloud.n
+        return
+    with pytest.raises(GeneratorClassificationError,
+                       match="raise k or sample more points") as err:
+        build_pipeline(cloud)
+    diag = err.value.diagnostics
+    assert diag["required_ratio"] == 1.25
+    assert diag["generator_weight"] == pytest.approx(stop[0], rel=1e-12)
+    assert diag["trivial_weight_max"] == pytest.approx(stop[1], rel=1e-12)
+    assert diag["ratio"] < 1.25
+
+
 def undirected_triangles(triangles):
     """The triangle set with winding and corner order dropped, as sorted
     rows of sorted vertex ids."""
