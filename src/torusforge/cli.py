@@ -150,6 +150,8 @@ def _validate_config(cfg):
         if not isinstance(section.get(key, ""), str):
             raise ConfigError(f"{key} must be a path string, got "
                               f"{section[key]!r}")
+    if pk == "custom_matrix":
+        _projection_matrix(cfg["projection"])
     indices = cfg["projection"].get("indices", [0, 1, 2])
     if not (isinstance(indices, list) and len(indices) == 3
             and all(_is_int(i) and i >= 0 for i in indices)
@@ -216,12 +218,11 @@ def build_cloud(cfg):
                                         dt=spec["dt"])
 
 
-def _build_projection(cfg, dim):
-    pc = cfg["projection"]
-    if pc["kind"] == "coordinate_select":
-        return Projection.coordinates(pc.get("indices", [0, 1, 2]))
-    if pc["kind"] == "pca":
-        return Projection.pca()
+def _projection_matrix(pc):
+    """The matrix of a custom_matrix projection section, given inline
+    (`matrix`) or as a JSON or whitespace-separated text file (`path`).
+    Raises ConfigError unless it is a numeric matrix of 3 rows; whether
+    it has one column per cloud coordinate is checked by `project`."""
     key = "matrix" if "matrix" in pc else "path"
     if pc.get(key) is None:
         raise ConfigError("custom_matrix projection needs matrix or path")
@@ -239,10 +240,19 @@ def _build_projection(cfg, dim):
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"projection {key} is not a numeric matrix: "
                           f"{exc}") from exc
-    if mat.ndim != 2 or mat.shape[0] != 3 or mat.shape[1] != dim:
-        raise ConfigError(
-            f"projection matrix must be 3x{dim}, got {mat.shape}")
-    return Projection.matrix(mat)
+    if mat.ndim != 2 or mat.shape[0] != 3:
+        raise ConfigError(f"projection {key} must be a matrix of 3 rows, "
+                          f"got shape {mat.shape}")
+    return mat
+
+
+def _build_projection(cfg):
+    pc = cfg["projection"]
+    if pc["kind"] == "coordinate_select":
+        return Projection.coordinates(pc.get("indices", [0, 1, 2]))
+    if pc["kind"] == "pca":
+        return Projection.pca()
+    return Projection.matrix(_projection_matrix(pc))
 
 
 def _write_json(path, payload):
@@ -300,7 +310,7 @@ def stage_mesh(cfg, cloud=None):
 def stage_project(cfg, mesh=None):
     if mesh is None:
         mesh = orient_mesh(load_mesh_json(_art(cfg, "mesh.json")))
-    proj = _build_projection(cfg, mesh.cloud.dim)
+    proj = _build_projection(cfg)
     pm = project(mesh, proj)
     payload = {
         "points": pm.points.tolist(),
@@ -434,13 +444,13 @@ def main(argv=None):
             stage_project(cfg)
         elif stage == "export":
             stage_export(cfg)
-        elif stage == "validate":
-            report = stage_validate(cfg, mesh_path=args.mesh_path)
+        elif stage in ("validate", "run"):
+            report = (stage_validate(cfg, mesh_path=args.mesh_path)
+                      if stage == "validate" else run_pipeline(cfg)[1])
             if report["problems"]:
-                return EXIT_VALIDATION
-        elif stage == "run":
-            code, _ = run_pipeline(cfg)
-            return code
+                raise MeshValidationError(
+                    f"{len(report['problems'])} validation problems, first: "
+                    f"{report['problems'][0]}", report)
     except ConfigError as exc:
         return _fail(stage, exc, EXIT_CONFIG)
     except MeshValidationError as exc:

@@ -14,7 +14,10 @@ found by Dijkstras on the graph's parity double cover, started only
 from a vertex cover of the vector's seam and stopped half way round: a
 walk of weight L <= B meets some vertex x with both copies of x within
 B/2 + w_max (the heaviest edge) of its source, so a search to that
-radius is exact whenever a walk of weight at most B exists. The split
+radius is exact whenever a walk of weight at most B exists. The sources
+run _BLOCK at a time, so one block's 2n-wide distance rows take 256 n
+bytes (1.5 MiB at n = 6,000), and each block searches only as far as a
+walk lighter than the best one so far needs. The split
 is the minimum basis whenever every minimum-basis cycle lighter than
 the heaviest chosen triangle or square has at most 4 hops.
 
@@ -42,6 +45,8 @@ log = logging.getLogger("torusforge.cycles")
 
 _INTERNAL_SEED = 0x5EED
 _PERTURB_EPS = 1e-10
+# seam sources per de Pina Dijkstra block: 16 rows of 2n float64
+_BLOCK = 16
 
 
 @dataclass
@@ -227,7 +232,8 @@ class _Workspace:
         self.coord = np.full(self.E, -1, dtype=np.int64)
         self.coord[nontree] = np.arange(self.m)
         self.nontree = nontree
-        # sources per Dijkstra block: c x n float64 distances stay <= 12 MB
+        # loops per edge lookup in `vectors`, and sources per n-wide
+        # Dijkstra block of the test references: c x n float64 <= 12 MB
         self.chunk = max(1, min(512, 1_500_000 // max(self.n, 1)))
         # the first bound of the odd-cycle search
         self.theta0 = 5.0 * float(np.median(self.w_pert)) if self.E else 0.0
@@ -252,9 +258,10 @@ def _slot_pairs(ptr):
     as two arrays (p, q), in order of p, then q."""
     pos = np.arange(ptr[-1])
     later = np.repeat(ptr[1:], np.diff(ptr)) - pos - 1
-    p = np.repeat(pos, later)
-    step = np.arange(len(p)) - np.repeat(np.cumsum(later) - later, later)
-    return p, p + 1 + step
+    # the k-th pair of p sits at start[p] + k and has q = p + 1 + k
+    q = np.repeat(pos + 1 - (np.cumsum(later) - later), later)
+    q += np.arange(len(q))
+    return np.repeat(pos, later), q
 
 
 def _short_cycles(ws):
@@ -267,14 +274,17 @@ def _short_cycles(ws):
     open wedges on one pair x, y whose centres c1, c2 are not adjacent
     make the chordless square x c1 y c2; its other diagonal c1 c2 finds it
     again, so it is kept from the diagonal holding its smallest vertex.
+    A wedge is held as its two slots in the sorted adjacency lists, and
+    its centre, ends and edges are looked up only where they are needed:
+    a few wedge-long arrays are alive at a time.
     """
     n, E = ws.n, ws.E
     keys = ws.ex * n + ws.ey
 
-    def edge_at(a, b):
-        # (position of the key a * n + b, whether that pair is an edge)
-        q = a * n + b
-        pos = np.minimum(np.searchsorted(keys, q), E - 1)
+    def edge_at(q):
+        # (position of each key q = a * n + b, whether that pair is an edge)
+        pos = np.searchsorted(keys, q)
+        np.minimum(pos, E - 1, out=pos)
         return pos, keys[pos] == q
 
     tail = np.concatenate([ws.ex, ws.ey])
@@ -282,23 +292,33 @@ def _short_cycles(ws):
     eid = np.tile(np.arange(E), 2)
     order = np.lexsort((head, tail))
     tail, head, eid = tail[order], head[order], eid[order]
+    # wedge w: centre tail[a[w]], ends x = head[a[w]] < y = head[b[w]]
     a, b = _slot_pairs(np.searchsorted(tail, np.arange(n + 1)))
-    c, x, y, ea, eb = tail[a], head[a], head[b], eid[a], eid[b]
-    exy, closed = edge_at(x, y)
-    t = closed & (c < x)
-    triangles = (np.column_stack([c[t], x[t], y[t]]),
-                 np.column_stack([ea[t], exy[t], eb[t]]))
+    q = head[a] * n
+    q += head[b]
+    exy, closed = edge_at(q)
+    del q
+    t = np.flatnonzero(closed & (tail[a] < head[a]))
+    ta, tb = a[t], b[t]
+    triangles = (np.column_stack([tail[ta], head[ta], head[tb]]),
+                 np.column_stack([eid[ta], exy[t], eid[tb]]))
+    del exy, t, ta, tb
+    open_ = ~closed
+    a, b = a[open_], b[open_]
     # open wedges grouped by their pair; within a group the centres
     # ascend, as the wedges were made in centre order and the sort is stable
-    open_ = np.flatnonzero(~closed)
-    open_ = open_[np.argsort(x[open_] * n + y[open_], kind="stable")]
-    c, x, y, ea, eb = c[open_], x[open_], y[open_], ea[open_], eb[open_]
+    q = head[a] * n
+    q += head[b]
+    order = np.argsort(q, kind="stable")
+    del q
+    a, b = a[order], b[order]
+    x, y, c = head[a], head[b], tail[a]
     i, j = _slot_pairs(np.flatnonzero(np.r_[True, (x[1:] != x[:-1])
                                             | (y[1:] != y[:-1]), True]))
-    keep = ~edge_at(c[i], c[j])[1] & (x[i] < c[i])
+    keep = ~edge_at(c[i] * n + c[j])[1] & (x[i] < c[i])
     i, j = i[keep], j[keep]
     squares = (np.column_stack([x[i], c[i], y[i], c[j]]),
-               np.column_stack([ea[i], eb[i], eb[j], ea[j]]))
+               np.column_stack([eid[a[i]], eid[b[i]], eid[b[j]], eid[a[j]]]))
     return triangles, squares
 
 
@@ -422,19 +442,23 @@ def _vertex_cover(x, y):
 
 def _odd_walks(ws, cover, seam, radius):
     """Lightest odd closed walk found by Dijkstras on the double cover
-    limited to radius, one block of seam sources at a time: (weight,
-    source, meeting vertex x), weight inf when none is found.
+    limited to radius, _BLOCK seam sources at a time: (weight, source,
+    meeting vertex x), weight inf when none is found.
 
     From source v, d(v, x) + d(v, x') over x and its copy x' on the other
-    sheet is the weight of an odd closed walk through v and x. One
-    c x 2n distance block is alive at a time, the halves of each row
-    summed in place; a row at a time, as a reduction over the strided
-    half-block would copy it."""
+    sheet is the weight of an odd closed walk through v and x. A later
+    source replaces the best walk so far, of weight b, only with a walk
+    lighter than b, which a search to b/2 + w_max finds exactly; so each
+    block searches to min(radius, b/2 + w_max), and the first strictly
+    lightest source is kept as with radius alone. One block's distances
+    are alive at a time, the halves of each row summed in place; a row
+    at a time, as a reduction over the strided half-block would copy it."""
     n = ws.n
     best, source, meet = np.inf, None, None
-    for lo in range(0, len(seam), ws.chunk):
-        block = seam[lo:lo + ws.chunk]
-        dist = dijkstra(cover, indices=block, limit=radius)
+    for lo in range(0, len(seam), _BLOCK):
+        block = seam[lo:lo + _BLOCK]
+        dist = dijkstra(cover, indices=block,
+                        limit=min(radius, best / 2 + ws.w_max))
         for v, row in zip(block.tolist(), dist):
             odd = row[:n]
             odd += row[n:]

@@ -13,6 +13,12 @@ from .errors import ConfigError, DisconnectedGraphError
 log = logging.getLogger("torusforge.knn")
 
 
+def _pair_keys(i, j, n):
+    """int64 keys lo * n + hi of the pairs {i[t], j[t]} of vertices below
+    n; they sort as the pairs (lo, hi) do, lexicographically."""
+    return np.minimum(i, j) * n + np.maximum(i, j)
+
+
 @dataclass
 class NeighborGraph:
     """Undirected weighted graph: edges (i, j) with i < j and Euclidean
@@ -29,12 +35,16 @@ class NeighborGraph:
         lengths = np.asarray(lengths, dtype=np.float64)
         if np.any(edges[:, 0] == edges[:, 1]):
             raise ConfigError("self-loop edge")
-        edges = np.sort(edges, axis=1)
-        order = np.lexsort((edges[:, 1], edges[:, 0]))
-        edges = edges[order]
-        lengths = lengths[order]
-        if len(np.unique(edges, axis=0)) != len(edges):
+        if np.any((edges < 0) | (edges >= vertex_count)):
+            raise ConfigError(f"edge vertex ids must lie in [0, "
+                              f"{vertex_count})")
+        keys = _pair_keys(edges[:, 0], edges[:, 1], vertex_count)
+        order = np.argsort(keys)
+        keys = keys[order]
+        if np.any(keys[1:] == keys[:-1]):
             raise ConfigError("parallel edges")
+        edges = np.column_stack(np.divmod(keys, vertex_count))
+        lengths = lengths[order]
         if np.any(lengths <= 0):
             raise ConfigError("non-positive edge length")
         return cls(vertex_count, edges, lengths, k)
@@ -126,9 +136,7 @@ def build_knn_graph(cloud, k):
     neigh = _knn_pairs(pts, k)
     i = np.repeat(np.arange(n), k)
     j = neigh.ravel()
-    lo = np.minimum(i, j)
-    hi = np.maximum(i, j)
-    pairs = np.unique(np.column_stack([lo, hi]), axis=0)
+    pairs = np.column_stack(np.divmod(np.unique(_pair_keys(i, j, n)), n))
     diff = pts[pairs[:, 0]] - pts[pairs[:, 1]]
     lengths = np.sqrt(np.einsum("ij,ij->i", diff, diff))
     graph = NeighborGraph.from_edges(n, pairs, lengths, k=k)

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import MeshValidationError, ResidualError
+from .errors import ConfigError, MeshValidationError, ResidualError
 
 log = logging.getLogger("torusforge.mesher")
 
@@ -314,8 +314,10 @@ def export_mesh_json(path, mesh):
 
 def load_mesh_json(path):
     """Read a mesh.json; raises MeshValidationError, naming the path, when
-    the file is not ASCII JSON with `dim`, `points` and `triangles`, or
-    when a triangle vertex id does not index one of its points."""
+    the file is not ASCII JSON with `dim`, `points` and `triangles`, when
+    its points are not a valid PointCloud (say, two equal points or an
+    unknown `provenance`), or when a triangle vertex id does not index
+    one of its points."""
     from .samplers import PointCloud
     try:
         with open(path, "r", encoding="ascii") as fh:
@@ -325,7 +327,7 @@ def load_mesh_json(path):
                            provenance=payload.get("provenance", "external"))
         triangles = np.array(payload["triangles"],
                              dtype=np.int64).reshape(-1, 3)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ConfigError) as exc:
         problem = f"{path} is not a mesh.json: {type(exc).__name__}: {exc}"
         raise MeshValidationError(problem, {"problems": [problem]}) from None
     outside = np.unique(triangles[(triangles < 0) | (triangles >= cloud.n)])

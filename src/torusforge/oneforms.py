@@ -14,7 +14,10 @@ The solved forms satisfy, per form:
 The solver enforces the cycle constraints exactly by splitting the form
 into an exact part (vertex potential) plus a correction on non-tree
 edges, then makes the form co-closed by one weighted-Laplacian solve.
-That renders all residuals at machine precision. The correction is zero
+That renders all residuals at machine precision. The grounded Laplacian
+is symmetric positive definite, so SuperLU factors it in symmetric mode:
+minimum degree on A^T + A and pivots taken from the diagonal (0.61M L+U
+entries at 6k points against COLAMD's 1.11M). The correction is zero
 on the spanning tree, so the two potentials are the angle map theta:
 the forms integrated along the tree from vertex 0.
 """
@@ -136,6 +139,10 @@ def _solve_exact(system):
         mlu = splu(M)
     except RuntimeError as exc:
         raise CycleBasisError(f"cycle rows are singular: {exc}") from None
+    psi = np.zeros((2, E))
+    for k, rhs in enumerate((system.rhs_u, system.rhs_v)):
+        psi[k, nontree] = mlu.solve(rhs[V:])
+    del M, mlu                        # one factor alive at a time
     ei, ej = graph.edges[:, 0], graph.edges[:, 1]
     B = coo_matrix(
         (np.concatenate([-np.ones(E), np.ones(E)]),
@@ -143,13 +150,14 @@ def _solve_exact(system):
           np.concatenate([ei, ej]))),
         shape=(E, V)).tocsr()
     A = system.matrix[:V]             # the weighted co-closedness rows, B^T w
-    llu = splu((A @ B)[1:, 1:].tocsc())
+    # the grounded Laplacian is symmetric positive definite: a symmetric
+    # ordering and diagonal pivots keep its factor near Cholesky's fill
+    llu = splu((A @ B)[1:, 1:].tocsc(), permc_spec="MMD_AT_PLUS_A",
+               diag_pivot_thresh=0.0, options={"SymmetricMode": True})
     forms, theta = [], np.zeros((V, 2))
-    for k, rhs in enumerate((system.rhs_u, system.rhs_v)):
-        psi = np.zeros(E)
-        psi[nontree] = mlu.solve(rhs[V:])
-        theta[1:, k] = llu.solve(-(A @ psi)[1:])
-        forms.append(B @ theta[:, k] + psi)
+    for k in range(2):
+        theta[1:, k] = llu.solve(-(A @ psi[k])[1:])
+        forms.append(B @ theta[:, k] + psi[k])
     return forms[0], forms[1], theta
 
 

@@ -238,10 +238,10 @@ def sample_center_manifold_torus(mu, point, amp_planar, amp_vertical, N,
 def save_point_cloud(path, cloud):
     """Write a cloud as CSV, whatever the path's extension: a "# dim=D"
     line, then one row of 17 significant digits per point."""
+    line = ",".join(["%.17g"] * cloud.dim) + "\n"
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"# dim={cloud.dim}\n")
-        for row in cloud.points:
-            fh.write(",".join("%.17g" % v for v in row) + "\n")
+        fh.writelines(line % tuple(row) for row in cloud.points.tolist())
 
 
 def _load_csv_rows(path):

@@ -257,6 +257,68 @@ def test_validate_flags_torn_mesh(tmp_path, finished_run):
     assert report["problems"]
 
 
+def test_validation_problems_print_one_json_line(tmp_path, capsys,
+                                                 finished_run):
+    """validate exits 4 on a mesh with problems and says so on stderr:
+    one JSON line whose details hold the report validation.json holds."""
+    payload = json.loads((finished_run / "mesh.json").read_text())
+    payload["triangles"] = payload["triangles"][1:]
+    torn = tmp_path / "torn.json"
+    torn.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert cli.main(["validate", str(torn), "--output-dir",
+                     str(tmp_path)]) == 4
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1, lines
+    err = json.loads(lines[0])
+    assert err["stage"] == "validate"
+    assert err["error"] == "MeshValidationError"
+    report = json.loads((tmp_path / "validation.json").read_text())
+    assert err["details"]["report"]["problems"] == report["problems"]
+    assert report["problems"][0] in err["message"]
+
+
+@pytest.mark.parametrize("edit", ["duplicate-point", "unknown-provenance"])
+def test_invalid_cloud_in_mesh_json_names_file(tmp_path, capsys,
+                                               finished_run, edit):
+    """A mesh.json whose points are no valid cloud stops like any other
+    malformed mesh.json: exit 4, the file named, a problem list."""
+    payload = json.loads((finished_run / "mesh.json").read_text())
+    if edit == "duplicate-point":
+        payload["points"][1] = payload["points"][0]
+    else:
+        payload["provenance"] = "scanner"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert cli.main(["validate", str(path), "--output-dir",
+                     str(tmp_path)]) == 4
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1, lines
+    err = json.loads(lines[0])
+    assert err["error"] == "MeshValidationError"
+    assert str(path) in err["message"]
+    assert err["details"]["report"]["problems"] == [err["message"]]
+    assert not (tmp_path / "validation.json").exists()
+
+
+def test_unreadable_matrix_path_stops_at_config(tmp_path, capsys):
+    """A custom_matrix file that holds no numbers stops the run at stage
+    config, before the mesh stage spends its time."""
+    matrix = tmp_path / "matrix.txt"
+    matrix.write_text("a b c\n")
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "out"
+    cfg.write_text(json.dumps({
+        **FAST, "output_dir": str(out),
+        "projection": {"kind": "custom_matrix", "path": str(matrix)}}))
+    capsys.readouterr()
+    assert cli.main(["run", "--config", str(cfg)]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["stage"] == "config" and "path" in err["message"], err
+    assert not (out / "cycles.json").exists()
+
+
 @pytest.mark.parametrize("bad_id", [-1, 99999])
 def test_validate_rejects_ids_outside_points(tmp_path, capsys,
                                              finished_run, bad_id):

@@ -5,6 +5,7 @@ generator classification."""
 
 import hashlib
 import json
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -612,16 +613,24 @@ def test_half_radius_search_matches_full_cover(random_torus_bundle,
     search picks the cycle the unlimited search picks. Its slots take
     all three ways through the search: certified by the first round, a
     second round bounded by the first round's walk, and a second round
-    bounded by one unlimited source."""
+    bounded by one unlimited source. Some slot's seam spans several
+    blocks and its lightest walk starts from a later block, so the
+    limit that shrinks from block to block is checked too."""
     ws = cycles._Workspace(random_torus_bundle.graph)
     _, comp = cycles._short_cycle_basis(ws)
     assert len(comp) > 100
     rounds = []
+    shrunk = []
     odd_walks = cycles._odd_walks
 
     def counted(ws, cover, seam, radius):
         found = odd_walks(ws, cover, seam, radius)
         rounds.append((radius, found[0]))
+        at = np.searchsorted(seam, found[1]) if found[1] is not None else 0
+        if at >= cycles._BLOCK:
+            # the first block's own best: the limit later blocks ran under
+            first = odd_walks(ws, cover, seam[:cycles._BLOCK], radius)[0]
+            shrunk.append(found[0] < first < np.inf)
         return found
 
     monkeypatch.setattr(cycles, "_odd_walks", counted)
@@ -640,6 +649,25 @@ def test_half_radius_search_matches_full_cover(random_torus_bundle,
         comp[i + 1:] = [t ^ s if len(vec & t) & 1 else t
                         for t in comp[i + 1:]]
     assert ways == {"first", "walk", "unlimited"}
+    # some seam spans two or more blocks, and its lightest walk is found
+    # after the first one, under a limit the first block's walk shrank
+    assert any(shrunk), shrunk
+
+
+def test_de_pina_finish_memory_is_bounded(cm_bundle):
+    """de Pina's finish on the 6k 6D cloud keeps one block of 2n-wide
+    distance rows alive at a time: its traced peak stays within 8 MiB."""
+    ws = cycles._Workspace(cm_bundle.graph)
+    chosen, comp = cycles._short_cycle_basis(ws)
+    assert len(comp) == 2             # the generators' slots
+    tracemalloc.start()
+    try:
+        basis = cycles._finish(ws, chosen, comp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert basis.digest() == cm_bundle.basis.digest()
+    assert peak <= 8 * 2 ** 20, peak / 2 ** 20
 
 
 def test_deterministic_across_calls():
