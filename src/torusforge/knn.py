@@ -4,11 +4,10 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import breadth_first_order, connected_components
 from scipy.spatial import cKDTree
 
 from .errors import ConfigError, DisconnectedGraphError
+from .mesher import _components
 
 log = logging.getLogger("torusforge.knn")
 
@@ -70,28 +69,6 @@ class NeighborGraph:
             raise KeyError((int(lo.flat[t]), int(hi.flat[t])))
         return pos
 
-    def adjacency_matrix(self):
-        i, j = self.edges[:, 0], self.edges[:, 1]
-        n = self.vertex_count
-        return coo_matrix(
-            (np.concatenate([self.lengths, self.lengths]),
-             (np.concatenate([i, j]), np.concatenate([j, i]))),
-            shape=(n, n)).tocsr()
-
-    def degree(self):
-        return np.diff(self.adjacency_matrix().indptr).astype(np.int64)
-
-
-def _bfs_tree(graph):
-    """Ids of the edges of the spanning tree BFS from vertex 0 grows,
-    neighbors in ascending order. Raises ConfigError when the graph is
-    not connected."""
-    order, pred = breadth_first_order(graph.adjacency_matrix(), 0,
-                                      directed=False)
-    if len(order) != graph.vertex_count:
-        raise ConfigError("graph is not connected")
-    return graph.edge_ids(pred[order[1:]], order[1:])
-
 
 def _knn_pairs(points, k):
     """Directed neighbor lists, equal to brute force under the
@@ -125,8 +102,8 @@ def build_knn_graph(cloud, k):
 
     Edge (i, j) is present iff j is among the k nearest neighbors of i or
     vice versa, nearest under (Euclidean distance, index) ordering. Raises
-    DisconnectedGraphError (naming the component sizes) if the result is
-    not connected.
+    DisconnectedGraphError, naming the component sizes largest first, if
+    `mesher._components` finds more than one component.
     """
     pts = cloud.points
     n = len(pts)
@@ -140,11 +117,10 @@ def build_knn_graph(cloud, k):
     diff = pts[pairs[:, 0]] - pts[pairs[:, 1]]
     lengths = np.sqrt(np.einsum("ij,ij->i", diff, diff))
     graph = NeighborGraph.from_edges(n, pairs, lengths, k=k)
-    ncomp, labels = connected_components(graph.adjacency_matrix(),
-                                         directed=False)
-    if ncomp != 1:
-        sizes = np.bincount(labels).tolist()
-        raise DisconnectedGraphError(sizes)
+    _, sizes = np.unique(_components(n, pairs[:, 0], pairs[:, 1]),
+                         return_counts=True)
+    if len(sizes) != 1:
+        raise DisconnectedGraphError(sizes.tolist())
     log.info("knn graph: %d vertices, %d edges, k=%d", n, len(pairs), k)
     return graph
 

@@ -1,17 +1,17 @@
 """Torus meshing in the angle coordinates the solved one-forms define.
 
 The exact solve gives the one-forms integer periods and hands over the
-angle map theta: V -> R^2 / Z^2 it integrates them to along its spanning
-tree. The mesh is the Delaunay triangulation of the points theta(v) on
-that flat torus, under the arclength chart metric:
-the triangles the 3x3 periodic copy of the points gives the central
-copy (Caroli & Teillaud, "Delaunay triangulations of closed Euclidean
-d-orbifolds", DCG 2016). Qhull runs only on the periodic copies within
-a margin of the box, which gives the same triangles once every kept
-circumdisk lies inside the padded box; the margin doubles until it
-does, and the whole 3x3 copy is the last step. No points are moved,
-added or dropped: a cloud the construction cannot triangulate fails
-validation loudly.
+angle map theta: V -> R^2 / Z^2 it integrates them to along the cycle
+basis's shortest-path tree. The mesh is the Delaunay triangulation of
+the points theta(v) on that flat torus, under the arclength chart
+metric: the triangles the 3x3 periodic copy of the points gives the
+central copy (Caroli & Teillaud, "Delaunay triangulations of closed
+Euclidean d-orbifolds", DCG 2016). Qhull runs only on the periodic
+copies within a margin of the box, which gives the same triangles once
+every kept circumdisk lies inside the padded box; the margin doubles
+until it does, and the whole 3x3 copy is the last step. No points are
+moved, added or dropped: a cloud the construction cannot triangulate
+fails validation loudly.
 """
 
 import json
@@ -150,11 +150,16 @@ def _validate(tris, he, strict, extra):
 def _chart_metric(graph, forms):
     """Per-axis arclength scale of the chart, least squares over edges:
     len^2 ~ (su du)^2 + (sv dv)^2. Makes chart geometry near-isotropic,
-    so the Delaunay predicate approximates the embedding's."""
+    so the Delaunay predicate approximates the embedding's. Raises
+    ResidualError, carrying the fitted (su^2, sv^2), when the fit is not
+    positive: the forms then do not parameterize the edges' lengths."""
     design = np.stack([forms.du ** 2, forms.dv ** 2], axis=1)
     coef, *_ = np.linalg.lstsq(design, graph.lengths ** 2, rcond=None)
-    if not np.all(np.isfinite(coef)) or np.any(coef <= 0):
-        return (1.0, 1.0)
+    if not np.all(np.isfinite(coef) & (coef > 0)):
+        raise ResidualError(
+            f"chart metric fit is not positive: (su^2, sv^2) = "
+            f"({coef[0]:.3e}, {coef[1]:.3e})",
+            {"chart_metric_coefficients": coef.tolist()})
     return (float(np.sqrt(coef[0])), float(np.sqrt(coef[1])))
 
 
@@ -249,13 +254,13 @@ def mesh_flat_torus(graph, forms, cloud):
     over every graph edge: the largest distance of
     theta_j - theta_i - (du, dv) from an integer is the report's
     `period_defect_max`, and ResidualError is raised when it exceeds
-    1e-6. Triangulates theta mod 1, scaled by the chart metric, on the
-    flat torus. Raises MeshValidationError, carrying the report, when
-    chart points coincide, when the result is not a closed genus-1
-    manifold, when a directed edge is walked by two faces (so the chart
-    winding is not one global orientation), when an input point is not
-    a mesh vertex, or when a mesh edge that is also a graph edge spans
-    a period seam.
+    1e-6 or when the chart metric fit is not positive. Triangulates
+    theta mod 1, scaled by the chart metric, on the flat torus. Raises
+    MeshValidationError, carrying the report, when chart points
+    coincide, when the result is not a closed genus-1 manifold, when a
+    directed edge is walked by two faces (so the chart winding is not
+    one global orientation), when an input point is not a mesh vertex,
+    or when a mesh edge that is also a graph edge spans a period seam.
     """
     V = graph.vertex_count
     ei, ej = graph.edges[:, 0], graph.edges[:, 1]

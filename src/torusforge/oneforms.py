@@ -19,7 +19,8 @@ is symmetric positive definite, so SuperLU factors it in symmetric mode:
 minimum degree on A^T + A and pivots taken from the diagonal (0.61M L+U
 entries at 6k points against COLAMD's 1.11M). The correction is zero
 on the spanning tree, so the two potentials are the angle map theta:
-the forms integrated along the tree from vertex 0.
+the forms integrated along the tree from vertex 0. It is the cycle
+basis's shortest-path tree, so the basis and the angle map share one.
 """
 
 import json
@@ -30,9 +31,8 @@ import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix, vstack
 from scipy.sparse.linalg import splu
 
-from .cycles import CycleBasis
+from .cycles import CycleBasis, _Workspace
 from .errors import CycleBasisError, ConfigError, ResidualError
-from .knn import _bfs_tree
 
 log = logging.getLogger("torusforge.oneforms")
 
@@ -59,23 +59,17 @@ class OneFormPair:
     diagnostics: dict
 
 
-def edge_weights(graph, weights=None):
-    """Materialize an edge weight vector: uniform (default),
-    'inverse_length', or an explicit positive array."""
-    E = graph.edge_count
-    if weights is None or (isinstance(weights, str) and weights == "uniform"):
-        return np.ones(E)
-    if isinstance(weights, str):
-        if weights == "inverse_length":
-            return 1.0 / graph.lengths
-        raise ConfigError(f"unknown weight scheme {weights!r}")
-    w = np.asarray(weights, dtype=np.float64)
-    if w.shape != (E,) or np.any(w <= 0) or not np.all(np.isfinite(w)):
-        raise ConfigError("edge weights must be E positive finite values")
-    return w
+def edge_weights(graph, weights="inverse_length"):
+    """Edge weight vector of a scheme: 'inverse_length' (default) or
+    'uniform'."""
+    if isinstance(weights, str) and weights == "inverse_length":
+        return 1.0 / graph.lengths
+    if isinstance(weights, str) and weights == "uniform":
+        return np.ones(graph.edge_count)
+    raise ConfigError(f"unknown weight scheme {weights!r}")
 
 
-def assemble_system(graph, classification, weights=None):
+def assemble_system(graph, classification, weights="inverse_length"):
     """Build the sparse constraint system for both one-forms.
 
     Rows: V weighted co-closedness rows, one closedness row per trivial
@@ -118,7 +112,8 @@ def assemble_system(graph, classification, weights=None):
 def _solve_exact(system):
     """Hard cycle constraints by elimination, then exact co-closedness.
 
-    dx = B pi + psi with psi supported on non-tree edges. The cycle rows
+    dx = B pi + psi with psi supported on the edges off the cycle
+    basis's shortest-path tree from vertex 0. The cycle rows
     restricted to non-tree coordinates form a square matrix with odd
     determinant (the cycles are a basis over GF(2)), so psi is unique.
     The remaining weighted Laplacian solve makes every co-closedness row
@@ -128,7 +123,7 @@ def _solve_exact(system):
     """
     graph = system.graph
     V, E = graph.vertex_count, graph.edge_count
-    nontree = np.setdiff1d(np.arange(E), _bfs_tree(graph))
+    nontree = _Workspace(graph).nontree
     m = len(nontree)
     ncyc = system.matrix.shape[0] - V
     if ncyc != m:
@@ -143,13 +138,8 @@ def _solve_exact(system):
     for k, rhs in enumerate((system.rhs_u, system.rhs_v)):
         psi[k, nontree] = mlu.solve(rhs[V:])
     del M, mlu                        # one factor alive at a time
-    ei, ej = graph.edges[:, 0], graph.edges[:, 1]
-    B = coo_matrix(
-        (np.concatenate([-np.ones(E), np.ones(E)]),
-         (np.concatenate([np.arange(E), np.arange(E)]),
-          np.concatenate([ei, ej]))),
-        shape=(E, V)).tocsr()
     A = system.matrix[:V]             # the weighted co-closedness rows, B^T w
+    B = A.sign().T                    # w > 0, so A's signs are B^T
     # the grounded Laplacian is symmetric positive definite: a symmetric
     # ordering and diagonal pivots keep its factor near Cholesky's fill
     llu = splu((A @ B)[1:, 1:].tocsc(), permc_spec="MMD_AT_PLUS_A",

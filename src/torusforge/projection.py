@@ -66,16 +66,6 @@ def pca_axes(points):
     return axes, captured
 
 
-def coordinate_variance_fraction(points, indices):
-    """Variance fraction captured by a coordinate triple (for comparing
-    against the PCA projection)."""
-    centered = points - points.mean(axis=0)
-    total = float(np.sum(centered ** 2))
-    if total == 0:
-        return 1.0
-    return float(np.sum(centered[:, list(indices)] ** 2) / total)
-
-
 def project(mesh, proj):
     """Apply a projection to a SurfaceMesh -> ProjectedMesh."""
     pts = mesh.cloud.points
@@ -127,20 +117,18 @@ def _sidedness_colors(pmesh):
     return np.array([_BLUE, _RED], dtype=np.uint8)[(side >= 0).astype(int)]
 
 
-def export_mesh(pmesh, fmt, path, color_mode="none", layers=None):
+def export_mesh(pmesh, fmt, path, color_mode="none"):
     """Write a projected mesh as OBJ or binary PLY.
 
     color_mode 'sidedness' adds per-face RGB (PLY only; OBJ has no
     standard face colors and is written identically in both modes).
-    `layers` is an optional list of (name, kind, vertex-id list) with
-    kind 'l' (polyline, closed) or 'p' (points), emitted as OBJ groups.
     """
     if len(pmesh.triangles) == 0:
         raise ProjectionError("refusing to export an empty mesh")
     if color_mode not in ("none", "sidedness"):
         raise ProjectionError(f"unknown color mode {color_mode!r}")
     if fmt == "obj":
-        _write_obj(pmesh, path, layers)
+        _write_obj(pmesh, path)
     elif fmt == "ply":
         colors = _sidedness_colors(pmesh) if color_mode == "sidedness" else None
         _write_ply(pmesh, path, colors)
@@ -149,22 +137,12 @@ def export_mesh(pmesh, fmt, path, color_mode="none", layers=None):
     log.info("wrote %s (%s, %d faces)", path, fmt, len(pmesh.triangles))
 
 
-def _write_obj(pmesh, path, layers=None):
+def _write_obj(pmesh, path):
     with open(path, "w", encoding="ascii") as fh:
         for p in pmesh.points:
             fh.write("v %.17g %.17g %.17g\n" % (p[0], p[1], p[2]))
         for a, b, c in pmesh.triangles:
             fh.write("f %d %d %d\n" % (a + 1, b + 1, c + 1))
-        for name, kind, ids in layers or ():
-            fh.write("g %s\n" % name)
-            one_based = [int(i) + 1 for i in ids]
-            if kind == "l":
-                fh.write("l " + " ".join(str(i) for i in one_based
-                                         + one_based[:1]) + "\n")
-            elif kind == "p":
-                fh.write("p " + " ".join(str(i) for i in one_based) + "\n")
-            else:
-                raise ProjectionError(f"unknown layer kind {kind!r}")
 
 
 def read_obj(path):

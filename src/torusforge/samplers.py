@@ -16,8 +16,7 @@ from .errors import ConfigError
 
 log = logging.getLogger("torusforge.samplers")
 
-PROVENANCES = ("synthetic", "standard_map", "cr3bp_linear", "cr3bp_integrated",
-               "external")
+PROVENANCES = ("synthetic", "standard_map", "cr3bp_linear", "external")
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ the complement basis back-substituted over the pivot rows.
 import heapq
 
 import numpy as np
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from torusforge.cycles import (_INTERNAL_SEED, _PERTURB_EPS, CycleBasis,
@@ -114,7 +115,9 @@ def short_cycle_greedy(ws, pivots, chosen):
 def neighbor_rows(graph):
     """Each vertex's neighbours in ascending order, as the rows of the
     graph's CSR adjacency matrix."""
-    csr = graph.adjacency_matrix()
+    n = graph.vertex_count
+    src, dst = np.concatenate([graph.edges, graph.edges[:, ::-1]]).T
+    csr = csr_matrix((np.ones(len(src)), (src, dst)), shape=(n, n))
     return np.split(csr.indices.astype(np.int64), csr.indptr[1:-1])
 
 

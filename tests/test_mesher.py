@@ -71,6 +71,21 @@ def test_period_defect_raises_residual_error():
     assert defect == pytest.approx(0.01, abs=1e-9)
 
 
+def test_chart_metric_fit_not_positive_raises_residual_error():
+    """A hand-built OneFormPair whose edges run along u but are short,
+    and along v but long, gives the least-squares chart metric a
+    negative u coefficient."""
+    graph, forms = flat_torus_graph()
+    along_u = np.abs(forms.du) > np.abs(forms.dv)
+    lengths = np.where(along_u, 0.01, 1.0)
+    twisted = NeighborGraph.from_edges(graph.vertex_count, graph.edges,
+                                       lengths)
+    with pytest.raises(ResidualError, match="chart metric") as err:
+        mesh_flat_torus(twisted, forms, None)
+    su2, sv2 = err.value.diagnostics["chart_metric_coefficients"]
+    assert su2 < 0 < sv2
+
+
 def test_point_missing_from_mesh_fails_validation(monkeypatch):
     """A vertex whose angle equals another's is a duplicate chart point.
     The mesher names the pair and its kNN neighbours before Qhull runs;

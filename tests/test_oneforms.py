@@ -10,8 +10,9 @@ import pytest
 
 from conftest import manual_grid_classification, periodic_grid
 from reference_cycles import minimum_cycle_basis, neighbor_rows
-from torusforge.cycles import classify_cycles
+from torusforge.cycles import _Workspace, classify_cycles
 from torusforge.errors import ConfigError, ResidualError
+from torusforge.knn import NeighborGraph
 from torusforge.oneforms import (assemble_system, edge_weights,
                                  export_residuals_json, solve_oneforms)
 
@@ -120,11 +121,13 @@ def test_cycle_rows_match_per_edge_reference(torus_bundle):
 
 
 def test_uniform_weight_scaling_invariance(grid5_forms):
+    """Lengths scaled by 1/3.7 scale every inverse-length weight by 3.7,
+    which leaves the forms as they are."""
     graph = grid5_forms.graph
-    scaled = np.full(graph.edge_count, 3.7)
-    system = assemble_system(graph, grid5_forms.classification,
-                             weights=scaled)
-    pair = solve_oneforms(system)
+    scaled = NeighborGraph.from_edges(graph.vertex_count, graph.edges,
+                                      graph.lengths / 3.7)
+    pair = solve_oneforms(assemble_system(scaled,
+                                          grid5_forms.classification))
     assert np.max(np.abs(pair.du - grid5_forms.forms.du)) < 1e-12
     assert np.max(np.abs(pair.dv - grid5_forms.forms.dv)) < 1e-12
 
@@ -132,24 +135,22 @@ def test_uniform_weight_scaling_invariance(grid5_forms):
 def test_inverse_length_equals_uniform_on_unit_grid(grid5_forms):
     graph = grid5_forms.graph
     system = assemble_system(graph, grid5_forms.classification,
-                             weights="inverse_length")
+                             weights="uniform")
     pair = solve_oneforms(system)
     assert np.max(np.abs(pair.du - grid5_forms.forms.du)) < 1e-12
 
 
 def test_edge_weight_validation(grid5_forms):
     graph = grid5_forms.graph
-    assert np.array_equal(edge_weights(graph), np.ones(graph.edge_count))
-    assert np.array_equal(edge_weights(graph, "uniform"),
-                          np.ones(graph.edge_count))
+    assert np.array_equal(edge_weights(graph), 1.0 / graph.lengths)
     assert np.array_equal(edge_weights(graph, "inverse_length"),
                           1.0 / graph.lengths)
-    with pytest.raises(ConfigError):
-        edge_weights(graph, "quadratic")
-    with pytest.raises(ConfigError):
-        edge_weights(graph, np.ones(graph.edge_count - 1))
-    with pytest.raises(ConfigError):
-        edge_weights(graph, np.zeros(graph.edge_count))
+    assert np.array_equal(edge_weights(graph, "uniform"),
+                          np.ones(graph.edge_count))
+    for bad in ("quadratic", None, np.ones(graph.edge_count),
+                np.ones(graph.edge_count - 1), np.zeros(graph.edge_count)):
+        with pytest.raises(ConfigError):
+            edge_weights(graph, bad)
 
 
 def tree_potentials(graph, forms):
@@ -198,6 +199,22 @@ def test_closed_forms_have_integer_windings(torus_bundle):
     assert np.max(np.abs(windings - np.round(windings))) < 1e-9
     # the sample crosses each period seam at least once
     assert np.any(np.abs(np.round(windings)) > 0)
+
+
+@pytest.mark.parametrize("bundle", ["torus_bundle", "random_torus_bundle",
+                                    "stdmap_bundle", "cm_bundle"])
+def test_angle_map_integrates_the_forms_on_the_basis_tree(bundle, request):
+    """The solve and the cycle basis share one tree: on every edge of the
+    basis's shortest-path tree, theta_j - theta_i is the form's value,
+    not that value plus a period."""
+    b = request.getfixturevalue(bundle)
+    graph = b.graph
+    tree = np.setdiff1d(np.arange(graph.edge_count),
+                        _Workspace(graph).nontree)
+    ei, ej = graph.edges[tree].T
+    gap = (b.forms.theta[ej] - b.forms.theta[ei]
+           - np.column_stack([b.forms.du, b.forms.dv])[tree])
+    assert np.max(np.abs(gap)) < 1e-12
 
 
 def test_pipeline_forms_pass_gates(torus_bundle):
