@@ -49,8 +49,10 @@ _SAMPLER_DEFAULTS = {
                      "p1": 0.6180339887498949, "p2": 0.41421356237309515,
                      "N": 4000},
     "center_manifold": {"mu": 0.01215, "point": "L2", "amp_planar": 5e-3,
-                        "amp_vertical": 5e-3, "N": 6000, "dt": None},
+                        "amp_vertical": 5e-3, "N": 6000},
 }
+_SAMPLER_CHOICES = {"distribution": ("grid", "fibonacci", "random"),
+                    "point": ("L1", "L2", "L3")}
 
 _DIM_TO_KIND = {3: "torus_revolution", 4: "standard_map", 6: "center_manifold"}
 
@@ -60,9 +62,8 @@ def default_config():
         "seed": 0,
         "sampler": {"kind": "torus_revolution"},
         "k": 8,
-        "weights": "inverse_length",
         "projection": {"kind": "coordinate_select", "indices": [0, 1, 2]},
-        "export": {"format": "obj", "color_mode": "sidedness"},
+        "export": {"format": "obj"},
         "output_dir": ".",
     }
 
@@ -93,8 +94,8 @@ def _is_int(val):
 
 
 def _check_sampler(sampler):
-    """Reject unknown keys in a sampler section, and numbers of the wrong
-    type: N an integer, the others a number (dt may also be null)."""
+    """Reject unknown keys in a sampler section, numbers of the wrong
+    type (N an integer, the others a number) and unknown names."""
     kind = sampler["kind"]
     defaults = _SAMPLER_DEFAULTS[kind]
     unknown = set(sampler) - set(defaults) - {"kind"}
@@ -104,9 +105,12 @@ def _check_sampler(sampler):
         want = defaults.get(key)
         if _is_int(want) and not _is_int(val):
             raise ConfigError(f"sampler {key} must be an integer, got {val!r}")
-        elif ((isinstance(want, float) or key == "dt" and val is not None)
+        elif (isinstance(want, float)
               and not (_is_int(val) or isinstance(val, float))):
             raise ConfigError(f"sampler {key} must be a number, got {val!r}")
+        elif key in _SAMPLER_CHOICES and val not in _SAMPLER_CHOICES[key]:
+            raise ConfigError(f"sampler {key} must be one of "
+                              f"{list(_SAMPLER_CHOICES[key])}, got {val!r}")
 
 
 def _validate_config(cfg):
@@ -118,8 +122,8 @@ def _validate_config(cfg):
         if not isinstance(cfg[key], dict):
             raise ConfigError(f"{key} must be a JSON object, got "
                               f"{cfg[key]!r}")
-    for key, allowed in (("export", {"format", "color_mode"}),
-                         ("projection", {"kind", "indices", "path", "matrix"})):
+    for key, allowed in (("export", {"format"}),
+                         ("projection", {"kind", "indices", "path"})):
         unknown = set(cfg[key]) - allowed
         if unknown:
             raise ConfigError(f"unknown {key} keys: {sorted(unknown)}")
@@ -134,15 +138,9 @@ def _validate_config(cfg):
                           f"{cfg['seed']!r}")
     if not isinstance(cfg["k"], int) or cfg["k"] < 2:
         raise ConfigError(f"k must be an integer >= 2, got {cfg['k']!r}")
-    if (not isinstance(cfg["weights"], str)
-            or cfg["weights"] not in ("uniform", "inverse_length")):
-        raise ConfigError(f"weights must be uniform or inverse_length, got "
-                          f"{cfg['weights']!r}")
     if cfg["export"]["format"] not in ("obj", "ply"):
         raise ConfigError(f"format must be obj or ply, got "
                           f"{cfg['export']['format']!r}")
-    if cfg["export"].get("color_mode", "none") not in ("none", "sidedness"):
-        raise ConfigError("color_mode must be none or sidedness")
     pk = cfg["projection"].get("kind")
     if pk not in ("coordinate_select", "pca", "custom_matrix"):
         raise ConfigError(f"unknown projection kind {pk!r}")
@@ -182,12 +180,9 @@ def resolve_config(args):
             raise ConfigError(
                 f"--dim must be one of {sorted(_DIM_TO_KIND)}, got {args.dim}")
         cfg["sampler"] = {"kind": _DIM_TO_KIND[args.dim]}
-    if getattr(args, "seed", None) is not None:
-        cfg["seed"] = args.seed
-    if getattr(args, "k", None) is not None:
-        cfg["k"] = args.k
-    if getattr(args, "output_dir", None) is not None:
-        cfg["output_dir"] = args.output_dir
+    for key in ("seed", "k", "output_dir"):
+        if getattr(args, key, None) is not None:
+            cfg[key] = getattr(args, key)
     if getattr(args, "format", None) is not None:
         cfg["export"]["format"] = args.format
     if getattr(args, "projection", None) is not None:
@@ -209,39 +204,26 @@ def build_cloud(cfg):
                                 N=spec["N"])
         return sample_standard_map_torus(smc)
     points = {p.label: p for p in cr3bp.libration_points(spec["mu"])}
-    label = spec["point"]
-    if label not in ("L1", "L2", "L3"):
-        raise ConfigError(f"center-manifold point must be L1/L2/L3, got {label!r}")
-    return sample_center_manifold_torus(spec["mu"], points[label],
+    return sample_center_manifold_torus(spec["mu"], points[spec["point"]],
                                         spec["amp_planar"],
-                                        spec["amp_vertical"], spec["N"],
-                                        dt=spec["dt"])
+                                        spec["amp_vertical"], spec["N"])
 
 
 def _projection_matrix(pc):
-    """The matrix of a custom_matrix projection section, given inline
-    (`matrix`) or as a JSON or whitespace-separated text file (`path`).
-    Raises ConfigError unless it is a numeric matrix of 3 rows; whether
-    it has one column per cloud coordinate is checked by `project`."""
-    key = "matrix" if "matrix" in pc else "path"
-    if pc.get(key) is None:
-        raise ConfigError("custom_matrix projection needs matrix or path")
+    """The matrix of a custom_matrix projection section, read from the
+    JSON file at `path`. Raises ConfigError unless it is a numeric matrix
+    of 3 rows; whether it has one column per cloud coordinate is checked
+    by `project`."""
+    if pc.get("path") is None:
+        raise ConfigError("custom_matrix projection needs a path")
     try:
-        if key == "matrix":
-            mat = np.asarray(pc["matrix"], dtype=np.float64)
-        else:
-            try:
-                with open(pc["path"], "r", encoding="utf-8") as fh:
-                    mat = np.asarray(json.load(fh), dtype=np.float64)
-            except json.JSONDecodeError:
-                mat = np.loadtxt(pc["path"], dtype=np.float64)
-    except OSError as exc:
-        raise ConfigError(f"cannot read projection matrix: {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"projection {key} is not a numeric matrix: "
-                          f"{exc}") from exc
+        with open(pc["path"], "r", encoding="utf-8") as fh:
+            mat = np.asarray(json.load(fh), dtype=np.float64)
+    except (OSError, TypeError, ValueError) as exc:
+        raise ConfigError(f"projection path {pc['path']} holds no JSON "
+                          f"numeric matrix: {exc}") from exc
     if mat.ndim != 2 or mat.shape[0] != 3:
-        raise ConfigError(f"projection {key} must be a matrix of 3 rows, "
+        raise ConfigError(f"projection path must hold a matrix of 3 rows, "
                           f"got shape {mat.shape}")
     return mat
 
@@ -290,17 +272,9 @@ def stage_mesh(cfg, cloud=None):
     basis = homology_split(graph)
     classification = classify_cycles(basis)
     export_cycles_json(_art(cfg, "cycles.json"), basis, classification)
-    system = assemble_system(graph, classification, weights=cfg["weights"])
-    forms = solve_oneforms(system)
+    forms = solve_oneforms(assemble_system(graph, classification))
     export_residuals_json(_art(cfg, "residuals.json"), forms)
-    try:
-        mesh = mesh_flat_torus(graph, forms, cloud)
-    except MeshValidationError as exc:
-        if "coincident_pairs" in exc.report:
-            exc.report["weights"] = cfg["weights"]
-            if cfg["weights"] != "inverse_length":
-                exc.report["advice"] = 'set "weights": "inverse_length"'
-        raise
+    mesh = mesh_flat_torus(graph, forms, cloud)
     export_mesh_json(_art(cfg, "mesh.json"), mesh)
     log.info("mesh: %d faces, chi=%d -> mesh.json",
              mesh.report["faces"], mesh.report["euler_characteristic"])
@@ -325,23 +299,37 @@ def stage_project(cfg, mesh=None):
     return pm
 
 
+def _load_projected(source):
+    """Read a projected.json; raises ProjectionError, naming the file,
+    unless it holds finite (N, 3) points, (T, 3) integer triangles whose
+    ids index the points, and `source_dim`."""
+    try:
+        with open(source, "r", encoding="ascii") as fh:
+            payload = json.load(fh)
+        points = np.array(payload["points"], dtype=np.float64)
+        tris = np.array(payload["triangles"])
+        source_dim = int(payload["source_dim"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ProjectionError(f"{source} is not a projected.json: "
+                              f"{type(exc).__name__}: {exc}") from None
+    n = len(points)
+    if points.shape[1:] != (3,) or not np.isfinite(points).all():
+        problem = "points are not a finite (N, 3) array"
+    elif (tris.shape[1:] != (3,) or tris.dtype.kind not in "iu"
+          or tris.min() < 0 or tris.max() >= n):
+        problem = f"triangles are not (T, 3) integer ids in [0, {n})"
+    else:
+        return ProjectedMesh(points, tris.astype(np.int64), source_dim,
+                             payload.get("captured_variance"))
+    raise ProjectionError(f"{source} is not a projected.json: {problem}")
+
+
 def stage_export(cfg, pm=None):
     if pm is None:
-        source = _art(cfg, "projected.json")
-        try:
-            with open(source, "r", encoding="ascii") as fh:
-                payload = json.load(fh)
-            pm = ProjectedMesh(np.array(payload["points"], dtype=np.float64),
-                               np.array(payload["triangles"], dtype=np.int64),
-                               int(payload["source_dim"]),
-                               payload.get("captured_variance"))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ProjectionError(f"{source} is not a projected.json: "
-                                  f"{type(exc).__name__}: {exc}") from None
+        pm = _load_projected(_art(cfg, "projected.json"))
     fmt = cfg["export"]["format"]
     path = _art(cfg, f"mesh.{fmt}")
-    export_mesh(pm, fmt, path, color_mode=cfg["export"].get("color_mode",
-                                                            "none"))
+    export_mesh(pm, fmt, path)
     return path
 
 
@@ -436,21 +424,16 @@ def main(argv=None):
     os.makedirs(cfg["output_dir"], exist_ok=True)
     stage = args.command
     try:
-        if stage == "sample":
-            stage_sample(cfg)
-        elif stage == "mesh":
-            stage_mesh(cfg)
-        elif stage == "project":
-            stage_project(cfg)
-        elif stage == "export":
-            stage_export(cfg)
-        elif stage in ("validate", "run"):
+        if stage in ("validate", "run"):
             report = (stage_validate(cfg, mesh_path=args.mesh_path)
                       if stage == "validate" else run_pipeline(cfg)[1])
             if report["problems"]:
                 raise MeshValidationError(
                     f"{len(report['problems'])} validation problems, first: "
                     f"{report['problems'][0]}", report)
+        else:
+            {"sample": stage_sample, "mesh": stage_mesh,
+             "project": stage_project, "export": stage_export}[stage](cfg)
     except ConfigError as exc:
         return _fail(stage, exc, EXIT_CONFIG)
     except MeshValidationError as exc:

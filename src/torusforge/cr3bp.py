@@ -13,6 +13,7 @@ import numpy as np
 from .errors import ConfigError, SingularityError
 
 _R_MIN = 1e-12
+_JACOBIAN_STEP = 1e-6      # central-difference step of `jacobian`
 
 
 def _check_mu(mu):
@@ -148,7 +149,7 @@ def libration_points(mu):
     return out
 
 
-def jacobian(point, mu, h=1e-6):
+def jacobian(point, mu):
     """6x6 Jacobian of the vector field at a position, by central differences.
 
     `point` is a 3-vector (velocity taken as zero, which does not affect the
@@ -160,10 +161,10 @@ def jacobian(point, mu, h=1e-6):
     J = np.zeros((6, 6))
     for j in range(6):
         dp = np.zeros(6)
-        dp[j] = h
+        dp[j] = _JACOBIAN_STEP
         fp = vector_field(0.0, state0 + dp, mu)
         fm = vector_field(0.0, state0 - dp, mu)
-        J[:, j] = (fp - fm) / (2.0 * h)
+        J[:, j] = (fp - fm) / (2.0 * _JACOBIAN_STEP)
     return J
 
 

@@ -32,7 +32,7 @@ from scipy.sparse import coo_matrix, csr_matrix, vstack
 from scipy.sparse.linalg import splu
 
 from .cycles import CycleBasis, _Workspace
-from .errors import CycleBasisError, ConfigError, ResidualError
+from .errors import CycleBasisError, ResidualError
 
 log = logging.getLogger("torusforge.oneforms")
 
@@ -59,17 +59,7 @@ class OneFormPair:
     diagnostics: dict
 
 
-def edge_weights(graph, weights="inverse_length"):
-    """Edge weight vector of a scheme: 'inverse_length' (default) or
-    'uniform'."""
-    if isinstance(weights, str) and weights == "inverse_length":
-        return 1.0 / graph.lengths
-    if isinstance(weights, str) and weights == "uniform":
-        return np.ones(graph.edge_count)
-    raise ConfigError(f"unknown weight scheme {weights!r}")
-
-
-def assemble_system(graph, classification, weights="inverse_length"):
+def assemble_system(graph, classification):
     """Build the sparse constraint system for both one-forms.
 
     Rows: V weighted co-closedness rows, one closedness row per trivial
@@ -81,7 +71,7 @@ def assemble_system(graph, classification, weights="inverse_length"):
     and sets the sign of its form. Right-hand sides request periods
     (1, 0) for the u-form and (0, 1) for the v-form.
     """
-    w = edge_weights(graph, weights)
+    w = 1.0 / graph.lengths
     V, E = graph.vertex_count, graph.edge_count
     ei, ej = graph.edges[:, 0], graph.edges[:, 1]
     data = np.concatenate([-w, w])

@@ -2,7 +2,7 @@
 
 Projection keeps connectivity and winding untouched; only vertex
 coordinates are mapped. Exports write OBJ (ASCII, universal) and binary
-little-endian PLY (per-face RGB available). The sidedness color of a
+little-endian PLY with per-face sidedness RGB. The sidedness color of a
 face is the sign of its projected normal against a local outward
 reference: the face centroid minus the mean of its vertices' one-ring
 neighborhoods. On a surface without projection fold-over that sign is
@@ -117,21 +117,15 @@ def _sidedness_colors(pmesh):
     return np.array([_BLUE, _RED], dtype=np.uint8)[(side >= 0).astype(int)]
 
 
-def export_mesh(pmesh, fmt, path, color_mode="none"):
-    """Write a projected mesh as OBJ or binary PLY.
-
-    color_mode 'sidedness' adds per-face RGB (PLY only; OBJ has no
-    standard face colors and is written identically in both modes).
-    """
+def export_mesh(pmesh, fmt, path):
+    """Write a projected mesh as OBJ or binary PLY. A PLY face carries
+    its sidedness RGB; OBJ has no standard face colors."""
     if len(pmesh.triangles) == 0:
         raise ProjectionError("refusing to export an empty mesh")
-    if color_mode not in ("none", "sidedness"):
-        raise ProjectionError(f"unknown color mode {color_mode!r}")
     if fmt == "obj":
         _write_obj(pmesh, path)
     elif fmt == "ply":
-        colors = _sidedness_colors(pmesh) if color_mode == "sidedness" else None
-        _write_ply(pmesh, path, colors)
+        _write_ply(pmesh, path)
     else:
         raise ProjectionError(f"unknown export format {fmt!r}")
     log.info("wrote %s (%s, %d faces)", path, fmt, len(pmesh.triangles))
@@ -164,14 +158,11 @@ def read_obj(path):
             np.array(tris, dtype=np.int64).reshape(-1, 3))
 
 
-def _face_dtype(has_color):
-    fields = [("count", "u1"), ("vertices", "<i4", (3,))]
-    if has_color:
-        fields.append(("color", "u1", (3,)))
-    return np.dtype(fields)
+_FACE_DTYPE = np.dtype([("count", "u1"), ("vertices", "<i4", (3,)),
+                        ("color", "u1", (3,))])
 
 
-def _write_ply(pmesh, path, colors=None):
+def _write_ply(pmesh, path):
     n, t = len(pmesh.points), len(pmesh.triangles)
     header = [
         "ply",
@@ -182,16 +173,13 @@ def _write_ply(pmesh, path, colors=None):
         "property double z",
         f"element face {t}",
         "property list uchar int vertex_indices",
+        "property uchar red", "property uchar green", "property uchar blue",
+        "end_header",
     ]
-    if colors is not None:
-        header += ["property uchar red", "property uchar green",
-                   "property uchar blue"]
-    header.append("end_header")
-    faces = np.empty(t, dtype=_face_dtype(colors is not None))
+    faces = np.empty(t, dtype=_FACE_DTYPE)
     faces["count"] = 3
     faces["vertices"] = pmesh.triangles
-    if colors is not None:
-        faces["color"] = colors
+    faces["color"] = _sidedness_colors(pmesh)
     with open(path, "wb") as fh:
         fh.write(("\n".join(header) + "\n").encode("ascii"))
         fh.write(pmesh.points.astype("<f8").tobytes(order="C"))
@@ -199,10 +187,7 @@ def _write_ply(pmesh, path, colors=None):
 
 
 def read_ply(path):
-    """Read back the binary PLY subset written by _write_ply.
-
-    Returns (points, triangles, colors-or-None).
-    """
+    """(points, triangles, colors) of a PLY written by _write_ply."""
     with open(path, "rb") as fh:
         data = fh.read()
     end = data.find(b"end_header\n")
@@ -211,25 +196,23 @@ def read_ply(path):
     header = data[:end].decode("ascii").splitlines()
     if "format binary_little_endian 1.0" not in header:
         raise ProjectionError("only binary little-endian PLY supported")
+    if "property uchar red" not in header:
+        raise ProjectionError("PLY has no face colors")
     nverts = ntris = 0
-    has_color = False
     for line in header:
         parts = line.split()
         if parts[:2] == ["element", "vertex"]:
             nverts = int(parts[2])
         elif parts[:2] == ["element", "face"]:
             ntris = int(parts[2])
-        elif parts == ["property", "uchar", "red"]:
-            has_color = True
     body = data[end + len(b"end_header\n"):]
-    face_dtype = _face_dtype(has_color)
-    if len(body) < nverts * 24 + ntris * face_dtype.itemsize:
+    if len(body) < nverts * 24 + ntris * _FACE_DTYPE.itemsize:
         raise ProjectionError(f"truncated PLY: {len(body)} bytes of body "
                               f"for {nverts} vertices and {ntris} faces")
     pts = np.frombuffer(body, dtype="<f8", count=3 * nverts).reshape(-1, 3)
-    faces = np.frombuffer(body, dtype=face_dtype, count=ntris,
+    faces = np.frombuffer(body, dtype=_FACE_DTYPE, count=ntris,
                           offset=nverts * 24)
     if np.any(faces["count"] != 3):
         raise ProjectionError("only triangle faces supported")
-    colors = faces["color"].copy() if has_color else None
-    return pts.copy(), faces["vertices"].astype(np.int64), colors
+    return (pts.copy(), faces["vertices"].astype(np.int64),
+            faces["color"].copy())

@@ -136,7 +136,7 @@ def build_pipeline(cloud, k=8):
     graph = build_knn_graph(cloud, k=k)
     basis = homology_split(graph)
     classification = classify_cycles(basis)
-    system = assemble_system(graph, classification, weights="inverse_length")
+    system = assemble_system(graph, classification)
     forms = solve_oneforms(system)
     mesh = mesh_flat_torus(graph, forms, cloud)
     oriented = orient_mesh(mesh)

@@ -103,28 +103,46 @@ def test_config_errors_exit_2(tmp_path, fast_cfg, capsys):
                       {"sampler": {"kind": ["standard_map"]}}):
         bad.write_text(json.dumps(malformed))
         assert cli.main(["run", "--config", str(bad)]) == 2
-    # values of the wrong type, and keys no sampler reads, named by key
+    # values of the wrong type, keys no sampler reads, names no sampler
+    # knows, and the removed weights, color_mode, inline matrix and dt
+    # keys, named by key before any stage runs
     text_matrix = tmp_path / "matrix.txt"
     text_matrix.write_text("a b c\n")
+    numeric_text = tmp_path / "eye.txt"
+    numeric_text.write_text("1 0 0\n0 1 0\n0 0 1\n")
     fast = dict(FAST["sampler"])
+    cm = {"kind": "center_manifold"}
     for key, wrong in (
             ("seed", {"seed": "abc"}), ("seed", {"seed": -1}),
             ("N", {"sampler": dict(fast, N="800")}),
             ("R", {"sampler": dict(fast, R="2.0")}),
-            ("mu", {"sampler": {"kind": "center_manifold", "mu": "0.01"}}),
-            ("dt", {"sampler": {"kind": "center_manifold", "dt": "0.1"}}),
+            ("mu", {"sampler": dict(cm, mu="0.01")}),
+            ("dt", {"sampler": dict(cm, dt="0.1")}),
+            ("dt", {"sampler": dict(cm, dt=0.1)}),
+            ("point", {"sampler": dict(cm, point=5)}),
+            ("point", {"sampler": dict(cm, point="L4")}),
+            ("distribution", {"sampler": dict(fast,
+                                              distribution="hexagonal")}),
             ("N", {"sampler": {"kind": "standard_map", "N": 4000.5}}),
-            ("typo", {"sampler": {"kind": "center_manifold", "typo": 1}}),
+            ("typo", {"sampler": dict(cm, typo=1)}),
             ("indices", {"sampler": fast, "projection": {"indices": "abc"}}),
             ("matrix", {"sampler": fast, "projection": {
                 "kind": "custom_matrix", "matrix": "x"}}),
+            ("matrix", {"sampler": fast, "projection": {
+                "kind": "custom_matrix", "matrix": np.eye(3).tolist()}}),
             ("path", {"sampler": fast, "projection": {
                 "kind": "custom_matrix", "path": str(text_matrix)}}),
+            ("path", {"sampler": fast, "projection": {
+                "kind": "custom_matrix", "path": str(numeric_text)}}),
             ("path", {"projection": {"kind": "custom_matrix", "path": 0}}),
             ("output_dir", {"output_dir": 5}),
             ("weights", {"weights": "foo"}), ("weights", {"weights": None}),
             ("weights", {"weights": [1.0, 2.0]}),
             ("weights", {"weights": 7}),
+            ("weights", {"weights": "uniform"}),
+            ("weights", {"weights": "inverse_length"}),
+            ("color_mode", {"export": {"color_mode": "sidedness"}}),
+            ("color_mode", {"export": {"color_mode": "none"}}),
             ("colour_mode", {"export": {"colour_mode": "none"}}),
             ("indeces", {"projection": {"kind": "coordinate_select",
                                         "indeces": [0, 2, 1]}}),
@@ -137,12 +155,6 @@ def test_config_errors_exit_2(tmp_path, fast_cfg, capsys):
         assert cli.main(["run", "--config", str(bad)]) == 2, wrong
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "ConfigError" and key in err["message"], err
-    # a weight scheme other than the two names, of any type, stops before
-    # the graph and the basis run
-    for wrong in ("foo", None, [1.0, 2.0], 7):
-        bad.write_text(json.dumps({"weights": wrong}))
-        assert cli.main(["run", "--config", str(bad)]) == 2
-        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["stage"] == "config", err
     assert cli.main(["run", "--config", str(fast_cfg), "--seed", "-1"]) == 2
     # the one seed is the top-level key (or --seed), never a sampler key
@@ -182,28 +194,29 @@ def test_unseparated_generators_exit_3_with_advice(tmp_path, capsys):
                                           / diag["trivial_weight_max"])
 
 
-def test_coincident_chart_points_named_with_weight_advice(tmp_path, capsys):
-    """Uniform weights on the default --dim 4 cloud give two adjacent
-    points with the same other kNN neighbours one chart position. The
-    mesh stage stops before Qhull, naming both points and their
-    neighbours, and the failure adds the weight scheme and the advice."""
-    cfg = tmp_path / "uniform.json"
-    cfg.write_text(json.dumps({"weights": "uniform"}))
-    code = cli.main(["run", "--dim", "4", "--config", str(cfg),
-                     "--output-dir", str(tmp_path)])
-    assert code == 4
+def test_coincident_chart_points_named(tmp_path, capsys):
+    """A copy of point 0 moved 1e-10 along x, appended to the default
+    --dim 3 cloud, gets point 0's chart position. The mesh stage stops
+    before Qhull, naming both points and their kNN neighbours."""
+    out = ["--output-dir", str(tmp_path)]
+    assert cli.main(["sample", "--dim", "3"] + out) == 0
+    cloud = tmp_path / "cloud.csv"
+    row = [float(x) for x in cloud.read_text().splitlines()[1].split(",")]
+    row[0] += 1e-10
+    with open(cloud, "a", encoding="ascii") as fh:
+        fh.write(",".join("%.17g" % x for x in row) + "\n")
+    capsys.readouterr()
+    assert cli.main(["mesh", "--dim", "3"] + out) == 4
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "MeshValidationError"
-    assert "chart points coincide in pairs [[1649, 3285]]" in err["message"]
+    assert "chart points coincide in pairs [[0, 2000]]" in err["message"]
     assert "Qhull" not in err["message"]
     report = err["details"]["report"]
-    assert report["coincident_pairs"] == [[1649, 3285]]
+    assert report["coincident_pairs"] == [[0, 2000]]
     near = report["neighbors"]
-    assert set(near) == {"1649", "3285"}
-    assert 3285 in near["1649"] and 1649 in near["3285"]
-    assert set(near["1649"]) - {3285} == set(near["3285"]) - {1649}
-    assert report["weights"] == "uniform"
-    assert report["advice"] == 'set "weights": "inverse_length"'
+    assert set(near) == {"0", "2000"}
+    assert 2000 in near["0"] and 0 in near["2000"]
+    assert set(near["0"]) - {2000} == set(near["2000"]) - {0}
     assert not (tmp_path / "mesh.json").exists()
 
 
@@ -366,6 +379,45 @@ def test_malformed_artifact_names_stage_and_file(tmp_path, capsys, command,
     assert len(lines) == 1, lines
     err = json.loads(lines[0])
     assert err["stage"] == command and name in err["message"], err
+
+
+def _bad_id(payload, bad):
+    payload["triangles"][0][0] = bad(len(payload["points"]))
+
+
+def _two_columns(payload, key):
+    payload[key] = [row[:2] for row in payload[key]]
+
+
+def _nan_point(payload):
+    payload["points"][0][0] = float("nan")
+
+
+@pytest.mark.parametrize("edit", [
+    lambda p: _bad_id(p, lambda n: n), lambda p: _bad_id(p, lambda n: -1),
+    lambda p: _two_columns(p, "points"), lambda p: _two_columns(p, "triangles"),
+    _nan_point],
+    ids=["id-N", "id-minus-1", "points-2-columns", "triangles-2-columns",
+         "nan-point"])
+def test_export_rejects_malformed_projected_json(tmp_path, capsys,
+                                                 finished_run, edit):
+    """export writes a mesh file only from finite (N, 3) points and
+    (T, 3) triangles whose ids index them; otherwise it exits 3 with one
+    JSON line that names projected.json."""
+    payload = json.loads((finished_run / "projected.json").read_text())
+    edit(payload)
+    (tmp_path / "projected.json").write_text(json.dumps(payload))
+    for fmt in ("obj", "ply"):
+        capsys.readouterr()
+        assert cli.main(["export", "--format", fmt,
+                         "--output-dir", str(tmp_path)]) == 3
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1, lines
+        err = json.loads(lines[0])
+        assert err["stage"] == "export", err
+        assert err["error"] == "ProjectionError", err
+        assert "projected.json" in err["message"], err
+    assert not list(tmp_path.glob("mesh.*"))
 
 
 def test_validate_flags_duplicated_face(tmp_path, finished_run):

@@ -11,10 +11,10 @@ import pytest
 from conftest import manual_grid_classification, periodic_grid
 from reference_cycles import minimum_cycle_basis, neighbor_rows
 from torusforge.cycles import _Workspace, classify_cycles
-from torusforge.errors import ConfigError, ResidualError
+from torusforge.errors import ResidualError
 from torusforge.knn import NeighborGraph
-from torusforge.oneforms import (assemble_system, edge_weights,
-                                 export_residuals_json, solve_oneforms)
+from torusforge.oneforms import (assemble_system, export_residuals_json,
+                                 solve_oneforms)
 
 
 def test_system_row_counts(grid5_forms):
@@ -130,27 +130,6 @@ def test_uniform_weight_scaling_invariance(grid5_forms):
                                           grid5_forms.classification))
     assert np.max(np.abs(pair.du - grid5_forms.forms.du)) < 1e-12
     assert np.max(np.abs(pair.dv - grid5_forms.forms.dv)) < 1e-12
-
-
-def test_inverse_length_equals_uniform_on_unit_grid(grid5_forms):
-    graph = grid5_forms.graph
-    system = assemble_system(graph, grid5_forms.classification,
-                             weights="uniform")
-    pair = solve_oneforms(system)
-    assert np.max(np.abs(pair.du - grid5_forms.forms.du)) < 1e-12
-
-
-def test_edge_weight_validation(grid5_forms):
-    graph = grid5_forms.graph
-    assert np.array_equal(edge_weights(graph), 1.0 / graph.lengths)
-    assert np.array_equal(edge_weights(graph, "inverse_length"),
-                          1.0 / graph.lengths)
-    assert np.array_equal(edge_weights(graph, "uniform"),
-                          np.ones(graph.edge_count))
-    for bad in ("quadratic", None, np.ones(graph.edge_count),
-                np.ones(graph.edge_count - 1), np.zeros(graph.edge_count)):
-        with pytest.raises(ConfigError):
-            edge_weights(graph, bad)
 
 
 def tree_potentials(graph, forms):

@@ -99,25 +99,20 @@ def test_ply_round_trip_exact(torus_projected, tmp_path):
     pts, tris, colors = read_ply(path)
     assert np.array_equal(pts, torus_projected.points)
     assert np.array_equal(tris, torus_projected.triangles)
-    assert colors is None
-
-
-def test_obj_ignores_color_mode(torus_projected, tmp_path):
-    a, b = tmp_path / "a.obj", tmp_path / "b.obj"
-    export_mesh(torus_projected, "obj", a, color_mode="none")
-    export_mesh(torus_projected, "obj", b, color_mode="sidedness")
-    assert a.read_bytes() == b.read_bytes()
+    assert colors.shape == (len(tris), 3)
 
 
 def test_ply_color_geometry_unchanged(torus_projected, tmp_path):
-    plain, tinted = tmp_path / "plain.ply", tmp_path / "tinted.ply"
-    export_mesh(torus_projected, "ply", plain)
-    export_mesh(torus_projected, "ply", tinted, color_mode="sidedness")
-    pts_a, tris_a, _ = read_ply(plain)
-    pts_b, tris_b, colors = read_ply(tinted)
+    """The PLY's face colours leave its geometry that of the OBJ, which
+    carries no colour."""
+    obj, ply = tmp_path / "mesh.obj", tmp_path / "mesh.ply"
+    export_mesh(torus_projected, "obj", obj)
+    export_mesh(torus_projected, "ply", ply)
+    pts_a, tris_a = read_obj(obj)
+    pts_b, tris_b, colors = read_ply(ply)
     assert np.array_equal(pts_a, pts_b)
     assert np.array_equal(tris_a, tris_b)
-    assert colors is not None and len(colors) == len(tris_a)
+    assert colors.shape == (len(tris_a), 3)
 
 
 def test_sidedness_single_color_on_clean_projection(torus_projected,
@@ -125,7 +120,7 @@ def test_sidedness_single_color_on_clean_projection(torus_projected,
     """An embedded torus projected identically has no fold-over, so every
     face lands on the same side of its local reference."""
     path = tmp_path / "tinted.ply"
-    export_mesh(torus_projected, "ply", path, color_mode="sidedness")
+    export_mesh(torus_projected, "ply", path)
     _, _, colors = read_ply(path)
     assert len(np.unique(colors, axis=0)) == 1
 
@@ -155,7 +150,7 @@ def test_ply_bytes_match_per_face_reference(cm_bundle, tmp_path):
     """PCA folds the 6D torus over itself, so both colours occur."""
     pm = project(cm_bundle.oriented, Projection.pca())
     path = tmp_path / "cm.ply"
-    export_mesh(pm, "ply", path, color_mode="sidedness")
+    export_mesh(pm, "ply", path)
     faces = reference_ply_faces(pm)
     assert path.read_bytes().endswith(pm.points.astype("<f8").tobytes()
                                       + faces)
@@ -170,7 +165,7 @@ def test_ply_colours_with_unused_point(cm_bundle, tmp_path):
     pm = ProjectedMesh(np.vstack([pm.points, [[9.0, 9.0, 9.0]]]),
                        pm.triangles, pm.source_dim)
     path = tmp_path / "extra.ply"
-    export_mesh(pm, "ply", path, color_mode="sidedness")
+    export_mesh(pm, "ply", path)
     assert path.read_bytes().endswith(reference_ply_faces(pm))
 
 
@@ -178,9 +173,6 @@ def test_export_validation(torus_projected, tmp_path):
     empty = ProjectedMesh(np.zeros((4, 3)), np.zeros((0, 3), np.int64), 3)
     with pytest.raises(ProjectionError, match="empty"):
         export_mesh(empty, "obj", tmp_path / "e.obj")
-    with pytest.raises(ProjectionError, match="color mode"):
-        export_mesh(torus_projected, "obj", tmp_path / "c.obj",
-                    color_mode="rainbow")
     with pytest.raises(ProjectionError, match="format"):
         export_mesh(torus_projected, "stl", tmp_path / "m.stl")
 
@@ -190,11 +182,16 @@ def test_readers_reject_foreign_files(tmp_path):
     junk.write_bytes(b"solid nope\n")
     with pytest.raises(ProjectionError, match="not a PLY"):
         read_ply(junk)
+    header = (b"ply\nformat binary_little_endian 1.0\nelement vertex 0\n"
+              b"element face 2\nproperty list uchar int vertex_indices\n")
     quad_ply = tmp_path / "quad.ply"
+    quad_ply.write_bytes(header + b"end_header\n" + bytes([3]) + bytes(12))
+    with pytest.raises(ProjectionError, match="no face colors"):
+        read_ply(quad_ply)
     quad_ply.write_bytes(
-        b"ply\nformat binary_little_endian 1.0\nelement vertex 0\n"
-        b"element face 2\nproperty list uchar int vertex_indices\n"
-        b"end_header\n" + bytes([3]) + bytes(12) + bytes([4]) + bytes(12))
+        header + b"property uchar red\nproperty uchar green\n"
+        b"property uchar blue\nend_header\n"
+        + bytes([3]) + bytes(15) + bytes([4]) + bytes(15))
     with pytest.raises(ProjectionError, match="triangle"):
         read_ply(quad_ply)
     quad_ply.write_bytes(quad_ply.read_bytes()[:-1])
