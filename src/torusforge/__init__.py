@@ -23,10 +23,9 @@ _MODULES = {
                "ResidualError", "SingularityError", "TorusforgeError"),
     "cr3bp": ("LibrationPoint", "eom", "integrate", "jacobi_constant",
               "libration_points"),
-    "samplers": ("PointCloud", "StandardMapConfig", "iterate_standard_map",
-                 "load_point_cloud", "sample_center_manifold_torus",
-                 "sample_standard_map_torus", "sample_torus_revolution",
-                 "save_point_cloud"),
+    "samplers": ("PointCloud", "iterate_standard_map", "load_point_cloud",
+                 "sample_center_manifold_torus", "sample_standard_map_torus",
+                 "sample_torus_revolution", "save_point_cloud"),
     "knn": ("NeighborGraph", "build_knn_graph"),
     "cycles": ("Classification", "Cycle", "CycleBasis", "classify_cycles",
                "homology_split"),

@@ -25,14 +25,13 @@ import sys
 
 import numpy as np
 
-from . import cr3bp
 from .errors import (ConfigError, MeshValidationError, OrientationConflictError,
                      ProjectionError, TorusforgeError)
-from .samplers import (StandardMapConfig, load_point_cloud,
-                       sample_center_manifold_torus, sample_standard_map_torus,
-                       sample_torus_revolution, save_point_cloud)
-from .mesher import (export_mesh_json, load_mesh_json, mesh_flat_torus,
-                     validate_mesh)
+from .samplers import (load_point_cloud, sample_center_manifold_torus,
+                       sample_standard_map_torus, sample_torus_revolution,
+                       save_point_cloud)
+from .mesher import (_read_triangles, export_mesh_json, load_mesh_json,
+                     mesh_flat_torus, validate_mesh)
 from .orientation import orient_mesh
 from .projection import Projection, ProjectedMesh, export_mesh, project
 
@@ -51,6 +50,9 @@ _SAMPLER_DEFAULTS = {
     "center_manifold": {"mu": 0.01215, "point": "L2", "amp_planar": 5e-3,
                         "amp_vertical": 5e-3, "N": 6000},
 }
+_SAMPLERS = {"torus_revolution": sample_torus_revolution,
+             "standard_map": sample_standard_map_torus,
+             "center_manifold": sample_center_manifold_torus}
 _SAMPLER_CHOICES = {"distribution": ("grid", "fibonacci", "random"),
                     "point": ("L1", "L2", "L3")}
 
@@ -62,7 +64,7 @@ def default_config():
         "seed": 0,
         "sampler": {"kind": "torus_revolution"},
         "k": 8,
-        "projection": {"kind": "coordinate_select", "indices": [0, 1, 2]},
+        "projection": {"kind": "coordinate_select"},
         "export": {"format": "obj"},
         "output_dir": ".",
     }
@@ -123,7 +125,7 @@ def _validate_config(cfg):
             raise ConfigError(f"{key} must be a JSON object, got "
                               f"{cfg[key]!r}")
     for key, allowed in (("export", {"format"}),
-                         ("projection", {"kind", "indices", "path"})):
+                         ("projection", {"kind", "path"})):
         unknown = set(cfg[key]) - allowed
         if unknown:
             raise ConfigError(f"unknown {key} keys: {sorted(unknown)}")
@@ -150,18 +152,12 @@ def _validate_config(cfg):
                               f"{section[key]!r}")
     if pk == "custom_matrix":
         _projection_matrix(cfg["projection"])
-    indices = cfg["projection"].get("indices", [0, 1, 2])
-    if not (isinstance(indices, list) and len(indices) == 3
-            and all(_is_int(i) and i >= 0 for i in indices)
-            and len(set(indices)) == 3):
-        raise ConfigError(f"projection indices must be three distinct "
-                          f"integers >= 0, got {indices!r}")
     return cfg
 
 
 def _parse_projection_flag(text):
     if text == "xyz":
-        return {"kind": "coordinate_select", "indices": [0, 1, 2]}
+        return {"kind": "coordinate_select"}
     if text == "pca":
         return {"kind": "pca"}
     if text.startswith("matrix:"):
@@ -191,22 +187,11 @@ def resolve_config(args):
 
 
 def build_cloud(cfg):
-    kind = cfg["sampler"]["kind"]
-    spec = {**_SAMPLER_DEFAULTS[kind], **cfg["sampler"]}
+    spec = {**_SAMPLER_DEFAULTS[cfg["sampler"]["kind"]], **cfg["sampler"]}
+    kind = spec.pop("kind")
     if kind == "torus_revolution":
-        return sample_torus_revolution(spec["R"], spec["r"], spec["N"],
-                                       cfg["seed"],
-                                       distribution=spec["distribution"])
-    if kind == "standard_map":
-        smc = StandardMapConfig(K1=spec["K1"], K2=spec["K2"],
-                                theta1=spec["theta1"], p1=spec["p1"],
-                                theta2=spec["theta2"], p2=spec["p2"],
-                                N=spec["N"])
-        return sample_standard_map_torus(smc)
-    points = {p.label: p for p in cr3bp.libration_points(spec["mu"])}
-    return sample_center_manifold_torus(spec["mu"], points[spec["point"]],
-                                        spec["amp_planar"],
-                                        spec["amp_vertical"], spec["N"])
+        spec["seed"] = cfg["seed"]
+    return _SAMPLERS[kind](**spec)
 
 
 def _projection_matrix(pc):
@@ -231,7 +216,7 @@ def _projection_matrix(pc):
 def _build_projection(cfg):
     pc = cfg["projection"]
     if pc["kind"] == "coordinate_select":
-        return Projection.coordinates(pc.get("indices", [0, 1, 2]))
+        return Projection.coordinates()
     if pc["kind"] == "pca":
         return Projection.pca()
     return Projection.matrix(_projection_matrix(pc))
@@ -307,21 +292,15 @@ def _load_projected(source):
         with open(source, "r", encoding="ascii") as fh:
             payload = json.load(fh)
         points = np.array(payload["points"], dtype=np.float64)
-        tris = np.array(payload["triangles"])
+        if points.shape[1:] != (3,) or not np.isfinite(points).all():
+            raise ValueError("points are not a finite (N, 3) array")
+        tris = _read_triangles(payload["triangles"], len(points))
         source_dim = int(payload["source_dim"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ProjectionError(f"{source} is not a projected.json: "
                               f"{type(exc).__name__}: {exc}") from None
-    n = len(points)
-    if points.shape[1:] != (3,) or not np.isfinite(points).all():
-        problem = "points are not a finite (N, 3) array"
-    elif (tris.shape[1:] != (3,) or tris.dtype.kind not in "iu"
-          or tris.min() < 0 or tris.max() >= n):
-        problem = f"triangles are not (T, 3) integer ids in [0, {n})"
-    else:
-        return ProjectedMesh(points, tris.astype(np.int64), source_dim,
-                             payload.get("captured_variance"))
-    raise ProjectionError(f"{source} is not a projected.json: {problem}")
+    return ProjectedMesh(points, tris, source_dim,
+                         payload.get("captured_variance"))
 
 
 def stage_export(cfg, pm=None):

@@ -317,12 +317,28 @@ def export_mesh_json(path, mesh):
         fh.write("\n")
 
 
+def _read_triangles(triangles, n):
+    """The JSON list `triangles` as a (T, 3) int64 array; an empty list is
+    no triangles. Raises ValueError unless it holds rows of three integer
+    ids in [0, n)."""
+    tris = np.array(triangles)
+    if tris.shape == (0,):
+        return np.empty((0, 3), dtype=np.int64)
+    if tris.shape[1:] != (3,) or tris.dtype.kind not in "iu":
+        raise ValueError(f"triangles are not (T, 3) integer ids in [0, {n})")
+    outside = np.unique(tris[(tris < 0) | (tris >= n)])
+    if len(outside):
+        raise ValueError(f"{len(outside)} triangle vertex ids do not index "
+                         f"the {n} points, e.g. {outside[:5].tolist()}")
+    return tris.astype(np.int64)
+
+
 def load_mesh_json(path):
     """Read a mesh.json; raises MeshValidationError, naming the path, when
     the file is not ASCII JSON with `dim`, `points` and `triangles`, when
     its points are not a valid PointCloud (say, two equal points or an
-    unknown `provenance`), or when a triangle vertex id does not index
-    one of its points."""
+    unknown `provenance`), or when its triangles are not (T, 3) integer
+    ids of its points."""
     from .samplers import PointCloud
     try:
         with open(path, "r", encoding="ascii") as fh:
@@ -330,14 +346,8 @@ def load_mesh_json(path):
         points = np.array(payload["points"], dtype=np.float64)
         cloud = PointCloud(points=points, dim=int(payload["dim"]),
                            provenance=payload.get("provenance", "external"))
-        triangles = np.array(payload["triangles"],
-                             dtype=np.int64).reshape(-1, 3)
+        triangles = _read_triangles(payload["triangles"], cloud.n)
     except (KeyError, TypeError, ValueError, ConfigError) as exc:
         problem = f"{path} is not a mesh.json: {type(exc).__name__}: {exc}"
         raise MeshValidationError(problem, {"problems": [problem]}) from None
-    outside = np.unique(triangles[(triangles < 0) | (triangles >= cloud.n)])
-    if len(outside):
-        problem = (f"{len(outside)} triangle vertex ids do not index the "
-                   f"{cloud.n} points, e.g. {outside[:5].tolist()}")
-        raise MeshValidationError(problem, {"problems": [problem]})
     return SurfaceMesh(cloud, triangles, payload.get("report", {}))

@@ -133,10 +133,10 @@ def export_mesh(pmesh, fmt, path):
 
 def _write_obj(pmesh, path):
     with open(path, "w", encoding="ascii") as fh:
-        for p in pmesh.points:
-            fh.write("v %.17g %.17g %.17g\n" % (p[0], p[1], p[2]))
-        for a, b, c in pmesh.triangles:
-            fh.write("f %d %d %d\n" % (a + 1, b + 1, c + 1))
+        fh.writelines("v %.17g %.17g %.17g\n" % tuple(p)
+                      for p in pmesh.points.tolist())
+        fh.writelines("f %d %d %d\n" % (a + 1, b + 1, c + 1)
+                      for a, b, c in pmesh.triangles.tolist())
 
 
 def read_obj(path):

@@ -49,13 +49,13 @@ class PointCloud:
         return self.points.shape[0]
 
 
-def sample_torus_revolution(R, r, N, seed, distribution="grid"):
+def sample_torus_revolution(R, r, N, seed, distribution):
     """Sample N points on the torus of revolution with radii R > r > 0.
 
     Points are ((R + r cos v) cos u, (R + r cos v) sin u, r sin v) with the
-    (u, v) angles drawn from a jittered grid by default ("fibonacci" and
-    "random" distributions are also available). Deterministic for a fixed
-    seed, and returns exactly N points.
+    (u, v) angles drawn by `distribution`: "grid" (a jittered grid),
+    "fibonacci" or "random". Deterministic for a fixed seed, and returns
+    exactly N points.
     """
     if not (R > r > 0):
         raise ConfigError(f"need R > r > 0, got R={R}, r={r}")
@@ -93,45 +93,30 @@ def sample_torus_revolution(R, r, N, seed, distribution="grid"):
     return PointCloud(dim=3, points=pts, provenance="synthetic")
 
 
-@dataclass(frozen=True)
-class StandardMapConfig:
-    """Product of two Chirikov standard maps: p' = p + K sin(theta),
+def iterate_standard_map(K1, K2, theta1, theta2, p1, p2, N):
+    """Raw (theta1, p1, theta2, p2) iterates, shape (N, 4), initial included,
+    of the product of two Chirikov standard maps: p' = p + K sin(theta),
     theta' = theta + p', both mod 2*pi."""
-
-    K1: float
-    K2: float
-    theta1: float = 0.0
-    p1: float = 0.0
-    theta2: float = 0.0
-    p2: float = 0.0
-    N: int = 1000
-
-    def __post_init__(self):
-        if self.K1 < 0 or self.K2 < 0:
-            raise ConfigError("stochasticity parameters must be >= 0")
-        if self.N < 4:
-            raise ConfigError("need at least 4 iterates")
-
-
-def iterate_standard_map(cfg):
-    """Raw (theta1, p1, theta2, p2) iterates, shape (N, 4), initial included."""
+    if K1 < 0 or K2 < 0:
+        raise ConfigError("stochasticity parameters must be >= 0")
+    if N < 4:
+        raise ConfigError("need at least 4 iterates")
     two_pi = 2.0 * np.pi
-    th1, p1, th2, p2 = cfg.theta1, cfg.p1, cfg.theta2, cfg.p2
-    out = np.empty((cfg.N, 4))
-    for n in range(cfg.N):
-        out[n] = (th1 % two_pi, p1 % two_pi, th2 % two_pi, p2 % two_pi)
-        p1 = (p1 + cfg.K1 * np.sin(th1)) % two_pi
-        th1 = (th1 + p1) % two_pi
-        p2 = (p2 + cfg.K2 * np.sin(th2)) % two_pi
-        th2 = (th2 + p2) % two_pi
+    out = np.empty((N, 4))
+    for n in range(N):
+        out[n] = (theta1 % two_pi, p1 % two_pi, theta2 % two_pi, p2 % two_pi)
+        p1 = (p1 + K1 * np.sin(theta1)) % two_pi
+        theta1 = (theta1 + p1) % two_pi
+        p2 = (p2 + K2 * np.sin(theta2)) % two_pi
+        theta2 = (theta2 + p2) % two_pi
     return out
 
-def sample_standard_map_torus(cfg):
+
+def sample_standard_map_torus(K1, K2, theta1, theta2, p1, p2, N):
     """Iterate the product standard map and embed the angles on the
     Clifford torus (cos th1, sin th1, cos th2, sin th2) in 4D."""
-    orbit = iterate_standard_map(cfg)
-    th1 = orbit[:, 0]
-    th2 = orbit[:, 2]
+    orbit = iterate_standard_map(K1, K2, theta1, theta2, p1, p2, N)
+    th1, th2 = orbit[:, 0], orbit[:, 2]
     pts = np.column_stack([np.cos(th1), np.sin(th1), np.cos(th2), np.sin(th2)])
     return PointCloud(dim=4, points=pts, provenance="standard_map")
 
@@ -212,15 +197,21 @@ def sample_center_manifold_torus(mu, point, amp_planar, amp_vertical, N,
 
     x(t) = Re(A e^(i om_p t) u_p) + Re(B e^(i om_v t) u_v) evaluated on N
     times, where (om, u) are the center eigenpairs of the 6x6 Jacobian at
-    the collinear point and A, B scale the positional excursions to
-    amp_planar / amp_vertical. `dt` forces a fixed sampling step (useful
-    for verifying the linear dynamics).
+    the collinear point labelled `point` ("L1", "L2" or "L3") and A, B
+    scale the positional excursions to amp_planar / amp_vertical. `dt`
+    forces a fixed sampling step (useful for verifying the linear
+    dynamics).
     """
     if amp_planar < 0 or amp_vertical < 0 or max(amp_planar, amp_vertical) <= 0:
         raise ConfigError("amplitudes must be non-negative with at least one > 0")
     N = int(N)
     if N < 4:
         raise ConfigError("need N >= 4")
+    points = {p.label: p for p in cr3bp.libration_points(mu)}
+    if point not in points:
+        raise ConfigError(f"{point!r} is not a libration point; choose from "
+                          f"{sorted(points)}")
+    point = points[point]
     _, om_p, om_v, u_p, u_v = center_manifold_model(mu, point)
     A = _mode_scale(u_p, amp_planar) if amp_planar > 0 else 0.0
     B = _mode_scale(u_v, amp_vertical) if amp_vertical > 0 else 0.0

@@ -7,8 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from torusforge import cr3bp
-from torusforge.samplers import (StandardMapConfig, sample_center_manifold_torus,
+from torusforge.samplers import (sample_center_manifold_torus,
                                  sample_standard_map_torus,
                                  sample_torus_revolution)
 from torusforge.knn import NeighborGraph, build_knn_graph
@@ -147,7 +146,7 @@ def build_pipeline(cloud, k=8):
 
 @pytest.fixture(scope="session")
 def torus_bundle():
-    return build_pipeline(sample_torus_revolution(2.0, 0.5, 2000, 0))
+    return build_pipeline(sample_torus_revolution(2.0, 0.5, 2000, 0, "grid"))
 
 
 @pytest.fixture(scope="session")
@@ -160,15 +159,14 @@ def random_torus_bundle():
 
 @pytest.fixture(scope="session")
 def stdmap_bundle():
-    cfg = StandardMapConfig(K1=0.3, K2=0.3, p1=GOLDEN, p2=SILVER, N=4000)
-    return build_pipeline(sample_standard_map_torus(cfg))
+    return build_pipeline(sample_standard_map_torus(
+        K1=0.3, K2=0.3, theta1=0.0, theta2=0.0, p1=GOLDEN, p2=SILVER, N=4000))
 
 
 @pytest.fixture(scope="session")
 def cm_bundle():
-    l2 = next(p for p in cr3bp.libration_points(EARTH_MOON_MU)
-              if p.label == "L2")
-    cloud = sample_center_manifold_torus(EARTH_MOON_MU, l2, 5e-3, 5e-3, 6000)
+    cloud = sample_center_manifold_torus(EARTH_MOON_MU, "L2", 5e-3, 5e-3,
+                                         6000)
     return build_pipeline(cloud)
 
 

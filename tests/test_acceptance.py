@@ -13,8 +13,7 @@ from torusforge.cr3bp import eom, integrate, jacobi_constant, libration_points
 from torusforge.cycles import homology_split
 from torusforge.mesher import SurfaceMesh, _periodic_delaunay
 from torusforge.orientation import orient_mesh
-from torusforge.samplers import (PointCloud, StandardMapConfig,
-                                 sample_standard_map_torus)
+from torusforge.samplers import PointCloud, sample_standard_map_torus
 
 from conftest import (EARTH_MOON_MU, GOLDEN, SILVER,
                       brute_force_delaunay_check, build_pipeline,
@@ -50,9 +49,8 @@ def test_c2_standard_map_topology_and_flat_limit(stdmap_bundle):
     dynamics are exactly linear flow, so every mesh vertex stays on both
     unit circles of the 4D embedding to 1e-12."""
     assert_closed_torus(stdmap_bundle.mesh.report)
-    flat = sample_standard_map_torus(StandardMapConfig(
-        K1=0.0, K2=0.0, theta1=0.0, theta2=0.0,
-        p1=GOLDEN, p2=SILVER, N=4000))
+    flat = sample_standard_map_torus(K1=0.0, K2=0.0, theta1=0.0, theta2=0.0,
+                                     p1=GOLDEN, p2=SILVER, N=4000)
     bundle = build_pipeline(flat)
     assert_closed_torus(bundle.mesh.report)
     pts = bundle.mesh.cloud.points

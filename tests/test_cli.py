@@ -1,6 +1,7 @@
 """End-to-end command line checks: artifacts, exit codes, config
 precedence, stage isolation, and byte-level determinism."""
 
+import inspect
 import json
 import os
 import struct
@@ -15,6 +16,9 @@ from torusforge import cli
 from torusforge.errors import (ConfigError, DisconnectedGraphError,
                                MeshValidationError, OrientationConflictError,
                                ResidualError)
+from torusforge.samplers import (sample_center_manifold_torus,
+                                 sample_standard_map_torus,
+                                 sample_torus_revolution)
 
 FAST = {"sampler": {"kind": "torus_revolution", "N": 800}}
 
@@ -80,6 +84,30 @@ def test_dim_flag_selects_sampler():
         cli.resolve_config(cli.make_parser().parse_args(["run", "--dim", "5"]))
 
 
+@pytest.mark.parametrize("kind", sorted(cli._SAMPLER_DEFAULTS))
+def test_sampler_defaults_name_sampler_parameters(kind):
+    """Each sampler config key is a parameter of its library sampler, and
+    the sampler gives it no default of its own."""
+    params = inspect.signature(cli._SAMPLERS[kind]).parameters
+    for key in cli._SAMPLER_DEFAULTS[kind]:
+        assert key in params, key
+        assert params[key].default is inspect.Parameter.empty, key
+
+
+@pytest.mark.parametrize("dim, direct", [
+    (3, lambda: sample_torus_revolution(2.0, 0.5, 2000, 0, "grid")),
+    (4, lambda: sample_standard_map_torus(
+        0.3, 0.3, 0.0, 0.0, 0.6180339887498949, 0.41421356237309515, 4000)),
+    (6, lambda: sample_center_manifold_torus(0.01215, "L2", 5e-3, 5e-3,
+                                             6000))])
+def test_build_cloud_defaults_match_library_call(dim, direct):
+    """The default config of each --dim samples the same cloud as the
+    library sampler called with the documented default values."""
+    cfg = cli.resolve_config(cli.make_parser().parse_args(
+        ["run", "--dim", str(dim)]))
+    assert np.array_equal(cli.build_cloud(cfg).points, direct().points)
+
+
 def test_config_errors_exit_2(tmp_path, fast_cfg, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"sampler": {"kind": "torus_revolution"},
@@ -104,8 +132,8 @@ def test_config_errors_exit_2(tmp_path, fast_cfg, capsys):
         bad.write_text(json.dumps(malformed))
         assert cli.main(["run", "--config", str(bad)]) == 2
     # values of the wrong type, keys no sampler reads, names no sampler
-    # knows, and the removed weights, color_mode, inline matrix and dt
-    # keys, named by key before any stage runs
+    # knows, and the removed weights, color_mode, inline matrix, dt and
+    # projection indices keys, named by key before any stage runs
     text_matrix = tmp_path / "matrix.txt"
     text_matrix.write_text("a b c\n")
     numeric_text = tmp_path / "eye.txt"
@@ -148,7 +176,9 @@ def test_config_errors_exit_2(tmp_path, fast_cfg, capsys):
                                         "indeces": [0, 2, 1]}}),
             ("indices", {"sampler": fast, "projection": {"indices": [0, 1]}}),
             ("indices", {"sampler": fast,
-                         "projection": {"indices": [0, 0, 1]}})):
+                         "projection": {"indices": [0, 0, 1]}}),
+            ("indices", {"sampler": fast,
+                         "projection": {"indices": [0, 1, 2]}})):
         bad.write_text(json.dumps({"output_dir": str(tmp_path / "out"),
                                    **wrong}))
         capsys.readouterr()
@@ -389,16 +419,23 @@ def _two_columns(payload, key):
     payload[key] = [row[:2] for row in payload[key]]
 
 
+def _fractional_id(payload):
+    payload["triangles"][0][0] += 0.7
+
+
 def _nan_point(payload):
     payload["points"][0][0] = float("nan")
 
 
-@pytest.mark.parametrize("edit", [
+MALFORMED = pytest.mark.parametrize("edit", [
     lambda p: _bad_id(p, lambda n: n), lambda p: _bad_id(p, lambda n: -1),
-    lambda p: _two_columns(p, "points"), lambda p: _two_columns(p, "triangles"),
-    _nan_point],
-    ids=["id-N", "id-minus-1", "points-2-columns", "triangles-2-columns",
-         "nan-point"])
+    _fractional_id, lambda p: _two_columns(p, "points"),
+    lambda p: _two_columns(p, "triangles"), _nan_point],
+    ids=["id-N", "id-minus-1", "id-fractional", "points-2-columns",
+         "triangles-2-columns", "nan-point"])
+
+
+@MALFORMED
 def test_export_rejects_malformed_projected_json(tmp_path, capsys,
                                                  finished_run, edit):
     """export writes a mesh file only from finite (N, 3) points and
@@ -418,6 +455,28 @@ def test_export_rejects_malformed_projected_json(tmp_path, capsys,
         assert err["error"] == "ProjectionError", err
         assert "projected.json" in err["message"], err
     assert not list(tmp_path.glob("mesh.*"))
+
+
+@MALFORMED
+def test_validate_rejects_malformed_mesh_json(tmp_path, capsys,
+                                              finished_run, edit):
+    """validate reads a mesh only with finite points and (T, 3) integer
+    triangle ids that index them; otherwise it exits 4 with one JSON line
+    that names the file, and writes no validation.json."""
+    payload = json.loads((finished_run / "mesh.json").read_text())
+    edit(payload)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert cli.main(["validate", str(path),
+                     "--output-dir", str(tmp_path)]) == 4
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1, lines
+    err = json.loads(lines[0])
+    assert err["stage"] == "validate", err
+    assert err["error"] == "MeshValidationError", err
+    assert err["message"].startswith(str(path)), err
+    assert not (tmp_path / "validation.json").exists()
 
 
 def test_validate_flags_duplicated_face(tmp_path, finished_run):
@@ -559,7 +618,7 @@ for name in torusforge.__all__:
 print(len(torusforge.__all__))
 """
     run = _run_python(["-c", code])
-    assert run.stdout.strip() == "47", run.stderr
+    assert run.stdout.strip() == "46", run.stderr
 
 
 def test_module_entry_point_runs_without_warnings(tmp_path):

@@ -188,8 +188,8 @@ def short_cycle_graphs():
     rng = np.random.default_rng(7)
     graphs = [periodic_grid(n) for n in (3, 5, 6)]
     graphs += [random_connected_graph(rng, 30, 45, True) for _ in range(3)]
-    graphs.append(build_knn_graph(sample_torus_revolution(2.0, 0.5, 300, 0),
-                                  8))
+    graphs.append(build_knn_graph(
+        sample_torus_revolution(2.0, 0.5, 300, 0, "grid"), 8))
     return graphs
 
 
@@ -317,7 +317,8 @@ def test_sparse_band_matches_dense_reference(band):
     formulation's (weight, source, edge, signature) rows and the same
     predecessor rows, block by block."""
     rng = np.random.default_rng(11)
-    graphs = [build_knn_graph(sample_torus_revolution(2.0, 0.5, 300, 0), 8)]
+    graphs = [build_knn_graph(
+        sample_torus_revolution(2.0, 0.5, 300, 0, "grid"), 8)]
     graphs += [random_connected_graph(rng, 40, 50, True) for _ in range(3)]
     for graph in graphs:
         ws = reference_cycles.workspace(graph)

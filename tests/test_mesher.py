@@ -16,7 +16,6 @@ from scipy.spatial import Delaunay
 from conftest import (EARTH_MOON_MU, brute_force_delaunay_check,
                       build_pipeline, periodic_grid, unwrapped_corners)
 from reference_cycles import minimum_cycle_basis
-from torusforge import cr3bp
 from torusforge.cycles import classify_cycles
 from torusforge.errors import (GeneratorClassificationError,
                                MeshValidationError, ResidualError)
@@ -301,23 +300,21 @@ def test_random_distribution_meshes_closed(random_torus_bundle):
 
 def robustness_cloud(name):
     if name == "thin":
-        return sample_torus_revolution(2.0, 0.2, 2000, 0)
+        return sample_torus_revolution(2.0, 0.2, 2000, 0, "grid")
     if name == "random4k":
         return sample_torus_revolution(2.0, 0.5, 4000, 0,
                                        distribution="random")
     if name.startswith("noise"):
         # the 2k grid torus, each point moved along its surface normal by
         # Gaussian noise of standard deviation sigma
-        pts = sample_torus_revolution(2.0, 0.5, 2000, 0).points
+        pts = sample_torus_revolution(2.0, 0.5, 2000, 0, "grid").points
         core = pts * [2.0, 2.0, 0.0] / np.hypot(pts[:, :1], pts[:, 1:2])
         normal = (pts - core) / 0.5
         sigma = float(name[len("noise"):])
         shift = np.random.default_rng(0).normal(0.0, sigma, (len(pts), 1))
         return PointCloud(dim=3, points=pts + shift * normal,
                           provenance="synthetic")
-    point = next(p for p in cr3bp.libration_points(EARTH_MOON_MU)
-                 if p.label == name)
-    return sample_center_manifold_torus(EARTH_MOON_MU, point, 5e-3, 5e-3,
+    return sample_center_manifold_torus(EARTH_MOON_MU, name, 5e-3, 5e-3,
                                         6000)
 
 

@@ -7,8 +7,8 @@ from scipy.spatial import cKDTree
 
 from torusforge import cr3bp
 from torusforge.errors import ConfigError
-from torusforge.samplers import (PointCloud, StandardMapConfig,
-                                 center_manifold_model, iterate_standard_map,
+from torusforge.samplers import (PointCloud, center_manifold_model,
+                                 iterate_standard_map,
                                  load_point_cloud,
                                  sample_center_manifold_torus,
                                  sample_standard_map_torus,
@@ -35,13 +35,13 @@ def test_torus_points_on_surface(distribution):
 def test_torus_exact_count_odd_n():
     # row balancing must hold when N does not divide into the grid
     for n in (2000, 1999, 1987, 613):
-        assert sample_torus_revolution(2.0, 0.5, n, 0).n == n
+        assert sample_torus_revolution(2.0, 0.5, n, 0, "grid").n == n
 
 
 def test_torus_deterministic_and_seed_sensitive():
-    a = sample_torus_revolution(2.0, 0.5, 300, 42)
-    b = sample_torus_revolution(2.0, 0.5, 300, 42)
-    c = sample_torus_revolution(2.0, 0.5, 300, 43)
+    a = sample_torus_revolution(2.0, 0.5, 300, 42, "grid")
+    b = sample_torus_revolution(2.0, 0.5, 300, 42, "grid")
+    c = sample_torus_revolution(2.0, 0.5, 300, 43, "grid")
     assert np.array_equal(a.points, b.points)
     assert not np.array_equal(a.points, c.points)
 
@@ -49,7 +49,7 @@ def test_torus_deterministic_and_seed_sensitive():
 def test_torus_grid_bounds_minimum_separation():
     """Jitter stays inside the central half of each grid cell, so no two
     samples can come close relative to the typical spacing."""
-    cloud = sample_torus_revolution(2.0, 0.5, 2000, 0)
+    cloud = sample_torus_revolution(2.0, 0.5, 2000, 0, "grid")
     d, _ = cKDTree(cloud.points).query(cloud.points, k=2)
     nn = d[:, 1]
     assert nn.min() > 0.3 * np.median(nn)
@@ -57,17 +57,16 @@ def test_torus_grid_bounds_minimum_separation():
 
 def test_torus_argument_validation():
     with pytest.raises(ConfigError):
-        sample_torus_revolution(0.5, 2.0, 100, 0)
+        sample_torus_revolution(0.5, 2.0, 100, 0, "grid")
     with pytest.raises(ConfigError):
-        sample_torus_revolution(2.0, 0.5, 8, 0)
+        sample_torus_revolution(2.0, 0.5, 8, 0, "grid")
     with pytest.raises(ConfigError):
         sample_torus_revolution(2.0, 0.5, 100, 0, distribution="sobol")
 
 
 def test_standard_map_single_step_by_hand():
-    cfg = StandardMapConfig(K1=0.3, K2=0.7, theta1=1.1, p1=0.4,
-                            theta2=2.2, p2=0.9, N=4)
-    orbit = iterate_standard_map(cfg)
+    orbit = iterate_standard_map(K1=0.3, K2=0.7, theta1=1.1, theta2=2.2,
+                                 p1=0.4, p2=0.9, N=4)
     assert np.array_equal(orbit[0], [1.1, 0.4, 2.2, 0.9])
     p1 = (0.4 + 0.3 * np.sin(1.1)) % TWO_PI
     t1 = (1.1 + p1) % TWO_PI
@@ -77,32 +76,30 @@ def test_standard_map_single_step_by_hand():
 
 
 def test_standard_map_zero_k_preserves_momenta():
-    cfg = StandardMapConfig(K1=0.0, K2=0.0, p1=1.3, p2=0.7, N=200)
-    orbit = iterate_standard_map(cfg)
+    orbit = iterate_standard_map(K1=0.0, K2=0.0, theta1=0.0, theta2=0.0,
+                                 p1=1.3, p2=0.7, N=200)
     assert np.max(np.abs(orbit[:, 1] - 1.3)) < 1e-12
     assert np.max(np.abs(orbit[:, 3] - 0.7)) < 1e-12
 
 
 def test_standard_map_rational_rotation_is_periodic():
-    cfg = StandardMapConfig(K1=0.0, K2=0.0, p1=TWO_PI / 8, p2=TWO_PI / 8,
-                            N=20)
-    orbit = iterate_standard_map(cfg)
+    orbit = iterate_standard_map(K1=0.0, K2=0.0, theta1=0.0, theta2=0.0,
+                                 p1=TWO_PI / 8, p2=TWO_PI / 8, N=20)
     assert np.max(np.abs(orbit[8] - orbit[0])) < 1e-12
     assert np.max(np.abs(orbit[16] - orbit[0])) < 1e-12
 
 
 def test_standard_map_periodic_orbit_rejected_as_cloud():
     # an 8-periodic orbit yields duplicate embedded points
-    cfg = StandardMapConfig(K1=0.0, K2=0.0, p1=TWO_PI / 8, p2=TWO_PI / 8,
-                            N=100)
     with pytest.raises(ConfigError):
-        sample_standard_map_torus(cfg)
+        sample_standard_map_torus(K1=0.0, K2=0.0, theta1=0.0, theta2=0.0,
+                                  p1=TWO_PI / 8, p2=TWO_PI / 8, N=100)
 
 
 def test_standard_map_embedding_on_clifford_torus():
-    cfg = StandardMapConfig(K1=0.3, K2=0.3, p1=0.6180339887498949,
-                            p2=0.41421356237309515, N=800)
-    cloud = sample_standard_map_torus(cfg)
+    cloud = sample_standard_map_torus(K1=0.3, K2=0.3, theta1=0.0, theta2=0.0,
+                                      p1=0.6180339887498949,
+                                      p2=0.41421356237309515, N=800)
     assert cloud.dim == 4
     assert cloud.n == 800
     assert cloud.provenance == "standard_map"
@@ -112,10 +109,15 @@ def test_standard_map_embedding_on_clifford_torus():
 
 
 def test_standard_map_config_validation():
-    with pytest.raises(ConfigError):
-        StandardMapConfig(K1=-0.1, K2=0.0)
-    with pytest.raises(ConfigError):
-        StandardMapConfig(K1=0.0, K2=0.0, N=3)
+    """A negative stochasticity parameter or fewer than 4 iterates stops
+    both the iteration and the sampler."""
+    start = dict(theta1=0.0, theta2=0.0, p1=0.6180339887498949,
+                 p2=0.41421356237309515)
+    for fn in (iterate_standard_map, sample_standard_map_torus):
+        with pytest.raises(ConfigError, match="stochasticity"):
+            fn(K1=-0.1, K2=0.0, N=1000, **start)
+        with pytest.raises(ConfigError, match="4 iterates"):
+            fn(K1=0.0, K2=0.0, N=3, **start)
 
 
 @pytest.fixture(scope="module")
@@ -142,8 +144,16 @@ def test_center_manifold_rejects_equilateral_point():
         center_manifold_model(0.01215, l4)
 
 
-def test_center_manifold_cloud_shape(l2_point):
-    cloud = sample_center_manifold_torus(0.01215, l2_point, 5e-3, 5e-3, 600)
+@pytest.mark.parametrize("label", ["L4", "L7"])
+def test_center_manifold_sampler_rejects_label(label):
+    """The sampler takes a collinear point's label: an equilateral point
+    or a name that is no libration point stops with ConfigError naming it."""
+    with pytest.raises(ConfigError, match=label):
+        sample_center_manifold_torus(0.01215, label, 5e-3, 5e-3, 600)
+
+
+def test_center_manifold_cloud_shape():
+    cloud = sample_center_manifold_torus(0.01215, "L2", 5e-3, 5e-3, 600)
     assert cloud.dim == 6
     assert cloud.n == 600
     assert cloud.provenance == "cr3bp_linear"
@@ -156,7 +166,7 @@ def test_center_manifold_linear_dynamics_second_order(l2_point):
     center = np.concatenate([l2_point.position, np.zeros(3)])
     errs = []
     for dt in (0.01, 0.005):
-        cloud = sample_center_manifold_torus(0.01215, l2_point, 5e-3, 5e-3,
+        cloud = sample_center_manifold_torus(0.01215, "L2", 5e-3, 5e-3,
                                              64, dt=dt)
         x = cloud.points - center
         fd = (x[2:] - x[:-2]) / (2 * dt)
@@ -166,7 +176,7 @@ def test_center_manifold_linear_dynamics_second_order(l2_point):
 
 
 def test_center_manifold_vertical_amp_zero_is_planar(l2_point):
-    cloud = sample_center_manifold_torus(0.01215, l2_point, 5e-3, 0.0, 500)
+    cloud = sample_center_manifold_torus(0.01215, "L2", 5e-3, 0.0, 500)
     off = cloud.points - np.concatenate([l2_point.position, np.zeros(3)])
     assert np.max(np.abs(off[:, [2, 5]])) == 0.0
     # amplitude calibration: positional excursion tops out at amp_planar
@@ -176,7 +186,7 @@ def test_center_manifold_vertical_amp_zero_is_planar(l2_point):
 
 
 def test_center_manifold_planar_amp_zero_is_vertical(l2_point):
-    cloud = sample_center_manifold_torus(0.01215, l2_point, 0.0, 4e-3, 500)
+    cloud = sample_center_manifold_torus(0.01215, "L2", 0.0, 4e-3, 500)
     off = cloud.points - np.concatenate([l2_point.position, np.zeros(3)])
     assert np.max(np.abs(off[:, [0, 1, 3, 4]])) < 1e-12
     assert np.abs(off[:, 2]).max() == pytest.approx(4e-3, rel=0.1)
@@ -187,7 +197,7 @@ def test_center_manifold_freq_override(l2_point):
     vertical mode off, every coordinate must lie exactly in
     span{cos(om t), sin(om t)} at that rate."""
     om_p = center_manifold_model(0.01215, l2_point)[1]
-    cloud = sample_center_manifold_torus(0.01215, l2_point, 5e-3, 0.0, 128,
+    cloud = sample_center_manifold_torus(0.01215, "L2", 5e-3, 0.0, 128,
                                          dt=0.05)
     center = np.concatenate([l2_point.position, np.zeros(3)])
     x = cloud.points - center
@@ -198,13 +208,13 @@ def test_center_manifold_freq_override(l2_point):
         assert np.max(np.abs(x[:, col] - basis @ coef)) < 1e-12
 
 
-def test_center_manifold_amp_validation(l2_point):
+def test_center_manifold_amp_validation():
     with pytest.raises(ConfigError):
-        sample_center_manifold_torus(0.01215, l2_point, 0.0, 0.0, 100)
+        sample_center_manifold_torus(0.01215, "L2", 0.0, 0.0, 100)
     with pytest.raises(ConfigError):
-        sample_center_manifold_torus(0.01215, l2_point, -1e-3, 1e-3, 100)
+        sample_center_manifold_torus(0.01215, "L2", -1e-3, 1e-3, 100)
     with pytest.raises(ConfigError):
-        sample_center_manifold_torus(0.01215, l2_point, 1e-3, 1e-3, 3)
+        sample_center_manifold_torus(0.01215, "L2", 1e-3, 1e-3, 3)
 
 
 def test_point_cloud_validation():
@@ -225,7 +235,7 @@ def test_point_cloud_validation():
 
 def test_cloud_csv_round_trip_exact(tmp_path):
     """CSV is the one cloud format, whatever the path's extension."""
-    cloud = sample_torus_revolution(2.0, 0.5, 64, 3)
+    cloud = sample_torus_revolution(2.0, 0.5, 64, 3, "grid")
     for name in ("cloud.csv", "cloud.txt", "cloud.CSV"):
         path = tmp_path / name
         save_point_cloud(path, cloud)
