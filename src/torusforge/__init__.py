@@ -29,7 +29,7 @@ _MODULES = {
     "knn": ("NeighborGraph", "build_knn_graph"),
     "cycles": ("Classification", "Cycle", "CycleBasis", "classify_cycles",
                "homology_split"),
-    "oneforms": ("OneFormPair", "assemble_system", "solve_oneforms"),
+    "oneforms": ("OneFormPair", "solve_oneforms"),
     "mesher": ("SurfaceMesh", "load_mesh_json", "mesh_flat_torus",
                "validate_mesh"),
     "orientation": ("orient_mesh",),

@@ -249,15 +249,14 @@ def stage_mesh(cfg, cloud=None):
     Its layers load scipy, so they are imported here, not with the CLI."""
     from .knn import build_knn_graph
     from .cycles import classify_cycles, export_cycles_json, homology_split
-    from .oneforms import (assemble_system, export_residuals_json,
-                           solve_oneforms)
+    from .oneforms import export_residuals_json, solve_oneforms
     if cloud is None:
         cloud = load_point_cloud(_art(cfg, "cloud.csv"))
     graph = build_knn_graph(cloud, k=cfg["k"])
     basis = homology_split(graph)
     classification = classify_cycles(basis)
     export_cycles_json(_art(cfg, "cycles.json"), basis, classification)
-    forms = solve_oneforms(assemble_system(graph, classification))
+    forms = solve_oneforms(graph, classification)
     export_residuals_json(_art(cfg, "residuals.json"), forms)
     mesh = mesh_flat_torus(graph, forms, cloud)
     export_mesh_json(_art(cfg, "mesh.json"), mesh)
@@ -400,9 +399,9 @@ def main(argv=None):
         cfg = resolve_config(args)
     except ConfigError as exc:
         return _fail("config", exc, EXIT_CONFIG)
-    os.makedirs(cfg["output_dir"], exist_ok=True)
     stage = args.command
     try:
+        os.makedirs(cfg["output_dir"], exist_ok=True)
         if stage in ("validate", "run"):
             report = (stage_validate(cfg, mesh_path=args.mesh_path)
                       if stage == "validate" else run_pipeline(cfg)[1])

@@ -101,10 +101,10 @@ def validate_mesh(triangles, strict=True):
     nonmanifold_edges, boundary_edges, problems.
     """
     tris = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)
-    return _validate(tris, _half_edges(tris), strict, None)
+    return _validate(tris, _half_edges(tris), strict)
 
 
-def _validate(tris, he, strict, extra):
+def _validate(tris, he, strict):
     """validate_mesh on the (T, 3) triangles and their half-edge table."""
     edges, counts = he.edges, he.counts
     nverts = len(np.unique(tris))
@@ -121,8 +121,6 @@ def _validate(tris, he, strict, extra):
         "nonmanifold_edges": nonmanifold,
         "boundary_edges": boundary,
     }
-    if extra:
-        report.update(extra)
     problems = []
     if nfaces == 0:
         problems.append("empty mesh")
@@ -279,8 +277,8 @@ def mesh_flat_torus(graph, forms, cloud):
     _reject_coincident_points(graph, chart, metric)
     triangles, dropped = _periodic_delaunay(chart, metric)
     he = _half_edges(triangles)
-    report = _validate(triangles, he, strict=False,
-                       extra={"period_defect_max": defect})
+    report = _validate(triangles, he, strict=False)
+    report["period_defect_max"] = defect
     problems = report["problems"]
     if len(dropped) or report["vertices"] != V:
         problems.append(
@@ -338,7 +336,7 @@ def load_mesh_json(path):
     the file is not ASCII JSON with `dim`, `points` and `triangles`, when
     its points are not a valid PointCloud (say, two equal points or an
     unknown `provenance`), or when its triangles are not (T, 3) integer
-    ids of its points."""
+    ids of its points, or when its `report` is not a JSON object."""
     from .samplers import PointCloud
     try:
         with open(path, "r", encoding="ascii") as fh:
@@ -347,7 +345,11 @@ def load_mesh_json(path):
         cloud = PointCloud(points=points, dim=int(payload["dim"]),
                            provenance=payload.get("provenance", "external"))
         triangles = _read_triangles(payload["triangles"], cloud.n)
+        report = payload.get("report", {})
+        if not isinstance(report, dict):
+            raise TypeError(f"report must be a JSON object, got "
+                            f"{type(report).__name__}")
     except (KeyError, TypeError, ValueError, ConfigError) as exc:
         problem = f"{path} is not a mesh.json: {type(exc).__name__}: {exc}"
         raise MeshValidationError(problem, {"problems": [problem]}) from None
-    return SurfaceMesh(cloud, triangles, payload.get("report", {}))
+    return SurfaceMesh(cloud, triangles, report)

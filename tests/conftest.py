@@ -13,7 +13,7 @@ from torusforge.samplers import (sample_center_manifold_torus,
 from torusforge.knn import NeighborGraph, build_knn_graph
 from torusforge.cycles import Cycle, CycleBasis, Classification, \
     classify_cycles, homology_split
-from torusforge.oneforms import assemble_system, solve_oneforms
+from torusforge.oneforms import solve_oneforms
 from torusforge.mesher import mesh_flat_torus
 from torusforge.orientation import orient_mesh
 from reference_cycles import minimum_cycle_basis
@@ -135,8 +135,7 @@ def build_pipeline(cloud, k=8):
     graph = build_knn_graph(cloud, k=k)
     basis = homology_split(graph)
     classification = classify_cycles(basis)
-    system = assemble_system(graph, classification)
-    forms = solve_oneforms(system)
+    forms = solve_oneforms(graph, classification)
     mesh = mesh_flat_torus(graph, forms, cloud)
     oriented = orient_mesh(mesh)
     return SimpleNamespace(cloud=cloud, graph=graph, basis=basis,
@@ -176,7 +175,7 @@ def grid5_forms():
     graph = periodic_grid(5)
     basis = minimum_cycle_basis(graph)
     classification = classify_cycles(basis)
-    forms = solve_oneforms(assemble_system(graph, classification))
+    forms = solve_oneforms(graph, classification)
     return SimpleNamespace(graph=graph, basis=basis,
                            classification=classification, forms=forms)
 
@@ -188,6 +187,6 @@ def grid3_manual_forms():
     squares)."""
     graph = periodic_grid(3)
     classification = manual_grid_classification(graph, 3, 3)
-    forms = solve_oneforms(assemble_system(graph, classification))
+    forms = solve_oneforms(graph, classification)
     return SimpleNamespace(graph=graph, classification=classification,
                            forms=forms)

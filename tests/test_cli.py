@@ -411,6 +411,21 @@ def test_malformed_artifact_names_stage_and_file(tmp_path, capsys, command,
     assert err["stage"] == command and name in err["message"], err
 
 
+@pytest.mark.parametrize("command", ["sample", "run", "validate"])
+def test_output_dir_that_is_a_file_exits_3(tmp_path, capsys, command):
+    """An --output-dir that names an existing file stops the command at
+    its own stage: exit 3 and one JSON line, not a traceback."""
+    afile = tmp_path / "afile"
+    afile.write_text("x")
+    capsys.readouterr()
+    assert cli.main([command, "--output-dir", str(afile)]) == 3
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1, lines
+    err = json.loads(lines[0])
+    assert err["stage"] == command and str(afile) in err["message"], err
+    assert afile.read_text() == "x"
+
+
 def _bad_id(payload, bad):
     payload["triangles"][0][0] = bad(len(payload["points"]))
 
@@ -427,15 +442,25 @@ def _nan_point(payload):
     payload["points"][0][0] = float("nan")
 
 
-MALFORMED = pytest.mark.parametrize("edit", [
-    lambda p: _bad_id(p, lambda n: n), lambda p: _bad_id(p, lambda n: -1),
-    _fractional_id, lambda p: _two_columns(p, "points"),
-    lambda p: _two_columns(p, "triangles"), _nan_point],
-    ids=["id-N", "id-minus-1", "id-fractional", "points-2-columns",
-         "triangles-2-columns", "nan-point"])
+def _report(payload, value):
+    payload["report"] = value
 
 
-@MALFORMED
+MALFORMED = {
+    "id-N": lambda p: _bad_id(p, lambda n: n),
+    "id-minus-1": lambda p: _bad_id(p, lambda n: -1),
+    "id-fractional": _fractional_id,
+    "points-2-columns": lambda p: _two_columns(p, "points"),
+    "triangles-2-columns": lambda p: _two_columns(p, "triangles"),
+    "nan-point": _nan_point}
+# a mesh.json's report is a JSON object; projected.json carries none
+MALFORMED_MESH = {**MALFORMED,
+                  "report-5": lambda p: _report(p, 5),
+                  "report-str": lambda p: _report(p, "period_defect_max"),
+                  "report-list": lambda p: _report(p, [1, 2])}
+
+
+@pytest.mark.parametrize("edit", MALFORMED.values(), ids=MALFORMED.keys())
 def test_export_rejects_malformed_projected_json(tmp_path, capsys,
                                                  finished_run, edit):
     """export writes a mesh file only from finite (N, 3) points and
@@ -457,26 +482,28 @@ def test_export_rejects_malformed_projected_json(tmp_path, capsys,
     assert not list(tmp_path.glob("mesh.*"))
 
 
-@MALFORMED
+@pytest.mark.parametrize("edit", MALFORMED_MESH.values(),
+                         ids=MALFORMED_MESH.keys())
 def test_validate_rejects_malformed_mesh_json(tmp_path, capsys,
                                               finished_run, edit):
-    """validate reads a mesh only with finite points and (T, 3) integer
-    triangle ids that index them; otherwise it exits 4 with one JSON line
-    that names the file, and writes no validation.json."""
+    """validate and project read a mesh only with finite points, (T, 3)
+    integer triangle ids that index them and a report that is a JSON
+    object; otherwise each exits 4 with one JSON line that names the
+    file, and writes nothing."""
     payload = json.loads((finished_run / "mesh.json").read_text())
     edit(payload)
-    path = tmp_path / "edited.json"
+    path = tmp_path / "mesh.json"
     path.write_text(json.dumps(payload))
-    capsys.readouterr()
-    assert cli.main(["validate", str(path),
-                     "--output-dir", str(tmp_path)]) == 4
-    lines = capsys.readouterr().err.strip().splitlines()
-    assert len(lines) == 1, lines
-    err = json.loads(lines[0])
-    assert err["stage"] == "validate", err
-    assert err["error"] == "MeshValidationError", err
-    assert err["message"].startswith(str(path)), err
-    assert not (tmp_path / "validation.json").exists()
+    for argv in (["validate", str(path)], ["project"]):
+        capsys.readouterr()
+        assert cli.main(argv + ["--output-dir", str(tmp_path)]) == 4
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1, lines
+        err = json.loads(lines[0])
+        assert err["stage"] == argv[0], err
+        assert err["error"] == "MeshValidationError", err
+        assert err["message"].startswith(str(path)), err
+    assert sorted(os.listdir(tmp_path)) == ["mesh.json"]
 
 
 def test_validate_flags_duplicated_face(tmp_path, finished_run):
@@ -618,7 +645,7 @@ for name in torusforge.__all__:
 print(len(torusforge.__all__))
 """
     run = _run_python(["-c", code])
-    assert run.stdout.strip() == "46", run.stderr
+    assert run.stdout.strip() == "45", run.stderr
 
 
 def test_module_entry_point_runs_without_warnings(tmp_path):

@@ -22,7 +22,7 @@ from torusforge.cycles import (Cycle, CycleBasis, classify_cycles,
                                export_cycles_json, homology_split)
 from torusforge.errors import (CycleBasisError, GeneratorClassificationError)
 from torusforge.knn import NeighborGraph, build_knn_graph
-from torusforge.oneforms import assemble_system, solve_oneforms
+from torusforge.oneforms import solve_oneforms
 from torusforge.samplers import sample_torus_revolution
 
 # Frozen oracles for the flat-torus grids, confirmed by the exhaustive
@@ -272,8 +272,7 @@ def test_split_keeps_generators_and_forms_on_random_torus(
         assert np.array_equal(got.vertices, want.vertices)
         assert np.array_equal(got.edges, want.edges)
         assert got.weight == want.weight
-    forms = solve_oneforms(assemble_system(bundle.graph,
-                                           classify_cycles(exact)))
+    forms = solve_oneforms(bundle.graph, classify_cycles(exact))
     assert np.max(np.abs(forms.du - bundle.forms.du)) <= 1e-12
     assert np.max(np.abs(forms.dv - bundle.forms.dv)) <= 1e-12
 

@@ -25,7 +25,7 @@ from torusforge.mesher import (_components, _half_edges, _periodic_delaunay,
                                export_mesh_json, load_mesh_json,
                                mesh_flat_torus, validate_mesh)
 from torusforge.orientation import _double_cover
-from torusforge.oneforms import OneFormPair, assemble_system, solve_oneforms
+from torusforge.oneforms import OneFormPair, solve_oneforms
 from torusforge.samplers import (PointCloud, sample_center_manifold_torus,
                                  sample_torus_revolution)
 
@@ -34,7 +34,7 @@ from torusforge.samplers import (PointCloud, sample_center_manifold_torus,
 def grid8_forms():
     graph = periodic_grid(8)
     basis = minimum_cycle_basis(graph)
-    forms = solve_oneforms(assemble_system(graph, classify_cycles(basis)))
+    forms = solve_oneforms(graph, classify_cycles(basis))
     return graph, forms
 
 

@@ -10,21 +10,44 @@ import pytest
 
 from conftest import manual_grid_classification, periodic_grid
 from reference_cycles import minimum_cycle_basis, neighbor_rows
-from torusforge.cycles import _Workspace, classify_cycles
+from torusforge.cycles import Classification, CycleBasis, _Workspace, \
+    classify_cycles
 from torusforge.errors import ResidualError
 from torusforge.knn import NeighborGraph
-from torusforge.oneforms import (assemble_system, export_residuals_json,
-                                 solve_oneforms)
+from torusforge.oneforms import _cycle_rows, export_residuals_json, \
+    solve_oneforms
+
+
+def coclosed_reference(graph):
+    """Dense co-closedness block, one edge at a time: edge (i, j), i < j,
+    puts -1/length in row i and +1/length in row j."""
+    rows = np.zeros((graph.vertex_count, graph.edge_count))
+    for e, ((i, j), length) in enumerate(zip(graph.edges.tolist(),
+                                             graph.lengths.tolist())):
+        rows[i, e] -= 1.0 / length
+        rows[j, e] += 1.0 / length
+    return rows
+
+
+def dense_system(graph, classification):
+    """The co-closedness block over the cycle rows, with the right-hand
+    sides that ask the u-form for periods (1, 0) and the v-form for
+    (0, 1)."""
+    matrix = np.vstack([coclosed_reference(graph),
+                        _cycle_rows(graph, classification).toarray()])
+    rhs = np.zeros((len(matrix), 2))
+    rhs[-2:] = np.eye(2)
+    return matrix, rhs
 
 
 def test_system_row_counts(grid5_forms):
-    system = assemble_system(grid5_forms.graph, grid5_forms.classification)
-    # 25 vertex balance rows + 24 trivial cycles + 2 period rows
-    assert system.matrix.shape == (51, 50)
-    assert system.n_coclosed == 25
-    assert system.n_closed == 24
-    assert system.rhs_u[-2] == 1.0 and system.rhs_u[-1] == 0.0
-    assert system.rhs_v[-2] == 0.0 and system.rhs_v[-1] == 1.0
+    """24 trivial rows and 2 period rows over the 50 edges; with the 25
+    vertex balance rows, one more row than unknowns."""
+    graph, cls = grid5_forms.graph, grid5_forms.classification
+    assert cls.trivial.size == 24
+    assert _cycle_rows(graph, cls).shape == (26, 50)
+    matrix, rhs = dense_system(graph, cls)
+    assert matrix.shape == (51, 50) and rhs.shape == (51, 2)
 
 
 def test_grid5_forms_are_the_flat_parameterization(grid5_forms):
@@ -67,27 +90,41 @@ def test_grid3_manual_classification_solution(grid3_manual_forms):
 def test_exact_solver_matches_dense_lstsq(grid5_forms):
     """The system has full column rank and is consistent, so dense least
     squares over all its rows finds the same forms."""
-    system = assemble_system(grid5_forms.graph, grid5_forms.classification)
-    dense = system.matrix.toarray()
+    dense, rhs = dense_system(grid5_forms.graph, grid5_forms.classification)
     assert np.linalg.matrix_rank(dense) == dense.shape[1]
-    for rhs, form in ((system.rhs_u, grid5_forms.forms.du),
-                      (system.rhs_v, grid5_forms.forms.dv)):
-        ref = np.linalg.lstsq(dense, rhs, rcond=None)[0]
+    for k, form in enumerate((grid5_forms.forms.du, grid5_forms.forms.dv)):
+        ref = np.linalg.lstsq(dense, rhs[:, k], rcond=None)[0]
         assert np.max(np.abs(ref - form)) < 1e-12
 
 
-def test_inconsistent_trivial_row_trips_closedness_gate(grid5_forms):
-    """A trivial row asked to sum to 0.5 is met exactly by the solve, so
-    the u-form's closedness residual reads 0.5 and trips its gate."""
-    system = assemble_system(grid5_forms.graph, grid5_forms.classification)
-    system.rhs_u[system.n_coclosed] = 0.5
-    with pytest.raises(ResidualError, match="u-form trivial-cycle") as err:
-        solve_oneforms(system)
-    assert "v-form" not in str(err.value)
-    d = err.value.diagnostics
-    assert d["u"]["max_trivial_cycle_error"] == pytest.approx(0.5, abs=1e-12)
-    assert d["v"]["max_trivial_cycle_error"] < 1e-12
-    assert d["period_error"] < 1e-12
+def test_inconsistent_trivial_row_trips_closedness_gate():
+    """A trivial row that is not a loop still makes a basis, and the solve
+    meets it exactly, but a potential's gradient does not sum to zero
+    along it, so the closedness gate of each form it breaks trips. The
+    square 0-1-6-5 closing on edge (1, 2) breaks both forms by 0.2; on
+    the poloidal edge (0, 20) it breaks the v-form alone, by 0.4."""
+    graph = periodic_grid(5)
+    cls = manual_grid_classification(graph, 5, 5)
+    trivial = cls.trivial
+    lo, hi = trivial.indptr[0], trivial.indptr[1]
+    assert trivial.vertices[lo:hi].tolist() == [0, 1, 6, 5]
+    assert graph.edges[trivial.edges[hi - 1]].tolist() == [0, 5]
+    for (i, j), errors in (((1, 2), {"u": 0.2, "v": 0.2}),
+                           ((0, 20), {"u": 0.0, "v": 0.4})):
+        edges = trivial.edges.copy()
+        edges[hi - 1] = graph.edge_ids([i], [j])[0]
+        broken = CycleBasis(trivial.vertex_count, trivial.indptr,
+                            trivial.vertices, edges, trivial.weights)
+        with pytest.raises(ResidualError) as err:
+            solve_oneforms(graph, Classification(
+                broken, poloidal=cls.poloidal, toroidal=cls.toroidal))
+        d = err.value.diagnostics
+        for key, error in errors.items():
+            assert d[key]["max_trivial_cycle_error"] == pytest.approx(
+                error, abs=1e-12)
+            assert (f"{key}-form trivial-cycle" in str(err.value)) == (
+                error > 0)
+        assert d["period_error"] < 1e-12
 
 
 def cycle_row_reference(index, cycle):
@@ -103,8 +140,7 @@ def test_cycle_rows_match_per_edge_reference(torus_bundle):
     equals it up to one sign, set by the way its loop runs."""
     graph, cls = torus_bundle.graph, torus_bundle.classification
     index = {(i, j): e for e, (i, j) in enumerate(graph.edges.tolist())}
-    rows = assemble_system(graph, cls).matrix
-    rows = rows[graph.vertex_count:].tocsr()
+    rows = _cycle_rows(graph, cls)
     k = cls.trivial.size
     assert rows.shape[0] == k + 2
     generators = {k: cls.toroidal, k + 1: cls.poloidal}
@@ -126,8 +162,7 @@ def test_uniform_weight_scaling_invariance(grid5_forms):
     graph = grid5_forms.graph
     scaled = NeighborGraph.from_edges(graph.vertex_count, graph.edges,
                                       graph.lengths / 3.7)
-    pair = solve_oneforms(assemble_system(scaled,
-                                          grid5_forms.classification))
+    pair = solve_oneforms(scaled, grid5_forms.classification)
     assert np.max(np.abs(pair.du - grid5_forms.forms.du)) < 1e-12
     assert np.max(np.abs(pair.dv - grid5_forms.forms.dv)) < 1e-12
 
@@ -197,10 +232,17 @@ def test_angle_map_integrates_the_forms_on_the_basis_tree(bundle, request):
 
 
 def test_pipeline_forms_pass_gates(torus_bundle):
-    d = torus_bundle.forms.diagnostics
-    for key in ("u", "v"):
+    """The gates pass, and the forms are co-closed under inverse-length
+    weights summed edge by edge, not only under the solve's own rows."""
+    graph, forms = torus_bundle.graph, torus_bundle.forms
+    d = forms.diagnostics
+    for key, form in (("u", forms.du), ("v", forms.dv)):
         assert d[key]["coclosedness_rms"] < 1e-6 * d[key]["value_scale"]
         assert d[key]["max_trivial_cycle_error"] < 1e-6
+        balance = np.zeros(graph.vertex_count)
+        np.add.at(balance, graph.edges[:, 0], -form / graph.lengths)
+        np.add.at(balance, graph.edges[:, 1], form / graph.lengths)
+        assert np.sqrt(np.mean(balance ** 2)) < 1e-6 * d[key]["value_scale"]
     assert d["period_error"] < 1e-6
 
 
@@ -213,7 +255,7 @@ def test_grid3_periods_via_automatic_chain():
     graph = periodic_grid(3)
     basis = minimum_cycle_basis(graph)
     cls = classify_cycles(basis)
-    forms = solve_oneforms(assemble_system(graph, cls))
+    forms = solve_oneforms(graph, cls)
     assert np.allclose(forms.diagnostics["period_matrix"], np.eye(2))
 
 
@@ -232,7 +274,7 @@ def test_manual_classification_matches_docstring_sign_convention():
     walking i -> j; integrating row 0 forward accumulates period 1."""
     graph = periodic_grid(4)
     cls = manual_grid_classification(graph, 4, 4)
-    forms = solve_oneforms(assemble_system(graph, cls))
+    forms = solve_oneforms(graph, cls)
     total = 0.0
     v = cls.toroidal.vertices.tolist()
     for a, b in zip(v, v[1:] + v[:1]):
