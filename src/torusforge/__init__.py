@@ -1,4 +1,4 @@
-"""Meshing of 2-tori sampled as point clouds in 3 to 6 dimensions.
+"""Meshing of 2-tori sampled as point clouds in any dimension D >= 3.
 
 Pipeline: sample a quasi-periodic orbit or synthetic torus, build a
 k-nearest-neighbor graph, extract a cycle basis (its triangles and

@@ -30,8 +30,8 @@ from .errors import (ConfigError, MeshValidationError, OrientationConflictError,
 from .samplers import (load_point_cloud, sample_center_manifold_torus,
                        sample_standard_map_torus, sample_torus_revolution,
                        save_point_cloud)
-from .mesher import (_read_triangles, export_mesh_json, load_mesh_json,
-                     mesh_flat_torus, validate_mesh)
+from .mesher import (_read_triangles, _write_json, export_mesh_json,
+                     load_mesh_json, mesh_flat_torus, validate_mesh)
 from .orientation import orient_mesh
 from .projection import Projection, ProjectedMesh, export_mesh, project
 
@@ -222,13 +222,6 @@ def _build_projection(cfg):
     return Projection.matrix(_projection_matrix(pc))
 
 
-def _write_json(path, payload):
-    with open(path, "w", encoding="ascii") as fh:
-        # json.dumps takes the C encoder; json.dump never does
-        fh.write(json.dumps(payload, sort_keys=True))
-        fh.write("\n")
-
-
 def _art(cfg, name):
     return os.path.join(cfg["output_dir"], name)
 
@@ -357,7 +350,7 @@ def _add_common(parser):
 def make_parser():
     parser = argparse.ArgumentParser(
         prog="torusforge",
-        description="Mesh 2-tori sampled as point clouds in 3-6 dimensions.")
+        description="Mesh 2-tori sampled as point clouds in dimension >= 3.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (
             ("sample", "sample a point cloud -> cloud.csv"),

@@ -26,10 +26,9 @@ class NeighborGraph:
     vertex_count: int
     edges: np.ndarray          # (E, 2) int64, i < j, lexicographically sorted
     lengths: np.ndarray        # (E,) float64
-    k: int = 0
 
     @classmethod
-    def from_edges(cls, vertex_count, edges, lengths, k=0):
+    def from_edges(cls, vertex_count, edges, lengths):
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         lengths = np.asarray(lengths, dtype=np.float64)
         if np.any(edges[:, 0] == edges[:, 1]):
@@ -46,7 +45,7 @@ class NeighborGraph:
         lengths = lengths[order]
         if np.any(lengths <= 0):
             raise ConfigError("non-positive edge length")
-        return cls(vertex_count, edges, lengths, k)
+        return cls(vertex_count, edges, lengths)
 
     @property
     def edge_count(self):
@@ -116,7 +115,7 @@ def build_knn_graph(cloud, k):
     pairs = np.column_stack(np.divmod(np.unique(_pair_keys(i, j, n)), n))
     diff = pts[pairs[:, 0]] - pts[pairs[:, 1]]
     lengths = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    graph = NeighborGraph.from_edges(n, pairs, lengths, k=k)
+    graph = NeighborGraph.from_edges(n, pairs, lengths)
     _, sizes = np.unique(_components(n, pairs[:, 0], pairs[:, 1]),
                          return_counts=True)
     if len(sizes) != 1:

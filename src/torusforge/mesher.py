@@ -300,19 +300,22 @@ def mesh_flat_torus(graph, forms, cloud):
     return SurfaceMesh(cloud, triangles, report)
 
 
-def export_mesh_json(path, mesh):
-    """Native mesh artifact: D-dimensional points + oriented triangles."""
-    payload = {
-        "dim": int(mesh.cloud.dim),
-        "provenance": mesh.cloud.provenance,
-        "points": mesh.cloud.points.tolist(),
-        "triangles": mesh.triangles.tolist(),
-        "report": mesh.report,
-    }
+def _write_json(path, payload):
     with open(path, "w", encoding="ascii") as fh:
         # json.dumps takes the C encoder; json.dump never does
         fh.write(json.dumps(payload, sort_keys=True))
         fh.write("\n")
+
+
+def export_mesh_json(path, mesh):
+    """Native mesh artifact: D-dimensional points + oriented triangles."""
+    _write_json(path, {
+        "dim": mesh.cloud.dim,
+        "provenance": mesh.cloud.provenance,
+        "points": mesh.cloud.points.tolist(),
+        "triangles": mesh.triangles.tolist(),
+        "report": mesh.report,
+    })
 
 
 def _read_triangles(triangles, n):
@@ -335,15 +338,18 @@ def load_mesh_json(path):
     """Read a mesh.json; raises MeshValidationError, naming the path, when
     the file is not ASCII JSON with `dim`, `points` and `triangles`, when
     its points are not a valid PointCloud (say, two equal points or an
-    unknown `provenance`), or when its triangles are not (T, 3) integer
-    ids of its points, or when its `report` is not a JSON object."""
+    unknown `provenance`) or `dim` is not their width, when its
+    triangles are not (T, 3) integer ids of its points, or when its
+    `report` is not a JSON object."""
     from .samplers import PointCloud
     try:
         with open(path, "r", encoding="ascii") as fh:
             payload = json.load(fh)
-        points = np.array(payload["points"], dtype=np.float64)
-        cloud = PointCloud(points=points, dim=int(payload["dim"]),
-                           provenance=payload.get("provenance", "external"))
+        cloud = PointCloud(np.array(payload["points"], dtype=np.float64),
+                           payload.get("provenance", "external"))
+        if int(payload["dim"]) != cloud.dim:
+            raise ValueError(f"dim {payload['dim']} but the points have "
+                             f"{cloud.dim} columns")
         triangles = _read_triangles(payload["triangles"], cloud.n)
         report = payload.get("report", {})
         if not isinstance(report, dict):

@@ -27,11 +27,12 @@ _BLUE = (38, 139, 210)
 @dataclass
 class Projection:
     kind: str                # coordinate_select | pca | custom_matrix
-    spec: object = None      # index triple or (3, D) matrix
+    spec: object = None      # (3, D) matrix of a custom_matrix
 
     @classmethod
-    def coordinates(cls, indices=(0, 1, 2)):
-        return cls("coordinate_select", tuple(int(i) for i in indices))
+    def coordinates(cls):
+        """The first three coordinates; any other selection is a matrix."""
+        return cls("coordinate_select")
 
     @classmethod
     def pca(cls):
@@ -72,12 +73,7 @@ def project(mesh, proj):
     D = pts.shape[1]
     captured = None
     if proj.kind == "coordinate_select":
-        idx = proj.spec
-        if len(idx) != 3 or len(set(idx)) != 3:
-            raise ProjectionError(f"need 3 distinct coordinate indices, got {idx}")
-        if any(not 0 <= i < D for i in idx):
-            raise ProjectionError(f"coordinate index out of range for dim {D}: {idx}")
-        out = pts[:, list(idx)].copy()
+        out = pts[:, :3].copy()
     elif proj.kind == "pca":
         axes, captured = pca_axes(pts)
         out = (pts - pts.mean(axis=0)) @ axes.T

@@ -1,6 +1,6 @@
-"""Toroidal point-cloud samplers in 3D-6D embedding spaces, plus cloud I/O.
+"""Toroidal point clouds in any embedding dimension D >= 3, plus CSV I/O.
 
-Three sources: a synthetic torus of revolution (3D), the product of two
+Three samplers: a synthetic torus of revolution (3D), the product of two
 Chirikov standard maps embedded on the Clifford torus (4D), and the exact
 linear center-manifold torus at a collinear CR3BP libration point (6D,
 position and velocity components both included).
@@ -21,20 +21,17 @@ PROVENANCES = ("synthetic", "standard_map", "cr3bp_linear", "external")
 
 @dataclass(frozen=True)
 class PointCloud:
-    """N points in a D-dimensional embedding space (D in 3..6)."""
+    """N points in R^D, any D >= 3 (projection needs three axes)."""
 
-    dim: int
     points: np.ndarray
     provenance: str = "external"
 
     def __post_init__(self):
         pts = np.ascontiguousarray(np.asarray(self.points, dtype=np.float64))
         object.__setattr__(self, "points", pts)
-        if self.dim not in (3, 4, 5, 6):
-            raise ConfigError(f"dim={self.dim} not in 3..6")
-        if pts.ndim != 2 or pts.shape[1] != self.dim:
-            raise ConfigError(
-                f"points shape {pts.shape} inconsistent with dim={self.dim}")
+        if pts.ndim != 2 or pts.shape[1] < 3:
+            raise ConfigError(f"points must be (N, D) with D >= 3, got "
+                              f"shape {pts.shape}")
         if pts.shape[0] < 4:
             raise ConfigError(f"need at least 4 points, got {pts.shape[0]}")
         if not np.all(np.isfinite(pts)):
@@ -43,6 +40,10 @@ class PointCloud:
             raise ConfigError("exact duplicate points in cloud")
         if self.provenance not in PROVENANCES:
             raise ConfigError(f"unknown provenance {self.provenance!r}")
+
+    @property
+    def dim(self):
+        return self.points.shape[1]
 
     @property
     def n(self):
@@ -90,7 +91,7 @@ def sample_torus_revolution(R, r, N, seed, distribution):
         raise ConfigError(f"unknown distribution {distribution!r}")
     ring = R + r * np.cos(v)
     pts = np.column_stack([ring * np.cos(u), ring * np.sin(u), r * np.sin(v)])
-    return PointCloud(dim=3, points=pts, provenance="synthetic")
+    return PointCloud(pts, provenance="synthetic")
 
 
 def iterate_standard_map(K1, K2, theta1, theta2, p1, p2, N):
@@ -118,7 +119,7 @@ def sample_standard_map_torus(K1, K2, theta1, theta2, p1, p2, N):
     orbit = iterate_standard_map(K1, K2, theta1, theta2, p1, p2, N)
     th1, th2 = orbit[:, 0], orbit[:, 2]
     pts = np.column_stack([np.cos(th1), np.sin(th1), np.cos(th2), np.sin(th2)])
-    return PointCloud(dim=4, points=pts, provenance="standard_map")
+    return PointCloud(pts, provenance="standard_map")
 
 
 def center_manifold_model(mu, point):
@@ -222,21 +223,22 @@ def sample_center_manifold_torus(mu, point, amp_planar, amp_vertical, N,
     pts = (center[None, :]
            + (A * np.exp(1j * om_p * t)[:, None] * u_p[None, :]).real
            + (B * np.exp(1j * om_v * t)[:, None] * u_v[None, :]).real)
-    return PointCloud(dim=6, points=pts, provenance="cr3bp_linear")
+    return PointCloud(pts, provenance="cr3bp_linear")
 
 
 def save_point_cloud(path, cloud):
     """Write a cloud as CSV, whatever the path's extension: a "# dim=D"
-    line, then one row of 17 significant digits per point."""
+    and a "# provenance=<name>" line, then one row of 17 significant
+    digits per point."""
     line = ",".join(["%.17g"] * cloud.dim) + "\n"
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"# dim={cloud.dim}\n")
+        fh.write(f"# dim={cloud.dim}\n# provenance={cloud.provenance}\n")
         fh.writelines(line % tuple(row) for row in cloud.points.tolist())
 
 
-def _load_csv_rows(path):
+def _read_csv_cloud(path):
     rows = []
-    declared = None
+    declared, provenance = None, "external"
     with open(path, "r", encoding="ascii") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
@@ -244,46 +246,50 @@ def _load_csv_rows(path):
                 continue
             if text.startswith("#"):
                 body = text[1:].strip()
-                if body.startswith("dim="):
+                if body.startswith("provenance="):
+                    provenance = body[len("provenance="):]
+                elif body.startswith("dim="):
                     try:
                         declared = int(body[4:])
                     except ValueError:
-                        raise ConfigError(f"{path}: bad header at line "
-                                          f"{lineno}: {text!r}") from None
+                        raise ConfigError(f"bad header at line {lineno}: "
+                                          f"{text!r}") from None
                 continue
             try:
                 rows.append([float(tok) for tok in text.split(",")])
             except ValueError as exc:
-                raise ConfigError(f"{path}: parse error at line {lineno}: {exc}")
-    return declared, rows
-
-
-def load_point_cloud(path):
-    """Load a cloud from CSV, whatever the path's extension, as
-    `save_point_cloud` writes it: optional "#" lines (a "# dim=D" line must
-    match the row width), then rows of comma-separated numbers.
-
-    Exact duplicate rows are removed (first occurrence kept) with a logged
-    warning count. A file that is not ASCII text, or not such rows, raises
-    `ConfigError` naming the path.
-    """
-    try:
-        declared, rows = _load_csv_rows(path)
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not ASCII text: {exc}") from None
+                raise ConfigError(f"parse error at line {lineno}: {exc}")
     if not rows:
-        raise ConfigError(f"{path}: no data rows")
+        raise ConfigError("no data rows")
     widths = {len(r) for r in rows}
     if len(widths) != 1:
-        raise ConfigError(f"{path}: inconsistent row widths {sorted(widths)}")
+        raise ConfigError(f"inconsistent row widths {sorted(widths)}")
     file_dim = widths.pop()
     if declared is not None and declared != file_dim:
         raise ConfigError(
-            f"{path}: header dim={declared} but rows have {file_dim} columns")
+            f"header dim={declared} but rows have {file_dim} columns")
     pts = np.array(rows, dtype=np.float64)
     uniq, first = np.unique(pts, axis=0, return_index=True)
     if uniq.shape[0] != pts.shape[0]:
         dropped = pts.shape[0] - uniq.shape[0]
         log.warning("%s: removed %d exact duplicate point(s)", path, dropped)
         pts = pts[np.sort(first)]
-    return PointCloud(dim=pts.shape[1], points=pts, provenance="external")
+    return PointCloud(pts, provenance)
+
+
+def load_point_cloud(path):
+    """Load a cloud from CSV, whatever the path's extension, as
+    `save_point_cloud` writes it: optional "#" lines (a "# dim=D" line must
+    match the row width; without a "# provenance=" line the cloud is
+    "external"), then rows of D >= 3 comma-separated numbers.
+
+    Exact duplicate rows are removed (first occurrence kept) with a logged
+    warning count. A file that is not ASCII text, or not such rows, raises
+    `ConfigError` naming the path.
+    """
+    try:
+        return _read_csv_cloud(path)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not ASCII text: {exc}") from None
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None

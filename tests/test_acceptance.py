@@ -141,8 +141,8 @@ def test_c7_orientation_flip_and_coordinate_freedom(torus_bundle):
     for ta, tb in zip(out_a.triangles, out_b.triangles):
         a, b, c = (int(v) for v in ta[[0, 2, 1]])
         assert tuple(tb) in {(a, b, c), (b, c, a), (c, a, b)}
-    permuted = PointCloud(dim=3, points=mesh.cloud.points[:, [1, 2, 0]],
-                          provenance=mesh.cloud.provenance)
+    permuted = PointCloud(mesh.cloud.points[:, [1, 2, 0]],
+                          mesh.cloud.provenance)
     out_c = orient_mesh(SurfaceMesh(permuted, mesh.triangles, {}))
     assert np.array_equal(out_a.triangles, out_c.triangles)
     print("ACCEPTANCE PASS: C7 orientation invariance")

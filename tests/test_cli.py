@@ -231,7 +231,9 @@ def test_coincident_chart_points_named(tmp_path, capsys):
     out = ["--output-dir", str(tmp_path)]
     assert cli.main(["sample", "--dim", "3"] + out) == 0
     cloud = tmp_path / "cloud.csv"
-    row = [float(x) for x in cloud.read_text().splitlines()[1].split(",")]
+    first = next(line for line in cloud.read_text().splitlines()
+                 if not line.startswith("#"))
+    row = [float(x) for x in first.split(",")]
     row[0] += 1e-10
     with open(cloud, "a", encoding="ascii") as fh:
         fh.write(",".join("%.17g" % x for x in row) + "\n")
@@ -266,14 +268,31 @@ def test_failure_json_carries_exception_payload(capsys):
     assert "details" not in json.loads(capsys.readouterr().err)
 
 
-def test_stage_isolation(tmp_path, fast_cfg):
+def test_stage_isolation(tmp_path, fast_cfg, finished_run):
     """Each stage run as its own process-style invocation picks up the
-    previous stage's artifacts from disk."""
+    previous stage's artifacts from disk, and together they write what
+    `run` writes, byte for byte (cloud.csv carries the provenance)."""
     common = ["--config", str(fast_cfg), "--output-dir", str(tmp_path)]
     for stage in ("sample", "mesh", "project", "export", "validate"):
         assert cli.main([stage] + common) == 0, stage
     for name in ARTIFACTS:
-        assert (tmp_path / name).is_file(), name
+        assert ((tmp_path / name).read_bytes()
+                == (finished_run / name).read_bytes()), name
+
+
+def test_mesh_stage_takes_any_dimension(tmp_path, finished_run):
+    """The 800-point run's cloud lifted into R^8 by a seeded orthonormal
+    map meshes from cloud.csv, and the later stages read the result."""
+    points = np.loadtxt(finished_run / "cloud.csv", delimiter=",")
+    q, _ = np.linalg.qr(np.random.default_rng(8).normal(size=(8, 3)))
+    np.savetxt(tmp_path / "cloud.csv", points @ q.T, delimiter=",",
+               fmt="%.17g")
+    for stage in ("mesh", "project", "export", "validate"):
+        assert cli.main([stage, "--output-dir", str(tmp_path)]) == 0, stage
+    report = json.loads((tmp_path / "validation.json").read_text())
+    assert report["dim"] == 8
+    assert report["faces"] == 2 * len(points)
+    assert report["problems"] == []
 
 
 def test_byte_determinism_across_runs(tmp_path_factory, fast_cfg):
@@ -391,12 +410,14 @@ NO_TRIANGLES = (b'{"dim": 3, "points": '
     # a TPC1 binary cloud (magic, u32 dim, u64 count, f64 rows) is not CSV
     ("mesh", "cloud.csv", b"TPC1" + struct.pack("<IQ", 3, 4)
      + np.eye(4, 3).astype("<f8").tobytes(), 2),
+    ("mesh", "cloud.csv", b"0,0\n0,1\n1,0\n1,1\n2,2\n", 2),
     ("project", "mesh.json", b"not json\n", 4),
     ("validate", "mesh.json", NO_TRIANGLES, 4),
     ("project", "mesh.json", NO_TRIANGLES, 4),
     ("export", "projected.json", b'{"points": [], "source_dim": 3}', 3)],
-    ids=["cloud-utf8", "cloud-tpc1", "mesh-not-json", "validate-no-triangles",
-         "project-no-triangles", "export-no-triangles"])
+    ids=["cloud-utf8", "cloud-tpc1", "cloud-2-columns", "mesh-not-json",
+         "validate-no-triangles", "project-no-triangles",
+         "export-no-triangles"])
 def test_malformed_artifact_names_stage_and_file(tmp_path, capsys, command,
                                                  name, data, code):
     """A malformed input artifact stops its stage with the error that
@@ -455,6 +476,7 @@ MALFORMED = {
     "nan-point": _nan_point}
 # a mesh.json's report is a JSON object; projected.json carries none
 MALFORMED_MESH = {**MALFORMED,
+                  "dim-mismatch": lambda p: p.update(dim=p["dim"] + 1),
                   "report-5": lambda p: _report(p, 5),
                   "report-str": lambda p: _report(p, "period_defect_max"),
                   "report-list": lambda p: _report(p, [1, 2])}

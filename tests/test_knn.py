@@ -27,7 +27,7 @@ def brute_force_edges(pts, k):
 @pytest.mark.parametrize("dim,k", [(3, 3), (4, 5), (6, 4)])
 def test_matches_brute_force_on_random_clouds(dim, k):
     rng = np.random.default_rng(100 + dim)
-    cloud = PointCloud(dim=dim, points=rng.random((60, dim)))
+    cloud = PointCloud(rng.random((60, dim)))
     graph = build_knn_graph(cloud, k=k)
     assert set(map(tuple, graph.edges.tolist())) == \
         brute_force_edges(cloud.points, k)
@@ -39,7 +39,7 @@ def test_matches_brute_force_on_random_clouds(dim, k):
 def test_matches_brute_force_with_distance_ties():
     # integer lattice: many exactly equidistant candidates
     pts = np.array(list(product(range(4), repeat=3)), dtype=np.float64)
-    cloud = PointCloud(dim=3, points=pts)
+    cloud = PointCloud(pts)
     graph = build_knn_graph(cloud, k=6)
     assert set(map(tuple, graph.edges.tolist())) == \
         brute_force_edges(pts, 6)
@@ -49,8 +49,8 @@ def test_permutation_invariance():
     rng = np.random.default_rng(5)
     pts = rng.random((80, 3))
     perm = rng.permutation(80)
-    g1 = build_knn_graph(PointCloud(dim=3, points=pts), k=4)
-    g2 = build_knn_graph(PointCloud(dim=3, points=pts[perm]), k=4)
+    g1 = build_knn_graph(PointCloud(pts), k=4)
+    g2 = build_knn_graph(PointCloud(pts[perm]), k=4)
     inv = np.argsort(perm)
     relabeled = {tuple(sorted((inv[i], inv[j])))
                  for i, j in g1.edges.tolist()}
@@ -60,15 +60,14 @@ def test_permutation_invariance():
 
 def test_degree_at_least_k():
     rng = np.random.default_rng(9)
-    cloud = PointCloud(dim=3, points=rng.random((50, 3)))
+    cloud = PointCloud(rng.random((50, 3)))
     graph = build_knn_graph(cloud, k=5)
-    assert graph.k == 5
     assert int(np.bincount(graph.edges.ravel()).min()) >= 5
 
 
 def test_edges_sorted_and_indexed():
     graph = build_knn_graph(
-        PointCloud(dim=3, points=np.random.default_rng(2).random((30, 3))),
+        PointCloud(np.random.default_rng(2).random((30, 3))),
         k=3)
     e = graph.edges
     assert np.all(e[:, 0] < e[:, 1])
@@ -100,7 +99,7 @@ def test_edge_ids_raise_on_pairs_that_are_not_edges():
 def test_disconnected_graph_reports_component_sizes():
     rng = np.random.default_rng(1)
     far = np.vstack([rng.random((30, 3)), rng.random((20, 3)) + 100.0])
-    cloud = PointCloud(dim=3, points=far)
+    cloud = PointCloud(far)
     with pytest.raises(DisconnectedGraphError) as err:
         build_knn_graph(cloud, k=3)
     assert err.value.component_sizes == [30, 20]
@@ -110,13 +109,12 @@ def test_disconnected_graph_reports_component_sizes():
     three = np.vstack([rng.random((12, 3)), rng.random((40, 3)) + 100.0,
                        rng.random((25, 3)) - 100.0])
     with pytest.raises(DisconnectedGraphError) as err:
-        build_knn_graph(PointCloud(dim=3, points=three), k=3)
+        build_knn_graph(PointCloud(three), k=3)
     assert err.value.component_sizes == [40, 25, 12]
 
 
 def test_k_bounds():
-    cloud = PointCloud(dim=3,
-                       points=np.random.default_rng(0).random((10, 3)))
+    cloud = PointCloud(np.random.default_rng(0).random((10, 3)))
     with pytest.raises(ConfigError):
         build_knn_graph(cloud, k=1)
     with pytest.raises(ConfigError):

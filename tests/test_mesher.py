@@ -312,8 +312,7 @@ def robustness_cloud(name):
         normal = (pts - core) / 0.5
         sigma = float(name[len("noise"):])
         shift = np.random.default_rng(0).normal(0.0, sigma, (len(pts), 1))
-        return PointCloud(dim=3, points=pts + shift * normal,
-                          provenance="synthetic")
+        return PointCloud(pts + shift * normal, "synthetic")
     return sample_center_manifold_torus(EARTH_MOON_MU, name, 5e-3, 5e-3,
                                         6000)
 
@@ -345,7 +344,7 @@ def graded_torus(a, n=2000):
         ok = rng.random(n) < (1.0 + a * np.cos(cu)) / (1.0 + a)
         u, v = np.r_[u, cu[ok]], np.r_[v, cv[ok]]
     ring = 2.0 + 0.5 * np.cos(v[:n])
-    return PointCloud(dim=3, points=np.column_stack(
+    return PointCloud(np.column_stack(
         [ring * np.cos(u[:n]), ring * np.sin(u[:n]), 0.5 * np.sin(v[:n])]))
 
 
@@ -389,7 +388,7 @@ def coupled_map_cloud(c, n=4000):
         p = (p + 0.05 * np.sin(2.0 * np.pi * x) + s) % 1.0
         x = (x + p) % 1.0
     x1, x2, p1 = 2.0 * np.pi * orbit.T
-    return PointCloud(dim=6, points=np.column_stack(
+    return PointCloud(np.column_stack(
         [np.cos(x1), np.sin(x1), np.cos(x2), np.sin(x2),
          0.2 * np.cos(p1), 0.2 * np.sin(p1)]))
 
@@ -440,7 +439,7 @@ def test_relabeling_keeps_undirected_triangles(bundle, request):
     want = undirected_triangles(bundle.mesh.triangles)
     for seed in range(3):
         perm = np.random.default_rng(seed).permutation(bundle.cloud.n)
-        moved = PointCloud(dim=3, points=bundle.cloud.points[perm])
+        moved = PointCloud(bundle.cloud.points[perm])
         got = perm[build_pipeline(moved).mesh.triangles]
         assert np.array_equal(undirected_triangles(got), want), seed
 
@@ -488,9 +487,36 @@ def test_grid_torus_mesh_invariant_under_similarity(move, torus_bundle):
     else:
         q, r = np.linalg.qr(rng.normal(size=(3, 3)))
         pts = pts @ (q * np.sign(np.diag(r))).T
-    got = build_pipeline(PointCloud(dim=3, points=pts)).mesh.triangles
+    got = build_pipeline(PointCloud(pts)).mesh.triangles
     assert np.array_equal(undirected_triangles(got),
                           undirected_triangles(torus_bundle.mesh.triangles))
+
+
+def test_isometric_lift_to_r12_keeps_triangles(cm_bundle):
+    """Nothing after PointCloud depends on the embedding dimension: the
+    6D cloud mapped into R^12 by a seeded orthonormal map meshes to the
+    same triangle array, winding and row order included."""
+    q, _ = np.linalg.qr(np.random.default_rng(12).normal(size=(12, 6)))
+    cloud = cm_bundle.cloud
+    lifted = PointCloud(cloud.points @ q.T, cloud.provenance)
+    assert lifted.dim == 12
+    got = build_pipeline(lifted).mesh.triangles
+    assert np.array_equal(got, cm_bundle.mesh.triangles)
+
+
+def test_five_character_torus_in_r10_meshes_closed():
+    """A flat torus through five characters (cos, sin of a u + b v) in
+    R^10, at 2000 seeded random angles, meshes to a closed torus."""
+    rng = np.random.default_rng(0)
+    angles = 2.0 * np.pi * rng.random((2, 2000))
+    phases = np.array([(1, 0), (0, 1), (1, 1), (1, -1), (2, 1)]) @ angles
+    cloud = PointCloud(np.column_stack(
+        [f(p) for p in phases for f in (np.cos, np.sin)]))
+    assert cloud.dim == 10
+    report = build_pipeline(cloud).mesh.report
+    assert report["problems"] == []
+    assert report["faces"] == 4000
+    assert report["vertices"] == 2000
 
 
 def test_merged_mesh_stays_off_period_seams(torus_bundle):

@@ -13,7 +13,7 @@ from torusforge.samplers import PointCloud
 
 
 def plain_mesh(points, triangles):
-    cloud = PointCloud(dim=points.shape[1], points=points)
+    cloud = PointCloud(points)
     return SurfaceMesh(cloud, np.asarray(triangles, dtype=np.int64), {})
 
 
@@ -77,8 +77,8 @@ def test_orientation_is_coordinate_free(torus_bundle):
     """Propagation never reads vertex positions, so permuting the
     embedding coordinates changes nothing."""
     mesh = torus_bundle.mesh
-    permuted = PointCloud(dim=3, points=mesh.cloud.points[:, [2, 0, 1]],
-                          provenance=mesh.cloud.provenance)
+    permuted = PointCloud(mesh.cloud.points[:, [2, 0, 1]],
+                          mesh.cloud.provenance)
     out_a = orient_mesh(mesh)
     out_b = orient_mesh(SurfaceMesh(permuted, mesh.triangles, {}))
     assert np.array_equal(out_a.triangles, out_b.triangles)
@@ -196,8 +196,8 @@ def test_scrambled_torus_gets_one_global_orientation(torus_bundle, seed):
     scrambled[flip] = scrambled[flip][:, [0, 2, 1]]
     points = np.empty_like(mesh.cloud.points)
     points[label] = mesh.cloud.points
-    out = orient_mesh(SurfaceMesh(PointCloud(dim=3, points=points),
-                                  scrambled, {})).triangles
+    out = orient_mesh(SurfaceMesh(PointCloud(points), scrambled,
+                                  {})).triangles
     assert (same_orientation(base, out)
             or same_orientation(base[:, [0, 2, 1]], out))
     assert_each_directed_edge_once(out)

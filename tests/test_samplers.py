@@ -217,33 +217,42 @@ def test_center_manifold_amp_validation():
         sample_center_manifold_torus(0.01215, "L2", 1e-3, 1e-3, 3)
 
 
+def test_point_cloud_dim_is_width():
+    """Any embedding dimension D >= 3 is a cloud, and D is the width of
+    its points; fewer than three columns, or a 1-D array, is not."""
+    rng = np.random.default_rng(0)
+    for width in (3, 7, 12):
+        assert PointCloud(rng.random((10, width))).dim == width
+    for bad in (rng.random((10, 2)), rng.random(10)):
+        with pytest.raises(ConfigError, match="D >= 3"):
+            PointCloud(bad)
+
+
 def test_point_cloud_validation():
     good = np.random.default_rng(0).random((10, 4))
     with pytest.raises(ConfigError):
-        PointCloud(dim=7, points=np.zeros((10, 7)))
-    with pytest.raises(ConfigError):
-        PointCloud(dim=3, points=good)
-    with pytest.raises(ConfigError):
-        PointCloud(dim=4, points=np.vstack([good, good[:1]]))
+        PointCloud(np.vstack([good, good[:1]]))
     bad = good.copy()
     bad[0, 0] = np.nan
     with pytest.raises(ConfigError):
-        PointCloud(dim=4, points=bad)
+        PointCloud(bad)
     with pytest.raises(ConfigError):
-        PointCloud(dim=4, points=good, provenance="mystery")
+        PointCloud(good, provenance="mystery")
 
 
 def test_cloud_csv_round_trip_exact(tmp_path):
-    """CSV is the one cloud format, whatever the path's extension."""
+    """CSV is the one cloud format, whatever the path's extension, and
+    it keeps the sampler's provenance."""
     cloud = sample_torus_revolution(2.0, 0.5, 64, 3, "grid")
     for name in ("cloud.csv", "cloud.txt", "cloud.CSV"):
         path = tmp_path / name
         save_point_cloud(path, cloud)
-        assert path.read_text().startswith("# dim=3\n")
+        assert path.read_text().startswith(
+            "# dim=3\n# provenance=synthetic\n")
         back = load_point_cloud(path)
         assert back.dim == 3
         assert np.array_equal(back.points, cloud.points)
-        assert back.provenance == "external"
+        assert back.provenance == "synthetic"
 
 
 def test_cloud_load_errors(tmp_path):
@@ -265,6 +274,21 @@ def test_cloud_load_errors(tmp_path):
         load_point_cloud(path)
 
 
+@pytest.mark.parametrize("text, problem", [
+    ("1,2\n3,4\n5,6\n7,8\n", "D >= 3"),
+    ("1,2,3\n4,5,6\n7,8,nan\n0,0,1\n", "non-finite"),
+    ("1,2,3\n4,5,6\n7,8,9\n", "at least 4 points"),
+    ("# provenance=scanner\n1,2,3\n4,5,6\n7,8,9\n0,0,1\n", "provenance")],
+    ids=["2-columns", "nan", "3-points", "unknown-provenance"])
+def test_cloud_load_errors_name_the_file(tmp_path, text, problem):
+    """Every cloud the file's rows do not make names the file."""
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=problem) as err:
+        load_point_cloud(path)
+    assert str(err.value).startswith(f"{path}: ")
+
+
 def test_cloud_load_drops_duplicates(tmp_path, caplog):
     path = tmp_path / "dup.csv"
     rows = ["1,2,3", "4,5,6", "1,2,3", "7,8,9", "0,0,1"]
@@ -272,6 +296,7 @@ def test_cloud_load_drops_duplicates(tmp_path, caplog):
     with caplog.at_level("WARNING"):
         cloud = load_point_cloud(path)
     assert cloud.n == 4
+    assert cloud.provenance == "external"     # no "# provenance=" line
     # first occurrence kept, original order preserved
     assert cloud.points[0].tolist() == [1, 2, 3]
     assert cloud.points[1].tolist() == [4, 5, 6]
