@@ -5,7 +5,7 @@ k-nearest-neighbor graph, extract a cycle basis (its triangles and
 chordless squares plus the two homology generators), classify the
 generators, solve for harmonic one-forms and the angle map on the flat
 torus they integrate to, take its periodic Delaunay triangulation as a
-closed oriented mesh, and project/export the result for rendering.
+closed oriented mesh, and export it projected to 3D by a (3, D) matrix.
 `orient_mesh` winds any other mesh (a loaded mesh.json, say)
 consistently, or proves it non-orientable, from the orientation double
 cover of its faces. Each name loads its module on first access, so
@@ -33,8 +33,8 @@ _MODULES = {
     "mesher": ("SurfaceMesh", "load_mesh_json", "mesh_flat_torus",
                "validate_mesh"),
     "orientation": ("orient_mesh",),
-    "projection": ("ProjectedMesh", "Projection", "export_mesh", "project",
-                   "read_obj", "read_ply"),
+    "projection": ("ProjectedMesh", "export_mesh", "project", "read_obj",
+                   "read_ply"),
     "cli": ("default_config", "main", "run_pipeline"),
 }
 _HOME = {name: module for module, names in _MODULES.items()

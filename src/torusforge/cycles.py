@@ -209,10 +209,7 @@ class _Workspace:
         self.n = graph.vertex_count
         self.E = len(graph.edges)
         self.m = self.E - self.n + 1
-        self.ex = graph.edges[:, 0].astype(np.int64)
-        self.ey = graph.edges[:, 1].astype(np.int64)
-        if np.any(np.diff(self.ex * self.n + self.ey) <= 0):
-            raise CycleBasisError("edge list must be sorted and duplicate free")
+        self.ex, self.ey = graph.edges.T
         rng = np.random.default_rng(_INTERNAL_SEED)
         # deterministic tie-breaking perturbation, far above float noise
         # and far below any honest weight difference
@@ -574,8 +571,6 @@ def homology_split(graph):
     same ones, and de Pina's rule completes them exactly.
     """
     ws = _Workspace(graph)
-    if ws.m == 0:
-        return CycleBasis.from_loops(graph, [])
     return _finish(ws, *_short_cycle_basis(ws))
 
 
@@ -604,17 +599,19 @@ def classify_cycles(basis, ratio=1.25):
     return Classification(basis.take(np.arange(k)), poloidal, toroidal)
 
 
-def export_cycles_json(path, basis, classification):
+def export_cycles_json(path, classification):
     """Dump a classified cycle basis as deterministic JSON: the two
     generators in full, the trivial cycles as a summary of their count,
     their count per hop and their digest."""
     generators = [(classification.poloidal, "poloidal"),
                   (classification.toroidal, "toroidal")]
     rest = classification.trivial
+    # the basis's weights in its order, summed as its total_weight() sums
+    weights = rest.weights.tolist() + [c.weight for c, _ in generators]
     payload = {
-        "cycle_count": basis.size,
-        "vertex_count": basis.vertex_count,
-        "total_weight": basis.total_weight(),
+        "cycle_count": rest.size + 2,
+        "vertex_count": rest.vertex_count,
+        "total_weight": float(sum(weights)),
         "generators": [
             {
                 "vertices": c.vertices.tolist(),

@@ -12,40 +12,42 @@ from .mesher import _components
 log = logging.getLogger("torusforge.knn")
 
 
-def _pair_keys(i, j, n):
-    """int64 keys lo * n + hi of the pairs {i[t], j[t]} of vertices below
-    n; they sort as the pairs (lo, hi) do, lexicographically."""
-    return np.minimum(i, j) * n + np.maximum(i, j)
-
-
 @dataclass
 class NeighborGraph:
-    """Undirected weighted graph: edges (i, j) with i < j and Euclidean
-    lengths measured in the native embedding space."""
+    """Undirected weighted graph, checked when built: edge rows (i, j),
+    i < j, strictly ascending, each with its Euclidean length."""
 
     vertex_count: int
     edges: np.ndarray          # (E, 2) int64, i < j, lexicographically sorted
-    lengths: np.ndarray        # (E,) float64
+    lengths: np.ndarray        # (E,) float64, finite and positive
+
+    def __post_init__(self):
+        n = self.vertex_count
+        e = self.edges = np.asarray(self.edges, np.int64).reshape(-1, 2)
+        w = self.lengths = np.asarray(self.lengths, dtype=np.float64)
+        if w.shape != (len(e),) or not np.all(np.isfinite(w)):
+            raise ConfigError(f"need one finite length per edge, E = {len(e)}")
+        if np.any(e[:, 0] == e[:, 1]):
+            raise ConfigError("self-loop edge")
+        if np.any((e < 0) | (e >= n)):
+            raise ConfigError(f"edge vertex ids must lie in [0, {n})")
+        step = np.diff(e[:, 0] * n + e[:, 1])
+        if np.any(step == 0):
+            raise ConfigError("parallel edges")
+        if np.any(e[:, 0] > e[:, 1]) or np.any(step < 0):
+            raise ConfigError("edge rows must be ascending pairs i < j")
+        if np.any(w <= 0):
+            raise ConfigError("non-positive edge length")
 
     @classmethod
     def from_edges(cls, vertex_count, edges, lengths):
-        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        """The graph of `edges` given in any row order and orientation."""
+        edges = np.sort(np.asarray(edges, np.int64).reshape(-1, 2), axis=1)
         lengths = np.asarray(lengths, dtype=np.float64)
-        if np.any(edges[:, 0] == edges[:, 1]):
-            raise ConfigError("self-loop edge")
-        if np.any((edges < 0) | (edges >= vertex_count)):
-            raise ConfigError(f"edge vertex ids must lie in [0, "
-                              f"{vertex_count})")
-        keys = _pair_keys(edges[:, 0], edges[:, 1], vertex_count)
-        order = np.argsort(keys)
-        keys = keys[order]
-        if np.any(keys[1:] == keys[:-1]):
-            raise ConfigError("parallel edges")
-        edges = np.column_stack(np.divmod(keys, vertex_count))
-        lengths = lengths[order]
-        if np.any(lengths <= 0):
-            raise ConfigError("non-positive edge length")
-        return cls(vertex_count, edges, lengths)
+        order = np.lexsort((edges[:, 1], edges[:, 0]))
+        if lengths.shape == order.shape:
+            lengths = lengths[order]
+        return cls(vertex_count, edges[order], lengths)
 
     @property
     def edge_count(self):
@@ -112,7 +114,8 @@ def build_knn_graph(cloud, k):
     neigh = _knn_pairs(pts, k)
     i = np.repeat(np.arange(n), k)
     j = neigh.ravel()
-    pairs = np.column_stack(np.divmod(np.unique(_pair_keys(i, j, n)), n))
+    keys = np.unique(np.minimum(i, j) * n + np.maximum(i, j))
+    pairs = np.column_stack(np.divmod(keys, n))     # sorted as the keys
     diff = pts[pairs[:, 0]] - pts[pairs[:, 1]]
     lengths = np.sqrt(np.einsum("ij,ij->i", diff, diff))
     graph = NeighborGraph.from_edges(n, pairs, lengths)

@@ -1,13 +1,14 @@
 """Linear down-projection of D-dimensional meshes to 3D and mesh export.
 
-Projection keeps connectivity and winding untouched; only vertex
-coordinates are mapped. Exports write OBJ (ASCII, universal) and binary
-little-endian PLY with per-face sidedness RGB. The sidedness color of a
-face is the sign of its projected normal against a local outward
-reference: the face centroid minus the mean of its vertices' one-ring
-neighborhoods. On a surface without projection fold-over that sign is
-constant; a flip marks self-intersection artifacts introduced by the
-projection.
+A projection is one (3, D) matrix applied to the vertices: the first
+three coordinates are `np.eye(3, D)`, and `None` stands for the cloud's
+principal axes. Connectivity and winding stay untouched. Exports write
+OBJ (ASCII, universal) and binary little-endian PLY with per-face
+sidedness RGB. The sidedness color of a face is the sign of its
+projected normal against a local outward reference: the face centroid
+minus the mean of its vertices' one-ring neighborhoods. On a surface
+without projection fold-over that sign is constant; a flip marks
+self-intersection artifacts introduced by the projection.
 """
 
 import logging
@@ -22,25 +23,6 @@ log = logging.getLogger("torusforge.projection")
 
 _RED = (220, 50, 47)
 _BLUE = (38, 139, 210)
-
-
-@dataclass
-class Projection:
-    kind: str                # coordinate_select | pca | custom_matrix
-    spec: object = None      # (3, D) matrix of a custom_matrix
-
-    @classmethod
-    def coordinates(cls):
-        """The first three coordinates; any other selection is a matrix."""
-        return cls("coordinate_select")
-
-    @classmethod
-    def pca(cls):
-        return cls("pca")
-
-    @classmethod
-    def matrix(cls, mat):
-        return cls("custom_matrix", np.asarray(mat, dtype=np.float64))
 
 
 @dataclass
@@ -67,27 +49,24 @@ def pca_axes(points):
     return axes, captured
 
 
-def project(mesh, proj):
-    """Apply a projection to a SurfaceMesh -> ProjectedMesh."""
+def project(mesh, axes):
+    """Map a SurfaceMesh to 3D by the (3, D) matrix `axes` -> ProjectedMesh.
+
+    `axes=None` takes the cloud's top three principal axes about its mean
+    (`pca_axes`) and records the variance they capture."""
     pts = mesh.cloud.points
     D = pts.shape[1]
     captured = None
-    if proj.kind == "coordinate_select":
-        out = pts[:, :3].copy()
-    elif proj.kind == "pca":
+    if axes is None:
         axes, captured = pca_axes(pts)
-        out = (pts - pts.mean(axis=0)) @ axes.T
-    elif proj.kind == "custom_matrix":
-        mat = np.asarray(proj.spec, dtype=np.float64)
-        if mat.shape != (3, D):
-            raise ProjectionError(f"projection matrix must be 3x{D}, got {mat.shape}")
-        svals = np.linalg.svd(mat, compute_uv=False)
-        if svals[-1] <= 1e-12 * svals[0]:
-            raise ProjectionError("projection matrix is rank deficient")
-        out = pts @ mat.T
-    else:
-        raise ProjectionError(f"unknown projection kind {proj.kind!r}")
-    return ProjectedMesh(out, np.array(mesh.triangles, dtype=np.int64),
+        pts = pts - pts.mean(axis=0)
+    mat = np.asarray(axes, dtype=np.float64)
+    if mat.shape != (3, D):
+        raise ProjectionError(f"projection matrix must be 3x{D}, got {mat.shape}")
+    svals = np.linalg.svd(mat, compute_uv=False)
+    if svals[-1] <= 1e-12 * svals[0]:
+        raise ProjectionError("projection matrix is rank deficient")
+    return ProjectedMesh(pts @ mat.T, np.array(mesh.triangles, dtype=np.int64),
                          D, captured)
 
 

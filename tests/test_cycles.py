@@ -748,7 +748,7 @@ def test_torus_fixture_classification(torus_bundle):
 def test_export_cycles_json(tmp_path, grid5_forms):
     basis, cls = grid5_forms.basis, grid5_forms.classification
     path = tmp_path / "cycles.json"
-    export_cycles_json(path, basis, cls)
+    export_cycles_json(path, cls)
     payload = json.loads(path.read_text())
     assert payload["cycle_count"] == 26
     assert payload["vertex_count"] == 25

@@ -130,6 +130,28 @@ def test_from_edges_validation():
         NeighborGraph.from_edges(3, [(0, 1)], [0.0])
 
 
+def test_direct_construction_checks_edge_order():
+    """A graph built without from_edges must hold its rows as edge_ids
+    searches them; from_edges sorts the same rows."""
+    rows = [[1, 2], [0, 1], [0, 2]]
+    for bad in (rows, [[0, 1], [2, 1]], [[0, 1], [0, 1]], [[0, 1], [0, 3]],
+                [[1, 1]]):
+        with pytest.raises(ConfigError):
+            NeighborGraph(3, bad, np.ones(len(bad)))
+    with pytest.raises(ConfigError):
+        NeighborGraph(3, [[0, 1], [1, 2]], np.ones(3))
+    graph = NeighborGraph.from_edges(3, rows, [3.0, 1.0, 2.0])
+    assert graph.edges.tolist() == [[0, 1], [0, 2], [1, 2]]
+    assert graph.lengths.tolist() == [1.0, 2.0, 3.0]
+    assert graph.edge_ids([0], [1]).tolist() == [0]
+
+
+@pytest.mark.parametrize("length", [np.nan, np.inf])
+def test_from_edges_rejects_non_finite_lengths(length):
+    with pytest.raises(ConfigError, match="finite length"):
+        NeighborGraph.from_edges(3, [(0, 1), (1, 2)], [1.0, length])
+
+
 def test_grid_helper_is_four_regular():
     graph = periodic_grid(5)
     assert graph.vertex_count == 25

@@ -9,12 +9,12 @@ import pytest
 
 from torusforge.errors import ProjectionError
 from torusforge.mesher import _half_edges
-from torusforge.projection import (Projection, ProjectedMesh, export_mesh,
-                                   pca_axes, project, read_obj, read_ply)
+from torusforge.projection import (ProjectedMesh, export_mesh, pca_axes,
+                                   project, read_obj, read_ply)
 
 
 def test_identity_coordinate_select(torus_bundle):
-    out = project(torus_bundle.oriented, Projection.coordinates())
+    out = project(torus_bundle.oriented, np.eye(3))
     assert np.array_equal(out.points, torus_bundle.cloud.points)
     assert np.array_equal(out.triangles, torus_bundle.oriented.triangles)
     assert out.source_dim == 3
@@ -22,28 +22,43 @@ def test_identity_coordinate_select(torus_bundle):
 
 
 def test_project_accepts_plain_mesh(torus_bundle):
-    out = project(torus_bundle.mesh, Projection.coordinates())
+    out = project(torus_bundle.mesh, np.eye(3))
     assert np.array_equal(out.points, torus_bundle.cloud.points)
 
 
 def test_coordinate_select_keeps_circle_constraint(stdmap_bundle):
     """Selecting the first angle pair from the 4D embedding keeps the
-    unit-circle constraint exactly: selection copies coordinates."""
-    out = project(stdmap_bundle.oriented, Projection.coordinates())
+    unit-circle constraint exactly: np.eye(3, D) copies coordinates."""
+    out = project(stdmap_bundle.oriented, np.eye(3, 4))
     radius = np.hypot(out.points[:, 0], out.points[:, 1])
     assert np.max(np.abs(radius - 1.0)) < 1e-12
 
 
-def test_unknown_projection_kind(cm_bundle):
-    with pytest.raises(ProjectionError):
-        project(cm_bundle.oriented, Projection("banana"))
+@pytest.mark.parametrize("bundle", ["torus_bundle", "stdmap_bundle",
+                                    "cm_bundle"])
+def test_first_three_coordinates_bit_for_bit(bundle, request):
+    """The matrix np.eye(3, D) selects the first three coordinates
+    exactly: each output is one coordinate times 1 plus zeros."""
+    b = request.getfixturevalue(bundle)
+    pts = b.cloud.points
+    out = project(b.oriented, np.eye(3, pts.shape[1]))
+    assert np.array_equal(out.points, pts[:, :3])
+    assert out.captured_variance is None
+
+
+def test_pca_is_centred_principal_axes_bit_for_bit(cm_bundle):
+    pts = cm_bundle.cloud.points
+    axes, captured = pca_axes(pts)
+    out = project(cm_bundle.oriented, None)
+    assert np.array_equal(out.points, (pts - pts.mean(axis=0)) @ axes.T)
+    assert out.captured_variance == captured
 
 
 def test_pca_beats_every_coordinate_triple(cm_bundle):
     """The top-3 principal subspace captures at least as much variance as
     any axis-aligned triple, and markedly more on this 6D cloud."""
     centered = cm_bundle.cloud.points - cm_bundle.cloud.points.mean(axis=0)
-    out = project(cm_bundle.oriented, Projection.pca())
+    out = project(cm_bundle.oriented, None)
     assert out.captured_variance is not None
     for triple in combinations(range(6), 3):
         fraction = np.sum(centered[:, triple] ** 2) / np.sum(centered ** 2)
@@ -63,22 +78,22 @@ def test_pca_axes_orthonormal_and_sign_fixed(cm_bundle):
 def test_custom_matrix_is_plain_linear_map(cm_bundle):
     rng = np.random.default_rng(11)
     mat = rng.normal(size=(3, 6))
-    out = project(cm_bundle.oriented, Projection.matrix(mat))
+    out = project(cm_bundle.oriented, mat)
     assert np.array_equal(out.points, cm_bundle.cloud.points @ mat.T)
 
 
 def test_custom_matrix_validation(cm_bundle):
     with pytest.raises(ProjectionError, match="3x6"):
-        project(cm_bundle.oriented, Projection.matrix(np.eye(4)[:2]))
+        project(cm_bundle.oriented, np.eye(4)[:2])
     degenerate = np.zeros((3, 6))
     degenerate[0, 0] = degenerate[1, 0] = degenerate[2, 0] = 1.0
     with pytest.raises(ProjectionError, match="rank deficient"):
-        project(cm_bundle.oriented, Projection.matrix(degenerate))
+        project(cm_bundle.oriented, degenerate)
 
 
 @pytest.fixture(scope="module")
 def torus_projected(torus_bundle):
-    return project(torus_bundle.oriented, Projection.coordinates())
+    return project(torus_bundle.oriented, np.eye(3))
 
 
 def test_obj_round_trip_exact(torus_projected, tmp_path):
@@ -131,8 +146,7 @@ def test_sidedness_marks_the_fold(stdmap_bundle, tmp_path):
     the colour of sign(sin t2), up to one global swap (6,433 faces, no
     exception; a band of 0.1 leaves 1 exception)."""
     path = tmp_path / "stdmap.ply"
-    export_mesh(project(stdmap_bundle.oriented, Projection.coordinates()),
-                "ply", path)
+    export_mesh(project(stdmap_bundle.oriented, np.eye(3, 4)), "ply", path)
     _, tris, colors = read_ply(path)
     red = colors[:, 0] == 220
     sin_t2 = stdmap_bundle.cloud.points[:, 3]
@@ -172,7 +186,7 @@ def reference_ply_faces(pmesh):
 
 def test_ply_bytes_match_per_face_reference(cm_bundle, tmp_path):
     """PCA folds the 6D torus over itself, so both colours occur."""
-    pm = project(cm_bundle.oriented, Projection.pca())
+    pm = project(cm_bundle.oriented, None)
     path = tmp_path / "cm.ply"
     export_mesh(pm, "ply", path)
     faces = reference_ply_faces(pm)
@@ -185,7 +199,7 @@ def test_ply_bytes_match_per_face_reference(cm_bundle, tmp_path):
 def test_ply_colours_with_unused_point(cm_bundle, tmp_path):
     """A point no face uses has an empty one-ring and changes no face's
     colour."""
-    pm = project(cm_bundle.oriented, Projection.pca())
+    pm = project(cm_bundle.oriented, None)
     pm = ProjectedMesh(np.vstack([pm.points, [[9.0, 9.0, 9.0]]]),
                        pm.triangles, pm.source_dim)
     path = tmp_path / "extra.ply"
