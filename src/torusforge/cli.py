@@ -151,7 +151,8 @@ def _validate_config(cfg):
             raise ConfigError(f"{key} must be a path string, got "
                               f"{section[key]!r}")
     if pk == "custom_matrix":
-        _projection_matrix(cfg["projection"])
+        # read and checked once; `_projection_axes` hands it to `project`
+        cfg["projection"]["matrix"] = _projection_matrix(cfg["projection"])
     return cfg
 
 
@@ -214,13 +215,12 @@ def _projection_matrix(pc):
 
 
 def _projection_axes(section, dim):
-    """The (3, dim) matrix of a projection section for `project`; None
-    for pca."""
+    """The (3, dim) matrix of a projection section for `project`: the
+    first three coordinates, the matrix `_validate_config` read from a
+    custom_matrix file, or None for pca."""
     if section["kind"] == "coordinate_select":
         return np.eye(3, dim)
-    if section["kind"] == "pca":
-        return None
-    return _projection_matrix(section)
+    return section.get("matrix")
 
 
 def _art(cfg, name):
@@ -247,11 +247,9 @@ def stage_mesh(cfg, cloud=None):
     if cloud is None:
         cloud = load_point_cloud(_art(cfg, "cloud.csv"))
     graph = build_knn_graph(cloud, k=cfg["k"])
-    # kept alive: freed before the solve, it lifts --dim 6's peak RSS 8 MiB
-    basis = homology_split(graph)
-    classification = classify_cycles(basis)
-    export_cycles_json(_art(cfg, "cycles.json"), classification)
-    forms = solve_oneforms(graph, classification)
+    classified = classify_cycles(homology_split(graph))
+    export_cycles_json(_art(cfg, "cycles.json"), classified)
+    forms = solve_oneforms(graph, classified)
     export_residuals_json(_art(cfg, "residuals.json"), forms)
     mesh = mesh_flat_torus(graph, forms, cloud)
     export_mesh_json(_art(cfg, "mesh.json"), mesh)

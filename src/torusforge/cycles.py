@@ -23,7 +23,8 @@ the heaviest chosen triangle or square has at most 4 hops.
 
 Every phase produces each cycle as a vertex loop. The basis holds the
 loops as one CSR block (`CycleBasis`), certified simple when it is
-built; only the two homology generators become `Cycle` objects. A
+built; `classify_cycles` fixes where each of its last two rows, the
+homology generators, starts and which way it runs. A
 cycle's GF(2) vector is the set of its edges off the shortest-path tree
 from vertex 0, each edge named by its coordinate; complement vectors
 are such sets too.
@@ -47,19 +48,6 @@ _INTERNAL_SEED = 0x5EED
 _PERTURB_EPS = 1e-10
 # seam sources per de Pina Dijkstra block: 16 rows of 2n float64
 _BLOCK = 16
-
-
-@dataclass
-class Cycle:
-    """Simple cycle: vertex loop, sorted edge ids, true weight."""
-
-    vertices: np.ndarray
-    edges: np.ndarray
-    weight: float
-
-    @property
-    def hops(self):
-        return int(len(self.edges))
 
 
 def _edge_ids(graph, a, b):
@@ -105,9 +93,9 @@ class CycleBasis:
     Cycle r is the vertex loop vertices[indptr[r]:indptr[r + 1]], closed
     back to its first vertex. Its step t runs from loop vertex t to the
     next one along edge edges[indptr[r] + t], and weights[r] is its true
-    length. Where a loop starts and which way it runs carry no meaning.
-    `homology_split` returns its cycles sorted by weight;
-    `Classification.trivial` holds all of them but the two generators.
+    length. `homology_split` returns its cycles sorted by weight, and
+    where a loop starts and which way it runs carry no meaning there;
+    `classify_cycles` fixes both for the last two rows, the generators.
     """
 
     vertex_count: int
@@ -172,17 +160,6 @@ class CycleBasis:
             rank[rows[np.lexsort(ids.T[::-1])]] = np.arange(len(rows))
         return self.take(np.lexsort((rank, self.hops, self.weights)))
 
-    def cycle(self, r):
-        """Cycle r as a Cycle: its loop from its smallest vertex toward the
-        smaller of that vertex's two neighbours on the loop."""
-        lo, hi = self.indptr[r], self.indptr[r + 1]
-        loop = self.vertices[lo:hi]
-        loop = np.roll(loop, -int(np.argmin(loop)))
-        if loop[-1] < loop[1]:
-            loop = np.roll(loop[::-1], 1)
-        return Cycle(loop, np.sort(self.edges[lo:hi]),
-                     float(self.weights[r]))
-
     def digest(self):
         """sha256 of indptr, then of each cycle's edge ids in ascending
         order, all as little-endian int64."""
@@ -191,13 +168,6 @@ class CycleBasis:
         digest = hashlib.sha256(self.indptr.astype("<i8").tobytes())
         digest.update(ordered.astype("<i8").tobytes())
         return digest.hexdigest()
-
-
-@dataclass
-class Classification:
-    trivial: CycleBasis
-    poloidal: Cycle
-    toroidal: Cycle
 
 
 class _Workspace:
@@ -575,8 +545,13 @@ def homology_split(graph):
 
 
 def classify_cycles(basis, ratio=1.25):
-    """Split a torus-graph basis into trivial cycles and the two homology
-    generators (heaviest two; the heavier is the toroidal direction).
+    """The basis with its last two rows, the heaviest two cycles, as the
+    homology generators: the poloidal one, then the toroidal one.
+
+    Each generator's loop starts at its smallest vertex and runs toward
+    the smaller of that vertex's two neighbours on the loop, which fixes
+    the sign of its form; its steps follow. The other rows are kept as
+    they are, and `basis` is not changed.
 
     Requires the lighter generator to outweigh the heaviest trivial cycle
     by `ratio`; anything closer means the split is not trustworthy, and
@@ -586,41 +561,47 @@ def classify_cycles(basis, ratio=1.25):
         raise GeneratorClassificationError(
             f"need at least 2 cycles to classify, have {basis.size}")
     k = basis.size - 2
-    poloidal, toroidal = basis.cycle(k), basis.cycle(k + 1)
-    if k and poloidal.weight < ratio * basis.weights[k - 1]:
+    weight = float(basis.weights[k])
+    if k and weight < ratio * basis.weights[k - 1]:
         trivial = float(basis.weights[k - 1])
         raise GeneratorClassificationError(
             "generator weights not separated from trivial cycles: "
-            f"{poloidal.weight:.6g} vs {trivial:.6g} (need factor {ratio}); "
+            f"{weight:.6g} vs {trivial:.6g} (need factor {ratio}); "
             "the cloud is sparse or uneven: raise k or sample more points",
-            {"generator_weight": poloidal.weight,
-             "trivial_weight_max": trivial,
-             "ratio": poloidal.weight / trivial, "required_ratio": ratio})
-    return Classification(basis.take(np.arange(k)), poloidal, toroidal)
+            {"generator_weight": weight, "trivial_weight_max": trivial,
+             "ratio": weight / trivial, "required_ratio": ratio})
+    vertices, edges = basis.vertices.copy(), basis.edges.copy()
+    for lo, hi in zip(basis.indptr[k:-1], basis.indptr[k + 1:]):
+        start = -int(np.argmin(vertices[lo:hi]))
+        loop = np.roll(vertices[lo:hi], start)
+        steps = np.roll(edges[lo:hi], start)
+        if loop[-1] < loop[1]:
+            loop, steps = np.roll(loop[::-1], 1), steps[::-1]
+        vertices[lo:hi], edges[lo:hi] = loop, steps
+    return CycleBasis(basis.vertex_count, basis.indptr, vertices, edges,
+                      basis.weights)
 
 
-def export_cycles_json(path, classification):
+def export_cycles_json(path, basis):
     """Dump a classified cycle basis as deterministic JSON: the two
     generators in full, the trivial cycles as a summary of their count,
     their count per hop and their digest."""
-    generators = [(classification.poloidal, "poloidal"),
-                  (classification.toroidal, "toroidal")]
-    rest = classification.trivial
-    # the basis's weights in its order, summed as its total_weight() sums
-    weights = rest.weights.tolist() + [c.weight for c, _ in generators]
+    k = basis.size - 2
+    rest = basis.take(np.arange(k))
+    ptr = basis.indptr.tolist()
     payload = {
-        "cycle_count": rest.size + 2,
-        "vertex_count": rest.vertex_count,
-        "total_weight": float(sum(weights)),
+        "cycle_count": basis.size,
+        "vertex_count": basis.vertex_count,
+        "total_weight": basis.total_weight(),
         "generators": [
             {
-                "vertices": c.vertices.tolist(),
-                "edges": c.edges.tolist(),
-                "weight": c.weight,
-                "hops": c.hops,
+                "vertices": basis.vertices[ptr[r]:ptr[r + 1]].tolist(),
+                "edges": np.sort(basis.edges[ptr[r]:ptr[r + 1]]).tolist(),
+                "weight": float(basis.weights[r]),
+                "hops": ptr[r + 1] - ptr[r],
                 "role": name,
             }
-            for c, name in generators
+            for r, name in ((k, "poloidal"), (k + 1, "toroidal"))
         ],
         "summary": {
             "role": "trivial",

@@ -79,17 +79,12 @@ def _knn_pairs(points, k):
     tree = cKDTree(points)
     pad = min(n, k + 9)
     while True:
-        _, idx = tree.query(points, k=pad)
-        idx = idx.reshape(n, pad)
+        dist, idx = tree.query(points, k=pad)
         sel = idx != np.arange(n)[:, None]
         cand = idx[sel].reshape(n, pad - 1)
-        diff = points[:, None, :] - points[cand]
-        dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-        # lexicographic (distance, index): stable sort by index, then distance
-        order = np.argsort(cand, axis=1, kind="stable")
-        cand = np.take_along_axis(cand, order, axis=1)
-        dist = np.take_along_axis(dist, order, axis=1)
-        order = np.argsort(dist, axis=1, kind="stable")
+        dist = dist[sel].reshape(n, pad - 1)
+        # lexicographic (distance, index) within each row
+        order = np.lexsort((cand, dist), axis=1)
         cand = np.take_along_axis(cand, order, axis=1)
         dist = np.take_along_axis(dist, order, axis=1)
         if pad < n and cand.shape[1] > k and np.any(dist[:, k - 1] >= dist[:, -1]):

@@ -32,7 +32,7 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import splu
 
-from .cycles import CycleBasis, _Workspace
+from .cycles import _Workspace
 from .errors import CycleBasisError, ResidualError
 
 log = logging.getLogger("torusforge.oneforms")
@@ -50,24 +50,19 @@ class OneFormPair:
     diagnostics: dict
 
 
-def _cycle_rows(graph, classification):
-    """C: the trivial rows, then the toroidal and poloidal rows. A row has
-    +1 on each step from the lower vertex id to the higher, -1 on each
-    step back. A trivial row's sign follows the way its loop runs, which
-    a zero right-hand side makes moot; a generator row's sign follows its
-    Cycle's vertex order and sets the sign of its form."""
-    generators = CycleBasis.from_loops(
-        graph, [classification.toroidal.vertices,
-                classification.poloidal.vertices])
-    blocks = [classification.trivial, generators]
-    hops = np.concatenate([b.hops for b in blocks])
-    steps = np.concatenate([b.edges for b in blocks])
-    low_first = (np.concatenate([b.vertices for b in blocks])
-                 == graph.edges[steps, 0])
+def _cycle_rows(graph, basis):
+    """C: the trivial rows, then the toroidal and poloidal rows, from a
+    basis `classify_cycles` returned. A row has +1 on each step from the
+    lower vertex id to the higher, -1 on each step back. A trivial row's
+    sign follows the way its loop runs, which a zero right-hand side
+    makes moot; a generator row's sign follows the way `classify_cycles`
+    runs its loop and sets the sign of its form."""
+    k = basis.size - 2
+    low_first = basis.vertices == graph.edges[basis.edges, 0]
     return coo_matrix(
         (np.where(low_first, 1.0, -1.0),
-         (np.repeat(np.arange(len(hops)), hops), steps)),
-        shape=(len(hops), graph.edge_count)).tocsr()
+         (np.repeat(np.r_[0:k, k + 1, k], basis.hops), basis.edges)),
+        shape=(basis.size, graph.edge_count)).tocsr()
 
 
 def _solve_exact(graph, A, C):
@@ -119,8 +114,9 @@ def _diagnose(A, C, dx):
     }
 
 
-def solve_oneforms(graph, classification):
-    """Solve for both one-forms and verify residual gates.
+def solve_oneforms(graph, basis):
+    """Solve for both one-forms on a basis `classify_cycles` returned, and
+    verify residual gates.
 
     Raises ResidualError naming the tripped residual when co-closedness,
     trivial-cycle closedness, or the period matrix is out of tolerance;
@@ -131,7 +127,7 @@ def solve_oneforms(graph, classification):
                     (graph.edges.T.reshape(-1),
                      np.tile(np.arange(graph.edge_count), 2))),
                    shape=(graph.vertex_count, graph.edge_count)).tocsr()
-    C = _cycle_rows(graph, classification)
+    C = _cycle_rows(graph, basis)
     du, dv, theta = _solve_exact(graph, A, C)
     diag_u = _diagnose(A, C, du)
     diag_v = _diagnose(A, C, dv)

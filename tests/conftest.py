@@ -11,8 +11,7 @@ from torusforge.samplers import (sample_center_manifold_torus,
                                  sample_standard_map_torus,
                                  sample_torus_revolution)
 from torusforge.knn import NeighborGraph, build_knn_graph
-from torusforge.cycles import Cycle, CycleBasis, Classification, \
-    classify_cycles, homology_split
+from torusforge.cycles import CycleBasis, classify_cycles, homology_split
 from torusforge.oneforms import solve_oneforms
 from torusforge.mesher import mesh_flat_torus
 from torusforge.orientation import orient_mesh
@@ -45,16 +44,11 @@ def periodic_grid(rows, cols=None):
                                     np.ones(len(edges)))
 
 
-def cycle_from_vertices(graph, loop):
-    """Cycle dataclass from an explicit vertex loop."""
-    loop = np.array(loop, dtype=np.int64)
-    ids = np.sort(graph.edge_ids(loop, np.roll(loop, -1)))
-    return Cycle(loop, ids, float(np.sum(graph.lengths[ids])))
-
-
-def manual_grid_classification(graph, rows, cols):
-    """Hand-built homology split for a grid: all unit squares but one as
-    trivial cycles, row 0 as toroidal, column 0 as poloidal."""
+def manual_grid_basis(graph, rows, cols):
+    """Hand-built classified basis for a grid: all unit squares but one as
+    trivial cycles, then column 0 as the poloidal generator and row 0 as
+    the toroidal one, each from vertex 0 toward its smaller neighbour, as
+    `classify_cycles` runs them."""
     squares = []
     for i in range(rows):
         for j in range(cols):
@@ -65,9 +59,9 @@ def manual_grid_classification(graph, rows, cols):
             c = ((i + 1) % rows) * cols + (j + 1) % cols
             d = ((i + 1) % rows) * cols + j
             squares.append([a, b, c, d])
-    row0 = cycle_from_vertices(graph, list(range(cols)))
-    col0 = cycle_from_vertices(graph, [i * cols for i in range(rows)])
-    return Classification(CycleBasis.from_loops(graph, squares), col0, row0)
+    row0 = list(range(cols))
+    col0 = [i * cols for i in range(rows)]
+    return CycleBasis.from_loops(graph, squares + [col0, row0])
 
 
 def _circumcircle(pts, a, b, c):
@@ -134,12 +128,12 @@ def build_pipeline(cloud, k=8):
     """Full library chain cloud -> oriented mesh, bundled for tests."""
     graph = build_knn_graph(cloud, k=k)
     basis = homology_split(graph)
-    classification = classify_cycles(basis)
-    forms = solve_oneforms(graph, classification)
+    classified = classify_cycles(basis)
+    forms = solve_oneforms(graph, classified)
     mesh = mesh_flat_torus(graph, forms, cloud)
     oriented = orient_mesh(mesh)
     return SimpleNamespace(cloud=cloud, graph=graph, basis=basis,
-                           classification=classification, forms=forms,
+                           classified=classified, forms=forms,
                            mesh=mesh, oriented=oriented)
 
 
@@ -174,19 +168,18 @@ def grid5_forms():
     """5x5 grid with its automatic cycle basis and solved one-forms."""
     graph = periodic_grid(5)
     basis = minimum_cycle_basis(graph)
-    classification = classify_cycles(basis)
-    forms = solve_oneforms(graph, classification)
-    return SimpleNamespace(graph=graph, basis=basis,
-                           classification=classification, forms=forms)
+    classified = classify_cycles(basis)
+    forms = solve_oneforms(graph, classified)
+    return SimpleNamespace(graph=graph, basis=basis, classified=classified,
+                           forms=forms)
 
 
 @pytest.fixture(scope="session")
 def grid3_manual_forms():
-    """3x3 grid with a hand-built classification (the automatic one
-    refuses this graph: the homology generators are lighter than the
-    squares)."""
+    """3x3 grid with a hand-built classified basis (the automatic
+    classification refuses this graph: the homology generators are
+    lighter than the squares)."""
     graph = periodic_grid(3)
-    classification = manual_grid_classification(graph, 3, 3)
-    forms = solve_oneforms(graph, classification)
-    return SimpleNamespace(graph=graph, classification=classification,
-                           forms=forms)
+    classified = manual_grid_basis(graph, 3, 3)
+    forms = solve_oneforms(graph, classified)
+    return SimpleNamespace(graph=graph, classified=classified, forms=forms)

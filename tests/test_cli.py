@@ -596,6 +596,24 @@ def test_projection_matrix_flag(tmp_path, finished_run, fast_cfg):
                      "--output-dir", str(finished_run)]) == 0
 
 
+def test_projection_matrix_is_read_once(tmp_path, finished_run, fast_cfg):
+    """`project` uses the matrix the config stage read and checked: a file
+    rewritten afterwards as a 2-row matrix does not reach it."""
+    mat = [[1.0, 0.0, 0.0], [0.0, 0.5, 0.5], [0.0, -0.5, 0.5]]
+    matpath = tmp_path / "proj.json"
+    matpath.write_text(json.dumps(mat))
+    (tmp_path / "mesh.json").write_bytes(
+        (finished_run / "mesh.json").read_bytes())
+    cfg = cli.resolve_config(cli.make_parser().parse_args(
+        ["project", "--config", str(fast_cfg), "--output-dir", str(tmp_path),
+         "--projection", f"matrix:{matpath}"]))
+    matpath.write_text(json.dumps(mat[:2]))
+    pm = cli.stage_project(cfg)
+    mesh = json.loads((tmp_path / "mesh.json").read_text())
+    expected = np.asarray(mesh["points"]) @ np.asarray(mat).T
+    assert np.allclose(pm.points, expected, atol=0)
+
+
 def test_pca_projection_flag(tmp_path, fast_cfg):
     code = cli.main(["run", "--config", str(fast_cfg), "--projection", "pca",
                      "--output-dir", str(tmp_path)])
@@ -667,7 +685,7 @@ for name in torusforge.__all__:
 print(len(torusforge.__all__))
 """
     run = _run_python(["-c", code])
-    assert run.stdout.strip() == "44", run.stderr
+    assert run.stdout.strip() == "42", run.stderr
 
 
 def test_module_entry_point_runs_without_warnings(tmp_path):

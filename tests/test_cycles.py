@@ -18,7 +18,7 @@ from conftest import periodic_grid
 from reference_cycles import (exhaustive_minimum_cycle_basis,
                               minimum_cycle_basis, neighbor_rows)
 from torusforge import cycles
-from torusforge.cycles import (Cycle, CycleBasis, classify_cycles,
+from torusforge.cycles import (CycleBasis, classify_cycles,
                                export_cycles_json, homology_split)
 from torusforge.errors import (CycleBasisError, GeneratorClassificationError)
 from torusforge.knn import NeighborGraph, build_knn_graph
@@ -40,6 +40,23 @@ def block_rows(block):
     ptr = block.indptr.tolist()
     return [(block.vertices[a:b], block.edges[a:b])
             for a, b in zip(ptr[:-1], ptr[1:])]
+
+
+def block_row(block, r):
+    """(vertex loop, step edge ids) of row r of a block."""
+    lo, hi = block.indptr[r], block.indptr[r + 1]
+    return block.vertices[lo:hi], block.edges[lo:hi]
+
+
+def canonical_loop(loop):
+    """Reference rule for a generator's loop: started at its smallest
+    vertex and run toward the smaller of that vertex's two neighbours."""
+    loop = [int(v) for v in loop]
+    start = loop.index(min(loop))
+    loop = loop[start:] + loop[:start]
+    if loop[-1] < loop[1]:
+        loop = loop[:1] + loop[:0:-1]
+    return loop
 
 
 def assert_rows_are_simple_cycles(graph, block):
@@ -218,10 +235,8 @@ def assert_split_equals_minimum_basis(graph, split):
     assert split.digest() == exact.digest()
     assert np.array_equal(split.weights, exact.weights)
     for r in (exact.size - 2, exact.size - 1):
-        got, want = split.cycle(r), exact.cycle(r)
-        assert np.array_equal(got.vertices, want.vertices)
-        assert np.array_equal(got.edges, want.edges)
-        assert got.weight == want.weight
+        assert (canonical_loop(block_row(split, r)[0])
+                == canonical_loop(block_row(exact, r)[0]))
 
 
 @pytest.mark.parametrize("n", [5, 6, 8])
@@ -265,13 +280,14 @@ def test_split_keeps_generators_and_forms_on_random_torus(
     minimum basis's two generators and solves to the same one-forms."""
     bundle = random_torus_bundle
     split, exact = bundle.basis, minimum_cycle_basis(bundle.graph)
-    assert max(bundle.classification.trivial.hops) >= 5
+    assert max(bundle.classified.hops[:-2]) >= 5
     assert split.size == exact.size
     for r in (exact.size - 2, exact.size - 1):
-        got, want = split.cycle(r), exact.cycle(r)
-        assert np.array_equal(got.vertices, want.vertices)
-        assert np.array_equal(got.edges, want.edges)
-        assert got.weight == want.weight
+        (got, got_steps), (want, want_steps) = (block_row(split, r),
+                                                block_row(exact, r))
+        assert canonical_loop(got) == canonical_loop(want)
+        assert np.array_equal(np.sort(got_steps), np.sort(want_steps))
+        assert split.weights[r] == exact.weights[r]
     forms = solve_oneforms(bundle.graph, classify_cycles(exact))
     assert np.max(np.abs(forms.du - bundle.forms.du)) <= 1e-12
     assert np.max(np.abs(forms.dv - bundle.forms.dv)) <= 1e-12
@@ -400,7 +416,8 @@ def test_seam_search_finds_lightest_odd_walk(torus_bundle):
     complement vector finds a cycle that pairs oddly with it and weighs
     as little as the lightest odd closed walk through any vertex."""
     ws = cycles._Workspace(torus_bundle.graph)
-    trivial = torus_bundle.classification.trivial
+    basis = torus_bundle.basis
+    trivial = basis.take(np.arange(basis.size - 2))
     vectors = [vec for _, vec in
                ws.vectors(loop for loop, _ in block_rows(trivial))]
     kept, comp = cycles._face_reduction(coordinate_rows(vectors), ws.m)
@@ -639,8 +656,8 @@ def test_half_radius_search_matches_full_cover(random_torus_bundle,
         del rounds[:]
         loop = cycles._lightest_odd_cycle(ws, s)
         want = lightest_odd_cycle_full_cover(ws, s)
-        got_ids = CycleBasis.from_loops(ws.graph, [loop]).cycle(0).edges
-        want_ids = CycleBasis.from_loops(ws.graph, [want]).cycle(0).edges
+        got_ids = np.sort(CycleBasis.from_loops(ws.graph, [loop]).edges)
+        want_ids = np.sort(CycleBasis.from_loops(ws.graph, [want]).edges)
         assert np.array_equal(got_ids, want_ids), i
         first = rounds[0][1]
         ways.add("first" if first <= ws.theta0 else
@@ -695,11 +712,10 @@ def test_tree_graph_has_empty_basis():
 
 def test_classification_on_grid5():
     basis = minimum_cycle_basis(periodic_grid(5))
-    cls = classify_cycles(basis)
-    assert cls.trivial.size == 24
-    assert cls.poloidal.hops == 5
-    assert cls.toroidal.hops == 5
-    assert set(cls.trivial.hops.tolist()) == {4}
+    classified = classify_cycles(basis)
+    assert classified.size == 26
+    assert classified.hops[-2:].tolist() == [5, 5]
+    assert set(classified.hops[:-2].tolist()) == {4}
     # the 5 vs 4 split sits exactly on the default 1.25 ratio gate
     with pytest.raises(GeneratorClassificationError):
         classify_cycles(basis, ratio=1.26)
@@ -737,49 +753,52 @@ def test_grid3_two_three_hop_cycles_claim():
 
 
 def test_torus_fixture_classification(torus_bundle):
-    cls = torus_bundle.classification
-    heaviest_trivial = cls.trivial.weights[-1]
-    assert cls.poloidal.weight >= 1.25 * heaviest_trivial
-    assert cls.toroidal.weight >= cls.poloidal.weight
+    heaviest_trivial, poloidal, toroidal = \
+        torus_bundle.classified.weights[-3:]
+    assert poloidal >= 1.25 * heaviest_trivial
+    assert toroidal >= poloidal
     # tube loop is shorter than the loop around the central hole
-    assert cls.poloidal.weight < 0.8 * cls.toroidal.weight
+    assert poloidal < 0.8 * toroidal
 
 
 def test_export_cycles_json(tmp_path, grid5_forms):
-    basis, cls = grid5_forms.basis, grid5_forms.classification
+    basis, classified = grid5_forms.basis, grid5_forms.classified
     path = tmp_path / "cycles.json"
-    export_cycles_json(path, cls)
+    export_cycles_json(path, classified)
     payload = json.loads(path.read_text())
     assert payload["cycle_count"] == 26
     assert payload["vertex_count"] == 25
     assert payload["total_weight"] == basis.total_weight() == 106.0
     gens = payload["generators"]
     assert [g["role"] for g in gens] == ["poloidal", "toroidal"]
-    for g, c in zip(gens, (cls.poloidal, cls.toroidal)):
-        assert g == {"vertices": c.vertices.tolist(),
-                     "edges": c.edges.tolist(), "weight": c.weight,
+    for g, r in zip(gens, (24, 25)):
+        loop, steps = block_row(classified, r)
+        assert loop.tolist() == canonical_loop(block_row(basis, r)[0])
+        assert g == {"vertices": loop.tolist(),
+                     "edges": np.sort(steps).tolist(), "weight": 5.0,
                      "hops": 5, "role": g["role"]}
     summary = payload["summary"]
     assert summary["role"] == "trivial"
     assert summary["count"] == 24
     assert summary["hop_counts"] == {"4": 24}
     # indptr, then each row's edge ids in ascending order, little-endian
-    rows = [np.sort(steps) for _, steps in block_rows(cls.trivial)]
+    trivial = classified.take(np.arange(24))
+    rows = [np.sort(steps) for _, steps in block_rows(trivial)]
     want = hashlib.sha256(np.arange(0, 97, 4).astype("<i8").tobytes()
                           + np.concatenate(rows).astype("<i8").tobytes())
     assert summary["sha256"] == want.hexdigest()
     # the loops run backwards from their second vertex: the same rows
     turned = CycleBasis.from_loops(
         grid5_forms.graph,
-        [np.roll(loop[::-1], 1) for loop, _ in block_rows(cls.trivial)])
-    assert not np.array_equal(turned.vertices, cls.trivial.vertices)
+        [np.roll(loop[::-1], 1) for loop, _ in block_rows(trivial)])
+    assert not np.array_equal(turned.vertices, trivial.vertices)
     assert turned.digest() == summary["sha256"]
 
 
 def cycle_from_edges_reference(graph, edge_ids):
-    """Per-edge reference: the Cycle of an edge set forming one simple
-    cycle, walked with a dict from its smallest vertex toward that
-    vertex's smaller neighbour."""
+    """Per-edge reference: the vertex loop, sorted edge ids, weight and
+    hops of an edge set forming one simple cycle, walked with a dict from
+    its smallest vertex toward that vertex's smaller neighbour."""
     ids = np.array(sorted(int(i) for i in edge_ids), dtype=np.int64)
     adj = {}
     for e in ids:
@@ -796,27 +815,73 @@ def cycle_from_edges_reference(graph, edge_ids):
         cur, prev = (b if a == prev else a), cur
     assert len(loop) == len(ids)
     weight = float(np.sum(graph.lengths[ids]))
-    return Cycle(np.array(loop, dtype=np.int64), ids, weight)
+    return SimpleNamespace(vertices=np.array(loop, dtype=np.int64),
+                           edges=ids, weight=weight, hops=len(ids))
 
 
 @pytest.mark.parametrize("bundle", ["torus_bundle", "grid5_forms"])
 def test_cycles_match_dict_walk_reference(bundle, request):
-    """Every basis cycle, as a Cycle, and the two generators equal the
-    dict walk over the cycle's edges: vertex order, sorted edge ids and
-    weight, bit for bit."""
+    """Every basis cycle under the reference rule, and the two classified
+    generators as they stand, equal the dict walk over the cycle's edges:
+    vertex order, sorted edge ids and weight, bit for bit."""
     bundle = request.getfixturevalue(bundle)
-    graph, basis, cls = bundle.graph, bundle.basis, bundle.classification
-    for r, (_, steps) in enumerate(block_rows(basis)):
-        got, want = basis.cycle(r), cycle_from_edges_reference(graph, steps)
-        assert np.array_equal(got.vertices, want.vertices)
-        assert np.array_equal(got.edges, want.edges)
-        assert got.weight == want.weight
-    k = cls.trivial.size
-    for c, r in ((cls.poloidal, k), (cls.toroidal, k + 1)):
-        want = cycle_from_edges_reference(graph, block_rows(basis)[r][1])
-        assert np.array_equal(c.vertices, want.vertices)
-        assert np.array_equal(c.edges, want.edges)
-        assert c.weight == want.weight
+    graph, basis, classified = bundle.graph, bundle.basis, bundle.classified
+    for r, (loop, steps) in enumerate(block_rows(basis)):
+        want = cycle_from_edges_reference(graph, steps)
+        assert canonical_loop(loop) == want.vertices.tolist()
+        assert np.array_equal(np.sort(steps), want.edges)
+        assert basis.weights[r] == want.weight
+    for r in (basis.size - 2, basis.size - 1):
+        loop, steps = block_row(classified, r)
+        want = cycle_from_edges_reference(graph, steps)
+        assert np.array_equal(loop, want.vertices)
+        assert np.array_equal(np.sort(steps), want.edges)
+        assert classified.weights[r] == want.weight
+
+
+@pytest.mark.parametrize("bundle",
+                         ["torus_bundle", "stdmap_bundle", "cm_bundle"])
+def test_classified_generators_follow_reference_rule(bundle, request):
+    """classify_cycles runs the two generator rows by the reference rule,
+    with their steps re-aligned to the loops, keeps every other row as it
+    is, and leaves its input unchanged."""
+    bundle = request.getfixturevalue(bundle)
+    graph, basis = bundle.graph, bundle.basis
+    keys = ("indptr", "vertices", "edges", "weights")
+    before = {key: getattr(basis, key).copy() for key in keys}
+    classified = classify_cycles(basis)
+    for key in keys:
+        assert np.array_equal(getattr(basis, key), before[key]), key
+        assert np.array_equal(getattr(classified, key),
+                              getattr(bundle.classified, key)), key
+    k = basis.size - 2
+    head = basis.indptr[k]
+    assert np.array_equal(classified.indptr, basis.indptr)
+    assert np.array_equal(classified.weights, basis.weights)
+    assert np.array_equal(classified.vertices[:head], basis.vertices[:head])
+    assert np.array_equal(classified.edges[:head], basis.edges[:head])
+    for r in (k, k + 1):
+        loop, steps = block_row(classified, r)
+        assert loop.tolist() == canonical_loop(block_row(basis, r)[0])
+        assert np.array_equal(steps,
+                              graph.edge_ids(loop, np.roll(loop, -1)))
+
+
+def test_classify_rolls_and_reverses_generators():
+    """Hand-built generators, one started mid-loop and one also running
+    the other way, come out by the reference rule; steps follow."""
+    graph = periodic_grid(5)
+    squares = [[a, a + 1, a + 6, a + 5] for a in range(19) if a % 5 != 4]
+    col = [10, 15, 20, 0, 5]                 # rolled only
+    row = [3, 2, 1, 0, 4]                    # rolled and reversed
+    basis = CycleBasis.from_loops(graph, squares + [col, row])
+    classified = classify_cycles(basis)
+    k = basis.size - 2
+    for r, want in ((k, [0, 5, 10, 15, 20]), (k + 1, [0, 1, 2, 3, 4])):
+        loop, steps = block_row(classified, r)
+        assert loop.tolist() == want
+        assert np.array_equal(steps, graph.edge_ids(loop, np.roll(loop, -1)))
+    assert block_row(basis, k + 1)[0].tolist() == row
 
 
 def test_block_constructor_certifies_simple_cycles():

@@ -24,7 +24,7 @@ def brute_force_edges(pts, k):
     return edges
 
 
-@pytest.mark.parametrize("dim,k", [(3, 3), (4, 5), (6, 4)])
+@pytest.mark.parametrize("dim,k", [(3, 3), (4, 5), (6, 4), (64, 5)])
 def test_matches_brute_force_on_random_clouds(dim, k):
     rng = np.random.default_rng(100 + dim)
     cloud = PointCloud(rng.random((60, dim)))

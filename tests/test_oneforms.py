@@ -8,10 +8,9 @@ from collections import deque
 import numpy as np
 import pytest
 
-from conftest import manual_grid_classification, periodic_grid
+from conftest import manual_grid_basis, periodic_grid
 from reference_cycles import minimum_cycle_basis, neighbor_rows
-from torusforge.cycles import Classification, CycleBasis, _Workspace, \
-    classify_cycles
+from torusforge.cycles import CycleBasis, _Workspace, classify_cycles
 from torusforge.errors import ResidualError
 from torusforge.knn import NeighborGraph
 from torusforge.oneforms import _cycle_rows, export_residuals_json, \
@@ -29,12 +28,12 @@ def coclosed_reference(graph):
     return rows
 
 
-def dense_system(graph, classification):
+def dense_system(graph, classified):
     """The co-closedness block over the cycle rows, with the right-hand
     sides that ask the u-form for periods (1, 0) and the v-form for
     (0, 1)."""
     matrix = np.vstack([coclosed_reference(graph),
-                        _cycle_rows(graph, classification).toarray()])
+                        _cycle_rows(graph, classified).toarray()])
     rhs = np.zeros((len(matrix), 2))
     rhs[-2:] = np.eye(2)
     return matrix, rhs
@@ -43,10 +42,10 @@ def dense_system(graph, classification):
 def test_system_row_counts(grid5_forms):
     """24 trivial rows and 2 period rows over the 50 edges; with the 25
     vertex balance rows, one more row than unknowns."""
-    graph, cls = grid5_forms.graph, grid5_forms.classification
-    assert cls.trivial.size == 24
-    assert _cycle_rows(graph, cls).shape == (26, 50)
-    matrix, rhs = dense_system(graph, cls)
+    graph, classified = grid5_forms.graph, grid5_forms.classified
+    assert classified.size - 2 == 24
+    assert _cycle_rows(graph, classified).shape == (26, 50)
+    matrix, rhs = dense_system(graph, classified)
     assert matrix.shape == (51, 50) and rhs.shape == (51, 2)
 
 
@@ -90,7 +89,7 @@ def test_grid3_manual_classification_solution(grid3_manual_forms):
 def test_exact_solver_matches_dense_lstsq(grid5_forms):
     """The system has full column rank and is consistent, so dense least
     squares over all its rows finds the same forms."""
-    dense, rhs = dense_system(grid5_forms.graph, grid5_forms.classification)
+    dense, rhs = dense_system(grid5_forms.graph, grid5_forms.classified)
     assert np.linalg.matrix_rank(dense) == dense.shape[1]
     for k, form in enumerate((grid5_forms.forms.du, grid5_forms.forms.dv)):
         ref = np.linalg.lstsq(dense, rhs[:, k], rcond=None)[0]
@@ -104,20 +103,18 @@ def test_inconsistent_trivial_row_trips_closedness_gate():
     square 0-1-6-5 closing on edge (1, 2) breaks both forms by 0.2; on
     the poloidal edge (0, 20) it breaks the v-form alone, by 0.4."""
     graph = periodic_grid(5)
-    cls = manual_grid_classification(graph, 5, 5)
-    trivial = cls.trivial
-    lo, hi = trivial.indptr[0], trivial.indptr[1]
-    assert trivial.vertices[lo:hi].tolist() == [0, 1, 6, 5]
-    assert graph.edges[trivial.edges[hi - 1]].tolist() == [0, 5]
+    basis = manual_grid_basis(graph, 5, 5)
+    lo, hi = basis.indptr[0], basis.indptr[1]
+    assert basis.vertices[lo:hi].tolist() == [0, 1, 6, 5]
+    assert graph.edges[basis.edges[hi - 1]].tolist() == [0, 5]
     for (i, j), errors in (((1, 2), {"u": 0.2, "v": 0.2}),
                            ((0, 20), {"u": 0.0, "v": 0.4})):
-        edges = trivial.edges.copy()
+        edges = basis.edges.copy()
         edges[hi - 1] = graph.edge_ids([i], [j])[0]
-        broken = CycleBasis(trivial.vertex_count, trivial.indptr,
-                            trivial.vertices, edges, trivial.weights)
+        broken = CycleBasis(basis.vertex_count, basis.indptr,
+                            basis.vertices, edges, basis.weights)
         with pytest.raises(ResidualError) as err:
-            solve_oneforms(graph, Classification(
-                broken, poloidal=cls.poloidal, toroidal=cls.toroidal))
+            solve_oneforms(graph, broken)
         d = err.value.diagnostics
         for key, error in errors.items():
             assert d[key]["max_trivial_cycle_error"] == pytest.approx(
@@ -127,10 +124,10 @@ def test_inconsistent_trivial_row_trips_closedness_gate():
         assert d["period_error"] < 1e-12
 
 
-def cycle_row_reference(index, cycle):
+def cycle_row_reference(index, loop):
     """Per-edge reference for one cycle row: +1 on edges walked low->high,
     -1 on edges walked back. index maps (i, j), i < j, to edge ids."""
-    v = cycle.vertices.tolist()
+    v = loop.tolist()
     return {index[min(a, b), max(a, b)]: (1.0 if a < b else -1.0)
             for a, b in zip(v, v[1:] + v[:1])}
 
@@ -138,12 +135,15 @@ def cycle_row_reference(index, cycle):
 def test_cycle_rows_match_per_edge_reference(torus_bundle):
     """Generator rows equal the per-edge reference exactly; a trivial row
     equals it up to one sign, set by the way its loop runs."""
-    graph, cls = torus_bundle.graph, torus_bundle.classification
+    graph, classified = torus_bundle.graph, torus_bundle.classified
     index = {(i, j): e for e, (i, j) in enumerate(graph.edges.tolist())}
-    rows = _cycle_rows(graph, cls)
-    k = cls.trivial.size
+    rows = _cycle_rows(graph, classified)
+    k = classified.size - 2
     assert rows.shape[0] == k + 2
-    generators = {k: cls.toroidal, k + 1: cls.poloidal}
+    ptr = classified.indptr
+    loops = [classified.vertices[ptr[r]:ptr[r + 1]] for r in range(k + 2)]
+    # C holds the toroidal row (basis row k + 1) before the poloidal one
+    generators = {k: loops[k + 1], k + 1: loops[k]}
     for r in range(k + 2):
         lo, hi = rows.indptr[r], rows.indptr[r + 1]
         got = dict(zip(rows.indices[lo:hi].tolist(),
@@ -151,7 +151,7 @@ def test_cycle_rows_match_per_edge_reference(torus_bundle):
         if r in generators:
             assert got == cycle_row_reference(index, generators[r])
         else:
-            want = cycle_row_reference(index, cls.trivial.cycle(r))
+            want = cycle_row_reference(index, loops[r])
             sign = got[rows.indices[lo]] * want[rows.indices[lo]]
             assert got == {e: sign * x for e, x in want.items()}
 
@@ -162,7 +162,7 @@ def test_uniform_weight_scaling_invariance(grid5_forms):
     graph = grid5_forms.graph
     scaled = NeighborGraph.from_edges(graph.vertex_count, graph.edges,
                                       graph.lengths / 3.7)
-    pair = solve_oneforms(scaled, grid5_forms.classification)
+    pair = solve_oneforms(scaled, grid5_forms.classified)
     assert np.max(np.abs(pair.du - grid5_forms.forms.du)) < 1e-12
     assert np.max(np.abs(pair.dv - grid5_forms.forms.dv)) < 1e-12
 
@@ -254,8 +254,7 @@ def test_pipeline_forms_pass_gates(torus_bundle):
 def test_grid3_periods_via_automatic_chain():
     graph = periodic_grid(3)
     basis = minimum_cycle_basis(graph)
-    cls = classify_cycles(basis)
-    forms = solve_oneforms(graph, cls)
+    forms = solve_oneforms(graph, classify_cycles(basis))
     assert np.allclose(forms.diagnostics["period_matrix"], np.eye(2))
 
 
@@ -273,10 +272,10 @@ def test_manual_classification_matches_docstring_sign_convention():
     """The stored value on edge (i, j) with i < j is the increment seen
     walking i -> j; integrating row 0 forward accumulates period 1."""
     graph = periodic_grid(4)
-    cls = manual_grid_classification(graph, 4, 4)
-    forms = solve_oneforms(graph, cls)
+    basis = manual_grid_basis(graph, 4, 4)
+    forms = solve_oneforms(graph, basis)
     total = 0.0
-    v = cls.toroidal.vertices.tolist()
+    v = basis.vertices[basis.indptr[-2]:].tolist()      # row 0, toroidal
     for a, b in zip(v, v[1:] + v[:1]):
         e = int(graph.edge_ids([a], [b])[0])
         total += forms.du[e] if a < b else -forms.du[e]
