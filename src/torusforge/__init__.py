@@ -5,8 +5,10 @@ k-nearest-neighbor graph, extract a cycle basis (its triangles and
 chordless squares plus the two homology generators), classify it (its
 last two rows become the generators, each run one fixed way), solve for
 harmonic one-forms and the angle map on the flat torus they integrate
-to, take its periodic Delaunay triangulation as a closed oriented mesh,
-and export it projected to 3D by a (3, D) matrix.
+to (`parameterize` does these three, taking the generators from the
+period lattice where its classes are clear of a near-tie), take its
+periodic Delaunay triangulation as a closed oriented mesh, and export
+it projected to 3D by a (3, D) matrix.
 `orient_mesh` winds any other mesh (a loaded mesh.json, say)
 consistently, or proves it non-orientable, from the orientation double
 cover of its faces. Each name loads its module on first access, so
@@ -29,7 +31,7 @@ _MODULES = {
                  "sample_torus_revolution", "save_point_cloud"),
     "knn": ("NeighborGraph", "build_knn_graph"),
     "cycles": ("CycleBasis", "classify_cycles", "homology_split"),
-    "oneforms": ("OneFormPair", "solve_oneforms"),
+    "oneforms": ("OneFormPair", "parameterize", "solve_oneforms"),
     "mesher": ("SurfaceMesh", "load_mesh_json", "mesh_flat_torus",
                "validate_mesh"),
     "orientation": ("orient_mesh",),

@@ -242,14 +242,13 @@ def stage_mesh(cfg, cloud=None):
     directed edge is walked by one face, so no orientation pass runs.
     Its layers load scipy, so they are imported here, not with the CLI."""
     from .knn import build_knn_graph
-    from .cycles import classify_cycles, export_cycles_json, homology_split
-    from .oneforms import export_residuals_json, solve_oneforms
+    from .cycles import export_cycles_json
+    from .oneforms import export_residuals_json, parameterize
     if cloud is None:
         cloud = load_point_cloud(_art(cfg, "cloud.csv"))
     graph = build_knn_graph(cloud, k=cfg["k"])
-    classified = classify_cycles(homology_split(graph))
+    classified, forms = parameterize(graph)
     export_cycles_json(_art(cfg, "cycles.json"), classified)
-    forms = solve_oneforms(graph, classified)
     export_residuals_json(_art(cfg, "residuals.json"), forms)
     mesh = mesh_flat_torus(graph, forms, cloud)
     export_mesh_json(_art(cfg, "mesh.json"), mesh)

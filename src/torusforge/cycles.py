@@ -23,18 +23,24 @@ the heaviest chosen triangle or square has at most 4 hops.
 
 Every phase produces each cycle as a vertex loop. The basis holds the
 loops as one CSR block (`CycleBasis`), certified simple when it is
-built; `classify_cycles` fixes where each of its last two rows, the
-homology generators, starts and which way it runs. A
-cycle's GF(2) vector is the set of its edges off the shortest-path tree
-from vertex 0, each edge named by its coordinate; complement vectors
-are such sets too.
+built, with the shortest-path tree from vertex 0 it was split on;
+`classify_cycles` fixes where each of its last two rows, the homology
+generators, starts and which way it runs. A cycle's GF(2) vector is
+the set of its edges off that tree, each edge named by its coordinate;
+complement vectors are such sets too, each holding one free coordinate
+no other holds. The fundamental cycle of a free coordinate's edge (the
+edge and the tree paths joining its ends) pairs oddly with its own
+vector alone, so where the faces leave two slots, two such cycles
+complete the basis without de Pina's search; `oneforms.parameterize`
+decides when they may.
 """
 
 import hashlib
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, islice
+from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -48,6 +54,8 @@ _INTERNAL_SEED = 0x5EED
 _PERTURB_EPS = 1e-10
 # seam sources per de Pina Dijkstra block: 16 rows of 2n float64
 _BLOCK = 16
+# factor by which the lighter generator must outweigh every trivial cycle
+_GENERATOR_RATIO = 1.25
 
 
 def _edge_ids(graph, a, b):
@@ -86,6 +94,14 @@ def _hop_groups(indptr, edges):
         yield rows, np.sort(edges[indptr[rows, None] + np.arange(h)], axis=1)
 
 
+class SpanningTree(NamedTuple):
+    """The shortest-path tree from vertex 0 under the perturbed weights,
+    which a cycle basis and the angle map of its one-forms share."""
+    pred: np.ndarray       # parent of each vertex, negative at vertex 0
+    dist: np.ndarray       # perturbed distance from vertex 0
+    nontree: np.ndarray    # ascending ids of the edges off the tree
+
+
 @dataclass
 class CycleBasis:
     """Simple cycles of a graph, held as one CSR block.
@@ -96,6 +112,8 @@ class CycleBasis:
     length. `homology_split` returns its cycles sorted by weight, and
     where a loop starts and which way it runs carry no meaning there;
     `classify_cycles` fixes both for the last two rows, the generators.
+    `tree` is the graph's `shortest_path_tree`, which the one-form solve
+    eliminates on; a block built without one cannot be solved.
     """
 
     vertex_count: int
@@ -103,16 +121,17 @@ class CycleBasis:
     vertices: np.ndarray
     edges: np.ndarray
     weights: np.ndarray
+    tree: SpanningTree = field(default=None, repr=False)
 
     @classmethod
-    def from_loops(cls, graph, loops):
+    def from_loops(cls, graph, loops, tree=None):
         """Block of vertex loops, in the order given. Raises
         CycleBasisError unless every loop is a simple cycle of the graph:
         at least 3 vertices, all distinct, and every step a graph edge."""
-        return cls.from_flat(graph, *_flat(loops))
+        return cls.from_flat(graph, *_flat(loops), tree)
 
     @classmethod
-    def from_flat(cls, graph, hops, vertices):
+    def from_flat(cls, graph, hops, vertices, tree=None):
         """`from_loops` of the loops laid end to end in vertices."""
         indptr, edges = _loop_steps(graph, hops, vertices)
         if np.any(hops < 3):
@@ -125,7 +144,7 @@ class CycleBasis:
         for rows, ids in _hop_groups(indptr, edges):
             # summed in sorted edge order, as np.sum over each cycle's ids
             weights[rows] = graph.lengths[ids].sum(axis=1)
-        return cls(graph.vertex_count, indptr, vertices, edges, weights)
+        return cls(graph.vertex_count, indptr, vertices, edges, weights, tree)
 
     @property
     def size(self):
@@ -150,7 +169,7 @@ class CycleBasis:
         flat = (np.repeat(self.indptr[rows] - indptr[:-1], hops)
                 + np.arange(indptr[-1]))
         return CycleBasis(self.vertex_count, indptr, self.vertices[flat],
-                          self.edges[flat], self.weights[rows])
+                          self.edges[flat], self.weights[rows], self.tree)
 
     def sorted(self):
         """The same cycles ordered by weight, then hops, then their sorted
@@ -191,11 +210,13 @@ class _Workspace:
             shape=(self.n, self.n)).tocsr()
         # shortest-path tree from vertex 0: its non-tree edges are the
         # coordinates, so a complement vector is already a cut on its seam
-        root = dijkstra(self.csgraph, indices=0, return_predecessors=True)[1]
-        v = np.flatnonzero(root >= 0)
-        nontree = np.setdiff1d(np.arange(self.E), _edge_ids(graph, root[v], v))
+        dist, pred = dijkstra(self.csgraph, indices=0,
+                              return_predecessors=True)
+        v = np.flatnonzero(pred >= 0)
+        nontree = np.setdiff1d(np.arange(self.E), _edge_ids(graph, pred[v], v))
         if len(nontree) != self.m:
             raise CycleBasisError("spanning tree construction failed")
+        self.tree = SpanningTree(pred, dist, nontree)
         self.coord = np.full(self.E, -1, dtype=np.int64)
         self.coord[nontree] = np.arange(self.m)
         self.nontree = nontree
@@ -293,8 +314,8 @@ def _face_reduction(faces, m):
     """GF(2) column reduction of the rows faces[r], sets of coordinates
     (-1 pads a row) in rank order: (kept, comp), the rows independent of
     all earlier ones, ascending, and the complement basis of their span
-    with one vector per free coordinate f, ascending, holding f and no
-    other free coordinate.
+    with one vector per free coordinate f, ascending, holding f as its
+    largest coordinate and no other free coordinate.
 
     Column c holds the rows meeting c, then the tracking row R - 1 - c;
     its pivot is its first row. Each round, each pivot no column owns
@@ -304,7 +325,8 @@ def _face_reduction(faces, m):
     greedy keeps (the pairing lemma of column-reduction persistence,
     Bauer, "Ripser", 2021). A column whose face rows cancel owns the
     tracking row of its largest coordinate, a free one; back-substitution
-    in ascending f clears its lower free coordinates."""
+    in ascending f clears its lower free coordinates with vectors of
+    lower coordinates only, so f stays the largest."""
     F, R = len(faces), len(faces) + m
     r, j = np.nonzero(faces >= 0)
     c = np.arange(m)
@@ -509,6 +531,14 @@ def _phase_b(ws, chosen, comp):
                         for t in comp[i + 1:]]
 
 
+def _sorted_block(ws, loops):
+    """The loops of 2-D vertex arrays (a loop per row) as one block sorted
+    by weight, on the workspace's tree."""
+    return CycleBasis.from_flat(
+        ws.graph, np.concatenate([np.full(len(a), a.shape[1]) for a in loops]),
+        np.concatenate([a.ravel() for a in loops]), ws.tree).sorted()
+
+
 def _finish(ws, chosen, comp):
     """Fill the slots left by de Pina's rule, from comp, the complement
     basis of the span of chosen (2-D vertex arrays, a loop per row), and
@@ -516,12 +546,10 @@ def _finish(ws, chosen, comp):
     if comp:
         log.info("support-vector phase for %d remaining cycles", len(comp))
         _phase_b(ws, chosen, comp)
-    hops = np.concatenate([np.full(len(a), a.shape[1]) for a in chosen])
-    if len(hops) != ws.m:
+    basis = _sorted_block(ws, chosen)
+    if basis.size != ws.m:
         raise CycleBasisError(
-            f"basis incomplete: {len(hops)} of {ws.m} cycles")
-    basis = CycleBasis.from_flat(ws.graph, hops, np.concatenate(
-        [a.ravel() for a in chosen])).sorted()
+            f"basis incomplete: {basis.size} of {ws.m} cycles")
     log.info("cycle basis: %d cycles, total weight %.6g",
              basis.size, basis.total_weight())
     return basis
@@ -544,7 +572,7 @@ def homology_split(graph):
     return _finish(ws, *_short_cycle_basis(ws))
 
 
-def classify_cycles(basis, ratio=1.25):
+def classify_cycles(basis, ratio=_GENERATOR_RATIO):
     """The basis with its last two rows, the heaviest two cycles, as the
     homology generators: the poloidal one, then the toroidal one.
 
@@ -570,6 +598,12 @@ def classify_cycles(basis, ratio=1.25):
             "the cloud is sparse or uneven: raise k or sample more points",
             {"generator_weight": weight, "trivial_weight_max": trivial,
              "ratio": weight / trivial, "required_ratio": ratio})
+    return _run_generators(basis)
+
+
+def _run_generators(basis):
+    """`basis` with its last two loops run by `classify_cycles`'s rule."""
+    k = basis.size - 2
     vertices, edges = basis.vertices.copy(), basis.edges.copy()
     for lo, hi in zip(basis.indptr[k:-1], basis.indptr[k + 1:]):
         start = -int(np.argmin(vertices[lo:hi]))
@@ -579,7 +613,51 @@ def classify_cycles(basis, ratio=1.25):
             loop, steps = np.roll(loop[::-1], 1), steps[::-1]
         vertices[lo:hi], edges[lo:hi] = loop, steps
     return CycleBasis(basis.vertex_count, basis.indptr, vertices, edges,
-                      basis.weights)
+                      basis.weights, basis.tree)
+
+
+def shortest_path_tree(graph):
+    """The `SpanningTree` `homology_split` builds its basis on, for a
+    basis assembled by hand."""
+    return _Workspace(graph).tree
+
+
+def _fundamental_weights(ws, edges):
+    """Perturbed weight of each given non-tree edge's fundamental cycle:
+    the edge and the tree paths from its ends to their lowest common
+    ancestor. Ancestors lie strictly closer to vertex 0, so the end
+    farther from it (both, on a tie) steps up until the two meet."""
+    pred, d = ws.tree.pred, ws.tree.dist
+    a, b = ws.ex[edges], ws.ey[edges]
+    while len(live := np.flatnonzero(a != b)):
+        up_a = live[d[a[live]] >= d[b[live]]]
+        up_b = live[d[b[live]] >= d[a[live]]]
+        a[up_a], b[up_b] = pred[a[up_a]], pred[b[up_b]]
+    return d[ws.ex[edges]] + d[ws.ey[edges]] - 2.0 * d[a] + ws.w_pert[edges]
+
+
+def _fundamental_loop(ws, edge):
+    """Vertex loop of a non-tree edge's fundamental cycle, from one end of
+    the edge up the tree and down to its other end."""
+    i, j = int(ws.ex[edge]), int(ws.ey[edge])
+    up_i = _walk_to_source(ws.tree.pred, 0, i)
+    up_j = _walk_to_source(ws.tree.pred, 0, j)
+    while len(up_i) > 1 and len(up_j) > 1 and up_i[-2] == up_j[-2]:
+        up_i.pop()
+        up_j.pop()
+    return up_i + up_j[-2::-1]
+
+
+def _with_generators(graph, trivial, loops):
+    """The rows of the block `trivial`, then the two generator loops, the
+    poloidal one first, each run as `classify_cycles` runs it."""
+    gens = _run_generators(CycleBasis.from_loops(graph, loops, trivial.tree))
+    return CycleBasis(
+        trivial.vertex_count,
+        np.r_[trivial.indptr, trivial.indptr[-1] + gens.indptr[1:]],
+        np.r_[trivial.vertices, gens.vertices],
+        np.r_[trivial.edges, gens.edges],
+        np.r_[trivial.weights, gens.weights], trivial.tree)
 
 
 def export_cycles_json(path, basis):

@@ -11,8 +11,9 @@ from torusforge.samplers import (sample_center_manifold_torus,
                                  sample_standard_map_torus,
                                  sample_torus_revolution)
 from torusforge.knn import NeighborGraph, build_knn_graph
-from torusforge.cycles import CycleBasis, classify_cycles, homology_split
-from torusforge.oneforms import solve_oneforms
+from torusforge.cycles import (CycleBasis, classify_cycles, homology_split,
+                               shortest_path_tree)
+from torusforge.oneforms import parameterize, solve_oneforms
 from torusforge.mesher import mesh_flat_torus
 from torusforge.orientation import orient_mesh
 from reference_cycles import minimum_cycle_basis
@@ -61,7 +62,8 @@ def manual_grid_basis(graph, rows, cols):
             squares.append([a, b, c, d])
     row0 = list(range(cols))
     col0 = [i * cols for i in range(rows)]
-    return CycleBasis.from_loops(graph, squares + [col0, row0])
+    return CycleBasis.from_loops(graph, squares + [col0, row0],
+                                 shortest_path_tree(graph))
 
 
 def _circumcircle(pts, a, b, c):
@@ -125,34 +127,40 @@ def klein_bottle(n=6):
 
 
 def build_pipeline(cloud, k=8):
-    """Full library chain cloud -> oriented mesh, bundled for tests."""
+    """The library chain the CLI runs, cloud -> oriented mesh, bundled
+    for tests."""
     graph = build_knn_graph(cloud, k=k)
-    basis = homology_split(graph)
-    classified = classify_cycles(basis)
-    forms = solve_oneforms(graph, classified)
+    classified, forms = parameterize(graph)
     mesh = mesh_flat_torus(graph, forms, cloud)
     oriented = orient_mesh(mesh)
-    return SimpleNamespace(cloud=cloud, graph=graph, basis=basis,
-                           classified=classified, forms=forms,
-                           mesh=mesh, oriented=oriented)
+    return SimpleNamespace(cloud=cloud, graph=graph, classified=classified,
+                           forms=forms, mesh=mesh, oriented=oriented)
+
+
+def fixture_pipeline(cloud):
+    """build_pipeline with de Pina's split beside it, as `basis`."""
+    bundle = build_pipeline(cloud)
+    bundle.basis = homology_split(bundle.graph)
+    return bundle
 
 
 @pytest.fixture(scope="session")
 def torus_bundle():
-    return build_pipeline(sample_torus_revolution(2.0, 0.5, 2000, 0, "grid"))
+    return fixture_pipeline(sample_torus_revolution(2.0, 0.5, 2000, 0,
+                                                    "grid"))
 
 
 @pytest.fixture(scope="session")
 def random_torus_bundle():
     """The 2k torus with distribution="random": its sampling gaps give
     trivial cycles of five and more hops."""
-    return build_pipeline(sample_torus_revolution(2.0, 0.5, 2000, 0,
-                                                  distribution="random"))
+    return fixture_pipeline(sample_torus_revolution(2.0, 0.5, 2000, 0,
+                                                    distribution="random"))
 
 
 @pytest.fixture(scope="session")
 def stdmap_bundle():
-    return build_pipeline(sample_standard_map_torus(
+    return fixture_pipeline(sample_standard_map_torus(
         K1=0.3, K2=0.3, theta1=0.0, theta2=0.0, p1=GOLDEN, p2=SILVER, N=4000))
 
 
@@ -160,7 +168,7 @@ def stdmap_bundle():
 def cm_bundle():
     cloud = sample_center_manifold_torus(EARTH_MOON_MU, "L2", 5e-3, 5e-3,
                                          6000)
-    return build_pipeline(cloud)
+    return fixture_pipeline(cloud)
 
 
 @pytest.fixture(scope="session")

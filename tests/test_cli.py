@@ -685,7 +685,7 @@ for name in torusforge.__all__:
 print(len(torusforge.__all__))
 """
     run = _run_python(["-c", code])
-    assert run.stdout.strip() == "42", run.stderr
+    assert run.stdout.strip() == "43", run.stderr
 
 
 def test_module_entry_point_runs_without_warnings(tmp_path):

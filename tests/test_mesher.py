@@ -5,6 +5,7 @@ mesh validation."""
 
 import hashlib
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from scipy.spatial import Delaunay
 from conftest import (EARTH_MOON_MU, brute_force_delaunay_check,
                       build_pipeline, periodic_grid, unwrapped_corners)
 from reference_cycles import minimum_cycle_basis
-from torusforge.cycles import classify_cycles
+from torusforge.cycles import classify_cycles, homology_split
 from torusforge.errors import (GeneratorClassificationError,
                                MeshValidationError, ResidualError)
 from torusforge.knn import NeighborGraph
@@ -25,7 +26,7 @@ from torusforge.mesher import (_components, _half_edges, _periodic_delaunay,
                                export_mesh_json, load_mesh_json,
                                mesh_flat_torus, validate_mesh)
 from torusforge.orientation import _double_cover
-from torusforge.oneforms import OneFormPair, solve_oneforms
+from torusforge.oneforms import OneFormPair, parameterize, solve_oneforms
 from torusforge.samplers import (PointCloud, sample_center_manifold_torus,
                                  sample_torus_revolution)
 
@@ -444,6 +445,81 @@ def test_relabeling_keeps_undirected_triangles(bundle, request):
         assert np.array_equal(undirected_triangles(got), want), seed
 
 
+def de_pina_chain(bundle):
+    """The classified basis, forms and mesh of de Pina's generators on a
+    bundle's graph: classify_cycles(homology_split), solve_oneforms,
+    mesh."""
+    classified = classify_cycles(homology_split(bundle.graph))
+    forms = solve_oneforms(bundle.graph, classified)
+    return classified, forms, mesh_flat_torus(bundle.graph, forms,
+                                              bundle.cloud).triangles
+
+
+def assert_same_or_reversed(got, want):
+    """The directed triangle sets are equal, or every face is reversed."""
+    want = np.unique(want, axis=0)
+    same = np.array_equal(np.unique(got, axis=0), want)
+    back = np.unique(np.roll(got[:, ::-1], 1, axis=1), axis=0)
+    assert same or np.array_equal(back, want)
+
+
+def lattice_classes(graph, caplog):
+    """The reduced classes `parameterize` logs for a graph, in the
+    coordinates of its first solve, as sorted absolute values: [[0, 1],
+    [1, 0]] where the reduction kept the first classes. None when de
+    Pina's rule gave the generators."""
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="torusforge.oneforms"):
+        parameterize(graph)
+    found = [r.args[:2] for r in caplog.records
+             if r.msg.startswith("generators from the period lattice")]
+    return sorted(np.abs(c).tolist() for c in found[0]) if found else None
+
+
+@pytest.mark.parametrize("bundle, classes", [
+    ("torus_bundle", [[0, 1], [1, 0]]),
+    ("stdmap_bundle", None),
+    ("cm_bundle", [[0, 1], [1, 0]]),
+    ("random_torus_bundle", None),
+    ("fibonacci_bundle", [[1, 0], [1, 1]])])
+def test_lattice_generators_keep_the_undirected_mesh(bundle, classes,
+                                                     request, caplog):
+    """The pipeline's mesh has de Pina's undirected triangles. Where the
+    period lattice gives the generators, they are other loops than de
+    Pina's, and the winding is the same or reversed on every face; the
+    fibonacci torus's reduced basis is not the one first solved for.
+    Where de Pina's rule runs (the standard map's two generator classes
+    are a near-tie, the random torus leaves more than two slots), the
+    basis, the forms (the standard map's solved on the lattice solve's
+    Laplacian factor) and the directed triangles are de Pina's exactly."""
+    b = request.getfixturevalue(bundle)
+    assert lattice_classes(b.graph, caplog) == classes
+    classified, forms, triangles = de_pina_chain(b)
+    assert np.array_equal(undirected_triangles(b.mesh.triangles),
+                          undirected_triangles(triangles))
+    same = np.array_equal(b.classified.edges, classified.edges)
+    assert same == (classes is None)
+    if same:
+        for key in ("du", "dv", "theta"):
+            assert np.array_equal(getattr(b.forms, key),
+                                  getattr(forms, key)), key
+        assert b.forms.diagnostics == forms.diagnostics
+        assert np.array_equal(b.mesh.triangles, triangles)
+    else:
+        assert_same_or_reversed(b.mesh.triangles, triangles)
+
+
+def test_lattice_generators_keep_the_16k_grid_mesh(caplog):
+    """On the 16k grid torus the reduced basis is not the one first solved
+    for either, and the mesh has de Pina's triangles."""
+    b = build_pipeline(sample_torus_revolution(2.0, 0.5, 16000, 0, "grid"))
+    assert lattice_classes(b.graph, caplog) == [[1, 0], [1, 1]]
+    triangles = de_pina_chain(b)[2]
+    assert np.array_equal(undirected_triangles(b.mesh.triangles),
+                          undirected_triangles(triangles))
+    assert_same_or_reversed(b.mesh.triangles, triangles)
+
+
 # triangle-set digests of the fixture meshes, frozen so that a change to
 # the one-form solve or the mesher that moves a triangle shows
 MESH_DIGESTS = {
@@ -453,8 +529,11 @@ MESH_DIGESTS = {
         "402d8962ef645c6336b3bc2396d7ee263effebafb765f11fc6b54227719aaa73",
     "stdmap_bundle":
         "4dff580b00c5e97fd7119c227174a6c05bd8d48c4db1a2f17f939cb730ab8ae2",
+    # the period-lattice generators run the other way on this cloud, so
+    # every face is reversed against de Pina's (the undirected set is the
+    # same; see test_lattice_generators_keep_the_undirected_mesh)
     "cm_bundle":
-        "ef5265a32ced17bb93e30e7e9745b1a559ca54ea8e0f680ee5b25d97803d35a1",
+        "079af924c4dc61a5ff5c3b108e72847f9531500fb707b379f30b256687e28c4b",
 }
 
 

@@ -1,6 +1,7 @@
 """Harmonic one-forms: grid solutions with known closed forms, residual
 gates, a dense least-squares cross-check, cycle rows against a per-edge
-reference, and period integrality."""
+reference, period integrality, and `parameterize`'s period-lattice
+generators against de Pina's."""
 
 import json
 from collections import deque
@@ -10,11 +11,17 @@ import pytest
 
 from conftest import manual_grid_basis, periodic_grid
 from reference_cycles import minimum_cycle_basis, neighbor_rows
-from torusforge.cycles import CycleBasis, _Workspace, classify_cycles
-from torusforge.errors import ResidualError
+from torusforge.cycles import (_GENERATOR_RATIO, CycleBasis, _finish,
+                               _fundamental_loop, _fundamental_weights,
+                               _short_cycle_basis, _Workspace,
+                               classify_cycles, homology_split)
+from torusforge.errors import (CycleBasisError, GeneratorClassificationError,
+                               ResidualError)
 from torusforge.knn import NeighborGraph
-from torusforge.oneforms import _cycle_rows, export_residuals_json, \
-    solve_oneforms
+from torusforge.oneforms import (_coclosed_rows, _cycle_rows, _gauss_reduce,
+                                 _lattice_generators, _loop_lower_bound,
+                                 _solve_exact, export_residuals_json,
+                                 parameterize, solve_oneforms)
 
 
 def coclosed_reference(graph):
@@ -112,7 +119,7 @@ def test_inconsistent_trivial_row_trips_closedness_gate():
         edges = basis.edges.copy()
         edges[hi - 1] = graph.edge_ids([i], [j])[0]
         broken = CycleBasis(basis.vertex_count, basis.indptr,
-                            basis.vertices, edges, basis.weights)
+                            basis.vertices, edges, basis.weights, basis.tree)
         with pytest.raises(ResidualError) as err:
             solve_oneforms(graph, broken)
         d = err.value.diagnostics
@@ -280,3 +287,117 @@ def test_manual_classification_matches_docstring_sign_convention():
         e = int(graph.edge_ids([a], [b])[0])
         total += forms.du[e] if a < b else -forms.du[e]
     assert total == pytest.approx(1.0, abs=1e-12)
+
+
+def test_solve_needs_the_basis_tree():
+    """A block built without the graph's shortest-path tree is refused
+    before any factorization, naming the helper that builds one."""
+    graph = periodic_grid(4)
+    basis = manual_grid_basis(graph, 4, 4)
+    bare = CycleBasis.from_loops(graph, np.split(basis.vertices,
+                                                 basis.indptr[1:-1]))
+    with pytest.raises(CycleBasisError, match="shortest_path_tree"):
+        solve_oneforms(graph, bare)
+
+
+def test_fundamental_cycles_of_nontree_edges(torus_bundle):
+    """A non-tree edge's fundamental loop is a simple cycle through the
+    edge whose GF(2) vector is the edge's coordinate alone, and
+    _fundamental_weights is its perturbed weight."""
+    ws = _Workspace(torus_bundle.graph)
+    edges = ws.nontree[::53]
+    weights = _fundamental_weights(ws, edges)
+    for e, weight in zip(edges.tolist(), weights.tolist()):
+        loop = _fundamental_loop(ws, e)
+        block = CycleBasis.from_loops(ws.graph, [loop])
+        assert e in block.edges.tolist()
+        assert next(ws.vectors([loop]))[1] == {int(ws.coord[e])}
+        assert weight == pytest.approx(float(ws.w_pert[block.edges].sum()),
+                                       rel=1e-12)
+
+
+def test_gauss_reduction_matches_brute_force():
+    """Under random positive definite forms G, b1 is a shortest nonzero
+    vector of Z^2, b2 a shortest one independent of it, and the two are
+    a basis of Z^2."""
+    rng = np.random.default_rng(3)
+    box = np.array([(a, b) for a in range(-30, 31) for b in range(-30, 31)
+                    if (a, b) != (0, 0)])
+    checked = 0
+    while checked < 200:
+        frame = rng.normal(size=(2, 2))
+        G = frame.T @ frame
+        if np.linalg.cond(G) > 1e3:
+            continue
+        checked += 1
+        b1, b2 = _gauss_reduce(G)
+        norms = np.einsum("ij,jk,ik->i", box, G, box)
+        assert abs(b1[0] * b2[1] - b1[1] * b2[0]) == 1
+        assert b1 @ G @ b1 == pytest.approx(norms.min(), rel=1e-12)
+        free = box[:, 0] * b1[1] != box[:, 1] * b1[0]
+        assert b2 @ G @ b2 == pytest.approx(norms[free].min(), rel=1e-12)
+
+
+@pytest.mark.parametrize("bundle", ["torus_bundle", "stdmap_bundle",
+                                    "cm_bundle", "random_torus_bundle"])
+def test_loop_bound_is_below_the_lighter_generator(bundle, request):
+    """No loop with a nonzero period is lighter than _loop_lower_bound of
+    the forms, so neither is the lighter generator of the exact minimum
+    basis."""
+    b = request.getfixturevalue(bundle)
+    exact = classify_cycles(minimum_cycle_basis(b.graph))
+    bound = _loop_lower_bound(b.graph, b.forms.du, b.forms.dv)
+    assert 0.0 < bound <= exact.weights[-2]
+
+
+def test_ratio_above_the_loop_bound_falls_back_to_de_pina(torus_bundle):
+    """On the 2k grid torus the loop bound clears the heaviest face about
+    2.8 times and the exact generators 4.1 times. At the generator ratio
+    the period lattice gives the generators; at ratio 3 or 5 the bound
+    leaves them to de Pina's rule and hands over the Laplacian factor of
+    its solve. What `parameterize` then does is today's outcome exactly:
+    `homology_split`'s basis; at ratio 3 classify_cycles' gate passes,
+    and the solve on the handed factor gives solve_oneforms' forms bit
+    for bit; at ratio 5 the gate stops with the same diagnostics."""
+    graph = torus_bundle.graph
+    split = homology_split(graph)
+    heaviest = split.weights[-3]
+    bound = _loop_lower_bound(graph, torus_bundle.forms.du,
+                              torus_bundle.forms.dv)
+    assert bound < 3.0 * heaviest < split.weights[-2] < 5.0 * heaviest
+    assert not np.array_equal(torus_bundle.classified.edges,
+                              classify_cycles(split).edges)
+    ws = _Workspace(graph)
+    faces, comp = _short_cycle_basis(ws)
+    A = _coclosed_rows(graph)
+    found, llu = _lattice_generators(ws, faces, comp, A, _GENERATOR_RATIO)
+    assert found is not None and llu is None
+    for ratio in (5.0, 3.0):
+        found, llu = _lattice_generators(ws, faces, comp, A, ratio)
+        assert found is None and llu is not None
+    basis = _finish(ws, faces, comp)
+    for key in ("indptr", "vertices", "edges", "weights"):
+        assert np.array_equal(getattr(basis, key), getattr(split, key)), key
+    with pytest.raises(GeneratorClassificationError) as want_stop:
+        classify_cycles(split, ratio=5.0)
+    with pytest.raises(GeneratorClassificationError) as stop:
+        classify_cycles(basis, ratio=5.0)
+    assert str(stop.value) == str(want_stop.value)
+    assert stop.value.diagnostics == want_stop.value.diagnostics
+    classified = classify_cycles(basis, ratio=3.0)
+    C = _cycle_rows(graph, classified)
+    pair = solve_oneforms(graph, classify_cycles(split, ratio=3.0))
+    got = _solve_exact(graph, A, C, ws.nontree, llu)[:3]
+    for key, value in zip(("du", "dv", "theta"), got):
+        assert np.array_equal(value, getattr(pair, key)), key
+
+
+def test_parameterize_refuses_grid3_as_classify_does():
+    """The 3x3 grid's faces leave no slot to the period lattice, and it
+    stops at the ratio gate with classify_cycles' diagnostics."""
+    graph = periodic_grid(3)
+    with pytest.raises(GeneratorClassificationError) as want:
+        classify_cycles(homology_split(graph))
+    with pytest.raises(GeneratorClassificationError) as got:
+        parameterize(graph)
+    assert got.value.diagnostics == want.value.diagnostics
