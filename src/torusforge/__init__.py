@@ -13,6 +13,12 @@ it projected to 3D by a (3, D) matrix.
 consistently, or proves it non-orientable, from the orientation double
 cover of its faces. Each name loads its module on first access, so
 importing the package loads no scipy.
+
+The names below are the chain's steps, its data types and its errors.
+What only tests need (an integrator and the Jacobi integral of the
+three-body dynamics, readers of the OBJ and PLY exports, de Pina's split
+on its own, the one-form solve on a hand-built basis) lives beside the
+tests.
 """
 
 import importlib
@@ -24,19 +30,17 @@ _MODULES = {
                "GeneratorClassificationError", "MeshValidationError",
                "OrientationConflictError", "ProjectionError",
                "ResidualError", "SingularityError", "TorusforgeError"),
-    "cr3bp": ("LibrationPoint", "eom", "integrate", "jacobi_constant",
-              "libration_points"),
+    "cr3bp": ("LibrationPoint", "libration_points"),
     "samplers": ("PointCloud", "iterate_standard_map", "load_point_cloud",
                  "sample_center_manifold_torus", "sample_standard_map_torus",
                  "sample_torus_revolution", "save_point_cloud"),
     "knn": ("NeighborGraph", "build_knn_graph"),
-    "cycles": ("CycleBasis", "classify_cycles", "homology_split"),
-    "oneforms": ("OneFormPair", "parameterize", "solve_oneforms"),
+    "cycles": ("CycleBasis", "classify_cycles"),
+    "oneforms": ("OneFormPair", "parameterize"),
     "mesher": ("SurfaceMesh", "load_mesh_json", "mesh_flat_torus",
                "validate_mesh"),
     "orientation": ("orient_mesh",),
-    "projection": ("ProjectedMesh", "export_mesh", "project", "read_obj",
-                   "read_ply"),
+    "projection": ("ProjectedMesh", "export_mesh", "project"),
     "cli": ("default_config", "main", "run_pipeline"),
 }
 _HOME = {name: module for module, names in _MODULES.items()

@@ -197,9 +197,9 @@ def build_cloud(cfg):
 
 def _projection_matrix(pc):
     """The matrix of a custom_matrix projection section, read from the
-    JSON file at `path`. Raises ConfigError unless it is a numeric matrix
-    of 3 rows; whether it has one column per cloud coordinate is checked
-    by `project`."""
+    JSON file at `path`. Raises ConfigError unless it is a finite numeric
+    matrix of 3 rows; whether it has one column per cloud coordinate is
+    checked by `project`."""
     if pc.get("path") is None:
         raise ConfigError("custom_matrix projection needs a path")
     try:
@@ -211,6 +211,9 @@ def _projection_matrix(pc):
     if mat.ndim != 2 or mat.shape[0] != 3:
         raise ConfigError(f"projection path must hold a matrix of 3 rows, "
                           f"got shape {mat.shape}")
+    if not np.isfinite(mat).all():
+        raise ConfigError(f"projection path {pc['path']} holds a non-finite "
+                          f"entry")
     return mat
 
 
@@ -277,7 +280,7 @@ def stage_project(cfg, mesh=None):
 def _load_projected(source):
     """Read a projected.json; raises ProjectionError, naming the file,
     unless it holds finite (N, 3) points, (T, 3) integer triangles whose
-    ids index the points, and `source_dim`."""
+    ids index the points, and an integer `source_dim`."""
     try:
         with open(source, "r", encoding="ascii") as fh:
             payload = json.load(fh)
@@ -285,7 +288,10 @@ def _load_projected(source):
         if points.shape[1:] != (3,) or not np.isfinite(points).all():
             raise ValueError("points are not a finite (N, 3) array")
         tris = _read_triangles(payload["triangles"], len(points))
-        source_dim = int(payload["source_dim"])
+        source_dim = payload["source_dim"]
+        if not _is_int(source_dim):
+            raise TypeError(f"source_dim must be an integer, got "
+                            f"{source_dim!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise ProjectionError(f"{source} is not a projected.json: "
                               f"{type(exc).__name__}: {exc}") from None

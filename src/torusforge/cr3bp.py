@@ -4,6 +4,10 @@ Barycentric rotating-frame normalized units throughout: the primaries sit
 at (-mu, 0, 0) and (1 - mu, 0, 0), the mean motion and the separation are
 both 1, and the mass parameter is mu = m2 / (m1 + m2) with mu in (0, 0.5]
 (the symmetric boundary mu = 0.5 is accepted for tests).
+
+The center-manifold sampler needs two things from here: the libration
+points and the Jacobian of the vector field at one of them. The
+equations of motion stay private to that Jacobian.
 """
 
 from dataclasses import dataclass
@@ -37,7 +41,7 @@ def _primary_offsets(r, mu):
     return r1, r2, n1, n2
 
 
-def eom(state, mu):
+def _eom(state, mu):
     """Acceleration (xddot, yddot, zddot) of the CR3BP rotating frame.
 
     Parameters
@@ -63,32 +67,16 @@ def eom(state, mu):
     return np.array([ax, ay, az])
 
 
-def vector_field(t, state, mu):
-    """First-order form of the equations of motion, for integrators."""
-    a = eom(state, mu)
+def _vector_field(state, mu):
+    """First-order form of the equations of motion: (velocity, _eom)."""
+    a = _eom(state, mu)
     return np.array([state[3], state[4], state[5], a[0], a[1], a[2]])
-
-
-def augmented_potential(r, mu):
-    """U(r) = (x^2 + y^2)/2 + (1 - mu)/|r1| + mu/|r2|."""
-    mu = _check_mu(mu)
-    r = np.asarray(r, dtype=np.float64)
-    _, _, n1, n2 = _primary_offsets(r, mu)
-    return 0.5 * (r[0] ** 2 + r[1] ** 2) + (1.0 - mu) / n1 + mu / n2
-
-
-def jacobi_constant(state, mu):
-    """Jacobi constant C = 2 U(r) - v.v, conserved along trajectories."""
-    state = np.asarray(state, dtype=np.float64)
-    v = state[3:6]
-    return 2.0 * augmented_potential(state[:3], mu) - float(v @ v)
 
 
 @dataclass(frozen=True)
 class LibrationPoint:
     label: str
     position: np.ndarray
-    jacobi: float
 
 
 def _collinear_condition(x, mu):
@@ -123,7 +111,7 @@ def _bisect(f, a, b):
 
 
 def libration_points(mu):
-    """The five rotating-frame equilibria, each with v = 0 and its Jacobi value.
+    """The five rotating-frame equilibria (with v = 0).
 
     L1-L3 are located by bracketed bisection on the collinear condition over
     the three fixed intervals (between the bodies, beyond m2, beyond m1);
@@ -142,11 +130,7 @@ def libration_points(mu):
         ("L4", np.array([0.5 - mu, np.sqrt(3.0) / 2.0, 0.0])),
         ("L5", np.array([0.5 - mu, -np.sqrt(3.0) / 2.0, 0.0])),
     ]
-    out = []
-    for label, pos in pts:
-        state = np.concatenate([pos, np.zeros(3)])
-        out.append(LibrationPoint(label, pos, jacobi_constant(state, mu)))
-    return out
+    return [LibrationPoint(label, pos) for label, pos in pts]
 
 
 def jacobian(point, mu):
@@ -162,46 +146,7 @@ def jacobian(point, mu):
     for j in range(6):
         dp = np.zeros(6)
         dp[j] = _JACOBIAN_STEP
-        fp = vector_field(0.0, state0 + dp, mu)
-        fm = vector_field(0.0, state0 - dp, mu)
+        fp = _vector_field(state0 + dp, mu)
+        fm = _vector_field(state0 - dp, mu)
         J[:, j] = (fp - fm) / (2.0 * _JACOBIAN_STEP)
     return J
-
-
-def integrate(state0, mu, t_span, tol=1e-12, t_eval=None):
-    """Integrate the CR3BP equations of motion forward by t_span with
-    DOP853, the adaptive eighth-order Runge-Kutta method.
-
-    Parameters
-    ----------
-    state0 : array-like, shape (6,)
-    mu : float
-    t_span : float
-        Non-negative duration in normalized time units.
-    tol : float
-        Relative and absolute tolerance of the adaptive integrator.
-    t_eval : array-like, optional
-        Requested sample times; integrator-chosen steps when omitted.
-
-    Returns
-    -------
-    (ts, states) : (ndarray (M,), ndarray (M, 6))
-    """
-    mu = _check_mu(mu)
-    state0 = np.asarray(state0, dtype=np.float64)
-    if state0.shape != (6,):
-        raise ConfigError("state0 must have 6 components")
-    t_span = float(t_span)
-    if t_span < 0:
-        raise ConfigError("t_span must be non-negative")
-    if t_span == 0.0:
-        return np.array([0.0]), state0[None, :].copy()
-    # imported here: it is most of the package's import time, and no
-    # pipeline stage integrates
-    from scipy.integrate import solve_ivp
-    sol = solve_ivp(vector_field, (0.0, t_span), state0, args=(mu,),
-                    method="DOP853", rtol=tol, atol=tol, t_eval=t_eval,
-                    dense_output=False)
-    if not sol.success:
-        raise SingularityError(f"integration failed: {sol.message}")
-    return sol.t, sol.y.T

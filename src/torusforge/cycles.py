@@ -1,7 +1,7 @@
 """The cycle basis of a torus graph, split into trivial cycles and two
 homology generators.
 
-`homology_split`, the basis the pipeline splits, starts from the graph's
+The split, which `oneforms.parameterize` runs, starts from the graph's
 triangles and chordless squares (4-cycles whose diagonals are not
 edges), found with array operations on the edge list. One GF(2) column
 reduction of the faces x coordinates matrix, faces in weight order,
@@ -17,15 +17,15 @@ B/2 + w_max (the heaviest edge) of its source, so a search to that
 radius is exact whenever a walk of weight at most B exists. The sources
 run _BLOCK at a time, so one block's 2n-wide distance rows take 256 n
 bytes (1.5 MiB at n = 6,000), and each block searches only as far as a
-walk lighter than the best one so far needs. The split
-is the minimum basis whenever every minimum-basis cycle lighter than
-the heaviest chosen triangle or square has at most 4 hops.
+walk lighter than the best one so far needs. `_finish` states when the
+split is the minimum basis.
 
 Every phase produces each cycle as a vertex loop. The basis holds the
 loops as one CSR block (`CycleBasis`), certified simple when it is
-built, with the shortest-path tree from vertex 0 it was split on;
-`classify_cycles` fixes where each of its last two rows, the homology
-generators, starts and which way it runs. A cycle's GF(2) vector is
+built; `classify_cycles` fixes where each of its last two rows, the
+homology generators, starts and which way it runs. Every basis is split
+on the shortest-path tree from vertex 0 under the perturbed weights,
+which the angle map of its one-forms shares. A cycle's GF(2) vector is
 the set of its edges off that tree, each edge named by its coordinate;
 complement vectors are such sets too, each holding one free coordinate
 no other holds. The fundamental cycle of a free coordinate's edge (the
@@ -38,9 +38,8 @@ decides when they may.
 import hashlib
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, islice
-from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -94,14 +93,6 @@ def _hop_groups(indptr, edges):
         yield rows, np.sort(edges[indptr[rows, None] + np.arange(h)], axis=1)
 
 
-class SpanningTree(NamedTuple):
-    """The shortest-path tree from vertex 0 under the perturbed weights,
-    which a cycle basis and the angle map of its one-forms share."""
-    pred: np.ndarray       # parent of each vertex, negative at vertex 0
-    dist: np.ndarray       # perturbed distance from vertex 0
-    nontree: np.ndarray    # ascending ids of the edges off the tree
-
-
 @dataclass
 class CycleBasis:
     """Simple cycles of a graph, held as one CSR block.
@@ -109,11 +100,9 @@ class CycleBasis:
     Cycle r is the vertex loop vertices[indptr[r]:indptr[r + 1]], closed
     back to its first vertex. Its step t runs from loop vertex t to the
     next one along edge edges[indptr[r] + t], and weights[r] is its true
-    length. `homology_split` returns its cycles sorted by weight, and
-    where a loop starts and which way it runs carry no meaning there;
+    length. `_finish` returns its cycles sorted by weight, and where a
+    loop starts and which way it runs carry no meaning there;
     `classify_cycles` fixes both for the last two rows, the generators.
-    `tree` is the graph's `shortest_path_tree`, which the one-form solve
-    eliminates on; a block built without one cannot be solved.
     """
 
     vertex_count: int
@@ -121,17 +110,16 @@ class CycleBasis:
     vertices: np.ndarray
     edges: np.ndarray
     weights: np.ndarray
-    tree: SpanningTree = field(default=None, repr=False)
 
     @classmethod
-    def from_loops(cls, graph, loops, tree=None):
+    def from_loops(cls, graph, loops):
         """Block of vertex loops, in the order given. Raises
         CycleBasisError unless every loop is a simple cycle of the graph:
         at least 3 vertices, all distinct, and every step a graph edge."""
-        return cls.from_flat(graph, *_flat(loops), tree)
+        return cls.from_flat(graph, *_flat(loops))
 
     @classmethod
-    def from_flat(cls, graph, hops, vertices, tree=None):
+    def from_flat(cls, graph, hops, vertices):
         """`from_loops` of the loops laid end to end in vertices."""
         indptr, edges = _loop_steps(graph, hops, vertices)
         if np.any(hops < 3):
@@ -144,7 +132,7 @@ class CycleBasis:
         for rows, ids in _hop_groups(indptr, edges):
             # summed in sorted edge order, as np.sum over each cycle's ids
             weights[rows] = graph.lengths[ids].sum(axis=1)
-        return cls(graph.vertex_count, indptr, vertices, edges, weights, tree)
+        return cls(graph.vertex_count, indptr, vertices, edges, weights)
 
     @property
     def size(self):
@@ -169,7 +157,7 @@ class CycleBasis:
         flat = (np.repeat(self.indptr[rows] - indptr[:-1], hops)
                 + np.arange(indptr[-1]))
         return CycleBasis(self.vertex_count, indptr, self.vertices[flat],
-                          self.edges[flat], self.weights[rows], self.tree)
+                          self.edges[flat], self.weights[rows])
 
     def sorted(self):
         """The same cycles ordered by weight, then hops, then their sorted
@@ -191,7 +179,8 @@ class CycleBasis:
 
 class _Workspace:
     """Shared state: perturbed weights, the shortest-path tree from vertex
-    0, and the GF(2) coordinates of the edges off it."""
+    0 (`pred`, negative at vertex 0, and the perturbed distance `dist`),
+    and the GF(2) coordinates of the edges off it (`nontree`, ascending)."""
 
     def __init__(self, graph):
         self.graph = graph
@@ -216,7 +205,7 @@ class _Workspace:
         nontree = np.setdiff1d(np.arange(self.E), _edge_ids(graph, pred[v], v))
         if len(nontree) != self.m:
             raise CycleBasisError("spanning tree construction failed")
-        self.tree = SpanningTree(pred, dist, nontree)
+        self.pred, self.dist = pred, dist
         self.coord = np.full(self.E, -1, dtype=np.int64)
         self.coord[nontree] = np.arange(self.m)
         self.nontree = nontree
@@ -533,16 +522,24 @@ def _phase_b(ws, chosen, comp):
 
 def _sorted_block(ws, loops):
     """The loops of 2-D vertex arrays (a loop per row) as one block sorted
-    by weight, on the workspace's tree."""
+    by weight."""
     return CycleBasis.from_flat(
         ws.graph, np.concatenate([np.full(len(a), a.shape[1]) for a in loops]),
-        np.concatenate([a.ravel() for a in loops]), ws.tree).sorted()
+        np.concatenate([a.ravel() for a in loops])).sorted()
 
 
 def _finish(ws, chosen, comp):
     """Fill the slots left by de Pina's rule, from comp, the complement
     basis of the span of chosen (2-D vertex arrays, a loop per row), and
-    return the basis as a block sorted by weight."""
+    return the basis as a block sorted by weight.
+
+    On the triangles and chordless squares `_short_cycle_basis` keeps,
+    the result is always a basis of simple cycles. It is the minimum
+    basis whenever every minimum-basis cycle lighter than the heaviest
+    chosen triangle or square has at most 4 hops: the family then holds
+    every cycle the exact greedy picks up to that weight, so the greedy
+    over it picks the same ones, and de Pina's rule completes them
+    exactly."""
     if comp:
         log.info("support-vector phase for %d remaining cycles", len(comp))
         _phase_b(ws, chosen, comp)
@@ -553,23 +550,6 @@ def _finish(ws, chosen, comp):
     log.info("cycle basis: %d cycles, total weight %.6g",
              basis.size, basis.total_weight())
     return basis
-
-
-def homology_split(graph):
-    """Cycle basis of a torus graph for `classify_cycles`, sorted by
-    nondecreasing weight.
-
-    The triangles and chordless squares enter a greedy, done as a column
-    reduction, in the perturbed weight order; de Pina's rule fills the
-    slots left, the generators among them. The result is always a basis
-    of simple cycles. It is the minimum basis whenever every
-    minimum-basis cycle lighter than the heaviest chosen triangle or
-    square has at most 4 hops: the family then holds every cycle the
-    exact greedy picks up to that weight, so the greedy over it picks the
-    same ones, and de Pina's rule completes them exactly.
-    """
-    ws = _Workspace(graph)
-    return _finish(ws, *_short_cycle_basis(ws))
 
 
 def classify_cycles(basis, ratio=_GENERATOR_RATIO):
@@ -613,13 +593,7 @@ def _run_generators(basis):
             loop, steps = np.roll(loop[::-1], 1), steps[::-1]
         vertices[lo:hi], edges[lo:hi] = loop, steps
     return CycleBasis(basis.vertex_count, basis.indptr, vertices, edges,
-                      basis.weights, basis.tree)
-
-
-def shortest_path_tree(graph):
-    """The `SpanningTree` `homology_split` builds its basis on, for a
-    basis assembled by hand."""
-    return _Workspace(graph).tree
+                      basis.weights)
 
 
 def _fundamental_weights(ws, edges):
@@ -627,7 +601,7 @@ def _fundamental_weights(ws, edges):
     the edge and the tree paths from its ends to their lowest common
     ancestor. Ancestors lie strictly closer to vertex 0, so the end
     farther from it (both, on a tie) steps up until the two meet."""
-    pred, d = ws.tree.pred, ws.tree.dist
+    pred, d = ws.pred, ws.dist
     a, b = ws.ex[edges], ws.ey[edges]
     while len(live := np.flatnonzero(a != b)):
         up_a = live[d[a[live]] >= d[b[live]]]
@@ -640,8 +614,8 @@ def _fundamental_loop(ws, edge):
     """Vertex loop of a non-tree edge's fundamental cycle, from one end of
     the edge up the tree and down to its other end."""
     i, j = int(ws.ex[edge]), int(ws.ey[edge])
-    up_i = _walk_to_source(ws.tree.pred, 0, i)
-    up_j = _walk_to_source(ws.tree.pred, 0, j)
+    up_i = _walk_to_source(ws.pred, 0, i)
+    up_j = _walk_to_source(ws.pred, 0, j)
     while len(up_i) > 1 and len(up_j) > 1 and up_i[-2] == up_j[-2]:
         up_i.pop()
         up_j.pop()
@@ -651,13 +625,13 @@ def _fundamental_loop(ws, edge):
 def _with_generators(graph, trivial, loops):
     """The rows of the block `trivial`, then the two generator loops, the
     poloidal one first, each run as `classify_cycles` runs it."""
-    gens = _run_generators(CycleBasis.from_loops(graph, loops, trivial.tree))
+    gens = _run_generators(CycleBasis.from_loops(graph, loops))
     return CycleBasis(
         trivial.vertex_count,
         np.r_[trivial.indptr, trivial.indptr[-1] + gens.indptr[1:]],
         np.r_[trivial.vertices, gens.vertices],
         np.r_[trivial.edges, gens.edges],
-        np.r_[trivial.weights, gens.weights], trivial.tree)
+        np.r_[trivial.weights, gens.weights])
 
 
 def export_cycles_json(path, basis):

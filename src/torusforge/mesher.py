@@ -338,18 +338,19 @@ def load_mesh_json(path):
     """Read a mesh.json; raises MeshValidationError, naming the path, when
     the file is not ASCII JSON with `dim`, `points` and `triangles`, when
     its points are not a valid PointCloud (say, two equal points or an
-    unknown `provenance`) or `dim` is not their width, when its
-    triangles are not (T, 3) integer ids of its points, or when its
-    `report` is not a JSON object."""
+    unknown `provenance`) or `dim` is not an integer equal to their
+    width, when its triangles are not (T, 3) integer ids of its points,
+    or when its `report` is not a JSON object."""
     from .samplers import PointCloud
     try:
         with open(path, "r", encoding="ascii") as fh:
             payload = json.load(fh)
         cloud = PointCloud(np.array(payload["points"], dtype=np.float64),
                            payload.get("provenance", "external"))
-        if int(payload["dim"]) != cloud.dim:
-            raise ValueError(f"dim {payload['dim']} but the points have "
-                             f"{cloud.dim} columns")
+        dim = payload["dim"]
+        if type(dim) is not int or dim != cloud.dim:
+            raise ValueError(f"dim {dim!r} but the points have {cloud.dim} "
+                             f"columns")
         triangles = _read_triangles(payload["triangles"], cloud.n)
         report = payload.get("report", {})
         if not isinstance(report, dict):

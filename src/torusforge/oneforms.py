@@ -172,24 +172,6 @@ def _checked(A, C, du, dv, theta):
     return OneFormPair(du, dv, theta, diagnostics)
 
 
-def solve_oneforms(graph, basis):
-    """Solve for both one-forms on a basis `classify_cycles` returned, and
-    verify residual gates. The basis must carry its graph's
-    `shortest_path_tree`, which the solve eliminates on.
-
-    Raises ResidualError naming the tripped residual when co-closedness,
-    trivial-cycle closedness, or the period matrix is out of tolerance;
-    that typically signals misclassified generators or undersampling.
-    """
-    if basis.tree is None:
-        raise CycleBasisError("the basis carries no spanning tree: build it "
-                              "with tree=shortest_path_tree(graph)")
-    A = _coclosed_rows(graph)
-    C = _cycle_rows(graph, basis)
-    du, dv, theta, _ = _solve_exact(graph, A, C, basis.tree.nontree)
-    return _checked(A, C, du, dv, theta)
-
-
 def _loop_lower_bound(graph, du, dv):
     """A weight no non-trivial loop is lighter than: a loop with a nonzero
     period under a closed form phi has |period| >= 1, and the period is
@@ -239,9 +221,14 @@ def _gauss_reduce(G):
 
 def parameterize(graph):
     """The classified cycle basis of a torus graph and its solved
-    one-forms: `solve_oneforms(graph, classify_cycles(homology_split(graph)))`,
+    one-forms, with the residual gates checked: the split of
+    `_short_cycle_basis` and `_finish`, `classify_cycles`, and the solve,
     with de Pina's search for the generators skipped where the period
-    lattice leaves them in no doubt. Raises what those raise.
+    lattice leaves them in no doubt. Raises GeneratorClassificationError
+    from `classify_cycles`, and ResidualError naming each tripped
+    residual (co-closedness, trivial-cycle closedness, or the period
+    matrix), which typically signals misclassified generators or
+    undersampling.
 
     When the triangles and squares leave exactly two slots, the
     generators only fix the forms' periods, and any two loops whose
@@ -256,21 +243,20 @@ def parameterize(graph):
     class, and the forms and theta are mapped by the inverse of their
     period matrix on those rows.
 
-    de Pina's rule runs instead, exactly as in `homology_split`, and on
-    the same Laplacian factor, when more slots are left, when G is not
-    positive definite, when the two reduced lengths, or b2 against
-    b2 +- b1, are within _TIE_MARGIN, when no non-tree edge carries a
-    reduced class, or when `_loop_lower_bound` of the forms is below the
-    generator ratio (and 1) times the heaviest face. Then
-    `classify_cycles`'s gate passes as it would on de Pina's basis, as
-    its lighter generator weighs at least the bound. That the reduced
-    classes are de Pina's, and so the mesh is, is a heuristic, not a
-    guarantee: the flat lengths only estimate the classes' lightest
-    loops, and _TIE_MARGIN is set from the estimate errors seen on the
-    tier-1 clouds. A cloud whose estimate errs by more than the margin
-    (a strongly anisotropic or noisy sampling, say) can take other
-    classes than de Pina's and mesh a sheared chart, with every
-    residual and mesh gate still passing.
+    de Pina's rule runs instead, by `_finish`, and on the same Laplacian
+    factor, when more slots are left, when G is not positive definite, when
+    the two reduced lengths, or b2 against b2 +- b1, are within
+    _TIE_MARGIN, when no non-tree edge carries a reduced class, or when
+    `_loop_lower_bound` of the forms is below the generator ratio (and 1)
+    times the heaviest face. Then `classify_cycles`'s gate passes as it
+    would on de Pina's basis, as its lighter generator weighs at least the
+    bound. That the reduced classes are de Pina's, and so the mesh is, is a
+    heuristic, not a guarantee: the flat lengths only estimate the classes'
+    lightest loops, and _TIE_MARGIN is set from the estimate errors seen on
+    the tier-1 clouds. A cloud whose estimate errs by more than the margin
+    (a strongly anisotropic or noisy sampling, say) can take other classes
+    than de Pina's and mesh a sheared chart, with every residual and mesh
+    gate still passing.
     """
     ws = _Workspace(graph)
     faces, comp = _short_cycle_basis(ws)

@@ -63,6 +63,8 @@ def project(mesh, axes):
     mat = np.asarray(axes, dtype=np.float64)
     if mat.shape != (3, D):
         raise ProjectionError(f"projection matrix must be 3x{D}, got {mat.shape}")
+    if not np.isfinite(mat).all():
+        raise ProjectionError("projection matrix has a non-finite entry")
     svals = np.linalg.svd(mat, compute_uv=False)
     if svals[-1] <= 1e-12 * svals[0]:
         raise ProjectionError("projection matrix is rank deficient")
@@ -114,25 +116,6 @@ def _write_obj(pmesh, path):
                       for a, b, c in pmesh.triangles.tolist())
 
 
-def read_obj(path):
-    """Read back vertices and faces written by _write_obj (subset of OBJ)."""
-    pts, tris = [], []
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            parts = line.split()
-            if not parts:
-                continue
-            if parts[0] == "v":
-                pts.append([float(x) for x in parts[1:4]])
-            elif parts[0] == "f":
-                idx = [int(tok.split("/")[0]) - 1 for tok in parts[1:]]
-                if len(idx) != 3:
-                    raise ProjectionError("only triangle faces supported")
-                tris.append(idx)
-    return (np.array(pts, dtype=np.float64),
-            np.array(tris, dtype=np.int64).reshape(-1, 3))
-
-
 _FACE_DTYPE = np.dtype([("count", "u1"), ("vertices", "<i4", (3,)),
                         ("color", "u1", (3,))])
 
@@ -159,35 +142,3 @@ def _write_ply(pmesh, path):
         fh.write(("\n".join(header) + "\n").encode("ascii"))
         fh.write(pmesh.points.astype("<f8").tobytes(order="C"))
         fh.write(faces.tobytes())
-
-
-def read_ply(path):
-    """(points, triangles, colors) of a PLY written by _write_ply."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    end = data.find(b"end_header\n")
-    if not data.startswith(b"ply") or end < 0:
-        raise ProjectionError("not a PLY file")
-    header = data[:end].decode("ascii").splitlines()
-    if "format binary_little_endian 1.0" not in header:
-        raise ProjectionError("only binary little-endian PLY supported")
-    if "property uchar red" not in header:
-        raise ProjectionError("PLY has no face colors")
-    nverts = ntris = 0
-    for line in header:
-        parts = line.split()
-        if parts[:2] == ["element", "vertex"]:
-            nverts = int(parts[2])
-        elif parts[:2] == ["element", "face"]:
-            ntris = int(parts[2])
-    body = data[end + len(b"end_header\n"):]
-    if len(body) < nverts * 24 + ntris * _FACE_DTYPE.itemsize:
-        raise ProjectionError(f"truncated PLY: {len(body)} bytes of body "
-                              f"for {nverts} vertices and {ntris} faces")
-    pts = np.frombuffer(body, dtype="<f8", count=3 * nverts).reshape(-1, 3)
-    faces = np.frombuffer(body, dtype=_FACE_DTYPE, count=ntris,
-                          offset=nverts * 24)
-    if np.any(faces["count"] != 3):
-        raise ProjectionError("only triangle faces supported")
-    return (pts.copy(), faces["vertices"].astype(np.int64),
-            faces["color"].copy())

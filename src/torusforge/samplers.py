@@ -192,22 +192,16 @@ def _pick_time_step(om_p, om_v, N):
     return best[1]
 
 
-def sample_center_manifold_torus(mu, point, amp_planar, amp_vertical, N,
-                                 dt=None):
-    """Sample the exact flat 2-torus of the linearized center manifold.
-
-    x(t) = Re(A e^(i om_p t) u_p) + Re(B e^(i om_v t) u_v) evaluated on N
-    times, where (om, u) are the center eigenpairs of the 6x6 Jacobian at
-    the collinear point labelled `point` ("L1", "L2" or "L3") and A, B
-    scale the positional excursions to amp_planar / amp_vertical. `dt`
-    forces a fixed sampling step (useful for verifying the linear
-    dynamics).
-    """
-    if amp_planar < 0 or amp_vertical < 0 or max(amp_planar, amp_vertical) <= 0:
-        raise ConfigError("amplitudes must be non-negative with at least one > 0")
-    N = int(N)
-    if N < 4:
-        raise ConfigError("need N >= 4")
+def _linear_flow(mu, point, amp_planar, amp_vertical):
+    """(om_p, om_v, orbit): the center frequencies at the collinear point
+    labelled `point` and the closed form of the linear flow on its center
+    manifold, orbit(t) = center + Re(A e^(i om_p t) u_p) +
+    Re(B e^(i om_v t) u_v) for an array of times t, as (len(t), 6)."""
+    if not (amp_planar >= 0 and amp_vertical >= 0
+            and max(amp_planar, amp_vertical) > 0):
+        raise ConfigError(f"amplitudes must be non-negative numbers with at "
+                          f"least one > 0, got amp_planar={amp_planar}, "
+                          f"amp_vertical={amp_vertical}")
     points = {p.label: p for p in cr3bp.libration_points(mu)}
     if point not in points:
         raise ConfigError(f"{point!r} is not a libration point; choose from "
@@ -216,13 +210,29 @@ def sample_center_manifold_torus(mu, point, amp_planar, amp_vertical, N,
     _, om_p, om_v, u_p, u_v = center_manifold_model(mu, point)
     A = _mode_scale(u_p, amp_planar) if amp_planar > 0 else 0.0
     B = _mode_scale(u_v, amp_vertical) if amp_vertical > 0 else 0.0
-    if dt is None:
-        dt = _pick_time_step(om_p, om_v, N)
-    t = np.arange(N) * float(dt)
     center = np.concatenate([point.position, np.zeros(3)])
-    pts = (center[None, :]
-           + (A * np.exp(1j * om_p * t)[:, None] * u_p[None, :]).real
-           + (B * np.exp(1j * om_v * t)[:, None] * u_v[None, :]).real)
+
+    def orbit(t):
+        return (center[None, :]
+                + (A * np.exp(1j * om_p * t)[:, None] * u_p[None, :]).real
+                + (B * np.exp(1j * om_v * t)[:, None] * u_v[None, :]).real)
+    return om_p, om_v, orbit
+
+
+def sample_center_manifold_torus(mu, point, amp_planar, amp_vertical, N):
+    """Sample the exact flat 2-torus of the linearized center manifold.
+
+    x(t) = Re(A e^(i om_p t) u_p) + Re(B e^(i om_v t) u_v) evaluated on N
+    times k dt, where (om, u) are the center eigenpairs of the 6x6
+    Jacobian at the collinear point labelled `point` ("L1", "L2" or
+    "L3"), A, B scale the positional excursions to amp_planar /
+    amp_vertical, and dt is picked for an even phase coverage.
+    """
+    om_p, om_v, orbit = _linear_flow(mu, point, amp_planar, amp_vertical)
+    N = int(N)
+    if N < 4:
+        raise ConfigError("need N >= 4")
+    pts = orbit(np.arange(N) * _pick_time_step(om_p, om_v, N))
     return PointCloud(pts, provenance="cr3bp_linear")
 
 

@@ -11,12 +11,12 @@ from torusforge.samplers import (sample_center_manifold_torus,
                                  sample_standard_map_torus,
                                  sample_torus_revolution)
 from torusforge.knn import NeighborGraph, build_knn_graph
-from torusforge.cycles import (CycleBasis, classify_cycles, homology_split,
-                               shortest_path_tree)
-from torusforge.oneforms import parameterize, solve_oneforms
+from torusforge.cycles import CycleBasis, _Workspace, classify_cycles
+from torusforge.oneforms import (_checked, _coclosed_rows, _cycle_rows,
+                                 _solve_exact, parameterize)
 from torusforge.mesher import mesh_flat_torus
 from torusforge.orientation import orient_mesh
-from reference_cycles import minimum_cycle_basis
+from reference_cycles import homology_split, minimum_cycle_basis
 
 # rotation numbers rationally independent of each other and of 1
 GOLDEN = 0.6180339887498949
@@ -62,8 +62,17 @@ def manual_grid_basis(graph, rows, cols):
             squares.append([a, b, c, d])
     row0 = list(range(cols))
     col0 = [i * cols for i in range(rows)]
-    return CycleBasis.from_loops(graph, squares + [col0, row0],
-                                 shortest_path_tree(graph))
+    return CycleBasis.from_loops(graph, squares + [col0, row0])
+
+
+def solve_oneforms(graph, basis):
+    """The one-forms of any classified basis of the graph, hand-built or
+    not, solved on the graph's shortest-path tree as `parameterize`
+    solves its own basis, and checked by the same residual gates."""
+    A = _coclosed_rows(graph)
+    C = _cycle_rows(graph, basis)
+    du, dv, theta, _ = _solve_exact(graph, A, C, _Workspace(graph).nontree)
+    return _checked(A, C, du, dv, theta)
 
 
 def _circumcircle(pts, a, b, c):

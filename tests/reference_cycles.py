@@ -1,5 +1,10 @@
 """Exact minimum cycle bases, kept beside the tests as the references that
-`homology_split` is compared with.
+the library's split is compared with.
+
+`homology_split` is that split on its own: the triangles and chordless
+squares the column reduction keeps, completed by de Pina's rule, as
+`parameterize` runs it when the period lattice defers. It is the
+minimum basis under the condition `_finish` states.
 
 `minimum_cycle_basis` is exact on every graph: one band, then de Pina.
 The band is a greedy over the Horton candidate family (cycles formed by
@@ -13,8 +18,8 @@ basis, and is exact after any greedy prefix of the minimum basis
 `exhaustive_minimum_cycle_basis` is the brute-force oracle for small
 graphs: a greedy over every simple cycle.
 
-Both run on the library's workspace, so their weights carry the same
-tie-breaking perturbation as the split's.
+All three run on the library's workspace, so their weights carry the
+same tie-breaking perturbation.
 
 `greedy` and `complement_basis` are the set-based GF(2) elimination the
 library's column reduction is compared with: a row at a time, each row
@@ -29,9 +34,16 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from torusforge.cycles import (_INTERNAL_SEED, _PERTURB_EPS, CycleBasis,
-                               _edge_ids, _finish, _short_cycles,
-                               _walk_to_source, _Workspace)
+                               _edge_ids, _finish, _short_cycle_basis,
+                               _short_cycles, _walk_to_source, _Workspace)
 from torusforge.errors import CycleBasisError
+
+
+def homology_split(graph):
+    """The library's cycle basis of a torus graph, sorted by nondecreasing
+    weight, with de Pina's rule filling every slot the faces leave."""
+    ws = _Workspace(graph)
+    return _finish(ws, *_short_cycle_basis(ws))
 
 
 def reduce_vector(vec, pivots):

@@ -381,6 +381,54 @@ def test_unreadable_matrix_path_stops_at_config(tmp_path, capsys):
     assert not (out / "cycles.json").exists()
 
 
+@pytest.mark.parametrize("entry", ["NaN", "Infinity"])
+def test_non_finite_matrix_stops_at_config(tmp_path, capsys, finished_run,
+                                           entry):
+    """A matrix file with a NaN or infinite entry stops project, and run
+    before its mesh stage, at stage config with exit 2 and one JSON line
+    naming the file; no projected.json is written."""
+    matrix = tmp_path / "m.json"
+    matrix.write_text(f"[[{entry}, 0, 0], [0, 1, 0], [0, 0, 1]]")
+    (tmp_path / "mesh.json").write_bytes(
+        (finished_run / "mesh.json").read_bytes())
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "out"
+    cfg.write_text(json.dumps({
+        **FAST, "output_dir": str(out),
+        "projection": {"kind": "custom_matrix", "path": str(matrix)}}))
+    for argv in (["project", "--projection", f"matrix:{matrix}",
+                  "--output-dir", str(tmp_path)],
+                 ["run", "--config", str(cfg)]):
+        capsys.readouterr()
+        assert cli.main(argv) == 2, argv
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1, lines
+        err = json.loads(lines[0])
+        assert err["stage"] == "config" and err["error"] == "ConfigError"
+        assert str(matrix) in err["message"] and "non-finite" in err[
+            "message"], err
+    assert not (tmp_path / "projected.json").exists()
+    assert not out.exists()
+
+
+def test_nan_amplitude_stops_sample(tmp_path, capsys):
+    """A NaN amplitude in the config stops sample with exit 2 and one
+    JSON line naming both amplitudes, and writes no cloud."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sampler": {"kind": "center_manifold",
+                                           "amp_planar": float("nan")}}))
+    capsys.readouterr()
+    assert cli.main(["sample", "--config", str(cfg),
+                     "--output-dir", str(tmp_path / "out")]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1, lines
+    err = json.loads(lines[0])
+    assert err["stage"] == "sample" and err["error"] == "ConfigError", err
+    assert "amp_planar=nan" in err["message"], err
+    assert "amp_vertical=0.005" in err["message"], err
+    assert not (tmp_path / "out" / "cloud.csv").exists()
+
+
 @pytest.mark.parametrize("bad_id", [-1, 99999])
 def test_validate_rejects_ids_outside_points(tmp_path, capsys,
                                              finished_run, bad_id):
@@ -477,17 +525,27 @@ MALFORMED = {
 # a mesh.json's report is a JSON object; projected.json carries none
 MALFORMED_MESH = {**MALFORMED,
                   "dim-mismatch": lambda p: p.update(dim=p["dim"] + 1),
+                  "dim-fractional": lambda p: p.update(dim=p["dim"] + 0.5),
+                  "dim-string": lambda p: p.update(dim=str(p["dim"])),
                   "report-5": lambda p: _report(p, 5),
                   "report-str": lambda p: _report(p, "period_defect_max"),
                   "report-list": lambda p: _report(p, [1, 2])}
+# a projected.json's source_dim is a JSON integer, as a mesh.json's dim
+MALFORMED_PROJECTED = {
+    **MALFORMED,
+    "source-dim-fractional": lambda p: p.update(
+        source_dim=p["source_dim"] + 0.5),
+    "source-dim-string": lambda p: p.update(source_dim=str(p["source_dim"])),
+    "source-dim-bool": lambda p: p.update(source_dim=True)}
 
 
-@pytest.mark.parametrize("edit", MALFORMED.values(), ids=MALFORMED.keys())
+@pytest.mark.parametrize("edit", MALFORMED_PROJECTED.values(),
+                         ids=MALFORMED_PROJECTED.keys())
 def test_export_rejects_malformed_projected_json(tmp_path, capsys,
                                                  finished_run, edit):
-    """export writes a mesh file only from finite (N, 3) points and
-    (T, 3) triangles whose ids index them; otherwise it exits 3 with one
-    JSON line that names projected.json."""
+    """export writes a mesh file only from finite (N, 3) points, (T, 3)
+    triangles whose ids index them and an integer source_dim; otherwise
+    it exits 3 with one JSON line that names projected.json."""
     payload = json.loads((finished_run / "projected.json").read_text())
     edit(payload)
     (tmp_path / "projected.json").write_text(json.dumps(payload))
@@ -508,10 +566,10 @@ def test_export_rejects_malformed_projected_json(tmp_path, capsys,
                          ids=MALFORMED_MESH.keys())
 def test_validate_rejects_malformed_mesh_json(tmp_path, capsys,
                                               finished_run, edit):
-    """validate and project read a mesh only with finite points, (T, 3)
-    integer triangle ids that index them and a report that is a JSON
-    object; otherwise each exits 4 with one JSON line that names the
-    file, and writes nothing."""
+    """validate and project read a mesh only with finite points, an
+    integer dim equal to their width, (T, 3) integer triangle ids that
+    index them and a report that is a JSON object; otherwise each exits
+    4 with one JSON line that names the file, and writes nothing."""
     payload = json.loads((finished_run / "mesh.json").read_text())
     edit(payload)
     path = tmp_path / "mesh.json"
@@ -630,18 +688,6 @@ def test_ply_export_flag(tmp_path, fast_cfg):
     assert not (tmp_path / "mesh.obj").exists()
 
 
-def test_cli_import_leaves_scipy_integrate_unloaded():
-    """No CLI stage integrates, so importing the CLI must not pay for
-    scipy.integrate; `cr3bp.integrate` imports it when called."""
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    code = ("import sys, torusforge.cli; "
-            "print('scipy.integrate' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, timeout=120,
-                         env=dict(os.environ, PYTHONPATH=src))
-    assert out.stdout.strip() == "False"
-
-
 def _run_python(code, cwd=None):
     src = os.path.dirname(os.path.dirname(cli.__file__))
     return subprocess.run([sys.executable, *code], capture_output=True,
@@ -685,7 +731,7 @@ for name in torusforge.__all__:
 print(len(torusforge.__all__))
 """
     run = _run_python(["-c", code])
-    assert run.stdout.strip() == "43", run.stderr
+    assert run.stdout.strip() == "36", run.stderr
 
 
 def test_module_entry_point_runs_without_warnings(tmp_path):

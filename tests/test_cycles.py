@@ -14,15 +14,13 @@ from scipy.sparse import bmat, coo_matrix
 from scipy.sparse.csgraph import dijkstra
 
 import reference_cycles
-from conftest import periodic_grid
-from reference_cycles import (exhaustive_minimum_cycle_basis,
+from conftest import periodic_grid, solve_oneforms
+from reference_cycles import (exhaustive_minimum_cycle_basis, homology_split,
                               minimum_cycle_basis, neighbor_rows)
 from torusforge import cycles
-from torusforge.cycles import (CycleBasis, classify_cycles,
-                               export_cycles_json, homology_split)
+from torusforge.cycles import CycleBasis, classify_cycles, export_cycles_json
 from torusforge.errors import (CycleBasisError, GeneratorClassificationError)
 from torusforge.knn import NeighborGraph, build_knn_graph
-from torusforge.oneforms import solve_oneforms
 from torusforge.samplers import sample_torus_revolution
 
 # Frozen oracles for the flat-torus grids, confirmed by the exhaustive

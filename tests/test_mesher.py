@@ -15,9 +15,10 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import Delaunay
 
 from conftest import (EARTH_MOON_MU, brute_force_delaunay_check,
-                      build_pipeline, periodic_grid, unwrapped_corners)
-from reference_cycles import minimum_cycle_basis
-from torusforge.cycles import classify_cycles, homology_split
+                      build_pipeline, periodic_grid, solve_oneforms,
+                      unwrapped_corners)
+from reference_cycles import homology_split, minimum_cycle_basis
+from torusforge.cycles import classify_cycles
 from torusforge.errors import (GeneratorClassificationError,
                                MeshValidationError, ResidualError)
 from torusforge.knn import NeighborGraph
@@ -26,7 +27,7 @@ from torusforge.mesher import (_components, _half_edges, _periodic_delaunay,
                                export_mesh_json, load_mesh_json,
                                mesh_flat_torus, validate_mesh)
 from torusforge.orientation import _double_cover
-from torusforge.oneforms import OneFormPair, parameterize, solve_oneforms
+from torusforge.oneforms import OneFormPair, parameterize
 from torusforge.samplers import (PointCloud, sample_center_manifold_torus,
                                  sample_torus_revolution)
 

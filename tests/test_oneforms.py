@@ -9,19 +9,19 @@ from collections import deque
 import numpy as np
 import pytest
 
-from conftest import manual_grid_basis, periodic_grid
-from reference_cycles import minimum_cycle_basis, neighbor_rows
+from conftest import manual_grid_basis, periodic_grid, solve_oneforms
+from reference_cycles import (homology_split, minimum_cycle_basis,
+                              neighbor_rows)
 from torusforge.cycles import (_GENERATOR_RATIO, CycleBasis, _finish,
                                _fundamental_loop, _fundamental_weights,
                                _short_cycle_basis, _Workspace,
-                               classify_cycles, homology_split)
-from torusforge.errors import (CycleBasisError, GeneratorClassificationError,
-                               ResidualError)
+                               classify_cycles)
+from torusforge.errors import GeneratorClassificationError, ResidualError
 from torusforge.knn import NeighborGraph
 from torusforge.oneforms import (_coclosed_rows, _cycle_rows, _gauss_reduce,
                                  _lattice_generators, _loop_lower_bound,
                                  _solve_exact, export_residuals_json,
-                                 parameterize, solve_oneforms)
+                                 parameterize)
 
 
 def coclosed_reference(graph):
@@ -119,7 +119,7 @@ def test_inconsistent_trivial_row_trips_closedness_gate():
         edges = basis.edges.copy()
         edges[hi - 1] = graph.edge_ids([i], [j])[0]
         broken = CycleBasis(basis.vertex_count, basis.indptr,
-                            basis.vertices, edges, basis.weights, basis.tree)
+                            basis.vertices, edges, basis.weights)
         with pytest.raises(ResidualError) as err:
             solve_oneforms(graph, broken)
         d = err.value.diagnostics
@@ -287,17 +287,6 @@ def test_manual_classification_matches_docstring_sign_convention():
         e = int(graph.edge_ids([a], [b])[0])
         total += forms.du[e] if a < b else -forms.du[e]
     assert total == pytest.approx(1.0, abs=1e-12)
-
-
-def test_solve_needs_the_basis_tree():
-    """A block built without the graph's shortest-path tree is refused
-    before any factorization, naming the helper that builds one."""
-    graph = periodic_grid(4)
-    basis = manual_grid_basis(graph, 4, 4)
-    bare = CycleBasis.from_loops(graph, np.split(basis.vertices,
-                                                 basis.indptr[1:-1]))
-    with pytest.raises(CycleBasisError, match="shortest_path_tree"):
-        solve_oneforms(graph, bare)
 
 
 def test_fundamental_cycles_of_nontree_edges(torus_bundle):

@@ -7,8 +7,8 @@ from scipy.spatial import cKDTree
 
 from torusforge import cr3bp
 from torusforge.errors import ConfigError
-from torusforge.samplers import (PointCloud, center_manifold_model,
-                                 iterate_standard_map,
+from torusforge.samplers import (PointCloud, _linear_flow,
+                                 center_manifold_model, iterate_standard_map,
                                  load_point_cloud,
                                  sample_center_manifold_torus,
                                  sample_standard_map_torus,
@@ -160,15 +160,14 @@ def test_center_manifold_cloud_shape():
 
 
 def test_center_manifold_linear_dynamics_second_order(l2_point):
-    """Sampled points obey dx/dt = J x; the centered difference error
-    must shrink quadratically with the forced time step."""
+    """The sampler's closed form obeys dx/dt = J x; the centered
+    difference error must shrink quadratically with the time step."""
     J, *_ = center_manifold_model(0.01215, l2_point)
     center = np.concatenate([l2_point.position, np.zeros(3)])
+    _, _, orbit = _linear_flow(0.01215, "L2", 5e-3, 5e-3)
     errs = []
     for dt in (0.01, 0.005):
-        cloud = sample_center_manifold_torus(0.01215, "L2", 5e-3, 5e-3,
-                                             64, dt=dt)
-        x = cloud.points - center
+        x = orbit(np.arange(64) * dt) - center
         fd = (x[2:] - x[:-2]) / (2 * dt)
         errs.append(np.max(np.abs(fd - x[1:-1] @ J.T)))
     assert errs[0] < 1e-5
@@ -197,11 +196,10 @@ def test_center_manifold_freq_override(l2_point):
     vertical mode off, every coordinate must lie exactly in
     span{cos(om t), sin(om t)} at that rate."""
     om_p = center_manifold_model(0.01215, l2_point)[1]
-    cloud = sample_center_manifold_torus(0.01215, "L2", 5e-3, 0.0, 128,
-                                         dt=0.05)
+    _, _, orbit = _linear_flow(0.01215, "L2", 5e-3, 0.0)
     center = np.concatenate([l2_point.position, np.zeros(3)])
-    x = cloud.points - center
     t = np.arange(128) * 0.05
+    x = orbit(t) - center
     basis = np.column_stack([np.cos(om_p * t), np.sin(om_p * t)])
     for col in range(6):
         coef, *_ = np.linalg.lstsq(basis, x[:, col], rcond=None)
@@ -215,6 +213,15 @@ def test_center_manifold_amp_validation():
         sample_center_manifold_torus(0.01215, "L2", -1e-3, 1e-3, 100)
     with pytest.raises(ConfigError):
         sample_center_manifold_torus(0.01215, "L2", 1e-3, 1e-3, 3)
+
+
+@pytest.mark.parametrize("amps", [(np.nan, 5e-3), (5e-3, np.nan),
+                                  (np.nan, np.nan)])
+def test_center_manifold_nan_amplitude_is_refused(amps):
+    """A NaN amplitude is no amplitude: it stops with ConfigError naming
+    both, rather than being read as zero (a rank-2 loop, not a torus)."""
+    with pytest.raises(ConfigError, match="amp_planar=.*amp_vertical="):
+        sample_center_manifold_torus(0.01215, "L2", *amps, 600)
 
 
 def test_point_cloud_dim_is_width():
