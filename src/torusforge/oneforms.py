@@ -24,8 +24,8 @@ the forms integrated along the tree from vertex 0. It is the cycle
 basis's shortest-path tree, so the basis and the angle map share one.
 
 `parameterize` is the pipeline's split, classification and solve in one
-call, with the generators taken from the period lattice where its
-reduced classes are clear of a near-tie.
+call, one solve per cloud, with the generators taken from the period
+lattice where its reduced classes are clear of a near-tie.
 """
 
 import json
@@ -90,7 +90,7 @@ def _coclosed_rows(graph):
                       shape=(graph.vertex_count, graph.edge_count)).tocsr()
 
 
-def _solve_exact(graph, A, C, nontree, llu=None):
+def _solve_exact(graph, A, C, nontree):
     """Hard cycle constraints by elimination, then exact co-closedness.
 
     dx = B pi + psi with psi supported on `nontree`, the edges off the
@@ -98,10 +98,9 @@ def _solve_exact(graph, A, C, nontree, llu=None):
     non-tree coordinates is square with odd determinant (the cycles are a
     basis over GF(2)), so psi is unique. The remaining weighted Laplacian
     solve makes A dx vanish identically (discrete Hodge decomposition).
-    Returns du, dv, the potentials (pi_u, pi_v) as a (V, 2) array, and
-    the factor of the grounded Laplacian: pi[0] = 0, and psi is zero on
-    the tree, so pi integrates the forms along it. The factor depends on
-    the graph alone, so a second solve on it takes the first's as `llu`.
+    Returns du, dv and the potentials (pi_u, pi_v) as a (V, 2) array:
+    pi[0] = 0, and psi is zero on the tree, so pi integrates the forms
+    along it.
     """
     V, E = graph.vertex_count, graph.edge_count
     m = len(nontree)
@@ -117,17 +116,13 @@ def _solve_exact(graph, A, C, nontree, llu=None):
     for k in range(2):                # periods (1, 0) and (0, 1)
         psi[k, nontree] = mlu.solve(np.eye(1, m, m - 2 + k)[0])
     del mlu                           # one factor alive at a time
-    if llu is None:
-        # L, the Laplacian grounded at vertex 0, is symmetric positive
-        # definite: a symmetric ordering and diagonal pivots keep its
-        # factor near Cholesky's fill
-        llu = splu((A @ B)[1:, 1:].tocsc(), permc_spec="MMD_AT_PLUS_A",
-                   diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    llu = splu((A @ B)[1:, 1:].tocsc(), permc_spec="MMD_AT_PLUS_A",
+               diag_pivot_thresh=0.0, options={"SymmetricMode": True})
     forms, theta = [], np.zeros((V, 2))
     for k in range(2):
         theta[1:, k] = llu.solve(-(A @ psi[k])[1:])
         forms.append(B @ theta[:, k] + psi[k])
-    return forms[0], forms[1], theta, llu
+    return forms[0], forms[1], theta
 
 
 def _diagnose(A, C, dx):
@@ -220,74 +215,76 @@ def _gauss_reduce(G):
 
 
 def parameterize(graph):
-    """The classified cycle basis of a torus graph and its solved
-    one-forms, with the residual gates checked: the split of
-    `_short_cycle_basis` and `_finish`, `classify_cycles`, and the solve,
-    with de Pina's search for the generators skipped where the period
-    lattice leaves them in no doubt. Raises GeneratorClassificationError
-    from `classify_cycles`, and ResidualError naming each tripped
-    residual (co-closedness, trivial-cycle closedness, or the period
-    matrix), which typically signals misclassified generators or
-    undersampling.
+    """The classified cycle basis of a torus graph and its one-forms,
+    solved once and checked by the residual gates. Raises
+    GeneratorClassificationError from `classify_cycles`, and
+    ResidualError naming each tripped residual (co-closedness,
+    trivial-cycle closedness, or the period matrix).
 
-    When the triangles and squares leave exactly two slots, the
-    generators only fix the forms' periods, and any two loops whose
-    classes generate H1 fix the same forms up to a unimodular change of
-    basis (the lattice view of a shortest homology basis: Erickson &
-    Whittlesey, "Greedy optimal homotopy and homology generators", SODA
-    2005). So the two free coordinates' fundamental cycles fill the
-    generator rows, and the forms are solved once. Z^2, the classes by
-    their periods, is Lagrange-Gauss reduced under the chart metric G
-    fitted with its cross term; the shorter class is poloidal. Each
-    generator row then takes the lightest fundamental cycle of its
-    class, and the forms and theta are mapped by the inverse of their
-    period matrix on those rows.
-
-    de Pina's rule runs instead, by `_finish`, and on the same Laplacian
-    factor, when more slots are left, when G is not positive definite, when
-    the two reduced lengths, or b2 against b2 +- b1, are within
-    _TIE_MARGIN, when no non-tree edge carries a reduced class, or when
-    `_loop_lower_bound` of the forms is below the generator ratio (and 1)
-    times the heaviest face. Then `classify_cycles`'s gate passes as it
-    would on de Pina's basis, as its lighter generator weighs at least the
-    bound. That the reduced classes are de Pina's, and so the mesh is, is a
-    heuristic, not a guarantee: the flat lengths only estimate the classes'
-    lightest loops, and _TIE_MARGIN is set from the estimate errors seen on
-    the tier-1 clouds. A cloud whose estimate errs by more than the margin
-    (a strongly anisotropic or noisy sampling, say) can take other classes
-    than de Pina's and mesh a sheared chart, with every residual and mesh
-    gate still passing.
+    Where the triangles and squares leave more than two slots, de Pina's
+    rule fills them (`_finish`), and the forms are solved on that basis.
+    Where they leave two, any two loops whose classes generate H1 fix the
+    same forms up to a unimodular map, as harmonic forms are unique in
+    their cohomology class (Gortler, Gotsman & Thurston, CAGD 2006). So
+    the forms are solved on the free coordinates' fundamental cycles,
+    and Z^2, the classes by their periods, is Lagrange-Gauss reduced
+    under the chart metric G fitted with its cross term: the shorter
+    class is poloidal (a shortest homology basis: Erickson & Whittlesey,
+    SODA 2005), and each generator row takes the lightest fundamental
+    cycle of its class. de Pina's rule picks the generators instead when
+    G is not positive definite, when the two reduced lengths, or b2
+    against b2 +- b1, are within _TIE_MARGIN, when no non-tree edge
+    carries a reduced class, or when `_loop_lower_bound` of the forms is
+    below the generator ratio (and 1) times the heaviest face; de Pina's
+    lighter generator weighs at least the bound, so `classify_cycles`'s
+    gate would pass on its basis too. `_mapped` then takes the forms to
+    the chosen rows. That the reduced classes are de Pina's, and so the
+    mesh is, is a heuristic: the flat lengths only estimate the classes'
+    lightest loops, and _TIE_MARGIN is set from the errors seen on the
+    tier-1 clouds. A cloud whose estimate errs by more (a strongly
+    anisotropic or noisy sampling, say) can take other classes than de
+    Pina's and mesh a sheared chart, with every gate still passing.
     """
     ws = _Workspace(graph)
     faces, comp = _short_cycle_basis(ws)
-    A, llu = _coclosed_rows(graph), None
     if len(comp) == 2:
-        found, llu = _lattice_generators(ws, faces, comp, A, _GENERATOR_RATIO)
-        if found is not None:
-            basis, C, du, dv, theta = found
-            return basis, _checked(A, C, du, dv, theta)
-        log.info("generators by de Pina's rule: the period lattice "
-                 "leaves them in doubt")
-    basis = classify_cycles(_finish(ws, faces, comp))
-    C = _cycle_rows(graph, basis)
-    du, dv, theta, _ = _solve_exact(graph, A, C, ws.nontree, llu)
+        trivial = _sorted_block(ws, faces)
+        basis = _with_generators(graph, trivial, [
+            _fundamental_loop(ws, ws.nontree[max(s)]) for s in comp])
+    else:
+        basis = classify_cycles(_finish(ws, faces, comp), _GENERATOR_RATIO)
+    A, C = _coclosed_rows(graph), _cycle_rows(graph, basis)
+    du, dv, theta = _solve_exact(graph, A, C, ws.nontree)
+    if len(comp) == 2:
+        if (found := _lattice_generators(ws, trivial, du, dv, theta)) is None:
+            log.info("generators by de Pina's rule: the period lattice "
+                     "leaves them in doubt")
+            found = _mapped(graph, classify_cycles(
+                _finish(ws, faces, comp), _GENERATOR_RATIO), du, dv, theta)
+        basis, C, du, dv, theta = found
     return basis, _checked(A, C, du, dv, theta)
 
 
-def _lattice_generators(ws, faces, comp, A, ratio):
-    """`parameterize`'s two-slot route, with `ratio` for the generator
-    ratio: (found, llu). found is (basis, C, du, dv, theta) on the
-    period lattice's generators, before the residual gates, or None
-    where the route defers to de Pina's rule; llu, the Laplacian factor
-    of its solve, is kept only then, for de Pina's solve."""
+def _mapped(graph, basis, du, dv, theta):
+    """(basis, C, du, dv, theta): the rows C of `basis`, and the forms and
+    theta mapped by det(P) adj(P), P their period matrix on its generator
+    rows: P's inverse, or periods det(P)^2 I that the period gate refuses."""
+    C = _cycle_rows(graph, basis)
+    (a, b), (c, d) = np.rint(C[-2:] @ np.column_stack([du, dv])).T
+    inverse = (a * d - b * c) * np.array([[d, -b], [-c, a]])
+    du, dv = inverse[:, :1] * du + inverse[:, 1:] * dv
+    theta = theta[:, :1] * inverse[:, 0] + theta[:, 1:] * inverse[:, 1]
+    return basis, C, du, dv, theta
+
+
+def _lattice_generators(ws, trivial, du, dv, theta):
+    """`_mapped` on the period lattice's generators, from the forms solved
+    on `trivial` and the fundamental cycles, or None where it leaves them
+    in doubt."""
     graph, nontree = ws.graph, ws.nontree
-    trivial = _sorted_block(ws, faces)
-    first = [_fundamental_loop(ws, nontree[max(s)]) for s in comp]
-    C = _cycle_rows(graph, _with_generators(graph, trivial, first))
-    du, dv, theta, llu = _solve_exact(graph, A, C, nontree)
     G = _chart_gram(graph, du, dv)
     if not (G[0, 0] > 0 and G[0, 0] * G[1, 1] > G[0, 1] ** 2):
-        return None, llu
+        return None
     b1, b2 = _gauss_reduce(G)
 
     def length(x):
@@ -295,30 +292,26 @@ def _lattice_generators(ws, faces, comp, A, ratio):
     if (length(b2) < (1.0 + _TIE_MARGIN) * length(b1)
             or min(length(b2 - b1), length(b2 + b1))
             < (1.0 + _TIE_MARGIN) * length(b2)):
-        return None, llu
+        return None
     i, j = graph.edges[nontree].T
     wrap = np.rint(np.column_stack([du, dv])[nontree] - (theta[j] - theta[i]))
     loops = []
     for c in (b1, b2):
         carry = nontree[np.all(wrap == c, axis=1) | np.all(wrap == -c, axis=1)]
         if not len(carry):
-            return None, llu
+            return None
         lightest = carry[np.argmin(_fundamental_weights(ws, carry))]
         loops.append(_fundamental_loop(ws, lightest))
-    basis = _with_generators(graph, trivial, loops)
-    C = _cycle_rows(graph, basis)
-    (a, b), (c, d) = np.rint(C[-2:] @ np.column_stack([du, dv])).T
-    inverse = np.rint(np.array([[d, -b], [-c, a]]) / (a * d - b * c))
-    du, dv = inverse[:, :1] * du + inverse[:, 1:] * dv
-    theta = theta[:, :1] * inverse[:, 0] + theta[:, 1:] * inverse[:, 1]
+    found = _mapped(graph, _with_generators(graph, trivial, loops),
+                    du, dv, theta)
     heaviest = float(trivial.weights[-1]) if trivial.size else 0.0
-    bound = _loop_lower_bound(graph, du, dv)
-    if bound < max(ratio, 1.0) * heaviest:
-        return None, llu
+    bound = _loop_lower_bound(graph, *found[2:4])
+    if bound < max(_GENERATOR_RATIO, 1.0) * heaviest:
+        return None
     log.info("generators from the period lattice: classes %s and %s, "
              "loop bound %.6g over the heaviest face %.6g",
              b1.tolist(), b2.tolist(), bound, heaviest)
-    return (basis, C, du, dv, theta), None
+    return found
 
 
 def export_residuals_json(path, pair):

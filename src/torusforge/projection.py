@@ -53,7 +53,9 @@ def project(mesh, axes):
     """Map a SurfaceMesh to 3D by the (3, D) matrix `axes` -> ProjectedMesh.
 
     `axes=None` takes the cloud's top three principal axes about its mean
-    (`pca_axes`) and records the variance they capture."""
+    (`pca_axes`) and records the variance they capture. Raises
+    ProjectionError for a non-finite or rank-deficient matrix, or one
+    that maps a point out of float range."""
     pts = mesh.cloud.points
     D = pts.shape[1]
     captured = None
@@ -68,7 +70,11 @@ def project(mesh, axes):
     svals = np.linalg.svd(mat, compute_uv=False)
     if svals[-1] <= 1e-12 * svals[0]:
         raise ProjectionError("projection matrix is rank deficient")
-    return ProjectedMesh(pts @ mat.T, np.array(mesh.triangles, dtype=np.int64),
+    with np.errstate(over="ignore", invalid="ignore"):
+        projected = pts @ mat.T
+    if not np.isfinite(projected).all():
+        raise ProjectionError("projected points overflow float range")
+    return ProjectedMesh(projected, np.array(mesh.triangles, dtype=np.int64),
                          D, captured)
 
 

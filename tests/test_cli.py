@@ -7,6 +7,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -409,6 +410,26 @@ def test_non_finite_matrix_stops_at_config(tmp_path, capsys, finished_run,
             "message"], err
     assert not (tmp_path / "projected.json").exists()
     assert not out.exists()
+
+
+def test_overflowing_matrix_stops_at_project(tmp_path, capsys, finished_run):
+    """A finite matrix file whose product overflows stops project with
+    exit 3 at stage project, one JSON line on stderr and no overflow
+    warning; no projected.json is written."""
+    matrix = tmp_path / "m.json"
+    matrix.write_text("[[1e308, 0, 0], [0, 1e308, 0], [0, 0, 1e308]]")
+    (tmp_path / "mesh.json").write_bytes(
+        (finished_run / "mesh.json").read_bytes())
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["project", "--projection", f"matrix:{matrix}",
+                         "--output-dir", str(tmp_path)])
+    assert code == 3 and not caught, [str(w.message) for w in caught]
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1, lines
+    err = json.loads(lines[0])
+    assert err["stage"] == "project" and err["error"] == "ProjectionError"
+    assert not (tmp_path / "projected.json").exists()
 
 
 def test_nan_amplitude_stops_sample(tmp_path, capsys):

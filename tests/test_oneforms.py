@@ -12,14 +12,13 @@ import pytest
 from conftest import manual_grid_basis, periodic_grid, solve_oneforms
 from reference_cycles import (homology_split, minimum_cycle_basis,
                               neighbor_rows)
-from torusforge.cycles import (_GENERATOR_RATIO, CycleBasis, _finish,
-                               _fundamental_loop, _fundamental_weights,
-                               _short_cycle_basis, _Workspace,
+from torusforge import oneforms
+from torusforge.cycles import (CycleBasis, _fundamental_loop,
+                               _fundamental_weights, _Workspace,
                                classify_cycles)
 from torusforge.errors import GeneratorClassificationError, ResidualError
 from torusforge.knn import NeighborGraph
-from torusforge.oneforms import (_coclosed_rows, _cycle_rows, _gauss_reduce,
-                                 _lattice_generators, _loop_lower_bound,
+from torusforge.oneforms import (_cycle_rows, _gauss_reduce, _loop_lower_bound,
                                  _solve_exact, export_residuals_json,
                                  parameterize)
 
@@ -339,15 +338,26 @@ def test_loop_bound_is_below_the_lighter_generator(bundle, request):
     assert 0.0 < bound <= exact.weights[-2]
 
 
-def test_ratio_above_the_loop_bound_falls_back_to_de_pina(torus_bundle):
+def assert_basis_and_forms(graph, got, want):
+    """`parameterize`'s (basis, forms) are the classified basis `want` and
+    solve_oneforms' forms on it, bit for bit."""
+    basis, pair = got
+    for key in ("indptr", "vertices", "edges", "weights"):
+        assert np.array_equal(getattr(basis, key), getattr(want, key)), key
+    want_pair = solve_oneforms(graph, want)
+    for key in ("du", "dv", "theta"):
+        assert np.array_equal(getattr(pair, key), getattr(want_pair, key)), key
+
+
+def test_ratio_above_the_loop_bound_falls_back_to_de_pina(torus_bundle,
+                                                         monkeypatch):
     """On the 2k grid torus the loop bound clears the heaviest face about
     2.8 times and the exact generators 4.1 times. At the generator ratio
     the period lattice gives the generators; at ratio 3 or 5 the bound
-    leaves them to de Pina's rule and hands over the Laplacian factor of
-    its solve. What `parameterize` then does is today's outcome exactly:
-    `homology_split`'s basis; at ratio 3 classify_cycles' gate passes,
-    and the solve on the handed factor gives solve_oneforms' forms bit
-    for bit; at ratio 5 the gate stops with the same diagnostics."""
+    leaves them to de Pina's rule. At ratio 3 `parameterize` returns
+    `homology_split`'s basis, classify_cycles' gate passes, and the forms
+    mapped to its generators are solve_oneforms' bit for bit; at ratio 5
+    the gate stops with the same diagnostics."""
     graph = torus_bundle.graph
     split = homology_split(graph)
     heaviest = split.weights[-3]
@@ -356,29 +366,36 @@ def test_ratio_above_the_loop_bound_falls_back_to_de_pina(torus_bundle):
     assert bound < 3.0 * heaviest < split.weights[-2] < 5.0 * heaviest
     assert not np.array_equal(torus_bundle.classified.edges,
                               classify_cycles(split).edges)
-    ws = _Workspace(graph)
-    faces, comp = _short_cycle_basis(ws)
-    A = _coclosed_rows(graph)
-    found, llu = _lattice_generators(ws, faces, comp, A, _GENERATOR_RATIO)
-    assert found is not None and llu is None
-    for ratio in (5.0, 3.0):
-        found, llu = _lattice_generators(ws, faces, comp, A, ratio)
-        assert found is None and llu is not None
-    basis = _finish(ws, faces, comp)
-    for key in ("indptr", "vertices", "edges", "weights"):
-        assert np.array_equal(getattr(basis, key), getattr(split, key)), key
+    monkeypatch.setattr(oneforms, "_GENERATOR_RATIO", 5.0)
     with pytest.raises(GeneratorClassificationError) as want_stop:
         classify_cycles(split, ratio=5.0)
     with pytest.raises(GeneratorClassificationError) as stop:
-        classify_cycles(basis, ratio=5.0)
+        parameterize(graph)
     assert str(stop.value) == str(want_stop.value)
     assert stop.value.diagnostics == want_stop.value.diagnostics
-    classified = classify_cycles(basis, ratio=3.0)
-    C = _cycle_rows(graph, classified)
-    pair = solve_oneforms(graph, classify_cycles(split, ratio=3.0))
-    got = _solve_exact(graph, A, C, ws.nontree, llu)[:3]
-    for key, value in zip(("du", "dv", "theta"), got):
-        assert np.array_equal(value, getattr(pair, key)), key
+    monkeypatch.setattr(oneforms, "_GENERATOR_RATIO", 3.0)
+    assert_basis_and_forms(graph, parameterize(graph),
+                           classify_cycles(split, ratio=3.0))
+
+
+def test_near_tie_maps_the_one_solve_to_de_pina(stdmap_bundle, monkeypatch,
+                                               caplog):
+    """The standard-map cloud's two generator classes are 0.9 % apart
+    flat, a near-tie, so de Pina's rule picks its generators; the forms
+    of the one solve on the fundamental cycles, mapped to them, are
+    solve_oneforms' on `homology_split`'s basis bit for bit."""
+    graph = stdmap_bundle.graph
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _solve_exact(*args)
+    monkeypatch.setattr(oneforms, "_solve_exact", counted)
+    with caplog.at_level("INFO", logger="torusforge.oneforms"):
+        got = parameterize(graph)
+    assert len(calls) == 1
+    assert "generators by de Pina's rule" in caplog.text
+    assert_basis_and_forms(graph, got, classify_cycles(homology_split(graph)))
 
 
 def test_parameterize_refuses_grid3_as_classify_does():

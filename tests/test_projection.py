@@ -2,6 +2,7 @@
 matrices, OBJ/PLY round trips, and sidedness coloring."""
 
 import struct
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -102,6 +103,15 @@ def test_non_finite_matrix_is_refused(torus_bundle, entry):
     mat[1, 2] = entry
     with pytest.raises(ProjectionError, match="non-finite"):
         project(torus_bundle.oriented, mat)
+
+
+def test_overflowing_matrix_is_refused(torus_bundle):
+    """A finite matrix that maps a point out of float range stops with
+    ProjectionError, and the product's overflow raises no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ProjectionError, match="overflow float range"):
+            project(torus_bundle.oriented, 1e308 * np.eye(3))
 
 
 @pytest.fixture(scope="module")
