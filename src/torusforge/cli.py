@@ -372,16 +372,10 @@ def make_parser():
     return parser
 
 
-# structured evidence the pipeline's exceptions carry
-_DETAIL_ATTRS = ("report", "diagnostics", "component_sizes", "conflict_cycle")
-
-
 def _fail(stage, exc, code):
     payload = {"stage": stage, "error": type(exc).__name__, "message": str(exc)}
-    details = {name: getattr(exc, name) for name in _DETAIL_ATTRS
-               if getattr(exc, name, None) is not None}
-    if details:
-        payload["details"] = details
+    if getattr(exc, "details", None):
+        payload["details"] = exc.details
     print(json.dumps(payload, sort_keys=True), file=sys.stderr)
     return code
 
@@ -405,7 +399,7 @@ def main(argv=None):
             if report["problems"]:
                 raise MeshValidationError(
                     f"{len(report['problems'])} validation problems, first: "
-                    f"{report['problems'][0]}", report)
+                    f"{report['problems'][0]}", report=report)
         else:
             {"sample": stage_sample, "mesh": stage_mesh,
              "project": stage_project, "export": stage_export}[stage](cfg)

@@ -36,16 +36,16 @@ decides when they may.
 """
 
 import hashlib
-import json
 import logging
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from .errors import CycleBasisError, GeneratorClassificationError
+from .mesher import _write_json
 
 log = logging.getLogger("torusforge.cycles")
 
@@ -209,25 +209,9 @@ class _Workspace:
         self.coord = np.full(self.E, -1, dtype=np.int64)
         self.coord[nontree] = np.arange(self.m)
         self.nontree = nontree
-        # loops per edge lookup in `vectors`, and sources per n-wide
-        # Dijkstra block of the test references: c x n float64 <= 12 MB
-        self.chunk = max(1, min(512, 1_500_000 // max(self.n, 1)))
         # the first bound of the odd-cycle search
         self.theta0 = 5.0 * float(np.median(self.w_pert)) if self.E else 0.0
         self.w_max = float(np.max(self.w_pert, initial=0.0))
-
-    def vectors(self, loops):
-        """(loop, GF(2) vector) for each vertex loop, the vector as the set
-        of the loop's coordinates. The loops' edges are looked up a chunk
-        of loops at a time, so an iterator of loops is consumed only as
-        far as the caller reads."""
-        loops = iter(loops)
-        while batch := list(islice(loops, self.chunk)):
-            indptr, edges = _loop_steps(self.graph, *_flat(batch))
-            coord = self.coord[edges].tolist()
-            ptr = indptr.tolist()
-            for loop, lo, hi in zip(batch, ptr[:-1], ptr[1:]):
-                yield loop, {c for c in coord[lo:hi] if c >= 0}
 
 
 def _slot_pairs(ptr):
@@ -512,7 +496,8 @@ def _phase_b(ws, chosen, comp):
             raise CycleBasisError(
                 f"cycle basis incomplete: {len(comp) - i} slots left "
                 f"unfilled, no cycle pairs oddly with a complement vector")
-        _, vec = next(ws.vectors([loop]))
+        coord = ws.coord[_loop_steps(ws.graph, *_flat([loop]))[1]]
+        vec = set(coord[coord >= 0].tolist())
         if not len(vec & s) & 1:
             raise CycleBasisError("lightest odd cycle pairs evenly")
         chosen.append(np.array([loop], dtype=np.int64))
@@ -576,8 +561,9 @@ def classify_cycles(basis, ratio=_GENERATOR_RATIO):
             "generator weights not separated from trivial cycles: "
             f"{weight:.6g} vs {trivial:.6g} (need factor {ratio}); "
             "the cloud is sparse or uneven: raise k or sample more points",
-            {"generator_weight": weight, "trivial_weight_max": trivial,
-             "ratio": weight / trivial, "required_ratio": ratio})
+            diagnostics={"generator_weight": weight,
+                         "trivial_weight_max": trivial,
+                         "ratio": weight / trivial, "required_ratio": ratio})
     return _run_generators(basis)
 
 
@@ -662,6 +648,4 @@ def export_cycles_json(path, basis):
             "sha256": rest.digest(),
         },
     }
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, payload, indent=2)

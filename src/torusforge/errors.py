@@ -1,8 +1,20 @@
-"""Exception hierarchy shared across the pipeline stages."""
+"""Exception hierarchy shared across the pipeline stages.
+
+Every error takes its message and, by keyword, the structured evidence
+of its failure: a validation `report`, residual or classification
+`diagnostics`, a graph's `component_sizes`, an orientation's
+`conflict_cycle`. The evidence that is not None is kept in one dict,
+`exc.details`, which the CLI prints as the `details` of its one-line
+failure JSON.
+"""
 
 
 class TorusforgeError(Exception):
     """Base class for all pipeline errors."""
+
+    def __init__(self, message, **details):
+        super().__init__(message)
+        self.details = {k: v for k, v in details.items() if v is not None}
 
 
 class ConfigError(TorusforgeError):
@@ -16,14 +28,6 @@ class SingularityError(TorusforgeError):
 class DisconnectedGraphError(TorusforgeError):
     """Neighbor graph is disconnected; carries the component sizes."""
 
-    def __init__(self, component_sizes):
-        self.component_sizes = sorted(component_sizes, reverse=True)
-        sizes = ", ".join(str(s) for s in self.component_sizes)
-        super().__init__(
-            f"disconnected graph: {len(self.component_sizes)} components "
-            f"of sizes [{sizes}]; retry with a larger k or a denser cloud"
-        )
-
 
 class CycleBasisError(TorusforgeError):
     """Minimum-cycle-basis construction violated an internal invariant."""
@@ -32,33 +36,17 @@ class CycleBasisError(TorusforgeError):
 class GeneratorClassificationError(TorusforgeError):
     """No two basis cycles stand out as homology generators."""
 
-    def __init__(self, message, diagnostics=None):
-        self.diagnostics = diagnostics
-        super().__init__(message)
-
 
 class ResidualError(TorusforgeError):
     """One-form residuals exceeded their gates; carries the diagnostics."""
-
-    def __init__(self, message, diagnostics=None):
-        self.diagnostics = diagnostics
-        super().__init__(message)
 
 
 class MeshValidationError(TorusforgeError):
     """Mesh failed closed-manifold validation; carries the report."""
 
-    def __init__(self, message, report=None):
-        self.report = report
-        super().__init__(message)
-
 
 class OrientationConflictError(TorusforgeError):
     """Orientation propagation hit contradictory parity (non-orientable)."""
-
-    def __init__(self, message, conflict_cycle=None):
-        self.conflict_cycle = conflict_cycle
-        super().__init__(message)
 
 
 class ProjectionError(TorusforgeError):

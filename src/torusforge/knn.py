@@ -117,7 +117,11 @@ def build_knn_graph(cloud, k):
     _, sizes = np.unique(_components(n, pairs[:, 0], pairs[:, 1]),
                          return_counts=True)
     if len(sizes) != 1:
-        raise DisconnectedGraphError(sizes.tolist())
+        sizes = sorted(sizes.tolist(), reverse=True)
+        raise DisconnectedGraphError(
+            f"disconnected graph: {len(sizes)} components of sizes "
+            f"{sizes}; retry with a larger k or a denser cloud",
+            component_sizes=sizes)
     log.info("knn graph: %d vertices, %d edges, k=%d", n, len(pairs), k)
     return graph
 

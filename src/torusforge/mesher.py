@@ -141,7 +141,7 @@ def _validate(tris, he, strict):
         problems.append(f"Euler characteristic {euler}, expected 0")
     report["problems"] = problems
     if problems and strict:
-        raise MeshValidationError("; ".join(problems), report)
+        raise MeshValidationError("; ".join(problems), report=report)
     return report
 
 
@@ -157,7 +157,7 @@ def _chart_metric(graph, forms):
         raise ResidualError(
             f"chart metric fit is not positive: (su^2, sv^2) = "
             f"({coef[0]:.3e}, {coef[1]:.3e})",
-            {"chart_metric_coefficients": coef.tolist()})
+            diagnostics={"chart_metric_coefficients": coef.tolist()})
     return (float(np.sqrt(coef[0])), float(np.sqrt(coef[1])))
 
 
@@ -193,8 +193,8 @@ def _reject_coincident_points(graph, points, period):
                 for v in np.unique(pairs).tolist()}
         raise MeshValidationError(
             f"chart points coincide in pairs {pairs[:3]}, kNN neighbours "
-            f"{dict(list(near.items())[:6])}", {"coincident_pairs": pairs,
-                                                "neighbors": near})
+            f"{dict(list(near.items())[:6])}",
+            report={"coincident_pairs": pairs, "neighbors": near})
 
 
 def _periodic_delaunay(points, period):
@@ -271,7 +271,7 @@ def mesh_flat_torus(graph, forms, cloud):
         raise ResidualError(
             f"angle map is not single-valued: an edge misses an integer "
             f"period by {defect:.3e} (gate {_PERIOD_DEFECT_GATE:.0e})",
-            {"period_defect_max": defect})
+            diagnostics={"period_defect_max": defect})
     metric = np.asarray(_chart_metric(graph, forms))
     chart = np.mod(theta, 1.0) * metric
     _reject_coincident_points(graph, chart, metric)
@@ -294,16 +294,16 @@ def mesh_flat_torus(graph, forms, cloud):
     if crossing:
         problems.append(f"{crossing} mesh edges span a period seam")
     if problems:
-        raise MeshValidationError("; ".join(problems), report)
+        raise MeshValidationError("; ".join(problems), report=report)
     log.info("mesh: %d faces on the flat torus, period defect %.2e",
              len(triangles), defect)
     return SurfaceMesh(cloud, triangles, report)
 
 
-def _write_json(path, payload):
+def _write_json(path, payload, indent=None):
     with open(path, "w", encoding="ascii") as fh:
-        # json.dumps takes the C encoder; json.dump never does
-        fh.write(json.dumps(payload, sort_keys=True))
+        # unindented, json.dumps takes the C encoder; json.dump never does
+        fh.write(json.dumps(payload, indent=indent, sort_keys=True))
         fh.write("\n")
 
 
@@ -358,5 +358,6 @@ def load_mesh_json(path):
                             f"{type(report).__name__}")
     except (KeyError, TypeError, ValueError, ConfigError) as exc:
         problem = f"{path} is not a mesh.json: {type(exc).__name__}: {exc}"
-        raise MeshValidationError(problem, {"problems": [problem]}) from None
+        raise MeshValidationError(problem,
+                                  report={"problems": [problem]}) from None
     return SurfaceMesh(cloud, triangles, report)

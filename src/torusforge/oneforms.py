@@ -28,7 +28,6 @@ call, one solve per cloud, with the generators taken from the period
 lattice where its reduced classes are clear of a near-tie.
 """
 
-import json
 import logging
 from dataclasses import dataclass
 
@@ -40,6 +39,7 @@ from .cycles import (_GENERATOR_RATIO, _finish, _fundamental_loop,
                      _fundamental_weights, _short_cycle_basis, _sorted_block,
                      _with_generators, _Workspace, classify_cycles)
 from .errors import CycleBasisError, ResidualError
+from .mesher import _write_json
 
 log = logging.getLogger("torusforge.oneforms")
 
@@ -160,7 +160,7 @@ def _checked(A, C, du, dv, theta):
         failures.append(
             f"period matrix error {period_err:.3e} exceeds {_PERIOD_GATE:.3e}")
     if failures:
-        raise ResidualError("; ".join(failures), diagnostics)
+        raise ResidualError("; ".join(failures), diagnostics=diagnostics)
     log.info("one-forms solved: cc rms %.2e/%.2e, period err %.2e",
              diag_u["coclosedness_rms"], diag_v["coclosedness_rms"],
              period_err)
@@ -176,26 +176,18 @@ def _loop_lower_bound(graph, du, dv):
                      for f in (du, dv)))
 
 
-# The period-lattice route, from here to `_lattice_generators`, calls no
-# BLAS or LAPACK routine, so its 2- and 3-vectors are multiplied out
-# elementwise: the first such call maps OpenBLAS's buffers, 0.5 to 1.2
-# MiB of resident memory on a run (`run --dim 3`) that makes none else.
 def _chart_gram(graph, du, dv):
     """The 2 x 2 chart metric G fitted by least squares over the edges:
-    length^2 ~ G11 du^2 + 2 G12 du dv + G22 dv^2, from the 3 x 3 normal
-    equations M g = r solved by the cross products of M's rows."""
-    design = [du * du, 2.0 * du * dv, dv * dv]
-    M = np.array([[np.sum(a * b) for b in design] for a in design])
-    r = np.array([np.sum(a * graph.lengths ** 2) for a in design])
-    adjugate = np.cross(M[[1, 2, 0]], M[[2, 0, 1]])   # columns of adj(M)
-    g11, g12, g22 = np.sum(adjugate * r[:, None], axis=0) / np.sum(
-        M[0] * adjugate[0])
+    length^2 ~ G11 du^2 + 2 G12 du dv + G22 dv^2."""
+    design = np.stack([du * du, 2.0 * du * dv, dv * dv], axis=1)
+    (g11, g12, g22), *_ = np.linalg.lstsq(design, graph.lengths ** 2,
+                                          rcond=None)
     return np.array([[g11, g12], [g12, g22]])
 
 
 def _form(G, x, y):
     """x^T G y for 2-vectors."""
-    return float(np.sum(G * np.outer(x, y)))
+    return float(x @ G @ y)
 
 
 def _gauss_reduce(G):
@@ -316,6 +308,4 @@ def _lattice_generators(ws, trivial, du, dv, theta):
 
 def export_residuals_json(path, pair):
     """Residual diagnostics as deterministic JSON."""
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(pair.diagnostics, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, pair.diagnostics, indent=2)

@@ -68,16 +68,18 @@ def orient_mesh(mesh):
     tris = np.asarray(mesh.triangles, dtype=np.int64).reshape(-1, 3)
     T = len(tris)
     if T == 0:
-        raise OrientationConflictError("cannot orient an empty mesh", [])
+        raise OrientationConflictError("cannot orient an empty mesh",
+                                       conflict_cycle=[])
     he = _half_edges(tris)
     crowded = np.flatnonzero(he.counts > 2)
     if len(crowded):
         # two of three or more faces on one edge always walk it alike
         e = int(crowded[0])
+        faces = np.unique(np.flatnonzero(he.edge == e) // 3).tolist()
         raise OrientationConflictError(
             f"edge {he.edges[e].tolist()} has {he.counts[e]} faces, which "
             f"no winding can make walk it in opposite directions",
-            np.unique(np.flatnonzero(he.edge == e) // 3).tolist())
+            conflict_cycle=faces)
     rows, cols = _double_cover(he, T)
     label = _components(2 * T, rows, cols)
     ncomp = int(np.sum(label == np.arange(2 * T)))
@@ -86,12 +88,12 @@ def orient_mesh(mesh):
         raise OrientationConflictError(
             "contradictory winding parity: mesh is non-orientable along "
             "the reported triangle cycle",
-            _conflict_cycle(rows, cols, int(twisted[0]), T))
+            conflict_cycle=_conflict_cycle(rows, cols, int(twisted[0]), T))
     if ncomp > 2:
         reached = int(np.sum(label == label[0]))
         raise OrientationConflictError(
             f"triangle adjacency is disconnected: reached {reached} of {T}",
-            [])
+            conflict_cycle=[])
     flip = label[:T] != label[0]
     out = tris.copy()
     out[flip] = out[flip][:, [0, 2, 1]]

@@ -28,14 +28,16 @@ the complement basis back-substituted over the pivot rows.
 """
 
 import heapq
+from itertools import islice
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from torusforge.cycles import (_INTERNAL_SEED, _PERTURB_EPS, CycleBasis,
-                               _edge_ids, _finish, _short_cycle_basis,
-                               _short_cycles, _walk_to_source, _Workspace)
+                               _edge_ids, _finish, _flat, _loop_steps,
+                               _short_cycle_basis, _short_cycles,
+                               _walk_to_source, _Workspace)
 from torusforge.errors import CycleBasisError
 
 
@@ -44,6 +46,26 @@ def homology_split(graph):
     weight, with de Pina's rule filling every slot the faces leave."""
     ws = _Workspace(graph)
     return _finish(ws, *_short_cycle_basis(ws))
+
+
+def chunk_size(n):
+    """Loops per edge lookup in `vectors`, and sources per n-wide Dijkstra
+    block of the band: c x n float64 <= 12 MB."""
+    return max(1, min(512, 1_500_000 // max(n, 1)))
+
+
+def vectors(ws, loops):
+    """(loop, GF(2) vector) for each vertex loop, the vector as the set of
+    the loop's coordinates. The loops' edges are looked up a chunk of
+    loops at a time, so an iterator of loops is consumed only as far as
+    the caller reads."""
+    loops = iter(loops)
+    while batch := list(islice(loops, chunk_size(ws.n))):
+        indptr, edges = _loop_steps(ws.graph, *_flat(batch))
+        coord = ws.coord[edges].tolist()
+        ptr = indptr.tolist()
+        for loop, lo, hi in zip(batch, ptr[:-1], ptr[1:]):
+            yield loop, {c for c in coord[lo:hi] if c >= 0}
 
 
 def reduce_vector(vec, pivots):
@@ -136,14 +158,16 @@ def neighbor_rows(graph):
 def workspace(graph):
     """The library's workspace plus the band's tables: a Zobrist value per
     edge, drawn from the internal seed right after the weight
-    perturbation, and edge_start, with the edges whose first end is v at
-    edge_start[v]:edge_start[v + 1] (the edge list is sorted)."""
+    perturbation, edge_start, with the edges whose first end is v at
+    edge_start[v]:edge_start[v + 1] (the edge list is sorted), and the
+    band's sources per block, `chunk`."""
     ws = _Workspace(graph)
     rng = np.random.default_rng(_INTERNAL_SEED)
     pert = graph.lengths * (1.0 + _PERTURB_EPS * (1.0 + rng.random(ws.E)))
     assert np.array_equal(pert, ws.w_pert), "perturbation draw moved"
     ws.zob = rng.integers(0, 2**63, size=ws.E, dtype=np.uint64)
     ws.edge_start = np.searchsorted(ws.ex, np.arange(ws.n + 1))
+    ws.chunk = chunk_size(ws.n)
     return ws
 
 
@@ -235,7 +259,7 @@ def phase_a(ws, pivots, chosen, theta):
     loops = (_candidate_loop(ws, preds[v // ws.chunk][v % ws.chunk], v, e)
              for v, e in zip(vs[walk].tolist(), es[walk].tolist()))
     greedy(ws, pivots, chosen,
-           ws.vectors(loop for loop in loops if loop is not None))
+           vectors(ws, (loop for loop in loops if loop is not None)))
 
 
 def minimum_cycle_basis(graph, theta0=None):
@@ -285,7 +309,7 @@ def exhaustive_minimum_cycle_basis(graph, max_edges=20):
     chosen = []
     ws = _Workspace(graph)
     greedy(ws, {}, chosen,
-           ws.vectors(np.split(block.vertices, block.indptr[1:-1])))
+           vectors(ws, np.split(block.vertices, block.indptr[1:-1])))
     if len(chosen) != m:
         raise CycleBasisError("exhaustive enumeration missed the cycle space")
     return CycleBasis.from_loops(graph, chosen)

@@ -14,9 +14,9 @@ import pytest
 
 from conftest import assert_closed_face_chain, klein_bottle
 from torusforge import cli
-from torusforge.errors import (ConfigError, DisconnectedGraphError,
-                               MeshValidationError, OrientationConflictError,
-                               ResidualError)
+from torusforge.errors import (ConfigError, CycleBasisError,
+                               DisconnectedGraphError, MeshValidationError,
+                               OrientationConflictError, ResidualError)
 from torusforge.samplers import (sample_center_manifold_torus,
                                  sample_standard_map_torus,
                                  sample_torus_revolution)
@@ -254,19 +254,38 @@ def test_coincident_chart_points_named(tmp_path, capsys):
 
 
 def test_failure_json_carries_exception_payload(capsys):
-    cases = ((MeshValidationError("torn", {"boundary_edges": 3}),
-              "report", {"boundary_edges": 3}),
-             (ResidualError("off", {"period_defect_max": 0.5}),
-              "diagnostics", {"period_defect_max": 0.5}),
-             (DisconnectedGraphError([5, 7]), "component_sizes", [7, 5]),
-             (OrientationConflictError("flip", [3, 1, 3]),
-              "conflict_cycle", [3, 1, 3]))
-    for exc, key, value in cases:
+    """Each kind of evidence, given by keyword, reaches stderr as the
+    `details` of one JSON line."""
+    split = ("disconnected graph: 2 components of sizes [7, 5]; retry "
+             "with a larger k or a denser cloud")
+    cases = ((MeshValidationError("torn", report={"boundary_edges": 3}),
+              '{"details": {"report": {"boundary_edges": 3}}, '
+              '"error": "MeshValidationError", "message": "torn", '
+              '"stage": "mesh"}'),
+             (ResidualError("off", diagnostics={"period_defect_max": 0.5}),
+              '{"details": {"diagnostics": {"period_defect_max": 0.5}}, '
+              '"error": "ResidualError", "message": "off", "stage": "mesh"}'),
+             (DisconnectedGraphError(split, component_sizes=[7, 5]),
+              '{"details": {"component_sizes": [7, 5]}, '
+              '"error": "DisconnectedGraphError", "message": "' + split
+              + '", "stage": "mesh"}'),
+             (OrientationConflictError("flip", conflict_cycle=[3, 1, 3]),
+              '{"details": {"conflict_cycle": [3, 1, 3]}, '
+              '"error": "OrientationConflictError", "message": "flip", '
+              '"stage": "mesh"}'))
+    for exc, line in cases:
         assert cli._fail("mesh", exc, 3) == 3
-        err = json.loads(capsys.readouterr().err)
-        assert err["details"] == {key: value}
+        assert capsys.readouterr().err == line + "\n"
     cli._fail("config", ConfigError("bad"), 2)
     assert "details" not in json.loads(capsys.readouterr().err)
+
+
+def test_failure_json_carries_any_subclass_evidence(capsys):
+    """Evidence on an error the CLI names nowhere is printed as given;
+    evidence given as None is left out."""
+    cli._fail("mesh", CycleBasisError("x", slots=3, report=None), 3)
+    assert json.loads(capsys.readouterr().err)["details"] == {"slots": 3}
+    assert CycleBasisError("x", report=None).details == {}
 
 
 def test_stage_isolation(tmp_path, fast_cfg, finished_run):

@@ -416,15 +416,15 @@ def test_seam_search_finds_lightest_odd_walk(torus_bundle):
     ws = cycles._Workspace(torus_bundle.graph)
     basis = torus_bundle.basis
     trivial = basis.take(np.arange(basis.size - 2))
-    vectors = [vec for _, vec in
-               ws.vectors(loop for loop, _ in block_rows(trivial))]
+    vectors = [vec for _, vec in reference_cycles.vectors(
+        ws, (loop for loop, _ in block_rows(trivial)))]
     kept, comp = cycles._face_reduction(coordinate_rows(vectors), ws.m)
     assert len(kept) == trivial.size
     assert len(comp) == 2
     n = ws.n
     for s in comp:
         loop = cycles._lightest_odd_cycle(ws, s)
-        [(_, vec)] = ws.vectors([loop])
+        [(_, vec)] = reference_cycles.vectors(ws, [loop])
         assert len(vec & s) & 1
         eids = CycleBasis.from_loops(ws.graph, [loop]).edges
         # unrestricted reference: the cover [[even, odd], [odd, even]] of
@@ -506,7 +506,8 @@ def test_complement_basis_matches_full_back_substitution(bundle, request):
             reference_cycles.phase_a(ws, pivots, chosen, ws.theta0)
             want = complement_basis_reference(ws, pivots)
             assert reference_cycles.complement_basis(ws, pivots) == want
-            rows = coordinate_rows([vec for _, vec in ws.vectors(chosen)])
+            rows = coordinate_rows(
+                [vec for _, vec in reference_cycles.vectors(ws, chosen)])
             kept, comp = cycles._face_reduction(rows, ws.m)
             assert kept.tolist() == list(range(len(chosen)))
             assert comp == want
@@ -606,8 +607,9 @@ def lightest_odd_cycle_full_cover(ws, s):
          (np.concatenate([x, y, x1, y1]), np.concatenate([y, x, y1, x1]))),
         shape=(2 * n, 2 * n)).tocsr()
     best, source = np.inf, None
-    for lo in range(0, len(seam), ws.chunk):
-        block = seam[lo:lo + ws.chunk]
+    chunk = reference_cycles.chunk_size(n)
+    for lo in range(0, len(seam), chunk):
+        block = seam[lo:lo + chunk]
         dist = dijkstra(cover, indices=block, limit=best)
         odd = dist[np.arange(len(block)), block + n]
         k = int(np.argmin(odd))
@@ -660,7 +662,7 @@ def test_half_radius_search_matches_full_cover(random_torus_bundle,
         first = rounds[0][1]
         ways.add("first" if first <= ws.theta0 else
                  "walk" if np.isfinite(first) else "unlimited")
-        _, vec = next(ws.vectors([loop]))
+        _, vec = next(reference_cycles.vectors(ws, [loop]))
         comp[i + 1:] = [t ^ s if len(vec & t) & 1 else t
                         for t in comp[i + 1:]]
     assert ways == {"first", "walk", "unlimited"}
@@ -726,7 +728,7 @@ def test_classification_error_says_what_to_do():
     with pytest.raises(GeneratorClassificationError,
                        match="raise k or sample more points") as info:
         classify_cycles(homology_split(periodic_grid(5)), ratio=1.26)
-    assert info.value.diagnostics == {
+    assert info.value.details["diagnostics"] == {
         "generator_weight": 5.0, "trivial_weight_max": 4.0, "ratio": 1.25,
         "required_ratio": 1.26}
 

@@ -68,7 +68,7 @@ def test_period_defect_raises_residual_error():
     forms.du[5] += 0.01
     with pytest.raises(ResidualError) as err:
         mesh_flat_torus(graph, forms, None)
-    defect = err.value.diagnostics["period_defect_max"]
+    defect = err.value.details["diagnostics"]["period_defect_max"]
     assert defect == pytest.approx(0.01, abs=1e-9)
 
 
@@ -83,7 +83,7 @@ def test_chart_metric_fit_not_positive_raises_residual_error():
                                        lengths)
     with pytest.raises(ResidualError, match="chart metric") as err:
         mesh_flat_torus(twisted, forms, None)
-    su2, sv2 = err.value.diagnostics["chart_metric_coefficients"]
+    su2, sv2 = err.value.details["diagnostics"]["chart_metric_coefficients"]
     assert su2 < 0 < sv2
 
 
@@ -104,7 +104,7 @@ def test_point_missing_from_mesh_fails_validation(monkeypatch):
                        match=r"chart points coincide in pairs \[\[0, 144\]\]"
                        ) as err:
         mesh_flat_torus(twin, OneFormPair(du, dv, theta, {}), None)
-    assert err.value.report == {
+    assert err.value.details["report"] == {
         "coincident_pairs": [[0, 144]],
         "neighbors": {"0": [1, 11, 12, 132, 144], "144": [0]}}
     monkeypatch.setattr(mesher, "_reject_coincident_points",
@@ -367,7 +367,7 @@ def test_density_gradient_outcome_is_pinned(a, stop):
     with pytest.raises(GeneratorClassificationError,
                        match="raise k or sample more points") as err:
         build_pipeline(cloud)
-    diag = err.value.diagnostics
+    diag = err.value.details["diagnostics"]
     assert diag["required_ratio"] == 1.25
     assert diag["generator_weight"] == pytest.approx(stop[0], rel=1e-12)
     assert diag["trivial_weight_max"] == pytest.approx(stop[1], rel=1e-12)
@@ -412,7 +412,7 @@ def test_coupled_map_outcome_is_pinned(c, stop):
     with pytest.raises(GeneratorClassificationError,
                        match="raise k or sample more points") as err:
         build_pipeline(cloud)
-    diag = err.value.diagnostics
+    diag = err.value.details["diagnostics"]
     assert diag["required_ratio"] == 1.25
     assert diag["generator_weight"] == pytest.approx(stop[0], rel=1e-12)
     assert diag["trivial_weight_max"] == pytest.approx(stop[1], rel=1e-12)
@@ -631,7 +631,7 @@ def test_validate_mesh_face_removed(torus_bundle):
     assert len(report["boundary_edge_list"]) == 3
     with pytest.raises(MeshValidationError) as err:
         validate_mesh(tris, strict=True)
-    assert err.value.report["boundary_edges"] == 3
+    assert err.value.details["report"]["boundary_edges"] == 3
 
 
 @pytest.mark.xfail(
@@ -698,7 +698,7 @@ def test_reversed_face_fails_winding_certificate(torus_bundle, monkeypatch):
     b = torus_bundle
     with pytest.raises(MeshValidationError, match="winding") as err:
         mesh_flat_torus(b.graph, b.forms, b.cloud)
-    assert err.value.report["euler_characteristic"] == 0
+    assert err.value.details["report"]["euler_characteristic"] == 0
     assert "3 directed edges" in str(err.value)
 
 

@@ -91,7 +91,7 @@ def test_moebius_strip_detected():
     with pytest.raises(OrientationConflictError) as err:
         orient_mesh(plain_mesh(pts, strip))
     # the reported conflict names a closed chain of triangle indices
-    cycle = err.value.conflict_cycle
+    cycle = err.value.details["conflict_cycle"]
     assert len(cycle) >= 2
     assert all(0 <= t < 5 for t in cycle)
     assert_closed_face_chain(strip, cycle)
@@ -104,7 +104,7 @@ def test_klein_bottle_conflict_cycle():
     pts = np.random.default_rng(0).normal(size=(36, 4))
     with pytest.raises(OrientationConflictError) as err:
         orient_mesh(plain_mesh(pts, tris))
-    assert_closed_face_chain(tris, err.value.conflict_cycle)
+    assert_closed_face_chain(tris, err.value.details["conflict_cycle"])
 
 
 def test_duplicated_face_rejected(torus_bundle):
@@ -114,7 +114,7 @@ def test_duplicated_face_rejected(torus_bundle):
                       torus_bundle.mesh.triangles[:1]])
     with pytest.raises(OrientationConflictError) as err:
         orient_mesh(SurfaceMesh(torus_bundle.mesh.cloud, tris, {}))
-    chain = err.value.conflict_cycle
+    chain = err.value.details["conflict_cycle"]
     # face 0, its copy and face 0's neighbour across one of its edges
     assert len(chain) == 3 and {0, len(tris) - 1} < set(chain)
     assert_closed_face_chain(tris.tolist(), chain)
@@ -127,8 +127,8 @@ def test_three_faces_on_one_edge_rejected():
     pts = np.random.default_rng(0).normal(size=(5, 3))
     with pytest.raises(OrientationConflictError) as err:
         orient_mesh(plain_mesh(pts, tris))
-    assert err.value.conflict_cycle == [0, 1, 2]
-    assert_closed_face_chain(tris, err.value.conflict_cycle)
+    assert err.value.details["conflict_cycle"] == [0, 1, 2]
+    assert_closed_face_chain(tris, err.value.details["conflict_cycle"])
 
 
 def test_disconnected_triangulation_rejected(quad_mesh):
