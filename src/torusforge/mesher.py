@@ -191,10 +191,11 @@ def _reject_coincident_points(graph, points, period):
         # edges are sorted, so lower neighbours then higher ones ascend
         near = {str(v): np.concatenate([ei[ej == v], ej[ei == v]]).tolist()
                 for v in np.unique(pairs).tolist()}
-        raise MeshValidationError(
-            f"chart points coincide in pairs {pairs[:3]}, kNN neighbours "
-            f"{dict(list(near.items())[:6])}",
-            report={"coincident_pairs": pairs, "neighbors": near})
+        message = (f"chart points coincide in pairs {pairs[:3]}, kNN "
+                   f"neighbours {dict(list(near.items())[:6])}")
+        raise MeshValidationError(message, report={
+            "coincident_pairs": pairs, "neighbors": near,
+            "problems": [message]})
 
 
 def _periodic_delaunay(points, period):

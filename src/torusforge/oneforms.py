@@ -15,7 +15,11 @@ The solved forms satisfy, per form:
 The solver enforces the cycle constraints exactly by splitting the form
 into an exact part (vertex potential) plus a correction on non-tree
 edges, then makes the form co-closed by one weighted-Laplacian solve.
-That renders all residuals at machine precision. The grounded Laplacian
+The correction is an integer cocycle (its entry on a non-tree edge is
+the periods of the edge's fundamental cycle), solved in int64 by
+peeling the cycle rows, with SuperLU only on the core that does not
+peel, and certified by one integer product. The Laplacian solve renders
+the remaining residuals at machine precision. The grounded Laplacian
 L is symmetric positive definite, so SuperLU factors it in symmetric
 mode: minimum degree on L^T + L and pivots taken from the diagonal (0.61M
 L+U entries at 6k points against COLAMD's 1.11M). The correction is zero
@@ -90,17 +94,90 @@ def _coclosed_rows(graph):
                       shape=(graph.vertex_count, graph.edge_count)).tocsr()
 
 
+def _integer_cocycle(M):
+    """psi: the int64 (m, 2) solution of M psi = [e_{m-2}, e_{m-1}], M the
+    m x m cycle rows on the non-tree coordinates, entries +-1.
+
+    Peeling: a row with one unknown coordinate left fixes it, and each
+    round solves every such row, then updates only the rows of the
+    columns it solved, through the CSC index. A row keeps the count of
+    its unknowns, the sum of their ids and the sum of their signs, so
+    with one left the sums name it and its sign. The arithmetic is on
+    small integers, so it is exact in any order, and peeling stops at the
+    same core whatever the order. SuperLU solves that core, which is
+    empty on most clouds, and its solution is rounded. One int64 product
+    M psi then certifies the whole psi. Raises CycleBasisError naming the
+    rows where M is singular over the integers: rows left with nothing to
+    solve, a core SuperLU cannot factor or solve in range, or rows the
+    certificate refuses.
+    """
+    m = M.shape[0]
+    M = M.astype(np.int64)
+    M.eliminate_zeros()
+    T = M.tocsc()
+    row = np.repeat(np.arange(m), np.diff(M.indptr))
+    count = np.diff(M.indptr)
+    ids = np.bincount(row, M.indices, m).astype(np.int64)
+    signs = np.bincount(row, M.data, m).astype(np.int64)
+    target = np.eye(m, 2, 2 - m, dtype=np.int64)  # [e_{m-2}, e_{m-1}]
+    rhs, psi = target.copy(), np.zeros((m, 2), dtype=np.int64)
+    pivot, solved = np.zeros(m, dtype=bool), np.zeros(m, dtype=bool)
+    ready, rounds = np.flatnonzero(count == 1), 0
+    while len(ready):
+        cols, first = np.unique(ids[ready], return_index=True)
+        rows = ready[first]
+        psi[cols] = signs[rows, None] * rhs[rows]
+        pivot[rows] = solved[cols] = True
+        lo = T.indptr[cols]
+        k = T.indptr[cols + 1] - lo
+        at = np.repeat(lo - np.cumsum(k) + k, k) + np.arange(k.sum())
+        hit, where = np.unique(T.indices[at], return_inverse=True)
+        col, sign = np.repeat(cols, k), T.data[at]
+        count[hit] -= np.bincount(where, minlength=len(hit))
+        for held, step in ((ids, col), (signs, sign),
+                           (rhs[:, 0], sign * psi[col, 0]),
+                           (rhs[:, 1], sign * psi[col, 1])):
+            held[hit] -= np.bincount(where, step, len(hit)).astype(np.int64)
+        ready, rounds = hit[count[hit] == 1], rounds + 1
+    core_rows, core_cols = np.flatnonzero(count), np.flatnonzero(~solved)
+    log.info("cycle constraints: %d of %d coordinates peeled in %d rounds, "
+             "core %d", m - len(core_cols), m, rounds, len(core_cols))
+
+    def singular(why, rows):
+        return CycleBasisError(
+            f"cycle rows are singular over the integers ({why}): "
+            f"{len(rows)} rows, e.g. {rows[:10].tolist()}", rows=rows.tolist())
+    if len(spare := np.flatnonzero((count == 0) & ~pivot)):
+        raise singular("nothing left to fix", spare)
+    if len(core_rows):
+        try:
+            x = np.rint(splu(M[core_rows][:, core_cols].astype(float)
+                             .tocsc()).solve(rhs[core_rows].astype(float)))
+        except RuntimeError:          # SuperLU: exactly singular
+            x = np.full((len(core_rows), 2), np.nan)
+        if not np.all(np.abs(x) < 2.0 ** 52):
+            raise singular("a core SuperLU cannot solve", core_rows)
+        psi[core_cols] = x.astype(np.int64)
+    if len(bad := np.flatnonzero(np.any(M @ psi != target, axis=1))):
+        raise singular("the product misses its right-hand side", bad)
+    return psi
+
+
 def _solve_exact(graph, A, C, nontree):
     """Hard cycle constraints by elimination, then exact co-closedness.
 
     dx = B pi + psi with psi supported on `nontree`, the edges off the
     cycle basis's shortest-path tree from vertex 0. C restricted to
     non-tree coordinates is square with odd determinant (the cycles are a
-    basis over GF(2)), so psi is unique. The remaining weighted Laplacian
-    solve makes A dx vanish identically (discrete Hodge decomposition).
-    Returns du, dv and the potentials (pi_u, pi_v) as a (V, 2) array:
-    pi[0] = 0, and psi is zero on the tree, so pi integrates the forms
-    along it.
+    basis over GF(2)), so psi is unique. It is an integer cocycle where
+    that determinant is +-1, as on the bases the pipeline builds;
+    `_integer_cocycle` solves it exactly and refuses any other basis, whose
+    fractional psi the mesher's period-defect gate would refuse later.
+    The remaining weighted Laplacian solve makes A dx vanish identically
+    (discrete Hodge decomposition). Returns du, dv, the potentials
+    (pi_u, pi_v) as a (V, 2) array, and psi on the non-tree edges as an
+    int64 (m, 2) array: pi[0] = 0, and psi is zero on the tree, so pi
+    integrates the forms along it.
     """
     V, E = graph.vertex_count, graph.edge_count
     m = len(nontree)
@@ -108,21 +185,16 @@ def _solve_exact(graph, A, C, nontree):
         raise CycleBasisError(f"need {m} independent cycles for exact "
                               f"elimination, got {C.shape[0]}")
     B = A.sign().T                    # w > 0, so A's signs are B^T
-    try:
-        mlu = splu(C[:, nontree].tocsc())
-    except RuntimeError as exc:
-        raise CycleBasisError(f"cycle rows are singular: {exc}") from None
-    psi = np.zeros((2, E))
-    for k in range(2):                # periods (1, 0) and (0, 1)
-        psi[k, nontree] = mlu.solve(np.eye(1, m, m - 2 + k)[0])
-    del mlu                           # one factor alive at a time
+    psi = _integer_cocycle(C[:, nontree])
+    full = np.zeros((2, E))
+    full[:, nontree] = psi.T
     llu = splu((A @ B)[1:, 1:].tocsc(), permc_spec="MMD_AT_PLUS_A",
                diag_pivot_thresh=0.0, options={"SymmetricMode": True})
     forms, theta = [], np.zeros((V, 2))
-    for k in range(2):
-        theta[1:, k] = llu.solve(-(A @ psi[k])[1:])
-        forms.append(B @ theta[:, k] + psi[k])
-    return forms[0], forms[1], theta
+    for k in range(2):                # periods (1, 0) and (0, 1)
+        theta[1:, k] = llu.solve(-(A @ full[k])[1:])
+        forms.append(B @ theta[:, k] + full[k])
+    return forms[0], forms[1], theta, psi
 
 
 def _diagnose(A, C, dx):
@@ -246,9 +318,10 @@ def parameterize(graph):
     else:
         basis = classify_cycles(_finish(ws, faces, comp), _GENERATOR_RATIO)
     A, C = _coclosed_rows(graph), _cycle_rows(graph, basis)
-    du, dv, theta = _solve_exact(graph, A, C, ws.nontree)
+    du, dv, theta, psi = _solve_exact(graph, A, C, ws.nontree)
     if len(comp) == 2:
-        if (found := _lattice_generators(ws, trivial, du, dv, theta)) is None:
+        found = _lattice_generators(ws, trivial, du, dv, theta, psi)
+        if found is None:
             log.info("generators by de Pina's rule: the period lattice "
                      "leaves them in doubt")
             found = _mapped(graph, classify_cycles(
@@ -269,10 +342,11 @@ def _mapped(graph, basis, du, dv, theta):
     return basis, C, du, dv, theta
 
 
-def _lattice_generators(ws, trivial, du, dv, theta):
+def _lattice_generators(ws, trivial, du, dv, theta, psi):
     """`_mapped` on the period lattice's generators, from the forms solved
     on `trivial` and the fundamental cycles, or None where it leaves them
-    in doubt."""
+    in doubt. psi, the solve's integer cocycle, is the class (the periods)
+    of each non-tree edge's fundamental cycle."""
     graph, nontree = ws.graph, ws.nontree
     G = _chart_gram(graph, du, dv)
     if not (G[0, 0] > 0 and G[0, 0] * G[1, 1] > G[0, 1] ** 2):
@@ -285,11 +359,9 @@ def _lattice_generators(ws, trivial, du, dv, theta):
             or min(length(b2 - b1), length(b2 + b1))
             < (1.0 + _TIE_MARGIN) * length(b2)):
         return None
-    i, j = graph.edges[nontree].T
-    wrap = np.rint(np.column_stack([du, dv])[nontree] - (theta[j] - theta[i]))
     loops = []
     for c in (b1, b2):
-        carry = nontree[np.all(wrap == c, axis=1) | np.all(wrap == -c, axis=1)]
+        carry = nontree[np.all(psi == c, axis=1) | np.all(psi == -c, axis=1)]
         if not len(carry):
             return None
         lightest = carry[np.argmin(_fundamental_weights(ws, carry))]

@@ -71,7 +71,7 @@ def solve_oneforms(graph, basis):
     solves its own basis, and checked by the same residual gates."""
     A = _coclosed_rows(graph)
     C = _cycle_rows(graph, basis)
-    du, dv, theta = _solve_exact(graph, A, C, _Workspace(graph).nontree)
+    du, dv, theta, _ = _solve_exact(graph, A, C, _Workspace(graph).nontree)
     return _checked(A, C, du, dv, theta)
 
 

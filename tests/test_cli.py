@@ -228,7 +228,8 @@ def test_unseparated_generators_exit_3_with_advice(tmp_path, capsys):
 def test_coincident_chart_points_named(tmp_path, capsys):
     """A copy of point 0 moved 1e-10 along x, appended to the default
     --dim 3 cloud, gets point 0's chart position. The mesh stage stops
-    before Qhull, naming both points and their kNN neighbours."""
+    before Qhull, naming both points and their kNN neighbours, with the
+    message as the report's one problem, as every exit 4 lists them."""
     out = ["--output-dir", str(tmp_path)]
     assert cli.main(["sample", "--dim", "3"] + out) == 0
     cloud = tmp_path / "cloud.csv"
@@ -245,6 +246,7 @@ def test_coincident_chart_points_named(tmp_path, capsys):
     assert "chart points coincide in pairs [[0, 2000]]" in err["message"]
     assert "Qhull" not in err["message"]
     report = err["details"]["report"]
+    assert report["problems"] == [err["message"]]
     assert report["coincident_pairs"] == [[0, 2000]]
     near = report["neighbors"]
     assert set(near) == {"0", "2000"}

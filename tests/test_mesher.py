@@ -106,7 +106,8 @@ def test_point_missing_from_mesh_fails_validation(monkeypatch):
         mesh_flat_torus(twin, OneFormPair(du, dv, theta, {}), None)
     assert err.value.details["report"] == {
         "coincident_pairs": [[0, 144]],
-        "neighbors": {"0": [1, 11, 12, 132, 144], "144": [0]}}
+        "neighbors": {"0": [1, 11, 12, 132, 144], "144": [0]},
+        "problems": [str(err.value)]}
     monkeypatch.setattr(mesher, "_reject_coincident_points",
                         lambda *args: None)
     with pytest.raises(MeshValidationError, match="missing from the mesh"):

@@ -1,26 +1,33 @@
 """Harmonic one-forms: grid solutions with known closed forms, residual
 gates, a dense least-squares cross-check, cycle rows against a per-edge
-reference, period integrality, and `parameterize`'s period-lattice
-generators against de Pina's."""
+reference, period integrality, the peeled integer cocycle against
+SuperLU's, and `parameterize`'s period-lattice generators against de
+Pina's."""
 
 import json
+import re
 from collections import deque
 
 import numpy as np
 import pytest
 
+from scipy.sparse import csr_matrix
+
 from conftest import manual_grid_basis, periodic_grid, solve_oneforms
 from reference_cycles import (homology_split, minimum_cycle_basis,
                               neighbor_rows, vectors)
+from reference_oneforms import splu_cocycle
 from torusforge import oneforms
 from torusforge.cycles import (CycleBasis, _fundamental_loop,
                                _fundamental_weights, _Workspace,
                                classify_cycles)
-from torusforge.errors import GeneratorClassificationError, ResidualError
-from torusforge.knn import NeighborGraph
-from torusforge.oneforms import (_cycle_rows, _gauss_reduce, _loop_lower_bound,
-                                 _solve_exact, export_residuals_json,
-                                 parameterize)
+from torusforge.errors import (CycleBasisError, GeneratorClassificationError,
+                               ResidualError)
+from torusforge.knn import NeighborGraph, build_knn_graph
+from torusforge.oneforms import (_cycle_rows, _gauss_reduce, _integer_cocycle,
+                                 _loop_lower_bound, _solve_exact,
+                                 export_residuals_json, parameterize)
+from torusforge.samplers import sample_torus_revolution
 
 
 def coclosed_reference(graph):
@@ -407,3 +414,82 @@ def test_parameterize_refuses_grid3_as_classify_does():
     with pytest.raises(GeneratorClassificationError) as got:
         parameterize(graph)
     assert got.value.details == want.value.details
+
+
+@pytest.mark.parametrize("cloud, peels", [
+    ("torus_bundle", False), ("random_torus_bundle", True),
+    ("stdmap_bundle", True), ("cm_bundle", True), ("fibonacci", False)])
+def test_peeled_cocycle_is_the_splu_one(cloud, peels, request, monkeypatch,
+                                        caplog):
+    """The integer cocycle of each cloud's one solve equals the float psi of
+    SuperLU on the whole cycle matrix exactly (some of SuperLU's zeros
+    carry a minus sign, which no sum of the solve keeps). The 4D and 6D
+    clouds and the random 2k torus peel completely, so SuperLU factors
+    the Laplacian alone; the grid 2k torus and the fibonacci 2k torus,
+    the largest core, leave a core it solves too."""
+    graph = (build_knn_graph(sample_torus_revolution(2.0, 0.5, 2000, 0,
+                                                     "fibonacci"), k=8)
+             if cloud == "fibonacci" else request.getfixturevalue(cloud).graph)
+    solves, factors, splu = [], [], oneforms.splu
+
+    def counted_solve(*args):
+        solves.append((args, _solve_exact(*args)))
+        return solves[-1][1]
+
+    def counted_splu(*args, **kwargs):
+        factors.append(args[0].shape)
+        return splu(*args, **kwargs)
+    monkeypatch.setattr(oneforms, "_solve_exact", counted_solve)
+    monkeypatch.setattr(oneforms, "splu", counted_splu)
+    with caplog.at_level("INFO", logger="torusforge.oneforms"):
+        parameterize(graph)
+    (args, result), = solves
+    _, _, C, nontree = args
+    psi = result[3]
+    assert psi.dtype == np.int64 and psi.shape == (len(nontree), 2)
+    want = splu_cocycle(C, nontree)
+    assert np.array_equal(want, psi) and np.isin(psi, (-1, 0, 1)).all()
+    core = int(re.search(r"cycle constraints: .* core (\d+)",
+                         caplog.text)[1])
+    assert (core == 0) == peels
+    assert len(factors) == 1 + (core > 0)
+    if core:
+        assert factors[0] == (core, core)
+
+
+def test_repeated_cycle_row_is_singular():
+    """The 5x5 grid's hand-built basis with its first square replaced by a
+    copy of the second leaves one cycle unconstrained. The copy has
+    nothing left to fix once the second square is solved, and the solve
+    stops there, naming it."""
+    graph = periodic_grid(5)
+    basis = manual_grid_basis(graph, 5, 5)
+    rows = np.arange(basis.size)
+    rows[0] = 1
+    with pytest.raises(CycleBasisError,
+                       match="cycle rows are singular over the integers"
+                       ) as err:
+        solve_oneforms(graph, basis.take(rows))
+    assert err.value.details["rows"] == [1]
+
+
+@pytest.mark.parametrize("rows, why", [
+    ([[1, 0], [1, 0]], "nothing left to fix"),
+    ([[1, 1], [1, 1]], "a core SuperLU cannot solve"),
+    ([[1, 1], [1, -1]], "the product misses its right-hand side")])
+def test_cocycle_refuses_rows_singular_over_the_integers(rows, why):
+    """Two rows with one unknown each, both naming column 0; a core whose
+    rows are equal; and a core of determinant -2, which SuperLU solves
+    with halves that round to no solution, so the integer product
+    refuses it."""
+    with pytest.raises(CycleBasisError, match=why) as err:
+        _integer_cocycle(csr_matrix(np.array(rows, dtype=float)))
+    assert err.value.details["rows"]
+
+
+def test_cocycle_peels_a_triangular_system():
+    """Rows that peel in two rounds: the second row fixes column 1, then
+    the first row fixes column 0 against it, giving the inverse."""
+    psi = _integer_cocycle(csr_matrix(np.array([[1.0, -1.0], [0.0, 1.0]])))
+    assert psi.dtype == np.int64
+    assert psi.tolist() == [[1, 1], [0, 1]]
