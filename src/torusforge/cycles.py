@@ -28,11 +28,11 @@ on the shortest-path tree from vertex 0 under the perturbed weights,
 which the angle map of its one-forms shares. A cycle's GF(2) vector is
 the set of its edges off that tree, each edge named by its coordinate;
 complement vectors are such sets too, each holding one free coordinate
-no other holds. The fundamental cycle of a free coordinate's edge (the
-edge and the tree paths joining its ends) pairs oddly with its own
-vector alone, so where the faces leave two slots, two such cycles
-complete the basis without de Pina's search; `oneforms.parameterize`
-decides when they may.
+no other holds. The fundamental cycle of a non-tree edge (the edge and
+the tree paths joining its ends) crosses that edge's coordinate alone,
+so where the faces leave two slots, a unit row on each free coordinate
+stands for a generator, and two such cycles complete the basis without
+de Pina's search; `oneforms.parameterize` decides when they may.
 """
 
 import hashlib
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from .errors import CycleBasisError, GeneratorClassificationError
@@ -352,8 +352,10 @@ def _face_reduction(faces, m):
 
 def _short_cycle_basis(ws):
     """The triangles and chordless squares independent of all lighter
-    ones, as (k3, 3) and (k4, 4) vertex loops, and the complement basis
-    of their span, certified to pair evenly with every one of them."""
+    ones, as (k3, 3) and (k4, 4) vertex loops; the complement basis of
+    their span, certified to pair evenly with every one of them; and
+    every triangle and chordless square as a CSR row over the m
+    coordinates, +1 on a step from the lower id to the higher, else -1."""
     (tri, tri_e), (sq, sq_e) = _short_cycles(ws)
     faces = np.full((len(tri) + len(sq), 4), -1, dtype=np.int64)
     faces[:len(tri), :3] = ws.coord[tri_e]
@@ -374,8 +376,15 @@ def _short_cycle_basis(ws):
                                   "triangle or square")
     log.info("short cycles: %d triangles and %d squares fill %d of %d slots",
              len(tri), len(sq), len(kept), ws.m)
+    # built after the reduction, whose transient is this step's peak RSS
+    signs = np.zeros(faces.shape, dtype=np.int8)
+    signs[:len(tri), :3] = np.where(tri == ws.ex[tri_e], 1, -1)
+    signs[len(tri):] = np.where(sq == ws.ex[sq_e], 1, -1)
+    on = faces >= 0
+    rows = csr_matrix((signs[on], faces[on], np.r_[0, np.cumsum(on.sum(1))]),
+                      shape=(len(faces), ws.m))
     is_tri = kept < len(tri)
-    return [tri[kept[is_tri]], sq[kept[~is_tri] - len(tri)]], comp
+    return [tri[kept[is_tri]], sq[kept[~is_tri] - len(tri)]], comp, rows
 
 
 def _walk_to_source(prow, v, x):
@@ -537,7 +546,7 @@ def _finish(ws, chosen, comp):
     return basis
 
 
-def classify_cycles(basis, ratio=_GENERATOR_RATIO):
+def classify_cycles(basis):
     """The basis with its last two rows, the heaviest two cycles, as the
     homology generators: the poloidal one, then the toroidal one.
 
@@ -547,14 +556,15 @@ def classify_cycles(basis, ratio=_GENERATOR_RATIO):
     they are, and `basis` is not changed.
 
     Requires the lighter generator to outweigh the heaviest trivial cycle
-    by `ratio`; anything closer means the split is not trustworthy, and
-    the error's `diagnostics` holds both weights and their ratio.
+    by _GENERATOR_RATIO, or the split is not trustworthy; the error's
+    `diagnostics` holds both weights and their ratio.
     """
     if basis.size < 2:
         raise GeneratorClassificationError(
             f"need at least 2 cycles to classify, have {basis.size}")
     k = basis.size - 2
     weight = float(basis.weights[k])
+    ratio = _GENERATOR_RATIO
     if k and weight < ratio * basis.weights[k - 1]:
         trivial = float(basis.weights[k - 1])
         raise GeneratorClassificationError(

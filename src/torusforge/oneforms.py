@@ -7,20 +7,20 @@ increment seen walking i -> j; walking j -> i sees the negated value.
 The solved forms satisfy, per form:
   - co-closedness at every vertex (rows A): sum of signed weighted
     values over incident edges is zero,
-  - closedness on every trivial basis cycle (rows C[:-2]): signed sum
-    is zero,
   - unit period on one homology generator, zero on the other (rows
-    C[-2:]; u pairs with the toroidal generator, v with the poloidal).
+    C[:2]; u pairs with the toroidal generator, v with the poloidal),
+  - closedness on every trivial basis cycle (rows C[2:]): signed sum
+    is zero.
 
 The solver enforces the cycle constraints exactly by splitting the form
 into an exact part (vertex potential) plus a correction on non-tree
 edges, then makes the form co-closed by one weighted-Laplacian solve.
 The correction is an integer cocycle (its entry on a non-tree edge is
 the periods of the edge's fundamental cycle), solved in int64 by
-peeling the cycle rows, with SuperLU only on the core that does not
-peel, and certified by one integer product. The Laplacian solve renders
-the remaining residuals at machine precision. The grounded Laplacian
-L is symmetric positive definite, so SuperLU factors it in symmetric
+peeling the generator rows and every triangle and chordless square,
+and certified by one integer product. The Laplacian solve renders the
+remaining residuals at machine precision; SuperLU factors the grounded
+Laplacian L alone, which is symmetric positive definite, in symmetric
 mode: minimum degree on L^T + L and pivots taken from the diagonal (0.61M
 L+U entries at 6k points against COLAMD's 1.11M). The correction is zero
 on the spanning tree, so the two potentials are the angle map theta:
@@ -36,12 +36,13 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import coo_matrix, csr_matrix, vstack
 from scipy.sparse.linalg import splu
 
-from .cycles import (_GENERATOR_RATIO, _finish, _fundamental_loop,
-                     _fundamental_weights, _short_cycle_basis, _sorted_block,
-                     _with_generators, _Workspace, classify_cycles)
+from . import cycles
+from .cycles import (_finish, _fundamental_loop, _fundamental_weights,
+                     _short_cycle_basis, _sorted_block, _with_generators,
+                     _Workspace, classify_cycles)
 from .errors import CycleBasisError, ResidualError
 from .mesher import _write_json
 
@@ -71,7 +72,7 @@ class OneFormPair:
 
 
 def _cycle_rows(graph, basis):
-    """C: the trivial rows, then the toroidal and poloidal rows, from a
+    """C: the toroidal and poloidal rows, then the trivial rows, from a
     basis `classify_cycles` returned. A row has +1 on each step from the
     lower vertex id to the higher, -1 on each step back. A trivial row's
     sign follows the way its loop runs, which a zero right-hand side
@@ -81,7 +82,7 @@ def _cycle_rows(graph, basis):
     low_first = basis.vertices == graph.edges[basis.edges, 0]
     return coo_matrix(
         (np.where(low_first, 1.0, -1.0),
-         (np.repeat(np.r_[0:k, k + 1, k], basis.hops), basis.edges)),
+         (np.repeat(np.r_[2:k + 2, 1, 0], basis.hops), basis.edges)),
         shape=(basis.size, graph.edge_count)).tocsr()
 
 
@@ -95,39 +96,38 @@ def _coclosed_rows(graph):
 
 
 def _integer_cocycle(M):
-    """psi: the int64 (m, 2) solution of M psi = [e_{m-2}, e_{m-1}], M the
-    m x m cycle rows on the non-tree coordinates, entries +-1.
+    """psi: the int64 (m, 2) solution of M psi = [e_0, e_1; 0], M cycle
+    rows over the m non-tree coordinates, entries +-1: the toroidal and
+    poloidal generator rows, then rows that close.
 
     Peeling: a row with one unknown coordinate left fixes it, and each
-    round solves every such row, then updates only the rows of the
-    columns it solved, through the CSC index. A row keeps the count of
-    its unknowns, the sum of their ids and the sum of their signs, so
-    with one left the sums name it and its sign. The arithmetic is on
-    small integers, so it is exact in any order, and peeling stops at the
-    same core whatever the order. SuperLU solves that core, which is
-    empty on most clouds, and its solution is rounded. One int64 product
-    M psi then certifies the whole psi. Raises CycleBasisError naming the
-    rows where M is singular over the integers: rows left with nothing to
-    solve, a core SuperLU cannot factor or solve in range, or rows the
-    certificate refuses.
+    round solves every such row (the first, where several fix one
+    coordinate), then updates only the rows of the columns it solved,
+    through the CSC index. A row keeps the count of its unknowns, the
+    sum of their ids and the sum of their signs, so with one left the
+    sums name it and its sign. The arithmetic is on small integers, so
+    it is exact in any order, and the fixing rows are triangular with
+    unit pivots. One int64 product M psi then certifies every row.
+    Raises CycleBasisError naming the coordinates no row fixes, or the
+    rows the product misses.
     """
-    m = M.shape[0]
-    M = M.astype(np.int64)
+    R, m = M.shape
+    M = M.tocsr().astype(np.int64)
     M.eliminate_zeros()
     T = M.tocsc()
-    row = np.repeat(np.arange(m), np.diff(M.indptr))
+    row = np.repeat(np.arange(R), np.diff(M.indptr))
     count = np.diff(M.indptr)
-    ids = np.bincount(row, M.indices, m).astype(np.int64)
-    signs = np.bincount(row, M.data, m).astype(np.int64)
-    target = np.eye(m, 2, 2 - m, dtype=np.int64)  # [e_{m-2}, e_{m-1}]
+    ids = np.bincount(row, M.indices, R).astype(np.int64)
+    signs = np.bincount(row, M.data, R).astype(np.int64)
+    target = np.eye(R, 2, dtype=np.int64)       # [e_0, e_1; 0]
     rhs, psi = target.copy(), np.zeros((m, 2), dtype=np.int64)
-    pivot, solved = np.zeros(m, dtype=bool), np.zeros(m, dtype=bool)
+    solved = np.zeros(m, dtype=bool)
     ready, rounds = np.flatnonzero(count == 1), 0
     while len(ready):
         cols, first = np.unique(ids[ready], return_index=True)
         rows = ready[first]
         psi[cols] = signs[rows, None] * rhs[rows]
-        pivot[rows] = solved[cols] = True
+        solved[cols] = True
         lo = T.indptr[cols]
         k = T.indptr[cols + 1] - lo
         at = np.repeat(lo - np.cumsum(k) + k, k) + np.arange(k.sum())
@@ -139,53 +139,38 @@ def _integer_cocycle(M):
                            (rhs[:, 1], sign * psi[col, 1])):
             held[hit] -= np.bincount(where, step, len(hit)).astype(np.int64)
         ready, rounds = hit[count[hit] == 1], rounds + 1
-    core_rows, core_cols = np.flatnonzero(count), np.flatnonzero(~solved)
-    log.info("cycle constraints: %d of %d coordinates peeled in %d rounds, "
-             "core %d", m - len(core_cols), m, rounds, len(core_cols))
-
-    def singular(why, rows):
-        return CycleBasisError(
-            f"cycle rows are singular over the integers ({why}): "
-            f"{len(rows)} rows, e.g. {rows[:10].tolist()}", rows=rows.tolist())
-    if len(spare := np.flatnonzero((count == 0) & ~pivot)):
-        raise singular("nothing left to fix", spare)
-    if len(core_rows):
-        try:
-            x = np.rint(splu(M[core_rows][:, core_cols].astype(float)
-                             .tocsc()).solve(rhs[core_rows].astype(float)))
-        except RuntimeError:          # SuperLU: exactly singular
-            x = np.full((len(core_rows), 2), np.nan)
-        if not np.all(np.abs(x) < 2.0 ** 52):
-            raise singular("a core SuperLU cannot solve", core_rows)
-        psi[core_cols] = x.astype(np.int64)
+    log.info("cycle constraints: %d of %d coordinates peeled from %d rows "
+             "in %d rounds", np.count_nonzero(solved), m, R, rounds)
+    if len(free := np.flatnonzero(~solved)):
+        raise CycleBasisError(
+            f"no cycle row fixes {len(free)} of the {m} non-tree "
+            f"coordinates, e.g. {free[:10].tolist()}",
+            coordinates=free.tolist())
     if len(bad := np.flatnonzero(np.any(M @ psi != target, axis=1))):
-        raise singular("the product misses its right-hand side", bad)
+        raise CycleBasisError(
+            f"cycle rows are inconsistent: the peeled solution misses the "
+            f"right-hand side of {len(bad)} rows, e.g. {bad[:10].tolist()}",
+            rows=bad.tolist())
     return psi
 
 
-def _solve_exact(graph, A, C, nontree):
+def _solve_exact(graph, A, M, nontree):
     """Hard cycle constraints by elimination, then exact co-closedness.
 
     dx = B pi + psi with psi supported on `nontree`, the edges off the
-    cycle basis's shortest-path tree from vertex 0. C restricted to
-    non-tree coordinates is square with odd determinant (the cycles are a
-    basis over GF(2)), so psi is unique. It is an integer cocycle where
-    that determinant is +-1, as on the bases the pipeline builds;
-    `_integer_cocycle` solves it exactly and refuses any other basis, whose
-    fractional psi the mesher's period-defect gate would refuse later.
-    The remaining weighted Laplacian solve makes A dx vanish identically
-    (discrete Hodge decomposition). Returns du, dv, the potentials
-    (pi_u, pi_v) as a (V, 2) array, and psi on the non-tree edges as an
-    int64 (m, 2) array: pi[0] = 0, and psi is zero on the tree, so pi
-    integrates the forms along it.
+    cycle basis's shortest-path tree from vertex 0: the integer cocycle
+    `_integer_cocycle` peels from M, cycle rows on those coordinates,
+    generator rows first. Where every coordinate peels, M has full
+    column rank, so rows of one span give one psi. The remaining
+    weighted Laplacian solve makes A dx vanish identically (discrete
+    Hodge decomposition). Returns du, dv, the potentials (pi_u, pi_v)
+    as a (V, 2) array, and psi on the non-tree edges as an int64 (m, 2)
+    array: pi[0] = 0, and psi is zero on the tree, so pi integrates the
+    forms along it.
     """
     V, E = graph.vertex_count, graph.edge_count
-    m = len(nontree)
-    if C.shape[0] != m:
-        raise CycleBasisError(f"need {m} independent cycles for exact "
-                              f"elimination, got {C.shape[0]}")
     B = A.sign().T                    # w > 0, so A's signs are B^T
-    psi = _integer_cocycle(C[:, nontree])
+    psi = _integer_cocycle(M)
     full = np.zeros((2, E))
     full[:, nontree] = psi.T
     llu = splu((A @ B)[1:, 1:].tocsc(), permc_spec="MMD_AT_PLUS_A",
@@ -202,8 +187,8 @@ def _diagnose(A, C, dx):
         "coclosedness_rms": float(np.sqrt(np.mean((A @ dx) ** 2))),
         "value_scale": float(np.median(np.abs(dx))),
         "max_trivial_cycle_error": float(
-            np.max(np.abs(C[:-2] @ dx), initial=0.0)),
-        "periods": [float(p) for p in C[-2:] @ dx],
+            np.max(np.abs(C[2:] @ dx), initial=0.0)),
+        "periods": [float(p) for p in C[:2] @ dx],
     }
 
 
@@ -290,7 +275,8 @@ def parameterize(graph):
     Where they leave two, any two loops whose classes generate H1 fix the
     same forms up to a unimodular map, as harmonic forms are unique in
     their cohomology class (Gortler, Gotsman & Thurston, CAGD 2006). So
-    the forms are solved on the free coordinates' fundamental cycles,
+    the forms are solved with unit periods on the free coordinates (each
+    one's fundamental cycle crosses it alone) and every face closed,
     and Z^2, the classes by their periods, is Lagrange-Gauss reduced
     under the chart metric G fitted with its cross term: the shorter
     class is poloidal (a shortest homology basis: Erickson & Whittlesey,
@@ -310,22 +296,26 @@ def parameterize(graph):
     Pina's and mesh a sheared chart, with every gate still passing.
     """
     ws = _Workspace(graph)
-    faces, comp = _short_cycle_basis(ws)
+    faces, comp, closed = _short_cycle_basis(ws)
+    A = _coclosed_rows(graph)
+    if len(comp) == 2:
+        generators = csr_matrix((np.ones(2, dtype=np.int8),
+                                 [max(comp[1]), max(comp[0])],
+                                 [0, 1, 2]), shape=(2, ws.m))
+    else:
+        basis = classify_cycles(_finish(ws, faces, comp))
+        C = _cycle_rows(graph, basis)
+        generators = C[:, ws.nontree]
+    du, dv, theta, psi = _solve_exact(graph, A, vstack([generators, closed]),
+                                      ws.nontree)
     if len(comp) == 2:
         trivial = _sorted_block(ws, faces)
-        basis = _with_generators(graph, trivial, [
-            _fundamental_loop(ws, ws.nontree[max(s)]) for s in comp])
-    else:
-        basis = classify_cycles(_finish(ws, faces, comp), _GENERATOR_RATIO)
-    A, C = _coclosed_rows(graph), _cycle_rows(graph, basis)
-    du, dv, theta, psi = _solve_exact(graph, A, C, ws.nontree)
-    if len(comp) == 2:
         found = _lattice_generators(ws, trivial, du, dv, theta, psi)
         if found is None:
             log.info("generators by de Pina's rule: the period lattice "
                      "leaves them in doubt")
-            found = _mapped(graph, classify_cycles(
-                _finish(ws, faces, comp), _GENERATOR_RATIO), du, dv, theta)
+            found = _mapped(graph, classify_cycles(_finish(ws, faces, comp)),
+                            du, dv, theta)
         basis, C, du, dv, theta = found
     return basis, _checked(A, C, du, dv, theta)
 
@@ -335,7 +325,7 @@ def _mapped(graph, basis, du, dv, theta):
     theta mapped by det(P) adj(P), P their period matrix on its generator
     rows: P's inverse, or periods det(P)^2 I that the period gate refuses."""
     C = _cycle_rows(graph, basis)
-    (a, b), (c, d) = np.rint(C[-2:] @ np.column_stack([du, dv])).T
+    (a, b), (c, d) = np.rint(C[:2] @ np.column_stack([du, dv])).T
     inverse = (a * d - b * c) * np.array([[d, -b], [-c, a]])
     du, dv = inverse[:, :1] * du + inverse[:, 1:] * dv
     theta = theta[:, :1] * inverse[:, 0] + theta[:, 1:] * inverse[:, 1]
@@ -344,7 +334,7 @@ def _mapped(graph, basis, du, dv, theta):
 
 def _lattice_generators(ws, trivial, du, dv, theta, psi):
     """`_mapped` on the period lattice's generators, from the forms solved
-    on `trivial` and the fundamental cycles, or None where it leaves them
+    with unit periods on the free coordinates, or None where it leaves them
     in doubt. psi, the solve's integer cocycle, is the class (the periods)
     of each non-tree edge's fundamental cycle."""
     graph, nontree = ws.graph, ws.nontree
@@ -370,7 +360,7 @@ def _lattice_generators(ws, trivial, du, dv, theta, psi):
                     du, dv, theta)
     heaviest = float(trivial.weights[-1]) if trivial.size else 0.0
     bound = _loop_lower_bound(graph, *found[2:4])
-    if bound < max(_GENERATOR_RATIO, 1.0) * heaviest:
+    if bound < max(cycles._GENERATOR_RATIO, 1.0) * heaviest:
         return None
     log.info("generators from the period lattice: classes %s and %s, "
              "loop bound %.6g over the heaviest face %.6g",

@@ -197,19 +197,13 @@ def _linear_flow(mu, point, amp_planar, amp_vertical):
     labelled `point` and the closed form of the linear flow on its center
     manifold, orbit(t) = center + Re(A e^(i om_p t) u_p) +
     Re(B e^(i om_v t) u_v) for an array of times t, as (len(t), 6)."""
-    if not (amp_planar >= 0 and amp_vertical >= 0
-            and max(amp_planar, amp_vertical) > 0):
-        raise ConfigError(f"amplitudes must be non-negative numbers with at "
-                          f"least one > 0, got amp_planar={amp_planar}, "
-                          f"amp_vertical={amp_vertical}")
     points = {p.label: p for p in cr3bp.libration_points(mu)}
     if point not in points:
         raise ConfigError(f"{point!r} is not a libration point; choose from "
                           f"{sorted(points)}")
     point = points[point]
     _, om_p, om_v, u_p, u_v = center_manifold_model(mu, point)
-    A = _mode_scale(u_p, amp_planar) if amp_planar > 0 else 0.0
-    B = _mode_scale(u_v, amp_vertical) if amp_vertical > 0 else 0.0
+    A, B = _mode_scale(u_p, amp_planar), _mode_scale(u_v, amp_vertical)
     center = np.concatenate([point.position, np.zeros(3)])
 
     def orbit(t):
@@ -226,8 +220,13 @@ def sample_center_manifold_torus(mu, point, amp_planar, amp_vertical, N):
     times k dt, where (om, u) are the center eigenpairs of the 6x6
     Jacobian at the collinear point labelled `point` ("L1", "L2" or
     "L3"), A, B scale the positional excursions to amp_planar /
-    amp_vertical, and dt is picked for an even phase coverage.
+    amp_vertical, both positive (with one zero the samples lie on one
+    mode's closed curve), and dt is picked for an even phase coverage.
     """
+    if not (amp_planar > 0 and amp_vertical > 0):
+        raise ConfigError(f"amplitudes must both be positive (one zero leaves "
+                          f"a closed curve, not a torus), got amp_planar="
+                          f"{amp_planar}, amp_vertical={amp_vertical}")
     om_p, om_v, orbit = _linear_flow(mu, point, amp_planar, amp_vertical)
     N = int(N)
     if N < 4:

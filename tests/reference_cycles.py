@@ -45,7 +45,7 @@ def homology_split(graph):
     """The library's cycle basis of a torus graph, sorted by nondecreasing
     weight, with de Pina's rule filling every slot the faces leave."""
     ws = _Workspace(graph)
-    return _finish(ws, *_short_cycle_basis(ws))
+    return _finish(ws, *_short_cycle_basis(ws)[:2])
 
 
 def chunk_size(n):

@@ -471,6 +471,29 @@ def test_nan_amplitude_stops_sample(tmp_path, capsys):
     assert not (tmp_path / "out" / "cloud.csv").exists()
 
 
+@pytest.mark.parametrize("key", ["amp_planar", "amp_vertical"])
+def test_zero_amplitude_stops_sample_and_run(tmp_path, capsys, key):
+    """A zero amplitude leaves one mode's closed curve, not a torus: sample
+    and run stop with exit 2 and one JSON line naming both amplitudes,
+    before any kNN graph is built, and write no cloud."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sampler": {"kind": "center_manifold",
+                                           key: 0}}))
+    for stage in ("sample", "run"):
+        out = tmp_path / stage
+        capsys.readouterr()
+        assert cli.main([stage, "--config", str(cfg),
+                         "--output-dir", str(out)]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1, lines
+        err = json.loads(lines[0])
+        assert err["stage"] == stage and err["error"] == "ConfigError", err
+        assert f"{key}=0" in err["message"], err
+        assert "amp_planar=" in err["message"], err
+        assert "amp_vertical=" in err["message"], err
+        assert not (out / "cloud.csv").exists()
+
+
 @pytest.mark.parametrize("bad_id", [-1, 99999])
 def test_validate_rejects_ids_outside_points(tmp_path, capsys,
                                              finished_run, bad_id):

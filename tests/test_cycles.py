@@ -522,11 +522,32 @@ def test_short_cycle_reduction_matches_set_greedy(bundle, request):
         ws = cycles._Workspace(graph)
         pivots, want = {}, []
         reference_cycles.short_cycle_greedy(ws, pivots, want)
-        chosen, comp = cycles._short_cycle_basis(ws)
+        chosen, comp, _ = cycles._short_cycle_basis(ws)
         got = [tuple(loop) for rows in chosen for loop in rows.tolist()]
         assert len(got) == len(want)
         assert set(got) == {tuple(loop) for loop in want}
         assert comp == reference_cycles.complement_basis(ws, pivots)
+
+
+@pytest.mark.parametrize("bundle", [None, "torus_bundle"])
+def test_face_rows_are_the_signed_loops(bundle, request):
+    """`_short_cycle_basis`'s rows are every triangle and chordless square,
+    walked step by step: +1 on the coordinate of a step from the lower
+    vertex id to the higher, -1 on a step back, nothing on a tree edge."""
+    for graph in bundle_graphs(bundle, request):
+        ws = cycles._Workspace(graph)
+        (tri, _), (sq, _) = cycles._short_cycles(ws)
+        rows = cycles._short_cycle_basis(ws)[2]
+        assert rows.shape == (len(tri) + len(sq), ws.m)
+        for r, loop in enumerate(tri.tolist() + sq.tolist()):
+            want = {}
+            for a, b in zip(loop, loop[1:] + loop[:1]):
+                c = int(ws.coord[graph.edge_ids([a], [b])[0]])
+                if c >= 0:
+                    want[c] = 1 if a < b else -1
+            lo, hi = rows.indptr[r], rows.indptr[r + 1]
+            assert dict(zip(rows.indices[lo:hi].tolist(),
+                            rows.data[lo:hi].tolist())) == want, r
 
 
 def test_face_reduction_on_random_and_edge_case_matrices():
@@ -562,7 +583,7 @@ def test_face_reduction_on_random_and_edge_case_matrices():
                       (5, 6)])
     graph = NeighborGraph.from_edges(7, edges, np.ones(8))
     ws = cycles._Workspace(graph)
-    chosen, comp = cycles._short_cycle_basis(ws)
+    chosen, comp, _ = cycles._short_cycle_basis(ws)
     assert comp == [{int(ws.coord[graph.edge_ids([4], [5])[0]])}]
     assert [rows.tolist() for rows in chosen] == [[[0, 1, 2]], []]
     assert homology_split(graph).hops.tolist() == [3, 5]
@@ -570,7 +591,7 @@ def test_face_reduction_on_random_and_edge_case_matrices():
     edges = np.array([(a, b) for a in range(5) for b in range(a + 1, 5)])
     graph = NeighborGraph.from_edges(5, edges, 1.0 + 0.01 * np.arange(10))
     ws = cycles._Workspace(graph)
-    chosen, comp = cycles._short_cycle_basis(ws)
+    chosen, comp, _ = cycles._short_cycle_basis(ws)
     assert comp == []
     assert [rows.shape for rows in chosen] == [(6, 3), (0, 4)]
     basis = homology_split(graph)
@@ -634,7 +655,7 @@ def test_half_radius_search_matches_full_cover(random_torus_bundle,
     blocks and its lightest walk starts from a later block, so the
     limit that shrinks from block to block is checked too."""
     ws = cycles._Workspace(random_torus_bundle.graph)
-    _, comp = cycles._short_cycle_basis(ws)
+    _, comp, _ = cycles._short_cycle_basis(ws)
     assert len(comp) > 100
     rounds = []
     shrunk = []
@@ -675,7 +696,7 @@ def test_de_pina_finish_memory_is_bounded(cm_bundle):
     """de Pina's finish on the 6k 6D cloud keeps one block of 2n-wide
     distance rows alive at a time: its traced peak stays within 8 MiB."""
     ws = cycles._Workspace(cm_bundle.graph)
-    chosen, comp = cycles._short_cycle_basis(ws)
+    chosen, comp, _ = cycles._short_cycle_basis(ws)
     assert len(comp) == 2             # the generators' slots
     tracemalloc.start()
     try:
@@ -710,24 +731,26 @@ def test_tree_graph_has_empty_basis():
         classify_cycles(basis)
 
 
-def test_classification_on_grid5():
+def test_classification_on_grid5(monkeypatch):
     basis = minimum_cycle_basis(periodic_grid(5))
     classified = classify_cycles(basis)
     assert classified.size == 26
     assert classified.hops[-2:].tolist() == [5, 5]
     assert set(classified.hops[:-2].tolist()) == {4}
     # the 5 vs 4 split sits exactly on the default 1.25 ratio gate
+    monkeypatch.setattr(cycles, "_GENERATOR_RATIO", 1.26)
     with pytest.raises(GeneratorClassificationError):
-        classify_cycles(basis, ratio=1.26)
+        classify_cycles(basis)
 
 
-def test_classification_error_says_what_to_do():
+def test_classification_error_says_what_to_do(monkeypatch):
     """The stop names its remedy and carries the weights it compared:
     on grid 5 the generators weigh 5 and the trivial squares 4, one
     hair under a 1.26 gate."""
+    monkeypatch.setattr(cycles, "_GENERATOR_RATIO", 1.26)
     with pytest.raises(GeneratorClassificationError,
                        match="raise k or sample more points") as info:
-        classify_cycles(homology_split(periodic_grid(5)), ratio=1.26)
+        classify_cycles(homology_split(periodic_grid(5)))
     assert info.value.details["diagnostics"] == {
         "generator_weight": 5.0, "trivial_weight_max": 4.0, "ratio": 1.25,
         "required_ratio": 1.26}

@@ -1,12 +1,15 @@
 """Neighbor-graph construction against a brute-force oracle."""
 
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 import pytest
 
+from scipy.spatial import cKDTree
+
 from conftest import periodic_grid
 from reference_cycles import neighbor_rows
+from torusforge import knn
 from torusforge.errors import ConfigError, DisconnectedGraphError
 from torusforge.knn import NeighborGraph, build_knn_graph
 from torusforge.samplers import PointCloud
@@ -43,6 +46,30 @@ def test_matches_brute_force_with_distance_ties():
     graph = build_knn_graph(cloud, k=6)
     assert set(map(tuple, graph.edges.tolist())) == \
         brute_force_edges(pts, 6)
+
+
+def test_tie_straddling_the_window_requeries(monkeypatch):
+    """The origin and the 30 integer points at distance 5 from it, the
+    signed permutations of (5, 0, 0) and (3, 4, 0): the origin's 30
+    neighbours tie, so with k = 6 its candidate window of 15 and then of
+    30 ends inside the tie, and the kd-tree is queried again until it
+    holds all 31 points. The graph still equals brute force."""
+    shell = {tuple(s * c for s, c in zip(signs, perm))
+             for base in ((5, 0, 0), (3, 4, 0))
+             for perm in permutations(base)
+             for signs in product((1, -1), repeat=3)}
+    assert len(shell) == 30
+    pts = np.array([(0, 0, 0)] + sorted(shell), dtype=np.float64)
+    pads = []
+
+    class CountedTree(cKDTree):
+        def query(self, x, k=1, **kwargs):
+            pads.append(k)
+            return super().query(x, k=k, **kwargs)
+    monkeypatch.setattr(knn, "cKDTree", CountedTree)
+    graph = build_knn_graph(PointCloud(pts), k=6)
+    assert pads == [15, 30, 31]
+    assert set(map(tuple, graph.edges.tolist())) == brute_force_edges(pts, 6)
 
 
 def test_permutation_invariance():

@@ -5,26 +5,26 @@ SuperLU's, and `parameterize`'s period-lattice generators against de
 Pina's."""
 
 import json
-import re
 from collections import deque
 
 import numpy as np
 import pytest
 
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, vstack
 
 from conftest import manual_grid_basis, periodic_grid, solve_oneforms
 from reference_cycles import (homology_split, minimum_cycle_basis,
                               neighbor_rows, vectors)
 from reference_oneforms import splu_cocycle
-from torusforge import oneforms
+from torusforge import cycles, oneforms
 from torusforge.cycles import (CycleBasis, _fundamental_loop,
-                               _fundamental_weights, _Workspace,
-                               classify_cycles)
+                               _fundamental_weights, _short_cycle_basis,
+                               _Workspace, classify_cycles)
 from torusforge.errors import (CycleBasisError, GeneratorClassificationError,
                                ResidualError)
 from torusforge.knn import NeighborGraph, build_knn_graph
-from torusforge.oneforms import (_cycle_rows, _gauss_reduce, _integer_cocycle,
+from torusforge.oneforms import (_checked, _coclosed_rows, _cycle_rows,
+                                 _gauss_reduce, _integer_cocycle,
                                  _loop_lower_bound, _solve_exact,
                                  export_residuals_json, parameterize)
 from torusforge.samplers import sample_torus_revolution
@@ -44,11 +44,11 @@ def coclosed_reference(graph):
 def dense_system(graph, classified):
     """The co-closedness block over the cycle rows, with the right-hand
     sides that ask the u-form for periods (1, 0) and the v-form for
-    (0, 1)."""
+    (0, 1) on the two generator rows the cycle rows lead with."""
     matrix = np.vstack([coclosed_reference(graph),
                         _cycle_rows(graph, classified).toarray()])
     rhs = np.zeros((len(matrix), 2))
-    rhs[-2:] = np.eye(2)
+    rhs[graph.vertex_count:graph.vertex_count + 2] = np.eye(2)
     return matrix, rhs
 
 
@@ -155,16 +155,16 @@ def test_cycle_rows_match_per_edge_reference(torus_bundle):
     assert rows.shape[0] == k + 2
     ptr = classified.indptr
     loops = [classified.vertices[ptr[r]:ptr[r + 1]] for r in range(k + 2)]
-    # C holds the toroidal row (basis row k + 1) before the poloidal one
-    generators = {k: loops[k + 1], k + 1: loops[k]}
-    for r in range(k + 2):
+    # C leads with the toroidal row (basis row k + 1), then the poloidal
+    # one (basis row k), then the trivial rows in basis order
+    for r, b in enumerate([k + 1, k] + list(range(k))):
         lo, hi = rows.indptr[r], rows.indptr[r + 1]
         got = dict(zip(rows.indices[lo:hi].tolist(),
                        rows.data[lo:hi].tolist()))
-        if r in generators:
-            assert got == cycle_row_reference(index, generators[r])
+        want = cycle_row_reference(index, loops[b])
+        if r < 2:
+            assert got == want
         else:
-            want = cycle_row_reference(index, loops[r])
             sign = got[rows.indices[lo]] * want[rows.indices[lo]]
             assert got == {e: sign * x for e, x in want.items()}
 
@@ -373,16 +373,16 @@ def test_ratio_above_the_loop_bound_falls_back_to_de_pina(torus_bundle,
     assert bound < 3.0 * heaviest < split.weights[-2] < 5.0 * heaviest
     assert not np.array_equal(torus_bundle.classified.edges,
                               classify_cycles(split).edges)
-    monkeypatch.setattr(oneforms, "_GENERATOR_RATIO", 5.0)
+    monkeypatch.setattr(cycles, "_GENERATOR_RATIO", 5.0)
     with pytest.raises(GeneratorClassificationError) as want_stop:
-        classify_cycles(split, ratio=5.0)
+        classify_cycles(split)
     with pytest.raises(GeneratorClassificationError) as stop:
         parameterize(graph)
     assert str(stop.value) == str(want_stop.value)
     assert stop.value.details == want_stop.value.details
-    monkeypatch.setattr(oneforms, "_GENERATOR_RATIO", 3.0)
+    monkeypatch.setattr(cycles, "_GENERATOR_RATIO", 3.0)
     assert_basis_and_forms(graph, parameterize(graph),
-                           classify_cycles(split, ratio=3.0))
+                           classify_cycles(split))
 
 
 def test_near_tie_maps_the_one_solve_to_de_pina(stdmap_bundle, monkeypatch,
@@ -405,6 +405,83 @@ def test_near_tie_maps_the_one_solve_to_de_pina(stdmap_bundle, monkeypatch,
     assert_basis_and_forms(graph, got, classify_cycles(homology_split(graph)))
 
 
+def test_indefinite_chart_metric_falls_back_to_de_pina(torus_bundle,
+                                                      monkeypatch, caplog):
+    """A chart metric G that is not positive definite gives no lattice to
+    reduce, so de Pina's rule picks the generators, and the forms of the
+    one solve mapped to them are solve_oneforms' on `homology_split`'s
+    basis bit for bit."""
+    graph = torus_bundle.graph
+    monkeypatch.setattr(oneforms, "_chart_gram",
+                        lambda *args: np.array([[1.0, 2.0], [2.0, 1.0]]))
+    with caplog.at_level("INFO", logger="torusforge.oneforms"):
+        got = parameterize(graph)
+    assert "generators by de Pina's rule" in caplog.text
+    assert_basis_and_forms(graph, got, classify_cycles(homology_split(graph)))
+
+
+def test_reduced_class_no_edge_carries_falls_back_to_de_pina(
+        torus_bundle, monkeypatch, caplog):
+    """Where no non-tree edge's fundamental cycle has a reduced class, the
+    period lattice gives no loop for it, and de Pina's rule picks the
+    generators as above. Here the shorter reduced class is doubled: the
+    two classes still clear _TIE_MARGIN under the fitted metric, but every
+    class psi holds has entries in {-1, 0, 1}."""
+    graph = torus_bundle.graph
+    metrics, cocycles = [], []
+    reduce, solve = oneforms._gauss_reduce, oneforms._solve_exact
+
+    def doubled(G):
+        metrics.append(G)
+        b1, b2 = reduce(G)
+        return 2 * b1, b2
+
+    def counted(*args):
+        result = solve(*args)
+        cocycles.append(result[3])
+        return result
+    monkeypatch.setattr(oneforms, "_gauss_reduce", doubled)
+    monkeypatch.setattr(oneforms, "_solve_exact", counted)
+    with caplog.at_level("INFO", logger="torusforge.oneforms"):
+        got = parameterize(graph)
+    assert "generators by de Pina's rule" in caplog.text
+    assert_basis_and_forms(graph, got, classify_cycles(homology_split(graph)))
+    (G,), (psi,) = metrics, cocycles
+    b1, b2 = doubled(G)
+
+    def length(x):
+        return np.sqrt(x @ G @ x)
+    assert length(b2) >= (1 + oneforms._TIE_MARGIN) * length(b1)
+    assert min(length(b2 - b1), length(b2 + b1)) >= (
+        (1 + oneforms._TIE_MARGIN) * length(b2))
+    assert np.isin(psi, (-1, 0, 1)).all() and np.abs(b1).max() == 2
+
+
+@pytest.mark.parametrize("form, broken", [
+    ("du", "u-form co-closedness RMS"), ("dv", "period matrix error")])
+def test_residual_gates_name_the_residual(grid5_forms, form, broken):
+    """Adding the gradient of a potential to du keeps it closed, with the
+    same periods, but not co-closed; scaling dv by 1.1 keeps it closed and
+    co-closed, with period 1.1. Each stops with ResidualError naming its
+    one residual."""
+    graph, forms = grid5_forms.graph, grid5_forms.forms
+    A = _coclosed_rows(graph)
+    C = _cycle_rows(graph, grid5_forms.classified)
+    du, dv = forms.du, forms.dv
+    if form == "du":
+        phi = np.random.default_rng(6).normal(scale=0.01,
+                                              size=graph.vertex_count)
+        du = du + A.sign().T @ phi
+    else:
+        dv = 1.1 * dv
+    with pytest.raises(ResidualError, match=broken) as err:
+        _checked(A, C, du, dv, forms.theta)
+    assert str(err.value).count("exceeds") == 1
+    d = err.value.details["diagnostics"]
+    assert d["period_error"] == pytest.approx(0.0 if form == "du" else 0.1,
+                                              abs=1e-12)
+
+
 def test_parameterize_refuses_grid3_as_classify_does():
     """The 3x3 grid's faces leave no slot to the period lattice, and it
     stops at the ratio gate with classify_cycles' diagnostics."""
@@ -416,17 +493,32 @@ def test_parameterize_refuses_grid3_as_classify_does():
     assert got.value.details == want.value.details
 
 
+def loop_rows(ws, loops):
+    """Signed rows of vertex loops over the non-tree coordinates: +1 on a
+    step from the lower vertex id to the higher, -1 on a step back."""
+    block = CycleBasis.from_loops(ws.graph, loops)
+    sign = np.where(block.vertices == ws.ex[block.edges], 1.0, -1.0)
+    rows = csr_matrix((sign, (np.repeat(np.arange(block.size), block.hops),
+                              block.edges)),
+                      shape=(block.size, ws.E))
+    return rows[:, ws.nontree]
+
+
 @pytest.mark.parametrize("cloud, peels", [
     ("torus_bundle", False), ("random_torus_bundle", True),
     ("stdmap_bundle", True), ("cm_bundle", True), ("fibonacci", False)])
 def test_peeled_cocycle_is_the_splu_one(cloud, peels, request, monkeypatch,
                                         caplog):
-    """The integer cocycle of each cloud's one solve equals the float psi of
-    SuperLU on the whole cycle matrix exactly (some of SuperLU's zeros
-    carry a minus sign, which no sum of the solve keeps). The 4D and 6D
-    clouds and the random 2k torus peel completely, so SuperLU factors
-    the Laplacian alone; the grid 2k torus and the fibonacci 2k torus,
-    the largest core, leave a core it solves too."""
+    """The integer cocycle of each cloud's one solve equals, exactly, the
+    float psi of SuperLU on a square system of the same constraints (some
+    of SuperLU's zeros carry a minus sign, which no sum of the solve
+    keeps): the two unit rows on the free coordinates and the kept faces
+    where the faces leave two slots, the classified basis on the random
+    2k torus. Every coordinate peels from the solve's rows, which add
+    every triangle and chordless square, so SuperLU factors the Laplacian
+    alone, once. The square system peels on its own on the 4D and 6D
+    clouds and the random 2k torus; on the grid and fibonacci 2k tori it
+    leaves coordinates that only the other faces fix."""
     graph = (build_knn_graph(sample_torus_revolution(2.0, 0.5, 2000, 0,
                                                      "fibonacci"), k=8)
              if cloud == "fibonacci" else request.getfixturevalue(cloud).graph)
@@ -444,47 +536,66 @@ def test_peeled_cocycle_is_the_splu_one(cloud, peels, request, monkeypatch,
     with caplog.at_level("INFO", logger="torusforge.oneforms"):
         parameterize(graph)
     (args, result), = solves
-    _, _, C, nontree = args
-    psi = result[3]
-    assert psi.dtype == np.int64 and psi.shape == (len(nontree), 2)
-    want = splu_cocycle(C, nontree)
-    assert np.array_equal(want, psi) and np.isin(psi, (-1, 0, 1)).all()
-    core = int(re.search(r"cycle constraints: .* core (\d+)",
-                         caplog.text)[1])
-    assert (core == 0) == peels
-    assert len(factors) == 1 + (core > 0)
-    if core:
-        assert factors[0] == (core, core)
+    _, _, M, nontree = args
+    M, psi = M.tocsr(), result[3]
+    m = len(nontree)
+    assert factors == [(graph.vertex_count - 1,) * 2]
+    assert psi.dtype == np.int64 and psi.shape == (m, 2)
+    ws = _Workspace(graph)
+    kept, comp, faces = _short_cycle_basis(ws)
+    assert M.shape == (2 + (len(comp) > 2) * (m - 2) + faces.shape[0], m)
+    assert f"{m} of {m} coordinates peeled from {M.shape[0]} rows" in (
+        caplog.text)
+    square = (M[:m] if len(comp) > 2 else
+              vstack([M[:2], loop_rows(ws, [loop for block in kept
+                                            for loop in block.tolist()])]))
+    assert square.shape == (m, m)
+    assert np.array_equal(splu_cocycle(square), psi)
+    assert np.isin(psi, (-1, 0, 1)).all()
+    if peels:
+        assert np.array_equal(_integer_cocycle(square), psi)
+    else:
+        with pytest.raises(CycleBasisError, match="no cycle row fixes"):
+            _integer_cocycle(square)
 
 
 def test_repeated_cycle_row_is_singular():
     """The 5x5 grid's hand-built basis with its first square replaced by a
-    copy of the second leaves one cycle unconstrained. The copy has
-    nothing left to fix once the second square is solved, and the solve
-    stops there, naming it."""
+    copy of the second leaves one cycle unconstrained. Its own rows then
+    stop peeling with eight coordinates left, and the solve stops,
+    naming them."""
     graph = periodic_grid(5)
     basis = manual_grid_basis(graph, 5, 5)
     rows = np.arange(basis.size)
     rows[0] = 1
     with pytest.raises(CycleBasisError,
-                       match="cycle rows are singular over the integers"
-                       ) as err:
+                       match="no cycle row fixes 8 of the 26 non-tree "
+                             "coordinates") as err:
         solve_oneforms(graph, basis.take(rows))
-    assert err.value.details["rows"] == [1]
+    assert err.value.details["coordinates"] == [4, 5, 6, 11, 14, 15, 21, 25]
 
 
-@pytest.mark.parametrize("rows, why", [
-    ([[1, 0], [1, 0]], "nothing left to fix"),
-    ([[1, 1], [1, 1]], "a core SuperLU cannot solve"),
-    ([[1, 1], [1, -1]], "the product misses its right-hand side")])
-def test_cocycle_refuses_rows_singular_over_the_integers(rows, why):
-    """Two rows with one unknown each, both naming column 0; a core whose
-    rows are equal; and a core of determinant -2, which SuperLU solves
-    with halves that round to no solution, so the integer product
-    refuses it."""
-    with pytest.raises(CycleBasisError, match=why) as err:
+@pytest.mark.parametrize("rows", [[[1, 0], [1, 0]], [[1, 1], [1, 1]],
+                                  [[1, 1], [1, -1]]])
+def test_cocycle_refuses_rows_singular_over_the_integers(rows):
+    """Two generator rows that both name column 0, which leave column 1 to
+    no row; two equal rows; and rows of determinant -2, which SuperLU
+    would solve with halves. No row of the last two has one unknown, so
+    nothing peels, and each stop names the coordinates left."""
+    with pytest.raises(CycleBasisError, match="no cycle row fixes") as err:
         _integer_cocycle(csr_matrix(np.array(rows, dtype=float)))
-    assert err.value.details["rows"]
+    assert err.value.details["coordinates"] == (
+        [1] if rows[0] == rows[1] == [1, 0] else [0, 1])
+
+
+def test_cocycle_refuses_rows_the_product_misses():
+    """The two generator rows fix both coordinates, and a third row that
+    should close sums them to (1, 1): the product names it."""
+    M = csr_matrix(np.array([[1, 0], [0, 1], [1, 1]], dtype=float))
+    with pytest.raises(CycleBasisError, match="misses the right-hand side"
+                       ) as err:
+        _integer_cocycle(M)
+    assert err.value.details["rows"] == [2]
 
 
 def test_cocycle_peels_a_triangular_system():

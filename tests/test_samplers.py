@@ -7,7 +7,7 @@ from scipy.spatial import cKDTree
 
 from torusforge import cr3bp
 from torusforge.errors import ConfigError
-from torusforge.samplers import (PointCloud, _linear_flow,
+from torusforge.samplers import (PointCloud, _linear_flow, _pick_time_step,
                                  center_manifold_model, iterate_standard_map,
                                  load_point_cloud,
                                  sample_center_manifold_torus,
@@ -174,9 +174,16 @@ def test_center_manifold_linear_dynamics_second_order(l2_point):
     assert errs[1] < errs[0] / 3.0
 
 
+def one_mode_points(amp_planar, amp_vertical, n=500):
+    """The n points the sampler would take from the linear flow with one
+    amplitude zero, a closed curve that the sampler refuses."""
+    om_p, om_v, orbit = _linear_flow(0.01215, "L2", amp_planar, amp_vertical)
+    return orbit(np.arange(n) * _pick_time_step(om_p, om_v, n))
+
+
 def test_center_manifold_vertical_amp_zero_is_planar(l2_point):
-    cloud = sample_center_manifold_torus(0.01215, "L2", 5e-3, 0.0, 500)
-    off = cloud.points - np.concatenate([l2_point.position, np.zeros(3)])
+    off = (one_mode_points(5e-3, 0.0)
+           - np.concatenate([l2_point.position, np.zeros(3)]))
     assert np.max(np.abs(off[:, [2, 5]])) == 0.0
     # amplitude calibration: positional excursion tops out at amp_planar
     exc = np.linalg.norm(off[:, :3], axis=1)
@@ -185,8 +192,8 @@ def test_center_manifold_vertical_amp_zero_is_planar(l2_point):
 
 
 def test_center_manifold_planar_amp_zero_is_vertical(l2_point):
-    cloud = sample_center_manifold_torus(0.01215, "L2", 0.0, 4e-3, 500)
-    off = cloud.points - np.concatenate([l2_point.position, np.zeros(3)])
+    off = (one_mode_points(0.0, 4e-3)
+           - np.concatenate([l2_point.position, np.zeros(3)]))
     assert np.max(np.abs(off[:, [0, 1, 3, 4]])) < 1e-12
     assert np.abs(off[:, 2]).max() == pytest.approx(4e-3, rel=0.1)
 
@@ -213,6 +220,17 @@ def test_center_manifold_amp_validation():
         sample_center_manifold_torus(0.01215, "L2", -1e-3, 1e-3, 100)
     with pytest.raises(ConfigError):
         sample_center_manifold_torus(0.01215, "L2", 1e-3, 1e-3, 3)
+
+
+@pytest.mark.parametrize("amps", [(5e-3, 0.0), (0.0, 5e-3)])
+def test_center_manifold_one_zero_amplitude_is_refused(amps):
+    """With one amplitude zero the flow is one mode's closed curve, not a
+    torus; the sampler stops with ConfigError naming both amplitudes
+    instead of leaving the kNN graph or the generator split to fail on
+    it."""
+    with pytest.raises(ConfigError, match="amp_planar=.*amp_vertical=") as err:
+        sample_center_manifold_torus(0.01215, "L2", *amps, 6000)
+    assert "closed curve" in str(err.value)
 
 
 @pytest.mark.parametrize("amps", [(np.nan, 5e-3), (5e-3, np.nan),
