@@ -15,10 +15,11 @@ cover of its faces. Each name loads its module on first access, so
 importing the package loads no scipy.
 
 The names below are the chain's steps, its data types and its errors.
-What only tests need (an integrator and the Jacobi integral of the
-three-body dynamics, readers of the OBJ and PLY exports, de Pina's split
-on its own, the one-form solve on a hand-built basis) lives beside the
-tests.
+What only tests need (the three-body equations of motion, their
+Jacobian, integrator and Jacobi integral, readers of the OBJ and PLY
+exports, de Pina's split on its own, the one-form solve on a hand-built
+basis) lives beside the tests; the center-manifold sampler's flow is in
+closed form and needs none of the dynamics.
 """
 
 import importlib
@@ -29,7 +30,7 @@ _MODULES = {
     "errors": ("ConfigError", "CycleBasisError", "DisconnectedGraphError",
                "GeneratorClassificationError", "MeshValidationError",
                "OrientationConflictError", "ProjectionError",
-               "ResidualError", "SingularityError", "TorusforgeError"),
+               "ResidualError", "TorusforgeError"),
     "cr3bp": ("LibrationPoint", "libration_points"),
     "samplers": ("PointCloud", "iterate_standard_map", "load_point_cloud",
                  "sample_center_manifold_torus", "sample_standard_map_torus",

@@ -21,10 +21,6 @@ class ConfigError(TorusforgeError):
     """Invalid configuration or command-line input."""
 
 
-class SingularityError(TorusforgeError):
-    """State evaluated at (or numerically on top of) a primary body."""
-
-
 class DisconnectedGraphError(TorusforgeError):
     """Neighbor graph is disconnected; carries the component sizes."""
 

@@ -43,7 +43,8 @@ from . import cycles
 from .cycles import (_finish, _fundamental_loop, _fundamental_weights,
                      _short_cycle_basis, _sorted_block, _with_generators,
                      _Workspace, classify_cycles)
-from .errors import CycleBasisError, ResidualError
+from .errors import (CycleBasisError, GeneratorClassificationError,
+                     ResidualError)
 from .mesher import _write_json
 
 log = logging.getLogger("torusforge.oneforms")
@@ -266,12 +267,15 @@ def _gauss_reduce(G):
 def parameterize(graph):
     """The classified cycle basis of a torus graph and its one-forms,
     solved once and checked by the residual gates. Raises
-    GeneratorClassificationError from `classify_cycles`, and
+    GeneratorClassificationError where the triangles and squares leave
+    fewer than two slots (`details` holds `slots`: the graph has fewer
+    independent loops than a torus) or from `classify_cycles`, and
     ResidualError naming each tripped residual (co-closedness,
     trivial-cycle closedness, or the period matrix).
 
     Where the triangles and squares leave more than two slots, de Pina's
-    rule fills them (`_finish`), and the forms are solved on that basis.
+    rule fills them (`_finish`), and the forms are solved on the two
+    generator rows, the fills and every face.
     Where they leave two, any two loops whose classes generate H1 fix the
     same forms up to a unimodular map, as harmonic forms are unique in
     their cohomology class (Gortler, Gotsman & Thurston, CAGD 2006). So
@@ -297,6 +301,13 @@ def parameterize(graph):
     """
     ws = _Workspace(graph)
     faces, comp, closed = _short_cycle_basis(ws)
+    if len(comp) < 2:
+        raise GeneratorClassificationError(
+            f"the triangles and chordless squares leave {len(comp)} "
+            f"slot(s) in the cycle basis where a torus leaves two: at this "
+            f"sampling the neighbour graph has fewer independent loops than "
+            f"a torus; sample more points across the cloud's thin "
+            f"direction, or check that it is a torus", slots=len(comp))
     A = _coclosed_rows(graph)
     if len(comp) == 2:
         generators = csr_matrix((np.ones(2, dtype=np.int8),
@@ -305,7 +316,11 @@ def parameterize(graph):
     else:
         basis = classify_cycles(_finish(ws, faces, comp))
         C = _cycle_rows(graph, basis)
-        generators = C[:, ws.nontree]
+        # a row of at most four hops is a triangle, a chordless square or
+        # the sum of two triangles, in the faces' span: the generators and
+        # de Pina's fills of five or more hops are the rows to add
+        fills = np.flatnonzero(basis.hops[:-2] >= 5) + 2
+        generators = C[np.r_[0, 1, fills]][:, ws.nontree]
     du, dv, theta, psi = _solve_exact(graph, A, vstack([generators, closed]),
                                       ws.nontree)
     if len(comp) == 2:

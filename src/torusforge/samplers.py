@@ -3,7 +3,8 @@
 Three samplers: a synthetic torus of revolution (3D), the product of two
 Chirikov standard maps embedded on the Clifford torus (4D), and the exact
 linear center-manifold torus at a collinear CR3BP libration point (6D,
-position and velocity components both included).
+position and velocity components both included), whose two frequencies
+and modes have a closed form in the point's position.
 """
 
 import logging
@@ -122,51 +123,6 @@ def sample_standard_map_torus(K1, K2, theta1, theta2, p1, p2, N):
     return PointCloud(pts, provenance="standard_map")
 
 
-def center_manifold_model(mu, point):
-    """Linear model at a collinear libration point.
-
-    Returns (J, omega_planar, omega_vertical, u_planar, u_vertical): the
-    numerically formed 6x6 Jacobian of the vector field, the two center
-    frequencies, and their complex eigenvectors with a deterministic phase
-    convention (largest-magnitude component rotated to the positive real
-    axis).
-    """
-    if point.label not in ("L1", "L2", "L3"):
-        raise ConfigError(f"{point.label} is not a collinear libration point")
-    J = cr3bp.jacobian(point.position, mu)
-    vals, vecs = np.linalg.eig(J)
-    scale = np.max(np.abs(vals))
-    centers = [i for i in range(6)
-               if abs(vals[i].real) < 1e-6 * scale and vals[i].imag > 0]
-    if len(centers) != 2:
-        raise ConfigError(
-            f"expected two center eigenvalue pairs, found {len(centers)}")
-
-    def _normalize(u):
-        i = int(np.argmax(np.abs(u)))
-        phase = u[i] / abs(u[i])
-        return u / phase
-
-    pairs = []
-    for i in centers:
-        u = _normalize(vecs[:, i])
-        vertical_mass = abs(u[2]) ** 2 + abs(u[5]) ** 2
-        pairs.append((vals[i].imag, u, vertical_mass / (np.abs(u) ** 2).sum()))
-    pairs.sort(key=lambda t: t[2])
-    (om_p, u_p, _), (om_v, u_v, _) = pairs
-    return J, om_p, om_v, u_p, u_v
-
-
-def _mode_scale(u, amp):
-    """Scale factor making the positional excursion of mode u equal amp."""
-    a = u[:3].real
-    b = u[:3].imag
-    sigma = np.linalg.svd(np.column_stack([a, -b]), compute_uv=False)[0]
-    if sigma == 0.0:
-        raise ConfigError("mode has no positional excursion")
-    return amp / sigma
-
-
 def _pick_time_step(om_p, om_v, N):
     """Deterministic time step giving good phase coverage of the 2-torus.
 
@@ -194,34 +150,45 @@ def _pick_time_step(om_p, om_v, N):
 
 def _linear_flow(mu, point, amp_planar, amp_vertical):
     """(om_p, om_v, orbit): the center frequencies at the collinear point
-    labelled `point` and the closed form of the linear flow on its center
-    manifold, orbit(t) = center + Re(A e^(i om_p t) u_p) +
-    Re(B e^(i om_v t) u_v) for an array of times t, as (len(t), 6)."""
-    points = {p.label: p for p in cr3bp.libration_points(mu)}
-    if point not in points:
-        raise ConfigError(f"{point!r} is not a libration point; choose from "
-                          f"{sorted(points)}")
-    point = points[point]
-    _, om_p, om_v, u_p, u_v = center_manifold_model(mu, point)
-    A, B = _mode_scale(u_p, amp_planar), _mode_scale(u_v, amp_vertical)
-    center = np.concatenate([point.position, np.zeros(3)])
+    labelled `point` and the linear flow on its center manifold, in
+    closed form (Richardson, Celestial Mechanics 22, 1980).
+
+    With c = (1 - mu)/|x + mu|^3 + mu/|x - 1 + mu|^3 at the point's x,
+    c > 1 at every collinear point, the vertical frequency is om_v =
+    sqrt(c), the planar one om_p^2 = (2 - c + sqrt(9c^2 - 8c))/2, and the
+    planar mode's y excursion is kappa = (om_p^2 + 1 + 2c)/(2 om_p) > 1
+    times its x excursion. orbit(t), for an array of times t, is the
+    point plus (-a cos om_p t / kappa, a sin om_p t, b sin om_v t) and
+    its time derivative, as (len(t), 6), with a = amp_planar and b =
+    amp_vertical each mode's largest positional excursion."""
+    if point not in ("L1", "L2", "L3"):
+        raise ConfigError(f"{point!r} is not a collinear libration point; "
+                          f"choose from L1, L2, L3")
+    x = next(p for p in cr3bp.libration_points(mu)
+             if p.label == point).position[0]
+    c = (1.0 - mu) / abs(x + mu) ** 3 + mu / abs(x - 1.0 + mu) ** 3
+    om_v = np.sqrt(c)
+    om_p = np.sqrt((2.0 - c + np.sqrt(9.0 * c * c - 8.0 * c)) / 2.0)
+    kappa = (om_p ** 2 + 1.0 + 2.0 * c) / (2.0 * om_p)
+    a, b = amp_planar, amp_vertical
 
     def orbit(t):
-        return (center[None, :]
-                + (A * np.exp(1j * om_p * t)[:, None] * u_p[None, :]).real
-                + (B * np.exp(1j * om_v * t)[:, None] * u_v[None, :]).real)
+        cp, sp = np.cos(om_p * t), np.sin(om_p * t)
+        cv, sv = np.cos(om_v * t), np.sin(om_v * t)
+        return np.column_stack([
+            x - a / kappa * cp, a * sp, b * sv,
+            a * om_p / kappa * sp, a * om_p * cp, b * om_v * cv])
     return om_p, om_v, orbit
 
 
 def sample_center_manifold_torus(mu, point, amp_planar, amp_vertical, N):
     """Sample the exact flat 2-torus of the linearized center manifold.
 
-    x(t) = Re(A e^(i om_p t) u_p) + Re(B e^(i om_v t) u_v) evaluated on N
-    times k dt, where (om, u) are the center eigenpairs of the 6x6
-    Jacobian at the collinear point labelled `point` ("L1", "L2" or
-    "L3"), A, B scale the positional excursions to amp_planar /
+    The closed-form flow of `_linear_flow` at the collinear point
+    labelled `point` ("L1", "L2" or "L3") evaluated on N times k dt, with
+    the planar and vertical modes' positional excursions amp_planar and
     amp_vertical, both positive (with one zero the samples lie on one
-    mode's closed curve), and dt is picked for an even phase coverage.
+    mode's closed curve), and dt picked for an even phase coverage.
     """
     if not (amp_planar > 0 and amp_vertical > 0):
         raise ConfigError(f"amplitudes must both be positive (one zero leaves "

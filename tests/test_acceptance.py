@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from torusforge import cli
-from torusforge.cr3bp import _eom, libration_points
+from torusforge.cr3bp import libration_points
 from torusforge.mesher import SurfaceMesh, _periodic_delaunay
 from torusforge.orientation import orient_mesh
 from torusforge.samplers import PointCloud, sample_standard_map_torus
@@ -17,7 +17,7 @@ from torusforge.samplers import PointCloud, sample_standard_map_torus
 from conftest import (EARTH_MOON_MU, GOLDEN, SILVER,
                       brute_force_delaunay_check, build_pipeline,
                       periodic_grid)
-from reference_cr3bp import integrate, jacobi_constant
+from reference_cr3bp import eom, integrate, jacobi_constant
 from reference_cycles import (exhaustive_minimum_cycle_basis, homology_split,
                               minimum_cycle_basis)
 
@@ -116,7 +116,7 @@ def test_c6_dynamics_gates():
     mu = EARTH_MOON_MU
     points = {p.label: p for p in libration_points(mu)}
     for p in points.values():
-        acc = _eom(np.concatenate([p.position, np.zeros(3)]), mu)
+        acc = eom(np.concatenate([p.position, np.zeros(3)]), mu)
         assert np.max(np.abs(acc)) < 1e-10
     assert points["L4"].position.tolist() == [0.5 - mu, np.sqrt(3) / 2, 0.0]
     assert points["L5"].position.tolist() == [0.5 - mu, -np.sqrt(3) / 2, 0.0]

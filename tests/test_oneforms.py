@@ -483,14 +483,59 @@ def test_residual_gates_name_the_residual(grid5_forms, form, broken):
 
 
 def test_parameterize_refuses_grid3_as_classify_does():
-    """The 3x3 grid's faces leave no slot to the period lattice, and it
-    stops at the ratio gate with classify_cycles' diagnostics."""
+    """The 3x3 grid's faces leave no slot, so `parameterize` stops before
+    de Pina's search, as classify_cycles stops the same grid's minimum
+    basis, naming the slot count."""
     graph = periodic_grid(3)
-    with pytest.raises(GeneratorClassificationError) as want:
+    with pytest.raises(GeneratorClassificationError):
         classify_cycles(homology_split(graph))
-    with pytest.raises(GeneratorClassificationError) as got:
+    with pytest.raises(GeneratorClassificationError,
+                       match="leave 0 slot") as got:
         parameterize(graph)
-    assert got.value.details == want.value.details
+    assert got.value.details == {"slots": 0}
+
+
+@pytest.mark.parametrize("r, n", [(0.01, 2000), (0.5, 40)])
+def test_one_slot_tori_stop_before_de_pina(r, n, monkeypatch):
+    """The thin r = 0.01 torus and the 40-point torus, sampled on a grid,
+    leave one slot where a torus leaves two: `parameterize` stops with
+    GeneratorClassificationError naming the cause and the slot count, and
+    de Pina's search never runs."""
+    graph = build_knn_graph(sample_torus_revolution(2.0, r, n, 0, "grid"),
+                            k=8)
+
+    def no_finish(*args):
+        raise AssertionError("de Pina's search ran")
+    monkeypatch.setattr(oneforms, "_finish", no_finish)
+    with pytest.raises(GeneratorClassificationError,
+                       match="fewer independent loops than a torus") as err:
+        parameterize(graph)
+    assert err.value.details == {"slots": 1}
+
+
+def test_hole_rows_give_the_cocycle_of_every_basis_row(random_torus_bundle,
+                                                       monkeypatch):
+    """On the random 2k torus, whose faces leave more than two slots, the
+    solve peels the two generator rows, de Pina's fills (the basis rows
+    of five or more hops) and every face. Its psi equals the psi of every
+    row of the classified basis plus the faces: a row of at most four
+    hops is a triangle, a chordless square or the sum of two triangles,
+    so it lies in the faces' span."""
+    graph, handed = random_torus_bundle.graph, []
+
+    def spy(M):
+        handed.append(M)
+        return _integer_cocycle(M)
+    monkeypatch.setattr(oneforms, "_integer_cocycle", spy)
+    basis, _ = parameterize(graph)
+    M, = handed
+    ws = _Workspace(graph)
+    _, comp, faces = _short_cycle_basis(ws)
+    fills = np.flatnonzero(basis.hops[:-2] >= 5)
+    assert len(comp) > 2 and len(fills) == len(comp) - 2
+    assert M.shape[0] == len(comp) + faces.shape[0]
+    every = vstack([_cycle_rows(graph, basis)[:, ws.nontree], faces])
+    assert np.array_equal(_integer_cocycle(M), _integer_cocycle(every))
 
 
 def loop_rows(ws, loops):
@@ -512,11 +557,11 @@ def test_peeled_cocycle_is_the_splu_one(cloud, peels, request, monkeypatch,
     """The integer cocycle of each cloud's one solve equals, exactly, the
     float psi of SuperLU on a square system of the same constraints (some
     of SuperLU's zeros carry a minus sign, which no sum of the solve
-    keeps): the two unit rows on the free coordinates and the kept faces
-    where the faces leave two slots, the classified basis on the random
-    2k torus. Every coordinate peels from the solve's rows, which add
-    every triangle and chordless square, so SuperLU factors the Laplacian
-    alone, once. The square system peels on its own on the 4D and 6D
+    keeps): the two generator rows and the kept faces, with de Pina's
+    fills between them on the random 2k torus, whose faces leave more
+    than two slots, so that the system is its classified basis. Every
+    coordinate peels from the solve's rows, which add every triangle and
+    chordless square, so SuperLU factors the Laplacian alone, once. The square system peels on its own on the 4D and 6D
     clouds and the random 2k torus; on the grid and fibonacci 2k tori it
     leaves coordinates that only the other faces fix."""
     graph = (build_knn_graph(sample_torus_revolution(2.0, 0.5, 2000, 0,
@@ -543,12 +588,12 @@ def test_peeled_cocycle_is_the_splu_one(cloud, peels, request, monkeypatch,
     assert psi.dtype == np.int64 and psi.shape == (m, 2)
     ws = _Workspace(graph)
     kept, comp, faces = _short_cycle_basis(ws)
-    assert M.shape == (2 + (len(comp) > 2) * (m - 2) + faces.shape[0], m)
+    assert M.shape == (len(comp) + faces.shape[0], m)
     assert f"{m} of {m} coordinates peeled from {M.shape[0]} rows" in (
         caplog.text)
-    square = (M[:m] if len(comp) > 2 else
-              vstack([M[:2], loop_rows(ws, [loop for block in kept
-                                            for loop in block.tolist()])]))
+    square = vstack([M[:len(comp)],
+                     loop_rows(ws, [loop for block in kept
+                                    for loop in block.tolist()])])
     assert square.shape == (m, m)
     assert np.array_equal(splu_cocycle(square), psi)
     assert np.isin(psi, (-1, 0, 1)).all()

@@ -7,9 +7,10 @@ from scipy.spatial import cKDTree
 
 from torusforge import cr3bp
 from torusforge.errors import ConfigError
+
+from reference_cr3bp import jacobian
 from torusforge.samplers import (PointCloud, _linear_flow, _pick_time_step,
-                                 center_manifold_model, iterate_standard_map,
-                                 load_point_cloud,
+                                 iterate_standard_map, load_point_cloud,
                                  sample_center_manifold_torus,
                                  sample_standard_map_torus,
                                  sample_torus_revolution, save_point_cloud)
@@ -126,22 +127,48 @@ def l2_point():
                 if p.label == "L2")
 
 
-def test_center_manifold_model_frequencies(l2_point):
-    J, om_p, om_v, u_p, u_v = center_manifold_model(0.01215, l2_point)
-    assert om_p > 0 and om_v > 0
-    # eigenvector residuals of the two center modes
-    for om, u in ((om_p, u_p), (om_v, u_v)):
-        assert np.linalg.norm(J @ u - 1j * om * u) < 1e-8 * np.linalg.norm(u)
-    # planar mode has no vertical content, vertical mode only vertical
-    assert np.max(np.abs(u_p[[2, 5]])) < 1e-9 * np.max(np.abs(u_p))
-    assert np.max(np.abs(u_v[[0, 1, 3, 4]])) < 1e-9 * np.max(np.abs(u_v))
+COLLINEAR = [(mu, label) for mu in (1e-4, 0.01215, 0.2, 0.5)
+             for label in ("L1", "L2", "L3")]
+
+
+def oracle_center_pairs(mu, label):
+    """(om_planar, om_vertical): the center eigenvalues of the oracle's
+    central-difference Jacobian at a collinear point, told apart by
+    where their eigenvectors carry their mass."""
+    point = next(p for p in cr3bp.libration_points(mu) if p.label == label)
+    vals, vecs = np.linalg.eig(jacobian(point.position, mu))
+    centers = [i for i in range(6)
+               if abs(vals[i].real) < 1e-6 * np.max(np.abs(vals))
+               and vals[i].imag > 0]
+    assert len(centers) == 2
+    vertical = [np.sum(np.abs(vecs[[2, 5], i]) ** 2) > 0.5 for i in centers]
+    assert sorted(vertical) == [False, True]
+    om = {v: vals[i].imag for v, i in zip(vertical, centers)}
+    return om[False], om[True]
+
+
+def test_center_manifold_model_frequencies():
+    """At L1-L3 for each mu, c > 1, om_v^2 = c, and the closed form's two
+    frequencies are the center eigenvalues of the oracle's
+    central-difference Jacobian of the equations of motion (their own
+    error is about 1e-10 at these mu; it reaches 3.6e-8 at mu = 1e-6,
+    which is left out)."""
+    for mu, label in COLLINEAR:
+        x = next(p for p in cr3bp.libration_points(mu)
+                 if p.label == label).position[0]
+        c = (1 - mu) / abs(x + mu) ** 3 + mu / abs(x - 1 + mu) ** 3
+        assert c > 1, (mu, label)
+        om_p, om_v, _ = _linear_flow(mu, label, 5e-3, 5e-3)
+        assert om_v ** 2 == pytest.approx(c, rel=1e-15)
+        ref_p, ref_v = oracle_center_pairs(mu, label)
+        assert abs(om_p - ref_p) < 1e-8, (mu, label)
+        assert abs(om_v - ref_v) < 1e-8, (mu, label)
 
 
 def test_center_manifold_rejects_equilateral_point():
-    l4 = next(p for p in cr3bp.libration_points(0.01215)
-              if p.label == "L4")
-    with pytest.raises(ConfigError):
-        center_manifold_model(0.01215, l4)
+    for label in ("L4", "L5"):
+        with pytest.raises(ConfigError, match=label):
+            _linear_flow(0.01215, label, 5e-3, 5e-3)
 
 
 @pytest.mark.parametrize("label", ["L4", "L7"])
@@ -159,19 +186,23 @@ def test_center_manifold_cloud_shape():
     assert cloud.provenance == "cr3bp_linear"
 
 
-def test_center_manifold_linear_dynamics_second_order(l2_point):
-    """The sampler's closed form obeys dx/dt = J x; the centered
-    difference error must shrink quadratically with the time step."""
-    J, *_ = center_manifold_model(0.01215, l2_point)
-    center = np.concatenate([l2_point.position, np.zeros(3)])
-    _, _, orbit = _linear_flow(0.01215, "L2", 5e-3, 5e-3)
-    errs = []
-    for dt in (0.01, 0.005):
-        x = orbit(np.arange(64) * dt) - center
-        fd = (x[2:] - x[:-2]) / (2 * dt)
-        errs.append(np.max(np.abs(fd - x[1:-1] @ J.T)))
-    assert errs[0] < 1e-5
-    assert errs[1] < errs[0] / 3.0
+def test_center_manifold_linear_dynamics_second_order():
+    """At L1-L3 for each mu, the sampler's closed form obeys dx/dt = J x,
+    J the oracle's central-difference Jacobian; the centered difference
+    error must shrink quadratically with the time step."""
+    for mu, label in COLLINEAR:
+        point = next(p for p in cr3bp.libration_points(mu)
+                     if p.label == label)
+        J = jacobian(point.position, mu)
+        center = np.concatenate([point.position, np.zeros(3)])
+        _, _, orbit = _linear_flow(mu, label, 5e-3, 5e-3)
+        errs = []
+        for dt in (0.01, 0.005):
+            x = orbit(np.arange(64) * dt) - center
+            fd = (x[2:] - x[:-2]) / (2 * dt)
+            errs.append(np.max(np.abs(fd - x[1:-1] @ J.T)))
+        assert errs[0] < 1e-5, (mu, label)
+        assert errs[1] < errs[0] / 3.0, (mu, label)
 
 
 def one_mode_points(amp_planar, amp_vertical, n=500):
@@ -199,11 +230,11 @@ def test_center_manifold_planar_amp_zero_is_vertical(l2_point):
 
 
 def test_center_manifold_freq_override(l2_point):
-    """The model's planar frequency drives the sampled phases: with the
-    vertical mode off, every coordinate must lie exactly in
-    span{cos(om t), sin(om t)} at that rate."""
-    om_p = center_manifold_model(0.01215, l2_point)[1]
-    _, _, orbit = _linear_flow(0.01215, "L2", 5e-3, 0.0)
+    """The planar frequency the flow returns, which picks the sampler's
+    time step, drives the sampled phases: with the vertical mode off,
+    every coordinate must lie exactly in span{cos(om t), sin(om t)} at
+    that rate."""
+    om_p, _, orbit = _linear_flow(0.01215, "L2", 5e-3, 0.0)
     center = np.concatenate([l2_point.position, np.zeros(3)])
     t = np.arange(128) * 0.05
     x = orbit(t) - center
