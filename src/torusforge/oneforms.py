@@ -49,7 +49,10 @@ from .mesher import _write_json
 
 log = logging.getLogger("torusforge.oneforms")
 
-_RMS_REL_GATE = 1e-6
+# Co-closedness in the graph's own units: RMS(A dx) times the median edge
+# length over the median |dx|. A's entries are 1 / length, so RMS(A dx)
+# alone grows as 1 / scale when the cloud is scaled; this ratio does not.
+_COCLOSED_GATE = 1e-10
 _CLOSED_GATE = 1e-6
 _PERIOD_GATE = 1e-6
 # Relative gap below which two flat lengths of homology classes count as
@@ -202,9 +205,11 @@ def _checked(A, C, du, dv, theta):
     period_err = float(np.max(np.abs(np.array(period_matrix) - np.eye(2))))
     diagnostics = {"u": diag_u, "v": diag_v, "period_matrix": period_matrix,
                    "period_error": period_err}
+    median_length = float(np.median(1.0 / np.abs(A.data)))  # A is +-1/length
     failures = []
     for name, d in (("u", diag_u), ("v", diag_v)):
-        gate = _RMS_REL_GATE * max(d["value_scale"], np.finfo(float).tiny)
+        gate = (_COCLOSED_GATE * max(d["value_scale"], np.finfo(float).tiny)
+                / median_length)
         if d["coclosedness_rms"] > gate:
             failures.append(
                 f"{name}-form co-closedness RMS {d['coclosedness_rms']:.3e} "

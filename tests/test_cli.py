@@ -1,9 +1,11 @@
 """End-to-end command line checks: artifacts, exit codes, config
 precedence, stage isolation, and byte-level determinism."""
 
+import gc
 import inspect
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -806,3 +808,88 @@ def test_module_entry_point_runs_without_warnings(tmp_path):
                        "--help"], cwd=tmp_path)
     assert run.returncode == 0, run.stderr
     assert "usage: torusforge" in run.stdout
+
+
+def test_collector_is_off_while_a_command_runs(tmp_path, fast_cfg,
+                                               monkeypatch):
+    """The cyclic collector is off inside the command and back on after
+    it, as the caller had it."""
+    seen, stage = [], cli.stage_sample
+    monkeypatch.setattr(cli, "stage_sample",
+                        lambda cfg: seen.append(gc.isenabled()) or stage(cfg))
+    assert gc.isenabled()
+    assert cli.main(["sample", "--config", str(fast_cfg),
+                     "--output-dir", str(tmp_path)]) == 0
+    assert seen == [False]
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("outcome", [0, 2, 3, 4, "usage", "raise"])
+def test_main_gives_the_caller_its_collector_state(outcome, enabled, tmp_path,
+                                                   fast_cfg, monkeypatch):
+    """Whatever way a command ends (exit 0, 2, 3 or 4, argparse's
+    SystemExit, or an unexpected exception), the collector is on after
+    it exactly when it was on before."""
+    out = tmp_path / "out"
+    argv = ["sample", "--config", str(fast_cfg), "--output-dir", str(out)]
+    if outcome == 2:
+        argv += ["--k", "1"]
+    elif outcome == 3:
+        out.write_text("")
+    elif outcome == 4:
+        out.mkdir()
+        (out / "mesh.json").write_text("not json")
+        argv[0] = "validate"
+    elif outcome == "usage":
+        argv += ["--no-such-flag"]
+    elif outcome == "raise":
+        def boom(cfg):
+            raise RuntimeError("boom")
+        monkeypatch.setattr(cli, "stage_sample", boom)
+    before = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if outcome == "usage":
+            with pytest.raises(SystemExit):
+                cli.main(argv)
+        elif outcome == "raise":
+            with pytest.raises(RuntimeError, match="boom"):
+                cli.main(argv)
+        else:
+            assert cli.main(argv) == outcome
+        after = gc.isenabled()
+    finally:
+        (gc.enable if before else gc.disable)()
+    assert after == enabled
+
+
+def test_command_process_ends_frozen_with_collector_on(tmp_path,
+                                                       monkeypatch):
+    """A fresh process that runs `run --dim 3` through `main` ends with
+    its heap frozen and the collector on, and its INFO log times the
+    mesh layers' import."""
+    monkeypatch.setenv("TORUSFORGE_LOG", "INFO")
+    code = f"""
+import gc
+from torusforge.cli import main
+assert gc.get_freeze_count() == 0
+code = main(["run", "--dim", "3", "--output-dir", {str(tmp_path)!r}])
+print(code, gc.get_freeze_count() > 0, gc.isenabled())
+"""
+    run = _run_python(["-c", code])
+    assert run.stdout.split() == ["0", "True", "True"], run.stderr
+    assert re.search(r"^INFO torusforge\.cli: mesh layers imported in "
+                     r"\d+\.\d{3} s$", run.stderr, re.M), run.stderr
+
+
+def test_second_main_call_keeps_the_freeze_count(tmp_path, fast_cfg):
+    """The heap is frozen once, by a process's first `main` call; a second
+    call freezes nothing more."""
+    argv = ["sample", "--config", str(fast_cfg), "--output-dir",
+            str(tmp_path)]
+    assert cli.main(argv) == 0
+    frozen = gc.get_freeze_count()
+    assert frozen > 0
+    assert cli.main(argv) == 0
+    assert gc.get_freeze_count() == frozen

@@ -576,6 +576,31 @@ def test_grid_torus_mesh_invariant_under_similarity(move, torus_bundle):
                           undirected_triangles(torus_bundle.mesh.triangles))
 
 
+@pytest.mark.parametrize("cloud, scale", [
+    *(("grid", s) for s in (1e-12, 1e-9, 1e-6, 1e6, 1e9, 1e12)),
+    ("L2", 5e-7)])
+def test_coclosedness_gate_does_not_depend_on_units(cloud, scale,
+                                                    torus_bundle):
+    """The co-closedness gate has no units: the 2k grid torus scaled by
+    1e-12 to 1e12 keeps its undirected triangles, and the L2
+    center-manifold torus with both amplitudes 5e-7 meshes closed. A
+    gate of RMS(A dx) against the median |dx| alone, which moves with
+    the cloud's scale, stopped the grid at 1e-9 and 1e-12 and the small
+    L2 torus with ResidualError."""
+    if cloud == "grid":
+        got = build_pipeline(PointCloud(scale * torus_bundle.cloud.points))
+        assert np.array_equal(
+            undirected_triangles(got.mesh.triangles),
+            undirected_triangles(torus_bundle.mesh.triangles))
+    else:
+        small = sample_center_manifold_torus(EARTH_MOON_MU, cloud, scale,
+                                             scale, 6000)
+        report = build_pipeline(small).mesh.report
+        assert report["problems"] == []
+        assert report["euler_characteristic"] == 0
+        assert report["faces"] == 2 * small.n
+
+
 def test_isometric_lift_to_r12_keeps_triangles(cm_bundle):
     """Nothing after PointCloud depends on the embedding dimension: the
     6D cloud mapped into R^12 by a seeded orthonormal map meshes to the
