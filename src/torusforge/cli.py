@@ -32,8 +32,9 @@ from .errors import (ConfigError, MeshValidationError, OrientationConflictError,
 from .samplers import (load_point_cloud, sample_center_manifold_torus,
                        sample_standard_map_torus, sample_torus_revolution,
                        save_point_cloud)
-from .mesher import (_read_triangles, _write_json, export_mesh_json,
-                     load_mesh_json, mesh_flat_torus, validate_mesh)
+from .mesher import (_read_json, _read_triangles, _write_json,
+                     export_mesh_json, load_mesh_json, mesh_flat_torus,
+                     validate_mesh)
 from .orientation import orient_mesh
 from .projection import ProjectedMesh, export_mesh, project
 
@@ -270,8 +271,8 @@ def stage_project(cfg, mesh=None):
         mesh = orient_mesh(load_mesh_json(_art(cfg, "mesh.json")))
     pm = project(mesh, _projection_axes(cfg["projection"], mesh.cloud.dim))
     payload = {
-        "points": pm.points.tolist(),
-        "triangles": pm.triangles.tolist(),
+        "points": pm.points,
+        "triangles": pm.triangles,
         "source_dim": pm.source_dim,
     }
     if pm.captured_variance is not None:
@@ -287,8 +288,7 @@ def _load_projected(source):
     unless it holds finite (N, 3) points, (T, 3) integer triangles whose
     ids index the points, and an integer `source_dim`."""
     try:
-        with open(source, "r", encoding="ascii") as fh:
-            payload = json.load(fh)
+        payload = _read_json(source)
         points = np.array(payload["points"], dtype=np.float64)
         if points.shape[1:] != (3,) or not np.isfinite(points).all():
             raise ValueError("points are not a finite (N, 3) array")

@@ -658,4 +658,4 @@ def export_cycles_json(path, basis):
             "sha256": rest.digest(),
         },
     }
-    _write_json(path, payload, indent=2)
+    _write_json(path, payload, indent=True)

@@ -14,12 +14,12 @@ moved, added or dropped: a cloud the construction cannot triangulate
 fails validation loudly.
 """
 
-import json
 import logging
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+import orjson
 
 from .errors import ConfigError, MeshValidationError, ResidualError
 
@@ -301,11 +301,30 @@ def mesh_flat_torus(graph, forms, cloud):
     return SurfaceMesh(cloud, triangles, report)
 
 
-def _write_json(path, payload, indent=None):
-    with open(path, "w", encoding="ascii") as fh:
-        # unindented, json.dumps takes the C encoder; json.dump never does
-        fh.write(json.dumps(payload, indent=indent, sort_keys=True))
-        fh.write("\n")
+_JSON_OPTIONS = (orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY
+                 | orjson.OPT_APPEND_NEWLINE)
+
+
+def _write_json(path, payload, indent=False):
+    """Write `payload` as sorted-key JSON with a trailing newline, compact
+    or indented by two spaces. Arrays are written as nested lists
+    directly: numpy arrays must be C-contiguous. Floats take their
+    shortest round-trip spelling; a non-finite one would be written as
+    null, so every writer keeps them out of its payload."""
+    option = _JSON_OPTIONS | (orjson.OPT_INDENT_2 if indent else 0)
+    with open(path, "wb") as fh:
+        fh.write(orjson.dumps(payload, option=option))
+
+
+def _read_json(path):
+    """The JSON value in the file at `path`. Raises ValueError when the
+    file is not ASCII or not strict JSON: a NaN, Infinity or out-of-range
+    number is refused, so no non-finite float is read."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data.isascii():
+        raise ValueError("the file is not ASCII")
+    return orjson.loads(data)
 
 
 def export_mesh_json(path, mesh):
@@ -313,8 +332,8 @@ def export_mesh_json(path, mesh):
     _write_json(path, {
         "dim": mesh.cloud.dim,
         "provenance": mesh.cloud.provenance,
-        "points": mesh.cloud.points.tolist(),
-        "triangles": mesh.triangles.tolist(),
+        "points": np.ascontiguousarray(mesh.cloud.points),
+        "triangles": np.ascontiguousarray(mesh.triangles),
         "report": mesh.report,
     })
 
@@ -341,11 +360,12 @@ def load_mesh_json(path):
     its points are not a valid PointCloud (say, two equal points or an
     unknown `provenance`) or `dim` is not an integer equal to their
     width, when its triangles are not (T, 3) integer ids of its points,
-    or when its `report` is not a JSON object."""
+    or when its `report` is not a JSON object whose `period_defect_max`,
+    if present, is a number. A NaN or infinite number is not JSON, so
+    the file is refused."""
     from .samplers import PointCloud
     try:
-        with open(path, "r", encoding="ascii") as fh:
-            payload = json.load(fh)
+        payload = _read_json(path)
         cloud = PointCloud(np.array(payload["points"], dtype=np.float64),
                            payload.get("provenance", "external"))
         dim = payload["dim"]
@@ -357,6 +377,10 @@ def load_mesh_json(path):
         if not isinstance(report, dict):
             raise TypeError(f"report must be a JSON object, got "
                             f"{type(report).__name__}")
+        defect = report.get("period_defect_max", 0.0)
+        if type(defect) not in (int, float):
+            raise TypeError(f"report period_defect_max must be a number, "
+                            f"got {defect!r}")
     except (KeyError, TypeError, ValueError, ConfigError) as exc:
         problem = f"{path} is not a mesh.json: {type(exc).__name__}: {exc}"
         raise MeshValidationError(problem,

@@ -210,16 +210,16 @@ def _checked(A, C, du, dv, theta):
     for name, d in (("u", diag_u), ("v", diag_v)):
         gate = (_COCLOSED_GATE * max(d["value_scale"], np.finfo(float).tiny)
                 / median_length)
-        if d["coclosedness_rms"] > gate:
+        if not d["coclosedness_rms"] <= gate:
             failures.append(
                 f"{name}-form co-closedness RMS {d['coclosedness_rms']:.3e} "
                 f"exceeds {gate:.3e}")
-        if d["max_trivial_cycle_error"] > _CLOSED_GATE:
+        if not d["max_trivial_cycle_error"] <= _CLOSED_GATE:
             failures.append(
                 f"{name}-form trivial-cycle closedness "
                 f"{d['max_trivial_cycle_error']:.3e} exceeds "
                 f"{_CLOSED_GATE:.3e}")
-    if period_err > _PERIOD_GATE:
+    if not period_err <= _PERIOD_GATE:
         failures.append(
             f"period matrix error {period_err:.3e} exceeds {_PERIOD_GATE:.3e}")
     if failures:
@@ -390,4 +390,4 @@ def _lattice_generators(ws, trivial, du, dv, theta, psi):
 
 def export_residuals_json(path, pair):
     """Residual diagnostics as deterministic JSON."""
-    _write_json(path, pair.diagnostics, indent=2)
+    _write_json(path, pair.diagnostics, indent=True)

@@ -36,16 +36,24 @@ class ProjectedMesh:
 def pca_axes(points):
     """Top-3 principal axes of a centered cloud, rows sign-normalized so
     each axis's largest-magnitude component is positive. Returns
-    (3, D) matrix and captured variance fraction."""
-    centered = points - points.mean(axis=0)
-    _, svals, vt = np.linalg.svd(centered, full_matrices=False)
+    (3, D) matrix and captured variance fraction. Raises ProjectionError
+    when the mean, the centered points or the variance overflow float
+    range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = points - points.mean(axis=0)
+        if not np.isfinite(centered).all():
+            raise ProjectionError("the points about their mean overflow "
+                                  "float range")
+        _, svals, vt = np.linalg.svd(centered, full_matrices=False)
+        total = float(np.sum(svals ** 2))
+        captured = float(np.sum(svals[:3] ** 2) / total) if total > 0 else 1.0
+    if not np.isfinite(captured):
+        raise ProjectionError("the captured variance overflows float range")
     axes = vt[:3].copy()
     for row in axes:
         j = int(np.argmax(np.abs(row)))
         if row[j] < 0:
             row *= -1.0
-    total = float(np.sum(svals ** 2))
-    captured = float(np.sum(svals[:3] ** 2) / total) if total > 0 else 1.0
     return axes, captured
 
 
@@ -54,8 +62,9 @@ def project(mesh, axes):
 
     `axes=None` takes the cloud's top three principal axes about its mean
     (`pca_axes`) and records the variance they capture. Raises
-    ProjectionError for a non-finite or rank-deficient matrix, or one
-    that maps a point out of float range."""
+    ProjectionError for a non-finite or rank-deficient matrix, for one
+    that maps a point out of float range, and for a pca projection
+    whose variance overflows it."""
     pts = mesh.cloud.points
     D = pts.shape[1]
     captured = None

@@ -517,6 +517,12 @@ def test_validate_rejects_ids_outside_points(tmp_path, capsys,
 
 NO_TRIANGLES = (b'{"dim": 3, "points": '
                 b'[[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]}')
+# loadable but for the UTF-8 note, which no reader looks at
+MESH_UTF8 = (b'{"dim": 3, "note": "\xc3\xa9", "points": '
+             b'[[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], '
+             b'"triangles": [[0, 1, 2]]}')
+PROJECTED_UTF8 = (b'{"note": "\xc3\xa9", "points": [[0, 0, 0], [1, 0, 0], '
+                  b'[0, 1, 0]], "source_dim": 3, "triangles": [[0, 1, 2]]}')
 
 
 @pytest.mark.parametrize("command, name, data, code", [
@@ -527,12 +533,14 @@ NO_TRIANGLES = (b'{"dim": 3, "points": '
      + np.eye(4, 3).astype("<f8").tobytes(), 2),
     ("mesh", "cloud.csv", b"0,0\n0,1\n1,0\n1,1\n2,2\n", 2),
     ("project", "mesh.json", b"not json\n", 4),
+    ("project", "mesh.json", MESH_UTF8, 4),
     ("validate", "mesh.json", NO_TRIANGLES, 4),
     ("project", "mesh.json", NO_TRIANGLES, 4),
-    ("export", "projected.json", b'{"points": [], "source_dim": 3}', 3)],
+    ("export", "projected.json", b'{"points": [], "source_dim": 3}', 3),
+    ("export", "projected.json", PROJECTED_UTF8, 3)],
     ids=["cloud-utf8", "cloud-tpc1", "cloud-2-columns", "mesh-not-json",
-         "validate-no-triangles", "project-no-triangles",
-         "export-no-triangles"])
+         "mesh-utf8", "validate-no-triangles", "project-no-triangles",
+         "export-no-triangles", "projected-utf8"])
 def test_malformed_artifact_names_stage_and_file(tmp_path, capsys, command,
                                                  name, data, code):
     """A malformed input artifact stops its stage with the error that
@@ -578,6 +586,11 @@ def _nan_point(payload):
     payload["points"][0][0] = float("nan")
 
 
+def _null_point(payload):
+    # strict JSON, but numpy reads null as NaN
+    payload["points"][0][0] = None
+
+
 def _report(payload, value):
     payload["report"] = value
 
@@ -588,7 +601,8 @@ MALFORMED = {
     "id-fractional": _fractional_id,
     "points-2-columns": lambda p: _two_columns(p, "points"),
     "triangles-2-columns": lambda p: _two_columns(p, "triangles"),
-    "nan-point": _nan_point}
+    "nan-point": _nan_point,
+    "null-point": _null_point}
 # a mesh.json's report is a JSON object; projected.json carries none
 MALFORMED_MESH = {**MALFORMED,
                   "dim-mismatch": lambda p: p.update(dim=p["dim"] + 1),
@@ -596,7 +610,12 @@ MALFORMED_MESH = {**MALFORMED,
                   "dim-string": lambda p: p.update(dim=str(p["dim"])),
                   "report-5": lambda p: _report(p, 5),
                   "report-str": lambda p: _report(p, "period_defect_max"),
-                  "report-list": lambda p: _report(p, [1, 2])}
+                  "report-list": lambda p: _report(p, [1, 2]),
+                  # json.dumps writes the NaN token, which is not JSON
+                  "report-nan": lambda p: p["report"].update(
+                      period_defect_max=float("nan")),
+                  "report-defect-str": lambda p: p["report"].update(
+                      period_defect_max="\u00e9")}
 # a projected.json's source_dim is a JSON integer, as a mesh.json's dim
 MALFORMED_PROJECTED = {
     **MALFORMED,

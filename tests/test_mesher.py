@@ -23,9 +23,9 @@ from torusforge.errors import (GeneratorClassificationError,
                                MeshValidationError, ResidualError)
 from torusforge.knn import NeighborGraph
 from torusforge import mesher
-from torusforge.mesher import (_components, _half_edges, _periodic_delaunay,
-                               export_mesh_json, load_mesh_json,
-                               mesh_flat_torus, validate_mesh)
+from torusforge.mesher import (SurfaceMesh, _components, _half_edges,
+                               _periodic_delaunay, export_mesh_json,
+                               load_mesh_json, mesh_flat_torus, validate_mesh)
 from torusforge.orientation import _double_cover
 from torusforge.oneforms import OneFormPair, parameterize
 from torusforge.samplers import (PointCloud, sample_center_manifold_torus,
@@ -774,6 +774,10 @@ def test_validate_mesh_empty():
     assert report["faces"] == 0
 
 
+def _refuse_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
 def test_mesh_json_round_trip(tmp_path, torus_bundle):
     path = tmp_path / "mesh.json"
     export_mesh_json(path, torus_bundle.mesh)
@@ -783,6 +787,22 @@ def test_mesh_json_round_trip(tmp_path, torus_bundle):
     assert np.array_equal(back.cloud.points, torus_bundle.cloud.points)
     assert np.array_equal(back.triangles, torus_bundle.mesh.triangles)
     assert back.report == torus_bundle.mesh.report
+    # a negative zero, the least subnormal, the largest finite float and
+    # numbers whose shortest spelling differs between JSON writers come
+    # back bit for bit, in an ASCII file that strict JSON readers take
+    points = np.array([[-0.0, 5e-324, 1e-05], [1e16, 1.7976931348623157e308,
+                                               0.1], [1.0, 2.0, 3.0],
+                       [-1e-300, 4.0, 6.02214076e23]])
+    triangles = np.array([[0, 1, 2], [0, 2, 3]])
+    export_mesh_json(path, SurfaceMesh(PointCloud(points), triangles, {}))
+    back = load_mesh_json(path)
+    assert back.cloud.points.tobytes() == points.tobytes()
+    assert back.triangles.tobytes() == triangles.astype(np.int64).tobytes()
+    data = path.read_bytes()
+    assert data.isascii()
+    plain = json.loads(data, parse_constant=_refuse_constant)
+    assert np.array(plain["points"]).tobytes() == points.tobytes()
+    assert plain["triangles"] == triangles.tolist()
 
 
 def test_mesh_json_minimal_payload(tmp_path):

@@ -482,6 +482,19 @@ def test_residual_gates_name_the_residual(grid5_forms, form, broken):
                                               abs=1e-12)
 
 
+def test_residual_gates_refuse_nan(grid5_forms):
+    """A NaN in a form fails its gates instead of passing them, so no NaN
+    diagnostic reaches residuals.json, whose writer would spell it
+    null."""
+    graph, forms = grid5_forms.graph, grid5_forms.forms
+    du = forms.du.copy()
+    du[0] = np.nan
+    with pytest.raises(ResidualError, match="u-form co-closedness RMS nan"):
+        _checked(_coclosed_rows(graph),
+                 _cycle_rows(graph, grid5_forms.classified), du, forms.dv,
+                 forms.theta)
+
+
 def test_parameterize_refuses_grid3_as_classify_does():
     """The 3x3 grid's faces leave no slot, so `parameterize` stops before
     de Pina's search, as classify_cycles stops the same grid's minimum

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from torusforge.errors import ProjectionError
-from torusforge.mesher import _half_edges
+from torusforge.mesher import SurfaceMesh, _half_edges
 from torusforge.projection import (ProjectedMesh, export_mesh, pca_axes,
                                    project)
+from torusforge.samplers import PointCloud
 
 from reference_readers import read_obj, read_ply
 
@@ -112,6 +113,21 @@ def test_overflowing_matrix_is_refused(torus_bundle):
         warnings.simplefilter("error")
         with pytest.raises(ProjectionError, match="overflow float range"):
             project(torus_bundle.oriented, 1e308 * np.eye(3))
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e306])
+def test_overflowing_pca_is_refused(torus_bundle, scale):
+    """A finite cloud whose variance (at 1e200) or mean (at 1e306)
+    overflows float range stops the pca projection with ProjectionError,
+    with no warning: the captured variance is never NaN, and the SVD
+    never sees a non-finite entry."""
+    oriented = torus_bundle.oriented
+    mesh = SurfaceMesh(PointCloud(scale * oriented.cloud.points),
+                       oriented.triangles, {})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ProjectionError, match="overflow"):
+            project(mesh, None)
 
 
 @pytest.fixture(scope="module")
