@@ -21,6 +21,7 @@ import copy
 import gc
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -377,10 +378,22 @@ def make_parser():
     return parser
 
 
+def _strict(value):
+    """value with each non-finite float as None, so that it prints as
+    RFC 8259 JSON: null, not NaN or Infinity."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {key: _strict(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(item) for item in value]
+    return value
+
+
 def _fail(stage, exc, code):
     payload = {"stage": stage, "error": type(exc).__name__, "message": str(exc)}
     if getattr(exc, "details", None):
-        payload["details"] = exc.details
+        payload["details"] = _strict(exc.details)
     print(json.dumps(payload, sort_keys=True), file=sys.stderr)
     return code
 

@@ -3,10 +3,13 @@ homology generators.
 
 The split, which `oneforms.parameterize` runs, starts from the graph's
 triangles and chordless squares (4-cycles whose diagonals are not
-edges), found with array operations on the edge list. One GF(2) column
-reduction of the faces x coordinates matrix, faces in weight order,
-keeps the faces a greedy in that order keeps; on a well-sampled torus
-they fill every slot but the generators. The columns that vanish give
+edges), found with array operations on the wedges (pairs of edges at
+one vertex) of the graph's one CSR adjacency, which the shortest-path
+tree and the double cover below read too; a graph with more than
+_WEDGE_BOUND wedges stops before the search. One GF(2) column reduction
+of the faces x coordinates matrix, faces in weight order, keeps the
+faces a greedy in that order keeps; on a well-sampled torus they fill
+every slot but the generators. The columns that vanish give
 the complement basis of their span. de Pina's rule fills the slots left
 (Kavitha et al., "Cycle bases in graphs", 2009): each complement vector,
 in turn, takes the lightest cycle pairing oddly with it. That cycle is
@@ -37,14 +40,16 @@ de Pina's search; `oneforms.parameterize` decides when they may.
 
 import hashlib
 import logging
+import math
 from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
-from scipy.sparse import coo_matrix, csr_matrix
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from .errors import CycleBasisError, GeneratorClassificationError
+from .errors import (ConfigError, CycleBasisError,
+                     GeneratorClassificationError)
 from .mesher import _write_json
 
 log = logging.getLogger("torusforge.cycles")
@@ -55,6 +60,12 @@ _PERTURB_EPS = 1e-10
 _BLOCK = 16
 # factor by which the lighter generator must outweigh every trivial cycle
 _GENERATOR_RATIO = 1.25
+# wedges `_short_cycles` may enumerate: a 1 GiB budget over 256 bytes per
+# wedge. The search and the face reduction peaked at 59-113 bytes per
+# wedge on the 2k torus at k = 8 and 30 and the 6k 6D cloud, and at 246
+# on the 300-point torus at k = 120, where the wedge pairs that close
+# squares grow faster than the wedges
+_WEDGE_BOUND = 2**30 // 256
 
 
 def _edge_ids(graph, a, b):
@@ -178,9 +189,11 @@ class CycleBasis:
 
 
 class _Workspace:
-    """Shared state: perturbed weights, the shortest-path tree from vertex
-    0 (`pred`, negative at vertex 0, and the perturbed distance `dist`),
-    and the GF(2) coordinates of the edges off it (`nontree`, ascending)."""
+    """Shared state: perturbed weights, the adjacency in CSR order (row v
+    is head[indptr[v]:indptr[v + 1]], ascending, eid each slot's edge),
+    the shortest-path tree from vertex 0 (`pred`, negative at vertex 0,
+    and the perturbed distance `dist`), and the GF(2) coordinates of the
+    edges off it (`nontree`, ascending)."""
 
     def __init__(self, graph):
         self.graph = graph
@@ -192,15 +205,15 @@ class _Workspace:
         # deterministic tie-breaking perturbation, far above float noise
         # and far below any honest weight difference
         self.w_pert = graph.lengths * (1.0 + _PERTURB_EPS * (1.0 + rng.random(self.E)))
-        i, j = self.ex, self.ey
-        self.csgraph = coo_matrix(
-            (np.concatenate([self.w_pert, self.w_pert]),
-             (np.concatenate([i, j]), np.concatenate([j, i]))),
-            shape=(self.n, self.n)).tocsr()
+        tail, head = np.r_[self.ex, self.ey], np.r_[self.ey, self.ex]
+        order = np.lexsort((head, tail))
+        self.head, self.eid = head[order], order % self.E
+        self.indptr = np.searchsorted(tail[order], np.arange(self.n + 1))
         # shortest-path tree from vertex 0: its non-tree edges are the
         # coordinates, so a complement vector is already a cut on its seam
-        dist, pred = dijkstra(self.csgraph, indices=0,
-                              return_predecessors=True)
+        adjacency = csr_matrix((self.w_pert[self.eid], self.head, self.indptr),
+                               shape=(self.n, self.n))
+        dist, pred = dijkstra(adjacency, indices=0, return_predecessors=True)
         v = np.flatnonzero(pred >= 0)
         nontree = np.setdiff1d(np.arange(self.E), _edge_ids(graph, pred[v], v))
         if len(nontree) != self.m:
@@ -225,6 +238,24 @@ def _slot_pairs(ptr):
     return np.repeat(pos, later), q
 
 
+def _check_wedges(ws):
+    """Raise ConfigError when the graph has more than _WEDGE_BOUND wedges
+    (pairs of edges at one vertex), naming the largest k that could fit:
+    every vertex of a k-nearest-neighbour graph has at least k
+    neighbours, so it has at least n k (k - 1) / 2 wedges."""
+    deg = np.diff(ws.indptr)
+    wedges = int(np.sum(deg * (deg - 1) // 2))
+    if wedges > _WEDGE_BOUND:
+        k_max = (math.isqrt(4 * (2 * _WEDGE_BOUND // ws.n) + 1) + 1) // 2
+        raise ConfigError(
+            f"the neighbour graph has {wedges} wedges (pairs of edges at "
+            f"one vertex), over the {_WEDGE_BOUND} that keep the triangle "
+            f"and square search within 1 GiB; k is at most the least "
+            f"degree, {int(deg.min())}, and {ws.n} points fit only with "
+            f"k <= {k_max}: retry with a smaller k",
+            wedges=wedges, wedge_bound=_WEDGE_BOUND, k_max=k_max)
+
+
 def _short_cycles(ws):
     """Every triangle and every chordless square of the graph, once each,
     as (vertex loops, edge ids) pairs: one of (k3, 3) arrays, one of
@@ -237,8 +268,9 @@ def _short_cycles(ws):
     again, so it is kept from the diagonal holding its smallest vertex.
     A wedge is held as its two slots in the sorted adjacency lists, and
     its centre, ends and edges are looked up only where they are needed:
-    a few wedge-long arrays are alive at a time.
+    a few wedge-long arrays are alive at a time, after `_check_wedges`.
     """
+    _check_wedges(ws)
     n, E = ws.n, ws.E
     keys = ws.ex * n + ws.ey
 
@@ -248,13 +280,10 @@ def _short_cycles(ws):
         np.minimum(pos, E - 1, out=pos)
         return pos, keys[pos] == q
 
-    tail = np.concatenate([ws.ex, ws.ey])
-    head = np.concatenate([ws.ey, ws.ex])
-    eid = np.tile(np.arange(E), 2)
-    order = np.lexsort((head, tail))
-    tail, head, eid = tail[order], head[order], eid[order]
+    head, eid = ws.head, ws.eid
+    tail = np.repeat(np.arange(n), np.diff(ws.indptr))
     # wedge w: centre tail[a[w]], ends x = head[a[w]] < y = head[b[w]]
-    a, b = _slot_pairs(np.searchsorted(tail, np.arange(n + 1)))
+    a, b = _slot_pairs(ws.indptr)
     q = head[a] * n
     q += head[b]
     exy, closed = edge_at(q)
@@ -463,6 +492,10 @@ def _lightest_odd_cycle(ws, s):
     B = theta0; when its best walk is heavier than that, a second round
     takes B from that walk or, when it found none, from one unlimited
     Dijkstra from a seam vertex.
+
+    Per slot it costs O(E) to lay out the cover's CSR arrays from the
+    shared adjacency, with no sort, plus the limited Dijkstras from the
+    seam cover and the one that walks the chosen cycle back.
     """
     n = ws.n
     cross = np.zeros(ws.E, dtype=bool)
@@ -470,12 +503,11 @@ def _lightest_odd_cycle(ws, s):
     seam = _vertex_cover(ws.ex[cross], ws.ey[cross])
     if not len(seam):
         return None
-    x, y = ws.ex, ws.ey + n * cross      # cut edges join the two sheets
-    x1, y1 = x + n, ws.ey + n * ~cross
-    cover = coo_matrix(
-        (np.tile(ws.w_pert, 4),
-         (np.concatenate([x, y, x1, y1]), np.concatenate([y, x, y1, x1]))),
-        shape=(2 * n, 2 * n)).tocsr()
+    jump = n * cross[ws.eid]        # cut edges join the two sheets
+    cover = csr_matrix(
+        (np.tile(ws.w_pert[ws.eid], 2),
+         np.concatenate([ws.head + jump, ws.head + n - jump]),
+         np.r_[ws.indptr, ws.indptr[1:] + 2 * ws.E]), shape=(2 * n, 2 * n))
     bound = ws.theta0
     best, source, meet = _odd_walks(ws, cover, seam, bound / 2 + ws.w_max)
     if not best <= bound:

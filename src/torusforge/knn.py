@@ -110,10 +110,10 @@ def build_knn_graph(cloud, k):
     i = np.repeat(np.arange(n), k)
     j = neigh.ravel()
     keys = np.unique(np.minimum(i, j) * n + np.maximum(i, j))
-    pairs = np.column_stack(np.divmod(keys, n))     # sorted as the keys
+    pairs = np.column_stack(np.divmod(keys, n))     # i < j, sorted as keys
     diff = pts[pairs[:, 0]] - pts[pairs[:, 1]]
     lengths = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    graph = NeighborGraph.from_edges(n, pairs, lengths)
+    graph = NeighborGraph(n, pairs, lengths)
     _, sizes = np.unique(_components(n, pairs[:, 0], pairs[:, 1]),
                          return_counts=True)
     if len(sizes) != 1:

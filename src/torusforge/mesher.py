@@ -95,7 +95,10 @@ def _link_offenders(he):
 
 
 def validate_mesh(triangles, strict=True):
-    """Closed-2-manifold + torus-topology report; raises on failure.
+    """Closed-2-manifold and Euler-characteristic report; raises on
+    failure. A closed Klein bottle also has chi = 0 and passes it:
+    orientability and connectedness come from `orient_mesh`, which
+    `cli.stage_validate` adds.
 
     Report keys: vertices, edges, faces, euler_characteristic,
     nonmanifold_edges, boundary_edges, problems.

@@ -156,12 +156,15 @@ def neighbor_rows(graph):
 
 
 def workspace(graph):
-    """The library's workspace plus the band's tables: a Zobrist value per
-    edge, drawn from the internal seed right after the weight
-    perturbation, edge_start, with the edges whose first end is v at
-    edge_start[v]:edge_start[v + 1] (the edge list is sorted), and the
+    """The library's workspace plus the band's tables: the perturbed
+    weights as a CSR matrix on the workspace's adjacency, `csgraph`, a
+    Zobrist value per edge, drawn from the internal seed right after the
+    weight perturbation, edge_start, with the edges whose first end is v
+    at edge_start[v]:edge_start[v + 1] (the edge list is sorted), and the
     band's sources per block, `chunk`."""
     ws = _Workspace(graph)
+    ws.csgraph = csr_matrix((ws.w_pert[ws.eid], ws.head, ws.indptr),
+                            shape=(ws.n, ws.n))
     rng = np.random.default_rng(_INTERNAL_SEED)
     pert = graph.lengths * (1.0 + _PERTURB_EPS * (1.0 + rng.random(ws.E)))
     assert np.array_equal(pert, ws.w_pert), "perturbation draw moved"

@@ -9,6 +9,7 @@ import re
 import struct
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -282,6 +283,69 @@ def test_failure_json_carries_exception_payload(capsys):
         assert capsys.readouterr().err == line + "\n"
     cli._fail("config", ConfigError("bad"), 2)
     assert "details" not in json.loads(capsys.readouterr().err)
+
+
+def test_failure_json_is_strict_with_non_finite_evidence(capsys):
+    """A non-finite float in the evidence prints as null, so the failure
+    line parses under a parser that refuses NaN and Infinity; the finite
+    values are kept."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    exc = ResidualError("off", diagnostics={
+        "chart_metric_coefficients": [float("inf"), np.float64("inf")],
+        "u": {"rms": float("nan"), "gate": 1e-8},
+        "periods": ((1.0, -float("inf")), (0.0, 1.0))})
+    assert cli._fail("run", exc, 3) == 3
+    line = json.loads(capsys.readouterr().err, parse_constant=refuse)
+    assert line["details"]["diagnostics"] == {
+        "chart_metric_coefficients": [None, None],
+        "u": {"rms": None, "gate": 1e-8},
+        "periods": [[1.0, None], [0.0, 1.0]]}
+
+
+def test_complete_graph_stops_before_the_short_cycle_search(tmp_path, capsys):
+    """k = N - 1 on 300 points builds the complete graph K300, whose 13.4 M
+    wedges are over the bound: the run stops within a second at exit 2,
+    naming the wedge count, the bound and the largest k that could fit."""
+    cfg = tmp_path / "k300.json"
+    cfg.write_text(json.dumps({"sampler": {"kind": "torus_revolution",
+                                           "N": 300}, "k": 299}))
+    start = time.perf_counter()
+    code = cli.main(["run", "--config", str(cfg),
+                     "--output-dir", str(tmp_path)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "ConfigError"
+    assert err["stage"] == "run"
+    assert err["details"] == {"wedges": 13365300, "wedge_bound": 4194304,
+                              "k_max": 167}
+    assert "least degree, 299" in err["message"]
+    assert "k <= 167" in err["message"]
+    assert not (tmp_path / "cycles.json").exists()
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="hole clouds stop since the peel over every face replaced the "
+           "core LU: no row keeps one unknown in a core of 231 of the 2907 "
+           "non-tree coordinates, and the run stops with CycleBasisError")
+def test_chaotic_standard_map_hole_cloud_meshes(tmp_path):
+    """The 800-point product standard map at K1 = K2 = 10 leaves 58 slots
+    to de Pina's rule, and its rows fix every coordinate: it meshes as a
+    closed torus, chi = 0, every point a vertex."""
+    cfg = tmp_path / "chaotic.json"
+    cfg.write_text(json.dumps({"sampler": {
+        "kind": "standard_map", "N": 800, "K1": 10, "K2": 10,
+        "p1": 3.14159, "p2": 1.0}}))
+    assert cli.main(["run", "--config", str(cfg),
+                     "--output-dir", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "validation.json").read_text())
+    assert report["euler_characteristic"] == 0
+    assert report["boundary_edges"] == report["nonmanifold_edges"] == 0
+    assert report["problems"] == []
+    assert report["vertices"] == 800
 
 
 def test_failure_json_carries_any_subclass_evidence(capsys):

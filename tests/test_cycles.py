@@ -695,6 +695,47 @@ def test_half_radius_search_matches_full_cover(random_torus_bundle,
     assert any(shrunk), shrunk
 
 
+def test_adjacency_and_double_cover_are_the_coo_builds(monkeypatch):
+    """The workspace's CSR adjacency is the symmetric COO build of the
+    edge list, each slot carrying its edge id, and the double cover that
+    `_lightest_odd_cycle` builds from it for a coordinate set is the COO
+    cover of that set's cut, entry for entry."""
+    rng = np.random.default_rng(5)
+    graphs = [periodic_grid(6)]
+    graphs += [random_connected_graph(rng, 40, 50, True) for _ in range(3)]
+    covers = []
+    odd_walks = cycles._odd_walks
+
+    def captured(ws, cover, seam, radius):
+        covers.append(cover)
+        return odd_walks(ws, cover, seam, radius)
+
+    monkeypatch.setattr(cycles, "_odd_walks", captured)
+    for graph in graphs:
+        ws = cycles._Workspace(graph)
+        n, i, j = ws.n, ws.ex, ws.ey
+        ids = coo_matrix((np.tile(np.arange(1, ws.E + 1), 2),
+                          (np.r_[i, j], np.r_[j, i])), shape=(n, n)).tocsr()
+        assert np.array_equal(ws.indptr, ids.indptr)
+        assert np.array_equal(ws.head, ids.indices)
+        assert np.array_equal(ws.eid, ids.data - 1)
+        for size in (1, 2, 5):
+            s = set(rng.choice(ws.m, size=size, replace=False).tolist())
+            del covers[:]
+            cycles._lightest_odd_cycle(ws, s)
+            cross = np.isin(ws.coord, sorted(s))
+            x, y = i, j + n * cross
+            x1, y1 = x + n, j + n * ~cross
+            want = coo_matrix(
+                (np.tile(ws.w_pert, 4),
+                 (np.r_[x, y, x1, y1], np.r_[y, x, y1, x1])),
+                shape=(2 * n, 2 * n)).tocsr()
+            got = covers[0].sorted_indices()
+            assert np.array_equal(got.indptr, want.indptr)
+            assert np.array_equal(got.indices, want.indices)
+            assert np.array_equal(got.data, want.data)
+
+
 def test_de_pina_finish_memory_is_bounded(cm_bundle):
     """de Pina's finish on the 6k 6D cloud keeps one block of 2n-wide
     distance rows alive at a time: its traced peak stays within 8 MiB."""
