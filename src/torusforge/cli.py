@@ -21,12 +21,12 @@ import copy
 import gc
 import json
 import logging
-import math
 import os
 import sys
 import time
 
 import numpy as np
+import orjson
 
 from .errors import (ConfigError, MeshValidationError, OrientationConflictError,
                      ProjectionError, TorusforgeError)
@@ -378,22 +378,11 @@ def make_parser():
     return parser
 
 
-def _strict(value):
-    """value with each non-finite float as None, so that it prints as
-    RFC 8259 JSON: null, not NaN or Infinity."""
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    if isinstance(value, dict):
-        return {key: _strict(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_strict(item) for item in value]
-    return value
-
-
 def _fail(stage, exc, code):
     payload = {"stage": stage, "error": type(exc).__name__, "message": str(exc)}
-    if getattr(exc, "details", None):
-        payload["details"] = _strict(exc.details)
+    if getattr(exc, "details", None):   # numpy as numbers, non-finite as null
+        payload["details"] = orjson.loads(orjson.dumps(exc.details, option=(
+            orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_NON_STR_KEYS)))
     print(json.dumps(payload, sort_keys=True), file=sys.stderr)
     return code
 

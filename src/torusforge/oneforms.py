@@ -17,8 +17,8 @@ into an exact part (vertex potential) plus a correction on non-tree
 edges, then makes the form co-closed by one weighted-Laplacian solve.
 The correction is an integer cocycle (its entry on a non-tree edge is
 the periods of the edge's fundamental cycle), solved in int64 by
-peeling the generator rows and every triangle and chordless square,
-and certified by one integer product. The Laplacian solve renders the
+peeling the basis rows, SuperLU on the core left, and certified by one
+integer product over every face. The Laplacian solve renders the
 remaining residuals at machine precision; SuperLU factors the grounded
 Laplacian L alone, which is symmetric positive definite, in symmetric
 mode: minimum degree on L^T + L and pivots taken from the diagonal (0.61M
@@ -33,6 +33,7 @@ lattice where its reduced classes are clear of a near-tie.
 """
 
 import logging
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,12 +82,14 @@ def _cycle_rows(graph, basis):
     lower vertex id to the higher, -1 on each step back. A trivial row's
     sign follows the way its loop runs, which a zero right-hand side
     makes moot; a generator row's sign follows the way `classify_cycles`
-    runs its loop and sets the sign of its form."""
-    k = basis.size - 2
+    runs its loop and sets the sign of its form. A block of trivial rows
+    alone gives them all, in some order."""
+    k, r = basis.size - 2, np.arange(basis.size)
     low_first = basis.vertices == graph.edges[basis.edges, 0]
     return coo_matrix(
         (np.where(low_first, 1.0, -1.0),
-         (np.repeat(np.r_[2:k + 2, 1, 0], basis.hops), basis.edges)),
+         (np.repeat(np.where(r < k, r + 2, k + 1 - r), basis.hops),
+          basis.edges)),
         shape=(basis.size, graph.edge_count)).tocsr()
 
 
@@ -99,21 +102,23 @@ def _coclosed_rows(graph):
                       shape=(graph.vertex_count, graph.edge_count)).tocsr()
 
 
-def _integer_cocycle(M):
-    """psi: the int64 (m, 2) solution of M psi = [e_0, e_1; 0], M cycle
-    rows over the m non-tree coordinates, entries +-1: the toroidal and
-    poloidal generator rows, then rows that close.
+def _integer_cocycle(M, faces=None):
+    """psi: the int64 (m, 2) solution of M psi = [e_0, e_1; 0], M the m x m
+    cycle rows over the non-tree coordinates, entries +-1: the toroidal
+    and poloidal generator rows, then rows that close.
 
-    Peeling: a row with one unknown coordinate left fixes it, and each
-    round solves every such row (the first, where several fix one
-    coordinate), then updates only the rows of the columns it solved,
-    through the CSC index. A row keeps the count of its unknowns, the
-    sum of their ids and the sum of their signs, so with one left the
-    sums name it and its sign. The arithmetic is on small integers, so
-    it is exact in any order, and the fixing rows are triangular with
-    unit pivots. One int64 product M psi then certifies every row.
-    Raises CycleBasisError naming the coordinates no row fixes, or the
-    rows the product misses.
+    Structured Gaussian elimination (LaMacchia & Odlyzko, CRYPTO 1990):
+    a row with one unknown coordinate left fixes it, and each round
+    solves every such row (the first, where several fix one coordinate),
+    then updates only the rows of the columns it solved, through the CSC
+    index. A row keeps the count of its unknowns, the sum of their ids
+    and the sum of their signs, so with one left the sums name it and
+    its sign; on small integers this is exact in any order. SuperLU
+    solves the core left, as many rows as unknowns, and its solution is
+    rounded. One int64 product M psi certifies every row, and one of
+    `faces` that psi closes each. Raises CycleBasisError naming the
+    coordinates no row fixes (a core not square, singular or out of
+    range), the rows the product misses, or the faces left open.
     """
     R, m = M.shape
     M = M.tocsr().astype(np.int64)
@@ -143,38 +148,49 @@ def _integer_cocycle(M):
                            (rhs[:, 1], sign * psi[col, 1])):
             held[hit] -= np.bincount(where, step, len(hit)).astype(np.int64)
         ready, rounds = hit[count[hit] == 1], rounds + 1
+    core_rows, core = np.flatnonzero(count), np.flatnonzero(~solved)
     log.info("cycle constraints: %d of %d coordinates peeled from %d rows "
-             "in %d rounds", np.count_nonzero(solved), m, R, rounds)
-    if len(free := np.flatnonzero(~solved)):
+             "in %d rounds, core %d", m - len(core), m, R, rounds, len(core))
+    x = np.full((len(core), 2), np.nan)
+    if len(core) and len(core_rows) == len(core):
+        with suppress(RuntimeError):      # SuperLU: exactly singular
+            x = np.rint(splu(M[core_rows][:, core].astype(float).tocsc())
+                        .solve(rhs[core_rows].astype(float)))
+    if not np.all(np.abs(x) < 2.0 ** 52):
         raise CycleBasisError(
-            f"no cycle row fixes {len(free)} of the {m} non-tree "
-            f"coordinates, e.g. {free[:10].tolist()}",
-            coordinates=free.tolist())
+            f"no cycle row fixes {len(core)} of the {m} non-tree "
+            f"coordinates, e.g. {core[:10].tolist()}",
+            coordinates=core.tolist())
+    psi[core] = x
     if len(bad := np.flatnonzero(np.any(M @ psi != target, axis=1))):
         raise CycleBasisError(
-            f"cycle rows are inconsistent: the peeled solution misses the "
+            f"cycle rows are inconsistent: the solution misses the "
             f"right-hand side of {len(bad)} rows, e.g. {bad[:10].tolist()}",
             rows=bad.tolist())
+    if faces is not None and len(
+            bad := np.flatnonzero(np.any(faces @ psi, axis=1))):
+        raise CycleBasisError(
+            f"the cocycle leaves {len(bad)} of the {faces.shape[0]} triangles "
+            f"and squares open, e.g. {bad[:10].tolist()}", faces=bad.tolist())
     return psi
 
 
-def _solve_exact(graph, A, M, nontree):
+def _solve_exact(graph, A, M, nontree, faces=None):
     """Hard cycle constraints by elimination, then exact co-closedness.
 
     dx = B pi + psi with psi supported on `nontree`, the edges off the
     cycle basis's shortest-path tree from vertex 0: the integer cocycle
-    `_integer_cocycle` peels from M, cycle rows on those coordinates,
-    generator rows first. Where every coordinate peels, M has full
-    column rank, so rows of one span give one psi. The remaining
-    weighted Laplacian solve makes A dx vanish identically (discrete
-    Hodge decomposition). Returns du, dv, the potentials (pi_u, pi_v)
-    as a (V, 2) array, and psi on the non-tree edges as an int64 (m, 2)
-    array: pi[0] = 0, and psi is zero on the tree, so pi integrates the
-    forms along it.
+    `_integer_cocycle` solves from M, the m x m basis rows on those
+    coordinates, generator rows first, and certifies on `faces` too.
+    The remaining weighted Laplacian solve makes A dx vanish identically
+    (discrete Hodge decomposition). Returns du, dv, the potentials
+    (pi_u, pi_v) as a (V, 2) array, and psi on the non-tree edges as an
+    int64 (m, 2) array: pi[0] = 0, and psi is zero on the tree, so pi
+    integrates the forms along it.
     """
     V, E = graph.vertex_count, graph.edge_count
     B = A.sign().T                    # w > 0, so A's signs are B^T
-    psi = _integer_cocycle(M)
+    psi = _integer_cocycle(M, faces)
     full = np.zeros((2, E))
     full[:, nontree] = psi.T
     llu = splu((A @ B)[1:, 1:].tocsc(), permc_spec="MMD_AT_PLUS_A",
@@ -274,18 +290,18 @@ def parameterize(graph):
     solved once and checked by the residual gates. Raises
     GeneratorClassificationError where the triangles and squares leave
     fewer than two slots (`details` holds `slots`: the graph has fewer
-    independent loops than a torus) or from `classify_cycles`, and
-    ResidualError naming each tripped residual (co-closedness,
+    independent loops than a torus) or from `classify_cycles`,
+    CycleBasisError naming the triangles and squares the cocycle leaves
+    open, and ResidualError naming each tripped residual (co-closedness,
     trivial-cycle closedness, or the period matrix).
 
     Where the triangles and squares leave more than two slots, de Pina's
-    rule fills them (`_finish`), and the forms are solved on the two
-    generator rows, the fills and every face.
+    rule fills them (`_finish`), and the forms are solved on its basis.
     Where they leave two, any two loops whose classes generate H1 fix the
     same forms up to a unimodular map, as harmonic forms are unique in
     their cohomology class (Gortler, Gotsman & Thurston, CAGD 2006). So
     the forms are solved with unit periods on the free coordinates (each
-    one's fundamental cycle crosses it alone) and every face closed,
+    one's fundamental cycle crosses it alone) and the kept faces closed,
     and Z^2, the classes by their periods, is Lagrange-Gauss reduced
     under the chart metric G fitted with its cross term: the shorter
     class is poloidal (a shortest homology basis: Erickson & Whittlesey,
@@ -315,21 +331,17 @@ def parameterize(graph):
             f"direction, or check that it is a torus", slots=len(comp))
     A = _coclosed_rows(graph)
     if len(comp) == 2:
-        generators = csr_matrix((np.ones(2, dtype=np.int8),
-                                 [max(comp[1]), max(comp[0])],
-                                 [0, 1, 2]), shape=(2, ws.m))
+        # unit rows on the free coordinates, then the kept faces
+        trivial = _sorted_block(ws, faces)
+        M = vstack([csr_matrix((np.ones(2), [max(comp[1]), max(comp[0])],
+                                [0, 1, 2]), shape=(2, ws.m)),
+                    _cycle_rows(graph, trivial)[:, ws.nontree]])
     else:
         basis = classify_cycles(_finish(ws, faces, comp))
         C = _cycle_rows(graph, basis)
-        # a row of at most four hops is a triangle, a chordless square or
-        # the sum of two triangles, in the faces' span: the generators and
-        # de Pina's fills of five or more hops are the rows to add
-        fills = np.flatnonzero(basis.hops[:-2] >= 5) + 2
-        generators = C[np.r_[0, 1, fills]][:, ws.nontree]
-    du, dv, theta, psi = _solve_exact(graph, A, vstack([generators, closed]),
-                                      ws.nontree)
+        M = C[:, ws.nontree]
+    du, dv, theta, psi = _solve_exact(graph, A, M, ws.nontree, closed)
     if len(comp) == 2:
-        trivial = _sorted_block(ws, faces)
         found = _lattice_generators(ws, trivial, du, dv, theta, psi)
         if found is None:
             log.info("generators by de Pina's rule: the period lattice "

@@ -6,14 +6,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.sparse import vstack
 
 from torusforge.samplers import (sample_center_manifold_torus,
                                  sample_standard_map_torus,
                                  sample_torus_revolution)
 from torusforge.knn import NeighborGraph, build_knn_graph
-from torusforge.cycles import (CycleBasis, _short_cycle_basis, _Workspace,
-                               classify_cycles)
+from torusforge.cycles import CycleBasis, _Workspace, classify_cycles
 from torusforge.oneforms import (_checked, _coclosed_rows, _cycle_rows,
                                  _solve_exact, parameterize)
 from torusforge.mesher import mesh_flat_torus
@@ -67,20 +65,15 @@ def manual_grid_basis(graph, rows, cols):
     return CycleBasis.from_loops(graph, squares + [col0, row0])
 
 
-def solve_oneforms(graph, basis, faces=False):
+def solve_oneforms(graph, basis):
     """The one-forms of any classified basis of the graph, hand-built or
     not, solved on the graph's shortest-path tree from the basis's own
-    rows, and checked by the same residual gates as `parameterize`'s.
-    With `faces`, every triangle and chordless square of the graph is a
-    row too, as in `parameterize`'s solve, for a basis whose own rows do
-    not fix every coordinate."""
+    rows, as `parameterize` solves them, and checked by the same residual
+    gates."""
     ws = _Workspace(graph)
     A = _coclosed_rows(graph)
     C = _cycle_rows(graph, basis)
-    M = C[:, ws.nontree]
-    if faces:
-        M = vstack([M, _short_cycle_basis(ws)[2]])
-    du, dv, theta, _ = _solve_exact(graph, A, M, ws.nontree)
+    du, dv, theta, _ = _solve_exact(graph, A, C[:, ws.nontree], ws.nontree)
     return _checked(A, C, du, dv, theta)
 
 

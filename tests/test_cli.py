@@ -304,6 +304,19 @@ def test_failure_json_is_strict_with_non_finite_evidence(capsys):
         "periods": [[1.0, None], [0.0, 1.0]]}
 
 
+def test_failure_json_prints_numpy_evidence(capsys):
+    """Evidence that holds numpy values, an int64 and arrays (one with a
+    non-finite entry), prints as plain JSON numbers and lists."""
+    exc = CycleBasisError("x", count=np.int64(3),
+                          faces=np.arange(4).reshape(2, 2),
+                          periods=np.array([0.5, np.inf]))
+    assert cli._fail("run", exc, 3) == 3
+    assert capsys.readouterr().err == (
+        '{"details": {"count": 3, "faces": [[0, 1], [2, 3]], '
+        '"periods": [0.5, null]}, "error": "CycleBasisError", '
+        '"message": "x", "stage": "run"}\n')
+
+
 def test_complete_graph_stops_before_the_short_cycle_search(tmp_path, capsys):
     """k = N - 1 on 300 points builds the complete graph K300, whose 13.4 M
     wedges are over the bound: the run stops within a second at exit 2,
@@ -326,21 +339,27 @@ def test_complete_graph_stops_before_the_short_cycle_search(tmp_path, capsys):
     assert not (tmp_path / "cycles.json").exists()
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="hole clouds stop since the peel over every face replaced the "
-           "core LU: no row keeps one unknown in a core of 231 of the 2907 "
-           "non-tree coordinates, and the run stops with CycleBasisError")
-def test_chaotic_standard_map_hole_cloud_meshes(tmp_path):
-    """The 800-point product standard map at K1 = K2 = 10 leaves 58 slots
-    to de Pina's rule, and its rows fix every coordinate: it meshes as a
-    closed torus, chi = 0, every point a vertex."""
+@pytest.mark.parametrize("K, slots, core", [(10, 58, 233), (1e6, 50, 159)],
+                         ids=["K10", "K1e6"])
+def test_chaotic_standard_map_hole_cloud_meshes(K, slots, core, tmp_path,
+                                                caplog):
+    """The 800-point product standard map at K1 = K2 = 10, and at 1e6,
+    leaves `slots` slots to de Pina's rule. Its basis rows leave a core
+    of `core` coordinates that no row peels, which SuperLU solves: it
+    meshes as a closed torus, chi = 0, every point a vertex."""
     cfg = tmp_path / "chaotic.json"
     cfg.write_text(json.dumps({"sampler": {
-        "kind": "standard_map", "N": 800, "K1": 10, "K2": 10,
+        "kind": "standard_map", "N": 800, "K1": K, "K2": K,
         "p1": 3.14159, "p2": 1.0}}))
-    assert cli.main(["run", "--config", str(cfg),
-                     "--output-dir", str(tmp_path)]) == 0
+    with caplog.at_level("INFO", logger="torusforge"):
+        assert cli.main(["run", "--config", str(cfg),
+                         "--output-dir", str(tmp_path)]) == 0
+    assert f"support-vector phase for {slots} remaining cycles" in (
+        caplog.text)
+    peeled, m = map(int, re.search(
+        rf"(\d+) of (\d+) coordinates peeled from \2 rows in \d+ rounds, "
+        rf"core {core}\n", caplog.text).groups())
+    assert peeled + core == m
     report = json.loads((tmp_path / "validation.json").read_text())
     assert report["euler_characteristic"] == 0
     assert report["boundary_edges"] == report["nonmanifold_edges"] == 0

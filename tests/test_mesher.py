@@ -447,12 +447,11 @@ def test_relabeling_keeps_undirected_triangles(bundle, request):
         assert np.array_equal(undirected_triangles(got), want), seed
 
 
-def de_pina_chain(bundle, faces=False):
+def de_pina_chain(bundle):
     """The classified basis, forms and mesh of de Pina's generators on a
-    bundle's graph: classify_cycles(homology_split), solve_oneforms (with
-    the graph's faces as rows too, where asked), mesh."""
+    bundle's graph: classify_cycles(homology_split), solve_oneforms, mesh."""
     classified = classify_cycles(homology_split(bundle.graph))
-    forms = solve_oneforms(bundle.graph, classified, faces)
+    forms = solve_oneforms(bundle.graph, classified)
     return classified, forms, mesh_flat_torus(bundle.graph, forms,
                                               bundle.cloud).triangles
 
@@ -496,10 +495,7 @@ def test_lattice_generators_keep_the_undirected_mesh(bundle, classes,
     Laplacian factor) and the directed triangles are de Pina's exactly."""
     b = request.getfixturevalue(bundle)
     assert lattice_classes(b.graph, caplog) == classes
-    # de Pina's basis rows leave coordinates of the fibonacci torus that
-    # only the other faces fix
-    classified, forms, triangles = de_pina_chain(
-        b, faces=bundle == "fibonacci_bundle")
+    classified, forms, triangles = de_pina_chain(b)
     assert np.array_equal(undirected_triangles(b.mesh.triangles),
                           undirected_triangles(triangles))
     same = np.array_equal(b.classified.edges, classified.edges)
@@ -519,7 +515,7 @@ def test_lattice_generators_keep_the_16k_grid_mesh(caplog):
     for either, and the mesh has de Pina's triangles."""
     b = build_pipeline(sample_torus_revolution(2.0, 0.5, 16000, 0, "grid"))
     assert lattice_classes(b.graph, caplog) == [[1, 0], [1, 1]]
-    triangles = de_pina_chain(b, faces=True)[2]
+    triangles = de_pina_chain(b)[2]
     assert np.array_equal(undirected_triangles(b.mesh.triangles),
                           undirected_triangles(triangles))
     assert_same_or_reversed(b.mesh.triangles, triangles)

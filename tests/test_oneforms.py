@@ -5,6 +5,7 @@ SuperLU's, and `parameterize`'s period-lattice generators against de
 Pina's."""
 
 import json
+import re
 from collections import deque
 
 import numpy as np
@@ -529,25 +530,24 @@ def test_one_slot_tori_stop_before_de_pina(r, n, monkeypatch):
 def test_hole_rows_give_the_cocycle_of_every_basis_row(random_torus_bundle,
                                                        monkeypatch):
     """On the random 2k torus, whose faces leave more than two slots, the
-    solve peels the two generator rows, de Pina's fills (the basis rows
-    of five or more hops) and every face. Its psi equals the psi of every
-    row of the classified basis plus the faces: a row of at most four
-    hops is a triangle, a chordless square or the sum of two triangles,
-    so it lies in the faces' span."""
+    solve's rows are the classified basis on the non-tree coordinates,
+    and every triangle and chordless square is handed over for the
+    certificate. Its psi equals the psi of every basis row plus every
+    face."""
     graph, handed = random_torus_bundle.graph, []
 
-    def spy(M):
-        handed.append(M)
-        return _integer_cocycle(M)
+    def spy(M, faces=None):
+        handed.append((M, faces))
+        return _integer_cocycle(M, faces)
     monkeypatch.setattr(oneforms, "_integer_cocycle", spy)
     basis, _ = parameterize(graph)
-    M, = handed
+    (M, faces), = handed
     ws = _Workspace(graph)
-    _, comp, faces = _short_cycle_basis(ws)
-    fills = np.flatnonzero(basis.hops[:-2] >= 5)
-    assert len(comp) > 2 and len(fills) == len(comp) - 2
-    assert M.shape[0] == len(comp) + faces.shape[0]
-    every = vstack([_cycle_rows(graph, basis)[:, ws.nontree], faces])
+    _, comp, every_face = _short_cycle_basis(ws)
+    C = _cycle_rows(graph, basis)[:, ws.nontree]
+    assert len(comp) > 2 and M.shape == (ws.m, ws.m)
+    assert (M != C).nnz == 0 and (faces != every_face).nnz == 0
+    every = vstack([C, every_face])
     assert np.array_equal(_integer_cocycle(M), _integer_cocycle(every))
 
 
@@ -562,21 +562,27 @@ def loop_rows(ws, loops):
     return rows[:, ws.nontree]
 
 
+def row_keys(rows):
+    """Each row's sorted column ids, as a sorted list of tuples."""
+    rows = abs(rows.tocsr())
+    rows.sort_indices()
+    return sorted(tuple(rows.indices[lo:hi].tolist())
+                  for lo, hi in zip(rows.indptr[:-1], rows.indptr[1:]))
+
+
 @pytest.mark.parametrize("cloud, peels", [
     ("torus_bundle", False), ("random_torus_bundle", True),
     ("stdmap_bundle", True), ("cm_bundle", True), ("fibonacci", False)])
 def test_peeled_cocycle_is_the_splu_one(cloud, peels, request, monkeypatch,
                                         caplog):
     """The integer cocycle of each cloud's one solve equals, exactly, the
-    float psi of SuperLU on a square system of the same constraints (some
-    of SuperLU's zeros carry a minus sign, which no sum of the solve
-    keeps): the two generator rows and the kept faces, with de Pina's
-    fills between them on the random 2k torus, whose faces leave more
-    than two slots, so that the system is its classified basis. Every
-    coordinate peels from the solve's rows, which add every triangle and
-    chordless square, so SuperLU factors the Laplacian alone, once. The square system peels on its own on the 4D and 6D
-    clouds and the random 2k torus; on the grid and fibonacci 2k tori it
-    leaves coordinates that only the other faces fix."""
+    float psi of SuperLU on the solve's square system (some of SuperLU's
+    zeros carry a minus sign, which no sum of the solve keeps): the two
+    unit rows on the free coordinates and the kept faces, or, on the
+    random 2k torus, whose faces leave more than two slots, its
+    classified basis. The 4D and 6D clouds and the random 2k torus peel
+    completely, so SuperLU factors the Laplacian alone; the grid and
+    fibonacci 2k tori leave a core, which SuperLU factors first."""
     graph = (build_knn_graph(sample_torus_revolution(2.0, 0.5, 2000, 0,
                                                      "fibonacci"), k=8)
              if cloud == "fibonacci" else request.getfixturevalue(cloud).graph)
@@ -594,34 +600,33 @@ def test_peeled_cocycle_is_the_splu_one(cloud, peels, request, monkeypatch,
     with caplog.at_level("INFO", logger="torusforge.oneforms"):
         parameterize(graph)
     (args, result), = solves
-    _, _, M, nontree = args
+    _, _, M, nontree, _ = args
     M, psi = M.tocsr(), result[3]
     m = len(nontree)
-    assert factors == [(graph.vertex_count - 1,) * 2]
+    assert M.shape == (m, m)
     assert psi.dtype == np.int64 and psi.shape == (m, 2)
-    ws = _Workspace(graph)
-    kept, comp, faces = _short_cycle_basis(ws)
-    assert M.shape == (len(comp) + faces.shape[0], m)
-    assert f"{m} of {m} coordinates peeled from {M.shape[0]} rows" in (
-        caplog.text)
-    square = vstack([M[:len(comp)],
-                     loop_rows(ws, [loop for block in kept
-                                    for loop in block.tolist()])])
-    assert square.shape == (m, m)
-    assert np.array_equal(splu_cocycle(square), psi)
+    assert np.array_equal(splu_cocycle(M), psi)
     assert np.isin(psi, (-1, 0, 1)).all()
-    if peels:
-        assert np.array_equal(_integer_cocycle(square), psi)
-    else:
-        with pytest.raises(CycleBasisError, match="no cycle row fixes"):
-            _integer_cocycle(square)
+    peeled, rows, core = map(int, re.search(
+        r"cycle constraints: (\d+) of \d+ coordinates peeled from (\d+) "
+        r"rows in \d+ rounds, core (\d+)", caplog.text).groups())
+    assert (rows, peeled + core) == (m, m)
+    assert (core == 0) == peels
+    assert factors == [(core, core)] * (core > 0) + [
+        (graph.vertex_count - 1,) * 2]
+    ws = _Workspace(graph)
+    kept, comp, _ = _short_cycle_basis(ws)
+    if len(comp) == 2:
+        assert M[:2].indices.tolist() == [max(comp[1]), max(comp[0])]
+        assert row_keys(M[2:]) == row_keys(
+            loop_rows(ws, [loop for block in kept for loop in block.tolist()]))
 
 
 def test_repeated_cycle_row_is_singular():
     """The 5x5 grid's hand-built basis with its first square replaced by a
     copy of the second leaves one cycle unconstrained. Its own rows then
-    stop peeling with eight coordinates left, and the solve stops,
-    naming them."""
+    stop peeling with eight coordinates left in fewer rows, a core that
+    is not square, and the solve stops, naming them."""
     graph = periodic_grid(5)
     basis = manual_grid_basis(graph, 5, 5)
     rows = np.arange(basis.size)
@@ -637,13 +642,67 @@ def test_repeated_cycle_row_is_singular():
                                   [[1, 1], [1, -1]]])
 def test_cocycle_refuses_rows_singular_over_the_integers(rows):
     """Two generator rows that both name column 0, which leave column 1 to
-    no row; two equal rows; and rows of determinant -2, which SuperLU
-    would solve with halves. No row of the last two has one unknown, so
-    nothing peels, and each stop names the coordinates left."""
+    no row; two equal rows, a core SuperLU finds exactly singular; and
+    rows of determinant -2, a core SuperLU solves with halves, which
+    round off the right-hand side of both rows. Nothing peels from the
+    last two. Each stop names the coordinates left, or the rows the
+    product misses."""
+    if rows[1] == [1, -1]:
+        with pytest.raises(CycleBasisError,
+                           match="misses the right-hand side") as err:
+            _integer_cocycle(csr_matrix(np.array(rows, dtype=float)))
+        assert err.value.details["rows"] == [0, 1]
+        return
     with pytest.raises(CycleBasisError, match="no cycle row fixes") as err:
         _integer_cocycle(csr_matrix(np.array(rows, dtype=float)))
     assert err.value.details["coordinates"] == (
         [1] if rows[0] == rows[1] == [1, 0] else [0, 1])
+
+
+def test_face_the_cocycle_leaves_open_stops_the_solve(monkeypatch):
+    """On the 5x5 grid the basis rows solve, but two rows added to the
+    faces of the certificate do not close under psi: one crosses a free
+    coordinate alone, the other crosses the other one twice, a row that
+    is zero over GF(2). The solve stops before the Laplacian is
+    factored, naming both."""
+    graph = periodic_grid(5)
+    short_cycle_basis = oneforms._short_cycle_basis
+
+    def added_face(ws):
+        faces, comp, closed = short_cycle_basis(ws)
+        row = csr_matrix(([1, 2], [max(comp[0]), max(comp[1])], [0, 1, 2]),
+                         shape=(2, ws.m), dtype=np.int8)
+        return faces, comp, vstack([closed, row]).tocsr()
+    monkeypatch.setattr(oneforms, "_short_cycle_basis", added_face)
+    monkeypatch.setattr(oneforms, "splu", None)
+    with pytest.raises(CycleBasisError,
+                       match="leaves 2 of the 27 triangles and squares "
+                             "open") as err:
+        parameterize(graph)
+    assert err.value.details == {"faces": [25, 26]}
+
+
+def test_two_slots_with_fewer_than_two_faces(monkeypatch):
+    """Two 6-cycles joined at a vertex leave two slots and no face: the
+    solve runs on the two unit rows alone and gives unit periods. With a
+    triangle hung on one cycle, the one kept face is the third row of a
+    3 x 3 system; the forms are zero on most edges there, so the
+    co-closedness gate, scaled by the median |dx|, refuses them."""
+    eight = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (0, 6), (6, 7),
+             (7, 8), (8, 9), (9, 10), (0, 10)]
+    basis, forms = parameterize(NeighborGraph.from_edges(
+        11, np.array(eight), np.ones(12)))
+    assert basis.size == 2 and forms.diagnostics["period_error"] == 0.0
+    handed = []
+
+    def spy(M, faces=None):
+        handed.append(M.shape)
+        return _integer_cocycle(M, faces)
+    monkeypatch.setattr(oneforms, "_integer_cocycle", spy)
+    edges = np.array(sorted(eight + [(1, 11), (11, 12), (1, 12)]))
+    with pytest.raises(ResidualError, match="co-closedness"):
+        parameterize(NeighborGraph.from_edges(13, edges, np.ones(15)))
+    assert handed == [(3, 3)]
 
 
 def test_cocycle_refuses_rows_the_product_misses():
