@@ -88,7 +88,7 @@ def load_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             user = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:    # bad JSON, or not UTF-8
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(user, dict):
         raise ConfigError("config root must be a JSON object")

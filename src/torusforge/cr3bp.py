@@ -38,7 +38,7 @@ def _collinear_condition(x, mu):
 
 
 def _bisect(f, a, b):
-    """Bracketed bisection to machine precision; f(a), f(b) must differ in sign."""
+    """Bracketed bisection to machine precision; None if f(a), f(b) share a sign."""
     fa = f(a)
     fb = f(b)
     if fa == 0.0:
@@ -46,7 +46,7 @@ def _bisect(f, a, b):
     if fb == 0.0:
         return b
     if (fa > 0) == (fb > 0):
-        raise ConfigError(f"root not bracketed on [{a}, {b}]")
+        return None
     for _ in range(200):
         m = 0.5 * (a + b)
         if m == a or m == b:
@@ -71,14 +71,15 @@ def libration_points(mu):
     mu = _check_mu(mu)
     eps = 1e-9
     f = lambda x: _collinear_condition(x, mu)
-    x1 = _bisect(f, -mu + eps, 1.0 - mu - eps)
-    x2 = _bisect(f, 1.0 - mu + eps, 3.0)
-    x3 = _bisect(f, -3.0, -mu - eps)
-    pts = [
-        ("L1", np.array([x1, 0.0, 0.0])),
-        ("L2", np.array([x2, 0.0, 0.0])),
-        ("L3", np.array([x3, 0.0, 0.0])),
-        ("L4", np.array([0.5 - mu, np.sqrt(3.0) / 2.0, 0.0])),
-        ("L5", np.array([0.5 - mu, -np.sqrt(3.0) / 2.0, 0.0])),
-    ]
+    pts = []
+    for label, a, b in (("L1", -mu + eps, 1.0 - mu - eps),
+                        ("L2", 1.0 - mu + eps, 3.0), ("L3", -3.0, -mu - eps)):
+        x = _bisect(f, a, b)
+        if x is None:
+            raise ConfigError(
+                f"{label} at mu={mu} lies about (mu/3)^(1/3) from m2, inside "
+                f"the bisection's {eps:g} margin; use mu above 3e-27")
+        pts.append((label, np.array([x, 0.0, 0.0])))
+    pts += [("L4", np.array([0.5 - mu, np.sqrt(3.0) / 2.0, 0.0])),
+            ("L5", np.array([0.5 - mu, -np.sqrt(3.0) / 2.0, 0.0]))]
     return [LibrationPoint(label, pos) for label, pos in pts]

@@ -39,16 +39,6 @@ class NeighborGraph:
         if np.any(w <= 0):
             raise ConfigError("non-positive edge length")
 
-    @classmethod
-    def from_edges(cls, vertex_count, edges, lengths):
-        """The graph of `edges` given in any row order and orientation."""
-        edges = np.sort(np.asarray(edges, np.int64).reshape(-1, 2), axis=1)
-        lengths = np.asarray(lengths, dtype=np.float64)
-        order = np.lexsort((edges[:, 1], edges[:, 0]))
-        if lengths.shape == order.shape:
-            lengths = lengths[order]
-        return cls(vertex_count, edges[order], lengths)
-
     @property
     def edge_count(self):
         return len(self.edges)

@@ -159,7 +159,8 @@ def _chart_metric(graph, forms):
     if not np.all(np.isfinite(coef) & (coef > 0)):
         raise ResidualError(
             f"chart metric fit is not positive: (su^2, sv^2) = "
-            f"({coef[0]:.3e}, {coef[1]:.3e})",
+            f"({coef[0]:.3e}, {coef[1]:.3e}): the forms do not parameterize "
+            f"the edge lengths; raise k or sample more points",
             diagnostics={"chart_metric_coefficients": coef.tolist()})
     return (float(np.sqrt(coef[0])), float(np.sqrt(coef[1])))
 

@@ -218,33 +218,27 @@ def _read_csv_cloud(path):
     with open(path, "r", encoding="ascii") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
-            if not text:
+            if not text.startswith("#"):
+                rows.append(text)   # np.loadtxt skips the empty ones
                 continue
-            if text.startswith("#"):
-                body = text[1:].strip()
-                if body.startswith("provenance="):
-                    provenance = body[len("provenance="):]
-                elif body.startswith("dim="):
-                    try:
-                        declared = int(body[4:])
-                    except ValueError:
-                        raise ConfigError(f"bad header at line {lineno}: "
-                                          f"{text!r}") from None
-                continue
-            try:
-                rows.append([float(tok) for tok in text.split(",")])
-            except ValueError as exc:
-                raise ConfigError(f"parse error at line {lineno}: {exc}")
-    if not rows:
+            body = text[1:].strip()
+            if body.startswith("provenance="):
+                provenance = body[len("provenance="):]
+            elif body.startswith("dim="):
+                try:
+                    declared = int(body[4:])
+                except ValueError:
+                    raise ConfigError(f"bad header at line {lineno}: "
+                                      f"{text!r}") from None
+    if not any(rows):
         raise ConfigError("no data rows")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise ConfigError(f"inconsistent row widths {sorted(widths)}")
-    file_dim = widths.pop()
-    if declared is not None and declared != file_dim:
+    try:
+        pts = np.loadtxt(rows, delimiter=",", comments="#", ndmin=2)
+    except ValueError as exc:
+        raise ConfigError(f"parse error: {exc}") from None
+    if declared is not None and declared != pts.shape[1]:
         raise ConfigError(
-            f"header dim={declared} but rows have {file_dim} columns")
-    pts = np.array(rows, dtype=np.float64)
+            f"header dim={declared} but rows have {pts.shape[1]} columns")
     uniq, first = np.unique(pts, axis=0, return_index=True)
     if uniq.shape[0] != pts.shape[0]:
         dropped = pts.shape[0] - uniq.shape[0]
@@ -257,7 +251,9 @@ def load_point_cloud(path):
     """Load a cloud from CSV, whatever the path's extension, as
     `save_point_cloud` writes it: optional "#" lines (a "# dim=D" line must
     match the row width; without a "# provenance=" line the cloud is
-    "external"), then rows of D >= 3 comma-separated numbers.
+    "external"), then rows of D >= 3 comma-separated numbers, each row as
+    `np.loadtxt` reads it: text after a "#" is a comment, and digit-group
+    underscores ("1_0") are refused.
 
     Exact duplicate rows are removed (first occurrence kept) with a logged
     warning count. A file that is not ASCII text, or not such rows, raises

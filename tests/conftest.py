@@ -25,6 +25,17 @@ SILVER = 0.41421356237309515
 EARTH_MOON_MU = 0.01215
 
 
+def graph_from_edges(vertex_count, edges, lengths):
+    """The NeighborGraph of `edges` given in any row order and orientation,
+    each edge's length in `lengths` (which the graph checks)."""
+    edges = np.sort(np.asarray(edges, np.int64).reshape(-1, 2), axis=1)
+    lengths = np.asarray(lengths, dtype=np.float64)
+    order = np.lexsort((edges[:, 1], edges[:, 0]))
+    if lengths.shape == order.shape:
+        lengths = lengths[order]
+    return NeighborGraph(vertex_count, edges[order], lengths)
+
+
 def periodic_grid(rows, cols=None):
     """Unit-weight neighbor graph of the rows x cols flat-torus grid.
 
@@ -41,8 +52,7 @@ def periodic_grid(rows, cols=None):
                       ((i + 1) % rows) * cols + j):
                 edges.add((min(a, b), max(a, b)))
     edges = np.array(sorted(edges), dtype=np.int64)
-    return NeighborGraph.from_edges(rows * cols, edges,
-                                    np.ones(len(edges)))
+    return graph_from_edges(rows * cols, edges, np.ones(len(edges)))
 
 
 def manual_grid_basis(graph, rows, cols):

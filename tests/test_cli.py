@@ -118,6 +118,12 @@ def test_config_errors_exit_2(tmp_path, fast_cfg, capsys):
                                "bogus": 1}))
     assert cli.main(["run", "--config", str(bad)]) == 2
     assert cli.main(["run", "--config", str(tmp_path / "missing.json")]) == 2
+    # a config file that is not UTF-8: one JSON line at stage config
+    bad.write_bytes(b'{"sampler": "\xff"}\n')
+    capsys.readouterr()
+    assert cli.main(["sample", "--config", str(bad)]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["stage"] == "config"
     assert cli.main(["run", "--config", str(fast_cfg), "--k", "1"]) == 2
     assert cli.main(["run", "--config", str(fast_cfg),
                      "--projection", "sphere"]) == 2

@@ -14,13 +14,13 @@ from scipy.sparse import bmat, coo_matrix
 from scipy.sparse.csgraph import dijkstra
 
 import reference_cycles
-from conftest import periodic_grid, solve_oneforms
+from conftest import graph_from_edges, periodic_grid, solve_oneforms
 from reference_cycles import (exhaustive_minimum_cycle_basis, homology_split,
                               minimum_cycle_basis, neighbor_rows)
 from torusforge import cycles
 from torusforge.cycles import CycleBasis, classify_cycles, export_cycles_json
 from torusforge.errors import (CycleBasisError, GeneratorClassificationError)
-from torusforge.knn import NeighborGraph, build_knn_graph
+from torusforge.knn import build_knn_graph
 from torusforge.samplers import sample_torus_revolution
 
 # Frozen oracles for the flat-torus grids, confirmed by the exhaustive
@@ -134,7 +134,7 @@ def random_connected_graph(rng, n, extra_edges, tie_weights):
         lengths = rng.integers(1, 4, size=len(edges)).astype(np.float64)
     else:
         lengths = rng.random(len(edges)) + 0.5
-    return NeighborGraph.from_edges(n, np.array(edges), lengths)
+    return graph_from_edges(n, np.array(edges), lengths)
 
 
 @pytest.mark.parametrize("theta0", [None, 1e-12, float("inf")])
@@ -352,7 +352,7 @@ def test_sparse_band_matches_dense_reference(band):
 
 def ring_graph(n):
     edges = [(v, v + 1) for v in range(n - 1)] + [(0, n - 1)]
-    return NeighborGraph.from_edges(n, np.array(edges), np.ones(n))
+    return graph_from_edges(n, np.array(edges), np.ones(n))
 
 
 def test_doubling_matches_parent_walk_on_deep_trees():
@@ -584,7 +584,7 @@ def test_face_reduction_on_random_and_edge_case_matrices():
     # pentagon's coordinate, and de Pina's rule finds the pentagon
     edges = np.array([(0, 1), (0, 2), (0, 3), (0, 6), (1, 2), (3, 4), (4, 5),
                       (5, 6)])
-    graph = NeighborGraph.from_edges(7, edges, np.ones(8))
+    graph = graph_from_edges(7, edges, np.ones(8))
     ws = cycles._Workspace(graph)
     chosen, comp, _ = cycles._short_cycle_basis(ws)
     assert comp == [{int(ws.coord[graph.edge_ids([4], [5])[0]])}]
@@ -592,7 +592,7 @@ def test_face_reduction_on_random_and_edge_case_matrices():
     assert homology_split(graph).hops.tolist() == [3, 5]
     # the complete graph on 5 vertices: m = 6, ten triangles, no squares
     edges = np.array([(a, b) for a in range(5) for b in range(a + 1, 5)])
-    graph = NeighborGraph.from_edges(5, edges, 1.0 + 0.01 * np.arange(10))
+    graph = graph_from_edges(5, edges, 1.0 + 0.01 * np.arange(10))
     ws = cycles._Workspace(graph)
     chosen, comp, _ = cycles._short_cycle_basis(ws)
     assert comp == []
@@ -767,7 +767,7 @@ def test_exhaustive_rejects_large_graphs():
 
 def test_tree_graph_has_empty_basis():
     edges = np.array([(0, 1), (1, 2), (2, 3)])
-    graph = NeighborGraph.from_edges(4, edges, np.ones(3))
+    graph = graph_from_edges(4, edges, np.ones(3))
     assert homology_split(graph).size == 0
     basis = minimum_cycle_basis(graph)
     assert basis.size == 0

@@ -7,7 +7,7 @@ import pytest
 
 from scipy.spatial import cKDTree
 
-from conftest import periodic_grid
+from conftest import graph_from_edges, periodic_grid
 from reference_cycles import neighbor_rows
 from torusforge import knn
 from torusforge.errors import ConfigError, DisconnectedGraphError
@@ -150,16 +150,16 @@ def test_k_bounds():
 
 def test_from_edges_validation():
     with pytest.raises(ConfigError):
-        NeighborGraph.from_edges(3, [(0, 0)], [1.0])
+        graph_from_edges(3, [(0, 0)], [1.0])
     with pytest.raises(ConfigError):
-        NeighborGraph.from_edges(3, [(0, 1), (1, 0)], [1.0, 1.0])
+        graph_from_edges(3, [(0, 1), (1, 0)], [1.0, 1.0])
     with pytest.raises(ConfigError):
-        NeighborGraph.from_edges(3, [(0, 1)], [0.0])
+        graph_from_edges(3, [(0, 1)], [0.0])
 
 
 def test_direct_construction_checks_edge_order():
-    """A graph built without from_edges must hold its rows as edge_ids
-    searches them; from_edges sorts the same rows."""
+    """A graph built without graph_from_edges must hold its rows as
+    edge_ids searches them; graph_from_edges sorts the same rows."""
     rows = [[1, 2], [0, 1], [0, 2]]
     for bad in (rows, [[0, 1], [2, 1]], [[0, 1], [0, 1]], [[0, 1], [0, 3]],
                 [[1, 1]]):
@@ -167,7 +167,7 @@ def test_direct_construction_checks_edge_order():
             NeighborGraph(3, bad, np.ones(len(bad)))
     with pytest.raises(ConfigError):
         NeighborGraph(3, [[0, 1], [1, 2]], np.ones(3))
-    graph = NeighborGraph.from_edges(3, rows, [3.0, 1.0, 2.0])
+    graph = graph_from_edges(3, rows, [3.0, 1.0, 2.0])
     assert graph.edges.tolist() == [[0, 1], [0, 2], [1, 2]]
     assert graph.lengths.tolist() == [1.0, 2.0, 3.0]
     assert graph.edge_ids([0], [1]).tolist() == [0]
@@ -176,7 +176,7 @@ def test_direct_construction_checks_edge_order():
 @pytest.mark.parametrize("length", [np.nan, np.inf])
 def test_from_edges_rejects_non_finite_lengths(length):
     with pytest.raises(ConfigError, match="finite length"):
-        NeighborGraph.from_edges(3, [(0, 1), (1, 2)], [1.0, length])
+        graph_from_edges(3, [(0, 1), (1, 2)], [1.0, length])
 
 
 def test_grid_helper_is_four_regular():

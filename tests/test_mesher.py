@@ -15,13 +15,12 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import Delaunay
 
 from conftest import (EARTH_MOON_MU, brute_force_delaunay_check,
-                      build_pipeline, periodic_grid, solve_oneforms,
-                      unwrapped_corners)
+                      build_pipeline, graph_from_edges, periodic_grid,
+                      solve_oneforms, unwrapped_corners)
 from reference_cycles import homology_split, minimum_cycle_basis
 from torusforge.cycles import classify_cycles
 from torusforge.errors import (GeneratorClassificationError,
                                MeshValidationError, ResidualError)
-from torusforge.knn import NeighborGraph
 from torusforge import mesher
 from torusforge.mesher import (SurfaceMesh, _components, _half_edges,
                                _periodic_delaunay, export_mesh_json,
@@ -50,7 +49,7 @@ def flat_torus_graph(rows=12, seed=0):
     edges = periodic_grid(rows).edges
     inc = theta[edges[:, 1]] - theta[edges[:, 0]]
     inc -= np.round(inc)
-    graph = NeighborGraph.from_edges(rows * rows, edges, np.hypot(*inc.T))
+    graph = graph_from_edges(rows * rows, edges, np.hypot(*inc.T))
     return graph, OneFormPair(inc[:, 0].copy(), inc[:, 1].copy(), theta, {})
 
 
@@ -79,8 +78,7 @@ def test_chart_metric_fit_not_positive_raises_residual_error():
     graph, forms = flat_torus_graph()
     along_u = np.abs(forms.du) > np.abs(forms.dv)
     lengths = np.where(along_u, 0.01, 1.0)
-    twisted = NeighborGraph.from_edges(graph.vertex_count, graph.edges,
-                                       lengths)
+    twisted = graph_from_edges(graph.vertex_count, graph.edges, lengths)
     with pytest.raises(ResidualError, match="chart metric") as err:
         mesh_flat_torus(twisted, forms, None)
     su2, sv2 = err.value.details["diagnostics"]["chart_metric_coefficients"]
@@ -94,8 +92,7 @@ def test_point_missing_from_mesh_fails_validation(monkeypatch):
     without it."""
     graph, forms = flat_torus_graph()
     edges = np.vstack([graph.edges, [[0, 144]]])
-    twin = NeighborGraph.from_edges(145, edges,
-                                    np.append(graph.lengths, 1e-3))
+    twin = graph_from_edges(145, edges, np.append(graph.lengths, 1e-3))
     order = np.lexsort((edges[:, 1], edges[:, 0]))
     du = np.append(forms.du, 0.0)[order]
     dv = np.append(forms.dv, 0.0)[order]

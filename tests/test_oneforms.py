@@ -13,7 +13,8 @@ import pytest
 
 from scipy.sparse import csr_matrix, vstack
 
-from conftest import manual_grid_basis, periodic_grid, solve_oneforms
+from conftest import (graph_from_edges, manual_grid_basis, periodic_grid,
+                      solve_oneforms)
 from reference_cycles import (homology_split, minimum_cycle_basis,
                               neighbor_rows, vectors)
 from reference_oneforms import splu_cocycle
@@ -23,7 +24,7 @@ from torusforge.cycles import (CycleBasis, _fundamental_loop,
                                _Workspace, classify_cycles)
 from torusforge.errors import (CycleBasisError, GeneratorClassificationError,
                                ResidualError)
-from torusforge.knn import NeighborGraph, build_knn_graph
+from torusforge.knn import build_knn_graph
 from torusforge.oneforms import (_checked, _coclosed_rows, _cycle_rows,
                                  _gauss_reduce, _integer_cocycle,
                                  _loop_lower_bound, _solve_exact,
@@ -174,8 +175,8 @@ def test_uniform_weight_scaling_invariance(grid5_forms):
     """Lengths scaled by 1/3.7 scale every inverse-length weight by 3.7,
     which leaves the forms as they are."""
     graph = grid5_forms.graph
-    scaled = NeighborGraph.from_edges(graph.vertex_count, graph.edges,
-                                      graph.lengths / 3.7)
+    scaled = graph_from_edges(graph.vertex_count, graph.edges,
+                              graph.lengths / 3.7)
     pair = solve_oneforms(scaled, grid5_forms.classified)
     assert np.max(np.abs(pair.du - grid5_forms.forms.du)) < 1e-12
     assert np.max(np.abs(pair.dv - grid5_forms.forms.dv)) < 1e-12
@@ -690,7 +691,7 @@ def test_two_slots_with_fewer_than_two_faces(monkeypatch):
     co-closedness gate, scaled by the median |dx|, refuses them."""
     eight = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (0, 6), (6, 7),
              (7, 8), (8, 9), (9, 10), (0, 10)]
-    basis, forms = parameterize(NeighborGraph.from_edges(
+    basis, forms = parameterize(graph_from_edges(
         11, np.array(eight), np.ones(12)))
     assert basis.size == 2 and forms.diagnostics["period_error"] == 0.0
     handed = []
@@ -701,7 +702,7 @@ def test_two_slots_with_fewer_than_two_faces(monkeypatch):
     monkeypatch.setattr(oneforms, "_integer_cocycle", spy)
     edges = np.array(sorted(eight + [(1, 11), (11, 12), (1, 12)]))
     with pytest.raises(ResidualError, match="co-closedness"):
-        parameterize(NeighborGraph.from_edges(13, edges, np.ones(15)))
+        parameterize(graph_from_edges(13, edges, np.ones(15)))
     assert handed == [(3, 3)]
 
 

@@ -330,6 +330,34 @@ def test_cloud_load_errors(tmp_path):
         load_point_cloud(path)
 
 
+def test_cloud_rows_are_what_loadtxt_reads(tmp_path, recwarn):
+    """A row is what `np.loadtxt(delimiter=",", comments="#")` reads:
+    blank and indented comment lines are skipped, text after a row's "#"
+    is a note, float spellings such as " 2 " and "1e400" parse as float
+    reads them, and digit-group underscores are refused."""
+    path = tmp_path / "cloud.csv"
+    path.write_text("# dim=3\n  # indented\n\n 2 ,0,1 # note\n0,1,0\n"
+                    "1,0,0\n1,1,-1e-320\n")
+    points = load_point_cloud(path).points
+    assert points.tolist() == [[2, 0, 1], [0, 1, 0], [1, 0, 0],
+                               [1, 1, -1e-320]]
+    path.write_text("1e400,0,1\n0,1,0\n1,0,0\n1,1,1\n")
+    with pytest.raises(ConfigError, match="non-finite"):
+        load_point_cloud(path)
+    path.write_text("1_0,0,1\n0,1,0\n1,0,0\n1,1,1\n")
+    with pytest.raises(ConfigError, match="could not convert string '1_0'"):
+        load_point_cloud(path)
+    path.write_text("1,2,3\n4,5\n")
+    with pytest.raises(ConfigError, match="number of columns changed"):
+        load_point_cloud(path)
+    # a file of comments and blank lines stops before numpy parses it, so
+    # numpy's empty-input warning never fires
+    path.write_text("# dim=3\n\n  \n")
+    with pytest.raises(ConfigError, match="no data rows"):
+        load_point_cloud(path)
+    assert not recwarn.list
+
+
 @pytest.mark.parametrize("text, problem", [
     ("1,2\n3,4\n5,6\n7,8\n", "D >= 3"),
     ("1,2,3\n4,5,6\n7,8,nan\n0,0,1\n", "non-finite"),
